@@ -153,8 +153,10 @@ def check_mixture_gap_pd(seed=5, trials=200) -> CheckResult:
 
 
 def well_conditioned_path(rng, constraint, r, floor=0.1):
-    """Feasible path whose increments and tail chain stay clear of the
-    boundary, so finite differences at step 1e-5 resolve the gradient."""
+    """Feasible path whose increments and D_{r-1} have smallest eigenvalue
+    at least ``floor``, so finite differences at step 1e-5 resolve the
+    gradient.  Returns the first of up to 64 draws that clears the floor;
+    when none does, returns the last draw, which does not."""
     for _ in range(64):
         path = random_feasible_path(rng, constraint, r)
         floors = [matcore.spectral_floor(path.increment(k)) for k in range(r)]

@@ -49,10 +49,6 @@ class InfeasibleStep(SpinvarError):
     """A finite-difference probe point left the domain of the functional."""
 
 
-class TransformInfeasible(SpinvarError):
-    """A tilde-transformed object violates its positive-definiteness requirements."""
-
-
 class DegenerateTrace(SpinvarError):
     """Two distinct path levels share a trace and cannot be trace-parametrized."""
 

@@ -14,6 +14,12 @@ points of a perturbed functional the two forms coincide through explicit
 correction terms built from the matrices E_p and their weighted tails
 Ebar_p; ``eval_approx`` evaluates those corrected forms.
 
+Every value and representer is computed by ``eval_stack``, which takes a
+stack of points, builds each chain with cumulative sums, and decides
+feasibility from one Cholesky call over all of its matrices; infeasible
+points evaluate to +inf there, and the single-point functions below turn
+that into the matching domain error.
+
 Conventions: a level with x_k = 0 contributes nothing to the 1/x_k
 log-ratio terms (the corresponding chain increment is then zero), and
 correction inner products are accumulated in a fixed order so repeated
@@ -37,11 +43,15 @@ import numpy as np
 
 from .errors import (
     DegenerateIncrement,
+    DimensionMismatch,
+    InfeasibleMultiplier,
     InfeasiblePath,
     NonStrictWeights,
     NotPositiveDefinite,
+    SpinvarError,
 )
 from .matcore import (
+    PSD_RTOL,
     MixtureSpec,
     chol_logdet,
     frobenius,
@@ -58,6 +68,182 @@ def corrected_eps(eps: float) -> float:
     return 2.0 * eps
 
 
+# status codes of eval_stack; INCREMENT_FAILED + k names increment k
+FEASIBLE, FLOOR_FAILED, CHAIN_FAILED, INCREMENT_FAILED = 0, 1, 2, 3
+
+
+def _frob(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.sum(a * b, axis=(-2, -1))
+
+
+def _sym(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def _over(num: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """num_k / x_k along axis 1, and 0 where x_k = 0 (the x_k = 0 levels
+    drop out of the 1/x_k terms)."""
+    x = x.reshape((1, -1) + (1,) * (num.ndim - 2))
+    return np.divide(num, x, out=np.zeros_like(num), where=x != 0.0)
+
+
+def _cholesky(stack: np.ndarray):
+    """Cholesky factors of a (B, m, n, n) stack and the (B, m) mask of the
+    matrices that factor; a matrix that does not gets the identity."""
+    try:
+        return np.linalg.cholesky(stack), np.ones(stack.shape[:2], dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    factors = np.empty_like(stack)
+    ok = np.ones(stack.shape[:2], dtype=bool)
+    for idx in np.ndindex(*stack.shape[:2]):
+        try:
+            factors[idx] = np.linalg.cholesky(stack[idx])
+        except np.linalg.LinAlgError:
+            factors[idx] = np.eye(stack.shape[-1])
+            ok[idx] = False
+    return factors, ok
+
+
+def eval_stack(kind, mix, constraint, x, eps, levels, lam=None, grad=False):
+    """The eps-perturbed form ``kind`` at a stack of B points, with its representers.
+
+    ``levels`` holds the free levels Q_1..Q_{r-1} of each point, shape
+    (B, r-1, n, n); ``lam`` the multipliers, shape (B, n, n), for the
+    multiplier form.  All matrices must be symmetric.  One Cholesky call
+    factors, for every point, the psd_tol-shifted Lambda_1 (or D_{r-1}),
+    the chain Lambda_1..Lambda_r (or D_1..D_{r-1} and Q - Q_{r-1}) and, for
+    eps != 0, the increments; one ``inv`` call inverts what the value and
+    the representers need.
+
+    Returns ``(values, status, reps)``: values of shape (B,), +inf where
+    ``status`` is not FEASIBLE; status FLOOR_FAILED when Lambda_1 (or
+    D_{r-1}) is not above its psd_tol margin, CHAIN_FAILED when a chain
+    matrix does not factor, INCREMENT_FAILED + k when increment k does not
+    (eps != 0 only); ``reps`` (with ``grad``) the representers of shape
+    (B, blocks, n, n), the multiplier first for the multiplier form.
+    """
+    if kind not in ("parisi", "cs"):
+        raise ValueError(f"unknown functional kind {kind!r}")
+    xv = np.asarray(x, dtype=float)
+    r = xv.size
+    if kind == "cs" and (r < 2 or xv[-1] <= 0.0):
+        raise InfeasiblePath("the multiplier-free form needs r >= 2 and x_{r-1} > 0")
+    count, n = levels.shape[0], constraint.shape[0]
+    q = np.concatenate(
+        [np.zeros((count, 1, n, n)), levels, np.broadcast_to(constraint, (count, 1, n, n))], axis=1
+    )  # Q_0..Q_r
+    inc = np.diff(q, axis=1)  # Q_{k+1} - Q_k, k = 0..r-1
+    series = mix.series(q[:, 1:])  # at Q_1..Q_r
+    if kind == "parisi":
+        # Lambda_p = Lambda - sum_{k >= p} x_k (xi'(Q_{k+1}) - xi'(Q_k))
+        steps = xv[1:, None, None] * np.diff(series[:, :, 1], axis=1)
+        tails = np.cumsum(steps[:, ::-1], axis=1)[:, ::-1]
+        chain = np.concatenate([lam[:, None] - tails, lam[:, None]], axis=1)
+        floor = chain[:, 0]
+        incs = inc if eps != 0.0 else inc[:, :0]
+    else:
+        # D_p = sum_{k >= p} x_k (Q_{k+1} - Q_k)
+        steps = xv[1:, None, None] * inc[:, 1:]
+        chain = np.cumsum(steps[:, ::-1], axis=1)[:, ::-1]
+        floor = chain[:, -1]
+        incs = inc if eps != 0.0 else inc[:, -1:]  # Q - Q_{r-1} always
+    tol = PSD_RTOL * np.maximum(np.max(np.abs(np.diagonal(floor, 0, -2, -1)), axis=-1), 1.0)
+    shifted = floor - tol[:, None, None] * np.eye(n)
+    mats = np.concatenate([shifted[:, None], chain, incs], axis=1)
+    factors, ok = _cholesky(mats)
+    logdet = 2.0 * np.sum(np.log(np.diagonal(factors, 0, -2, -1)), axis=-1)
+    m = chain.shape[1]
+    chain_ok = ok[:, 1 : 1 + m].all(axis=1)
+    if kind == "cs":
+        chain_ok &= ok[:, -1]
+    status = np.where(ok[:, 0], np.where(chain_ok, FEASIBLE, CHAIN_FAILED), FLOOR_FAILED)
+    if eps != 0.0:
+        inc_bad = ~ok[:, 1 + m :]
+        first_bad = INCREMENT_FAILED + np.argmax(inc_bad, axis=1)
+        status = np.where((status == FEASIBLE) & inc_bad.any(axis=1), first_bad, status)
+    feasible = status == FEASIBLE
+
+    targets = mats[:, 1:] if grad else mats[:, 1:2]
+    if not feasible.all():
+        targets = np.where(feasible[:, None, None, None], targets, np.eye(n))
+    inv = _sym(np.linalg.inv(targets))
+
+    hh = mix.outer_field()
+    sums = np.sum(series, axis=(-2, -1))  # (B, r, 4)
+    ld = logdet[:, 1 : 1 + m]
+    if kind == "parisi":
+        total = _frob(hh, inv[:, 0]) + _frob(lam, constraint) - n - ld[:, -1]
+        total += np.sum(_over(np.diff(ld, axis=1), xv[1:]), axis=1)
+        total += _frob(series[:, 0, 1], inv[:, 0])
+        total -= np.sum(xv[1:] * np.diff(sums[:, :, 3], axis=1), axis=1)
+    else:
+        total = _frob(hh, chain[:, 0]) + logdet[:, -1] / xv[-1]
+        total -= np.sum(_over(np.diff(ld, axis=1), xv[1:-1]), axis=1)
+        total += _frob(q[:, 1], inv[:, 0])
+        total += np.sum(xv[1:] * np.diff(sums[:, :, 0], axis=1), axis=1)
+    values = 0.5 * total
+    if eps != 0.0:
+        values = values + eps * -np.sum(logdet[:, 1 + m :], axis=1)
+    values = np.where(feasible, values, np.inf)
+    if not grad:
+        return values, status, None
+
+    dx = np.diff(xv)[:, None, None]
+    if kind == "parisi":
+        li = inv[:, :m]  # Lambda_1^-1 .. Lambda_r^-1
+        a = _sym(li[:, 0] @ (hh + series[:, 0, 1]) @ li[:, 0])
+        partial = np.cumsum(_over(li[:, :-1] - li[:, 1:], xv[1:]), axis=1)
+        partial = np.concatenate([np.zeros((count, 1, n, n)), partial], axis=1)  # S_1..S_r
+        d_lam = constraint - li[:, -1] - a - partial[:, -1]
+        core = levels - a[:, None] - partial[:, :-1]
+        d_q = dx * series[:, :-1, 2] * core
+    else:
+        di = inv[:, :m]  # D_1^-1 .. D_{r-1}^-1
+        b = _sym(di[:, 0] @ q[:, 1] @ di[:, 0])
+        partial = np.cumsum(_over(di[:, 1:] - di[:, :-1], xv[1:-1]), axis=1)
+        partial = np.concatenate([np.zeros((count, 1, n, n)), partial], axis=1)  # T_1..T_{r-1}
+        core = hh - b[:, None] - partial + series[:, :-1, 1]
+        d_q = -dx * core
+    if eps != 0.0:
+        inc_inv = inv[:, m:]
+        d_q = d_q + corrected_eps(eps) * (inc_inv[:, 1:] - inc_inv[:, :-1])
+    reps = np.concatenate([d_lam[:, None], d_q], axis=1) if kind == "parisi" else d_q
+    return values, status, reps
+
+
+def _domain_error(kind: str, status: int, grad: bool = False) -> SpinvarError:
+    """The exception the single-point evaluators raise for an eval_stack status."""
+    if status == FLOOR_FAILED:
+        if kind == "parisi":
+            return InfeasibleMultiplier("Lambda_1 is not positive definite beyond psd_tol")
+        return InfeasiblePath("D_{r-1} is not positive definite beyond psd_tol")
+    if status == CHAIN_FAILED:
+        what = "a matrix of the multiplier chain" if kind == "parisi" else "a matrix of the tail chain"
+        if kind == "cs" and not grad:
+            return InfeasiblePath(f"{what} is not positive definite")
+        return NotPositiveDefinite(f"{what} is not positive definite")
+    return DegenerateIncrement(int(status) - INCREMENT_FAILED)
+
+
+def eval_point(kind, eps, path: DiscretePath, mix: MixtureSpec, lam=None, grad=False):
+    """eval_stack at one path: (value, representers or None); raises the
+    domain error of an infeasible point."""
+    n = path.n
+    if kind == "parisi":
+        if lam is None:
+            raise ValueError("the multiplier form needs lam")
+        lam = np.asarray(lam, dtype=float)
+        if lam.shape != (n, n):
+            raise DimensionMismatch("multiplier dimension does not match the path")
+        lam = _sym(lam)[None]
+    levels = np.array(path.qs[:-1]).reshape(1, path.r - 1, n, n)
+    values, status, reps = eval_stack(kind, mix, path.constraint, path.x, eps, levels, lam, grad)
+    if status[0] != FEASIBLE:
+        raise _domain_error(kind, status[0], grad)
+    return float(values[0]), None if reps is None else reps[0]
+
+
 def eval_parisi(lam: np.ndarray, path: DiscretePath, mix: MixtureSpec) -> float:
     """Multiplier-form functional.
 
@@ -65,28 +251,7 @@ def eval_parisi(lam: np.ndarray, path: DiscretePath, mix: MixtureSpec) -> float:
           + sum_k (1/x_k) log(|L_{k+1}|/|L_k|) + <xi'(Q_1), L1^-1>
           - sum_k x_k Sum(theta(Q_{k+1}) - theta(Q_k)) ]
     """
-    state = lambda_sequence(lam, path, mix)
-    return _parisi_from_state(state, path, mix)
-
-
-def _parisi_from_state(state: MultiplierState, path: DiscretePath, mix: MixtureSpec) -> float:
-    lam = state.lam
-    n = path.n
-    first_inv = sym_inverse(state.at(1))
-    total = frobenius(mix.outer_field(), first_inv)
-    total += frobenius(lam, path.constraint)
-    total -= n
-    total -= chol_logdet(lam)
-    logdets = [chol_logdet(m) for m in state.seq]
-    for k in range(1, path.r):
-        if path.x[k] == 0.0:
-            continue  # then Lambda_{k+1} = Lambda_k and the ratio is 1
-        total += (logdets[k] - logdets[k - 1]) / path.x[k]
-    total += frobenius(mix.xi_prime(path.level(1)), first_inv)
-    theta_sums = [sum_entries(mix.theta(path.level(k))) for k in range(path.r + 1)]
-    for k in range(1, path.r):
-        total -= path.x[k] * (theta_sums[k + 1] - theta_sums[k])
-    return 0.5 * total
+    return eval_point("parisi", 0.0, path, mix, lam=lam)[0]
 
 
 def eval_cs(path: DiscretePath, mix: MixtureSpec) -> float:
@@ -96,28 +261,7 @@ def eval_cs(path: DiscretePath, mix: MixtureSpec) -> float:
           - sum_{k<=r-2} (1/x_k) log(|D_{k+1}|/|D_k|) + <Q_1, D_1^-1>
           + sum_k x_k Sum(xi(Q_{k+1}) - xi(Q_k)) ]
     """
-    if path.r < 2:
-        raise InfeasiblePath("the multiplier-free form needs r >= 2")
-    if path.x[-1] <= 0.0:
-        raise InfeasiblePath("x_{r-1} must be positive")
-    dseq = d_sequence(path)
-    try:
-        top_logdet = chol_logdet(path.constraint - path.level(path.r - 1))
-        d_logdets = [chol_logdet(m) for m in dseq.seq]
-        d1_inv = sym_inverse(dseq.at(1))
-    except NotPositiveDefinite as exc:
-        raise InfeasiblePath(str(exc)) from exc
-    total = frobenius(mix.outer_field(), dseq.at(1))
-    total += top_logdet / path.x[-1]
-    for k in range(1, path.r - 1):
-        if path.x[k] == 0.0:
-            continue  # then D_{k+1} = D_k and the ratio is 1
-        total -= (d_logdets[k] - d_logdets[k - 1]) / path.x[k]
-    total += frobenius(path.level(1), d1_inv)
-    xi_sums = [sum_entries(mix.xi(path.level(k))) for k in range(path.r + 1)]
-    for k in range(1, path.r):
-        total += path.x[k] * (xi_sums[k + 1] - xi_sums[k])
-    return 0.5 * total
+    return eval_point("cs", 0.0, path, mix)[0]
 
 
 def eval_barrier(path: DiscretePath) -> float:
@@ -139,17 +283,7 @@ def eval_perturbed(
     lam: np.ndarray | None = None,
 ) -> float:
     """Base functional plus eps times the barrier (eps = 0 skips the barrier)."""
-    if kind == "parisi":
-        if lam is None:
-            raise ValueError("the multiplier form needs lam")
-        base = eval_parisi(lam, path, mix)
-    elif kind == "cs":
-        base = eval_cs(path, mix)
-    else:
-        raise ValueError(f"unknown functional kind {kind!r}")
-    if eps == 0.0:
-        return base
-    return base + eps * eval_barrier(path)
+    return eval_point(kind, eps, path, mix, lam=lam)[0]
 
 
 @dataclass(frozen=True)

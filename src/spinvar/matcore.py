@@ -108,14 +108,6 @@ def spectral_floor(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(symmetrize(a))[0])
 
 
-def is_pd(a: np.ndarray) -> bool:
-    return spectral_floor(a) > psd_tol(a)
-
-
-def is_psd(a: np.ndarray) -> bool:
-    return spectral_floor(a) >= -psd_tol(a)
-
-
 def hadamard_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Entrywise quotient a / b; raises ZeroDivisor on a guarded entry of b."""
     a = _require_square(a)
@@ -196,12 +188,25 @@ class MixtureSpec:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", tuple(coerced))
         object.__setattr__(self, "h", frozen(h))
+        # series k, term t: coefficient (beta x beta) and Hadamard power
+        weights = [[c(p) * np.outer(b, b) for p, b in coerced] for c, _ in _MIX_KINDS.values()]
+        powers = [[p - shift for p, _ in coerced] for _, shift in _MIX_KINDS.values()]
+        object.__setattr__(self, "_weights", np.array(weights).reshape(4, len(coerced), n, n))
+        object.__setattr__(self, "_powers", np.array(powers, dtype=float).reshape(4, -1, 1, 1))
 
     @classmethod
     def pure(cls, p: int, beta, h=None) -> "MixtureSpec":
         beta = np.atleast_1d(np.asarray(beta, dtype=float))
         n = beta.size
         return cls(n=n, terms=((p, beta),), h=np.zeros(n) if h is None else h)
+
+    def series(self, a: np.ndarray) -> np.ndarray:
+        """All four series at a stack ``a`` of shape (..., n, n), in one
+        broadcast expression: shape (..., 4, n, n) in the order xi,
+        xi_prime, xi_second, theta."""
+        terms = a[..., None, None, :, :] ** self._powers
+        terms *= self._weights
+        return np.sum(terms, axis=-3)
 
     def outer_field(self) -> np.ndarray:
         return np.outer(self.h, self.h)
@@ -264,11 +269,7 @@ def mixture_apply(kind: str, mix: MixtureSpec, a: np.ndarray) -> np.ndarray:
     a = _require_square(a)
     if a.shape != (mix.n, mix.n):
         raise DimensionMismatch(f"matrix is {a.shape}, mixture has n = {mix.n}")
-    coeff, shift = _MIX_KINDS[kind]
-    out = np.zeros_like(a)
-    for p, beta in mix.terms:
-        out += coeff(p) * np.outer(beta, beta) * a ** (p - shift)
-    return symmetrize(out)
+    return symmetrize(mix.series(a)[list(_MIX_KINDS).index(kind)])
 
 
 def dir_derivative(kind: str, args, c: np.ndarray) -> float:

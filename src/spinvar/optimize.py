@@ -2,14 +2,17 @@
 
 The inner solve works at fixed (r, weights, eps).  The free variables are
 the levels Q_1..Q_{r-1} (always) and the multiplier (multiplier form
-only).  Each iteration takes one Barzilai-Borwein-scaled descent step
-jointly across all free variables along the negative representers,
-safeguarded by Armijo backtracking against the eps-perturbed objective;
-any step that leaves the domain of the barrier evaluates to +inf and is
-rejected, so accepted iterates keep strictly positive-definite
-increments.  Near stationarity a damped Newton polish on the first-order
-system finishes the job, since line searches cannot certify progress
-below the floating-point resolution of the objective.
+only), held as upper-triangle coordinates by ``Objective``, which gets the
+value and the gradient of a point, or of a stack of points, from one call
+of ``functionals.eval_stack``.  Each iteration takes one
+Barzilai-Borwein-scaled descent step jointly across all free variables
+along the negative representers, safeguarded by Armijo backtracking
+against the eps-perturbed objective; any step that leaves the domain of
+the barrier evaluates to +inf and is rejected, so accepted iterates keep
+strictly positive-definite increments.  Near stationarity a damped Newton
+polish on the first-order system finishes the job, since line searches
+cannot certify progress below the floating-point resolution of the
+objective.
 
 On top of the inner solve sit: ``continuation`` (a decreasing eps
 schedule with warm starts), ``search`` (discrete coordinate descent over
@@ -24,25 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateIncrement,
-    InfeasibleMultiplier,
-    InfeasiblePath,
-    NoFeasibleStart,
-    NotPositiveDefinite,
-    ValidationError,
-)
-from .functionals import eval_cs, eval_parisi, eval_perturbed
-from .matcore import MixtureSpec, spectral_floor, sym_inverse, symmetrize
+from .errors import InfeasibleMultiplier, NoFeasibleStart, ValidationError
+from .functionals import eval_cs, eval_parisi, eval_stack
+from .matcore import MixtureSpec, sym_inverse
 from .path import DiscretePath, equally_spaced
-from .variation import grad_cs, grad_parisi
-
-_DOMAIN_ERRORS = (
-    NotPositiveDefinite,
-    InfeasibleMultiplier,
-    InfeasiblePath,
-    DegenerateIncrement,
-)
 
 DEFAULT_EPS_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
@@ -164,59 +152,90 @@ class GapReport:
     continuity_band: float = 0.0
 
 
-class _Blocks:
-    """Flattened view of the free blocks of one functional form."""
+class Objective:
+    """The eps-perturbed form ``kind`` at fixed (mix, Q, x, eps) as a function
+    of its free blocks -- the multiplier first for the multiplier form, then
+    Q_1..Q_{r-1} -- in upper-triangle coordinates z.
 
-    def __init__(self, kind, mix, constraint, x, eps, diag_only):
+    With ``diag_only`` the coordinates are the diagonals alone and the
+    off-diagonal entries keep their values in ``blocks``, the start.  The
+    descent uses the Frobenius metric, under which an off-diagonal
+    coordinate counts twice: ``metric`` holds those weights.
+    """
+
+    def __init__(self, kind, mix, constraint, x, eps, diag_only, blocks):
         self.kind = kind
         self.mix = mix
         self.constraint = np.asarray(constraint, dtype=float)
         self.x = tuple(float(v) for v in x)
         self.eps = float(eps)
-        self.diag_only = bool(diag_only)
-        self.n = self.constraint.shape[0]
-        self.r = len(self.x)
+        self.template = np.array(blocks, dtype=float)
+        n = self.constraint.shape[0]
+        self.rows, self.cols = np.diag_indices(n) if diag_only else np.triu_indices(n)
+        off = self.rows != self.cols
+        self.metric = np.tile(np.where(off, 2.0, 1.0), len(self.template))
+        self._halve = np.where(off, 1.0, 0.5)
 
-    def path_of(self, levels) -> DiscretePath:
-        return DiscretePath(self.x, tuple(levels) + (self.constraint,))
+    def pack(self, blocks) -> np.ndarray:
+        return np.asarray(blocks, dtype=float)[:, self.rows, self.cols].reshape(-1)
 
-    def value(self, lam, levels) -> float:
-        try:
-            return eval_perturbed(
-                self.kind, self.eps, self.path_of(levels), self.mix, lam=lam
-            )
-        except _DOMAIN_ERRORS:
-            return math.inf
+    def blocks(self, z) -> np.ndarray:
+        """The (..., blocks, n, n) matrices of one or a stack of points."""
+        z = np.asarray(z, dtype=float)
+        count = len(self.template)
+        out = np.broadcast_to(self.template, z.shape[:-1] + self.template.shape).copy()
+        tri = z.reshape(z.shape[:-1] + (count, -1))
+        out[..., self.rows, self.cols] = tri
+        out[..., self.cols, self.rows] = tri
+        return out
 
-    def grads(self, lam, levels):
-        """True Frobenius gradients (representers halved) per block."""
-        path = self.path_of(levels)
+    def split(self, z):
+        """(lam or None, levels) of one point."""
+        mats = self.blocks(z)
         if self.kind == "parisi":
-            bundle = grad_parisi(lam, path, self.mix, self.eps)
-            g_lam = 0.5 * bundle.d_lambda
+            return mats[0], list(mats[1:])
+        return None, list(mats)
+
+    def value_and_grad(self, z):
+        """Value and gradient in z of one point, or of a (B, dim) stack."""
+        mats = self.blocks(np.atleast_2d(z))
+        if self.kind == "parisi":
+            lam, levels = mats[:, 0], mats[:, 1:]
         else:
-            bundle = grad_cs(path, self.mix, self.eps)
-            g_lam = None
-        g_q = [0.5 * g for g in bundle.d_q]
-        if self.diag_only:
-            g_q = [np.diag(np.diag(g)) for g in g_q]
-            if g_lam is not None:
-                g_lam = np.diag(np.diag(g_lam))
-        return g_lam, g_q
+            lam, levels = None, mats
+        values, _, reps = eval_stack(
+            self.kind, self.mix, self.constraint, self.x, self.eps, levels, lam, grad=True
+        )
+        grads = (reps[..., self.rows, self.cols] * self._halve).reshape(len(values), -1)
+        if np.ndim(z) == 1:
+            return float(values[0]), grads[0]
+        return values, grads
+
+    def norm(self, grad) -> float:
+        """Infinity norm of the representers."""
+        return float(np.max(np.abs(2.0 * grad / self.metric)))
+
+    def min_increment_eig(self, z) -> float:
+        levels = self.split(z)[1]
+        qs = np.array([np.zeros_like(self.constraint)] + levels + [self.constraint])
+        return float(np.min(np.linalg.eigvalsh(np.diff(qs, axis=0))))
 
 
 class _BBStep:
     """One descent-direction step with BB scaling and Armijo backtracking.
 
-    When the certifiable decrease c*eta*|g|^2 falls below the floating-point
-    resolution of the objective, the full step is accepted as long as the
-    value does not rise above that resolution; line searches cannot certify
-    progress below it, but the scaled step still contracts near a minimum.
+    The direction is the Frobenius gradient, ``grad / metric`` in triangle
+    coordinates.  When the certifiable decrease c*eta*|g|^2 falls below the
+    floating-point resolution of the objective, the full step is accepted
+    as long as the value does not rise above that resolution; line searches
+    cannot certify progress below it, but the scaled step still contracts
+    near a minimum.
     """
 
-    def __init__(self, c, shrink):
+    def __init__(self, c, shrink, metric):
         self.c = c
         self.shrink = shrink
+        self.metric = metric
         self.prev_point = None
         self.prev_grad = None
         self.eta = 1e-2
@@ -224,165 +243,86 @@ class _BBStep:
     def propose_eta(self, point, grad):
         if self.prev_point is not None:
             s = point - self.prev_point
-            y = grad - self.prev_grad
-            sy = float(s @ y)
-            yy = float(y @ y)
+            dg = grad - self.prev_grad
+            sy = float(s @ dg)
+            yy = float((dg / self.metric) @ dg)
             if sy > 0 and yy > 0:
                 self.eta = min(max(sy / yy, 1e-12), 1e3)
         self.prev_point = point.copy()
         self.prev_grad = grad.copy()
         return self.eta
 
-    def backtrack(self, value_fn, current, point, grad):
-        """Return (new_point_vector, new_value, moved)."""
-        gg = float(grad @ grad)
+    def backtrack(self, value_and_grad, current, point, grad):
+        """Return (new_point, new_value, new_grad, moved)."""
+        direction = grad / self.metric
+        gg = float(direction @ grad)
         if gg == 0.0:
-            return point, current, False
+            return point, current, grad, False
         eta = self.propose_eta(point, grad)
         floor = 8.0 * np.finfo(float).eps * (abs(current) + 1e-3)
         for _ in range(60):
-            candidate = point - eta * grad
-            new_value = value_fn(candidate)
+            candidate = point - eta * direction
+            new_value, new_grad = value_and_grad(candidate)
             required = self.c * eta * gg
             if new_value <= current - required or (
                 required < floor and new_value <= current + floor
             ):
                 self.eta = eta
-                return candidate, new_value, True
+                return candidate, new_value, new_grad, True
             eta *= self.shrink
             if eta < 1e-18:
                 break
-        return point, current, False
+        return point, current, grad, False
 
 
-def _pack(mats):
-    return np.concatenate([m.reshape(-1) for m in mats])
+# FD probes per stacked call: bounds the kernel's temporaries (about 20 kB
+# per probe at n = 8) so a batch never raises the process's peak memory
+_PROBE_STACK = 16
 
 
-def _unpack(vec, count, n):
-    out = []
-    for i in range(count):
-        m = vec[i * n * n : (i + 1) * n * n].reshape(n, n)
-        out.append(symmetrize(m))
-    return out
-
-
-def _tri_indices(n, diag_only=False):
-    if diag_only:
-        return [(i, i) for i in range(n)]
-    return [(i, j) for i in range(n) for j in range(i, n)]
-
-
-def _tri_pack(mats, idx):
-    return np.array([m[i, j] for m in mats for i, j in idx])
-
-
-def _tri_unpack(vec, count, n, idx):
-    span = len(idx)
-    out = []
-    for c in range(count):
-        m = np.zeros((n, n))
-        for k, (i, j) in enumerate(idx):
-            m[i, j] = m[j, i] = vec[c * span + k]
-        out.append(m)
-    return out
-
-
-def _tri_grad(mats, idx):
-    """Derivative w.r.t. the independent upper-triangle coordinates: the
-    off-diagonal entries of the Frobenius gradient count twice."""
-    return np.array([(1.0 if i == j else 2.0) * m[i, j] for m in mats for i, j in idx])
-
-
-class _Polisher:
+def _polish(obj, z, value, grad, grad_tol, rounds=12):
     """Damped Newton on the stationarity system in triangle coordinates.
 
-    The Hessian is a finite difference of the analytic gradient; steps are
-    accepted only when they shrink the representer norm and stay feasible,
-    so the polish can only improve on the descent phase.
+    The Hessian is a finite difference of the analytic gradient, its probes
+    evaluated in stacks; steps are accepted only when they shrink the
+    representer norm and stay feasible, so the polish can only improve on
+    the descent phase.  Returns (z, value, grad, representer norm).
     """
-
-    def __init__(self, blocks, r):
-        self.blocks = blocks
-        self.r = r
-        self.n = blocks.n
-        self.count = (1 if blocks.kind == "parisi" else 0) + (r - 1)
-        self.idx = _tri_indices(self.n, blocks.diag_only)
-
-    def split(self, mats_vec):
-        mats = _tri_unpack(mats_vec, self.count, self.n, self.idx)
-        if self.blocks.kind == "parisi":
-            return mats[0], mats[1:]
-        return None, mats
-
-    def join(self, lam, levels):
-        mats = ([lam] if lam is not None else []) + list(levels)
-        return _tri_pack(mats, self.idx)
-
-    def grad(self, z):
-        lam, levels = self.split(z)
-        try:
-            g_lam, g_q = self.blocks.grads(lam, levels)
-        except _DOMAIN_ERRORS:
-            return None
-        gmats = ([g_lam] if g_lam is not None else []) + list(g_q)
-        return _tri_grad(gmats, self.idx)
-
-    def norm(self, z):
-        lam, levels = self.split(z)
-        try:
-            g_lam, g_q = self.blocks.grads(lam, levels)
-        except _DOMAIN_ERRORS:
-            return math.inf
-        norms = [float(np.max(np.abs(g))) for g in g_q]
-        if g_lam is not None:
-            norms.append(float(np.max(np.abs(g_lam))))
-        return 2.0 * max(norms)
-
-    def polish(self, lam, levels, grad_tol, rounds=12):
-        z = self.join(lam, levels)
-        current = self.norm(z)
-        dim = z.size
-        for _ in range(rounds):
-            if current <= grad_tol:
-                break
-            g = self.grad(z)
-            if g is None:
-                break
-            hess = np.zeros((dim, dim))
-            step = 1e-7 * max(1.0, float(np.max(np.abs(z))))
-            for k in range(dim):
-                probe = z.copy()
-                probe[k] += step
-                gp = self.grad(probe)
-                if gp is None:
-                    probe[k] = z[k] - step
-                    gp = self.grad(probe)
-                    if gp is None:
-                        return self.split(z), current
-                    hess[:, k] = (g - gp) / step
-                else:
-                    hess[:, k] = (gp - g) / step
-            hess = 0.5 * (hess + hess.T)
-            moved = False
-            for mu in (0.0, 1e-10, 1e-6, 1e-2):
-                try:
-                    direction = np.linalg.solve(hess + mu * np.eye(dim), -g)
-                except np.linalg.LinAlgError:
-                    continue
-                alpha = 1.0
-                for _ in range(8):
-                    trial = z + alpha * direction
-                    trial_norm = self.norm(trial)
-                    if trial_norm < 0.5 * current:
-                        z, current, moved = trial, trial_norm, True
-                        break
-                    alpha *= 0.25
-                if moved:
+    current = obj.norm(grad)
+    dim = z.size
+    for _ in range(rounds):
+        if current <= grad_tol:
+            break
+        step = 1e-7 * max(1.0, float(np.max(np.abs(z))))
+        stacks = np.array_split(z + step * np.eye(dim), -(-dim // _PROBE_STACK))
+        values, probes = map(np.concatenate, zip(*map(obj.value_and_grad, stacks)))
+        hess = (probes - grad).T / step
+        for k in np.flatnonzero(~np.isfinite(values)):
+            back_value, back = obj.value_and_grad(z - step * np.eye(dim)[k])
+            if not np.isfinite(back_value):
+                return z, value, grad, current
+            hess[:, k] = (grad - back) / step
+        hess = 0.5 * (hess + hess.T)
+        moved = False
+        for mu in (0.0, 1e-10, 1e-6, 1e-2):
+            try:
+                direction = np.linalg.solve(hess + mu * np.eye(dim), -grad)
+            except np.linalg.LinAlgError:
+                continue
+            alpha = 1.0
+            for _ in range(8):
+                trial = z + alpha * direction
+                trial_value, trial_grad = obj.value_and_grad(trial)
+                trial_norm = obj.norm(trial_grad) if np.isfinite(trial_value) else math.inf
+                if trial_norm < 0.5 * current:
+                    z, value, grad, current, moved = trial, trial_value, trial_grad, trial_norm, True
                     break
-            if not moved:
+                alpha *= 0.25
+            if moved:
                 break
-        return self.split(z), current
+        if not moved:
+            break
+    return z, value, grad, current
 
 
 def default_start(kind, mix, constraint, r, x):
@@ -423,20 +363,18 @@ def minimize_fixed(
     iteration budget runs out."""
     if kind not in ("parisi", "cs"):
         raise ValueError(f"unknown functional kind {kind!r}")
-    blocks = _Blocks(kind, mix, constraint, x, eps, diag_only)
-    n = blocks.n
     if start is None:
         lam, levels = default_start(kind, mix, constraint, r, x)
     else:
         lam, levels = start
-        lam = None if lam is None else np.array(lam, dtype=float)
-        levels = [np.array(m, dtype=float) for m in levels]
-    value = blocks.value(lam, levels)
+    blocks = ([lam] if kind == "parisi" else []) + list(levels)
+    obj = Objective(kind, mix, constraint, x, eps, diag_only, blocks)
+    z = obj.pack(obj.template)
+    value, grad = obj.value_and_grad(z)
     if not np.isfinite(value):
         raise NoFeasibleStart(f"starting point infeasible for {kind} at eps={eps}")
 
-    stepper = _BBStep(*opts.armijo)
-    polisher = _Polisher(blocks, r)
+    stepper = _BBStep(*opts.armijo, obj.metric)
     polish_budget = 3
     grad_norm = math.inf
     iterations = 0
@@ -445,11 +383,7 @@ def minimize_fixed(
     last_improvement = 0
     for it in range(opts.max_iters):
         iterations = it + 1
-        g_lam, g_q = blocks.grads(lam, levels)
-        grad_norm = max(float(np.max(np.abs(g))) for g in g_q) if g_q else 0.0
-        if g_lam is not None:
-            grad_norm = max(grad_norm, float(np.max(np.abs(g_lam))))
-        grad_norm *= 2.0  # report representer norms, not halved gradients
+        grad_norm = obj.norm(grad)
         if trace is not None:
             trace.append(
                 TraceRow(
@@ -458,7 +392,7 @@ def minimize_fixed(
                     iteration=it,
                     value=value,
                     grad_norm=grad_norm,
-                    min_increment_eig=_min_increment_eig(blocks.path_of(levels)),
+                    min_increment_eig=obj.min_increment_eig(z),
                 )
             )
         if grad_norm <= opts.grad_tol:
@@ -471,42 +405,17 @@ def minimize_fixed(
         if polish_budget > 0 and (plateaued or (grad_norm <= 1e-4 and polish_budget == 3)):
             # endgame: damped Newton on the stationarity system
             polish_budget -= 1
-            (lam_p, levels_p), polished_norm = polisher.polish(lam, levels, opts.grad_tol)
-            if polished_norm < grad_norm:
-                lam, levels = lam_p, levels_p
-                value = blocks.value(lam, levels)
-                best_norm = polished_norm
+            polished = _polish(obj, z, value, grad, opts.grad_tol)
+            if polished[3] < grad_norm:
+                z, value, grad = polished[:3]
+                best_norm = polished[3]
                 last_improvement = it
                 continue
         if plateaued:
             break  # representer norm has plateaued above tolerance
 
         # one joint step across all free blocks
-        if kind == "parisi":
-            point = np.concatenate([lam.reshape(-1), _pack(levels)]) if g_q else lam.reshape(-1)
-            grad_vec = np.concatenate([g_lam.reshape(-1), _pack(g_q)]) if g_q else g_lam.reshape(-1)
-
-            def joint_value(vec):
-                lm = symmetrize(vec[: n * n].reshape(n, n))
-                lv = _unpack(vec[n * n :], r - 1, n) if r > 1 else []
-                return blocks.value(lm, lv)
-
-            new_point, new_value, moved = stepper.backtrack(joint_value, value, point, grad_vec)
-            if moved:
-                lam = symmetrize(new_point[: n * n].reshape(n, n))
-                levels = _unpack(new_point[n * n :], r - 1, n) if r > 1 else []
-                value = new_value
-        else:
-            point = _pack(levels)
-            grad_vec = _pack(g_q)
-
-            def q_value(vec):
-                return blocks.value(None, _unpack(vec, r - 1, n))
-
-            new_point, new_value, moved = stepper.backtrack(q_value, value, point, grad_vec)
-            if moved:
-                levels = _unpack(new_point, r - 1, n)
-                value = new_value
+        z, value, grad, moved = stepper.backtrack(obj.value_and_grad, value, z, grad)
         if not moved:
             # stalled; reset the step memory once, then give up
             if stepper.prev_point is None:
@@ -514,19 +423,16 @@ def minimize_fixed(
             stepper.prev_point = stepper.prev_grad = None
             stepper.eta = 1e-6
 
+    lam, levels = obj.split(z)
     return MinimizeResult(
         kind=kind,
-        path=blocks.path_of(levels),
-        lam=None if lam is None else symmetrize(lam),
+        path=DiscretePath(obj.x, tuple(levels) + (obj.constraint,)),
+        lam=lam,
         value=value,
         grad_norm=grad_norm,
         iterations=iterations,
         converged=converged,
     )
-
-
-def _min_increment_eig(path: DiscretePath) -> float:
-    return min(spectral_floor(path.increment(k)) for k in range(path.r))
 
 
 def continuation(
@@ -593,7 +499,8 @@ def search(
 ) -> SearchResult:
     """Sweep r = 2..r_max with discrete coordinate descent over the interior
     weights (x_0 = 0 and x_{r-1} = 1 pinned).  Ties prefer smaller r, then
-    lexicographically smaller weights."""
+    lexicographically smaller weights; within one r a tied candidate replaces
+    the incumbent only when its value is not above the incumbent's."""
     tie_tol = 1e-9
     best = None
     candidates = []
@@ -635,9 +542,10 @@ def search(
                             if cand == cur:
                                 continue
                             trial = run(r, cand)
+                            # a tie moves only downhill, so every accepted move
+                            # lowers (value, weights) and the sweep cannot cycle
                             if trial.value_at_eps_min < cont.value_at_eps_min - tie_tol or (
-                                abs(trial.value_at_eps_min - cont.value_at_eps_min) <= tie_tol
-                                and cand < cur
+                                trial.value_at_eps_min <= cont.value_at_eps_min and cand < cur
                             ):
                                 cont, cur = trial, cand
                                 improved = True

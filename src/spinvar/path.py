@@ -68,10 +68,6 @@ class DiscretePath:
     def constraint(self) -> np.ndarray:
         return self.qs[-1]
 
-    @property
-    def last_weight_one(self) -> bool:
-        return self.x[-1] == 1.0
-
     def level(self, k: int) -> np.ndarray:
         """Q_k for 0 <= k <= r, with Q_0 the zero matrix."""
         if k == 0:
@@ -131,12 +127,6 @@ def validate(path: DiscretePath, constraint: np.ndarray | None = None) -> list[s
         ):
             problems.append("Q_r does not equal the constraint matrix entrywise")
     return problems
-
-
-def assert_valid(path: DiscretePath, constraint: np.ndarray | None = None):
-    problems = validate(path, constraint)
-    if problems:
-        raise ValidationError(problems)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from .functionals import (
     eval_cs,
     eval_parisi,
     eval_perturbed,
+    eval_point,
     lambda_sequence_eps,
 )
 from .matcore import MixtureSpec, sym_inverse, symmetrize
@@ -58,26 +59,6 @@ class GradientBundle:
     d_lambda: np.ndarray | None
     d_q: tuple[np.ndarray, ...]
 
-    def max_norm(self) -> float:
-        norms = [float(np.max(np.abs(g))) for g in self.d_q]
-        if self.d_lambda is not None:
-            norms.append(float(np.max(np.abs(self.d_lambda))))
-        return max(norms) if norms else 0.0
-
-
-def _barrier_terms(path: DiscretePath, eps: float) -> list[np.ndarray] | None:
-    """s * ((Q_{p+1}-Q_p)^-1 - (Q_p-Q_{p-1})^-1) for p = 1..r-1, or None at eps = 0."""
-    if eps == 0.0:
-        return None
-    s = corrected_eps(eps)
-    inv_inc = []
-    for k in range(path.r):
-        try:
-            inv_inc.append(sym_inverse(path.increment(k)))
-        except NotPositiveDefinite as exc:
-            raise DegenerateIncrement(k, str(exc)) from exc
-    return [s * (inv_inc[p] - inv_inc[p - 1]) for p in range(1, path.r)]
-
 
 def grad_parisi(
     lam: np.ndarray, path: DiscretePath, mix: MixtureSpec, eps: float = 0.0
@@ -89,35 +70,11 @@ def grad_parisi(
     d_q[p]   = (x_p - x_{p-1}) xi''(Q_p) o (Q_p - A - S_p) + barrier terms
 
     with A the field block above and S_p its partial inverse-difference sum.
+    The barrier terms are s ((Q_{p+1}-Q_p)^-1 - (Q_p-Q_{p-1})^-1) with
+    s = corrected_eps(eps).
     """
-    state = lambda_sequence(lam, path, mix)
-    r = path.r
-    inv = [sym_inverse(m) for m in state.seq]  # Lambda_1^-1 .. Lambda_r^-1
-
-    def linv(p):
-        return inv[p - 1]
-
-    a_block = linv(1) @ (mix.outer_field() + mix.xi_prime(path.level(1))) @ linv(1)
-    a_block = symmetrize(a_block)
-
-    d_lam = path.constraint - sym_inverse(state.lam) - a_block
-    partial = np.zeros_like(d_lam)
-    partials = [None] * (r + 1)  # S_p for p = 1..r
-    partials[1] = np.zeros_like(d_lam)
-    for k in range(1, r):
-        partial = partial + (linv(k) - linv(k + 1)) / path.x[k] if path.x[k] != 0.0 else partial
-        partials[k + 1] = partial
-    d_lam = d_lam - partials[r]
-
-    barrier = _barrier_terms(path, eps)
-    d_q = []
-    for p in range(1, r):
-        core = path.level(p) - a_block - partials[p]
-        g = (path.x[p] - path.x[p - 1]) * mix.xi_second(path.level(p)) * core
-        if barrier is not None:
-            g = g + barrier[p - 1]
-        d_q.append(symmetrize(g))
-    return GradientBundle(symmetrize(d_lam), tuple(d_q))
+    reps = eval_point("parisi", eps, path, mix, lam=lam, grad=True)[1]
+    return GradientBundle(reps[0], tuple(reps[1:]))
 
 
 def grad_cs(path: DiscretePath, mix: MixtureSpec, eps: float = 0.0) -> GradientBundle:
@@ -128,43 +85,26 @@ def grad_cs(path: DiscretePath, mix: MixtureSpec, eps: float = 0.0) -> GradientB
 
     with T_p the partial sum of (1/x_k)(D_{k+1}^-1 - D_k^-1) over k < p.
     """
-    dseq = d_sequence(path)
-    r = path.r
-    inv = [sym_inverse(m) for m in dseq.seq]  # D_1^-1 .. D_{r-1}^-1
-
-    def dinv(p):
-        return inv[p - 1]
-
-    b_block = symmetrize(dinv(1) @ path.level(1) @ dinv(1))
-    hh = mix.outer_field()
-    barrier = _barrier_terms(path, eps)
-    d_q = []
-    partial = np.zeros_like(b_block)
-    for p in range(1, r):
-        if p >= 2 and path.x[p - 1] != 0.0:
-            partial = partial + (dinv(p) - dinv(p - 1)) / path.x[p - 1]
-        core = hh - b_block - partial + mix.xi_prime(path.level(p))
-        g = -(path.x[p] - path.x[p - 1]) * core
-        if barrier is not None:
-            g = g + barrier[p - 1]
-        d_q.append(symmetrize(g))
-    return GradientBundle(None, tuple(d_q))
+    return GradientBundle(None, tuple(eval_point("cs", eps, path, mix, grad=True)[1]))
 
 
 def fd_directional(f, h_step: float) -> float:
-    """Central difference (f(+h) - f(-h)) / (2h) for a scalar map ``f(t)``.
+    """Derivative at 0 of a scalar map ``f(t)``: the central difference
+    D(h) = (f(h) - f(-h)) / (2h), Richardson-extrapolated from steps h and
+    h/2 as (4 D(h/2) - D(h)) / 3, so its error is O(h^4).
 
-    Raises InfeasibleStep when either probe leaves the domain; callers
+    Raises InfeasibleStep when any probe leaves the domain; callers
     halve ``h_step`` and retry (see :func:`fd_directional_backtracked`).
     """
     try:
-        upper = f(h_step)
-        lower = f(-h_step)
+        values = [f(t) for t in (h_step, -h_step, 0.5 * h_step, -0.5 * h_step)]
     except _DOMAIN_ERRORS as exc:
         raise InfeasibleStep(str(exc)) from exc
-    if not (np.isfinite(upper) and np.isfinite(lower)):
+    if not np.all(np.isfinite(values)):
         raise InfeasibleStep("probe value is not finite")
-    return (upper - lower) / (2.0 * h_step)
+    wide = (values[0] - values[1]) / (2.0 * h_step)
+    narrow = (values[2] - values[3]) / h_step
+    return (4.0 * narrow - wide) / 3.0
 
 
 def fd_directional_backtracked(f, h_step: float, max_halvings: int = 10) -> float:

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -104,6 +105,26 @@ def test_search_prefers_smaller_r_on_ties():
     assert res.value == pytest.approx(0.045, abs=1e-4)
     tried_r = {r for r, _, _ in res.candidates}
     assert tried_r == {2, 3}
+
+
+def test_search_tie_rule_cannot_cycle():
+    # at beta = 0.5 the r = 3 sweep met two ties (+3.3e-10 and +8.3e-10) that
+    # each pointed to lexicographically smaller weights, and cycled
+    # 0.5 -> 0.25 -> 0.75 -> 0.5 for ever
+    def expire(signum, frame):
+        raise TimeoutError("search did not return")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 30.0)
+    try:
+        for kind in ("parisi", "cs"):
+            res = search(kind, MixtureSpec.pure(2, [0.5]), np.array([[1.0]]),
+                         SolveOptions(r_max=3, x_grid=4))
+            assert res.best.converged
+            assert res.value == pytest.approx(cs_rs_value(0.5), abs=1e-4)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_search_nested_spaces():

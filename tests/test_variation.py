@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spinvar.battery import (
+    check_gradient_oracle,
     random_correlation,
     random_mixture,
     well_conditioned_path,
@@ -115,6 +116,14 @@ def test_gradients_match_finite_differences(kind):
             fd = fd_directional_backtracked(f, 1e-5)
             assert abs(analytic - fd) / max(abs(analytic), abs(fd)) <= 1e-6
             checked += 1
+
+
+def test_gradient_oracle_resolves_ill_conditioned_draws():
+    # seed 1003 draws paths with increments down to eigenvalue 0.028, where
+    # the plain central difference at h = 1e-5 was off by 4.2e-6 relative
+    result = check_gradient_oracle("cs", seed=1003)
+    assert result.passed
+    assert result.checks == 50
 
 
 def test_critical_residual_positive_off_critical():
