@@ -156,8 +156,14 @@ def well_conditioned_path(rng, constraint, r, floor=0.1):
     """Feasible path whose increments and D_{r-1} have smallest eigenvalue
     at least ``floor``, so finite differences at step 1e-5 resolve the
     gradient.  Returns the first of up to 64 draws that clears the floor;
-    when none does, returns the last draw, which does not."""
-    for _ in range(64):
+    when none does, returns the last draw, which does not.
+
+    The r increments sum to the constraint, so by Weyl's inequality no draw
+    can clear the floor when r * floor exceeds the constraint's smallest
+    eigenvalue; then the first draw is returned.  The draws are i.i.d., so
+    the returned path has the same distribution either way."""
+    futile = r * floor > matcore.spectral_floor(constraint)
+    for _ in range(1 if futile else 64):
         path = random_feasible_path(rng, constraint, r)
         floors = [matcore.spectral_floor(path.increment(k)) for k in range(r)]
         floors.append(matcore.spectral_floor(d_sequence(path).at(r - 1)))

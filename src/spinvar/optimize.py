@@ -4,15 +4,14 @@ The inner solve works at fixed (r, weights, eps).  The free variables are
 the levels Q_1..Q_{r-1} (always) and the multiplier (multiplier form
 only), held as upper-triangle coordinates by ``Objective``, which gets the
 value and the gradient of a point, or of a stack of points, from one call
-of ``functionals.eval_stack``.  Each iteration takes one
-Barzilai-Borwein-scaled descent step jointly across all free variables
-along the negative representers, safeguarded by Armijo backtracking
-against the eps-perturbed objective; any step that leaves the domain of
-the barrier evaluates to +inf and is rejected, so accepted iterates keep
-strictly positive-definite increments.  Near stationarity a damped Newton
-polish on the first-order system finishes the job, since line searches
-cannot certify progress below the floating-point resolution of the
-objective.
+of ``functionals.eval_stack``.  Each iteration takes one damped Newton
+step jointly across all free variables: the Hessian is a finite
+difference of the analytic gradient, shifted along the Frobenius metric
+until it is positive definite, and the step backtracks from its full
+length until Armijo holds on the eps-perturbed value or the representer
+norm halves.  Any trial point that leaves the domain of the barrier
+evaluates to +inf and is rejected, so accepted iterates keep strictly
+positive-definite increments.
 
 On top of the inner solve sit: ``continuation`` (a decreasing eps
 schedule with warm starts), ``search`` (discrete coordinate descent over
@@ -221,108 +220,44 @@ class Objective:
         return float(np.min(np.linalg.eigvalsh(np.diff(qs, axis=0))))
 
 
-class _BBStep:
-    """One descent-direction step with BB scaling and Armijo backtracking.
-
-    The direction is the Frobenius gradient, ``grad / metric`` in triangle
-    coordinates.  When the certifiable decrease c*eta*|g|^2 falls below the
-    floating-point resolution of the objective, the full step is accepted
-    as long as the value does not rise above that resolution; line searches
-    cannot certify progress below it, but the scaled step still contracts
-    near a minimum.
-    """
-
-    def __init__(self, c, shrink, metric):
-        self.c = c
-        self.shrink = shrink
-        self.metric = metric
-        self.prev_point = None
-        self.prev_grad = None
-        self.eta = 1e-2
-
-    def propose_eta(self, point, grad):
-        if self.prev_point is not None:
-            s = point - self.prev_point
-            dg = grad - self.prev_grad
-            sy = float(s @ dg)
-            yy = float((dg / self.metric) @ dg)
-            if sy > 0 and yy > 0:
-                self.eta = min(max(sy / yy, 1e-12), 1e3)
-        self.prev_point = point.copy()
-        self.prev_grad = grad.copy()
-        return self.eta
-
-    def backtrack(self, value_and_grad, current, point, grad):
-        """Return (new_point, new_value, new_grad, moved)."""
-        direction = grad / self.metric
-        gg = float(direction @ grad)
-        if gg == 0.0:
-            return point, current, grad, False
-        eta = self.propose_eta(point, grad)
-        floor = 8.0 * np.finfo(float).eps * (abs(current) + 1e-3)
-        for _ in range(60):
-            candidate = point - eta * direction
-            new_value, new_grad = value_and_grad(candidate)
-            required = self.c * eta * gg
-            if new_value <= current - required or (
-                required < floor and new_value <= current + floor
-            ):
-                self.eta = eta
-                return candidate, new_value, new_grad, True
-            eta *= self.shrink
-            if eta < 1e-18:
-                break
-        return point, current, grad, False
-
-
 # FD probes per stacked call: bounds the kernel's temporaries (about 20 kB
 # per probe at n = 8) so a batch never raises the process's peak memory
 _PROBE_STACK = 16
 
+# shifts tried on the Hessian, in units of its largest diagonal entry
+_SHIFTS = (0.0, 1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2)
 
-def _polish(obj, z, value, grad, grad_tol, rounds=12):
-    """Damped Newton on the stationarity system in triangle coordinates.
 
-    The Hessian is a finite difference of the analytic gradient, its probes
-    evaluated in stacks; steps are accepted only when they shrink the
-    representer norm and stay feasible, so the polish can only improve on
-    the descent phase.  Returns (z, value, grad, representer norm).
+def _newton_direction(obj, z, grad):
+    """Damped Newton direction: solve (H + mu M) d = -g for the first shift
+    mu of ``_SHIFTS`` at which H + mu M is positive definite, M = diag(metric).
+
+    H is a forward difference of the analytic gradient, its probes evaluated
+    in stacks; a probe that leaves the domain is taken backward instead.
+    Without a usable H the direction is the Frobenius gradient, the limit of
+    large mu.
     """
-    current = obj.norm(grad)
     dim = z.size
-    for _ in range(rounds):
-        if current <= grad_tol:
-            break
-        step = 1e-7 * max(1.0, float(np.max(np.abs(z))))
-        stacks = np.array_split(z + step * np.eye(dim), -(-dim // _PROBE_STACK))
-        values, probes = map(np.concatenate, zip(*map(obj.value_and_grad, stacks)))
-        hess = (probes - grad).T / step
-        for k in np.flatnonzero(~np.isfinite(values)):
-            back_value, back = obj.value_and_grad(z - step * np.eye(dim)[k])
-            if not np.isfinite(back_value):
-                return z, value, grad, current
-            hess[:, k] = (grad - back) / step
-        hess = 0.5 * (hess + hess.T)
-        moved = False
-        for mu in (0.0, 1e-10, 1e-6, 1e-2):
-            try:
-                direction = np.linalg.solve(hess + mu * np.eye(dim), -grad)
-            except np.linalg.LinAlgError:
-                continue
-            alpha = 1.0
-            for _ in range(8):
-                trial = z + alpha * direction
-                trial_value, trial_grad = obj.value_and_grad(trial)
-                trial_norm = obj.norm(trial_grad) if np.isfinite(trial_value) else math.inf
-                if trial_norm < 0.5 * current:
-                    z, value, grad, current, moved = trial, trial_value, trial_grad, trial_norm, True
-                    break
-                alpha *= 0.25
-            if moved:
-                break
-        if not moved:
-            break
-    return z, value, grad, current
+    eye = np.eye(dim)
+    step = 1e-7 * max(1.0, float(np.max(np.abs(z))))
+    stacks = np.array_split(z + step * eye, -(-dim // _PROBE_STACK))
+    values, probes = map(np.concatenate, zip(*map(obj.value_and_grad, stacks)))
+    hess = (probes - grad).T / step
+    for k in np.flatnonzero(~np.isfinite(values)):
+        back_value, back = obj.value_and_grad(z - step * eye[k])
+        if not np.isfinite(back_value):
+            return -grad / obj.metric
+        hess[:, k] = (grad - back) / step
+    hess = 0.5 * (hess + hess.T)
+    scale = float(np.max(np.abs(np.diag(hess))))
+    for shift in _SHIFTS:
+        shifted = hess + shift * scale * np.diag(obj.metric)
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            continue
+        return np.linalg.solve(shifted, -grad)
+    return -grad / obj.metric
 
 
 def default_start(kind, mix, constraint, r, x):
@@ -359,8 +294,9 @@ def minimize_fixed(
     stage: int = 0,
 ) -> MinimizeResult:
     """First-order stationary point of the eps-perturbed functional at
-    fixed weights; returns the best iterate flagged unconverged when the
-    iteration budget runs out."""
+    fixed weights; returns the last iterate flagged unconverged when the
+    iteration budget runs out, the representer norm plateaus or no step
+    along the Newton direction is acceptable."""
     if kind not in ("parisi", "cs"):
         raise ValueError(f"unknown functional kind {kind!r}")
     if start is None:
@@ -374,8 +310,7 @@ def minimize_fixed(
     if not np.isfinite(value):
         raise NoFeasibleStart(f"starting point infeasible for {kind} at eps={eps}")
 
-    stepper = _BBStep(*opts.armijo, obj.metric)
-    polish_budget = 3
+    c, shrink = opts.armijo
     grad_norm = math.inf
     iterations = 0
     converged = False
@@ -401,27 +336,26 @@ def minimize_fixed(
         if grad_norm < 0.5 * best_norm:
             best_norm = grad_norm
             last_improvement = it
-        plateaued = it - last_improvement > 200
-        if polish_budget > 0 and (plateaued or (grad_norm <= 1e-4 and polish_budget == 3)):
-            # endgame: damped Newton on the stationarity system
-            polish_budget -= 1
-            polished = _polish(obj, z, value, grad, opts.grad_tol)
-            if polished[3] < grad_norm:
-                z, value, grad = polished[:3]
-                best_norm = polished[3]
-                last_improvement = it
-                continue
-        if plateaued:
+        if it - last_improvement > 200:
             break  # representer norm has plateaued above tolerance
 
-        # one joint step across all free blocks
-        z, value, grad, moved = stepper.backtrack(obj.value_and_grad, value, z, grad)
-        if not moved:
-            # stalled; reset the step memory once, then give up
-            if stepper.prev_point is None:
+        # backtrack from the full Newton step; a feasible trial point that
+        # halves the representer norm is accepted too, because near
+        # stationarity the value cannot resolve the decrease Armijo asks for
+        direction = _newton_direction(obj, z, grad)
+        slope = float(grad @ direction)
+        eta = 1.0
+        while eta >= 1e-18:
+            trial = z + eta * direction
+            trial_value, trial_grad = obj.value_and_grad(trial)
+            if trial_value <= value + c * eta * slope or (
+                np.isfinite(trial_value) and obj.norm(trial_grad) < 0.5 * grad_norm
+            ):
+                z, value, grad = trial, trial_value, trial_grad
                 break
-            stepper.prev_point = stepper.prev_grad = None
-            stepper.eta = 1e-6
+            eta *= shrink
+        else:
+            break  # no acceptable step along the direction
 
     lam, levels = obj.split(z)
     return MinimizeResult(
@@ -506,11 +440,11 @@ def search(
     candidates = []
     memo = {}
 
-    def run(r, interior):
-        key = (r, tuple(round(v, 12) for v in interior))
+    def run(r, ticks, denom):
+        key = (r, ticks)
         if key in memo:
             return memo[key]
-        x = (0.0,) + tuple(interior) + (1.0,) if r >= 2 else (0.0,)
+        x = (0.0,) + tuple(t / denom for t in ticks) + (1.0,)
         cont = continuation(kind, mix, constraint, r, x, opts, diag_only=diag_only)
         memo[key] = cont
         candidates.append((r, x, cont.value_at_eps_min))
@@ -518,38 +452,37 @@ def search(
 
     for r in range(2, opts.r_max + 1):
         m = r - 2
-        if m == 0:
-            cont = run(r, ())
-            cur = ()
-        else:
-            cur = tuple((k + 1) / (r - 1) for k in range(m))
-            cont = run(r, cur)
-            spacing = 1.0 / opts.x_grid
-            for refinement in range(3):
-                improved = True
-                while improved:
-                    improved = False
-                    for i in range(m):
-                        lo = cur[i - 1] if i > 0 else 0.0
-                        hi = cur[i + 1] if i + 1 < m else 1.0
-                        options = {cur[i] - spacing, cur[i] + spacing}
-                        if refinement == 0:
-                            options |= {j * spacing for j in range(1, opts.x_grid)}
-                        for v in sorted(options):
-                            if not (lo < v < hi) or not (0.0 < v < 1.0):
-                                continue
-                            cand = cur[:i] + (v,) + cur[i + 1 :]
-                            if cand == cur:
-                                continue
-                            trial = run(r, cand)
-                            # a tie moves only downhill, so every accepted move
-                            # lowers (value, weights) and the sweep cannot cycle
-                            if trial.value_at_eps_min < cont.value_at_eps_min - tie_tol or (
-                                trial.value_at_eps_min <= cont.value_at_eps_min and cand < cur
-                            ):
-                                cont, cur = trial, cand
-                                improved = True
-                spacing *= 0.5
+        # interior weights are integer ticks over a denominator that every
+        # grid spacing and the equally spaced start divide, so no candidate
+        # sits a rounding error away from 0 or from its neighbour
+        denom = 4 * opts.x_grid * (r - 1)
+        cur = tuple((k + 1) * 4 * opts.x_grid for k in range(m))
+        cont = run(r, cur, denom)
+        spacing = 4 * (r - 1)
+        for refinement in range(3 if m else 0):
+            improved = True
+            while improved:
+                improved = False
+                for i in range(m):
+                    lo = cur[i - 1] if i > 0 else 0
+                    hi = cur[i + 1] if i + 1 < m else denom
+                    options = {cur[i] - spacing, cur[i] + spacing}
+                    if refinement == 0:
+                        options |= {j * spacing for j in range(1, opts.x_grid)}
+                    for v in sorted(options):
+                        if not lo < v < hi:
+                            continue
+                        cand = cur[:i] + (v,) + cur[i + 1 :]
+                        trial = run(r, cand, denom)
+                        # a tie moves only downhill, so every accepted move
+                        # lowers (value, weights) and the sweep cannot cycle
+                        if trial.value_at_eps_min < cont.value_at_eps_min - tie_tol or (
+                            trial.value_at_eps_min <= cont.value_at_eps_min and cand < cur
+                        ):
+                            cont, cur = trial, cand
+                            improved = True
+            spacing //= 2
+        cur = tuple(t / denom for t in cur)
         entry = (cont.value_at_eps_min, r, cur, cont)
         if best is None:
             best = entry

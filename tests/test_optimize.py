@@ -16,6 +16,50 @@ from spinvar.optimize import (
 )
 
 
+# gap-rs benchmark member family-n6-p4-h (seed 4, round 3): the parisi side
+# used to crawl through a flat valley and stop unconverged
+CRAWL_TERMS = (
+    (2, [
+        0.18549614292184569, 0.2046464312604901, 0.30240415496371836,
+        0.5599244619279476, 0.2709164816348263, 0.2759288416226199,
+    ]),
+    (4, [
+        1.0248915240565153, 0.03980669157890542, 0.568899699999216,
+        1.4046165502692887, 1.509154885727399, 1.2945589765258505,
+    ]),
+)
+CRAWL_H = [
+    -0.39916616929721, 0.43765548809576704, -0.27146485768465245,
+    -0.024116945871044567, 0.14032379966127223, -0.13975946936349246,
+]
+CRAWL_Q = [
+    [
+        1.0, -0.5233364553699857, -0.25704139659236763,
+        0.6344185762426044, -0.14335692127147956, -0.05096921469451416,
+    ],
+    [
+        -0.5233364553699857, 1.0, -0.034836271547930696,
+        -0.565365924837119, 0.25680622966265476, 0.10502035334729982,
+    ],
+    [
+        -0.25704139659236763, -0.034836271547930696, 1.0,
+        0.0029469829341401913, -0.10832505057181374, 0.17346217191743402,
+    ],
+    [
+        0.6344185762426044, -0.565365924837119, 0.0029469829341401913,
+        1.0, -0.2557272916074059, 0.08555318939628823,
+    ],
+    [
+        -0.14335692127147956, 0.25680622966265476, -0.10832505057181374,
+        -0.2557272916074059, 0.9999999999999999, -0.561783021709864,
+    ],
+    [
+        -0.05096921469451416, 0.10502035334729982, 0.17346217191743402,
+        0.08555318939628823, -0.561783021709864, 1.0,
+    ],
+]
+
+
 def cs_rs_value(beta):
     """Closed-form single-jump value for the n = 1 pure quadratic mixture."""
     q = 0.0 if 2 * beta**2 <= 1 else 1 - 1 / math.sqrt(2 * beta**2)
@@ -135,6 +179,17 @@ def test_search_nested_spaces():
     assert v3 <= v2 + 1e-9
 
 
+def test_search_weights_stay_on_grid_ticks():
+    # with x_grid = 3 the float step 0.5 - 1/3 - 1/6 landed on x_1 = 2.8e-17,
+    # a candidate that cannot converge, whose value 0.1673 beat the RS 0.4909
+    mix = MixtureSpec.pure(2, [1.0])
+    q = np.array([[1.0]])
+    v2 = search("cs", mix, q, SolveOptions(r_max=2)).value
+    res = search("cs", mix, q, SolveOptions(r_max=3, x_grid=3))
+    assert res.best.converged
+    assert res.value == pytest.approx(v2, abs=1e-6)
+    assert min(x for _, xs, _ in res.candidates for x in xs[1:]) >= 1 / 24
+
 def test_search_finds_symmetry_breaking_at_low_temperature():
     # deep mixed instance: a second level with an interior weight pays off,
     # and the two independent optimizers still agree there
@@ -235,3 +290,10 @@ def test_determinism():
     assert r1.min_parisi == r2.min_parisi
     assert r1.min_cs == r2.min_cs
     np.testing.assert_array_equal(r1.argmin_cs.best.path.level(1), r2.argmin_cs.best.path.level(1))
+
+
+def test_gap_flat_valley_member_converges():
+    mix = MixtureSpec(n=6, terms=tuple((p, np.array(c)) for p, c in CRAWL_TERMS), h=np.array(CRAWL_H))
+    rep = duality_gap(mix, np.array(CRAWL_Q), SolveOptions(r_max=2))
+    assert rep.argmin_parisi.best.converged and rep.argmin_cs.best.converged
+    assert rep.gap <= 5e-4
