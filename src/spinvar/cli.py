@@ -27,7 +27,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -395,27 +395,16 @@ def emit(record: ResultRecord, fmt: str, out_path: str):
 
 def _apply_overrides(spec: ProblemSpec, args) -> tuple[ProblemSpec, dict]:
     overrides = {}
-    current = {f.name: getattr(spec.solve, f.name) for f in fields(SolveOptions)}
-    if args.seed is not None:
-        overrides["seed"] = current["seed"] = int(args.seed)
-    if args.eps_schedule is not None:
-        sched = tuple(float(v) for v in args.eps_schedule.split(","))
-        overrides["eps_schedule"] = current["eps_schedule"] = sched
-    if args.r_max is not None:
-        overrides["r_max"] = current["r_max"] = int(args.r_max)
-    if args.grid is not None:
-        overrides["x_grid"] = current["x_grid"] = int(args.grid)
-    if args.tol is not None:
-        overrides["grad_tol"] = current["grad_tol"] = float(args.tol)
-    if args.max_iters is not None:
-        overrides["max_iters"] = current["max_iters"] = int(args.max_iters)
-    if args.armijo is not None:
-        pair = tuple(float(v) for v in args.armijo.split(","))
-        overrides["armijo"] = current["armijo"] = pair
-    if args.beta2_delta is not None:
-        overrides["beta2_delta"] = current["beta2_delta"] = float(args.beta2_delta)
-    spec.solve = SolveOptions(**current)
+    for f in fields(SolveOptions):
+        value = getattr(args, f.name)
+        if value is not None:
+            overrides[f.name] = value
+    spec.solve = replace(spec.solve, **overrides)
     return spec, overrides
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -427,16 +416,17 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS + ("run",))
     parser.add_argument("--spec", required=True, help="problem file (JSON)")
     parser.add_argument("--out", help="directory for result and trace files")
+    # one flag per SolveOptions field, each with the field's name as its dest
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--eps-schedule", dest="eps_schedule",
+    parser.add_argument("--eps-schedule", dest="eps_schedule", type=_floats,
                         help="comma-separated decreasing schedule")
     parser.add_argument("--r-max", dest="r_max", type=int)
-    parser.add_argument("--grid", "--x-grid", dest="grid", type=int,
+    parser.add_argument("--grid", "--x-grid", dest="x_grid", type=int,
                         help="weight grid resolution (x_grid)")
-    parser.add_argument("--tol", "--grad-tol", dest="tol", type=float,
+    parser.add_argument("--tol", "--grad-tol", dest="grad_tol", type=float,
                         help="representer norm tolerance (grad_tol)")
     parser.add_argument("--max-iters", dest="max_iters", type=int)
-    parser.add_argument("--armijo", help="c,shrink")
+    parser.add_argument("--armijo", type=_floats, help="c,shrink")
     parser.add_argument("--beta2-delta", dest="beta2_delta", type=float)
     parser.add_argument("--kind", choices=("parisi", "cs"), default="cs",
                         help="functional form for the minimize command")

@@ -12,13 +12,17 @@ Both can be perturbed by the log-det barrier
 increments, keeping minimizers strictly interior.  At interior critical
 points of a perturbed functional the two forms coincide through explicit
 correction terms built from the matrices E_p and their weighted tails
-Ebar_p; ``eval_approx`` evaluates those corrected forms.
+Ebar_p; ``eval_approx`` evaluates those corrected forms, which need
+x_{r-1} = 1.
 
 Every value and representer is computed by ``eval_stack``, which takes a
 stack of points, builds each chain with cumulative sums, and decides
 feasibility from one Cholesky call over all of its matrices; infeasible
 points evaluate to +inf there, and the single-point functions below turn
-that into the matching domain error.
+that into the matching domain error.  The corrected forms run on the same
+kernel: the error terms come from one inverse call over the increments,
+and the base part of either side is eval_stack's formula evaluated at the
+corrected chain.
 
 Conventions: a level with x_k = 0 contributes nothing to the 1/x_k
 log-ratio terms (the corresponding chain increment is then zero), and
@@ -49,18 +53,10 @@ from .errors import (
     NonStrictWeights,
     NotPositiveDefinite,
     SpinvarError,
+    ValidationError,
 )
-from .matcore import (
-    PSD_RTOL,
-    MixtureSpec,
-    chol_logdet,
-    frobenius,
-    frozen,
-    hadamard_div,
-    sum_entries,
-    sym_inverse,
-)
-from .path import DiscretePath, DSequence, MultiplierState, d_sequence, lambda_sequence
+from .matcore import PSD_RTOL, MixtureSpec, frozen, hadamard_div
+from .path import DiscretePath, DSequence, MultiplierState
 
 
 def corrected_eps(eps: float) -> float:
@@ -105,6 +101,52 @@ def _cholesky(stack: np.ndarray):
     return factors, ok
 
 
+def _chain(kind, mix, constraint, xv, levels, lam):
+    """Q_0..Q_r, the increments Q_{k+1} - Q_k, the four mixture series at
+    Q_1..Q_r and the chain Lambda_1..Lambda_r (or D_1..D_{r-1}) of a stack
+    of points, each with the stack on axis 0."""
+    count, n = levels.shape[0], constraint.shape[0]
+    q = np.concatenate(
+        [np.zeros((count, 1, n, n)), levels, np.broadcast_to(constraint, (count, 1, n, n))], axis=1
+    )  # Q_0..Q_r
+    inc = np.diff(q, axis=1)  # Q_{k+1} - Q_k, k = 0..r-1
+    series = mix.series(q[:, 1:])  # at Q_1..Q_r
+    if kind == "parisi":
+        # Lambda_p = Lambda - sum_{k >= p} x_k (xi'(Q_{k+1}) - xi'(Q_k))
+        steps = xv[1:, None, None] * np.diff(series[:, :, 1], axis=1)
+        tails = np.cumsum(steps[:, ::-1], axis=1)[:, ::-1]
+        chain = np.concatenate([lam[:, None] - tails, lam[:, None]], axis=1)
+    else:
+        # D_p = sum_{k >= p} x_k (Q_{k+1} - Q_k)
+        steps = xv[1:, None, None] * inc[:, 1:]
+        chain = np.cumsum(steps[:, ::-1], axis=1)[:, ::-1]
+    return q, inc, series, chain
+
+
+def _form_total(kind, hh, xv, q, series, chain, logdet, first_inv, top):
+    """Twice the unperturbed form ``kind`` of a stack of points from its
+    chain, the chain's log-dets and first inverse; ``top`` is the log-det
+    the multiplier-free form divides by x_{r-1} (log|Q - Q_{r-1}| in
+    eval_stack)."""
+    n = q.shape[-1]
+    sums = np.sum(series, axis=(-2, -1))  # (B, r, 4)
+    if kind == "parisi":
+        total = _frob(hh, first_inv) + _frob(chain[:, -1], q[:, -1]) - n - logdet[:, -1]
+        total += np.sum(_over(np.diff(logdet, axis=1), xv[1:]), axis=1)
+        total += _frob(series[:, 0, 1], first_inv)
+        total -= np.sum(xv[1:] * np.diff(sums[:, :, 3], axis=1), axis=1)
+    else:
+        total = _frob(hh, chain[:, 0]) + top / xv[-1]
+        total -= np.sum(_over(np.diff(logdet, axis=1), xv[1:-1]), axis=1)
+        total += _frob(q[:, 1], first_inv)
+        total += np.sum(xv[1:] * np.diff(sums[:, :, 0], axis=1), axis=1)
+    return total
+
+
+def _logdets(factors: np.ndarray) -> np.ndarray:
+    return 2.0 * np.sum(np.log(np.diagonal(factors, 0, -2, -1)), axis=-1)
+
+
 def eval_stack(kind, mix, constraint, x, eps, levels, lam=None, grad=False):
     """The eps-perturbed form ``kind`` at a stack of B points, with its representers.
 
@@ -126,33 +168,21 @@ def eval_stack(kind, mix, constraint, x, eps, levels, lam=None, grad=False):
     if kind not in ("parisi", "cs"):
         raise ValueError(f"unknown functional kind {kind!r}")
     xv = np.asarray(x, dtype=float)
-    r = xv.size
-    if kind == "cs" and (r < 2 or xv[-1] <= 0.0):
+    if kind == "cs" and (xv.size < 2 or xv[-1] <= 0.0):
         raise InfeasiblePath("the multiplier-free form needs r >= 2 and x_{r-1} > 0")
     count, n = levels.shape[0], constraint.shape[0]
-    q = np.concatenate(
-        [np.zeros((count, 1, n, n)), levels, np.broadcast_to(constraint, (count, 1, n, n))], axis=1
-    )  # Q_0..Q_r
-    inc = np.diff(q, axis=1)  # Q_{k+1} - Q_k, k = 0..r-1
-    series = mix.series(q[:, 1:])  # at Q_1..Q_r
+    q, inc, series, chain = _chain(kind, mix, constraint, xv, levels, lam)
     if kind == "parisi":
-        # Lambda_p = Lambda - sum_{k >= p} x_k (xi'(Q_{k+1}) - xi'(Q_k))
-        steps = xv[1:, None, None] * np.diff(series[:, :, 1], axis=1)
-        tails = np.cumsum(steps[:, ::-1], axis=1)[:, ::-1]
-        chain = np.concatenate([lam[:, None] - tails, lam[:, None]], axis=1)
         floor = chain[:, 0]
         incs = inc if eps != 0.0 else inc[:, :0]
     else:
-        # D_p = sum_{k >= p} x_k (Q_{k+1} - Q_k)
-        steps = xv[1:, None, None] * inc[:, 1:]
-        chain = np.cumsum(steps[:, ::-1], axis=1)[:, ::-1]
         floor = chain[:, -1]
         incs = inc if eps != 0.0 else inc[:, -1:]  # Q - Q_{r-1} always
     tol = PSD_RTOL * np.maximum(np.max(np.abs(np.diagonal(floor, 0, -2, -1)), axis=-1), 1.0)
     shifted = floor - tol[:, None, None] * np.eye(n)
     mats = np.concatenate([shifted[:, None], chain, incs], axis=1)
     factors, ok = _cholesky(mats)
-    logdet = 2.0 * np.sum(np.log(np.diagonal(factors, 0, -2, -1)), axis=-1)
+    logdet = _logdets(factors)
     m = chain.shape[1]
     chain_ok = ok[:, 1 : 1 + m].all(axis=1)
     if kind == "cs":
@@ -170,18 +200,7 @@ def eval_stack(kind, mix, constraint, x, eps, levels, lam=None, grad=False):
     inv = _sym(np.linalg.inv(targets))
 
     hh = mix.outer_field()
-    sums = np.sum(series, axis=(-2, -1))  # (B, r, 4)
-    ld = logdet[:, 1 : 1 + m]
-    if kind == "parisi":
-        total = _frob(hh, inv[:, 0]) + _frob(lam, constraint) - n - ld[:, -1]
-        total += np.sum(_over(np.diff(ld, axis=1), xv[1:]), axis=1)
-        total += _frob(series[:, 0, 1], inv[:, 0])
-        total -= np.sum(xv[1:] * np.diff(sums[:, :, 3], axis=1), axis=1)
-    else:
-        total = _frob(hh, chain[:, 0]) + logdet[:, -1] / xv[-1]
-        total -= np.sum(_over(np.diff(ld, axis=1), xv[1:-1]), axis=1)
-        total += _frob(q[:, 1], inv[:, 0])
-        total += np.sum(xv[1:] * np.diff(sums[:, :, 0], axis=1), axis=1)
+    total = _form_total(kind, hh, xv, q, series, chain, logdet[:, 1 : 1 + m], inv[:, 0], logdet[:, -1])
     values = 0.5 * total
     if eps != 0.0:
         values = values + eps * -np.sum(logdet[:, 1 + m :], axis=1)
@@ -226,9 +245,9 @@ def _domain_error(kind: str, status: int, grad: bool = False) -> SpinvarError:
     return DegenerateIncrement(int(status) - INCREMENT_FAILED)
 
 
-def eval_point(kind, eps, path: DiscretePath, mix: MixtureSpec, lam=None, grad=False):
-    """eval_stack at one path: (value, representers or None); raises the
-    domain error of an infeasible point."""
+def _point(kind, path: DiscretePath, lam=None):
+    """The free levels and, for the multiplier form, the symmetrized
+    multiplier of one path as stacks of one point."""
     n = path.n
     if kind == "parisi":
         if lam is None:
@@ -237,11 +256,23 @@ def eval_point(kind, eps, path: DiscretePath, mix: MixtureSpec, lam=None, grad=F
         if lam.shape != (n, n):
             raise DimensionMismatch("multiplier dimension does not match the path")
         lam = _sym(lam)[None]
-    levels = np.array(path.qs[:-1]).reshape(1, path.r - 1, n, n)
+    return np.array(path.qs[:-1]).reshape(1, path.r - 1, n, n), lam
+
+
+def eval_point(kind, eps, path: DiscretePath, mix: MixtureSpec, lam=None, grad=False):
+    """eval_stack at one path: (value, representers or None); raises the
+    domain error of an infeasible point."""
+    levels, lam = _point(kind, path, lam)
     values, status, reps = eval_stack(kind, mix, path.constraint, path.x, eps, levels, lam, grad)
     if status[0] != FEASIBLE:
         raise _domain_error(kind, status[0], grad)
     return float(values[0]), None if reps is None else reps[0]
+
+
+def chain_of(kind, path: DiscretePath, mix: MixtureSpec, lam=None) -> np.ndarray:
+    """The chain Lambda_1..Lambda_r (or D_1..D_{r-1}) of one path, stacked."""
+    xv = np.asarray(path.x, dtype=float)
+    return _chain(kind, mix, path.constraint, xv, *_point(kind, path, lam))[3][0]
 
 
 def eval_parisi(lam: np.ndarray, path: DiscretePath, mix: MixtureSpec) -> float:
@@ -264,15 +295,23 @@ def eval_cs(path: DiscretePath, mix: MixtureSpec) -> float:
     return eval_point("cs", 0.0, path, mix)[0]
 
 
+def increments(path: DiscretePath):
+    """Log-dets, inverses and positive-definiteness mask of the increments
+    Q_{k+1} - Q_k, k = 0..r-1, from one Cholesky and one inverse call; an
+    increment that does not factor gets log-det 0 and inverse I."""
+    n = path.n
+    inc = np.diff(np.array((np.zeros((n, n)),) + path.qs), axis=0)
+    factors, ok = _cholesky(inc[None])
+    inv = np.linalg.inv(np.where(ok[0, :, None, None], inc, np.eye(n)))
+    return _logdets(factors[0]), _sym(inv), ok[0]
+
+
 def eval_barrier(path: DiscretePath) -> float:
     """-sum_k log|Q_{k+1} - Q_k| >= 0; DegenerateIncrement if any increment fails."""
-    total = 0.0
-    for k in range(path.r):
-        try:
-            total -= chol_logdet(path.increment(k))
-        except NotPositiveDefinite as exc:
-            raise DegenerateIncrement(k, str(exc)) from exc
-    return total
+    logdet, _, ok = increments(path)
+    if not ok.all():
+        raise DegenerateIncrement(int(np.argmin(ok)))
+    return float(-np.sum(logdet))
 
 
 def eval_perturbed(
@@ -313,6 +352,29 @@ class ErrorTerms:
         return self.ebar[p - 1]
 
 
+def _error_stack(side, path, mix):
+    """Increment log-dets and inverses, E_1..E_r and Ebar_1..Ebar_{r-1} of
+    one path as stacks (see :func:`error_terms`)."""
+    if side not in ("lower", "upper"):
+        raise ValueError(f"unknown side {side!r}")
+    dx = np.diff(path.x)
+    for p in range(1, path.r):
+        if dx[p - 1] <= 0.0:
+            raise NonStrictWeights(f"x_{p} - x_{p - 1} = {dx[p - 1]}")
+    logdet, inv, ok = increments(path)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise NotPositiveDefinite(f"increment {k} -> {k + 1} is not positive definite")
+    e = np.diff(inv, axis=0) / dx[:, None, None]
+    if side == "lower":
+        for p in range(1, path.r):
+            e[p - 1] = hadamard_div(e[p - 1], mix.xi_second(path.level(p)))
+    e = np.concatenate([e, np.zeros((1, path.n, path.n))])  # E_r = 0
+    # Ebar_p = sum_{k >= p} x_k (E_{k+1} - E_k)
+    steps = np.asarray(path.x[1:])[:, None, None] * np.diff(e, axis=0)
+    return logdet, inv, e, np.cumsum(steps[::-1], axis=0)[::-1]
+
+
 def error_terms(
     side: str, path: DiscretePath, mix: MixtureSpec, eps: float = 0.0
 ) -> ErrorTerms:
@@ -322,25 +384,7 @@ def error_terms(
                      divided entrywise by xi''(Q_p)  (needs beta_2 > 0);
     side = "upper":  the same without the entrywise division.
     """
-    if side not in ("lower", "upper"):
-        raise ValueError(f"unknown side {side!r}")
-    r = path.r
-    for p in range(1, r):
-        if path.x[p] - path.x[p - 1] <= 0.0:
-            raise NonStrictWeights(f"x_{p} - x_{p - 1} = {path.x[p] - path.x[p - 1]}")
-    inv_inc = [sym_inverse(path.increment(k)) for k in range(r)]
-    e = []
-    for p in range(1, r):
-        raw = (inv_inc[p] - inv_inc[p - 1]) / (path.x[p] - path.x[p - 1])
-        if side == "lower":
-            raw = hadamard_div(raw, mix.xi_second(path.level(p)))
-        e.append(raw)
-    e.append(np.zeros((path.n, path.n)))  # E_r = 0
-    ebar = [None] * (r - 1)
-    tail = np.zeros((path.n, path.n))
-    for p in range(r - 1, 0, -1):
-        tail = tail + path.x[p] * (e[p] - e[p - 1])
-        ebar[p - 1] = tail
+    _, _, e, ebar = _error_stack(side, path, mix)
     return ErrorTerms(side=side, eps=float(eps), e=tuple(e), ebar=tuple(ebar))
 
 
@@ -357,6 +401,12 @@ def lambda_sequence_eps(state: MultiplierState, err: ErrorTerms, eps: float) -> 
     return out
 
 
+def _multiplier(path, mix, eps, inc_inv, e):
+    top = path.level(path.r - 1)
+    lam = inc_inv[-1] + mix.xi_prime(path.constraint) - mix.xi_prime(top)
+    return lam + corrected_eps(eps) * e[-2]
+
+
 def construct_multiplier(path: DiscretePath, mix: MixtureSpec, eps: float) -> np.ndarray:
     """The multiplier matched to a critical point of the perturbed
     multiplier-free functional:
@@ -365,10 +415,8 @@ def construct_multiplier(path: DiscretePath, mix: MixtureSpec, eps: float) -> np
 
     with upper-side correction terms and s = corrected_eps(eps).
     """
-    err = error_terms("upper", path, mix)
-    top_inv = sym_inverse(path.constraint - path.level(path.r - 1))
-    lam = top_inv + mix.xi_prime(path.constraint) - mix.xi_prime(path.level(path.r - 1))
-    return lam + corrected_eps(eps) * err.e_at(path.r - 1)
+    _, inc_inv, e, _ = _error_stack("upper", path, mix)
+    return _multiplier(path, mix, eps, inc_inv, e)
 
 
 def eval_approx(
@@ -385,82 +433,54 @@ def eval_approx(
     multiplier form reduces to at its perturbed critical points);
     side = "upper": the corrected multiplier form (the value the
     multiplier-free form reduces to).  For the upper side ``lam`` defaults
-    to :func:`construct_multiplier`.
+    to :func:`construct_multiplier`.  Both need x_{r-1} = 1.
     """
-    if side == "lower":
-        return _approx_lower(path, mix, eps, err)
-    if side == "upper":
-        if lam is None:
-            lam = construct_multiplier(path, mix, eps)
-        return _approx_upper(lam, path, mix, eps, err)
-    raise ValueError(f"unknown side {side!r}")
+    return corrected_form(side, path, mix, eps, lam, err)[0]
 
 
-def _approx_lower(path, mix, eps, err):
+def corrected_form(side, path: DiscretePath, mix: MixtureSpec, eps: float, lam=None, err=None):
+    """:func:`eval_approx` with what the identity checks compare it to:
+    ``(value, corrected, lam, err)``, with ``corrected`` the corrected chain
+    C_p + s Ebar_p, p = 1..r-1, of D (lower) or Lambda (upper), ``lam`` the
+    multiplier (constructed on the upper side when not given) and ``err``
+    the error terms, s = corrected_eps(eps).
+
+    The value is the unperturbed form at the corrected chain, computed by the
+    formula code of :func:`eval_stack` with log|Q - Q_{r-1}| replaced by the
+    log-det of the corrected D_{r-1}, plus s times the barrier and
+
+        s sum_{k=1}^{r-1} < Ebar_{k+1} - Ebar_k, +-C_j^-1 / x_k - M_j >,
+
+    where j = min(k + 1, r - 1), M_j = xi'(Q_j) and the sign is + on the
+    lower side, and j = k, M_j = Q_j and the sign is - on the upper side.
+    NotPositiveDefinite when a corrected chain matrix does not factor.
+    """
+    if side not in ("lower", "upper"):
+        raise ValueError(f"unknown side {side!r}")
+    if path.x[-1] != 1.0:
+        raise ValidationError(f"the approximate forms need x_{{r-1}} = 1, got {path.x[-1]}")
+    inc_logdet, inc_inv, e, ebar = _error_stack(side, path, mix)
     if err is None:
-        err = error_terms("lower", path, mix, eps)
+        err = ErrorTerms(side=side, eps=float(eps), e=tuple(e), ebar=tuple(ebar))
+    else:
+        ebar = np.array(err.ebar)
+    kind = "cs" if side == "lower" else "parisi"
+    if kind == "parisi" and lam is None:
+        lam = _multiplier(path, mix, eps, inc_inv, e)
     s = corrected_eps(eps)
-    r = path.r
-    dseq = d_sequence(path)
-    d_corr = d_sequence_eps(dseq, err, s)
-    d_corr_logdets = [chol_logdet(m) for m in d_corr]
-    d_corr_inv = [sym_inverse(m) for m in d_corr]
-
-    def dL(p):
-        return d_corr_logdets[p - 1]
-
-    def dI(p):
-        return d_corr_inv[p - 1]
-
-    total = frobenius(mix.outer_field(), d_corr[0])
-    total += dL(r - 1) / path.x[-1]
-    for k in range(1, r - 1):
-        total -= (dL(k + 1) - dL(k)) / path.x[k]
-    total += frobenius(path.level(1), dI(1))
-    xi_sums = [sum_entries(mix.xi(path.level(k))) for k in range(r + 1)]
-    for k in range(1, r):
-        total += path.x[k] * (xi_sums[k + 1] - xi_sums[k])
-    for k in range(1, r - 1):
-        total -= s * frobenius(err.ebar_at(k + 1) - err.ebar_at(k), mix.xi_prime(path.level(k + 1)))
-    for k in range(1, r - 1):
-        total -= (s / path.x[k]) * frobenius(dI(k + 1), err.ebar_at(k) - err.ebar_at(k + 1))
-    total -= s * frobenius(dI(r - 1), err.ebar_at(r - 1))
-    total += s * frobenius(mix.xi_prime(path.level(r - 1)), err.ebar_at(r - 1))
-    total += s * eval_barrier(path)
-    return 0.5 * total
-
-
-def _approx_upper(lam, path, mix, eps, err):
-    if err is None:
-        err = error_terms("upper", path, mix, eps)
-    s = corrected_eps(eps)
-    r = path.r
-    n = path.n
-    state = lambda_sequence(lam, path, mix)
-    lam_corr = lambda_sequence_eps(state, err, s)
-    lam_corr_logdets = [chol_logdet(m) for m in lam_corr]
-    lam_corr_inv = [sym_inverse(m) for m in lam_corr]
-
-    def lL(p):
-        return lam_corr_logdets[p - 1]
-
-    def lI(p):
-        return lam_corr_inv[p - 1]
-
-    total = frobenius(lam, path.constraint)
-    total -= n
-    total -= chol_logdet(lam)
-    for k in range(1, r):
-        total += (lL(k + 1) - lL(k)) / path.x[k]
-    total += frobenius(lI(1), mix.outer_field() + mix.xi_prime(path.level(1)))
-    theta_sums = [sum_entries(mix.theta(path.level(k))) for k in range(r + 1)]
-    for k in range(1, r):
-        total -= path.x[k] * (theta_sums[k + 1] - theta_sums[k])
-    for k in range(1, r - 1):
-        total -= s * frobenius(err.ebar_at(k + 1) - err.ebar_at(k), path.level(k))
-    for k in range(1, r - 1):
-        total += (s / path.x[k]) * frobenius(lI(k), err.ebar_at(k) - err.ebar_at(k + 1))
-    total += s * frobenius(lI(r - 1), err.ebar_at(r - 1))
-    total += s * frobenius(path.level(r - 1), err.ebar_at(r - 1))
-    total += s * eval_barrier(path)
-    return 0.5 * total
+    xv = np.asarray(path.x, dtype=float)
+    q, _, series, chain = _chain(kind, mix, path.constraint, xv, *_point(kind, path, lam))
+    m = path.r - 1
+    chain[:, :m] += s * ebar
+    try:
+        logdet = _logdets(np.linalg.cholesky(chain))
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite("a matrix of the corrected chain is not positive definite") from exc
+    inv = _sym(np.linalg.inv(chain))
+    total = _form_total(kind, mix.outer_field(), xv, q, series, chain, logdet, inv[:, 0], logdet[:, -1])
+    j = np.minimum(np.arange(m) + (kind == "cs"), m - 1)
+    sign, paired = (1.0, series[0, j, 1]) if kind == "cs" else (-1.0, q[0, j + 1])
+    d_ebar = np.diff(np.concatenate([ebar, np.zeros((1, path.n, path.n))]), axis=0)
+    total += s * np.sum(_frob(d_ebar, sign * inv[0, j] / xv[1:, None, None] - paired))
+    total -= s * np.sum(inc_logdet)
+    return 0.5 * float(total[0]), chain[0, :m], lam, err

@@ -22,7 +22,7 @@ forms minimized independently; their agreement is the certificate).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -83,14 +83,7 @@ class TraceRow:
     min_increment_eig: float
 
     def as_tuple(self):
-        return (
-            self.stage,
-            self.eps,
-            self.iteration,
-            self.value,
-            self.grad_norm,
-            self.min_increment_eig,
-        )
+        return astuple(self)
 
 
 @dataclass
@@ -377,13 +370,12 @@ def continuation(
     x,
     opts: SolveOptions,
     diag_only: bool = False,
-    collect_trace: bool = True,
 ) -> ContinuationResult:
     """Run the eps schedule with warm starts; report the barrier-stripped
     value at the final stage and its linear-in-eps extrapolation."""
     state = None
     stages: list[StageRecord] = []
-    trace: list[TraceRow] = [] if collect_trace else None
+    trace: list[TraceRow] = []
     base_values = []
     result = None
     for si, eps in enumerate(opts.eps_schedule):
@@ -420,7 +412,7 @@ def continuation(
         value_at_eps_min=base_values[-1],
         value_extrapolated=extrapolated,
         stages=stages,
-        trace=trace if trace is not None else [],
+        trace=trace,
     )
 
 

@@ -26,19 +26,17 @@ from .errors import (
     SpinvarError,
 )
 from .functionals import (
+    chain_of,
     construct_multiplier,
     corrected_eps,
-    d_sequence_eps,
+    corrected_form,
     error_terms,
-    eval_approx,
-    eval_cs,
-    eval_parisi,
     eval_perturbed,
     eval_point,
-    lambda_sequence_eps,
+    increments,
 )
-from .matcore import MixtureSpec, sym_inverse, symmetrize
-from .path import DiscretePath, d_sequence, lambda_sequence
+from .matcore import MixtureSpec, symmetrize
+from .path import DiscretePath, lambda_sequence
 
 _DOMAIN_ERRORS = (
     NotPositiveDefinite,
@@ -143,35 +141,14 @@ def critical_residual(
     eps: float,
     lam: np.ndarray | None = None,
 ) -> CriticalReport:
-    s = corrected_eps(eps)
-    r = path.r
-    if side == "lower":
-        if lam is None:
-            raise ValueError("the lower side needs the multiplier")
-        err = error_terms("lower", path, mix, eps)
-        state = lambda_sequence(lam, path, mix)
-        d_corr = d_sequence_eps(d_sequence(path), err, s)
-        residuals = tuple(
-            float(np.max(np.abs(sym_inverse(state.at(p)) - d_corr[p - 1])))
-            for p in range(1, r)
-        )
-        value_pert = eval_perturbed("parisi", eps, path, mix, lam=lam)
-        value_approx = eval_approx("lower", path, mix, eps, err=err)
-    elif side == "upper":
-        err = error_terms("upper", path, mix, eps)
-        if lam is None:
-            lam = construct_multiplier(path, mix, eps)
-        state = lambda_sequence(lam, path, mix)
-        lam_corr = lambda_sequence_eps(state, err, s)
-        dseq = d_sequence(path)
-        residuals = tuple(
-            float(np.max(np.abs(sym_inverse(dseq.at(p)) - lam_corr[p - 1])))
-            for p in range(1, r)
-        )
-        value_pert = eval_perturbed("cs", eps, path, mix)
-        value_approx = eval_approx("upper", path, mix, eps, lam=lam, err=err)
-    else:
-        raise ValueError(f"unknown side {side!r}")
+    if side == "lower" and lam is None:
+        raise ValueError("the lower side needs the multiplier")
+    value_approx, corrected, lam, _ = corrected_form(side, path, mix, eps, lam)
+    kind = "parisi" if side == "lower" else "cs"
+    inv = np.linalg.inv(chain_of(kind, path, mix, lam)[: path.r - 1])
+    own = 0.5 * (inv + np.swapaxes(inv, 1, 2))
+    residuals = tuple(float(v) for v in np.max(np.abs(own - corrected), axis=(1, 2)))
+    value_pert = eval_perturbed(kind, eps, path, mix, lam=lam)
     return CriticalReport(
         side=side,
         residuals=residuals,
@@ -206,30 +183,29 @@ def tilde_transform(
     side = "upper": a new multiplier Lambda~ = Lambda + s Ebar_1.
     Infeasibility away from a critical point is reported, not raised.
     """
+    err = error_terms(side, path, mix, eps)
+    if side == "upper" and lam is None:
+        lam = construct_multiplier(path, mix, eps)
+    return _shift(path, mix, eps, lam, err)
+
+
+def _shift(path, mix, eps, lam, err) -> TildeResult:
+    """tilde_transform with the error terms ``err`` of its side."""
     s = corrected_eps(eps)
-    if side == "lower":
-        err = error_terms("lower", path, mix, eps)
-        levels = [path.level(p) + s * err.e_at(p) for p in range(1, path.r)]
-        new_path = path.with_levels(levels)
-        violations = []
-        for k in range(new_path.r):
-            try:
-                sym_inverse(new_path.increment(k))
-            except NotPositiveDefinite:
-                violations.append(f"transformed increment {k} -> {k + 1} is not PD")
-        return TildeResult("lower", new_path, None, not violations, tuple(violations))
-    if side == "upper":
-        err = error_terms("upper", path, mix, eps)
-        if lam is None:
-            lam = construct_multiplier(path, mix, eps)
-        lam_tilde = symmetrize(lam + s * err.ebar_at(1))
-        violations = []
-        try:
-            lambda_sequence(lam_tilde, path, mix)
-        except InfeasibleMultiplier as exc:
-            violations.append(str(exc))
-        return TildeResult("upper", None, lam_tilde, not violations, tuple(violations))
-    raise ValueError(f"unknown side {side!r}")
+    if err.side == "lower":
+        new_path = path.with_levels([path.level(p) + s * err.e_at(p) for p in range(1, path.r)])
+        violations = tuple(
+            f"transformed increment {k} -> {k + 1} is not PD"
+            for k in np.flatnonzero(~increments(new_path)[2])
+        )
+        return TildeResult("lower", new_path, None, not violations, violations)
+    lam_tilde = symmetrize(lam + s * err.ebar_at(1))
+    violations = []
+    try:
+        lambda_sequence(lam_tilde, path, mix)
+    except InfeasibleMultiplier as exc:
+        violations.append(str(exc))
+    return TildeResult("upper", None, lam_tilde, not violations, tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -257,25 +233,12 @@ def bound_check(
     side = "upper": approx multiplier-form value >= plain multiplier form
     at the tilde multiplier.
     """
-    if side == "lower":
-        lhs = eval_approx("lower", path, mix, eps)
-        shifted = tilde_transform("lower", path, mix, eps)
-        if not shifted.feasible:
-            raise SpinvarError(
-                f"tilde path infeasible, not at a critical point? {shifted.violations}"
-            )
-        rhs = eval_cs(shifted.path, mix)
-    elif side == "upper":
-        if lam is None:
-            lam = construct_multiplier(path, mix, eps)
-        lhs = eval_approx("upper", path, mix, eps, lam=lam)
-        shifted = tilde_transform("upper", path, mix, eps, lam=lam)
-        if not shifted.feasible:
-            raise SpinvarError(
-                f"tilde multiplier infeasible, not at a critical point? {shifted.violations}"
-            )
-        rhs = eval_parisi(shifted.lam, path, mix)
-    else:
-        raise ValueError(f"unknown side {side!r}")
+    lhs, _, lam, err = corrected_form(side, path, mix, eps, lam)
+    shifted = _shift(path, mix, eps, lam, err)
+    if not shifted.feasible:
+        what = "path" if side == "lower" else "multiplier"
+        raise SpinvarError(f"tilde {what} infeasible, not at a critical point? {shifted.violations}")
+    kind = "cs" if side == "lower" else "parisi"
+    rhs = eval_perturbed(kind, 0.0, shifted.path or path, mix, lam=shifted.lam)
     slack = lhs - rhs
     return BoundCheck(side=side, lhs=lhs, rhs=rhs, holds=slack >= -num_tol, slack=slack)

@@ -1,15 +1,42 @@
-"""The names and signatures the per-layer tracer of ``perfbench`` keys on.
+"""The names and signatures ``perfbench`` reaches by name.
 
 ``perfbench/tracing.py`` counts spans of these functions by name and reads
 the stage count and convergence of every ``minimize_fixed`` call, taking
-``eps`` and ``opts`` from its arguments at positions 5 and 6; a rename
-here makes a traced run raise a KeyError.
+``eps`` and ``opts`` from its arguments at positions 5 and 6;
+``perfbench/run.py`` reads the ``matcore.cholesky`` span count of every
+traced run; ``perfbench/workloads.py`` looks each battery check up with
+``getattr`` and calls it with ``seed=``, and runs the gap items through
+``cli.run``, ``cli.emit`` and ``optimize.duality_gap``.  A rename here
+makes a traced run raise a KeyError, or every item of a workload fail.
 """
 
 import dataclasses
 import inspect
 
-from spinvar import functionals, optimize, variation
+from spinvar import battery, cli, functionals, matcore, optimize, variation
+
+# the battery checks of the verify workload, in its order
+VERIFY_CHECKS = (
+    "check_logdet_concavity",
+    "check_mixture_convexity",
+    "check_amgm_determinant",
+    "check_trace_positivity",
+    "check_perturbation_radius",
+    "check_mixture_gap_pd",
+    "check_gradient_oracle",
+    "check_gradient_oracle",
+    "check_critical_points",
+    "check_tilde_bounds",
+    "check_roundtrip",
+    "check_hatphi_dominated",
+    "check_temperature_continuity",
+    "check_level_merge",
+    "check_support_condition",
+    "check_lipschitz_bound",
+    "check_compactness_box",
+    "check_diagonal_separability",
+    "check_continuation_monotone",
+)
 
 
 def test_traced_functions_exist():
@@ -20,6 +47,10 @@ def test_traced_functions_exist():
         (optimize, "minimize_fixed"),
         (optimize, "continuation"),
         (optimize, "search"),
+        (optimize, "duality_gap"),
+        (matcore, "cholesky"),
+        (cli, "run"),
+        (cli, "emit"),
     ):
         assert inspect.isfunction(getattr(mod, name, None)), f"{mod.__name__}.{name}"
 
@@ -33,3 +64,13 @@ def test_minimize_fixed_eps_and_opts_positions():
 def test_minimize_result_fields():
     fields = {f.name for f in dataclasses.fields(optimize.MinimizeResult)}
     assert {"iterations", "converged"} <= fields
+
+
+def test_verify_checks_take_a_seed():
+    assert len(VERIFY_CHECKS) == len(battery.ALL_CHECKS) == 19
+    for name in VERIFY_CHECKS:
+        fn = getattr(battery, name, None)
+        assert inspect.isfunction(fn), f"battery.{name}"
+        params = inspect.signature(fn).parameters
+        assert "seed" in params, name
+    assert "kind" in inspect.signature(battery.check_gradient_oracle).parameters

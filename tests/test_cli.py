@@ -171,6 +171,23 @@ def test_main_gap_with_overrides_and_outputs(tmp_path, capsys):
     assert payload["command"] == "gap"
 
 
+def test_override_flags_and_aliases_keep_inputs_digest(tmp_path):
+    # every SolveOptions flag lands on the field of the same name; the
+    # digest is the one the per-flag override code gave these flags
+    spec_file = write_spec(tmp_path, minimal_spec())
+    for grid, tol in (("--x-grid", "--tol"), ("--grid", "--grad-tol")):
+        out_dir = tmp_path / grid.strip("-")
+        code = main([
+            "gap", "--spec", spec_file, "--out", str(out_dir),
+            grid, "3", tol, "1e-7", "--armijo", "1e-4,0.5", "--seed", "5",
+        ])
+        assert code == 0
+        summary = json.loads((out_dir / "gap.jsonl").read_text().splitlines()[-1])
+        assert summary["inputs_digest"] == (
+            "88c2e0c4bd9247b916ca1e60321df96805162d1e38d98c550f4c461f9c21b4d0"
+        )
+
+
 def test_main_minimize_kind(tmp_path, capsys):
     spec_file = write_spec(tmp_path, minimal_spec(solve={"eps_schedule": [1e-1, 1e-3, 1e-6]}))
     assert main(["minimize", "--spec", spec_file, "--kind", "parisi"]) == 0

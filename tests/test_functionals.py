@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from spinvar.battery import random_correlation, random_feasible_path, random_mixture
-from spinvar.errors import DegenerateIncrement, InfeasiblePath, NonStrictWeights, ZeroDivisor
+from spinvar.errors import (
+    DegenerateIncrement,
+    InfeasiblePath,
+    NonStrictWeights,
+    ValidationError,
+    ZeroDivisor,
+)
 from spinvar.functionals import (
     construct_multiplier,
     error_terms,
@@ -252,6 +258,27 @@ def test_eval_approx_identities_at_critical_points(r, x):
     lhs2 = eval_perturbed("cs", eps, res2.path, mix)
     rhs2 = eval_approx("upper", res2.path, mix, eps)
     assert lhs2 == pytest.approx(rhs2, abs=1e-7)
+
+
+def test_eval_approx_needs_last_weight_one():
+    # below x_{r-1} = 1 the lower side paired log|D_{r-1}| with 1/x_{r-1}
+    # where the multiplier-free form has log|Q - Q_{r-1}|: on this path at
+    # eps = 0 it read -0.10000 against eval_cs 0.40953, off by exactly
+    # n log(x_{r-1}) / (2 x_{r-1}), and no identity holds there
+    from spinvar.variation import bound_check, critical_residual
+
+    q = random_correlation(np.random.default_rng(15), 2)
+    mix = MixtureSpec(n=2, terms=((2, np.array([0.5, 0.35])),), h=np.array([0.15, 0.0]))
+    path = DiscretePath((0.0, 0.4, 0.7), (0.3 * q, 0.6 * q, q))
+    lam = construct_multiplier(path, mix, 0.0)
+    for eps in (0.0, 1e-2):
+        for side in ("lower", "upper"):
+            with pytest.raises(ValidationError):
+                eval_approx(side, path, mix, eps, lam=lam)
+            with pytest.raises(ValidationError):
+                critical_residual(side, path, mix, eps, lam=lam)
+            with pytest.raises(ValidationError):
+                bound_check(side, path, mix, eps, lam=lam)
 
 
 def test_level_merge_invariance():

@@ -10,7 +10,7 @@ from spinvar.battery import (
     well_conditioned_path,
 )
 from spinvar.errors import InfeasibleStep
-from spinvar.functionals import eval_perturbed
+from spinvar.functionals import eval_approx, eval_perturbed
 from spinvar.matcore import MixtureSpec, frobenius, sym_inverse, symmetrize
 from spinvar.optimize import SolveOptions, minimize_fixed
 from spinvar.path import DiscretePath
@@ -137,6 +137,43 @@ def test_critical_residual_positive_off_critical():
     report_u = critical_residual("upper", path, mix, 1e-2)
     assert report_u.max_residual >= 0.0
     assert report.residuals == tuple(report.residuals)
+
+
+def test_certificate_values_off_critical():
+    # pinned to the per-matrix evaluation of the two approximate forms that
+    # the stacked kernel replaced; seed 181 draws a field and a p = 4 term
+    # and keeps the lower tilde path feasible at eps = 1e-2
+    rng = np.random.default_rng(181)
+    mix = random_mixture(rng, 2)
+    q = random_correlation(rng, 2)
+    path = well_conditioned_path(rng, q, 3)
+    lam = sym_inverse(q) + mix.xi_prime(q) + np.eye(2)
+    eps = 1e-2
+    assert path.x[1] == pytest.approx(0.5260102806156419, rel=1e-15)
+    assert np.all(mix.h != 0.0) and len(mix.terms) == 2
+
+    def close(value, expected):
+        assert value == pytest.approx(expected, rel=1e-12)
+
+    close(eval_approx("lower", path, mix, eps), 4.012264923724232)
+    close(eval_approx("upper", path, mix, eps), 2.4388139457877305)
+    close(eval_approx("upper", path, mix, eps, lam=lam), 0.7252397997107694)
+    for side, given, residuals, gap in (
+        ("lower", lam, (0.24545386704993202, 0.3622819282453323), 3.2448793839462526),
+        ("upper", None, (3.127336119919109, 0.0), 1.3404022199908145),
+        ("upper", lam, (1.2014817904397086, 4.328817910358817), 0.3731719260861466),
+    ):
+        report = critical_residual(side, path, mix, eps, lam=given)
+        assert report.residuals == pytest.approx(residuals, rel=1e-12)
+        close(report.identity_gap, gap)
+    for side, given, lhs, rhs in (
+        ("lower", None, 4.012264923724232, 2.6338158838871664),
+        ("upper", None, 2.4388139457877305, 2.3764333930541865),
+        ("upper", lam, 0.7252397997107694, 0.6753139386853583),
+    ):
+        chk = bound_check(side, path, mix, eps, lam=given)
+        close(chk.lhs, lhs)
+        close(chk.rhs, rhs)
 
 
 @pytest.mark.parametrize(
