@@ -287,9 +287,9 @@ def check_hatphi_dominated(seed=10, trials=100) -> CheckResult:
         q = random_correlation(rng, n)
         path = random_feasible_path(rng, q, int(rng.integers(2, 5)))
         cdf, phi = continuous.from_discrete(path)
-        for t in np.linspace(0.0, float(n) * 0.999, 7):
-            gap = (q - phi.value(t)) - continuous.hat_phi(cdf, phi, t)
-            worst = min(worst, matcore.spectral_floor(gap))
+        ts = np.linspace(0.0, float(n) * 0.999, 7)
+        gaps = (q - phi.value(ts)) - continuous.hat_phi(cdf, phi, ts)
+        worst = min(worst, *map(matcore.spectral_floor, gaps))
     return CheckResult("tail-dominated-by-gap", worst >= -1e-10, trials, worst)
 
 

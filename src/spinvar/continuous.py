@@ -13,11 +13,15 @@ has a closed form per segment: the mixture integrand is an exact
 difference of Sum(xi(.)) values, and on a segment where x is the constant
 c > 0 the tail integral is -(1/c) (log|Phihat(b)| - log|Phihat(a)|), since
 (d/dt) Phihat = -c Phi' there.  Segments with c = 0 have constant Phihat.
+
+Each evaluation builds one table of the breakpoints with Phi, x and Phihat
+there (Phihat from one reverse cumulative sum) and factors the Phihat
+stack it needs with one Cholesky call; ``ContinuousCdf.value``,
+``MatrixPath.value`` and ``hat_phi`` take a scalar or an array of t.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +39,6 @@ from .matcore import (
     frozen,
     psd_tol,
     spectral_floor,
-    sum_entries,
-    sym_inverse,
     symmetrize,
 )
 from .path import DiscretePath, merge_duplicates
@@ -71,13 +73,14 @@ class ContinuousCdf:
         if problems:
             raise ValidationError(problems)
         object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "_t", np.array([t for t, _ in knots]))
+        object.__setattr__(self, "_v", np.array([v for _, v in knots]))
 
-    def value(self, t: float) -> float:
-        ts = [k[0] for k in self.knots]
-        i = bisect.bisect_right(ts, t) - 1
-        if i < 0:
-            return 0.0
-        return self.knots[i][1]
+    def value(self, t: float | np.ndarray):
+        """x(t) at a scalar (a float) or at an array of t (same shape)."""
+        i = np.searchsorted(self._t, t, side="right") - 1
+        out = np.where(i >= 0, self._v[np.maximum(i, 0)], 0.0)
+        return float(out) if out.ndim == 0 else out
 
     @property
     def t_x(self) -> float:
@@ -130,6 +133,8 @@ class MatrixPath:
         if problems:
             raise ValidationError(problems)
         object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "_t", np.array([t for t, _ in knots]))
+        object.__setattr__(self, "_m", np.array([m for _, m in knots]))
 
     @property
     def n(self) -> int:
@@ -143,17 +148,13 @@ class MatrixPath:
     def span(self) -> float:
         return self.knots[-1][0]
 
-    def value(self, t: float) -> np.ndarray:
-        ts = [k[0] for k in self.knots]
-        if t <= ts[0]:
-            return np.array(self.knots[0][1])
-        if t >= ts[-1]:
-            return np.array(self.knots[-1][1])
-        i = bisect.bisect_right(ts, t) - 1
-        ta, ma = self.knots[i]
-        tb, mb = self.knots[i + 1]
-        w = (t - ta) / (tb - ta)
-        return (1.0 - w) * ma + w * mb
+    def value(self, t: float | np.ndarray) -> np.ndarray:
+        """Phi(t), held constant outside the knots; shape t.shape + (n, n)."""
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(self._t, t, side="right") - 1, 0, len(self._t) - 2)
+        ta, tb = self._t[i], self._t[i + 1]
+        w = np.clip((t - ta) / (tb - ta), 0.0, 1.0)[..., None, None]
+        return (1.0 - w) * self._m[i] + w * self._m[i + 1]
 
     def slope(self, i: int) -> np.ndarray:
         """Constant derivative on segment i."""
@@ -162,25 +163,50 @@ class MatrixPath:
         return (mb - ma) / (tb - ta)
 
 
-def _segments(x: ContinuousCdf, phi: MatrixPath):
-    """Breakpoints refined so x is constant and Phi is linear on each piece."""
-    ts = sorted({t for t, _ in phi.knots} | {t for t, _ in x.knots} | {0.0, phi.span})
-    ts = [t for t in ts if 0.0 <= t <= phi.span]
-    return list(zip(ts, ts[1:]))
+def _points(span: float, *arrays) -> np.ndarray:
+    """The distinct values of ``arrays``, clipped to [0, span], in order
+    (np.unique would import numpy.ma, 1.5 MB of resident memory)."""
+    ts = np.sort(np.clip(np.concatenate(arrays), 0.0, span))
+    return ts[np.append(True, np.diff(ts) > 0)]
 
 
-def hat_phi(x: ContinuousCdf, phi: MatrixPath, t: float) -> np.ndarray:
-    """Phihat(t) = int_t^n x(s) Phi'(s) ds, exactly on the piecewise structure."""
-    total = np.zeros((phi.n, phi.n))
-    for a, b in _segments(x, phi):
-        if b <= t:
-            continue
-        lo = max(a, t)
-        c = x.value(0.5 * (lo + b))  # x is constant on (a, b)
-        if c == 0.0:
-            continue
-        total += c * (phi.value(b) - phi.value(lo))
-    return symmetrize(total)
+def _table(x: ContinuousCdf, phi: MatrixPath, extra=()):
+    """The piecewise structure of (x, Phi) as arrays.
+
+    Returns the points 0 = t_0 < ... < t_S = n (the knots of x and Phi plus
+    ``extra``, clipped to [0, n]), Phi(t_i), the value c_i of x on
+    [t_i, t_{i+1}) and Phihat(t_i).  Phihat comes from one reverse cumsum of
+    c_j (Phi(t_{j+1}) - Phi(t_j)) over the knots, and at an extra point from
+    the next knot b: Phihat(t) = Phihat(b) + x(t) (Phi(b) - Phi(t)).
+    """
+    knots = _points(phi.span, phi._t, x._t, [0.0])
+    ts = _points(phi.span, knots, np.ravel(extra))
+    p, c = phi.value(ts), x.value(ts)
+    p_k = phi.value(knots)
+    inc = x.value(knots[:-1])[:, None, None] * np.diff(p_k, axis=0)
+    hat_k = np.concatenate([np.cumsum(inc[::-1], axis=0)[::-1], np.zeros_like(p_k[:1])])
+    b = np.minimum(np.searchsorted(knots, ts, side="right"), len(knots) - 1)
+    return ts, p, c[:-1], hat_k[b] + c[:, None, None] * (p_k[b] - p)
+
+
+def _logdet_inverse(stack: np.ndarray):
+    """Log-dets and symmetrized inverses of a stack of PD matrices, from one
+    Cholesky and one inverse call; raises NotPositiveDefinite."""
+    try:
+        factor = np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"Phihat is not positive definite: {exc}") from exc
+    logdet = 2.0 * np.sum(np.log(np.diagonal(factor, axis1=-2, axis2=-1)), axis=-1)
+    inv = np.linalg.inv(stack)
+    return logdet, 0.5 * (inv + np.swapaxes(inv, -1, -2))
+
+
+def hat_phi(x: ContinuousCdf, phi: MatrixPath, t: float | np.ndarray) -> np.ndarray:
+    """Phihat(t) = int_t^n x(s) Phi'(s) ds at a scalar or an array of t,
+    exactly on the piecewise structure; shape t.shape + (n, n)."""
+    t = np.clip(np.asarray(t, dtype=float), 0.0, phi.span)
+    ts, _, _, hat = _table(x, phi, t)
+    return hat[np.searchsorted(ts, t)]
 
 
 def eval_cs_continuous(
@@ -197,39 +223,23 @@ def eval_cs_continuous(
     t_x = x.t_x if top is None else float(top)
     if top is not None and top < x.t_x:
         raise ValidationError(f"override {top} is below t_x = {x.t_x}")
-    q = phi.end
-    gap = q - phi.value(t_x)
     try:
-        top_logdet = chol_logdet(gap)
+        top_logdet = chol_logdet(phi.end - phi.value(t_x))
     except NotPositiveDefinite as exc:
         raise InfeasiblePath(f"Q - Phi(t_x) is not positive definite: {exc}") from exc
 
-    hh = mix.outer_field()
-    mixture_term = 0.0
-    for a, b in _segments(x, phi):
-        c = x.value(0.5 * (a + b))
-        if c == 0.0:
-            continue
-        pa, pb = phi.value(a), phi.value(b)
-        mixture_term += c * (
-            sum_entries(mix.xi(pb)) - sum_entries(mix.xi(pa)) + frobenius(hh, pb - pa)
-        )
+    ts, p, c, hat = _table(x, phi, [t_x])
+    # int x <hh^T, Phi'> = <hh^T, Phihat(0)>; Sum xi(Phi) is exact per piece
+    xi_sums = np.sum(mix.series(p)[:, 0], axis=(-2, -1))
+    mixture_term = float(np.sum(c * np.diff(xi_sums))) + frobenius(mix.outer_field(), hat[0])
 
-    tail_term = 0.0
-    for a, b in _segments(x, phi):
-        if a >= t_x:
-            break
-        b = min(b, t_x)
-        if b <= a:
-            continue
-        c = x.value(0.5 * (a + b))
-        if c == 0.0:
-            # Phihat is constant on the piece
-            tail_term += frobenius(sym_inverse(hat_phi(x, phi, a)), phi.value(b) - phi.value(a))
-        else:
-            la = chol_logdet(hat_phi(x, phi, a))
-            lb = chol_logdet(hat_phi(x, phi, b))
-            tail_term -= (lb - la) / c
+    k = int(np.searchsorted(ts, t_x))
+    p, c = p[: k + 1], c[:k]
+    logdet, inv = _logdet_inverse(hat[: k + 1])
+    flat = c == 0.0
+    # Phihat is constant on a c = 0 piece, and d/dt Phihat = -c Phi' elsewhere
+    const = np.einsum("kij,kij->k", inv[:-1], np.diff(p, axis=0))
+    tail_term = float(np.sum(np.where(flat, const, -np.diff(logdet) / np.where(flat, 1.0, c))))
     return 0.5 * (mixture_term + top_logdet + tail_term)
 
 
@@ -333,47 +343,36 @@ def support_check(
         atoms.append(SupportAtom(t=t, mass=mass, condition=cond, flagged=cond < -1e-12))
 
     t_x = x.t_x
-    pieces = [(a, min(b, t_x)) for a, b in _segments(x, phi) if a < t_x]
-    grid = sorted({a for a, _ in pieces} | {t_x} | {
-        t_x * i / grid_points for i in range(grid_points + 1)
-    })
-    hh = mix.outer_field()
-    running = [0.0]
-    acc_m = np.zeros((phi.n, phi.n))  # int_0^t Phihat^-1 Phi' Phihat^-1
-    f_acc = 0.0
-    for a, b in zip(grid, grid[1:]):
-        c = x.value(0.5 * (a + b))
-        pa, pb = phi.value(a), phi.value(b)
-        slope = (pb - pa) / (b - a)
-        if c == 0.0:
-            inv = sym_inverse(hat_phi(x, phi, a))
-            m_inc = inv @ (pb - pa) @ inv
-        else:
-            # d/dt Phihat^-1 = c Phihat^-1 Phi' Phihat^-1 on the piece
-            m_inc = (sym_inverse(hat_phi(x, phi, b)) - sym_inverse(hat_phi(x, phi, a))) / c
-        psi_mid = hh + mix.xi_prime(phi.value(0.5 * (a + b))) - (acc_m + 0.5 * m_inc)
-        f_acc += frobenius(psi_mid, slope) * (b - a)
-        acc_m = acc_m + m_inc
-        running.append(f_acc)
-    return SupportReport(atoms=tuple(atoms), grid=tuple(grid), running_integral=tuple(running))
+    ts, p, c, hat = _table(x, phi, t_x * np.arange(grid_points + 1) / grid_points)
+    k = int(np.searchsorted(ts, t_x))
+    grid, p, c = ts[: k + 1], p[: k + 1], c[:k]
+    _, inv = _logdet_inverse(hat[: k + 1])
+    dp = np.diff(p, axis=0)
+    flat = (c == 0.0)[:, None, None]
+    # d/dt Phihat^-1 = c Phihat^-1 Phi' Phihat^-1 on a piece with c > 0
+    m_inc = np.where(
+        flat, inv[:-1] @ dp @ inv[:-1], np.diff(inv, axis=0) / np.where(flat, 1.0, c[:, None, None])
+    )
+    acc_m = np.cumsum(m_inc, axis=0) - 0.5 * m_inc  # int_0^mid Phihat^-1 Phi' Phihat^-1
+    mid = phi.value(0.5 * (grid[:-1] + grid[1:]))
+    psi_mid = mix.outer_field() + mix.series(mid)[:, 1] - acc_m
+    f_inc = np.einsum("kij,kij->k", psi_mid, dp)
+    running = np.concatenate([[0.0], np.cumsum(f_inc)])
+    return SupportReport(
+        atoms=tuple(atoms), grid=tuple(grid.tolist()), running_integral=tuple(running.tolist())
+    )
 
 
 def cdf_l1_distance(x1: ContinuousCdf, x2: ContinuousCdf, span: float) -> float:
     """int_0^span |x1(t) - x2(t)| dt, exactly on the step structure."""
-    ts = sorted({0.0, span} | {t for t, _ in x1.knots} | {t for t, _ in x2.knots})
-    total = 0.0
-    for a, b in zip(ts, ts[1:]):
-        if a >= span:
-            break
-        mid = 0.5 * (a + min(b, span))
-        total += abs(x1.value(mid) - x2.value(mid)) * (min(b, span) - a)
-    return total
+    ts = np.sort(np.minimum(np.concatenate([[0.0, span], x1._t, x2._t]), span))
+    return float(np.sum(np.abs(x1.value(ts[:-1]) - x2.value(ts[:-1])) * np.diff(ts)))
 
 
 def path_sup_distance(p1: MatrixPath, p2: MatrixPath) -> float:
     """max entrywise |Phi1 - Phi2| over t; exact on the joint knot set."""
-    ts = sorted({t for t, _ in p1.knots} | {t for t, _ in p2.knots})
-    return max(float(np.max(np.abs(p1.value(t) - p2.value(t)))) for t in ts)
+    ts = np.concatenate([p1._t, p2._t])
+    return float(np.max(np.abs(p1.value(ts) - p2.value(ts))))
 
 
 def lipschitz_bound(mix: MixtureSpec, box: FeasibleBox) -> float:

@@ -56,7 +56,7 @@ from .errors import (
     ValidationError,
 )
 from .matcore import PSD_RTOL, MixtureSpec, frozen, hadamard_div
-from .path import DiscretePath, DSequence, MultiplierState
+from .path import DiscretePath, DSequence
 
 
 def corrected_eps(eps: float) -> float:
@@ -391,14 +391,6 @@ def error_terms(
 def d_sequence_eps(dseq: DSequence, err: ErrorTerms, eps: float) -> list[np.ndarray]:
     """D_p(eps) = D_p + eps * Ebar_p for 1 <= p <= r-1."""
     return [dseq.at(p) + eps * err.ebar_at(p) for p in range(1, len(dseq.seq) + 1)]
-
-
-def lambda_sequence_eps(state: MultiplierState, err: ErrorTerms, eps: float) -> list[np.ndarray]:
-    """Lambda_p(eps) = Lambda_p + eps * Ebar_p for 1 <= p <= r (Ebar_r = 0)."""
-    r = len(state.seq)
-    out = [state.at(p) + eps * err.ebar_at(p) for p in range(1, r)]
-    out.append(np.array(state.at(r)))
-    return out
 
 
 def _multiplier(path, mix, eps, inc_inv, e):

@@ -58,8 +58,10 @@ class SolveOptions:
             problems.append("max_iters must be >= 1")
         if not (self.grad_tol > 0):
             problems.append("grad_tol must be positive")
-        c, shrink = self.armijo
-        if not (0 < c < 1 and 0 < shrink < 1):
+        armijo = tuple(float(v) for v in self.armijo)
+        if len(armijo) != 2:
+            problems.append(f"armijo must be a pair c,shrink; got {len(armijo)} values")
+        elif not all(0 < v < 1 for v in armijo):
             problems.append("armijo constants must lie in (0, 1)")
         if self.x_grid < 2:
             problems.append("x_grid must be >= 2")
@@ -70,7 +72,7 @@ class SolveOptions:
         if problems:
             raise ValidationError(problems)
         object.__setattr__(self, "eps_schedule", sched)
-        object.__setattr__(self, "armijo", (float(c), float(shrink)))
+        object.__setattr__(self, "armijo", armijo)
 
 
 @dataclass
@@ -424,13 +426,21 @@ def search(
     diag_only: bool = False,
 ) -> SearchResult:
     """Sweep r = 2..r_max with discrete coordinate descent over the interior
-    weights (x_0 = 0 and x_{r-1} = 1 pinned).  Ties prefer smaller r, then
-    lexicographically smaller weights; within one r a tied candidate replaces
-    the incumbent only when its value is not above the incumbent's."""
+    weights (x_0 = 0 and x_{r-1} = 1 pinned).  A converged candidate ranks
+    above an unconverged one; among equals the value decides, and ties prefer
+    smaller r, then lexicographically smaller weights; within one r a tied
+    candidate replaces the incumbent only when its value is not above the
+    incumbent's."""
     tie_tol = 1e-9
     best = None
     candidates = []
     memo = {}
+
+    def outranks(a, b, tie):
+        # a converged candidate ranks first; then a lower value, or ``tie``
+        if a.converged != b.converged:
+            return a.converged
+        return a.value_at_eps_min < b.value_at_eps_min - tie_tol or tie
 
     def run(r, ticks, denom):
         key = (r, ticks)
@@ -466,24 +476,20 @@ def search(
                             continue
                         cand = cur[:i] + (v,) + cur[i + 1 :]
                         trial = run(r, cand, denom)
-                        # a tie moves only downhill, so every accepted move
-                        # lowers (value, weights) and the sweep cannot cycle
-                        if trial.value_at_eps_min < cont.value_at_eps_min - tie_tol or (
-                            trial.value_at_eps_min <= cont.value_at_eps_min and cand < cur
-                        ):
+                        # convergence is never lost and a tie moves only
+                        # downhill, so every accepted move lowers
+                        # (unconverged, value, weights) and the sweep cannot cycle
+                        tie = trial.value_at_eps_min <= cont.value_at_eps_min and cand < cur
+                        if outranks(trial, cont, tie):
                             cont, cur = trial, cand
                             improved = True
             spacing //= 2
         cur = tuple(t / denom for t in cur)
         entry = (cont.value_at_eps_min, r, cur, cont)
-        if best is None:
+        if best is None or outranks(
+            cont, best[3], abs(entry[0] - best[0]) <= tie_tol and (r, cur) < best[1:3]
+        ):
             best = entry
-        else:
-            bv, br, bx, _ = best
-            if entry[0] < bv - tie_tol:
-                best = entry
-            elif abs(entry[0] - bv) <= tie_tol and (r, cur) < (br, bx):
-                best = entry
     value, r, interior, cont = best
     return SearchResult(
         kind=kind,

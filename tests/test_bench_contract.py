@@ -7,11 +7,16 @@ the stage count and convergence of every ``minimize_fixed`` call, taking
 traced run; ``perfbench/workloads.py`` looks each battery check up with
 ``getattr`` and calls it with ``seed=``, and runs the gap items through
 ``cli.run``, ``cli.emit`` and ``optimize.duality_gap``.  A rename here
-makes a traced run raise a KeyError, or every item of a workload fail.
+makes a traced run raise a KeyError, or every item of a workload fail;
+a renamed function behind a ``BENCHMARK.json`` per-layer metric
+``<module>.<function>.calls|self_s|failed`` makes that metric read 0.
 """
 
 import dataclasses
+import importlib
 import inspect
+import json
+from pathlib import Path
 
 from spinvar import battery, cli, functionals, matcore, optimize, variation
 
@@ -74,3 +79,13 @@ def test_verify_checks_take_a_seed():
         params = inspect.signature(fn).parameters
         assert "seed" in params, name
     assert "kind" in inspect.signature(battery.check_gradient_oracle).parameters
+
+
+def test_per_layer_metrics_name_public_functions():
+    spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    names = [m["name"].split(".") for m in spec["per_layer"]]
+    traced = [n[:2] for n in names if len(n) == 3 and n[2] in ("calls", "self_s", "failed")]
+    assert traced
+    for mod, fn in traced:
+        obj = getattr(importlib.import_module(f"spinvar.{mod}"), fn, None)
+        assert inspect.isfunction(obj) and not fn.startswith("_"), f"spinvar.{mod}.{fn}"

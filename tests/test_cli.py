@@ -157,6 +157,12 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["eval", "--spec", degenerate]) == 3
 
 
+def test_main_armijo_needs_two_values(tmp_path, capsys):
+    spec_file = write_spec(tmp_path, minimal_spec(path={"x": [0.0, 0.5], "levels": [[0.25]]}))
+    assert main(["eval", "--spec", spec_file, "--armijo", "1,2,3"]) == 2
+    assert "armijo must be a pair" in capsys.readouterr().err
+
+
 def test_main_gap_with_overrides_and_outputs(tmp_path, capsys):
     spec_file = write_spec(tmp_path, minimal_spec())
     out_dir = tmp_path / "out"

@@ -274,3 +274,18 @@ def test_lipschitz_first_order_scaling():
         values[d] = abs(eval_cs_continuous(cdf1, phi, mix) - eval_cs_continuous(cdf2, phi, mix))
     ratio = values[0.02] / values[0.002]
     assert ratio == pytest.approx(10.0, rel=0.15)
+
+
+def test_lookups_take_arrays():
+    rng = np.random.default_rng(36)
+    q = random_correlation(rng, 2)
+    cdf, phi = from_discrete(random_feasible_path(rng, q, 4))
+    ts = np.array([-0.5, 0.0, 0.3, 1.1, 2.0, 2.5] + [t for t, _ in phi.knots + cdf.knots])
+    assert isinstance(cdf.value(0.3), float)
+    np.testing.assert_array_equal(cdf.value(ts), [cdf.value(t) for t in ts])
+    np.testing.assert_array_equal(phi.value(ts), [phi.value(t) for t in ts])
+    grid = np.stack([ts, ts[::-1]])
+    assert hat_phi(cdf, phi, grid).shape == grid.shape + (2, 2)
+    np.testing.assert_array_equal(
+        hat_phi(cdf, phi, grid), [[hat_phi(cdf, phi, t) for t in row] for row in grid]
+    )

@@ -84,6 +84,12 @@ def test_solve_options_validation():
         SolveOptions(r_max=1)
 
 
+def test_solve_options_armijo_needs_a_pair():
+    # a third value used to end in a ValueError from tuple unpacking
+    with pytest.raises(ValidationError, match="pair"):
+        SolveOptions(armijo=(1e-4, 0.5, 0.1))
+
+
 def test_minimize_cs_rs_low_temperature():
     mix = MixtureSpec.pure(2, [0.3])
     q = np.array([[1.0]])
@@ -169,6 +175,29 @@ def test_search_tie_rule_cannot_cycle():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_search_ranks_converged_candidates_first(monkeypatch):
+    # stubbed solves: r = 2 converges at 1.0; at r = 3 only the start
+    # weights x_1 = 0.5 converge (at 0.9), every other candidate reads 0.5
+    import types
+
+    from spinvar import optimize
+
+    def stub(start_converges):
+        def fake(kind, mix, constraint, r, x, opts, diag_only=False):
+            converged = r == 2 or (start_converges and x[1] == 0.5)
+            value = 1.0 if r == 2 else 0.9 if converged else 0.5
+            return types.SimpleNamespace(value_at_eps_min=value, converged=converged)
+
+        return fake
+
+    mix, q = MixtureSpec.pure(2, [1.0]), np.array([[1.0]])
+    for start_converges, r, value in ((False, 2, 1.0), (True, 3, 0.9)):
+        monkeypatch.setattr(optimize, "continuation", stub(start_converges))
+        res = search("cs", mix, q, SolveOptions(r_max=3, x_grid=4))
+        assert (res.r, res.value) == (r, value)
+        assert res.best.converged
 
 
 def test_search_nested_spaces():
