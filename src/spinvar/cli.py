@@ -199,16 +199,15 @@ def build_spec(raw: dict) -> ProblemSpec:
 
 
 def _options_from(data: dict) -> SolveOptions:
+    """SolveOptions from a ``solve`` object, each value coerced to the type
+    of its field's default: int, float, or a tuple of floats."""
     kwargs = {}
     for key, value in data.items():
-        if key == "eps_schedule":
+        default = _SOLVE_KEYS[key].default
+        if isinstance(default, tuple):
             kwargs[key] = tuple(float(v) for v in value)
-        elif key == "armijo":
-            kwargs[key] = tuple(float(v) for v in value)
-        elif key in ("max_iters", "x_grid", "r_max", "seed"):
-            kwargs[key] = int(value)
         else:
-            kwargs[key] = float(value)
+            kwargs[key] = type(default)(value)
     return SolveOptions(**kwargs)
 
 

@@ -15,9 +15,11 @@ c > 0 the tail integral is -(1/c) (log|Phihat(b)| - log|Phihat(a)|), since
 (d/dt) Phihat = -c Phi' there.  Segments with c = 0 have constant Phihat.
 
 Each evaluation builds one table of the breakpoints with Phi, x and Phihat
-there (Phihat from one reverse cumulative sum) and factors the Phihat
-stack it needs with one Cholesky call; ``ContinuousCdf.value``,
-``MatrixPath.value`` and ``hat_phi`` take a scalar or an array of t.
+there (Phihat from :func:`spinvar.path.tail_sums`), and factors and
+inverts the Phihat stack it needs with one call each
+(:func:`spinvar.matcore.stack_logdets`, ``stack_inverses``);
+``ContinuousCdf.value``, ``MatrixPath.value`` and ``hat_phi`` take a
+scalar or an array of t.
 """
 
 from __future__ import annotations
@@ -39,9 +41,11 @@ from .matcore import (
     frozen,
     psd_tol,
     spectral_floor,
+    stack_inverses,
+    stack_logdets,
     symmetrize,
 )
-from .path import DiscretePath, merge_duplicates
+from .path import DiscretePath, merge_duplicates, tail_sums
 
 
 @dataclass(frozen=True)
@@ -175,7 +179,7 @@ def _table(x: ContinuousCdf, phi: MatrixPath, extra=()):
 
     Returns the points 0 = t_0 < ... < t_S = n (the knots of x and Phi plus
     ``extra``, clipped to [0, n]), Phi(t_i), the value c_i of x on
-    [t_i, t_{i+1}) and Phihat(t_i).  Phihat comes from one reverse cumsum of
+    [t_i, t_{i+1}) and Phihat(t_i).  Phihat comes from the tail sums of
     c_j (Phi(t_{j+1}) - Phi(t_j)) over the knots, and at an extra point from
     the next knot b: Phihat(t) = Phihat(b) + x(t) (Phi(b) - Phi(t)).
     """
@@ -183,22 +187,10 @@ def _table(x: ContinuousCdf, phi: MatrixPath, extra=()):
     ts = _points(phi.span, knots, np.ravel(extra))
     p, c = phi.value(ts), x.value(ts)
     p_k = phi.value(knots)
-    inc = x.value(knots[:-1])[:, None, None] * np.diff(p_k, axis=0)
-    hat_k = np.concatenate([np.cumsum(inc[::-1], axis=0)[::-1], np.zeros_like(p_k[:1])])
+    tails = tail_sums(x.value(knots[:-1]), np.diff(p_k, axis=0))
+    hat_k = np.concatenate([tails, np.zeros_like(p_k[:1])])
     b = np.minimum(np.searchsorted(knots, ts, side="right"), len(knots) - 1)
     return ts, p, c[:-1], hat_k[b] + c[:, None, None] * (p_k[b] - p)
-
-
-def _logdet_inverse(stack: np.ndarray):
-    """Log-dets and symmetrized inverses of a stack of PD matrices, from one
-    Cholesky and one inverse call; raises NotPositiveDefinite."""
-    try:
-        factor = np.linalg.cholesky(stack)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"Phihat is not positive definite: {exc}") from exc
-    logdet = 2.0 * np.sum(np.log(np.diagonal(factor, axis1=-2, axis2=-1)), axis=-1)
-    inv = np.linalg.inv(stack)
-    return logdet, 0.5 * (inv + np.swapaxes(inv, -1, -2))
 
 
 def hat_phi(x: ContinuousCdf, phi: MatrixPath, t: float | np.ndarray) -> np.ndarray:
@@ -235,7 +227,10 @@ def eval_cs_continuous(
 
     k = int(np.searchsorted(ts, t_x))
     p, c = p[: k + 1], c[:k]
-    logdet, inv = _logdet_inverse(hat[: k + 1])
+    logdet, ok = stack_logdets(hat[: k + 1])
+    if not ok.all():
+        raise NotPositiveDefinite("Phihat is not positive definite on [0, t_x]")
+    inv = stack_inverses(hat[: k + 1])
     flat = c == 0.0
     # Phihat is constant on a c = 0 piece, and d/dt Phihat = -c Phi' elsewhere
     const = np.einsum("kij,kij->k", inv[:-1], np.diff(p, axis=0))
@@ -346,7 +341,9 @@ def support_check(
     ts, p, c, hat = _table(x, phi, t_x * np.arange(grid_points + 1) / grid_points)
     k = int(np.searchsorted(ts, t_x))
     grid, p, c = ts[: k + 1], p[: k + 1], c[:k]
-    _, inv = _logdet_inverse(hat[: k + 1])
+    if not stack_logdets(hat[: k + 1])[1].all():
+        raise NotPositiveDefinite("Phihat is not positive definite on [0, t_x]")
+    inv = stack_inverses(hat[: k + 1])
     dp = np.diff(p, axis=0)
     flat = (c == 0.0)[:, None, None]
     # d/dt Phihat^-1 = c Phihat^-1 Phi' Phihat^-1 on a piece with c > 0

@@ -16,18 +16,23 @@ Ebar_p; ``eval_approx`` evaluates those corrected forms, which need
 x_{r-1} = 1.
 
 Every value and representer is computed by ``eval_stack``, which takes a
-stack of points, builds each chain with cumulative sums, and decides
-feasibility from one Cholesky call over all of its matrices; infeasible
-points evaluate to +inf there, and the single-point functions below turn
-that into the matching domain error.  The corrected forms run on the same
-kernel: the error terms come from one inverse call over the increments,
-and the base part of either side is eval_stack's formula evaluated at the
-corrected chain.
+stack of points, builds each chain with :func:`spinvar.path.tail_sums`,
+and decides feasibility from one Cholesky call over all of its matrices
+(:func:`spinvar.matcore.stack_logdets`); infeasible points evaluate to
++inf there, and the single-point functions below turn that into the
+matching domain error.  The corrected forms run on the same kernel: the
+error terms come from one inverse call over the increments, and the base
+part of either side is eval_stack's formula evaluated at the corrected
+chain.
 
-Conventions: a level with x_k = 0 contributes nothing to the 1/x_k
-log-ratio terms (the corresponding chain increment is then zero), and
-correction inner products are accumulated in a fixed order so repeated
-runs are bitwise reproducible.
+Conventions: where x_k = 0 the 1/x_k log-ratio term is dropped (the chain
+increment at level k is then zero), although (1/x_k) log(|D_{k+1}|/|D_k|)
+tends to the nonzero trace -tr(D_{k+1}^-1 (Q_{k+1} - Q_k)) as x_k -> 0,
+and likewise for Lambda.  So both forms jump at x_k = 0, and merging such
+a level changes the value (example in
+:func:`spinvar.path.merge_duplicates`; ROADMAP item 1).  Correction inner
+products are accumulated in a fixed order so repeated runs are bitwise
+reproducible.
 
 Epsilon convention: ``eval_perturbed`` adds the barrier un-halved,
 ``base + eps * B``, while the bracketed functional forms carry a global
@@ -55,8 +60,16 @@ from .errors import (
     SpinvarError,
     ValidationError,
 )
-from .matcore import PSD_RTOL, MixtureSpec, frozen, hadamard_div
-from .path import DiscretePath, DSequence
+from .matcore import (
+    PSD_RTOL,
+    MixtureSpec,
+    frozen,
+    hadamard_div,
+    stack_inverses,
+    stack_logdets,
+    symmetrize,
+)
+from .path import DiscretePath, tail_sums
 
 
 def corrected_eps(eps: float) -> float:
@@ -72,33 +85,11 @@ def _frob(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sum(a * b, axis=(-2, -1))
 
 
-def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
-
-
 def _over(num: np.ndarray, x: np.ndarray) -> np.ndarray:
     """num_k / x_k along axis 1, and 0 where x_k = 0 (the x_k = 0 levels
     drop out of the 1/x_k terms)."""
     x = x.reshape((1, -1) + (1,) * (num.ndim - 2))
     return np.divide(num, x, out=np.zeros_like(num), where=x != 0.0)
-
-
-def _cholesky(stack: np.ndarray):
-    """Cholesky factors of a (B, m, n, n) stack and the (B, m) mask of the
-    matrices that factor; a matrix that does not gets the identity."""
-    try:
-        return np.linalg.cholesky(stack), np.ones(stack.shape[:2], dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    factors = np.empty_like(stack)
-    ok = np.ones(stack.shape[:2], dtype=bool)
-    for idx in np.ndindex(*stack.shape[:2]):
-        try:
-            factors[idx] = np.linalg.cholesky(stack[idx])
-        except np.linalg.LinAlgError:
-            factors[idx] = np.eye(stack.shape[-1])
-            ok[idx] = False
-    return factors, ok
 
 
 def _chain(kind, mix, constraint, xv, levels, lam):
@@ -113,13 +104,11 @@ def _chain(kind, mix, constraint, xv, levels, lam):
     series = mix.series(q[:, 1:])  # at Q_1..Q_r
     if kind == "parisi":
         # Lambda_p = Lambda - sum_{k >= p} x_k (xi'(Q_{k+1}) - xi'(Q_k))
-        steps = xv[1:, None, None] * np.diff(series[:, :, 1], axis=1)
-        tails = np.cumsum(steps[:, ::-1], axis=1)[:, ::-1]
+        tails = tail_sums(xv[1:], np.diff(series[:, :, 1], axis=1))
         chain = np.concatenate([lam[:, None] - tails, lam[:, None]], axis=1)
     else:
         # D_p = sum_{k >= p} x_k (Q_{k+1} - Q_k)
-        steps = xv[1:, None, None] * inc[:, 1:]
-        chain = np.cumsum(steps[:, ::-1], axis=1)[:, ::-1]
+        chain = tail_sums(xv[1:], inc[:, 1:])
     return q, inc, series, chain
 
 
@@ -141,10 +130,6 @@ def _form_total(kind, hh, xv, q, series, chain, logdet, first_inv, top):
         total += _frob(q[:, 1], first_inv)
         total += np.sum(xv[1:] * np.diff(sums[:, :, 0], axis=1), axis=1)
     return total
-
-
-def _logdets(factors: np.ndarray) -> np.ndarray:
-    return 2.0 * np.sum(np.log(np.diagonal(factors, 0, -2, -1)), axis=-1)
 
 
 def eval_stack(kind, mix, constraint, x, eps, levels, lam=None, grad=False):
@@ -181,8 +166,7 @@ def eval_stack(kind, mix, constraint, x, eps, levels, lam=None, grad=False):
     tol = PSD_RTOL * np.maximum(np.max(np.abs(np.diagonal(floor, 0, -2, -1)), axis=-1), 1.0)
     shifted = floor - tol[:, None, None] * np.eye(n)
     mats = np.concatenate([shifted[:, None], chain, incs], axis=1)
-    factors, ok = _cholesky(mats)
-    logdet = _logdets(factors)
+    logdet, ok = stack_logdets(mats)
     m = chain.shape[1]
     chain_ok = ok[:, 1 : 1 + m].all(axis=1)
     if kind == "cs":
@@ -194,10 +178,7 @@ def eval_stack(kind, mix, constraint, x, eps, levels, lam=None, grad=False):
         status = np.where((status == FEASIBLE) & inc_bad.any(axis=1), first_bad, status)
     feasible = status == FEASIBLE
 
-    targets = mats[:, 1:] if grad else mats[:, 1:2]
-    if not feasible.all():
-        targets = np.where(feasible[:, None, None, None], targets, np.eye(n))
-    inv = _sym(np.linalg.inv(targets))
+    inv = stack_inverses(mats[:, 1:] if grad else mats[:, 1:2], feasible[:, None])
 
     hh = mix.outer_field()
     total = _form_total(kind, hh, xv, q, series, chain, logdet[:, 1 : 1 + m], inv[:, 0], logdet[:, -1])
@@ -211,7 +192,7 @@ def eval_stack(kind, mix, constraint, x, eps, levels, lam=None, grad=False):
     dx = np.diff(xv)[:, None, None]
     if kind == "parisi":
         li = inv[:, :m]  # Lambda_1^-1 .. Lambda_r^-1
-        a = _sym(li[:, 0] @ (hh + series[:, 0, 1]) @ li[:, 0])
+        a = symmetrize(li[:, 0] @ (hh + series[:, 0, 1]) @ li[:, 0])
         partial = np.cumsum(_over(li[:, :-1] - li[:, 1:], xv[1:]), axis=1)
         partial = np.concatenate([np.zeros((count, 1, n, n)), partial], axis=1)  # S_1..S_r
         d_lam = constraint - li[:, -1] - a - partial[:, -1]
@@ -219,7 +200,7 @@ def eval_stack(kind, mix, constraint, x, eps, levels, lam=None, grad=False):
         d_q = dx * series[:, :-1, 2] * core
     else:
         di = inv[:, :m]  # D_1^-1 .. D_{r-1}^-1
-        b = _sym(di[:, 0] @ q[:, 1] @ di[:, 0])
+        b = symmetrize(di[:, 0] @ q[:, 1] @ di[:, 0])
         partial = np.cumsum(_over(di[:, 1:] - di[:, :-1], xv[1:-1]), axis=1)
         partial = np.concatenate([np.zeros((count, 1, n, n)), partial], axis=1)  # T_1..T_{r-1}
         core = hh - b[:, None] - partial + series[:, :-1, 1]
@@ -255,7 +236,7 @@ def _point(kind, path: DiscretePath, lam=None):
         lam = np.asarray(lam, dtype=float)
         if lam.shape != (n, n):
             raise DimensionMismatch("multiplier dimension does not match the path")
-        lam = _sym(lam)[None]
+        lam = symmetrize(lam)[None]
     return np.array(path.qs[:-1]).reshape(1, path.r - 1, n, n), lam
 
 
@@ -299,11 +280,9 @@ def increments(path: DiscretePath):
     """Log-dets, inverses and positive-definiteness mask of the increments
     Q_{k+1} - Q_k, k = 0..r-1, from one Cholesky and one inverse call; an
     increment that does not factor gets log-det 0 and inverse I."""
-    n = path.n
-    inc = np.diff(np.array((np.zeros((n, n)),) + path.qs), axis=0)
-    factors, ok = _cholesky(inc[None])
-    inv = np.linalg.inv(np.where(ok[0, :, None, None], inc, np.eye(n)))
-    return _logdets(factors[0]), _sym(inv), ok[0]
+    inc = np.diff(np.array((np.zeros((path.n, path.n)),) + path.qs), axis=0)
+    logdet, ok = stack_logdets(inc)
+    return logdet, stack_inverses(inc, ok), ok
 
 
 def eval_barrier(path: DiscretePath) -> float:
@@ -371,8 +350,7 @@ def _error_stack(side, path, mix):
             e[p - 1] = hadamard_div(e[p - 1], mix.xi_second(path.level(p)))
     e = np.concatenate([e, np.zeros((1, path.n, path.n))])  # E_r = 0
     # Ebar_p = sum_{k >= p} x_k (E_{k+1} - E_k)
-    steps = np.asarray(path.x[1:])[:, None, None] * np.diff(e, axis=0)
-    return logdet, inv, e, np.cumsum(steps[::-1], axis=0)[::-1]
+    return logdet, inv, e, tail_sums(path.x[1:], np.diff(e, axis=0))
 
 
 def error_terms(
@@ -386,11 +364,6 @@ def error_terms(
     """
     _, _, e, ebar = _error_stack(side, path, mix)
     return ErrorTerms(side=side, eps=float(eps), e=tuple(e), ebar=tuple(ebar))
-
-
-def d_sequence_eps(dseq: DSequence, err: ErrorTerms, eps: float) -> list[np.ndarray]:
-    """D_p(eps) = D_p + eps * Ebar_p for 1 <= p <= r-1."""
-    return [dseq.at(p) + eps * err.ebar_at(p) for p in range(1, len(dseq.seq) + 1)]
 
 
 def _multiplier(path, mix, eps, inc_inv, e):
@@ -464,11 +437,10 @@ def corrected_form(side, path: DiscretePath, mix: MixtureSpec, eps: float, lam=N
     q, _, series, chain = _chain(kind, mix, path.constraint, xv, *_point(kind, path, lam))
     m = path.r - 1
     chain[:, :m] += s * ebar
-    try:
-        logdet = _logdets(np.linalg.cholesky(chain))
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("a matrix of the corrected chain is not positive definite") from exc
-    inv = _sym(np.linalg.inv(chain))
+    logdet, ok = stack_logdets(chain)
+    if not ok.all():
+        raise NotPositiveDefinite("a matrix of the corrected chain is not positive definite")
+    inv = stack_inverses(chain)
     total = _form_total(kind, mix.outer_field(), xv, q, series, chain, logdet, inv[:, 0], logdet[:, -1])
     j = np.minimum(np.arange(m) + (kind == "cs"), m - 1)
     sign, paired = (1.0, series[0, j, 1]) if kind == "cs" else (-1.0, q[0, j + 1])

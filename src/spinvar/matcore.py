@@ -5,7 +5,10 @@ re-symmetrized so asymmetric round-off cannot accumulate across a chain of
 operations.  Positive definiteness is decided two ways, on purpose:
 
 * evaluation paths (log-dets, inverses) use Cholesky factorization and
-  raise :class:`~spinvar.errors.NotPositiveDefinite` on failure;
+  raise :class:`~spinvar.errors.NotPositiveDefinite` on failure; a stack
+  of matrices is factored by one call of :func:`stack_logdets`, which
+  returns the mask of the matrices that factor, and inverted by one call
+  of :func:`stack_inverses`;
 * validation paths use the smallest eigenvalue against ``psd_tol``, which
   is relative to the largest diagonal entry (with a unit floor, since all
   matrices here live on the overlap scale).
@@ -38,8 +41,9 @@ _MIX_KINDS = {
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Symmetric part (a + a.T) / 2 as a fresh array."""
-    return 0.5 * (a + a.T)
+    """Symmetric part (a + a.T) / 2 of a matrix, or of each matrix of a
+    stack (..., n, n), as a fresh array."""
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def sum_entries(a: np.ndarray) -> float:
@@ -100,6 +104,35 @@ def sym_inverse(a: np.ndarray) -> np.ndarray:
     a = symmetrize(_require_square(a))
     cholesky(a)  # feasibility gate
     return symmetrize(np.linalg.inv(a))
+
+
+def stack_logdets(stack: np.ndarray):
+    """Log-dets of a stack (..., n, n) of symmetric matrices and the mask of
+    the matrices that factor, from one Cholesky call; a matrix that does
+    not factor gets log-det 0.  Only when the stacked call fails is each
+    matrix factored on its own, to find the ones that do not."""
+    ok = np.ones(stack.shape[:-2], dtype=bool)
+    try:
+        factors = np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        factors = np.empty_like(stack)
+        for idx in np.ndindex(*ok.shape):
+            try:
+                factors[idx] = np.linalg.cholesky(stack[idx])
+            except np.linalg.LinAlgError:
+                factors[idx] = np.eye(stack.shape[-1])
+                ok[idx] = False
+    return 2.0 * np.sum(np.log(np.diagonal(factors, 0, -2, -1)), axis=-1), ok
+
+
+def stack_inverses(stack: np.ndarray, ok=True) -> np.ndarray:
+    """Symmetrized inverses of a stack (..., n, n) from one inverse call; a
+    matrix where the mask ``ok`` (broadcast against the leading axes) is
+    False gets the identity."""
+    ok = np.asarray(ok)
+    if not ok.all():
+        stack = np.where(ok[..., None, None], stack, np.eye(stack.shape[-1]))
+    return symmetrize(np.linalg.inv(stack))
 
 
 def spectral_floor(a: np.ndarray) -> float:

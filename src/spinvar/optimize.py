@@ -50,14 +50,14 @@ class SolveOptions:
     def __post_init__(self):
         problems = []
         sched = tuple(float(e) for e in self.eps_schedule)
-        if not sched or any(e <= 0 for e in sched):
-            problems.append("eps_schedule must be a nonempty list of positive reals")
+        if not sched or not all(0 < e < math.inf for e in sched):
+            problems.append("eps_schedule must be a nonempty list of positive finite reals")
         if any(b >= a for a, b in zip(sched, sched[1:])):
             problems.append("eps_schedule must be strictly decreasing")
         if self.max_iters < 1:
             problems.append("max_iters must be >= 1")
-        if not (self.grad_tol > 0):
-            problems.append("grad_tol must be positive")
+        if not (0 < self.grad_tol < math.inf):
+            problems.append("grad_tol must be positive and finite")
         armijo = tuple(float(v) for v in self.armijo)
         if len(armijo) != 2:
             problems.append(f"armijo must be a pair c,shrink; got {len(armijo)} values")
@@ -67,8 +67,8 @@ class SolveOptions:
             problems.append("x_grid must be >= 2")
         if self.r_max < 2:
             problems.append("r_max must be >= 2")
-        if self.beta2_delta < 0:
-            problems.append("beta2_delta must be nonnegative")
+        if not (0 <= self.beta2_delta < math.inf):
+            problems.append("beta2_delta must be nonnegative and finite")
         if problems:
             raise ValidationError(problems)
         object.__setattr__(self, "eps_schedule", sched)

@@ -15,6 +15,11 @@ and a mixture two chains are derived:
 for 1 <= p <= r-1 (and Lambda_r = Lambda).  Both telescope:
 Lambda_{k+1} - Lambda_k = x_k (xi'(Q_{k+1}) - xi'(Q_k)) and
 D_k - D_{k+1} = x_k (Q_{k+1} - Q_k).
+
+Every chain of the package -- these two, the correction tails Ebar_p of
+:mod:`spinvar.functionals` and Phihat at the knots of
+:mod:`spinvar.continuous` -- is a weighted tail sum, computed by
+:func:`tail_sums` for a whole stack at once.
 """
 
 from __future__ import annotations
@@ -129,81 +134,70 @@ def validate(path: DiscretePath, constraint: np.ndarray | None = None) -> list[s
     return problems
 
 
-@dataclass(frozen=True)
-class MultiplierState:
-    """A multiplier Lambda with its derived chain Lambda_1..Lambda_r."""
-
-    lam: np.ndarray
-    seq: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", frozen(symmetrize(np.asarray(self.lam, dtype=float))))
-        object.__setattr__(self, "seq", tuple(frozen(m) for m in self.seq))
-
-    def at(self, p: int) -> np.ndarray:
-        """Lambda_p for 1 <= p <= r."""
-        return self.seq[p - 1]
+def tail_sums(weights, steps: np.ndarray) -> np.ndarray:
+    """T_p = sum_{k >= p} w_k steps_k, p = 0..m-1, for steps of shape
+    (..., m, n, n) and weights w of shape (m,): one reverse cumulative sum
+    along axis -3, which adds the terms from k = m-1 down."""
+    terms = np.asarray(weights, dtype=float)[:, None, None] * steps
+    return terms[..., ::-1, :, :].cumsum(axis=-3)[..., ::-1, :, :]
 
 
 @dataclass(frozen=True)
-class DSequence:
-    """The chain D_1..D_{r-1} of weighted tail sums of path increments."""
+class Chain:
+    """A derived chain C_1..C_m, read-only: Lambda_1..Lambda_r or D_1..D_{r-1}."""
 
     seq: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "seq", tuple(frozen(m) for m in self.seq))
+        object.__setattr__(self, "seq", tuple(frozen(self.seq)))
 
     def at(self, p: int) -> np.ndarray:
-        """D_p for 1 <= p <= r-1."""
+        """C_p for 1 <= p <= m."""
         return self.seq[p - 1]
 
 
-def lambda_sequence(lam: np.ndarray, path: DiscretePath, mix: MixtureSpec) -> MultiplierState:
+def lambda_sequence(lam: np.ndarray, path: DiscretePath, mix: MixtureSpec) -> Chain:
     """Derive Lambda_1..Lambda_r; raises InfeasibleMultiplier unless Lambda_1 > 0."""
     lam = symmetrize(np.asarray(lam, dtype=float))
     if lam.shape != (path.n, path.n):
         raise DimensionMismatch("multiplier dimension does not match the path")
-    xi_prime = [mix.xi_prime(path.level(k)) for k in range(path.r + 1)]
-    seq = [lam for _ in range(path.r)]
-    tail = np.zeros_like(lam)
-    # walk p = r-1 down to 1 accumulating x_k (xi'(Q_{k+1}) - xi'(Q_k))
-    for p in range(path.r - 1, 0, -1):
-        tail = tail + path.x[p] * (xi_prime[p + 1] - xi_prime[p])
-        seq[p - 1] = lam - tail
-    state = MultiplierState(lam, tuple(seq))
-    first = state.at(1)
+    xi_prime = mix.series(np.array(path.qs))[:, 1]  # at Q_1..Q_r
+    tails = tail_sums(path.x[1:], np.diff(xi_prime, axis=0))
+    chain = Chain(np.concatenate([lam - tails, lam[None]]))
+    first = chain.at(1)
     if spectral_floor(first) <= psd_tol(first):
         raise InfeasibleMultiplier(
             f"Lambda_1 is not positive definite: lam_min = {spectral_floor(first):.6e}"
         )
-    return state
+    return chain
 
 
-def d_sequence(path: DiscretePath) -> DSequence:
+def d_sequence(path: DiscretePath) -> Chain:
     """Derive D_1..D_{r-1}; raises InfeasiblePath unless D_{r-1} > 0."""
     if path.r < 2:
         raise InfeasiblePath("D sequence needs r >= 2")
-    seq = [None] * (path.r - 1)
-    tail = np.zeros((path.n, path.n))
-    for p in range(path.r - 1, 0, -1):
-        tail = tail + path.x[p] * path.increment(p)
-        seq[p - 1] = tail
-    top = seq[-1]
+    chain = Chain(tail_sums(path.x[1:], np.diff(np.array(path.qs), axis=0)))
+    top = chain.at(path.r - 1)
     if spectral_floor(top) <= psd_tol(top):
         raise InfeasiblePath(
             f"D_{{r-1}} is not positive definite: lam_min = {spectral_floor(top):.6e}"
         )
-    return DSequence(tuple(seq))
+    return chain
 
 
 def merge_duplicates(path: DiscretePath, tol: float = 0.0) -> DiscretePath:
     """Canonical path with repeated weights / repeated levels merged out.
 
     When x_k = x_{k+1} the pair (x_{k+1}, Q_{k+1}) is dropped; when
-    Q_k = Q_{k+1} (k >= 1) the pair (x_k, Q_k) is dropped.  Either removal
-    leaves both functionals unchanged.  A level with Q_1 = 0 and x_1 > 0 is
-    a genuine atom at the origin and is kept.
+    Q_k = Q_{k+1} (k >= 1) the pair (x_k, Q_k) is dropped.  For positive
+    weights either removal leaves both functionals unchanged.  Where a
+    weight is 0 it does not: the functionals drop the 1/x_k log-ratio term
+    there, although its limit as x_k -> 0 is a nonzero trace, so merging a
+    level with x_k = 0 into its neighbour changes the value.  For pure p=2,
+    beta=1, Q=1, x=(0, 0, 1) and levels (0.1, 0.2929), ``eval_cs`` gives
+    0.354525 before the merge and 0.490927 after it (ROADMAP item 1).  A
+    level with Q_1 = 0 and x_1 > 0 is a genuine atom at the origin and is
+    kept.
     """
     x = list(path.x)
     qs = [path.level(k) for k in range(path.r + 1)]  # Q_0..Q_r

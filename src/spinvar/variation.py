@@ -35,7 +35,7 @@ from .functionals import (
     eval_point,
     increments,
 )
-from .matcore import MixtureSpec, symmetrize
+from .matcore import MixtureSpec, stack_inverses, symmetrize
 from .path import DiscretePath, lambda_sequence
 
 _DOMAIN_ERRORS = (
@@ -145,8 +145,7 @@ def critical_residual(
         raise ValueError("the lower side needs the multiplier")
     value_approx, corrected, lam, _ = corrected_form(side, path, mix, eps, lam)
     kind = "parisi" if side == "lower" else "cs"
-    inv = np.linalg.inv(chain_of(kind, path, mix, lam)[: path.r - 1])
-    own = 0.5 * (inv + np.swapaxes(inv, 1, 2))
+    own = stack_inverses(chain_of(kind, path, mix, lam)[: path.r - 1])
     residuals = tuple(float(v) for v in np.max(np.abs(own - corrected), axis=(1, 2)))
     value_pert = eval_perturbed(kind, eps, path, mix, lam=lam)
     return CriticalReport(

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +162,16 @@ def test_main_armijo_needs_two_values(tmp_path, capsys):
     spec_file = write_spec(tmp_path, minimal_spec(path={"x": [0.0, 0.5], "levels": [[0.25]]}))
     assert main(["eval", "--spec", spec_file, "--armijo", "1,2,3"]) == 2
     assert "armijo must be a pair" in capsys.readouterr().err
+
+
+def test_main_rejects_non_finite_options(capsys):
+    # --tol inf used to exit 0 with a "converged" gap of 0.133, and a nan
+    # eps exited 3 from inside the solver
+    spec_file = str(Path(__file__).resolve().parent.parent / "problems" / "pure2_scalar.json")
+    assert main(["gap", "--spec", spec_file, "--tol", "inf"]) == 2
+    assert "grad_tol must be positive and finite" in capsys.readouterr().err
+    assert main(["gap", "--spec", spec_file, "--eps-schedule", "1e-1,nan"]) == 2
+    assert "eps_schedule must be a nonempty list of positive finite reals" in capsys.readouterr().err
 
 
 def test_main_gap_with_overrides_and_outputs(tmp_path, capsys):

@@ -14,11 +14,14 @@ from spinvar.matcore import (
     admissible_radius,
     chol_logdet,
     check_constraint,
+    cholesky,
     dir_derivative,
     frobenius,
     hadamard_div,
     mixture_apply,
     spectral_floor,
+    stack_inverses,
+    stack_logdets,
     sym_inverse,
     symmetrize,
     INV_TOL,
@@ -175,3 +178,49 @@ def test_l1_delta():
     m1 = MixtureSpec.pure(2, [1.0])
     m2 = MixtureSpec.pure(2, [1.1])
     assert m1.l1_delta(m2) == pytest.approx(abs(1.0 - 1.21))
+
+
+def _mixed_stack(rng, n):
+    """A (3, 4, n, n) stack of PD, singular and indefinite matrices."""
+    mats = []
+    for _ in range(3):
+        row = []
+        for kind in rng.permutation(["pd", "pd", "singular", "indefinite"]):
+            g = rng.normal(size=(n, n))
+            if kind == "pd":
+                row.append(symmetrize(g @ g.T + 0.1 * np.eye(n)))
+            elif kind == "singular":
+                row.append(np.diag(np.r_[rng.uniform(0.5, 2.0, n - 1), 0.0]))
+            else:
+                row.append(np.diag(np.r_[rng.uniform(0.5, 2.0, n - 1), -1.0]))
+        mats.append(row)
+    return np.array(mats)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_stacked_factorization_matches_per_matrix(n):
+    rng = np.random.default_rng(40 + n)
+    stack = _mixed_stack(rng, n)
+    logdet, ok = stack_logdets(stack)
+    inv = stack_inverses(stack, ok)
+    assert logdet.shape == ok.shape == (3, 4)
+    assert ok.sum() == 6  # the PD matrices, two per row
+    for idx in np.ndindex(3, 4):
+        try:
+            cholesky(stack[idx])
+            factors = True
+        except NotPositiveDefinite:
+            factors = False
+        assert ok[idx] == factors, idx
+        if factors:
+            np.testing.assert_allclose(logdet[idx], chol_logdet(stack[idx]), rtol=1e-12)
+            np.testing.assert_allclose(inv[idx], sym_inverse(stack[idx]), rtol=1e-12)
+        else:
+            assert logdet[idx] == 0.0
+            np.testing.assert_array_equal(inv[idx], np.eye(n))
+    # every matrix factors: the stacked call alone, with the same results
+    pd = stack[ok]
+    logdet_pd, ok_pd = stack_logdets(pd)
+    assert ok_pd.all()
+    np.testing.assert_allclose(logdet_pd, logdet[ok], rtol=1e-12)
+    np.testing.assert_allclose(stack_inverses(pd), inv[ok], rtol=1e-12)

@@ -90,6 +90,21 @@ def test_solve_options_armijo_needs_a_pair():
         SolveOptions(armijo=(1e-4, 0.5, 0.1))
 
 
+def test_solve_options_reject_non_finite_values():
+    # inf and nan used to pass: grad_tol=inf made every stage "converge"
+    # at its start point, and a nan eps was only caught by the solver
+    for kwargs in (
+        {"grad_tol": math.inf},
+        {"grad_tol": math.nan},
+        {"eps_schedule": (1e-1, math.nan)},
+        {"eps_schedule": (math.inf,)},
+        {"beta2_delta": math.nan},
+        {"beta2_delta": math.inf},
+    ):
+        with pytest.raises(ValidationError, match="finite"):
+            SolveOptions(**kwargs)
+
+
 def test_minimize_cs_rs_low_temperature():
     mix = MixtureSpec.pure(2, [0.3])
     q = np.array([[1.0]])

@@ -10,6 +10,7 @@ from spinvar.path import (
     equally_spaced,
     lambda_sequence,
     merge_duplicates,
+    tail_sums,
     validate,
 )
 
@@ -168,3 +169,26 @@ def test_tail_chain_is_psd_decreasing():
         for p in range(1, path.r - 1):
             gap = dseq.at(p) - dseq.at(p + 1)
             assert spectral_floor(gap) >= -psd_tol(gap)
+
+
+def _tail_loop(weights, steps):
+    """T_p = sum_{k >= p} w_k steps_k, accumulated one level at a time
+    from the last level down."""
+    out = np.empty_like(steps)
+    tail = np.zeros_like(steps[..., 0, :, :])
+    for p in range(len(weights) - 1, -1, -1):
+        tail = tail + weights[p] * steps[..., p, :, :]
+        out[..., p, :, :] = tail
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+@pytest.mark.parametrize("r", [2, 3, 5])
+def test_tail_sums_equal_the_level_loop(n, r):
+    rng = np.random.default_rng(10 * n + r)
+    weights = np.sort(rng.uniform(0.0, 1.0, r - 1))
+    for shape in ((r - 1, n, n), (6, r - 1, n, n)):
+        steps = rng.normal(size=shape)
+        assert np.array_equal(tail_sums(weights, steps), _tail_loop(weights, steps))
+    # weights given as the tuple path.x[1:] of a path
+    assert np.array_equal(tail_sums(tuple(weights), steps), _tail_loop(weights, steps))

@@ -204,7 +204,7 @@ def test_tilde_transform_identity_at_eps0():
 
 
 def test_tilde_transform_matches_corrected_chain_at_critical_point():
-    from spinvar.functionals import corrected_eps, d_sequence_eps, error_terms
+    from spinvar.functionals import corrected_eps, error_terms
     from spinvar.path import d_sequence
 
     mix = MixtureSpec(n=2, terms=((2, np.array([0.5, 0.4])),), h=np.zeros(2))
@@ -217,7 +217,8 @@ def test_tilde_transform_matches_corrected_chain_at_critical_point():
     shifted = tilde_transform("lower", res.path, mix, eps)
     assert shifted.feasible, shifted.violations
     err = error_terms("lower", res.path, mix, eps)
-    d_corr = d_sequence_eps(d_sequence(res.path), err, corrected_eps(eps))
+    dseq = d_sequence(res.path)
+    d_corr = [dseq.at(p) + corrected_eps(eps) * err.ebar_at(p) for p in range(1, res.path.r)]
     d_tilde = d_sequence(shifted.path)
     for p in range(1, res.path.r):
         np.testing.assert_allclose(d_tilde.at(p), d_corr[p - 1], atol=1e-10)
