@@ -33,16 +33,7 @@ import numpy as np
 
 from . import battery as battery_mod
 from . import continuous as continuous_mod
-from .errors import (
-    DegenerateIncrement,
-    InfeasibleMultiplier,
-    InfeasiblePath,
-    NoFeasibleStart,
-    NotPositiveDefinite,
-    ParseError,
-    SpinvarError,
-    ValidationError,
-)
+from .errors import DomainError, ParseError, SpinvarError, ValidationError
 from .functionals import eval_barrier, eval_cs, eval_parisi
 from .matcore import MixtureSpec, check_constraint
 from .optimize import SolveOptions, duality_gap, search
@@ -200,14 +191,23 @@ def build_spec(raw: dict) -> ProblemSpec:
 
 def _options_from(data: dict) -> SolveOptions:
     """SolveOptions from a ``solve`` object, each value coerced to the type
-    of its field's default: int, float, or a tuple of floats."""
-    kwargs = {}
+    of its field's default: int, float, or a tuple of floats.  A bool, or a
+    value that int() would change, is a problem for an int field."""
+    kwargs, problems = {}, []
     for key, value in data.items():
         default = _SOLVE_KEYS[key].default
         if isinstance(default, tuple):
             kwargs[key] = tuple(float(v) for v in value)
+        elif isinstance(default, float):
+            kwargs[key] = float(value)
+        elif isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()
+        ):
+            problems.append(f"{key} must be an integer, got {value!r}")
         else:
-            kwargs[key] = type(default)(value)
+            kwargs[key] = int(value)
+    if problems:
+        raise ValidationError(problems)
     return SolveOptions(**kwargs)
 
 
@@ -424,8 +424,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="weight grid resolution (x_grid)")
     parser.add_argument("--tol", "--grad-tol", dest="grad_tol", type=float,
                         help="representer norm tolerance (grad_tol)")
-    parser.add_argument("--max-iters", dest="max_iters", type=int)
-    parser.add_argument("--armijo", type=_floats, help="c,shrink")
     parser.add_argument("--beta2-delta", dest="beta2_delta", type=float)
     parser.add_argument("--kind", choices=("parisi", "cs"), default="cs",
                         help="functional form for the minimize command")
@@ -458,13 +456,7 @@ def main(argv=None) -> int:
             for p in exc.problems:
                 print(f"error: {p}", file=sys.stderr)
             return 2
-        except (
-            InfeasiblePath,
-            InfeasibleMultiplier,
-            NotPositiveDefinite,
-            NoFeasibleStart,
-            DegenerateIncrement,
-        ) as exc:
+        except DomainError as exc:
             print(f"infeasible: {exc}", file=sys.stderr)
             return 3
         except SpinvarError as exc:

@@ -9,7 +9,11 @@ class DimensionMismatch(SpinvarError):
     pass
 
 
-class NotPositiveDefinite(SpinvarError):
+class DomainError(SpinvarError):
+    """A point lies outside the domain of a functional, or no start inside it exists."""
+
+
+class NotPositiveDefinite(DomainError):
     """A matrix that must be positive definite failed its factorization."""
 
 
@@ -22,15 +26,15 @@ class ZeroDivisor(SpinvarError):
         self.value = value
 
 
-class InfeasibleMultiplier(SpinvarError):
+class InfeasibleMultiplier(DomainError):
     """The first matrix of the multiplier chain is not positive definite."""
 
 
-class InfeasiblePath(SpinvarError):
+class InfeasiblePath(DomainError):
     """The path violates a feasibility requirement of the functional at hand."""
 
 
-class DegenerateIncrement(SpinvarError):
+class DegenerateIncrement(DomainError):
     """A path increment is singular, so the log-det barrier is infinite."""
 
     def __init__(self, level: int, detail: str = ""):
@@ -53,7 +57,7 @@ class DegenerateTrace(SpinvarError):
     """Two distinct path levels share a trace and cannot be trace-parametrized."""
 
 
-class NoFeasibleStart(SpinvarError):
+class NoFeasibleStart(DomainError):
     """No feasible starting point could be constructed for the solver."""
 
 

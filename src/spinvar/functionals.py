@@ -92,10 +92,11 @@ def _over(num: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.divide(num, x, out=np.zeros_like(num), where=x != 0.0)
 
 
-def _chain(kind, mix, constraint, xv, levels, lam):
+def _chain(kind, mix, constraint, xv, blocks):
     """Q_0..Q_r, the increments Q_{k+1} - Q_k, the four mixture series at
     Q_1..Q_r and the chain Lambda_1..Lambda_r (or D_1..D_{r-1}) of a stack
-    of points, each with the stack on axis 0."""
+    of points given by their free blocks, each with the stack on axis 0."""
+    levels = blocks[:, 1:] if kind == "parisi" else blocks
     count, n = levels.shape[0], constraint.shape[0]
     q = np.concatenate(
         [np.zeros((count, 1, n, n)), levels, np.broadcast_to(constraint, (count, 1, n, n))], axis=1
@@ -105,7 +106,8 @@ def _chain(kind, mix, constraint, xv, levels, lam):
     if kind == "parisi":
         # Lambda_p = Lambda - sum_{k >= p} x_k (xi'(Q_{k+1}) - xi'(Q_k))
         tails = tail_sums(xv[1:], np.diff(series[:, :, 1], axis=1))
-        chain = np.concatenate([lam[:, None] - tails, lam[:, None]], axis=1)
+        lam = blocks[:, :1]
+        chain = np.concatenate([lam - tails, lam], axis=1)
     else:
         # D_p = sum_{k >= p} x_k (Q_{k+1} - Q_k)
         chain = tail_sums(xv[1:], inc[:, 1:])
@@ -132,12 +134,12 @@ def _form_total(kind, hh, xv, q, series, chain, logdet, first_inv, top):
     return total
 
 
-def eval_stack(kind, mix, constraint, x, eps, levels, lam=None, grad=False):
+def eval_stack(kind, mix, constraint, x, eps, blocks, grad=False):
     """The eps-perturbed form ``kind`` at a stack of B points, with its representers.
 
-    ``levels`` holds the free levels Q_1..Q_{r-1} of each point, shape
-    (B, r-1, n, n); ``lam`` the multipliers, shape (B, n, n), for the
-    multiplier form.  All matrices must be symmetric.  One Cholesky call
+    ``blocks`` holds the free blocks of each point, shape (B, blocks, n, n):
+    the multiplier first for the multiplier form, then the free levels
+    Q_1..Q_{r-1}.  All matrices must be symmetric.  One Cholesky call
     factors, for every point, the psd_tol-shifted Lambda_1 (or D_{r-1}),
     the chain Lambda_1..Lambda_r (or D_1..D_{r-1} and Q - Q_{r-1}) and, for
     eps != 0, the increments; one ``inv`` call inverts what the value and
@@ -155,8 +157,8 @@ def eval_stack(kind, mix, constraint, x, eps, levels, lam=None, grad=False):
     xv = np.asarray(x, dtype=float)
     if kind == "cs" and (xv.size < 2 or xv[-1] <= 0.0):
         raise InfeasiblePath("the multiplier-free form needs r >= 2 and x_{r-1} > 0")
-    count, n = levels.shape[0], constraint.shape[0]
-    q, inc, series, chain = _chain(kind, mix, constraint, xv, levels, lam)
+    count, n = blocks.shape[0], constraint.shape[0]
+    q, inc, series, chain = _chain(kind, mix, constraint, xv, blocks)
     if kind == "parisi":
         floor = chain[:, 0]
         incs = inc if eps != 0.0 else inc[:, :0]
@@ -196,7 +198,7 @@ def eval_stack(kind, mix, constraint, x, eps, levels, lam=None, grad=False):
         partial = np.cumsum(_over(li[:, :-1] - li[:, 1:], xv[1:]), axis=1)
         partial = np.concatenate([np.zeros((count, 1, n, n)), partial], axis=1)  # S_1..S_r
         d_lam = constraint - li[:, -1] - a - partial[:, -1]
-        core = levels - a[:, None] - partial[:, :-1]
+        core = q[:, 1:-1] - a[:, None] - partial[:, :-1]
         d_q = dx * series[:, :-1, 2] * core
     else:
         di = inv[:, :m]  # D_1^-1 .. D_{r-1}^-1
@@ -227,24 +229,25 @@ def _domain_error(kind: str, status: int, grad: bool = False) -> SpinvarError:
 
 
 def _point(kind, path: DiscretePath, lam=None):
-    """The free levels and, for the multiplier form, the symmetrized
-    multiplier of one path as stacks of one point."""
+    """The free blocks of one path as a stack of one point: the
+    symmetrized multiplier first for the multiplier form, then the levels."""
     n = path.n
+    blocks = np.array(path.qs[:-1]).reshape(path.r - 1, n, n)
     if kind == "parisi":
         if lam is None:
             raise ValueError("the multiplier form needs lam")
         lam = np.asarray(lam, dtype=float)
         if lam.shape != (n, n):
             raise DimensionMismatch("multiplier dimension does not match the path")
-        lam = symmetrize(lam)[None]
-    return np.array(path.qs[:-1]).reshape(1, path.r - 1, n, n), lam
+        blocks = np.concatenate([symmetrize(lam)[None], blocks])
+    return blocks[None]
 
 
 def eval_point(kind, eps, path: DiscretePath, mix: MixtureSpec, lam=None, grad=False):
     """eval_stack at one path: (value, representers or None); raises the
     domain error of an infeasible point."""
-    levels, lam = _point(kind, path, lam)
-    values, status, reps = eval_stack(kind, mix, path.constraint, path.x, eps, levels, lam, grad)
+    blocks = _point(kind, path, lam)
+    values, status, reps = eval_stack(kind, mix, path.constraint, path.x, eps, blocks, grad)
     if status[0] != FEASIBLE:
         raise _domain_error(kind, status[0], grad)
     return float(values[0]), None if reps is None else reps[0]
@@ -253,7 +256,7 @@ def eval_point(kind, eps, path: DiscretePath, mix: MixtureSpec, lam=None, grad=F
 def chain_of(kind, path: DiscretePath, mix: MixtureSpec, lam=None) -> np.ndarray:
     """The chain Lambda_1..Lambda_r (or D_1..D_{r-1}) of one path, stacked."""
     xv = np.asarray(path.x, dtype=float)
-    return _chain(kind, mix, path.constraint, xv, *_point(kind, path, lam))[3][0]
+    return _chain(kind, mix, path.constraint, xv, _point(kind, path, lam))[3][0]
 
 
 def eval_parisi(lam: np.ndarray, path: DiscretePath, mix: MixtureSpec) -> float:
@@ -390,7 +393,6 @@ def eval_approx(
     mix: MixtureSpec,
     eps: float,
     lam: np.ndarray | None = None,
-    err: ErrorTerms | None = None,
 ) -> float:
     """Approximate functionals with eps-corrected chains.
 
@@ -400,10 +402,10 @@ def eval_approx(
     multiplier-free form reduces to).  For the upper side ``lam`` defaults
     to :func:`construct_multiplier`.  Both need x_{r-1} = 1.
     """
-    return corrected_form(side, path, mix, eps, lam, err)[0]
+    return corrected_form(side, path, mix, eps, lam)[0]
 
 
-def corrected_form(side, path: DiscretePath, mix: MixtureSpec, eps: float, lam=None, err=None):
+def corrected_form(side, path: DiscretePath, mix: MixtureSpec, eps: float, lam=None):
     """:func:`eval_approx` with what the identity checks compare it to:
     ``(value, corrected, lam, err)``, with ``corrected`` the corrected chain
     C_p + s Ebar_p, p = 1..r-1, of D (lower) or Lambda (upper), ``lam`` the
@@ -425,16 +427,13 @@ def corrected_form(side, path: DiscretePath, mix: MixtureSpec, eps: float, lam=N
     if path.x[-1] != 1.0:
         raise ValidationError(f"the approximate forms need x_{{r-1}} = 1, got {path.x[-1]}")
     inc_logdet, inc_inv, e, ebar = _error_stack(side, path, mix)
-    if err is None:
-        err = ErrorTerms(side=side, eps=float(eps), e=tuple(e), ebar=tuple(ebar))
-    else:
-        ebar = np.array(err.ebar)
+    err = ErrorTerms(side=side, eps=float(eps), e=tuple(e), ebar=tuple(ebar))
     kind = "cs" if side == "lower" else "parisi"
     if kind == "parisi" and lam is None:
         lam = _multiplier(path, mix, eps, inc_inv, e)
     s = corrected_eps(eps)
     xv = np.asarray(path.x, dtype=float)
-    q, _, series, chain = _chain(kind, mix, path.constraint, xv, *_point(kind, path, lam))
+    q, _, series, chain = _chain(kind, mix, path.constraint, xv, _point(kind, path, lam))
     m = path.r - 1
     chain[:, :m] += s * ebar
     logdet, ok = stack_logdets(chain)

@@ -26,12 +26,18 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import InfeasibleMultiplier, NoFeasibleStart, ValidationError
-from .functionals import eval_cs, eval_parisi, eval_stack
+from .errors import NoFeasibleStart, ValidationError
+from .functionals import eval_perturbed, eval_stack
 from .matcore import MixtureSpec, sym_inverse
 from .path import DiscretePath, equally_spaced
 
 DEFAULT_EPS_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+
+# Armijo constant and backtracking factor of the line search
+_ARMIJO_C, _SHRINK = 1e-4, 0.5
+
+# iteration budget of one stage; the plateau rule ends a stalled stage first
+_MAX_ITERS = 20000
 
 
 @dataclass(frozen=True)
@@ -39,9 +45,7 @@ class SolveOptions:
     """Knobs for the solver; all fields are file- and flag-settable."""
 
     eps_schedule: tuple[float, ...] = DEFAULT_EPS_SCHEDULE
-    max_iters: int = 20000
     grad_tol: float = 1e-8
-    armijo: tuple[float, float] = (1e-4, 0.5)
     x_grid: int = 4
     r_max: int = 2
     seed: int = 0
@@ -54,25 +58,19 @@ class SolveOptions:
             problems.append("eps_schedule must be a nonempty list of positive finite reals")
         if any(b >= a for a, b in zip(sched, sched[1:])):
             problems.append("eps_schedule must be strictly decreasing")
-        if self.max_iters < 1:
-            problems.append("max_iters must be >= 1")
         if not (0 < self.grad_tol < math.inf):
             problems.append("grad_tol must be positive and finite")
-        armijo = tuple(float(v) for v in self.armijo)
-        if len(armijo) != 2:
-            problems.append(f"armijo must be a pair c,shrink; got {len(armijo)} values")
-        elif not all(0 < v < 1 for v in armijo):
-            problems.append("armijo constants must lie in (0, 1)")
         if self.x_grid < 2:
             problems.append("x_grid must be >= 2")
         if self.r_max < 2:
             problems.append("r_max must be >= 2")
+        if self.seed < 0:
+            problems.append("seed must be >= 0")
         if not (0 <= self.beta2_delta < math.inf):
             problems.append("beta2_delta must be nonnegative and finite")
         if problems:
             raise ValidationError(problems)
         object.__setattr__(self, "eps_schedule", sched)
-        object.__setattr__(self, "armijo", armijo)
 
 
 @dataclass
@@ -192,13 +190,9 @@ class Objective:
 
     def value_and_grad(self, z):
         """Value and gradient in z of one point, or of a (B, dim) stack."""
-        mats = self.blocks(np.atleast_2d(z))
-        if self.kind == "parisi":
-            lam, levels = mats[:, 0], mats[:, 1:]
-        else:
-            lam, levels = None, mats
+        blocks = self.blocks(np.atleast_2d(z))
         values, _, reps = eval_stack(
-            self.kind, self.mix, self.constraint, self.x, self.eps, levels, lam, grad=True
+            self.kind, self.mix, self.constraint, self.x, self.eps, blocks, grad=True
         )
         grads = (reps[..., self.rows, self.cols] * self._halve).reshape(len(values), -1)
         if np.ndim(z) == 1:
@@ -256,23 +250,25 @@ def _newton_direction(obj, z, grad):
 
 
 def default_start(kind, mix, constraint, r, x):
-    """Deterministic feasible start: equally spaced levels, and for the
-    multiplier form Lambda = Q^-1 + xi'(Q) doubled until Lambda_1 is PD."""
-    path = equally_spaced(constraint, r, x)
-    levels = path.free_levels()
-    lam = None
-    if kind == "parisi":
-        q = np.asarray(constraint, dtype=float)
-        lam = sym_inverse(q) + mix.xi_prime(q)
-        for _ in range(64):
-            try:
-                eval_parisi(lam, path, mix)
-                break
-            except InfeasibleMultiplier:
-                lam = 2.0 * lam
-        else:
-            raise NoFeasibleStart("could not scale the multiplier into feasibility")
-    return lam, levels
+    """Deterministic start: equally spaced levels Q_k = (k/r) Q and, for the
+    multiplier form, Lambda = Q^-1 + xi'(Q).
+
+    That Lambda is feasible for every 0 <= x_k <= 1.  xi' keeps the order of
+    ordered PSD levels: for A >= B >= 0, A^(o m) - B^(o m) is a sum of
+    Hadamard products of A, A - B and B, PSD by the Schur product theorem,
+    and so is its Hadamard product with beta x beta.  So every
+    xi'(Q_{k+1}) - xi'(Q_k) is PSD, and
+
+        Lambda_1 = Lambda - sum_k x_k (xi'(Q_{k+1}) - xi'(Q_k))
+                 >= Lambda - (xi'(Q) - xi'(Q_1)) = Q^-1 + xi'(Q_1) >= Q^-1 > 0.
+
+    The solver's NoFeasibleStart check still guards the start.
+    """
+    levels = equally_spaced(constraint, r, x).free_levels()
+    if kind != "parisi":
+        return None, levels
+    q = np.asarray(constraint, dtype=float)
+    return sym_inverse(q) + mix.xi_prime(q), levels
 
 
 def minimize_fixed(
@@ -305,13 +301,12 @@ def minimize_fixed(
     if not np.isfinite(value):
         raise NoFeasibleStart(f"starting point infeasible for {kind} at eps={eps}")
 
-    c, shrink = opts.armijo
     grad_norm = math.inf
     iterations = 0
     converged = False
     best_norm = math.inf
     last_improvement = 0
-    for it in range(opts.max_iters):
+    for it in range(_MAX_ITERS):
         iterations = it + 1
         grad_norm = obj.norm(grad)
         if trace is not None:
@@ -343,12 +338,12 @@ def minimize_fixed(
         while eta >= 1e-18:
             trial = z + eta * direction
             trial_value, trial_grad = obj.value_and_grad(trial)
-            if trial_value <= value + c * eta * slope or (
+            if trial_value <= value + _ARMIJO_C * eta * slope or (
                 np.isfinite(trial_value) and obj.norm(trial_grad) < 0.5 * grad_norm
             ):
                 z, value, grad = trial, trial_value, trial_grad
                 break
-            eta *= shrink
+            eta *= _SHRINK
         else:
             break  # no acceptable step along the direction
 
@@ -386,10 +381,7 @@ def continuation(
             start=state, diag_only=diag_only, trace=trace, stage=si,
         )
         state = (result.lam, result.path.free_levels())
-        if kind == "parisi":
-            base = eval_parisi(result.lam, result.path, mix)
-        else:
-            base = eval_cs(result.path, mix)
+        base = eval_perturbed(kind, 0.0, result.path, mix, lam=result.lam)
         base_values.append(base)
         stages.append(
             StageRecord(

@@ -17,14 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateIncrement,
-    InfeasibleMultiplier,
-    InfeasiblePath,
-    InfeasibleStep,
-    NotPositiveDefinite,
-    SpinvarError,
-)
+from .errors import DomainError, InfeasibleMultiplier, InfeasibleStep, SpinvarError
 from .functionals import (
     chain_of,
     construct_multiplier,
@@ -37,13 +30,6 @@ from .functionals import (
 )
 from .matcore import MixtureSpec, stack_inverses, symmetrize
 from .path import DiscretePath, lambda_sequence
-
-_DOMAIN_ERRORS = (
-    NotPositiveDefinite,
-    InfeasibleMultiplier,
-    InfeasiblePath,
-    DegenerateIncrement,
-)
 
 
 @dataclass(frozen=True)
@@ -96,7 +82,7 @@ def fd_directional(f, h_step: float) -> float:
     """
     try:
         values = [f(t) for t in (h_step, -h_step, 0.5 * h_step, -0.5 * h_step)]
-    except _DOMAIN_ERRORS as exc:
+    except DomainError as exc:
         raise InfeasibleStep(str(exc)) from exc
     if not np.all(np.isfinite(values)):
         raise InfeasibleStep("probe value is not finite")

@@ -13,7 +13,16 @@ from spinvar.cli import (
     run,
     upper_to_matrix,
 )
-from spinvar.errors import ParseError, ValidationError
+from spinvar.errors import (
+    DegenerateIncrement,
+    DomainError,
+    InfeasibleMultiplier,
+    InfeasiblePath,
+    NoFeasibleStart,
+    NotPositiveDefinite,
+    ParseError,
+    ValidationError,
+)
 
 
 def minimal_spec(**extra):
@@ -68,6 +77,23 @@ def test_load_spec_rejects_unknown_solve_keys():
     with pytest.raises(ValidationError) as info:
         build_spec(raw)
     assert any("nonsense" in p for p in info.value.problems)
+
+
+def test_load_spec_rejects_truncated_int_options():
+    # these used to parse silently as x_grid=3, r_max=2, seed=1
+    raw = minimal_spec(solve={"x_grid": 3.7, "r_max": 2.9, "seed": True})
+    with pytest.raises(ValidationError) as info:
+        build_spec(raw)
+    text = "\n".join(info.value.problems)
+    for key in ("x_grid", "r_max", "seed"):
+        assert key in text
+
+
+def test_load_spec_rejects_removed_solver_knobs(tmp_path, capsys):
+    for knob in ({"armijo": [1e-4, 0.5]}, {"max_iters": 100}):
+        spec_file = write_spec(tmp_path, minimal_spec(solve=knob))
+        assert main(["gap", "--spec", spec_file]) == 2
+        assert "unknown keys" in capsys.readouterr().err
 
 
 def test_parse_error(tmp_path):
@@ -158,10 +184,19 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["eval", "--spec", degenerate]) == 3
 
 
-def test_main_armijo_needs_two_values(tmp_path, capsys):
-    spec_file = write_spec(tmp_path, minimal_spec(path={"x": [0.0, 0.5], "levels": [[0.25]]}))
-    assert main(["eval", "--spec", spec_file, "--armijo", "1,2,3"]) == 2
-    assert "armijo must be a pair" in capsys.readouterr().err
+def test_main_rejects_negative_seed(capsys):
+    # used to end in a ValueError traceback from np.random.default_rng
+    spec_file = str(Path(__file__).resolve().parent.parent / "problems" / "pure2_scalar.json")
+    assert main(["probe", "--spec", spec_file, "--seed", "-1"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+def test_domain_errors_share_one_base():
+    # main maps DomainError to exit code 3 and every other SpinvarError to 4
+    for cls in (NotPositiveDefinite, InfeasibleMultiplier, InfeasiblePath,
+                DegenerateIncrement, NoFeasibleStart):
+        assert issubclass(cls, DomainError)
+    assert not issubclass(ValidationError, DomainError)
 
 
 def test_main_rejects_non_finite_options(capsys):
@@ -196,12 +231,12 @@ def test_override_flags_and_aliases_keep_inputs_digest(tmp_path):
         out_dir = tmp_path / grid.strip("-")
         code = main([
             "gap", "--spec", spec_file, "--out", str(out_dir),
-            grid, "3", tol, "1e-7", "--armijo", "1e-4,0.5", "--seed", "5",
+            grid, "3", tol, "1e-7", "--seed", "5",
         ])
         assert code == 0
         summary = json.loads((out_dir / "gap.jsonl").read_text().splitlines()[-1])
         assert summary["inputs_digest"] == (
-            "88c2e0c4bd9247b916ca1e60321df96805162d1e38d98c550f4c461f9c21b4d0"
+            "80a60c74706abcfc30798fba536511af5ee2a9d8417c81f0c46bf00e2a31e651"
         )
 
 

@@ -79,15 +79,10 @@ def test_solve_options_validation():
     with pytest.raises(ValidationError):
         SolveOptions(eps_schedule=(1e-2, 1e-1))  # not decreasing
     with pytest.raises(ValidationError):
-        SolveOptions(armijo=(1.5, 0.5))
-    with pytest.raises(ValidationError):
         SolveOptions(r_max=1)
-
-
-def test_solve_options_armijo_needs_a_pair():
-    # a third value used to end in a ValueError from tuple unpacking
-    with pytest.raises(ValidationError, match="pair"):
-        SolveOptions(armijo=(1e-4, 0.5, 0.1))
+    # a negative seed used to pass here and fail later in np.random.default_rng
+    with pytest.raises(ValidationError, match="seed"):
+        SolveOptions(seed=-1)
 
 
 def test_solve_options_reject_non_finite_values():
@@ -125,6 +120,20 @@ def test_minimize_cs_interior_minimizer():
         res = minimize_fixed("cs", mix, q, 2, (0.0, 1.0), eps, opts, start=state)
         state = (res.lam, res.path.free_levels())
     assert res.path.level(1)[0, 0] == pytest.approx(1 - 1 / math.sqrt(2), abs=1e-4)
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-6])
+@pytest.mark.parametrize("kind", ["parisi", "cs"])
+def test_minimize_unreachable_tolerance_stops_unconverged(kind, eps):
+    # grad_tol below the representer norm's rounding floor: the stage must
+    # end at its plateau or no-step exit, flagged, at the converged value
+    mix = MixtureSpec.pure(2, [1.0])
+    q = np.array([[1.0]])
+    tight = minimize_fixed(kind, mix, q, 2, (0.0, 1.0), eps, SolveOptions(grad_tol=1e-300))
+    ref = minimize_fixed(kind, mix, q, 2, (0.0, 1.0), eps, SolveOptions())
+    assert ref.converged and not tight.converged
+    assert tight.iterations <= 2 * 201
+    assert tight.value == pytest.approx(ref.value, abs=1e-12)
 
 
 def test_minimize_parisi_rs():
