@@ -191,15 +191,22 @@ def build_spec(raw: dict) -> ProblemSpec:
 
 def _options_from(data: dict) -> SolveOptions:
     """SolveOptions from a ``solve`` object, each value coerced to the type
-    of its field's default: int, float, or a tuple of floats.  A bool, or a
-    value that int() would change, is a problem for an int field."""
+    of its field's default: int, float, or a tuple of floats.  A bool is a
+    problem for every field, and a value that int() would change is one for
+    an int field."""
     kwargs, problems = {}, []
     for key, value in data.items():
         default = _SOLVE_KEYS[key].default
         if isinstance(default, tuple):
-            kwargs[key] = tuple(float(v) for v in value)
+            if isinstance(value, bool) or any(isinstance(v, bool) for v in value):
+                problems.append(f"{key} must be a list of reals, got {value!r}")
+            else:
+                kwargs[key] = tuple(float(v) for v in value)
         elif isinstance(default, float):
-            kwargs[key] = float(value)
+            if isinstance(value, bool):
+                problems.append(f"{key} must be a real number, got {value!r}")
+            else:
+                kwargs[key] = float(value)
         elif isinstance(value, bool) or not (
             isinstance(value, int) or isinstance(value, float) and value.is_integer()
         ):

@@ -20,10 +20,14 @@ stack of points, builds each chain with :func:`spinvar.path.tail_sums`,
 and decides feasibility from one Cholesky call over all of its matrices
 (:func:`spinvar.matcore.stack_logdets`); infeasible points evaluate to
 +inf there, and the single-point functions below turn that into the
-matching domain error.  The corrected forms run on the same kernel: the
-error terms come from one inverse call over the increments, and the base
-part of either side is eval_stack's formula evaluated at the corrected
-chain.
+matching domain error.  Given a stack of directions, ``eval_stack``
+instead returns the directional derivatives of one point's representers
+(the rows of the solver's Hessian) from a tangent-linear pass through the
+same chain, inverses and mixture series, with d(A^-1)[V] = -A^-1 V A^-1
+and xi'' o V, xi''' o V for the derivatives of the series.  The corrected
+forms run on the same kernel: the error terms come from one inverse call
+over the increments, and the base part of either side is eval_stack's
+formula evaluated at the corrected chain.
 
 Conventions: where x_k = 0 the 1/x_k log-ratio term is dropped (the chain
 increment at level k is then zero), although (1/x_k) log(|D_{k+1}|/|D_k|)
@@ -93,7 +97,7 @@ def _over(num: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _chain(kind, mix, constraint, xv, blocks):
-    """Q_0..Q_r, the increments Q_{k+1} - Q_k, the four mixture series at
+    """Q_0..Q_r, the increments Q_{k+1} - Q_k, the five mixture series at
     Q_1..Q_r and the chain Lambda_1..Lambda_r (or D_1..D_{r-1}) of a stack
     of points given by their free blocks, each with the stack on axis 0."""
     levels = blocks[:, 1:] if kind == "parisi" else blocks
@@ -134,7 +138,7 @@ def _form_total(kind, hh, xv, q, series, chain, logdet, first_inv, top):
     return total
 
 
-def eval_stack(kind, mix, constraint, x, eps, blocks, grad=False):
+def eval_stack(kind, mix, constraint, x, eps, blocks, grad=False, directions=None):
     """The eps-perturbed form ``kind`` at a stack of B points, with its representers.
 
     ``blocks`` holds the free blocks of each point, shape (B, blocks, n, n):
@@ -151,6 +155,12 @@ def eval_stack(kind, mix, constraint, x, eps, blocks, grad=False):
     matrix does not factor, INCREMENT_FAILED + k when increment k does not
     (eps != 0 only); ``reps`` (with ``grad``) the representers of shape
     (B, blocks, n, n), the multiplier first for the multiplier form.
+
+    With ``directions``, a stack V of shape (D, blocks, n, n) and a stack
+    of one feasible point, ``reps`` is instead the directional derivatives
+    of that point's representers along each V, shape (D, blocks, n, n):
+    one tangent-linear pass through the point's chain, inverses and
+    mixture series (see :func:`_tangent`).
     """
     if kind not in ("parisi", "cs"):
         raise ValueError(f"unknown functional kind {kind!r}")
@@ -180,6 +190,7 @@ def eval_stack(kind, mix, constraint, x, eps, blocks, grad=False):
         status = np.where((status == FEASIBLE) & inc_bad.any(axis=1), first_bad, status)
     feasible = status == FEASIBLE
 
+    grad = grad or directions is not None
     inv = stack_inverses(mats[:, 1:] if grad else mats[:, 1:2], feasible[:, None])
 
     hh = mix.outer_field()
@@ -207,11 +218,58 @@ def eval_stack(kind, mix, constraint, x, eps, blocks, grad=False):
         partial = np.concatenate([np.zeros((count, 1, n, n)), partial], axis=1)  # T_1..T_{r-1}
         core = hh - b[:, None] - partial + series[:, :-1, 1]
         d_q = -dx * core
+    if directions is not None:
+        tangents = _tangent(kind, xv, eps, hh, q[0], series[0], inv[0], core[0], directions)
+        return values, status, tangents
     if eps != 0.0:
         inc_inv = inv[:, m:]
         d_q = d_q + corrected_eps(eps) * (inc_inv[:, 1:] - inc_inv[:, :-1])
     reps = np.concatenate([d_lam[:, None], d_q], axis=1) if kind == "parisi" else d_q
     return values, status, reps
+
+
+def _tangent(kind, xv, eps, hh, q, series, inv, core, v):
+    """Directional derivatives of the representers of one point along each
+    direction of the stack v (D, blocks, n, n), from the point's levels q
+    (Q_0..Q_r), series at Q_1..Q_r, inverses (the chain's, then the
+    increments') and the ``core`` of eval_stack's representers.
+
+    Each step differentiates the matching step of eval_stack, with
+    d(A^-1)[V] = -A^-1 V A^-1 and d xi^(j)(A)[V] = xi^(j+1)(A) o V.
+    """
+    count, n = len(v), q.shape[-1]
+    zero = np.zeros((count, 1, n, n))
+    dq = np.concatenate([zero, v[:, 1:] if kind == "parisi" else v, zero], axis=1)  # dQ_0..dQ_r
+    dx = np.diff(xv)[:, None, None]
+    m = len(xv) if kind == "parisi" else len(xv) - 1
+    ci = inv[:m]  # Lambda_1^-1 .. Lambda_r^-1, or D_1^-1 .. D_{r-1}^-1
+    if kind == "parisi":
+        # d Lambda_p = d Lambda - sum_{k >= p} x_k (xi''(Q_{k+1}) o dQ_{k+1} - xi''(Q_k) o dQ_k)
+        d_xp = series[:, 2] * dq[:, 1:]
+        dlam = v[:, :1]
+        dchain = np.concatenate([dlam - tail_sums(xv[1:], np.diff(d_xp, axis=1)), dlam], axis=1)
+        dci = -ci @ dchain @ ci
+        # a = L_1^-1 (hh + xi'(Q_1)) L_1^-1
+        half = dci[:, 0] @ (hh + series[0, 1]) @ ci[0]
+        da = half + half.swapaxes(-1, -2) + ci[0] @ d_xp[:, 0] @ ci[0]
+        dpartial = np.cumsum(_over(dci[:, :-1] - dci[:, 1:], xv[1:]), axis=1)
+        d_lam = -dci[:, -1] - da - dpartial[:, -1]
+        dcore = dq[:, 1:-1] - da[:, None] - np.concatenate([zero, dpartial[:, :-1]], axis=1)
+        d_q = dx * (series[:-1, 4] * dq[:, 1:-1] * core + series[:-1, 2] * dcore)
+    else:
+        # d D_p = sum_{k >= p} x_k (dQ_{k+1} - dQ_k)
+        dci = -ci @ tail_sums(xv[1:], np.diff(dq[:, 1:], axis=1)) @ ci
+        # b = D_1^-1 Q_1 D_1^-1
+        half = dci[:, 0] @ q[1] @ ci[0]
+        db = half + half.swapaxes(-1, -2) + ci[0] @ dq[:, 1] @ ci[0]
+        dpartial = np.cumsum(_over(dci[:, 1:] - dci[:, :-1], xv[1:-1]), axis=1)
+        dcore = series[:-1, 2] * dq[:, 1:-1] - db[:, None] - np.concatenate([zero, dpartial], axis=1)
+        d_q = -dx * dcore
+    if eps != 0.0:
+        inc_inv = inv[m:]
+        d_inc_inv = -inc_inv @ np.diff(dq, axis=1) @ inc_inv
+        d_q = d_q + corrected_eps(eps) * (d_inc_inv[:, 1:] - d_inc_inv[:, :-1])
+    return np.concatenate([d_lam[:, None], d_q], axis=1) if kind == "parisi" else d_q
 
 
 def _domain_error(kind: str, status: int, grad: bool = False) -> SpinvarError:

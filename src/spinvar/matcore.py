@@ -37,6 +37,7 @@ _MIX_KINDS = {
     "xi_prime": (lambda p: float(p), 1),
     "xi_second": (lambda p: float(p * (p - 1)), 2),
     "theta": (lambda p: float(p - 1), 0),
+    "xi_third": (lambda p: float(p * (p - 1) * (p - 2)), 3),
 }
 
 
@@ -171,16 +172,19 @@ class MixtureSpec:
     """Finite even-power interaction mixture for ``n`` coupled species.
 
     ``terms`` is a list of (p, beta) pairs with p even and beta a length-n
-    vector of nonnegative weights; ``h`` is the external field.  The four
+    vector of nonnegative weights; ``h`` is the external field.  The five
     entrywise matrix series derived from a mixture are::
 
         xi(A)        = sum_p (beta_p x beta_p) o A^(o p)
         xi_prime(A)  = sum_p p (beta_p x beta_p) o A^(o p-1)
         xi_second(A) = sum_p p(p-1) (beta_p x beta_p) o A^(o p-2)
         theta(A)     = sum_p (p-1) (beta_p x beta_p) o A^(o p)
+        xi_third(A)  = sum_p p(p-1)(p-2) (beta_p x beta_p) o A^(o p-3)
 
     where ``o`` denotes Hadamard products and powers.  The identity
-    theta(A) = A o xi_prime(A) - xi(A) holds entrywise.
+    theta(A) = A o xi_prime(A) - xi(A) holds entrywise.  The p = 2 term of
+    xi_third has coefficient 0; its power is taken as A^(o 0) = 1, not
+    A^(o -1), which is infinite at a zero entry and would make 0 * inf = NaN.
     """
 
     n: int
@@ -223,9 +227,10 @@ class MixtureSpec:
         object.__setattr__(self, "h", frozen(h))
         # series k, term t: coefficient (beta x beta) and Hadamard power
         weights = [[c(p) * np.outer(b, b) for p, b in coerced] for c, _ in _MIX_KINDS.values()]
-        powers = [[p - shift for p, _ in coerced] for _, shift in _MIX_KINDS.values()]
-        object.__setattr__(self, "_weights", np.array(weights).reshape(4, len(coerced), n, n))
-        object.__setattr__(self, "_powers", np.array(powers, dtype=float).reshape(4, -1, 1, 1))
+        powers = [[max(p - shift, 0) for p, _ in coerced] for _, shift in _MIX_KINDS.values()]
+        kinds = len(_MIX_KINDS)
+        object.__setattr__(self, "_weights", np.array(weights).reshape(kinds, len(coerced), n, n))
+        object.__setattr__(self, "_powers", np.array(powers, dtype=float).reshape(kinds, -1, 1, 1))
 
     @classmethod
     def pure(cls, p: int, beta, h=None) -> "MixtureSpec":
@@ -234,9 +239,9 @@ class MixtureSpec:
         return cls(n=n, terms=((p, beta),), h=np.zeros(n) if h is None else h)
 
     def series(self, a: np.ndarray) -> np.ndarray:
-        """All four series at a stack ``a`` of shape (..., n, n), in one
-        broadcast expression: shape (..., 4, n, n) in the order xi,
-        xi_prime, xi_second, theta."""
+        """All five series at a stack ``a`` of shape (..., n, n), in one
+        broadcast expression: shape (..., 5, n, n) in the order xi,
+        xi_prime, xi_second, theta, xi_third."""
         terms = a[..., None, None, :, :] ** self._powers
         terms *= self._weights
         return np.sum(terms, axis=-3)
@@ -296,7 +301,7 @@ class MixtureSpec:
 
 
 def mixture_apply(kind: str, mix: MixtureSpec, a: np.ndarray) -> np.ndarray:
-    """Evaluate one of the four entrywise mixture series at ``a``."""
+    """Evaluate one of the five entrywise mixture series at ``a``."""
     if kind not in _MIX_KINDS:
         raise ValueError(f"unknown mixture kind {kind!r}")
     a = _require_square(a)

@@ -4,14 +4,15 @@ The inner solve works at fixed (r, weights, eps).  The free variables are
 the levels Q_1..Q_{r-1} (always) and the multiplier (multiplier form
 only), held as upper-triangle coordinates by ``Objective``, which gets the
 value and the gradient of a point, or of a stack of points, from one call
-of ``functionals.eval_stack``.  Each iteration takes one damped Newton
-step jointly across all free variables: the Hessian is a finite
-difference of the analytic gradient, shifted along the Frobenius metric
-until it is positive definite, and the step backtracks from its full
-length until Armijo holds on the eps-perturbed value or the representer
-norm halves.  Any trial point that leaves the domain of the barrier
-evaluates to +inf and is rejected, so accepted iterates keep strictly
-positive-definite increments.
+of ``functionals.eval_stack``, and the exact Hessian of a point from one
+more, a tangent-linear pass along the coordinate directions.  Each
+iteration takes one damped Newton step jointly across all free variables:
+the Hessian is shifted along the Frobenius metric until it is positive
+definite, and the step backtracks from its full length until Armijo holds
+on the eps-perturbed value or the representer norm halves.  Any trial
+point that leaves the domain of the barrier evaluates to +inf and is
+rejected, so accepted iterates keep strictly positive-definite
+increments.
 
 On top of the inner solve sit: ``continuation`` (a decreasing eps
 schedule with warm starts), ``search`` (discrete coordinate descent over
@@ -167,19 +168,28 @@ class Objective:
         off = self.rows != self.cols
         self.metric = np.tile(np.where(off, 2.0, 1.0), len(self.template))
         self._halve = np.where(off, 1.0, 0.5)
+        # the coordinate directions as blocks, for the Hessian
+        self._basis = self._place(np.zeros_like(self.template), np.eye(self.metric.size))
 
     def pack(self, blocks) -> np.ndarray:
         return np.asarray(blocks, dtype=float)[:, self.rows, self.cols].reshape(-1)
 
-    def blocks(self, z) -> np.ndarray:
-        """The (..., blocks, n, n) matrices of one or a stack of points."""
+    def _place(self, template, z) -> np.ndarray:
+        """``template`` with the coordinates of each point of z written in."""
         z = np.asarray(z, dtype=float)
-        count = len(self.template)
-        out = np.broadcast_to(self.template, z.shape[:-1] + self.template.shape).copy()
-        tri = z.reshape(z.shape[:-1] + (count, -1))
+        out = np.broadcast_to(template, z.shape[:-1] + template.shape).copy()
+        tri = z.reshape(z.shape[:-1] + (len(template), -1))
         out[..., self.rows, self.cols] = tri
         out[..., self.cols, self.rows] = tri
         return out
+
+    def blocks(self, z) -> np.ndarray:
+        """The (..., blocks, n, n) matrices of one or a stack of points."""
+        return self._place(self.template, z)
+
+    def _coords(self, reps) -> np.ndarray:
+        """Gradient coordinates of a stack of representers."""
+        return (reps[..., self.rows, self.cols] * self._halve).reshape(len(reps), -1)
 
     def split(self, z):
         """(lam or None, levels) of one point."""
@@ -194,10 +204,20 @@ class Objective:
         values, _, reps = eval_stack(
             self.kind, self.mix, self.constraint, self.x, self.eps, blocks, grad=True
         )
-        grads = (reps[..., self.rows, self.cols] * self._halve).reshape(len(values), -1)
+        grads = self._coords(reps)
         if np.ndim(z) == 1:
             return float(values[0]), grads[0]
         return values, grads
+
+    def hessian(self, z) -> np.ndarray:
+        """Hessian in z of one feasible point: row k is the derivative of the
+        gradient along coordinate k, from one tangent-linear pass of the
+        kernel along every coordinate direction."""
+        _, _, tangents = eval_stack(
+            self.kind, self.mix, self.constraint, self.x, self.eps, self.blocks(z)[None],
+            directions=self._basis,
+        )
+        return self._coords(tangents)
 
     def norm(self, grad) -> float:
         """Infinity norm of the representers."""
@@ -209,34 +229,17 @@ class Objective:
         return float(np.min(np.linalg.eigvalsh(np.diff(qs, axis=0))))
 
 
-# FD probes per stacked call: bounds the kernel's temporaries (about 20 kB
-# per probe at n = 8) so a batch never raises the process's peak memory
-_PROBE_STACK = 16
-
 # shifts tried on the Hessian, in units of its largest diagonal entry
 _SHIFTS = (0.0, 1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2)
 
 
 def _newton_direction(obj, z, grad):
     """Damped Newton direction: solve (H + mu M) d = -g for the first shift
-    mu of ``_SHIFTS`` at which H + mu M is positive definite, M = diag(metric).
-
-    H is a forward difference of the analytic gradient, its probes evaluated
-    in stacks; a probe that leaves the domain is taken backward instead.
-    Without a usable H the direction is the Frobenius gradient, the limit of
-    large mu.
+    mu of ``_SHIFTS`` at which H + mu M is positive definite, M = diag(metric),
+    H the Hessian of ``obj`` at z.  When no shift works the direction is the
+    Frobenius gradient, the limit of large mu.
     """
-    dim = z.size
-    eye = np.eye(dim)
-    step = 1e-7 * max(1.0, float(np.max(np.abs(z))))
-    stacks = np.array_split(z + step * eye, -(-dim // _PROBE_STACK))
-    values, probes = map(np.concatenate, zip(*map(obj.value_and_grad, stacks)))
-    hess = (probes - grad).T / step
-    for k in np.flatnonzero(~np.isfinite(values)):
-        back_value, back = obj.value_and_grad(z - step * eye[k])
-        if not np.isfinite(back_value):
-            return -grad / obj.metric
-        hess[:, k] = (grad - back) / step
+    hess = obj.hessian(z)
     hess = 0.5 * (hess + hess.T)
     scale = float(np.max(np.abs(np.diag(hess))))
     for shift in _SHIFTS:

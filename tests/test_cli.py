@@ -89,6 +89,23 @@ def test_load_spec_rejects_truncated_int_options():
         assert key in text
 
 
+def test_load_spec_rejects_bools_for_real_options():
+    # these used to parse silently as grad_tol=1.0, beta2_delta=0.0, eps_schedule=(1.0,)
+    raw = minimal_spec(solve={"grad_tol": True, "beta2_delta": False, "eps_schedule": [True]})
+    with pytest.raises(ValidationError) as info:
+        build_spec(raw)
+    text = "\n".join(info.value.problems)
+    for key in ("grad_tol", "beta2_delta", "eps_schedule"):
+        assert key in text
+
+
+def test_main_exits_2_on_a_bool_real_option(tmp_path, capsys):
+    for solve in ({"grad_tol": True}, {"beta2_delta": False}, {"eps_schedule": [1e-1, True]}):
+        spec_file = write_spec(tmp_path, minimal_spec(solve=solve))
+        assert main(["eval", "--spec", spec_file]) == 2
+        assert f"solve: {next(iter(solve))}" in capsys.readouterr().err
+
+
 def test_load_spec_rejects_removed_solver_knobs(tmp_path, capsys):
     for knob in ({"armijo": [1e-4, 0.5]}, {"max_iters": 100}):
         spec_file = write_spec(tmp_path, minimal_spec(solve=knob))

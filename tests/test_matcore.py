@@ -63,6 +63,28 @@ def test_mixture_theta_identity():
     np.testing.assert_allclose(mix.theta(a), a * mix.xi_prime(a) - mix.xi(a), atol=1e-14)
 
 
+def test_xi_third_is_zero_for_a_quadratic_mixture_at_zero_entries():
+    # the p = 2 term of xi''' has coefficient 0; A^(o -1) would be inf at the
+    # zero off-diagonals of Q = I and at Q_0 = 0, and 0 * inf = NaN
+    mix = MixtureSpec.pure(2, [1.0, 0.5, 2.0])
+    stack = np.array([np.eye(3), np.zeros((3, 3)), 0.5 * np.eye(3)])
+    third = mix.series(stack)[:, 4]
+    assert np.all(np.isfinite(third))
+    np.testing.assert_array_equal(third, np.zeros_like(stack))
+    np.testing.assert_array_equal(mixture_apply("xi_third", mix, np.eye(3)), np.zeros((3, 3)))
+
+
+def test_xi_third_is_the_derivative_of_xi_second():
+    rng = np.random.default_rng(2)
+    mix = MixtureSpec(n=3, terms=((2, rng.uniform(0, 1, 3)), (4, rng.uniform(0, 1, 3)),
+                                  (6, rng.uniform(0, 1, 3))), h=np.zeros(3))
+    a = symmetrize(rng.uniform(-1, 1, (3, 3)))
+    c = symmetrize(rng.uniform(-1, 1, (3, 3)))
+    h = 1e-6
+    fd = (mix.xi_second(a + h * c) - mix.xi_second(a - h * c)) / (2 * h)
+    np.testing.assert_allclose(mixture_apply("xi_third", mix, a) * c, fd, rtol=1e-7, atol=1e-8)
+
+
 def test_mixture_validation():
     with pytest.raises(ValidationError):
         MixtureSpec(n=1, terms=((3, [1.0]),), h=[0.0])  # odd p

@@ -3,6 +3,8 @@
 The reference below evaluates both forms, the barrier and the representers
 one matrix at a time, the way the functionals are written down; the
 solver's ``Objective`` evaluates them through ``functionals.eval_stack``.
+Its Hessian, from the kernel's tangent-linear pass, is checked against a
+central difference of its gradient.
 """
 
 import math
@@ -10,11 +12,16 @@ import math
 import numpy as np
 import pytest
 
-from spinvar.battery import random_correlation, random_feasible_path, random_spd
+from spinvar.battery import (
+    random_correlation,
+    random_feasible_path,
+    random_spd,
+    well_conditioned_path,
+)
 from spinvar.errors import SpinvarError
 from spinvar.functionals import eval_perturbed
 from spinvar.matcore import MixtureSpec, chol_logdet, frobenius, sym_inverse, symmetrize
-from spinvar.optimize import Objective
+from spinvar.optimize import Objective, default_start
 from spinvar.path import DiscretePath, d_sequence, lambda_sequence
 
 _SERIES = {
@@ -207,3 +214,37 @@ def test_objective_infinite_exactly_where_evaluation_raises(kind, n, r):
                 assert raised == (not ref_feasible(kind, eps, path_i, mix, lam_i))
                 seen.add(raised)
     assert seen == {False, True}
+
+
+def fd_hessian(obj, z):
+    """Central difference of the gradient along each coordinate at step 1e-6,
+    the probes evaluated as one stack; row k is the derivative along
+    coordinate k."""
+    step = 1e-6
+    _, plus = obj.value_and_grad(z + step * np.eye(z.size))
+    _, minus = obj.value_and_grad(z - step * np.eye(z.size))
+    return (plus - minus) / (2.0 * step)
+
+
+@pytest.mark.parametrize("r", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+@pytest.mark.parametrize("kind", ["parisi", "cs"])
+def test_hessian_matches_fd(kind, n, r):
+    rng, mix, q, _, _ = instance(kind, n, r, seed=4000 * n + r)
+    x = tuple(k / (r - 1) for k in range(r))
+    start_lam, start_levels = default_start(kind, mix, q, r, x)
+    path = well_conditioned_path(rng, q, r)
+    lam = sym_inverse(q) + mix.xi_prime(q) + random_spd(rng, n, 0.5) if kind == "parisi" else None
+    starts = [
+        (start_lam, DiscretePath(x, tuple(start_levels) + (q,))),
+        (lam, path),
+    ]
+    for eps in (0.0, 1e-3):
+        for diag_only in (False, True):
+            for lam_i, path_i in starts:
+                obj = objective(kind, mix, q, path_i, lam_i, eps, diag_only)
+                z = obj.pack(obj.template)
+                hess = obj.hessian(z)
+                want = fd_hessian(obj, z)
+                assert hess.shape == (z.size, z.size)
+                np.testing.assert_allclose(hess, want, rtol=1e-6, atol=1e-6 * np.max(np.abs(want)))
