@@ -130,7 +130,7 @@ def build_spec(raw: dict) -> ProblemSpec:
         try:
             constraint = upper_to_matrix(raw["Q"], n)
             problems.extend(f"Q: {m}" for m in check_constraint(constraint))
-        except (ValidationError, TypeError) as exc:
+        except (ValidationError, TypeError, ValueError) as exc:
             problems.append(f"Q: {exc}")
 
     solve = SolveOptions()
@@ -148,7 +148,11 @@ def build_spec(raw: dict) -> ProblemSpec:
                 msgs = exc.problems if isinstance(exc, ValidationError) else [str(exc)]
                 problems.extend(f"solve: {m}" for m in msgs)
 
-    commands = tuple(raw.get("commands", ()))
+    commands = raw.get("commands", [])
+    if not isinstance(commands, list):
+        problems.append("commands must be a list")
+        commands = []
+    commands = tuple(commands)
     for c in commands:
         if c not in COMMANDS:
             problems.append(f"unknown command {c!r}")

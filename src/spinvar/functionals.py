@@ -20,11 +20,11 @@ stack of points, builds each chain with :func:`spinvar.path.tail_sums`,
 and decides feasibility from one Cholesky call over all of its matrices
 (:func:`spinvar.matcore.stack_logdets`); infeasible points evaluate to
 +inf there, and the single-point functions below turn that into the
-matching domain error.  Given a stack of directions, ``eval_stack``
-instead returns the directional derivatives of one point's representers
-(the rows of the solver's Hessian) from a tangent-linear pass through the
-same chain, inverses and mixture series, with d(A^-1)[V] = -A^-1 V A^-1
-and xi'' o V, xi''' o V for the derivatives of the series.  The corrected
+matching domain error.  Given a stack of directions, ``eval_stack`` also
+returns the directional derivatives of one point's representers (the rows
+of the solver's Hessian), from a tangent-linear pass through the same
+chain, inverses and mixture series, with d(A^-1)[V] = -A^-1 V A^-1 and
+xi'' o V, xi''' o V for the derivatives of the series.  The corrected
 forms run on the same kernel: the error terms come from one inverse call
 over the increments, and the base part of either side is eval_stack's
 formula evaluated at the corrected chain.
@@ -149,18 +149,18 @@ def eval_stack(kind, mix, constraint, x, eps, blocks, grad=False, directions=Non
     eps != 0, the increments; one ``inv`` call inverts what the value and
     the representers need.
 
-    Returns ``(values, status, reps)``: values of shape (B,), +inf where
-    ``status`` is not FEASIBLE; status FLOOR_FAILED when Lambda_1 (or
+    Returns ``(values, status, reps, tangents)``: values of shape (B,), +inf
+    where ``status`` is not FEASIBLE; status FLOOR_FAILED when Lambda_1 (or
     D_{r-1}) is not above its psd_tol margin, CHAIN_FAILED when a chain
     matrix does not factor, INCREMENT_FAILED + k when increment k does not
     (eps != 0 only); ``reps`` (with ``grad``) the representers of shape
     (B, blocks, n, n), the multiplier first for the multiplier form.
 
     With ``directions``, a stack V of shape (D, blocks, n, n) and a stack
-    of one feasible point, ``reps`` is instead the directional derivatives
-    of that point's representers along each V, shape (D, blocks, n, n):
-    one tangent-linear pass through the point's chain, inverses and
-    mixture series (see :func:`_tangent`).
+    of one point, ``tangents`` (None without V or at an infeasible point)
+    holds the directional derivatives of its representers along each V,
+    shape (D, blocks, n, n): one tangent-linear pass through the same
+    chain, inverses and mixture series (see :func:`_tangent`).
     """
     if kind not in ("parisi", "cs"):
         raise ValueError(f"unknown functional kind {kind!r}")
@@ -200,7 +200,7 @@ def eval_stack(kind, mix, constraint, x, eps, blocks, grad=False, directions=Non
         values = values + eps * -np.sum(logdet[:, 1 + m :], axis=1)
     values = np.where(feasible, values, np.inf)
     if not grad:
-        return values, status, None
+        return values, status, None, None
 
     dx = np.diff(xv)[:, None, None]
     if kind == "parisi":
@@ -218,14 +218,14 @@ def eval_stack(kind, mix, constraint, x, eps, blocks, grad=False, directions=Non
         partial = np.concatenate([np.zeros((count, 1, n, n)), partial], axis=1)  # T_1..T_{r-1}
         core = hh - b[:, None] - partial + series[:, :-1, 1]
         d_q = -dx * core
-    if directions is not None:
-        tangents = _tangent(kind, xv, eps, hh, q[0], series[0], inv[0], core[0], directions)
-        return values, status, tangents
     if eps != 0.0:
         inc_inv = inv[:, m:]
         d_q = d_q + corrected_eps(eps) * (inc_inv[:, 1:] - inc_inv[:, :-1])
     reps = np.concatenate([d_lam[:, None], d_q], axis=1) if kind == "parisi" else d_q
-    return values, status, reps
+    tangents = None
+    if directions is not None and feasible[0]:
+        tangents = _tangent(kind, xv, eps, hh, q[0], series[0], inv[0], core[0], directions)
+    return values, status, reps, tangents
 
 
 def _tangent(kind, xv, eps, hh, q, series, inv, core, v):
@@ -272,17 +272,16 @@ def _tangent(kind, xv, eps, hh, q, series, inv, core, v):
     return np.concatenate([d_lam[:, None], d_q], axis=1) if kind == "parisi" else d_q
 
 
-def _domain_error(kind: str, status: int, grad: bool = False) -> SpinvarError:
+def _domain_error(kind: str, status: int) -> SpinvarError:
     """The exception the single-point evaluators raise for an eval_stack status."""
     if status == FLOOR_FAILED:
         if kind == "parisi":
             return InfeasibleMultiplier("Lambda_1 is not positive definite beyond psd_tol")
         return InfeasiblePath("D_{r-1} is not positive definite beyond psd_tol")
     if status == CHAIN_FAILED:
-        what = "a matrix of the multiplier chain" if kind == "parisi" else "a matrix of the tail chain"
-        if kind == "cs" and not grad:
-            return InfeasiblePath(f"{what} is not positive definite")
-        return NotPositiveDefinite(f"{what} is not positive definite")
+        if kind == "parisi":
+            return NotPositiveDefinite("a matrix of the multiplier chain is not positive definite")
+        return InfeasiblePath("a matrix of the tail chain is not positive definite")
     return DegenerateIncrement(int(status) - INCREMENT_FAILED)
 
 
@@ -305,9 +304,9 @@ def eval_point(kind, eps, path: DiscretePath, mix: MixtureSpec, lam=None, grad=F
     """eval_stack at one path: (value, representers or None); raises the
     domain error of an infeasible point."""
     blocks = _point(kind, path, lam)
-    values, status, reps = eval_stack(kind, mix, path.constraint, path.x, eps, blocks, grad)
+    values, status, reps, _ = eval_stack(kind, mix, path.constraint, path.x, eps, blocks, grad)
     if status[0] != FEASIBLE:
-        raise _domain_error(kind, status[0], grad)
+        raise _domain_error(kind, status[0])
     return float(values[0]), None if reps is None else reps[0]
 
 

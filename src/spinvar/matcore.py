@@ -17,6 +17,7 @@ operations.  Positive definiteness is decided two ways, on purpose:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -202,6 +203,13 @@ class MixtureSpec:
                 p, beta = term
             except (TypeError, ValueError):
                 problems.append(f"term {idx} is not a (p, beta) pair")
+                continue
+            try:
+                integral = isinstance(p, Real) and not isinstance(p, bool) and float(p).is_integer()
+            except OverflowError:
+                integral = False
+            if not integral:
+                problems.append(f"term {idx}: p must be a finite integer, got {p!r}")
                 continue
             p = int(p)
             beta = np.asarray(beta, dtype=float).reshape(-1)

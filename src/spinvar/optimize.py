@@ -2,17 +2,17 @@
 
 The inner solve works at fixed (r, weights, eps).  The free variables are
 the levels Q_1..Q_{r-1} (always) and the multiplier (multiplier form
-only), held as upper-triangle coordinates by ``Objective``, which gets the
-value and the gradient of a point, or of a stack of points, from one call
-of ``functionals.eval_stack``, and the exact Hessian of a point from one
-more, a tangent-linear pass along the coordinate directions.  Each
-iteration takes one damped Newton step jointly across all free variables:
-the Hessian is shifted along the Frobenius metric until it is positive
-definite, and the step backtracks from its full length until Armijo holds
-on the eps-perturbed value or the representer norm halves.  Any trial
-point that leaves the domain of the barrier evaluates to +inf and is
-rejected, so accepted iterates keep strictly positive-definite
-increments.
+only), held as upper-triangle coordinates by ``Objective``.  Each point
+the solver visits costs one ``functionals.eval_stack`` call, which gives
+its value, its gradient and, from a tangent-linear pass along the
+coordinate directions, its exact Hessian.  Each iteration takes one
+damped Newton step jointly across all free variables: the Hessian is
+shifted along the Frobenius metric until it is positive definite, and
+the step backtracks from its full length until Armijo holds on the
+eps-perturbed value or the representer norm halves; the accepted trial's
+Hessian serves the next step.  Any trial point that leaves the domain of
+the barrier evaluates to +inf and is rejected, so accepted iterates keep
+strictly positive-definite increments.
 
 On top of the inner solve sit: ``continuation`` (a decreasing eps
 schedule with warm starts), ``search`` (discrete coordinate descent over
@@ -201,7 +201,7 @@ class Objective:
     def value_and_grad(self, z):
         """Value and gradient in z of one point, or of a (B, dim) stack."""
         blocks = self.blocks(np.atleast_2d(z))
-        values, _, reps = eval_stack(
+        values, _, reps, _ = eval_stack(
             self.kind, self.mix, self.constraint, self.x, self.eps, blocks, grad=True
         )
         grads = self._coords(reps)
@@ -209,15 +209,16 @@ class Objective:
             return float(values[0]), grads[0]
         return values, grads
 
-    def hessian(self, z) -> np.ndarray:
-        """Hessian in z of one feasible point: row k is the derivative of the
-        gradient along coordinate k, from one tangent-linear pass of the
-        kernel along every coordinate direction."""
-        _, _, tangents = eval_stack(
+    def value_grad_hess(self, z):
+        """Value, gradient and Hessian in z of one point from one kernel call;
+        row k of the Hessian is the derivative of the gradient along
+        coordinate k, and the Hessian is None where the point is infeasible."""
+        values, _, reps, tangents = eval_stack(
             self.kind, self.mix, self.constraint, self.x, self.eps, self.blocks(z)[None],
             directions=self._basis,
         )
-        return self._coords(tangents)
+        hess = None if tangents is None else self._coords(tangents)
+        return float(values[0]), self._coords(reps)[0], hess
 
     def norm(self, grad) -> float:
         """Infinity norm of the representers."""
@@ -233,13 +234,12 @@ class Objective:
 _SHIFTS = (0.0, 1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2)
 
 
-def _newton_direction(obj, z, grad):
+def _newton_direction(obj, hess, grad):
     """Damped Newton direction: solve (H + mu M) d = -g for the first shift
     mu of ``_SHIFTS`` at which H + mu M is positive definite, M = diag(metric),
-    H the Hessian of ``obj`` at z.  When no shift works the direction is the
+    H the symmetrized ``hess``.  When no shift works the direction is the
     Frobenius gradient, the limit of large mu.
     """
-    hess = obj.hessian(z)
     hess = 0.5 * (hess + hess.T)
     scale = float(np.max(np.abs(np.diag(hess))))
     for shift in _SHIFTS:
@@ -300,7 +300,7 @@ def minimize_fixed(
     blocks = ([lam] if kind == "parisi" else []) + list(levels)
     obj = Objective(kind, mix, constraint, x, eps, diag_only, blocks)
     z = obj.pack(obj.template)
-    value, grad = obj.value_and_grad(z)
+    value, grad, hess = obj.value_grad_hess(z)
     if not np.isfinite(value):
         raise NoFeasibleStart(f"starting point infeasible for {kind} at eps={eps}")
 
@@ -335,16 +335,16 @@ def minimize_fixed(
         # backtrack from the full Newton step; a feasible trial point that
         # halves the representer norm is accepted too, because near
         # stationarity the value cannot resolve the decrease Armijo asks for
-        direction = _newton_direction(obj, z, grad)
+        direction = _newton_direction(obj, hess, grad)
         slope = float(grad @ direction)
         eta = 1.0
         while eta >= 1e-18:
             trial = z + eta * direction
-            trial_value, trial_grad = obj.value_and_grad(trial)
+            trial_value, trial_grad, trial_hess = obj.value_grad_hess(trial)
             if trial_value <= value + _ARMIJO_C * eta * slope or (
                 np.isfinite(trial_value) and obj.norm(trial_grad) < 0.5 * grad_norm
             ):
-                z, value, grad = trial, trial_value, trial_grad
+                z, value, grad, hess = trial, trial_value, trial_grad, trial_hess
                 break
             eta *= _SHRINK
         else:

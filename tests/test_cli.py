@@ -106,6 +106,33 @@ def test_main_exits_2_on_a_bool_real_option(tmp_path, capsys):
         assert f"solve: {next(iter(solve))}" in capsys.readouterr().err
 
 
+# (key, JSON text of its value, a word the problem names): values that
+# int(), float() or tuple() would reject with a traceback, or that int()
+# would silently convert (p = 2.5 or "2" to 2)
+MALFORMED = (
+    ("Q", '["a"]', "Q:"),
+    ("commands", "5", "commands"),
+    ("mixture", "[[1e400, [1.0]]]", "p must be"),
+    ("mixture", "[[2.5, [1.0]]]", "p must be"),
+    ("mixture", '[["2", [1.0]]]', "p must be"),
+)
+
+
+@pytest.mark.parametrize("key, text, word", MALFORMED)
+def test_build_spec_rejects_malformed_values(key, text, word):
+    with pytest.raises(ValidationError) as info:
+        build_spec(minimal_spec(**{key: json.loads(text)}))
+    assert any(word in p for p in info.value.problems)
+
+
+@pytest.mark.parametrize("key, text, word", MALFORMED)
+def test_main_exits_2_on_malformed_values(tmp_path, capsys, key, text, word):
+    spec_file = tmp_path / "problem.json"
+    spec_file.write_text(json.dumps(minimal_spec(**{key: None})).replace("null", text))
+    assert main(["gap", "--spec", str(spec_file)]) == 2
+    assert word in capsys.readouterr().err
+
+
 def test_load_spec_rejects_removed_solver_knobs(tmp_path, capsys):
     for knob in ({"armijo": [1e-4, 0.5]}, {"max_iters": 100}):
         spec_file = write_spec(tmp_path, minimal_spec(solve=knob))

@@ -300,3 +300,18 @@ def test_cs_needs_positive_top_weight():
     path = scalar_path((0.0, 0.0), (0.5, 1.0))
     with pytest.raises(InfeasiblePath):
         eval_cs(path, mix)
+
+
+def test_value_and_representers_raise_the_same_error():
+    # D_1 = 0.5 (0.3 - 2.3) + (1 - 0.3) = -0.3 while D_2 = 0.7 clears its
+    # floor, so the tail chain fails: one point, one error class
+    from spinvar.variation import grad_cs
+
+    mix = MixtureSpec.pure(2, [1.0])
+    path = scalar_path((0.0, 0.5, 1.0), (2.3, 0.3, 1.0))
+    for eps in (0.0, 1e-3):
+        with pytest.raises(InfeasiblePath) as value_error:
+            eval_perturbed("cs", eps, path, mix)
+        with pytest.raises(InfeasiblePath) as grad_error:
+            grad_cs(path, mix, eps)
+        assert type(grad_error.value) is type(value_error.value)

@@ -244,7 +244,10 @@ def test_hessian_matches_fd(kind, n, r):
             for lam_i, path_i in starts:
                 obj = objective(kind, mix, q, path_i, lam_i, eps, diag_only)
                 z = obj.pack(obj.template)
-                hess = obj.hessian(z)
+                value, grad, hess = obj.value_grad_hess(z)
+                want_value, want_grad = obj.value_and_grad(z)
+                assert value == want_value
+                np.testing.assert_array_equal(grad, want_grad)
                 want = fd_hessian(obj, z)
                 assert hess.shape == (z.size, z.size)
                 np.testing.assert_allclose(hess, want, rtol=1e-6, atol=1e-6 * np.max(np.abs(want)))

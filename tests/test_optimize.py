@@ -352,42 +352,44 @@ def test_gap_flat_valley_member_converges():
     assert rep.gap <= 5e-4
 
 
-def test_newton_iteration_makes_one_hessian_call(monkeypatch):
-    # each Newton iteration costs one Hessian call of the kernel plus its
-    # line-search trial points, 1 + backtracks of them, and nothing else;
-    # finite-difference probes of the gradient used to add five stacked
-    # calls per iteration at n = 8, r = 2
+def test_newton_iteration_evaluates_each_point_once(monkeypatch):
+    # every point the solver visits -- the start and each line-search trial
+    # -- costs one kernel call that gives its value, gradient and Hessian
+    # together, and the accepted trial's Hessian serves the next step
     from spinvar import optimize
 
     calls = []
     kernel = optimize.eval_stack
 
     def counted(*args, **kwargs):
-        calls.append((np.array(args[5]), kwargs.get("directions") is not None))
-        return kernel(*args, **kwargs)
+        out = kernel(*args, **kwargs)
+        calls.append((np.array(args[5]), kwargs.get("directions") is not None, out[0][0]))
+        return out
 
     monkeypatch.setattr(optimize, "eval_stack", counted)
     rng = np.random.default_rng(8)
     q = random_correlation(rng, 8)
     mix = MixtureSpec(n=8, terms=((2, rng.uniform(0.2, 0.6, 8)), (4, rng.uniform(0.0, 0.5, 8))),
                       h=rng.uniform(-0.3, 0.3, 8))
-    res = minimize_fixed("parisi", mix, q, 2, (0.0, 1.0), 1e-2, SolveOptions())
+    trace = []
+    res = minimize_fixed("parisi", mix, q, 2, (0.0, 1.0), 1e-2, SolveOptions(), trace=trace)
     assert res.converged and res.iterations > 2
 
-    start, hessian = calls[0]
-    assert not hessian and start.shape[0] == 1
-    steps = [k for k, (_, hessian) in enumerate(calls) if hessian]
-    assert len(steps) == res.iterations - 1  # the converged iteration takes no step
-    point = start[0]
-    value_grad_calls = 1
-    for k, end in zip(steps, steps[1:] + [len(calls)]):
-        np.testing.assert_array_equal(calls[k][0][0], point)
-        trials = [blocks for blocks, hessian in calls[k + 1 : end]]
-        assert trials and all(t.shape[0] == 1 and not h for t, h in calls[k + 1 : end])
-        # the trial points back off from the full step by halves
-        full = trials[0][0] - point
-        for j, trial in enumerate(trials):
-            np.testing.assert_allclose(trial[0] - point, 0.5**j * full, atol=1e-12)
-        value_grad_calls += len(trials)  # 1 + backtracks
-        point = trials[-1][0]
-    assert len(calls) == value_grad_calls + len(steps)
+    assert all(blocks.shape[0] == 1 and directions for blocks, directions, _ in calls)
+    points = [blocks[0] for blocks, _, _ in calls]
+    assert len({p.tobytes() for p in points}) == len(points)  # no point twice
+    # the calls after the start split into line searches, each backing off
+    # from its full step by halves and ending at the next iterate
+    point, searches = points[0], []
+    for p, (_, _, value) in zip(points[1:], calls[1:]):
+        if searches:
+            full = searches[-1][0][0] - point
+            if np.allclose(p - point, 0.5 ** len(searches[-1]) * full, rtol=0, atol=1e-12):
+                searches[-1].append((p, value))
+                continue
+            point = searches[-1][-1][0]
+        searches.append([(p, value)])
+    assert len(searches) == res.iterations - 1  # the converged iteration takes no step
+    for k, trials in enumerate(searches):
+        assert trials[-1][1] == trace[k + 1].value
+    assert len(calls) == 1 + sum(len(trials) for trials in searches)
