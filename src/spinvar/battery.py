@@ -14,7 +14,7 @@ import numpy as np
 from . import continuous, functionals, matcore, optimize, variation
 from .errors import InfeasibleStep
 from .matcore import MixtureSpec
-from .path import DiscretePath, d_sequence, merge_duplicates
+from .path import DiscretePath, merge_duplicates
 
 
 @dataclass
@@ -24,10 +24,6 @@ class CheckResult:
     checks: int
     worst: float
     detail: str = ""
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"{status}  {self.name:34s} checks={self.checks:<5d} worst={self.worst:+.3e} {self.detail}"
 
 
 def random_spd(rng, n, scale=1.0):
@@ -43,11 +39,12 @@ def random_correlation(rng, n, jitter=0.3):
     return matcore.symmetrize(s * np.outer(d, d))
 
 
-def random_mixture(rng, n, p_extra=4):
+def random_mixture(rng, n):
+    """A p = 2 term, with even odds a p = 4 term and with even odds a field."""
     beta2 = rng.uniform(0.2, 0.6, size=n)
     terms = [(2, beta2)]
     if rng.uniform() < 0.5:
-        terms.append((p_extra, rng.uniform(0.0, 0.3, size=n)))
+        terms.append((4, rng.uniform(0.0, 0.3, size=n)))
     h = rng.uniform(-0.3, 0.3, size=n) * (rng.uniform() < 0.5)
     return MixtureSpec(n=n, terms=tuple(terms), h=h)
 
@@ -153,10 +150,11 @@ def check_mixture_gap_pd(seed=5, trials=200) -> CheckResult:
 
 
 def well_conditioned_path(rng, constraint, r, floor=0.1):
-    """Feasible path whose increments and D_{r-1} have smallest eigenvalue
-    at least ``floor``, so finite differences at step 1e-5 resolve the
-    gradient.  Returns the first of up to 64 draws that clears the floor;
-    when none does, returns the last draw, which does not.
+    """Feasible path whose increments, and so D_{r-1} = Q - Q_{r-1} (the
+    weights end at x_{r-1} = 1), have smallest eigenvalue at least
+    ``floor``, so finite differences at step 1e-5 resolve the gradient.
+    Returns the first of up to 64 draws that clears the floor; when none
+    does, returns the last draw, which does not.
 
     The r increments sum to the constraint, so by Weyl's inequality no draw
     can clear the floor when r * floor exceeds the constraint's smallest
@@ -166,7 +164,6 @@ def well_conditioned_path(rng, constraint, r, floor=0.1):
     for _ in range(1 if futile else 64):
         path = random_feasible_path(rng, constraint, r)
         floors = [matcore.spectral_floor(path.increment(k)) for k in range(r)]
-        floors.append(matcore.spectral_floor(d_sequence(path).at(r - 1)))
         if min(floors) >= floor:
             return path
     return path
@@ -430,5 +427,5 @@ ALL_CHECKS = (
 )
 
 
-def run_battery(checks=ALL_CHECKS) -> list[CheckResult]:
-    return [c() for c in checks]
+def run_battery() -> list[CheckResult]:
+    return [c() for c in ALL_CHECKS]

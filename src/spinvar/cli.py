@@ -38,6 +38,7 @@ from .functionals import eval_barrier, eval_cs, eval_parisi
 from .matcore import MixtureSpec, check_constraint
 from .optimize import SolveOptions, duality_gap, search
 from .path import DiscretePath
+from .path import validate as validate_path
 
 TOOL_VERSION = "spinvar 0.1.0"
 FORMAT_HEADER = "# spinvar-result v1"
@@ -47,17 +48,23 @@ _PATH_KEYS = {"x", "levels", "lambda"}
 _SOLVE_KEYS = {f.name: f for f in fields(SolveOptions)}
 
 
+def _reals(values) -> list[float]:
+    """A list of numbers as floats; a boolean entry is a validation problem."""
+    values = list(values)
+    if any(isinstance(v, bool) for v in values):
+        raise ValidationError(f"entries must be real numbers, not booleans: {values!r}")
+    return [float(v) for v in values]
+
+
 def upper_to_matrix(values, n: int) -> np.ndarray:
     """Row-major upper triangle (diagonal included) to a full symmetric matrix."""
-    values = list(values)
+    values = _reals(values)
     expect = n * (n + 1) // 2
     if len(values) != expect:
         raise ValidationError(f"upper triangle for n={n} needs {expect} entries, got {len(values)}")
     m = np.zeros((n, n))
-    it = iter(values)
-    for i in range(n):
-        for j in range(i, n):
-            m[i, j] = m[j, i] = float(next(it))
+    rows, cols = np.triu_indices(n)
+    m[rows, cols] = m[cols, rows] = values
     return m
 
 
@@ -107,10 +114,11 @@ def build_spec(raw: dict) -> ProblemSpec:
     unknown = set(raw) - _SPEC_KEYS
     if unknown:
         problems.append(f"unknown keys: {sorted(unknown)}")
-    if raw.get("version") != 1:
+    version = raw.get("version")
+    if isinstance(version, bool) or version != 1:
         problems.append("version must be 1")
     n = raw.get("n")
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         problems.append("n must be a positive integer")
         n = 1
 
@@ -118,7 +126,7 @@ def build_spec(raw: dict) -> ProblemSpec:
     terms = raw.get("mixture", [])
     h = raw.get("h", [0.0] * n)
     try:
-        mixture = MixtureSpec(n=n, terms=tuple((p, np.asarray(b, dtype=float)) for p, b in terms), h=h)
+        mixture = MixtureSpec(n=n, terms=tuple(terms), h=h)
     except (ValidationError, TypeError, ValueError) as exc:
         msgs = exc.problems if isinstance(exc, ValidationError) else [str(exc)]
         problems.extend(f"mixture: {m}" for m in msgs)
@@ -165,12 +173,10 @@ def build_spec(raw: dict) -> ProblemSpec:
             problems.append(f"path: keys must be among {sorted(_PATH_KEYS)}")
         else:
             try:
-                x = tuple(float(v) for v in p.get("x", ()))
+                x = tuple(_reals(p.get("x", ())))
                 levels = [upper_to_matrix(u, n) for u in p.get("levels", ())]
                 if constraint is not None and len(x) == len(levels) + 1:
                     parsed_path = DiscretePath(x, tuple(levels) + (constraint,))
-                    from .path import validate as validate_path
-
                     problems.extend(f"path: {m}" for m in validate_path(parsed_path))
                 else:
                     problems.append("path: need len(x) == len(levels) + 1 (the constraint is implicit)")

@@ -249,7 +249,7 @@ def from_discrete(path: DiscretePath) -> tuple[ContinuousCdf, MatrixPath]:
     """
     if path.x[-1] != 1.0:
         raise ValidationError("the continuous form needs x_{r-1} = 1")
-    merged = merge_duplicates(path, tol=0.0)
+    merged = merge_duplicates(path)
     traces = [float(np.trace(merged.level(k))) for k in range(merged.r + 1)]
     for k in range(merged.r):
         if traces[k + 1] <= traces[k]:

@@ -17,10 +17,11 @@ x_{r-1} = 1.
 
 Every value and representer is computed by ``eval_stack``, which takes a
 stack of points, builds each chain with :func:`spinvar.path.tail_sums`,
-and decides feasibility from one Cholesky call over all of its matrices
-(:func:`spinvar.matcore.stack_logdets`); infeasible points evaluate to
-+inf there, and the single-point functions below turn that into the
-matching domain error.  Given a stack of directions, ``eval_stack`` also
+and decides feasibility from one Cholesky call over all of its matrices,
+by the same test as :func:`spinvar.path.lambda_sequence` and
+:func:`spinvar.path.d_sequence`; infeasible points evaluate to +inf
+there, and the single-point functions below raise the domain error those
+two raise.  Given a stack of directions, ``eval_stack`` also
 returns the directional derivatives of one point's representers (the rows
 of the solver's Hessian), from a tangent-linear pass through the same
 chain, inverses and mixture series, with d(A^-1)[V] = -A^-1 V A^-1 and
@@ -57,32 +58,18 @@ import numpy as np
 from .errors import (
     DegenerateIncrement,
     DimensionMismatch,
-    InfeasibleMultiplier,
     InfeasiblePath,
     NonStrictWeights,
     NotPositiveDefinite,
-    SpinvarError,
     ValidationError,
 )
-from .matcore import (
-    PSD_RTOL,
-    MixtureSpec,
-    frozen,
-    hadamard_div,
-    stack_inverses,
-    stack_logdets,
-    symmetrize,
-)
-from .path import DiscretePath, tail_sums
+from .matcore import MixtureSpec, frozen, hadamard_div, stack_inverses, stack_logdets, symmetrize
+from .path import FEASIBLE, DiscretePath, _factor_chain, _require_feasible, tail_sums
 
 
 def corrected_eps(eps: float) -> float:
     """Epsilon as seen by the half-bracketed functional forms (see module doc)."""
     return 2.0 * eps
-
-
-# status codes of eval_stack; INCREMENT_FAILED + k names increment k
-FEASIBLE, FLOOR_FAILED, CHAIN_FAILED, INCREMENT_FAILED = 0, 1, 2, 3
 
 
 def _frob(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -143,18 +130,15 @@ def eval_stack(kind, mix, constraint, x, eps, blocks, grad=False, directions=Non
 
     ``blocks`` holds the free blocks of each point, shape (B, blocks, n, n):
     the multiplier first for the multiplier form, then the free levels
-    Q_1..Q_{r-1}.  All matrices must be symmetric.  One Cholesky call
-    factors, for every point, the psd_tol-shifted Lambda_1 (or D_{r-1}),
-    the chain Lambda_1..Lambda_r (or D_1..D_{r-1} and Q - Q_{r-1}) and, for
-    eps != 0, the increments; one ``inv`` call inverts what the value and
-    the representers need.
+    Q_1..Q_{r-1}.  All matrices must be symmetric.  One Cholesky call,
+    :func:`spinvar.path._factor_chain`, factors for every point the
+    psd_tol-shifted Lambda_1 (or D_{r-1}), the chain Lambda_1..Lambda_r (or
+    D_1..D_{r-1} and Q - Q_{r-1}) and, for eps != 0, the increments; one
+    ``inv`` call inverts what the value and the representers need.
 
     Returns ``(values, status, reps, tangents)``: values of shape (B,), +inf
-    where ``status`` is not FEASIBLE; status FLOOR_FAILED when Lambda_1 (or
-    D_{r-1}) is not above its psd_tol margin, CHAIN_FAILED when a chain
-    matrix does not factor, INCREMENT_FAILED + k when increment k does not
-    (eps != 0 only); ``reps`` (with ``grad``) the representers of shape
-    (B, blocks, n, n), the multiplier first for the multiplier form.
+    where the status of ``_factor_chain`` is not FEASIBLE; ``reps`` (with
+    ``grad``) the representers (B, blocks, n, n), the multiplier first.
 
     With ``directions``, a stack V of shape (D, blocks, n, n) and a stack
     of one point, ``tangents`` (None without V or at an infeasible point)
@@ -169,25 +153,10 @@ def eval_stack(kind, mix, constraint, x, eps, blocks, grad=False, directions=Non
         raise InfeasiblePath("the multiplier-free form needs r >= 2 and x_{r-1} > 0")
     count, n = blocks.shape[0], constraint.shape[0]
     q, inc, series, chain = _chain(kind, mix, constraint, xv, blocks)
-    if kind == "parisi":
-        floor = chain[:, 0]
-        incs = inc if eps != 0.0 else inc[:, :0]
-    else:
-        floor = chain[:, -1]
-        incs = inc if eps != 0.0 else inc[:, -1:]  # Q - Q_{r-1} always
-    tol = PSD_RTOL * np.maximum(np.max(np.abs(np.diagonal(floor, 0, -2, -1)), axis=-1), 1.0)
-    shifted = floor - tol[:, None, None] * np.eye(n)
-    mats = np.concatenate([shifted[:, None], chain, incs], axis=1)
-    logdet, ok = stack_logdets(mats)
+    if eps == 0.0:
+        inc = inc[:, :0] if kind == "parisi" else inc[:, -1:]  # Q - Q_{r-1} always
+    mats, logdet, status = _factor_chain(kind, chain, inc)
     m = chain.shape[1]
-    chain_ok = ok[:, 1 : 1 + m].all(axis=1)
-    if kind == "cs":
-        chain_ok &= ok[:, -1]
-    status = np.where(ok[:, 0], np.where(chain_ok, FEASIBLE, CHAIN_FAILED), FLOOR_FAILED)
-    if eps != 0.0:
-        inc_bad = ~ok[:, 1 + m :]
-        first_bad = INCREMENT_FAILED + np.argmax(inc_bad, axis=1)
-        status = np.where((status == FEASIBLE) & inc_bad.any(axis=1), first_bad, status)
     feasible = status == FEASIBLE
 
     grad = grad or directions is not None
@@ -272,19 +241,6 @@ def _tangent(kind, xv, eps, hh, q, series, inv, core, v):
     return np.concatenate([d_lam[:, None], d_q], axis=1) if kind == "parisi" else d_q
 
 
-def _domain_error(kind: str, status: int) -> SpinvarError:
-    """The exception the single-point evaluators raise for an eval_stack status."""
-    if status == FLOOR_FAILED:
-        if kind == "parisi":
-            return InfeasibleMultiplier("Lambda_1 is not positive definite beyond psd_tol")
-        return InfeasiblePath("D_{r-1} is not positive definite beyond psd_tol")
-    if status == CHAIN_FAILED:
-        if kind == "parisi":
-            return NotPositiveDefinite("a matrix of the multiplier chain is not positive definite")
-        return InfeasiblePath("a matrix of the tail chain is not positive definite")
-    return DegenerateIncrement(int(status) - INCREMENT_FAILED)
-
-
 def _point(kind, path: DiscretePath, lam=None):
     """The free blocks of one path as a stack of one point: the
     symmetrized multiplier first for the multiplier form, then the levels."""
@@ -305,15 +261,8 @@ def eval_point(kind, eps, path: DiscretePath, mix: MixtureSpec, lam=None, grad=F
     domain error of an infeasible point."""
     blocks = _point(kind, path, lam)
     values, status, reps, _ = eval_stack(kind, mix, path.constraint, path.x, eps, blocks, grad)
-    if status[0] != FEASIBLE:
-        raise _domain_error(kind, status[0])
+    _require_feasible(kind, status[0])
     return float(values[0]), None if reps is None else reps[0]
-
-
-def chain_of(kind, path: DiscretePath, mix: MixtureSpec, lam=None) -> np.ndarray:
-    """The chain Lambda_1..Lambda_r (or D_1..D_{r-1}) of one path, stacked."""
-    xv = np.asarray(path.x, dtype=float)
-    return _chain(kind, mix, path.constraint, xv, _point(kind, path, lam))[3][0]
 
 
 def eval_parisi(lam: np.ndarray, path: DiscretePath, mix: MixtureSpec) -> float:
@@ -374,7 +323,6 @@ class ErrorTerms:
     """
 
     side: str
-    eps: float
     e: tuple[np.ndarray, ...]
     ebar: tuple[np.ndarray, ...]
 
@@ -402,8 +350,7 @@ def _error_stack(side, path, mix):
             raise NonStrictWeights(f"x_{p} - x_{p - 1} = {dx[p - 1]}")
     logdet, inv, ok = increments(path)
     if not ok.all():
-        k = int(np.argmin(ok))
-        raise NotPositiveDefinite(f"increment {k} -> {k + 1} is not positive definite")
+        raise DegenerateIncrement(int(np.argmin(ok)))
     e = np.diff(inv, axis=0) / dx[:, None, None]
     if side == "lower":
         for p in range(1, path.r):
@@ -413,9 +360,7 @@ def _error_stack(side, path, mix):
     return logdet, inv, e, tail_sums(path.x[1:], np.diff(e, axis=0))
 
 
-def error_terms(
-    side: str, path: DiscretePath, mix: MixtureSpec, eps: float = 0.0
-) -> ErrorTerms:
+def error_terms(side: str, path: DiscretePath, mix: MixtureSpec) -> ErrorTerms:
     """Correction terms of the perturbed critical-point equations.
 
     side = "lower":  E_p = ((Q_{p+1}-Q_p)^-1 - (Q_p-Q_{p-1})^-1) / (x_p - x_{p-1})
@@ -423,7 +368,7 @@ def error_terms(
     side = "upper":  the same without the entrywise division.
     """
     _, _, e, ebar = _error_stack(side, path, mix)
-    return ErrorTerms(side=side, eps=float(eps), e=tuple(e), ebar=tuple(ebar))
+    return ErrorTerms(side=side, e=tuple(e), ebar=tuple(ebar))
 
 
 def _multiplier(path, mix, eps, inc_inv, e):
@@ -484,7 +429,7 @@ def corrected_form(side, path: DiscretePath, mix: MixtureSpec, eps: float, lam=N
     if path.x[-1] != 1.0:
         raise ValidationError(f"the approximate forms need x_{{r-1}} = 1, got {path.x[-1]}")
     inc_logdet, inc_inv, e, ebar = _error_stack(side, path, mix)
-    err = ErrorTerms(side=side, eps=float(eps), e=tuple(e), ebar=tuple(ebar))
+    err = ErrorTerms(side=side, e=tuple(e), ebar=tuple(ebar))
     kind = "cs" if side == "lower" else "parisi"
     if kind == "parisi" and lam is None:
         lam = _multiplier(path, mix, eps, inc_inv, e)

@@ -2,16 +2,14 @@
 
 Everything operates on plain float64 ``numpy`` arrays.  Public outputs are
 re-symmetrized so asymmetric round-off cannot accumulate across a chain of
-operations.  Positive definiteness is decided two ways, on purpose:
-
-* evaluation paths (log-dets, inverses) use Cholesky factorization and
-  raise :class:`~spinvar.errors.NotPositiveDefinite` on failure; a stack
-  of matrices is factored by one call of :func:`stack_logdets`, which
-  returns the mask of the matrices that factor, and inverted by one call
-  of :func:`stack_inverses`;
-* validation paths use the smallest eigenvalue against ``psd_tol``, which
-  is relative to the largest diagonal entry (with a unit floor, since all
-  matrices here live on the overlap scale).
+operations.  Positive definiteness is decided by Cholesky factorization:
+:func:`cholesky` raises :class:`~spinvar.errors.NotPositiveDefinite`, and
+one call of :func:`stack_logdets` factors a stack and returns the mask of
+the matrices that factor.  A strict margin is ``psd_tol``, relative to the
+largest diagonal entry with a unit floor (all matrices here live on the
+overlap scale): a chain's floor matrix must factor after a shift by it.
+Only reports that state a margin compare the smallest eigenvalue
+(:func:`spectral_floor`) with ``psd_tol``.
 """
 
 from __future__ import annotations
@@ -79,11 +77,12 @@ def frobenius(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.tensordot(a, b))
 
 
-def psd_tol(a: np.ndarray) -> float:
-    """Eigenvalue margin used for PD / PSD decisions on ``a``."""
-    d = np.abs(np.diagonal(a))
-    scale = float(d.max()) if d.size else 0.0
-    return PSD_RTOL * max(scale, 1.0)
+def psd_tol(a: np.ndarray):
+    """Eigenvalue margin used for PD / PSD decisions on a matrix, or on each
+    matrix of a stack (..., n, n): PSD_RTOL times the largest absolute
+    diagonal entry, with a unit floor."""
+    scale = np.max(np.abs(np.diagonal(a, 0, -2, -1)), axis=-1, initial=0.0)
+    return PSD_RTOL * np.maximum(scale, 1.0)
 
 
 def cholesky(a: np.ndarray) -> np.ndarray:
@@ -197,6 +196,18 @@ class MixtureSpec:
         n = int(self.n)
         if n < 1:
             problems.append(f"species count must be >= 1, got {n}")
+
+        def vector(value, what):
+            """``value`` as a float vector of length n, or None after noting why not."""
+            raw = np.asarray(value, dtype=object)
+            if raw.ndim > 1 or any(isinstance(v, (bool, np.bool_)) for v in raw.flat):
+                problems.append(f"{what} must be a flat list of real numbers, got {value!r}")
+            elif raw.size != n:
+                problems.append(f"{what} has length {raw.size}, expected {n}")
+            else:
+                return frozen(raw.astype(float).reshape(n))
+            return None
+
         coerced = []
         for idx, term in enumerate(self.terms):
             try:
@@ -212,27 +223,22 @@ class MixtureSpec:
                 problems.append(f"term {idx}: p must be a finite integer, got {p!r}")
                 continue
             p = int(p)
-            beta = np.asarray(beta, dtype=float).reshape(-1)
+            beta = vector(beta, f"term {idx}: beta")
             if p < 2:
                 problems.append(f"term {idx}: p must be >= 2, got {p}")
             if p % 2 != 0:
                 problems.append(f"term {idx}: even p required, got {p}")
-            if beta.shape != (n,):
-                problems.append(f"term {idx}: beta has length {beta.size}, expected {n}")
-            elif np.any(beta < 0) or not np.all(np.isfinite(beta)):
+            if beta is not None and (np.any(beta < 0) or not np.all(np.isfinite(beta))):
                 problems.append(f"term {idx}: beta entries must be finite and nonnegative")
-            coerced.append((p, frozen(beta.reshape(n) if beta.size == n else np.zeros(n))))
-        h = np.asarray(self.h, dtype=float).reshape(-1)
-        if h.shape != (n,):
-            problems.append(f"field h has length {h.size}, expected {n}")
-            h = np.zeros(n)
-        elif not np.all(np.isfinite(h)):
+            coerced.append((p, beta))
+        h = vector(self.h, "field h")
+        if h is not None and not np.all(np.isfinite(h)):
             problems.append("field h entries must be finite")
         if problems:
             raise ValidationError(problems)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", tuple(coerced))
-        object.__setattr__(self, "h", frozen(h))
+        object.__setattr__(self, "h", h)
         # series k, term t: coefficient (beta x beta) and Hadamard power
         weights = [[c(p) * np.outer(b, b) for p, b in coerced] for c, _ in _MIX_KINDS.values()]
         powers = [[max(p - shift, 0) for p, _ in coerced] for _, shift in _MIX_KINDS.values()]

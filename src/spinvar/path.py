@@ -20,6 +20,9 @@ Every chain of the package -- these two, the correction tails Ebar_p of
 :mod:`spinvar.functionals` and Phihat at the knots of
 :mod:`spinvar.continuous` -- is a weighted tail sum, computed by
 :func:`tail_sums` for a whole stack at once.
+
+Chain feasibility is decided by :func:`_factor_chain` alone, for the two
+sequences below and for :func:`spinvar.functionals.eval_stack`.
 """
 
 from __future__ import annotations
@@ -29,12 +32,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DegenerateIncrement,
     DimensionMismatch,
     InfeasibleMultiplier,
     InfeasiblePath,
+    NotPositiveDefinite,
     ValidationError,
 )
-from .matcore import MixtureSpec, frozen, psd_tol, spectral_floor, symmetrize
+from .matcore import MixtureSpec, frozen, psd_tol, spectral_floor, stack_logdets, symmetrize
+
+# status codes of _factor_chain; INCREMENT_FAILED + k names increment k
+FEASIBLE, FLOOR_FAILED, CHAIN_FAILED, INCREMENT_FAILED = 0, 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -156,36 +164,72 @@ class Chain:
         return self.seq[p - 1]
 
 
+def _factor_chain(kind, chain, incs):
+    """Feasibility of the chains (B, m, n, n) of B points, Lambda_1..Lambda_r
+    (``kind`` "parisi") or D_1..D_{r-1} ("cs"): one Cholesky call factors
+    the psd_tol-shifted Lambda_1 (or D_{r-1}), the chain and ``incs``, shape
+    (B, e, n, n): the increments Q_{k+1} - Q_k under the barrier, otherwise
+    none ("parisi") or Q - Q_{r-1} ("cs").  Returns ``(mats, logdet,
+    status)``: those matrices, their log-dets and per point FLOOR_FAILED,
+    CHAIN_FAILED (a chain matrix or, for "cs", the last of ``incs``),
+    INCREMENT_FAILED + k (``incs[k]``) or FEASIBLE, the first that applies."""
+    floor = chain[:, 0] if kind == "parisi" else chain[:, -1]
+    shifted = floor - psd_tol(floor)[:, None, None] * np.eye(chain.shape[-1])
+    mats = np.concatenate([shifted[:, None], chain, incs], axis=1)
+    logdet, ok = stack_logdets(mats)
+    m = chain.shape[1]
+    chain_ok = ok[:, 1 : 1 + m].all(axis=1)
+    if kind == "cs":
+        chain_ok &= ok[:, -1]
+    status = np.where(ok[:, 0], np.where(chain_ok, FEASIBLE, CHAIN_FAILED), FLOOR_FAILED)
+    inc_bad = ~ok[:, 1 + m :]
+    if inc_bad.any():
+        first_bad = INCREMENT_FAILED + np.argmax(inc_bad, axis=1)
+        status = np.where((status == FEASIBLE) & inc_bad.any(axis=1), first_bad, status)
+    return mats, logdet, status
+
+
+def _require_feasible(kind: str, status: int):
+    """Raise the domain error of a :func:`_factor_chain` status other than FEASIBLE."""
+    if status == FLOOR_FAILED:
+        if kind == "parisi":
+            raise InfeasibleMultiplier("Lambda_1 is not positive definite beyond psd_tol")
+        raise InfeasiblePath("D_{r-1} is not positive definite beyond psd_tol")
+    if status == CHAIN_FAILED:
+        if kind == "parisi":
+            raise NotPositiveDefinite("a matrix of the multiplier chain is not positive definite")
+        raise InfeasiblePath("a matrix of the tail chain is not positive definite")
+    if status != FEASIBLE:
+        raise DegenerateIncrement(int(status) - INCREMENT_FAILED)
+
+
 def lambda_sequence(lam: np.ndarray, path: DiscretePath, mix: MixtureSpec) -> Chain:
-    """Derive Lambda_1..Lambda_r; raises InfeasibleMultiplier unless Lambda_1 > 0."""
+    """Derive Lambda_1..Lambda_r, raising where and as ``eval_parisi`` does:
+    InfeasibleMultiplier unless Lambda_1 factors after a shift by its
+    psd_tol, NotPositiveDefinite unless every chain matrix factors."""
     lam = symmetrize(np.asarray(lam, dtype=float))
     if lam.shape != (path.n, path.n):
         raise DimensionMismatch("multiplier dimension does not match the path")
     xi_prime = mix.series(np.array(path.qs))[:, 1]  # at Q_1..Q_r
     tails = tail_sums(path.x[1:], np.diff(xi_prime, axis=0))
-    chain = Chain(np.concatenate([lam - tails, lam[None]]))
-    first = chain.at(1)
-    if spectral_floor(first) <= psd_tol(first):
-        raise InfeasibleMultiplier(
-            f"Lambda_1 is not positive definite: lam_min = {spectral_floor(first):.6e}"
-        )
-    return chain
+    chain = np.concatenate([lam - tails, lam[None]])
+    _require_feasible("parisi", _factor_chain("parisi", chain[None], chain[None, :0])[2][0])
+    return Chain(chain)
 
 
 def d_sequence(path: DiscretePath) -> Chain:
-    """Derive D_1..D_{r-1}; raises InfeasiblePath unless D_{r-1} > 0."""
+    """Derive D_1..D_{r-1}, raising InfeasiblePath where ``eval_cs`` does:
+    unless r >= 2, D_{r-1} factors after a shift by its psd_tol, and every
+    chain matrix and Q - Q_{r-1} factor."""
     if path.r < 2:
         raise InfeasiblePath("D sequence needs r >= 2")
-    chain = Chain(tail_sums(path.x[1:], np.diff(np.array(path.qs), axis=0)))
-    top = chain.at(path.r - 1)
-    if spectral_floor(top) <= psd_tol(top):
-        raise InfeasiblePath(
-            f"D_{{r-1}} is not positive definite: lam_min = {spectral_floor(top):.6e}"
-        )
-    return chain
+    inc = np.diff(np.array(path.qs), axis=0)  # Q_{k+1} - Q_k, k = 1..r-1
+    chain = tail_sums(path.x[1:], inc)
+    _require_feasible("cs", _factor_chain("cs", chain[None], inc[None, -1:])[2][0])
+    return Chain(chain)
 
 
-def merge_duplicates(path: DiscretePath, tol: float = 0.0) -> DiscretePath:
+def merge_duplicates(path: DiscretePath) -> DiscretePath:
     """Canonical path with repeated weights / repeated levels merged out.
 
     When x_k = x_{k+1} the pair (x_{k+1}, Q_{k+1}) is dropped; when
@@ -205,7 +249,7 @@ def merge_duplicates(path: DiscretePath, tol: float = 0.0) -> DiscretePath:
     while changed and len(x) > 1:
         changed = False
         for j in range(1, len(x)):
-            if abs(x[j] - x[j - 1]) <= tol:
+            if x[j] == x[j - 1]:
                 del x[j]
                 del qs[j]
                 changed = True
@@ -213,7 +257,7 @@ def merge_duplicates(path: DiscretePath, tol: float = 0.0) -> DiscretePath:
         if changed:
             continue
         for j in range(1, len(x)):
-            if float(np.max(np.abs(qs[j + 1] - qs[j]))) <= tol:
+            if np.array_equal(qs[j + 1], qs[j]):
                 del x[j]
                 del qs[j]
                 changed = True

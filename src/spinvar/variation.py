@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleMultiplier, InfeasibleStep, SpinvarError
+from .errors import DomainError, InfeasibleStep, SpinvarError
 from .functionals import (
-    chain_of,
     construct_multiplier,
     corrected_eps,
     corrected_form,
@@ -29,7 +28,7 @@ from .functionals import (
     increments,
 )
 from .matcore import MixtureSpec, stack_inverses, symmetrize
-from .path import DiscretePath, lambda_sequence
+from .path import DiscretePath, d_sequence, lambda_sequence
 
 
 @dataclass(frozen=True)
@@ -91,14 +90,15 @@ def fd_directional(f, h_step: float) -> float:
     return (4.0 * narrow - wide) / 3.0
 
 
-def fd_directional_backtracked(f, h_step: float, max_halvings: int = 10) -> float:
+def fd_directional_backtracked(f, h_step: float) -> float:
+    """:func:`fd_directional`, halving ``h_step`` up to ten times until no probe is infeasible."""
     h = h_step
-    for _ in range(max_halvings + 1):
+    for _ in range(11):
         try:
             return fd_directional(f, h)
         except InfeasibleStep:
             h *= 0.5
-    raise InfeasibleStep(f"no feasible step after {max_halvings} halvings from {h_step}")
+    raise InfeasibleStep(f"no feasible step after 10 halvings from {h_step}")
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,8 @@ def critical_residual(
         raise ValueError("the lower side needs the multiplier")
     value_approx, corrected, lam, _ = corrected_form(side, path, mix, eps, lam)
     kind = "parisi" if side == "lower" else "cs"
-    own = stack_inverses(chain_of(kind, path, mix, lam)[: path.r - 1])
+    chain = lambda_sequence(lam, path, mix) if kind == "parisi" else d_sequence(path)
+    own = stack_inverses(np.array(chain.seq[: path.r - 1]))
     residuals = tuple(float(v) for v in np.max(np.abs(own - corrected), axis=(1, 2)))
     value_pert = eval_perturbed(kind, eps, path, mix, lam=lam)
     return CriticalReport(
@@ -168,7 +169,7 @@ def tilde_transform(
     side = "upper": a new multiplier Lambda~ = Lambda + s Ebar_1.
     Infeasibility away from a critical point is reported, not raised.
     """
-    err = error_terms(side, path, mix, eps)
+    err = error_terms(side, path, mix)
     if side == "upper" and lam is None:
         lam = construct_multiplier(path, mix, eps)
     return _shift(path, mix, eps, lam, err)
@@ -188,7 +189,7 @@ def _shift(path, mix, eps, lam, err) -> TildeResult:
     violations = []
     try:
         lambda_sequence(lam_tilde, path, mix)
-    except InfeasibleMultiplier as exc:
+    except DomainError as exc:
         violations.append(str(exc))
     return TildeResult("upper", None, lam_tilde, not violations, tuple(violations))
 
@@ -208,7 +209,6 @@ def bound_check(
     mix: MixtureSpec,
     eps: float,
     lam: np.ndarray | None = None,
-    num_tol: float = 1e-9,
 ) -> BoundCheck:
     """Inequalities tying the perturbed functionals to their unperturbed
     duals at the tilde-shifted point.
@@ -216,7 +216,8 @@ def bound_check(
     side = "lower": approx multiplier-free value at the point >= plain
     multiplier-free value at the tilde path;
     side = "upper": approx multiplier-form value >= plain multiplier form
-    at the tilde multiplier.
+    at the tilde multiplier.  ``holds`` allows a slack down to -1e-9 for
+    round-off.
     """
     lhs, _, lam, err = corrected_form(side, path, mix, eps, lam)
     shifted = _shift(path, mix, eps, lam, err)
@@ -226,4 +227,4 @@ def bound_check(
     kind = "cs" if side == "lower" else "parisi"
     rhs = eval_perturbed(kind, 0.0, shifted.path or path, mix, lam=shifted.lam)
     slack = lhs - rhs
-    return BoundCheck(side=side, lhs=lhs, rhs=rhs, holds=slack >= -num_tol, slack=slack)
+    return BoundCheck(side=side, lhs=lhs, rhs=rhs, holds=slack >= -1e-9, slack=slack)

@@ -190,7 +190,7 @@ def test_criterion_8_matrix_property_battery():
         battery.check_mixture_gap_pd(),
     ]
     for c in checks:
-        assert c.passed, c.line()
+        assert c.passed, c
     report(
         "criterion-8 matrix-properties",
         all(c.passed for c in checks),

@@ -6,9 +6,13 @@ the stage count and convergence of every ``minimize_fixed`` call, taking
 ``perfbench/run.py`` reads the ``matcore.cholesky`` span count of every
 traced run; ``perfbench/workloads.py`` looks each battery check up with
 ``getattr`` and calls it with ``seed=``, and runs the gap items through
-``cli.run``, ``cli.emit`` and ``optimize.duality_gap``.  A rename here
-makes a traced run raise a KeyError, or every item of a workload fail;
-a renamed function behind a ``BENCHMARK.json`` per-layer metric
+``cli.run``, ``cli.emit`` and ``optimize.duality_gap``.  It reads the
+records these return: a check's name, pass flag, count and worst margin;
+a gap report's minima, gap, argmins (their r, x and convergence) and the
+iteration count of every stage in its eps trace; and the same numbers from
+the outputs of ``cli.run("gap", ...)``.  A rename here makes a traced run
+raise a KeyError, or every item of a workload fail; a renamed function
+behind a ``BENCHMARK.json`` per-layer metric
 ``<module>.<function>.calls|self_s|failed`` makes that metric read 0.
 """
 
@@ -17,6 +21,8 @@ import importlib
 import inspect
 import json
 from pathlib import Path
+
+import numpy as np
 
 from spinvar import battery, cli, functionals, matcore, optimize, variation
 
@@ -89,3 +95,39 @@ def test_per_layer_metrics_name_public_functions():
     for mod, fn in traced:
         obj = getattr(importlib.import_module(f"spinvar.{mod}"), fn, None)
         assert inspect.isfunction(obj) and not fn.startswith("_"), f"spinvar.{mod}.{fn}"
+
+
+def _field_names(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def test_records_read_by_the_workloads():
+    assert {"name", "passed", "checks", "worst"} <= _field_names(battery.CheckResult)
+    assert {"min_parisi", "min_cs", "gap", "argmin_parisi", "argmin_cs", "eps_trace"} <= (
+        _field_names(optimize.GapReport)
+    )
+    assert {"r", "x", "best"} <= _field_names(optimize.SearchResult)
+    assert "iterations" in _field_names(optimize.StageRecord)
+    params = inspect.signature(optimize.SolveOptions).parameters
+    assert {"r_max", "x_grid"} <= set(params)
+
+
+def test_gap_outputs_read_by_the_workloads():
+    """One small gap solve, through optimize.duality_gap and through cli.run,
+    read the way the gap items read them."""
+    mix = matcore.MixtureSpec.pure(2, [0.3])
+    opts = optimize.SolveOptions(r_max=2, x_grid=2)
+    rep = optimize.duality_gap(mix, np.eye(1), opts)
+    for side in (rep.argmin_parisi, rep.argmin_cs):
+        assert isinstance(side.r, int) and len(side.x) == side.r
+        assert isinstance(side.best.converged, bool)
+    for side in ("parisi", "cs"):
+        assert all(isinstance(s["iterations"], int) for s in rep.eps_trace[side])
+
+    spec = cli.build_spec({"version": 1, "n": 1, "mixture": [[2, [0.3]]], "Q": [1.0],
+                           "solve": {"r_max": 2, "x_grid": 2}})
+    out = cli.run("gap", spec).outputs
+    assert {"min_parisi", "min_cs", "gap", "argmin_parisi", "argmin_cs", "eps_trace"} <= set(out)
+    for key in ("argmin_parisi", "argmin_cs"):
+        assert {"r", "x", "converged"} <= set(out[key])
+    assert all("iterations" in s for side in ("parisi", "cs") for s in out["eps_trace"][side])

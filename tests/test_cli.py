@@ -107,14 +107,25 @@ def test_main_exits_2_on_a_bool_real_option(tmp_path, capsys):
 
 
 # (key, JSON text of its value, a word the problem names): values that
-# int(), float() or tuple() would reject with a traceback, or that int()
-# would silently convert (p = 2.5 or "2" to 2)
+# int(), float() or tuple() would reject with a traceback, that int() would
+# silently convert (p = 2.5 or "2" to 2), nested lists that would be
+# flattened and booleans that would be read as 1 or 0
 MALFORMED = (
     ("Q", '["a"]', "Q:"),
     ("commands", "5", "commands"),
     ("mixture", "[[1e400, [1.0]]]", "p must be"),
     ("mixture", "[[2.5, [1.0]]]", "p must be"),
     ("mixture", '[["2", [1.0]]]', "p must be"),
+    ("mixture", "[[2, [[1.0]]]]", "flat list"),
+    ("h", "[[0.0]]", "flat list"),
+    ("version", "true", "version"),
+    ("n", "true", "n must be"),
+    ("Q", "[true]", "Q:"),
+    ("mixture", "[[2, [true]]]", "flat list"),
+    ("h", "[false]", "flat list"),
+    ("path", '{"x": [false]}', "path:"),
+    ("path", '{"x": [0.0, 1.0], "levels": [[true]]}', "path:"),
+    ("path", '{"x": [0.0], "lambda": [true]}', "path:"),
 )
 
 

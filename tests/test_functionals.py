@@ -210,6 +210,14 @@ def test_error_terms_requirements():
     error_terms("upper", pd_path, no_beta2)
 
 
+def test_error_terms_name_a_singular_increment():
+    mix = MixtureSpec.pure(2, [1.0])
+    path = scalar_path((0.0, 0.5), (0.5, 0.5))  # Q_2 - Q_1 = 0
+    with pytest.raises(DegenerateIncrement) as info:
+        error_terms("upper", path, mix)
+    assert info.value.level == 1
+
+
 def test_ebar_telescopes():
     rng = np.random.default_rng(13)
     q = random_correlation(rng, 2)

@@ -22,7 +22,7 @@ from spinvar.errors import SpinvarError
 from spinvar.functionals import eval_perturbed
 from spinvar.matcore import MixtureSpec, chol_logdet, frobenius, sym_inverse, symmetrize
 from spinvar.optimize import Objective, default_start
-from spinvar.path import DiscretePath, d_sequence, lambda_sequence
+from spinvar.path import DiscretePath
 
 _SERIES = {
     "xi": (lambda p: 1.0, 0),
@@ -117,14 +117,19 @@ def ref_representers(kind, eps, path, mix, lam=None):
 
 
 def ref_feasible(kind, eps, path, mix, lam=None):
-    """Domain of the per-matrix evaluation: psd_tol floor, chain, barrier."""
+    """Domain of the per-matrix evaluation: Lambda_1 (or D_{r-1}) shifted
+    down by 1e-10 times its largest absolute diagonal entry (at least 1),
+    every chain matrix, Q - Q_{r-1} for the multiplier-free form and, with
+    the barrier, every increment must each pass a Cholesky factorization."""
+    seq = ref_chain(kind, lam, path, mix)
+    floor = seq[0] if kind == "parisi" else seq[-1]
+    margin = 1e-10 * max(float(np.max(np.abs(np.diag(floor)))), 1.0)
+    mats = [floor - margin * np.eye(path.n)] + seq
+    if kind == "cs":
+        mats.append(path.increment(path.r - 1))
+    if eps:
+        mats += [path.increment(k) for k in range(path.r)]
     try:
-        if kind == "parisi":
-            mats = list(lambda_sequence(lam, path, mix).seq)
-        else:
-            mats = list(d_sequence(path).seq) + [path.increment(path.r - 1)]
-        if eps:
-            mats += [path.increment(k) for k in range(path.r)]
         for m in mats:
             chol_logdet(m)
     except SpinvarError:

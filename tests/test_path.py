@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from spinvar.battery import random_correlation, random_feasible_path, random_mixture
-from spinvar.errors import InfeasibleMultiplier, InfeasiblePath, ValidationError
+from spinvar.errors import InfeasibleMultiplier, InfeasiblePath, SpinvarError, ValidationError
+from spinvar.functionals import eval_cs, eval_parisi
 from spinvar.matcore import MixtureSpec, symmetrize
 from spinvar.path import (
     DiscretePath,
@@ -192,3 +193,71 @@ def test_tail_sums_equal_the_level_loop(n, r):
         assert np.array_equal(tail_sums(weights, steps), _tail_loop(weights, steps))
     # weights given as the tuple path.x[1:] of a path
     assert np.array_equal(tail_sums(tuple(weights), steps), _tail_loop(weights, steps))
+
+
+def _raised(fn):
+    """The class and message of the error ``fn()`` raises, or None."""
+    try:
+        fn()
+    except SpinvarError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _floor_matrix(rng, n, delta):
+    """A random symmetric matrix with eigenvalues at most 0.9, the smallest
+    1e-10 + delta: its psd_tol margin (1e-10) plus delta."""
+    v, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    mu = np.concatenate([[1e-10 + delta], rng.uniform(0.2, 0.9, n - 1)])
+    return symmetrize(v @ np.diag(mu) @ v.T)
+
+
+@pytest.mark.parametrize("kind", ["parisi", "cs"])
+def test_sequences_raise_exactly_where_the_functionals_raise(kind):
+    """At the psd_tol boundary of Lambda_1 (or D_{r-1}), lambda_sequence
+    (d_sequence) raises exactly when eval_parisi (eval_cs) raises, with the
+    same class and message."""
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for _ in range(120):
+        n, r = int(rng.integers(1, 5)), int(rng.integers(2, 5))
+        mix = random_mixture(rng, n)
+        q = random_correlation(rng, n)
+        path = random_feasible_path(rng, q, r)
+        delta = float(rng.choice([-1e-16, 0.0, 1e-16]))
+        if kind == "parisi":
+            xp = [mix.xi_prime(path.level(k)) for k in range(r + 1)]
+            lam = _floor_matrix(rng, n, delta) + sum(
+                path.x[k] * (xp[k + 1] - xp[k]) for k in range(1, r)
+            )
+            got = _raised(lambda: lambda_sequence(lam, path, mix))
+            want = _raised(lambda: eval_parisi(lam, path, mix))
+        else:
+            top = q - _floor_matrix(rng, n, delta)  # D_{r-1} = Q - Q_{r-1}, x_{r-1} = 1
+            path = DiscretePath(path.x, path.qs[:-2] + (top, q))
+            got = _raised(lambda: d_sequence(path))
+            want = _raised(lambda: eval_cs(path, mix))
+        assert got == want
+        seen.add(want is None)
+    assert seen == {False, True}
+
+
+def test_sequences_and_functionals_agree_on_known_cases():
+    """Cases where the smallest-eigenvalue test of Lambda_1 (D_{r-1}) and
+    the Cholesky test of the functionals once disagreed."""
+    mix = MixtureSpec.pure(2, [0.5, 0.5])
+    path = DiscretePath((0.0,), (np.array([[1.0, 0.2], [0.2, 1.0]]),))
+    for lam, want in (
+        ([[0.38880831390654075, 0.7204500114672012], [0.7204500114672012, 1.3349720175427517]],
+         InfeasibleMultiplier),
+        ([[0.25938345941656704, -0.3096405262653391], [-0.3096405262653391, 0.3696351948749368]],
+         None),
+    ):
+        lam = np.array(lam)
+        raised = _raised(lambda: eval_parisi(lam, path, mix))
+        assert (raised and raised[0]) is want
+        assert _raised(lambda: lambda_sequence(lam, path, mix)) == raised
+    path = scalar_path((0.0, 0.5, 1.0), (2.3, 0.3, 1.0))  # D_1 = -0.3, D_2 = 0.7
+    raised = _raised(lambda: eval_cs(path, MixtureSpec.pure(2, [0.5])))
+    assert raised[0] is InfeasiblePath
+    assert _raised(lambda: d_sequence(path)) == raised

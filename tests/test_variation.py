@@ -216,7 +216,7 @@ def test_tilde_transform_matches_corrected_chain_at_critical_point():
     assert res.converged
     shifted = tilde_transform("lower", res.path, mix, eps)
     assert shifted.feasible, shifted.violations
-    err = error_terms("lower", res.path, mix, eps)
+    err = error_terms("lower", res.path, mix)
     dseq = d_sequence(res.path)
     d_corr = [dseq.at(p) + corrected_eps(eps) * err.ebar_at(p) for p in range(1, res.path.r)]
     d_tilde = d_sequence(shifted.path)
@@ -298,3 +298,13 @@ def test_identity_chain_at_lower_critical_point():
     assert pert == pytest.approx(approx, abs=1e-8)
     assert approx >= dual_at_shift - 1e-9
     assert dual_at_shift >= dual_min - 1e-6
+
+
+def test_tilde_multiplier_reports_any_chain_failure():
+    # x_1 < 0 puts Lambda_2 = Lambda - 0.2 below Lambda_1 = Lambda + 1.4:
+    # Lambda_1 clears its margin, Lambda_2 = -0.1 does not factor
+    mix = MixtureSpec.pure(2, [1.0])
+    path = DiscretePath((-2.0, -1.0, 1.0), tuple(np.array([[q]]) for q in (0.1, 0.9, 1.0)))
+    res = tilde_transform("upper", path, mix, 0.0, lam=np.array([[0.1]]))
+    assert not res.feasible
+    assert "multiplier chain" in res.violations[0]
