@@ -115,7 +115,7 @@ def build_spec(raw: dict) -> ProblemSpec:
     if unknown:
         problems.append(f"unknown keys: {sorted(unknown)}")
     version = raw.get("version")
-    if isinstance(version, bool) or version != 1:
+    if type(version) is not int or version != 1:
         problems.append("version must be 1")
     n = raw.get("n")
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:

@@ -18,6 +18,11 @@ On top of the inner solve sit: ``continuation`` (a decreasing eps
 schedule with warm starts), ``search`` (discrete coordinate descent over
 the weight grid, sweeping the level count), and ``duality_gap`` (both
 forms minimized independently; their agreement is the certificate).
+Within one form and level count, ``search`` starts its first candidate
+cold and every later one from the incumbent it neighbours
+(:func:`warm_start`), which runs only the last two stages of the
+schedule; a start never crosses forms or level counts, so the gap stays
+an independent certificate.
 """
 
 from __future__ import annotations
@@ -362,6 +367,36 @@ def minimize_fixed(
     )
 
 
+def warm_start(kind, mix, x, source: ContinuationResult, diag_only: bool = False):
+    """Start at weights x from ``source``, the continuation (converged or
+    not) of the same form and r at neighbouring weights y: its levels Q_k
+    and, for the multiplier form, its multiplier raised by
+
+        sum_k max(0, x_k - y_k) (xi'(Q_{k+1}) - xi'(Q_k)),   k = 1..r-1.
+
+    Every xi' increment is PSD (see :func:`default_start`), so each
+    Lambda_p at x is at or above the source's Lambda_p at y, and the start
+    is feasible where the source's end point is (up to the growth of the
+    psd_tol margin).  The tail chain D_p = sum_{k >= p} x_k (Q_{k+1} - Q_k)
+    is positive definite for any positive weights, so the multiplier-free
+    start is the source's levels unchanged.
+
+    With ``diag_only`` the multiplier's off-diagonal entries stay where the
+    cold start put them, so its diagonal alone is raised, by the absolute
+    row sums of the raise above: a diagonal matrix that dominates that PSD
+    raise (Gershgorin), which keeps the chain feasible.
+    """
+    levels = source.path.free_levels()
+    if kind != "parisi":
+        return None, levels
+    weights = np.maximum(0.0, np.subtract(x, source.path.x))[1:]
+    xi_prime = mix.series(np.array(source.path.qs))[:, 1]  # at Q_1..Q_r
+    raise_by = np.tensordot(weights, np.diff(xi_prime, axis=0), axes=1)
+    if diag_only:
+        raise_by = np.diag(np.abs(raise_by).sum(axis=1))
+    return source.lam + raise_by, levels
+
+
 def continuation(
     kind: str,
     mix: MixtureSpec,
@@ -370,15 +405,27 @@ def continuation(
     x,
     opts: SolveOptions,
     diag_only: bool = False,
+    warm: ContinuationResult | None = None,
 ) -> ContinuationResult:
     """Run the eps schedule with warm starts; report the barrier-stripped
-    value at the final stage and its linear-in-eps extrapolation."""
+    value at the final stage and its linear-in-eps extrapolation.
+
+    Cold (``warm`` None), the first stage starts at :func:`default_start`.
+    Given ``warm``, a continuation of the same form and r at neighbouring
+    weights, only the last two stages of the schedule run, from
+    :func:`warm_start`; the extrapolation uses the same two eps as a cold
+    run, and the trace rows keep their schedule indices.
+    """
+    schedule = list(enumerate(opts.eps_schedule))
     state = None
+    if warm is not None:
+        schedule = schedule[-2:]
+        state = warm_start(kind, mix, x, warm, diag_only)
     stages: list[StageRecord] = []
     trace: list[TraceRow] = []
     base_values = []
     result = None
-    for si, eps in enumerate(opts.eps_schedule):
+    for si, eps in schedule:
         result = minimize_fixed(
             kind, mix, constraint, r, x, eps, opts,
             start=state, diag_only=diag_only, trace=trace, stage=si,
@@ -425,7 +472,9 @@ def search(
     above an unconverged one; among equals the value decides, and ties prefer
     smaller r, then lexicographically smaller weights; within one r a tied
     candidate replaces the incumbent only when its value is not above the
-    incumbent's."""
+    incumbent's.  The first candidate of each r runs the whole eps schedule
+    from :func:`default_start`; every other one is a neighbour of the
+    incumbent and runs ``continuation`` warm from it."""
     tie_tol = 1e-9
     best = None
     candidates = []
@@ -437,12 +486,12 @@ def search(
             return a.converged
         return a.value_at_eps_min < b.value_at_eps_min - tie_tol or tie
 
-    def run(r, ticks, denom):
+    def run(r, ticks, denom, warm=None):
         key = (r, ticks)
         if key in memo:
             return memo[key]
         x = (0.0,) + tuple(t / denom for t in ticks) + (1.0,)
-        cont = continuation(kind, mix, constraint, r, x, opts, diag_only=diag_only)
+        cont = continuation(kind, mix, constraint, r, x, opts, diag_only=diag_only, warm=warm)
         memo[key] = cont
         candidates.append((r, x, cont.value_at_eps_min))
         return cont
@@ -470,7 +519,7 @@ def search(
                         if not lo < v < hi:
                             continue
                         cand = cur[:i] + (v,) + cur[i + 1 :]
-                        trial = run(r, cand, denom)
+                        trial = run(r, cand, denom, warm=cont)
                         # convergence is never lost and a tie moves only
                         # downhill, so every accepted move lowers
                         # (unconverged, value, weights) and the sweep cannot cycle

@@ -126,6 +126,9 @@ MALFORMED = (
     ("path", '{"x": [false]}', "path:"),
     ("path", '{"x": [0.0, 1.0], "levels": [[true]]}', "path:"),
     ("path", '{"x": [0.0], "lambda": [true]}', "path:"),
+    ("mixture", "[[2, 0.3]]", "flat list"),
+    ("h", "0.0", "flat list"),
+    ("version", "1.0", "version"),
 )
 
 

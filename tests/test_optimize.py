@@ -4,16 +4,20 @@ import signal
 import numpy as np
 import pytest
 
-from spinvar.battery import random_correlation
+from spinvar.battery import random_correlation, random_mixture
 from spinvar.errors import ValidationError
+from spinvar.functionals import eval_stack
 from spinvar.matcore import MixtureSpec
 from spinvar.optimize import (
+    ContinuationResult,
     SolveOptions,
     continuation,
     duality_gap,
     minimize_fixed,
     search,
+    warm_start,
 )
+from spinvar.path import FEASIBLE, DiscretePath, d_sequence, lambda_sequence
 
 
 # gap-rs benchmark member family-n6-p4-h (seed 4, round 3): the parisi side
@@ -209,7 +213,7 @@ def test_search_ranks_converged_candidates_first(monkeypatch):
     from spinvar import optimize
 
     def stub(start_converges):
-        def fake(kind, mix, constraint, r, x, opts, diag_only=False):
+        def fake(kind, mix, constraint, r, x, opts, diag_only=False, warm=None):
             converged = r == 2 or (start_converges and x[1] == 0.5)
             value = 1.0 if r == 2 else 0.9 if converged else 0.5
             return types.SimpleNamespace(value_at_eps_min=value, converged=converged)
@@ -393,3 +397,133 @@ def test_newton_iteration_evaluates_each_point_once(monkeypatch):
     for k, trials in enumerate(searches):
         assert trials[-1][1] == trace[k + 1].value
     assert len(calls) == 1 + sum(len(trials) for trials in searches)
+
+
+# gap-rsb benchmark member family-n2-p4 (unjittered); its r = 3 search
+# wins at an interior weight
+FAMILY_N2_P4 = MixtureSpec(
+    n=2,
+    terms=(
+        (2, np.array([0.10653932208953415, 0.757040074589229])),
+        (4, np.array([0.6746805379748024, 1.1354718035999225])),
+    ),
+    h=np.zeros(2),
+)
+FAMILY_N2_P4_Q = np.array([[0.9999999999999999, 0.38238669318822893],
+                           [0.38238669318822893, 1.0000000000000004]])
+
+
+def _ordered_levels(rng, q, r):
+    """Q_1 < ... < Q_{r-1} < Q_r = q with positive definite increments
+    q^1/2 W_k q^1/2, where the W_k are positive definite and sum to I."""
+    n = q.shape[0]
+    draws = [random_correlation(rng, n) * rng.uniform(0.2, 1.0) for _ in range(r)]
+    vals, vecs = np.linalg.eigh(sum(draws))
+    s_inv = vecs @ np.diag(vals ** -0.5) @ vecs.T
+    vals, vecs = np.linalg.eigh(q)
+    root = vecs @ np.diag(vals ** 0.5) @ vecs.T
+    incs = [root @ s_inv @ a @ s_inv @ root for a in draws]
+    return [0.5 * (m + m.T) for m in np.cumsum(incs, axis=0)[:-1]]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_warm_start_is_feasible_at_every_neighbour(seed):
+    # the source multiplier sits just inside its own domain (Lambda_1 =
+    # 1e-3 I at weights y), so the unshifted multiplier at larger weights
+    # would leave it; the raised one, and the unchanged levels of the
+    # multiplier-free form, stay feasible for every move on the 1/32 grid
+    rng = np.random.default_rng(seed)
+    n, r = int(rng.integers(1, 5)), int(rng.integers(3, 5))
+    mix = random_mixture(rng, n)
+    q = random_correlation(rng, n)
+    levels = _ordered_levels(rng, q, r)
+    y = (0.0,) + tuple(np.sort(rng.choice(np.arange(2, 31), r - 2, replace=False)) / 32) + (1.0,)
+    source = DiscretePath(y, tuple(levels) + (q,))
+    xi_prime = mix.series(np.array(source.qs))[:, 1]
+    lam = np.tensordot(y[1:], np.diff(xi_prime, axis=0), axes=1) + 1e-3 * np.eye(n)
+    lambda_sequence(lam, source, mix)  # the source itself is feasible
+    moves = []
+    for k in range(1, r - 1):
+        lo, hi = y[k - 1], y[k + 1]
+        for v in (y[k] + 1 / 32, y[k] - 1 / 32, 1 / 32, 31 / 32):
+            if lo <= v <= hi:
+                moves.append(y[:k] + (v,) + y[k + 1:])
+    moves.append((0.0,) + (1 / 32,) * (r - 2) + (1.0,))
+    moves.append((0.0,) + (31 / 32,) * (r - 2) + (1.0,))
+    for kind, diag_only in (("parisi", False), ("parisi", True), ("cs", False)):
+        cont = ContinuationResult(kind, source, lam if kind == "parisi" else None, 0.0, 0.0, [], [])
+        for x in moves:
+            start_lam, start_levels = warm_start(kind, mix, x, cont, diag_only)
+            target = DiscretePath(x, tuple(start_levels) + (q,))
+            if kind == "parisi":
+                assert np.all(np.linalg.eigvalsh(start_lam - lam) >= -1e-12)
+                if diag_only:
+                    off = ~np.eye(n, dtype=bool)
+                    np.testing.assert_array_equal(start_lam[off], lam[off])
+                lambda_sequence(start_lam, target, mix)
+                blocks = np.array([start_lam] + start_levels)
+            else:
+                assert start_lam is None
+                d_sequence(target)
+                blocks = np.array(start_levels)
+            values, status, _, _ = eval_stack(kind, mix, q, x, 1e-5, blocks[None])
+            assert status[0] == FEASIBLE and np.isfinite(values[0]), (kind, x)
+
+
+@pytest.mark.parametrize(
+    "mix, q",
+    [(FAMILY_N2_P4, FAMILY_N2_P4_Q), (MixtureSpec.pure(4, [2.0]), np.eye(1))],
+    ids=["family-n2-p4", "pure4-beta2"],
+)
+@pytest.mark.parametrize("kind", ["parisi", "cs"])
+def test_warm_continuation_matches_cold(mix, q, kind):
+    opts = SolveOptions()
+    source = continuation(kind, mix, q, 3, (0.0, 0.5, 1.0), opts)
+    for x1 in (0.75, 0.25):  # the multiplier is raised, then left as it is
+        x = (0.0, x1, 1.0)
+        warm = continuation(kind, mix, q, 3, x, opts, warm=source)
+        cold = continuation(kind, mix, q, 3, x, opts)
+        assert warm.converged and cold.converged
+        assert warm.value_at_eps_min == pytest.approx(cold.value_at_eps_min, abs=1e-10)
+        # only the last two stages run, under their schedule indices
+        assert [s.eps for s in warm.stages] == list(opts.eps_schedule[-2:])
+        assert {row.stage for row in warm.trace} == {4, 5}
+
+
+def test_warm_diag_only_continuation_matches_cold():
+    # diag_only holds the multiplier's off-diagonal entries at the cold
+    # start; a warm start that moved them would solve another slice (for
+    # these coupled species, 5e-3 above the cold minimum)
+    mix = MixtureSpec(n=2, terms=((2, np.array([0.6, 0.9])), (4, np.array([1.0, 1.2]))),
+                      h=np.zeros(2))
+    q = np.array([[1.0, 0.4], [0.4, 1.0]])
+    opts = SolveOptions()
+    source = continuation("parisi", mix, q, 3, (0.0, 0.5, 1.0), opts, diag_only=True)
+    for x1 in (0.75, 0.875):
+        x = (0.0, x1, 1.0)
+        warm = continuation("parisi", mix, q, 3, x, opts, diag_only=True, warm=source)
+        cold = continuation("parisi", mix, q, 3, x, opts, diag_only=True)
+        assert warm.converged and cold.converged
+        assert warm.value_at_eps_min == pytest.approx(cold.value_at_eps_min, abs=1e-10)
+        assert warm.lam[0, 1] == cold.lam[0, 1]
+
+
+def test_search_starts_one_candidate_cold_per_form_and_r(monkeypatch):
+    from spinvar import optimize
+
+    calls = []
+    real = optimize.continuation
+
+    def recorded(kind, mix, constraint, r, x, opts, diag_only=False, warm=None):
+        source = None if warm is None else (warm.kind, warm.path.r)
+        calls.append((kind, r, source))
+        return real(kind, mix, constraint, r, x, opts, diag_only=diag_only, warm=warm)
+
+    monkeypatch.setattr(optimize, "continuation", recorded)
+    duality_gap(MixtureSpec.pure(2, [1.0]), np.eye(1), SolveOptions(r_max=3))
+    for kind in ("parisi", "cs"):
+        for r in (2, 3):
+            mine = [source for k, rr, source in calls if (k, rr) == (kind, r)]
+            assert mine[0] is None and mine.count(None) == 1, (kind, r)
+            assert all(source == (kind, r) for source in mine[1:])
+    assert len(calls) > 4  # the r = 3 sweeps ran warm candidates
