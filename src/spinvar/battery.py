@@ -394,7 +394,8 @@ def check_diagonal_separability(seed=14) -> CheckResult:
 def check_continuation_monotone(seed=15) -> CheckResult:
     mix = MixtureSpec.pure(2, [1.0])
     q = np.array([[1.0]])
-    opts = optimize.SolveOptions()
+    # a six-stage schedule: the default two stages make a single pair
+    opts = optimize.SolveOptions(eps_schedule=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6))
     worst = np.inf
     for kind in ("parisi", "cs"):
         cont = optimize.continuation(kind, mix, q, 2, (0.0, 1.0), opts)

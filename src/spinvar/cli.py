@@ -36,7 +36,7 @@ from . import continuous as continuous_mod
 from .errors import DomainError, ParseError, SpinvarError, ValidationError
 from .functionals import eval_barrier, eval_cs, eval_parisi
 from .matcore import MixtureSpec, check_constraint
-from .optimize import SolveOptions, duality_gap, search
+from .optimize import DEFAULT_EPS_SCHEDULE, SolveOptions, duality_gap, search
 from .path import DiscretePath
 from .path import validate as validate_path
 
@@ -435,7 +435,8 @@ def _parser() -> argparse.ArgumentParser:
     # one flag per SolveOptions field, each with the field's name as its dest
     parser.add_argument("--seed", type=int)
     parser.add_argument("--eps-schedule", dest="eps_schedule", type=_floats,
-                        help="comma-separated decreasing schedule")
+                        help="comma-separated decreasing schedule (default %s)"
+                        % ",".join(map(str, DEFAULT_EPS_SCHEDULE)))
     parser.add_argument("--r-max", dest="r_max", type=int)
     parser.add_argument("--grid", "--x-grid", dest="x_grid", type=int,
                         help="weight grid resolution (x_grid)")

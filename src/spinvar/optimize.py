@@ -15,14 +15,18 @@ the barrier evaluates to +inf and is rejected, so accepted iterates keep
 strictly positive-definite increments.
 
 On top of the inner solve sit: ``continuation`` (a decreasing eps
-schedule with warm starts), ``search`` (discrete coordinate descent over
-the weight grid, sweeping the level count), and ``duality_gap`` (both
-forms minimized independently; their agreement is the certificate).
-Within one form and level count, ``search`` starts its first candidate
-cold and every later one from the incumbent it neighbours
-(:func:`warm_start`), which runs only the last two stages of the
-schedule; a start never crosses forms or level counts, so the gap stays
-an independent certificate.
+schedule, each stage started at the last one's minimizer), ``search``
+(discrete coordinate descent over the weight grid, sweeping the level
+count), and ``duality_gap`` (both forms minimized independently; their
+agreement is the certificate).  The default schedule is the two stages
+the linear-in-eps extrapolation needs, (1e-5, 1e-6): with the exact
+Hessian a damped Newton stage converges from :func:`default_start` at
+eps = 1e-5 directly, one long barrier step (Boyd & Vandenberghe, *Convex
+Optimization*, sec. 11.3).  Within one form and level count, ``search``
+starts its first candidate cold and every later one from the incumbent
+it neighbours (:func:`warm_start`), which runs only the last two stages
+of the schedule; a start never crosses forms or level counts, so the
+gap stays an independent certificate.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .functionals import eval_perturbed, eval_stack
 from .matcore import MixtureSpec, sym_inverse
 from .path import DiscretePath, equally_spaced
 
-DEFAULT_EPS_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+DEFAULT_EPS_SCHEDULE = (1e-5, 1e-6)
 
 # Armijo constant and backtracking factor of the line search
 _ARMIJO_C, _SHRINK = 1e-4, 0.5
@@ -101,6 +105,7 @@ class MinimizeResult:
     grad_norm: float
     iterations: int
     converged: bool
+    stop_reason: str
 
 
 @dataclass
@@ -111,6 +116,7 @@ class StageRecord:
     grad_norm: float
     iterations: int
     converged: bool
+    stop_reason: str
 
 
 @dataclass
@@ -295,7 +301,8 @@ def minimize_fixed(
     """First-order stationary point of the eps-perturbed functional at
     fixed weights; returns the last iterate flagged unconverged when the
     iteration budget runs out, the representer norm plateaus or no step
-    along the Newton direction is acceptable."""
+    along the Newton direction is acceptable.  ``stop_reason`` names the
+    exit: ``converged``, ``budget``, ``plateau`` or ``no_step``."""
     if kind not in ("parisi", "cs"):
         raise ValueError(f"unknown functional kind {kind!r}")
     if start is None:
@@ -311,7 +318,7 @@ def minimize_fixed(
 
     grad_norm = math.inf
     iterations = 0
-    converged = False
+    stop_reason = "budget"
     best_norm = math.inf
     last_improvement = 0
     for it in range(_MAX_ITERS):
@@ -329,13 +336,14 @@ def minimize_fixed(
                 )
             )
         if grad_norm <= opts.grad_tol:
-            converged = True
+            stop_reason = "converged"
             break
         if grad_norm < 0.5 * best_norm:
             best_norm = grad_norm
             last_improvement = it
         if it - last_improvement > 200:
-            break  # representer norm has plateaued above tolerance
+            stop_reason = "plateau"  # the representer norm stalled above tolerance
+            break
 
         # backtrack from the full Newton step; a feasible trial point that
         # halves the representer norm is accepted too, because near
@@ -353,7 +361,8 @@ def minimize_fixed(
                 break
             eta *= _SHRINK
         else:
-            break  # no acceptable step along the direction
+            stop_reason = "no_step"  # no acceptable step along the direction
+            break
 
     lam, levels = obj.split(z)
     return MinimizeResult(
@@ -363,7 +372,8 @@ def minimize_fixed(
         value=value,
         grad_norm=grad_norm,
         iterations=iterations,
-        converged=converged,
+        converged=stop_reason == "converged",
+        stop_reason=stop_reason,
     )
 
 
@@ -407,14 +417,17 @@ def continuation(
     diag_only: bool = False,
     warm: ContinuationResult | None = None,
 ) -> ContinuationResult:
-    """Run the eps schedule with warm starts; report the barrier-stripped
-    value at the final stage and its linear-in-eps extrapolation.
+    """Run the eps schedule, each stage from the previous stage's
+    minimizer; report the barrier-stripped value at the final stage and its
+    linear-in-eps extrapolation from the last two stages.
 
-    Cold (``warm`` None), the first stage starts at :func:`default_start`.
-    Given ``warm``, a continuation of the same form and r at neighbouring
-    weights, only the last two stages of the schedule run, from
-    :func:`warm_start`; the extrapolation uses the same two eps as a cold
-    run, and the trace rows keep their schedule indices.
+    Cold (``warm`` None), the whole schedule runs and its first stage
+    starts at :func:`default_start`; under the default two-stage schedule
+    that first stage is eps = 1e-5.  Given ``warm``, a continuation of the
+    same form and r at neighbouring weights, only the last two stages of
+    the schedule run, from :func:`warm_start`; the extrapolation uses the
+    same two eps as a cold run, and the trace rows keep their schedule
+    indices.
     """
     schedule = list(enumerate(opts.eps_schedule))
     state = None
@@ -441,6 +454,7 @@ def continuation(
                 grad_norm=result.grad_norm,
                 iterations=result.iterations,
                 converged=result.converged,
+                stop_reason=result.stop_reason,
             )
         )
     if len(base_values) >= 2:
@@ -474,7 +488,9 @@ def search(
     candidate replaces the incumbent only when its value is not above the
     incumbent's.  The first candidate of each r runs the whole eps schedule
     from :func:`default_start`; every other one is a neighbour of the
-    incumbent and runs ``continuation`` warm from it."""
+    incumbent and runs the schedule's last two stages warm from it.  Under
+    the default schedule both run the same two stages and differ only in
+    their start."""
     tie_tol = 1e-9
     best = None
     candidates = []

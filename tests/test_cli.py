@@ -184,6 +184,11 @@ def test_run_gap_record():
     assert rec.outputs["gap"] <= 1e-4
     assert rec.outputs["converged"]
     assert rec.tool_version.startswith("spinvar")
+    # each stage of the winning candidates names its exit
+    for side in ("parisi", "cs"):
+        stages = rec.outputs["eps_trace"][side]
+        assert [s["eps"] for s in stages] == [1e-1, 1e-3, 1e-6]
+        assert all(s["stop_reason"] == "converged" for s in stages)
 
 
 def test_emit_deterministic(tmp_path):

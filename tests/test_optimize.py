@@ -19,6 +19,9 @@ from spinvar.optimize import (
 )
 from spinvar.path import FEASIBLE, DiscretePath, d_sequence, lambda_sequence
 
+# a six-stage barrier path, for the tests that check its intermediate stages
+LONG_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+
 
 # gap-rs benchmark member family-n6-p4-h (seed 4, round 3): the parisi side
 # used to crawl through a flat valley and stop unconverged
@@ -118,7 +121,7 @@ def test_minimize_cs_rs_low_temperature():
 def test_minimize_cs_interior_minimizer():
     mix = MixtureSpec.pure(2, [1.0])
     q = np.array([[1.0]])
-    opts = SolveOptions()
+    opts = SolveOptions(eps_schedule=LONG_SCHEDULE)
     state = None
     for eps in opts.eps_schedule:
         res = minimize_fixed("cs", mix, q, 2, (0.0, 1.0), eps, opts, start=state)
@@ -136,6 +139,8 @@ def test_minimize_unreachable_tolerance_stops_unconverged(kind, eps):
     tight = minimize_fixed(kind, mix, q, 2, (0.0, 1.0), eps, SolveOptions(grad_tol=1e-300))
     ref = minimize_fixed(kind, mix, q, 2, (0.0, 1.0), eps, SolveOptions())
     assert ref.converged and not tight.converged
+    assert ref.stop_reason == "converged"
+    assert tight.stop_reason in ("plateau", "no_step")
     assert tight.iterations <= 2 * 201
     assert tight.value == pytest.approx(ref.value, abs=1e-12)
 
@@ -487,7 +492,8 @@ def test_warm_continuation_matches_cold(mix, q, kind):
         assert warm.value_at_eps_min == pytest.approx(cold.value_at_eps_min, abs=1e-10)
         # only the last two stages run, under their schedule indices
         assert [s.eps for s in warm.stages] == list(opts.eps_schedule[-2:])
-        assert {row.stage for row in warm.trace} == {4, 5}
+        last = len(opts.eps_schedule) - 1
+        assert {row.stage for row in warm.trace} == {last - 1, last}
 
 
 def test_warm_diag_only_continuation_matches_cold():
@@ -506,6 +512,39 @@ def test_warm_diag_only_continuation_matches_cold():
         assert warm.converged and cold.converged
         assert warm.value_at_eps_min == pytest.approx(cold.value_at_eps_min, abs=1e-10)
         assert warm.lam[0, 1] == cold.lam[0, 1]
+
+
+@pytest.mark.parametrize("field", [False, True], ids=["h0", "h"])
+@pytest.mark.parametrize("p4", [False, True], ids=["p2", "p4"])
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_continuation_independent_of_schedule(n, p4, field):
+    # a cold continuation that starts at eps = 1e-5 lands where the
+    # six-stage path does, at r = 2 and r = 3 and for both forms
+    rng = np.random.default_rng([n, p4, field])
+    terms = [(2, rng.uniform(0.1, 0.8, n))]
+    if p4:
+        terms.append((4, rng.uniform(0.0, 1.5, n)))
+    h = rng.uniform(-0.5, 0.5, n) if field else np.zeros(n)
+    mix = MixtureSpec(n=n, terms=tuple(terms), h=h)
+    q = random_correlation(rng, n)
+    for r, x in ((2, (0.0, 1.0)), (3, (0.0, 0.5, 1.0))):
+        for kind in ("parisi", "cs"):
+            short = continuation(kind, mix, q, r, x, SolveOptions())
+            long = continuation(kind, mix, q, r, x, SolveOptions(eps_schedule=LONG_SCHEDULE))
+            assert short.converged and long.converged, (kind, r)
+            assert short.value_at_eps_min == pytest.approx(long.value_at_eps_min, abs=1e-10)
+            assert short.value_extrapolated == pytest.approx(long.value_extrapolated, abs=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["parisi", "cs"])
+def test_default_schedule_keeps_the_stationary_branch(kind):
+    # pure p=4, beta=1.5 at x = (0, 0.75, 1) has two stationary branches,
+    # q ~ 0.7655 (value 1.128527) and q -> 0 (1.125000); the six-stage
+    # path reaches the first, and so must the direct start at eps = 1e-5
+    mix = MixtureSpec.pure(4, [1.5])
+    cont = continuation(kind, mix, np.eye(1), 3, (0.0, 0.75, 1.0), SolveOptions())
+    assert cont.converged
+    assert cont.value_at_eps_min == pytest.approx(1.1285266, abs=1e-6)
 
 
 def test_search_starts_one_candidate_cold_per_form_and_r(monkeypatch):
