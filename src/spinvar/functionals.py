@@ -31,13 +31,13 @@ over the increments, and the base part of either side is eval_stack's
 formula evaluated at the corrected chain.
 
 Conventions: where x_k = 0 the 1/x_k log-ratio term is dropped (the chain
-increment at level k is then zero), although (1/x_k) log(|D_{k+1}|/|D_k|)
-tends to the nonzero trace -tr(D_{k+1}^-1 (Q_{k+1} - Q_k)) as x_k -> 0,
-and likewise for Lambda.  So both forms jump at x_k = 0, and merging such
-a level changes the value (example in
-:func:`spinvar.path.merge_duplicates`; ROADMAP item 1).  Correction inner
-products are accumulated in a fixed order so repeated runs are bitwise
-reproducible.
+increment at level k is then zero); :class:`Weights` is the one place that
+rule lives.  Yet (1/x_k) log(|D_{k+1}|/|D_k|) tends to the nonzero trace
+-tr(D_{k+1}^-1 (Q_{k+1} - Q_k)) as x_k -> 0, and likewise for Lambda.  So
+both forms jump at x_k = 0, and merging such a level changes the value
+(example in :func:`spinvar.path.merge_duplicates`; ROADMAP item 1).
+Correction inner products are accumulated in a fixed order so repeated
+runs are bitwise reproducible.
 
 Epsilon convention: ``eval_perturbed`` adds the barrier un-halved,
 ``base + eps * B``, while the bracketed functional forms carry a global
@@ -76,65 +76,91 @@ def _frob(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sum(a * b, axis=(-2, -1))
 
 
-def _over(num: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """num_k / x_k along axis 1, and 0 where x_k = 0 (the x_k = 0 levels
-    drop out of the 1/x_k terms)."""
-    x = x.reshape((1, -1) + (1,) * (num.ndim - 2))
-    return np.divide(num, x, out=np.zeros_like(num), where=x != 0.0)
+class Weights:
+    """The form ``kind`` at weights x_0..x_{r-1}, as the kernel uses them.
+
+    ``dx`` holds the steps x_k - x_{k-1}, k = 1..r-1, and ``div`` the
+    divisors of the (1/x_k) log-ratio terms, +inf where x_k = 0 so that
+    ``num / div`` drops the term: the one place the x_k = 0 rule lives.
+    Both are shaped (r-1, 1, 1).  ``lead`` counts the multiplier blocks
+    ahead of Q_1..Q_{r-1} in a point's blocks: 1 for the multiplier form.
+    """
+
+    def __init__(self, kind, x):
+        if kind not in ("parisi", "cs"):
+            raise ValueError(f"unknown functional kind {kind!r}")
+        self.kind = kind
+        self.x = np.asarray(x, dtype=float)
+        if kind == "cs" and (self.x.size < 2 or self.x[-1] <= 0.0):
+            raise InfeasiblePath("the multiplier-free form needs r >= 2 and x_{r-1} > 0")
+        self.dx = np.diff(self.x)[:, None, None]
+        self.div = np.where(self.x[1:] == 0.0, np.inf, self.x[1:])[:, None, None]
+        self.lead = 1 if kind == "parisi" else 0
+
+    def split(self, blocks):
+        """(lam or None, levels) of the blocks of one point or of a stack."""
+        lam = blocks[..., 0, :, :] if self.lead else None
+        return lam, blocks[..., self.lead :, :, :]
+
+    def join(self, lam, levels):
+        """The blocks of one point or of a stack from ``lam`` and ``levels``."""
+        if not self.lead:
+            return np.asarray(levels, dtype=float)
+        return np.concatenate([np.asarray(lam, dtype=float)[..., None, :, :], levels], axis=-3)
 
 
-def _chain(kind, mix, constraint, xv, blocks):
+def _chain(plan, mix, constraint, blocks):
     """Q_0..Q_r, the increments Q_{k+1} - Q_k, the five mixture series at
     Q_1..Q_r and the chain Lambda_1..Lambda_r (or D_1..D_{r-1}) of a stack
     of points given by their free blocks, each with the stack on axis 0."""
-    levels = blocks[:, 1:] if kind == "parisi" else blocks
+    lam, levels = plan.split(blocks)
     count, n = levels.shape[0], constraint.shape[0]
     q = np.concatenate(
         [np.zeros((count, 1, n, n)), levels, np.broadcast_to(constraint, (count, 1, n, n))], axis=1
     )  # Q_0..Q_r
     inc = np.diff(q, axis=1)  # Q_{k+1} - Q_k, k = 0..r-1
     series = mix.series(q[:, 1:])  # at Q_1..Q_r
-    if kind == "parisi":
+    if plan.kind == "parisi":
         # Lambda_p = Lambda - sum_{k >= p} x_k (xi'(Q_{k+1}) - xi'(Q_k))
-        tails = tail_sums(xv[1:], np.diff(series[:, :, 1], axis=1))
-        lam = blocks[:, :1]
+        tails = tail_sums(plan.x[1:], np.diff(series[:, :, 1], axis=1))
+        lam = lam[:, None]
         chain = np.concatenate([lam - tails, lam], axis=1)
     else:
         # D_p = sum_{k >= p} x_k (Q_{k+1} - Q_k)
-        chain = tail_sums(xv[1:], inc[:, 1:])
+        chain = tail_sums(plan.x[1:], inc[:, 1:])
     return q, inc, series, chain
 
 
-def _form_total(kind, hh, xv, q, series, chain, logdet, first_inv, top):
-    """Twice the unperturbed form ``kind`` of a stack of points from its
-    chain, the chain's log-dets and first inverse; ``top`` is the log-det
-    the multiplier-free form divides by x_{r-1} (log|Q - Q_{r-1}| in
-    eval_stack)."""
-    n = q.shape[-1]
+def _form_total(plan, hh, q, series, chain, logdet, first_inv, top):
+    """Twice the unperturbed form of a stack of points from its chain, the chain's
+    log-dets and first inverse; ``top`` is the log-det the multiplier-free form
+    divides by x_{r-1} (log|Q - Q_{r-1}| in eval_stack)."""
+    n, xv, div = q.shape[-1], plan.x, plan.div[:, 0, 0]
     sums = np.sum(series, axis=(-2, -1))  # (B, r, 4)
-    if kind == "parisi":
+    if plan.kind == "parisi":
         total = _frob(hh, first_inv) + _frob(chain[:, -1], q[:, -1]) - n - logdet[:, -1]
-        total += np.sum(_over(np.diff(logdet, axis=1), xv[1:]), axis=1)
+        total += np.sum(np.diff(logdet, axis=1) / div, axis=1)
         total += _frob(series[:, 0, 1], first_inv)
         total -= np.sum(xv[1:] * np.diff(sums[:, :, 3], axis=1), axis=1)
     else:
         total = _frob(hh, chain[:, 0]) + top / xv[-1]
-        total -= np.sum(_over(np.diff(logdet, axis=1), xv[1:-1]), axis=1)
+        total -= np.sum(np.diff(logdet, axis=1) / div[:-1], axis=1)
         total += _frob(q[:, 1], first_inv)
         total += np.sum(xv[1:] * np.diff(sums[:, :, 0], axis=1), axis=1)
     return total
 
 
-def eval_stack(kind, mix, constraint, x, eps, blocks, grad=False, directions=None):
-    """The eps-perturbed form ``kind`` at a stack of B points, with its representers.
+def eval_stack(plan, mix, constraint, eps, blocks, grad=False, directions=None):
+    """The eps-perturbed form of ``plan``, a :class:`Weights`, at a stack of B points.
 
-    ``blocks`` holds the free blocks of each point, shape (B, blocks, n, n):
-    the multiplier first for the multiplier form, then the free levels
-    Q_1..Q_{r-1}.  All matrices must be symmetric.  One Cholesky call,
-    :func:`spinvar.path._factor_chain`, factors for every point the
-    psd_tol-shifted Lambda_1 (or D_{r-1}), the chain Lambda_1..Lambda_r (or
-    D_1..D_{r-1} and Q - Q_{r-1}) and, for eps != 0, the increments; one
-    ``inv`` call inverts what the value and the representers need.
+    ``blocks`` holds the free blocks of each point, shape (B, blocks, n, n),
+    in the plan's layout: the multiplier first for the multiplier form,
+    then the free levels Q_1..Q_{r-1}.  All matrices must be symmetric.
+    One Cholesky call, :func:`spinvar.path._factor_chain`, factors for
+    every point the psd_tol-shifted Lambda_1 (or D_{r-1}), the chain
+    Lambda_1..Lambda_r (or D_1..D_{r-1} and Q - Q_{r-1}) and, for
+    eps != 0, the increments; one ``inv`` call inverts what the value and
+    the representers need.
 
     Returns ``(values, status, reps, tangents)``: values of shape (B,), +inf
     where the status of ``_factor_chain`` is not FEASIBLE; ``reps`` (with
@@ -146,16 +172,11 @@ def eval_stack(kind, mix, constraint, x, eps, blocks, grad=False, directions=Non
     shape (D, blocks, n, n): one tangent-linear pass through the same
     chain, inverses and mixture series (see :func:`_tangent`).
     """
-    if kind not in ("parisi", "cs"):
-        raise ValueError(f"unknown functional kind {kind!r}")
-    xv = np.asarray(x, dtype=float)
-    if kind == "cs" and (xv.size < 2 or xv[-1] <= 0.0):
-        raise InfeasiblePath("the multiplier-free form needs r >= 2 and x_{r-1} > 0")
     count, n = blocks.shape[0], constraint.shape[0]
-    q, inc, series, chain = _chain(kind, mix, constraint, xv, blocks)
+    q, inc, series, chain = _chain(plan, mix, constraint, blocks)
     if eps == 0.0:
-        inc = inc[:, :0] if kind == "parisi" else inc[:, -1:]  # Q - Q_{r-1} always
-    mats, logdet, status = _factor_chain(kind, chain, inc)
+        inc = inc[:, :0] if plan.kind == "parisi" else inc[:, -1:]  # Q - Q_{r-1} always
+    mats, logdet, status = _factor_chain(plan.kind, chain, inc)
     m = chain.shape[1]
     feasible = status == FEASIBLE
 
@@ -163,7 +184,7 @@ def eval_stack(kind, mix, constraint, x, eps, blocks, grad=False, directions=Non
     inv = stack_inverses(mats[:, 1:] if grad else mats[:, 1:2], feasible[:, None])
 
     hh = mix.outer_field()
-    total = _form_total(kind, hh, xv, q, series, chain, logdet[:, 1 : 1 + m], inv[:, 0], logdet[:, -1])
+    total = _form_total(plan, hh, q, series, chain, logdet[:, 1 : 1 + m], inv[:, 0], logdet[:, -1])
     values = 0.5 * total
     if eps != 0.0:
         values = values + eps * -np.sum(logdet[:, 1 + m :], axis=1)
@@ -171,33 +192,33 @@ def eval_stack(kind, mix, constraint, x, eps, blocks, grad=False, directions=Non
     if not grad:
         return values, status, None, None
 
-    dx = np.diff(xv)[:, None, None]
-    if kind == "parisi":
+    d_lam = None  # the multiplier-free form has no multiplier block
+    if plan.kind == "parisi":
         li = inv[:, :m]  # Lambda_1^-1 .. Lambda_r^-1
         a = symmetrize(li[:, 0] @ (hh + series[:, 0, 1]) @ li[:, 0])
-        partial = np.cumsum(_over(li[:, :-1] - li[:, 1:], xv[1:]), axis=1)
+        partial = np.cumsum((li[:, :-1] - li[:, 1:]) / plan.div, axis=1)
         partial = np.concatenate([np.zeros((count, 1, n, n)), partial], axis=1)  # S_1..S_r
         d_lam = constraint - li[:, -1] - a - partial[:, -1]
         core = q[:, 1:-1] - a[:, None] - partial[:, :-1]
-        d_q = dx * series[:, :-1, 2] * core
+        d_q = plan.dx * series[:, :-1, 2] * core
     else:
         di = inv[:, :m]  # D_1^-1 .. D_{r-1}^-1
         b = symmetrize(di[:, 0] @ q[:, 1] @ di[:, 0])
-        partial = np.cumsum(_over(di[:, 1:] - di[:, :-1], xv[1:-1]), axis=1)
+        partial = np.cumsum((di[:, 1:] - di[:, :-1]) / plan.div[:-1], axis=1)
         partial = np.concatenate([np.zeros((count, 1, n, n)), partial], axis=1)  # T_1..T_{r-1}
         core = hh - b[:, None] - partial + series[:, :-1, 1]
-        d_q = -dx * core
+        d_q = -plan.dx * core
     if eps != 0.0:
         inc_inv = inv[:, m:]
         d_q = d_q + corrected_eps(eps) * (inc_inv[:, 1:] - inc_inv[:, :-1])
-    reps = np.concatenate([d_lam[:, None], d_q], axis=1) if kind == "parisi" else d_q
+    reps = plan.join(d_lam, d_q)
     tangents = None
     if directions is not None and feasible[0]:
-        tangents = _tangent(kind, xv, eps, hh, q[0], series[0], inv[0], core[0], directions)
+        tangents = _tangent(plan, eps, hh, q[0], series[0], inv[0], core[0], directions)
     return values, status, reps, tangents
 
 
-def _tangent(kind, xv, eps, hh, q, series, inv, core, v):
+def _tangent(plan, eps, hh, q, series, inv, core, v):
     """Directional derivatives of the representers of one point along each
     direction of the stack v (D, blocks, n, n), from the point's levels q
     (Q_0..Q_r), series at Q_1..Q_r, inverses (the chain's, then the
@@ -206,63 +227,62 @@ def _tangent(kind, xv, eps, hh, q, series, inv, core, v):
     Each step differentiates the matching step of eval_stack, with
     d(A^-1)[V] = -A^-1 V A^-1 and d xi^(j)(A)[V] = xi^(j+1)(A) o V.
     """
-    count, n = len(v), q.shape[-1]
+    (count, m), n = v.shape[:2], q.shape[-1]  # m blocks, as many as chain matrices
     zero = np.zeros((count, 1, n, n))
-    dq = np.concatenate([zero, v[:, 1:] if kind == "parisi" else v, zero], axis=1)  # dQ_0..dQ_r
-    dx = np.diff(xv)[:, None, None]
-    m = len(xv) if kind == "parisi" else len(xv) - 1
+    dlam, dlevels = plan.split(v)
+    dq = np.concatenate([zero, dlevels, zero], axis=1)  # dQ_0..dQ_r
     ci = inv[:m]  # Lambda_1^-1 .. Lambda_r^-1, or D_1^-1 .. D_{r-1}^-1
-    if kind == "parisi":
+    d_lam = None
+    if plan.kind == "parisi":
         # d Lambda_p = d Lambda - sum_{k >= p} x_k (xi''(Q_{k+1}) o dQ_{k+1} - xi''(Q_k) o dQ_k)
         d_xp = series[:, 2] * dq[:, 1:]
-        dlam = v[:, :1]
-        dchain = np.concatenate([dlam - tail_sums(xv[1:], np.diff(d_xp, axis=1)), dlam], axis=1)
+        dlam = dlam[:, None]
+        dchain = np.concatenate([dlam - tail_sums(plan.x[1:], np.diff(d_xp, axis=1)), dlam], axis=1)
         dci = -ci @ dchain @ ci
         # a = L_1^-1 (hh + xi'(Q_1)) L_1^-1
         half = dci[:, 0] @ (hh + series[0, 1]) @ ci[0]
         da = half + half.swapaxes(-1, -2) + ci[0] @ d_xp[:, 0] @ ci[0]
-        dpartial = np.cumsum(_over(dci[:, :-1] - dci[:, 1:], xv[1:]), axis=1)
+        dpartial = np.cumsum((dci[:, :-1] - dci[:, 1:]) / plan.div, axis=1)
         d_lam = -dci[:, -1] - da - dpartial[:, -1]
         dcore = dq[:, 1:-1] - da[:, None] - np.concatenate([zero, dpartial[:, :-1]], axis=1)
-        d_q = dx * (series[:-1, 4] * dq[:, 1:-1] * core + series[:-1, 2] * dcore)
+        d_q = plan.dx * (series[:-1, 4] * dq[:, 1:-1] * core + series[:-1, 2] * dcore)
     else:
         # d D_p = sum_{k >= p} x_k (dQ_{k+1} - dQ_k)
-        dci = -ci @ tail_sums(xv[1:], np.diff(dq[:, 1:], axis=1)) @ ci
+        dci = -ci @ tail_sums(plan.x[1:], np.diff(dq[:, 1:], axis=1)) @ ci
         # b = D_1^-1 Q_1 D_1^-1
         half = dci[:, 0] @ q[1] @ ci[0]
         db = half + half.swapaxes(-1, -2) + ci[0] @ dq[:, 1] @ ci[0]
-        dpartial = np.cumsum(_over(dci[:, 1:] - dci[:, :-1], xv[1:-1]), axis=1)
+        dpartial = np.cumsum((dci[:, 1:] - dci[:, :-1]) / plan.div[:-1], axis=1)
         dcore = series[:-1, 2] * dq[:, 1:-1] - db[:, None] - np.concatenate([zero, dpartial], axis=1)
-        d_q = -dx * dcore
+        d_q = -plan.dx * dcore
     if eps != 0.0:
         inc_inv = inv[m:]
         d_inc_inv = -inc_inv @ np.diff(dq, axis=1) @ inc_inv
         d_q = d_q + corrected_eps(eps) * (d_inc_inv[:, 1:] - d_inc_inv[:, :-1])
-    return np.concatenate([d_lam[:, None], d_q], axis=1) if kind == "parisi" else d_q
+    return plan.join(d_lam, d_q)
 
 
-def _point(kind, path: DiscretePath, lam=None):
+def _point(plan, path: DiscretePath, lam=None):
     """The free blocks of one path as a stack of one point: the
     symmetrized multiplier first for the multiplier form, then the levels."""
     n = path.n
-    blocks = np.array(path.qs[:-1]).reshape(path.r - 1, n, n)
-    if kind == "parisi":
+    if plan.lead:
         if lam is None:
             raise ValueError("the multiplier form needs lam")
         lam = np.asarray(lam, dtype=float)
         if lam.shape != (n, n):
             raise DimensionMismatch("multiplier dimension does not match the path")
-        blocks = np.concatenate([symmetrize(lam)[None], blocks])
-    return blocks[None]
+        lam = symmetrize(lam)
+    return plan.join(lam, np.array(path.qs[:-1]).reshape(path.r - 1, n, n))[None]
 
 
 def eval_point(kind, eps, path: DiscretePath, mix: MixtureSpec, lam=None, grad=False):
-    """eval_stack at one path: (value, representers or None); raises the
-    domain error of an infeasible point."""
-    blocks = _point(kind, path, lam)
-    values, status, reps, _ = eval_stack(kind, mix, path.constraint, path.x, eps, blocks, grad)
+    """eval_stack at one path: (value, (d_lam or None, d_q) or None); raises
+    the domain error of an infeasible point."""
+    plan = Weights(kind, path.x)
+    values, status, reps, _ = eval_stack(plan, mix, path.constraint, eps, _point(plan, path, lam), grad)
     _require_feasible(kind, status[0])
-    return float(values[0]), None if reps is None else reps[0]
+    return float(values[0]), None if reps is None else plan.split(reps[0])
 
 
 def eval_parisi(lam: np.ndarray, path: DiscretePath, mix: MixtureSpec) -> float:
@@ -434,18 +454,18 @@ def corrected_form(side, path: DiscretePath, mix: MixtureSpec, eps: float, lam=N
     if kind == "parisi" and lam is None:
         lam = _multiplier(path, mix, eps, inc_inv, e)
     s = corrected_eps(eps)
-    xv = np.asarray(path.x, dtype=float)
-    q, _, series, chain = _chain(kind, mix, path.constraint, xv, _point(kind, path, lam))
+    plan = Weights(kind, path.x)
+    q, _, series, chain = _chain(plan, mix, path.constraint, _point(plan, path, lam))
     m = path.r - 1
     chain[:, :m] += s * ebar
     logdet, ok = stack_logdets(chain)
     if not ok.all():
         raise NotPositiveDefinite("a matrix of the corrected chain is not positive definite")
     inv = stack_inverses(chain)
-    total = _form_total(kind, mix.outer_field(), xv, q, series, chain, logdet, inv[:, 0], logdet[:, -1])
+    total = _form_total(plan, mix.outer_field(), q, series, chain, logdet, inv[:, 0], logdet[:, -1])
     j = np.minimum(np.arange(m) + (kind == "cs"), m - 1)
     sign, paired = (1.0, series[0, j, 1]) if kind == "cs" else (-1.0, q[0, j + 1])
     d_ebar = np.diff(np.concatenate([ebar, np.zeros((1, path.n, path.n))]), axis=0)
-    total += s * np.sum(_frob(d_ebar, sign * inv[0, j] / xv[1:, None, None] - paired))
+    total += s * np.sum(_frob(d_ebar, sign * inv[0, j] / plan.div - paired))
     total -= s * np.sum(inc_logdet)
     return 0.5 * float(total[0]), chain[0, :m], lam, err

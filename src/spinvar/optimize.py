@@ -37,7 +37,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .errors import NoFeasibleStart, ValidationError
-from .functionals import eval_perturbed, eval_stack
+from .functionals import Weights, eval_perturbed, eval_stack
 from .matcore import MixtureSpec, sym_inverse
 from .path import DiscretePath, equally_spaced
 
@@ -157,9 +157,9 @@ class GapReport:
 
 
 class Objective:
-    """The eps-perturbed form ``kind`` at fixed (mix, Q, x, eps) as a function
-    of its free blocks -- the multiplier first for the multiplier form, then
-    Q_1..Q_{r-1} -- in upper-triangle coordinates z.
+    """The eps-perturbed form of the :class:`~spinvar.functionals.Weights`
+    ``plan`` at fixed (mix, Q, eps) as a function of its free blocks, in
+    the plan's layout, in upper-triangle coordinates z.
 
     With ``diag_only`` the coordinates are the diagonals alone and the
     off-diagonal entries keep their values in ``blocks``, the start.  The
@@ -167,11 +167,10 @@ class Objective:
     coordinate counts twice: ``metric`` holds those weights.
     """
 
-    def __init__(self, kind, mix, constraint, x, eps, diag_only, blocks):
-        self.kind = kind
+    def __init__(self, plan, mix, constraint, eps, diag_only, blocks):
+        self.plan = plan
         self.mix = mix
         self.constraint = np.asarray(constraint, dtype=float)
-        self.x = tuple(float(v) for v in x)
         self.eps = float(eps)
         self.template = np.array(blocks, dtype=float)
         n = self.constraint.shape[0]
@@ -179,42 +178,31 @@ class Objective:
         off = self.rows != self.cols
         self.metric = np.tile(np.where(off, 2.0, 1.0), len(self.template))
         self._halve = np.where(off, 1.0, 0.5)
-        # the coordinate directions as blocks, for the Hessian
-        self._basis = self._place(np.zeros_like(self.template), np.eye(self.metric.size))
+        # the rows of the 0/1 scatter are the coordinate directions as blocks, for
+        # the Hessian; each entry of z @ scatter is one product with 1, so exact
+        dim = self.metric.size
+        tri = np.eye(dim).reshape(dim, len(self.template), -1)
+        self._basis = np.zeros((dim,) + self.template.shape)
+        self._basis[:, :, self.rows, self.cols] = tri
+        self._basis[:, :, self.cols, self.rows] = tri
+        self._scatter = self._basis.reshape(dim, -1)
+        self._fixed = np.where(self._basis.any(axis=0), 0.0, self.template).reshape(-1)
 
     def pack(self, blocks) -> np.ndarray:
         return np.asarray(blocks, dtype=float)[:, self.rows, self.cols].reshape(-1)
 
-    def _place(self, template, z) -> np.ndarray:
-        """``template`` with the coordinates of each point of z written in."""
-        z = np.asarray(z, dtype=float)
-        out = np.broadcast_to(template, z.shape[:-1] + template.shape).copy()
-        tri = z.reshape(z.shape[:-1] + (len(template), -1))
-        out[..., self.rows, self.cols] = tri
-        out[..., self.cols, self.rows] = tri
-        return out
-
     def blocks(self, z) -> np.ndarray:
         """The (..., blocks, n, n) matrices of one or a stack of points."""
-        return self._place(self.template, z)
+        return (z @ self._scatter + self._fixed).reshape(np.shape(z)[:-1] + self.template.shape)
 
     def _coords(self, reps) -> np.ndarray:
         """Gradient coordinates of a stack of representers."""
         return (reps[..., self.rows, self.cols] * self._halve).reshape(len(reps), -1)
 
-    def split(self, z):
-        """(lam or None, levels) of one point."""
-        mats = self.blocks(z)
-        if self.kind == "parisi":
-            return mats[0], list(mats[1:])
-        return None, list(mats)
-
     def value_and_grad(self, z):
         """Value and gradient in z of one point, or of a (B, dim) stack."""
         blocks = self.blocks(np.atleast_2d(z))
-        values, _, reps, _ = eval_stack(
-            self.kind, self.mix, self.constraint, self.x, self.eps, blocks, grad=True
-        )
+        values, _, reps, _ = eval_stack(self.plan, self.mix, self.constraint, self.eps, blocks, grad=True)
         grads = self._coords(reps)
         if np.ndim(z) == 1:
             return float(values[0]), grads[0]
@@ -225,8 +213,7 @@ class Objective:
         row k of the Hessian is the derivative of the gradient along
         coordinate k, and the Hessian is None where the point is infeasible."""
         values, _, reps, tangents = eval_stack(
-            self.kind, self.mix, self.constraint, self.x, self.eps, self.blocks(z)[None],
-            directions=self._basis,
+            self.plan, self.mix, self.constraint, self.eps, self.blocks(z)[None], directions=self._basis
         )
         hess = None if tangents is None else self._coords(tangents)
         return float(values[0]), self._coords(reps)[0], hess
@@ -234,11 +221,6 @@ class Objective:
     def norm(self, grad) -> float:
         """Infinity norm of the representers."""
         return float(np.max(np.abs(2.0 * grad / self.metric)))
-
-    def min_increment_eig(self, z) -> float:
-        levels = self.split(z)[1]
-        qs = np.array([np.zeros_like(self.constraint)] + levels + [self.constraint])
-        return float(np.min(np.linalg.eigvalsh(np.diff(qs, axis=0))))
 
 
 # shifts tried on the Hessian, in units of its largest diagonal entry
@@ -303,14 +285,12 @@ def minimize_fixed(
     iteration budget runs out, the representer norm plateaus or no step
     along the Newton direction is acceptable.  ``stop_reason`` names the
     exit: ``converged``, ``budget``, ``plateau`` or ``no_step``."""
-    if kind not in ("parisi", "cs"):
-        raise ValueError(f"unknown functional kind {kind!r}")
+    plan = Weights(kind, x)
     if start is None:
         lam, levels = default_start(kind, mix, constraint, r, x)
     else:
         lam, levels = start
-    blocks = ([lam] if kind == "parisi" else []) + list(levels)
-    obj = Objective(kind, mix, constraint, x, eps, diag_only, blocks)
+    obj = Objective(plan, mix, constraint, eps, diag_only, plan.join(lam, levels))
     z = obj.pack(obj.template)
     value, grad, hess = obj.value_grad_hess(z)
     if not np.isfinite(value):
@@ -321,20 +301,12 @@ def minimize_fixed(
     stop_reason = "budget"
     best_norm = math.inf
     last_improvement = 0
+    visited = []  # (iteration, value, representer norm, z) of each iterate, for the trace
     for it in range(_MAX_ITERS):
         iterations = it + 1
         grad_norm = obj.norm(grad)
         if trace is not None:
-            trace.append(
-                TraceRow(
-                    stage=stage,
-                    eps=eps,
-                    iteration=it,
-                    value=value,
-                    grad_norm=grad_norm,
-                    min_increment_eig=obj.min_increment_eig(z),
-                )
-            )
+            visited.append((it, value, grad_norm, z))
         if grad_norm <= opts.grad_tol:
             stop_reason = "converged"
             break
@@ -364,10 +336,18 @@ def minimize_fixed(
             stop_reason = "no_step"  # no acceptable step along the direction
             break
 
-    lam, levels = obj.split(z)
+    if trace is not None:
+        # each iterate's smallest increment eigenvalue, from one eigvalsh call per stage
+        levels = plan.split(obj.blocks(np.array([point for *_, point in visited])))[1]
+        top = np.broadcast_to(obj.constraint, (len(levels), 1) + obj.constraint.shape)
+        eigs = np.min(np.linalg.eigvalsh(np.diff(levels, axis=1, prepend=0.0, append=top)), axis=(1, 2))
+        trace.extend(
+            TraceRow(stage, eps, it, v, norm, float(e)) for (it, v, norm, _), e in zip(visited, eigs)
+        )
+    lam, levels = plan.split(obj.blocks(z))
     return MinimizeResult(
         kind=kind,
-        path=DiscretePath(obj.x, tuple(levels) + (obj.constraint,)),
+        path=DiscretePath(plan.x, tuple(levels) + (obj.constraint,)),
         lam=lam,
         value=value,
         grad_norm=grad_norm,

@@ -56,8 +56,8 @@ def grad_parisi(
     The barrier terms are s ((Q_{p+1}-Q_p)^-1 - (Q_p-Q_{p-1})^-1) with
     s = corrected_eps(eps).
     """
-    reps = eval_point("parisi", eps, path, mix, lam=lam, grad=True)[1]
-    return GradientBundle(reps[0], tuple(reps[1:]))
+    d_lam, d_q = eval_point("parisi", eps, path, mix, lam=lam, grad=True)[1]
+    return GradientBundle(d_lam, tuple(d_q))
 
 
 def grad_cs(path: DiscretePath, mix: MixtureSpec, eps: float = 0.0) -> GradientBundle:
@@ -68,7 +68,7 @@ def grad_cs(path: DiscretePath, mix: MixtureSpec, eps: float = 0.0) -> GradientB
 
     with T_p the partial sum of (1/x_k)(D_{k+1}^-1 - D_k^-1) over k < p.
     """
-    return GradientBundle(None, tuple(eval_point("cs", eps, path, mix, grad=True)[1]))
+    return GradientBundle(None, tuple(eval_point("cs", eps, path, mix, grad=True)[1][1]))
 
 
 def fd_directional(f, h_step: float) -> float:

@@ -19,7 +19,7 @@ from spinvar.battery import (
     well_conditioned_path,
 )
 from spinvar.errors import SpinvarError
-from spinvar.functionals import eval_perturbed
+from spinvar.functionals import Weights, eval_perturbed
 from spinvar.matcore import MixtureSpec, chol_logdet, frobenius, sym_inverse, symmetrize
 from spinvar.optimize import Objective, default_start
 from spinvar.path import DiscretePath
@@ -148,13 +148,25 @@ def instance(kind, n, r, seed):
 
 
 def objective(kind, mix, q, path, lam, eps, diag_only):
-    blocks = ([lam] if kind == "parisi" else []) + path.free_levels()
-    return Objective(kind, mix, q, path.x, eps, diag_only, blocks)
+    plan = Weights(kind, path.x)
+    return Objective(plan, mix, q, eps, diag_only, plan.join(lam, path.free_levels()))
 
 
 def point(obj, z):
-    lam, levels = obj.split(z)
-    return lam, DiscretePath(obj.x, tuple(levels) + (obj.constraint,))
+    lam, levels = obj.plan.split(obj.blocks(z))
+    return lam, DiscretePath(obj.plan.x, tuple(levels) + (obj.constraint,))
+
+
+# interior zero weights: the kernel drops their 1/x_k terms, as the
+# per-matrix references above do
+ZERO_WEIGHTS = {3: (0.0, 0.0, 1.0), 4: (0.0, 0.0, 0.5, 1.0)}
+
+
+def with_zero_weights(path):
+    """``path``, then the same levels at the zero weights of its r, if any."""
+    if path.r not in ZERO_WEIGHTS:
+        return [path]
+    return [path, DiscretePath(ZERO_WEIGHTS[path.r], path.qs)]
 
 
 def expected_gradient(obj, reps):
@@ -163,19 +175,20 @@ def expected_gradient(obj, reps):
     return np.concatenate([g[obj.rows, obj.cols] * halve for g in reps])
 
 
-@pytest.mark.parametrize("r", [2, 3, 5])
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
 @pytest.mark.parametrize("kind", ["parisi", "cs"])
 def test_objective_matches_per_matrix_formulas(kind, n, r):
-    rng, mix, q, path, lam = instance(kind, n, r, seed=1000 * n + r)
-    for eps in (0.0, 1e-3):
-        for diag_only in (False, True):
-            obj = objective(kind, mix, q, path, lam, eps, diag_only)
-            z = obj.pack(obj.template)
-            value, grad = obj.value_and_grad(z)
-            assert value == pytest.approx(ref_value(kind, eps, path, mix, lam), rel=1e-12)
-            want = expected_gradient(obj, ref_representers(kind, eps, path, mix, lam))
-            np.testing.assert_allclose(grad, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+    rng, mix, q, random_path, lam = instance(kind, n, r, seed=1000 * n + r)
+    for path in with_zero_weights(random_path):
+        for eps in (0.0, 1e-3):
+            for diag_only in (False, True):
+                obj = objective(kind, mix, q, path, lam, eps, diag_only)
+                z = obj.pack(obj.template)
+                value, grad = obj.value_and_grad(z)
+                assert value == pytest.approx(ref_value(kind, eps, path, mix, lam), rel=1e-12)
+                want = expected_gradient(obj, ref_representers(kind, eps, path, mix, lam))
+                np.testing.assert_allclose(grad, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("r", [2, 3, 5])
@@ -231,7 +244,7 @@ def fd_hessian(obj, z):
     return (plus - minus) / (2.0 * step)
 
 
-@pytest.mark.parametrize("r", [2, 3, 5])
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
 @pytest.mark.parametrize("kind", ["parisi", "cs"])
 def test_hessian_matches_fd(kind, n, r):
@@ -240,10 +253,8 @@ def test_hessian_matches_fd(kind, n, r):
     start_lam, start_levels = default_start(kind, mix, q, r, x)
     path = well_conditioned_path(rng, q, r)
     lam = sym_inverse(q) + mix.xi_prime(q) + random_spd(rng, n, 0.5) if kind == "parisi" else None
-    starts = [
-        (start_lam, DiscretePath(x, tuple(start_levels) + (q,))),
-        (lam, path),
-    ]
+    starts = [(start_lam, p) for p in with_zero_weights(DiscretePath(x, tuple(start_levels) + (q,)))]
+    starts += [(lam, p) for p in with_zero_weights(path)]
     for eps in (0.0, 1e-3):
         for diag_only in (False, True):
             for lam_i, path_i in starts:

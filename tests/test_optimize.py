@@ -6,7 +6,7 @@ import pytest
 
 from spinvar.battery import random_correlation, random_mixture
 from spinvar.errors import ValidationError
-from spinvar.functionals import eval_stack
+from spinvar.functionals import Weights, eval_stack
 from spinvar.matcore import MixtureSpec
 from spinvar.optimize import (
     ContinuationResult,
@@ -372,7 +372,7 @@ def test_newton_iteration_evaluates_each_point_once(monkeypatch):
 
     def counted(*args, **kwargs):
         out = kernel(*args, **kwargs)
-        calls.append((np.array(args[5]), kwargs.get("directions") is not None, out[0][0]))
+        calls.append((np.array(args[4]), kwargs.get("directions") is not None, out[0][0]))
         return out
 
     monkeypatch.setattr(optimize, "eval_stack", counted)
@@ -471,7 +471,7 @@ def test_warm_start_is_feasible_at_every_neighbour(seed):
                 assert start_lam is None
                 d_sequence(target)
                 blocks = np.array(start_levels)
-            values, status, _, _ = eval_stack(kind, mix, q, x, 1e-5, blocks[None])
+            values, status, _, _ = eval_stack(Weights(kind, x), mix, q, 1e-5, blocks[None])
             assert status[0] == FEASIBLE and np.isfinite(values[0]), (kind, x)
 
 
