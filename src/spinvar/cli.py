@@ -182,6 +182,8 @@ def build_spec(raw: dict) -> ProblemSpec:
                     problems.append("path: need len(x) == len(levels) + 1 (the constraint is implicit)")
                 if "lambda" in p:
                     lam = upper_to_matrix(p["lambda"], n)
+                    if not np.all(np.isfinite(lam)):
+                        problems.append("path: lambda has non-finite entries")
             except (ValidationError, TypeError, ValueError) as exc:
                 problems.append(f"path: {exc}")
 

@@ -15,20 +15,20 @@ correction terms built from the matrices E_p and their weighted tails
 Ebar_p; ``eval_approx`` evaluates those corrected forms, which need
 x_{r-1} = 1.
 
-Every value and representer is computed by ``eval_stack``, which takes a
-stack of points, builds each chain with :func:`spinvar.path.tail_sums`,
-and decides feasibility from one Cholesky call over all of its matrices,
-by the same test as :func:`spinvar.path.lambda_sequence` and
-:func:`spinvar.path.d_sequence`; infeasible points evaluate to +inf
-there, and the single-point functions below raise the domain error those
-two raise.  Given a stack of directions, ``eval_stack`` also
-returns the directional derivatives of one point's representers (the rows
-of the solver's Hessian), from a tangent-linear pass through the same
-chain, inverses and mixture series, with d(A^-1)[V] = -A^-1 V A^-1 and
-xi'' o V, xi''' o V for the derivatives of the series.  The corrected
-forms run on the same kernel: the error terms come from one inverse call
-over the increments, and the base part of either side is eval_stack's
-formula evaluated at the corrected chain.
+Every value and representer is computed by ``eval_stack``, which takes
+one point, builds its chain with :func:`spinvar.path.tail_sums`, and
+factors all of its matrices in one Cholesky call,
+:func:`spinvar.path._factor_chain`, the feasibility test of
+:func:`spinvar.path.lambda_sequence` and :func:`spinvar.path.d_sequence`;
+a point outside the domain raises the domain error those two raise.
+Given a stack of directions, ``eval_stack`` also returns the directional
+derivatives of the point's representers (the rows of the solver's
+Hessian), from a tangent-linear pass through the same chain, inverses and
+mixture series, with d(A^-1)[V] = -A^-1 V A^-1 and xi'' o V, xi''' o V
+for the derivatives of the series.  The corrected forms run on the same
+kernel: the error terms come from one inverse call over the increments,
+and the base part of either side is eval_stack's formula evaluated at the
+corrected chain.
 
 Conventions: where x_k = 0 the 1/x_k log-ratio term is dropped (the chain
 increment at level k is then zero); :class:`Weights` is the one place that
@@ -64,7 +64,7 @@ from .errors import (
     ValidationError,
 )
 from .matcore import MixtureSpec, frozen, hadamard_div, stack_inverses, stack_logdets, symmetrize
-from .path import FEASIBLE, DiscretePath, _factor_chain, _require_feasible, tail_sums
+from .path import DiscretePath, _factor_chain, tail_sums
 
 
 def corrected_eps(eps: float) -> float:
@@ -111,111 +111,104 @@ class Weights:
 
 def _chain(plan, mix, constraint, blocks):
     """Q_0..Q_r, the increments Q_{k+1} - Q_k, the five mixture series at
-    Q_1..Q_r and the chain Lambda_1..Lambda_r (or D_1..D_{r-1}) of a stack
-    of points given by their free blocks, each with the stack on axis 0."""
+    Q_1..Q_r and the chain Lambda_1..Lambda_r (or D_1..D_{r-1}) of one
+    point given by its free blocks."""
     lam, levels = plan.split(blocks)
-    count, n = levels.shape[0], constraint.shape[0]
-    q = np.concatenate(
-        [np.zeros((count, 1, n, n)), levels, np.broadcast_to(constraint, (count, 1, n, n))], axis=1
-    )  # Q_0..Q_r
-    inc = np.diff(q, axis=1)  # Q_{k+1} - Q_k, k = 0..r-1
-    series = mix.series(q[:, 1:])  # at Q_1..Q_r
+    n = constraint.shape[0]
+    q = np.concatenate([np.zeros((1, n, n)), levels, constraint[None]])  # Q_0..Q_r
+    inc = np.diff(q, axis=0)  # Q_{k+1} - Q_k, k = 0..r-1
+    series = mix.series(q[1:])  # at Q_1..Q_r
     if plan.kind == "parisi":
         # Lambda_p = Lambda - sum_{k >= p} x_k (xi'(Q_{k+1}) - xi'(Q_k))
-        tails = tail_sums(plan.x[1:], np.diff(series[:, :, 1], axis=1))
-        lam = lam[:, None]
-        chain = np.concatenate([lam - tails, lam], axis=1)
+        tails = tail_sums(plan.x[1:], np.diff(series[:, 1], axis=0))
+        chain = np.concatenate([lam - tails, lam[None]])
     else:
         # D_p = sum_{k >= p} x_k (Q_{k+1} - Q_k)
-        chain = tail_sums(plan.x[1:], inc[:, 1:])
+        chain = tail_sums(plan.x[1:], inc[1:])
     return q, inc, series, chain
 
 
 def _form_total(plan, hh, q, series, chain, logdet, first_inv, top):
-    """Twice the unperturbed form of a stack of points from its chain, the chain's
+    """Twice the unperturbed form of one point from its chain, the chain's
     log-dets and first inverse; ``top`` is the log-det the multiplier-free form
     divides by x_{r-1} (log|Q - Q_{r-1}| in eval_stack)."""
     n, xv, div = q.shape[-1], plan.x, plan.div[:, 0, 0]
-    sums = np.sum(series, axis=(-2, -1))  # (B, r, 4)
+    sums = np.sum(series, axis=(-2, -1))  # (r, 5)
     if plan.kind == "parisi":
-        total = _frob(hh, first_inv) + _frob(chain[:, -1], q[:, -1]) - n - logdet[:, -1]
-        total += np.sum(np.diff(logdet, axis=1) / div, axis=1)
-        total += _frob(series[:, 0, 1], first_inv)
-        total -= np.sum(xv[1:] * np.diff(sums[:, :, 3], axis=1), axis=1)
+        total = _frob(hh, first_inv) + _frob(chain[-1], q[-1]) - n - logdet[-1]
+        total += np.sum(np.diff(logdet) / div)
+        total += _frob(series[0, 1], first_inv)
+        total -= np.sum(xv[1:] * np.diff(sums[:, 3]))
     else:
-        total = _frob(hh, chain[:, 0]) + top / xv[-1]
-        total -= np.sum(np.diff(logdet, axis=1) / div[:-1], axis=1)
-        total += _frob(q[:, 1], first_inv)
-        total += np.sum(xv[1:] * np.diff(sums[:, :, 0], axis=1), axis=1)
+        total = _frob(hh, chain[0]) + top / xv[-1]
+        total -= np.sum(np.diff(logdet) / div[:-1])
+        total += _frob(q[1], first_inv)
+        total += np.sum(xv[1:] * np.diff(sums[:, 0]))
     return total
 
 
 def eval_stack(plan, mix, constraint, eps, blocks, grad=False, directions=None):
-    """The eps-perturbed form of ``plan``, a :class:`Weights`, at a stack of B points.
+    """The eps-perturbed form of ``plan``, a :class:`Weights`, at one point.
 
-    ``blocks`` holds the free blocks of each point, shape (B, blocks, n, n),
-    in the plan's layout: the multiplier first for the multiplier form,
-    then the free levels Q_1..Q_{r-1}.  All matrices must be symmetric.
-    One Cholesky call, :func:`spinvar.path._factor_chain`, factors for
-    every point the psd_tol-shifted Lambda_1 (or D_{r-1}), the chain
-    Lambda_1..Lambda_r (or D_1..D_{r-1} and Q - Q_{r-1}) and, for
-    eps != 0, the increments; one ``inv`` call inverts what the value and
-    the representers need.
+    ``blocks`` holds the point's free blocks, shape (blocks, n, n), in the
+    plan's layout: the multiplier first for the multiplier form, then the
+    free levels Q_1..Q_{r-1}.  All matrices must be symmetric.  One
+    Cholesky call, :func:`spinvar.path._factor_chain`, factors the
+    psd_tol-shifted Lambda_1 (or D_{r-1}), the chain Lambda_1..Lambda_r (or
+    D_1..D_{r-1} and Q - Q_{r-1}) and, for eps != 0, the increments, and
+    raises the domain error of a point outside the domain; one ``inv`` call
+    inverts what the value and the representers need.
 
-    Returns ``(values, status, reps, tangents)``: values of shape (B,), +inf
-    where the status of ``_factor_chain`` is not FEASIBLE; ``reps`` (with
-    ``grad``) the representers (B, blocks, n, n), the multiplier first.
+    Returns ``(value, reps, tangents)``: ``reps`` (with ``grad``) the
+    representers (blocks, n, n), the multiplier first.
 
-    With ``directions``, a stack V of shape (D, blocks, n, n) and a stack
-    of one point, ``tangents`` (None without V or at an infeasible point)
-    holds the directional derivatives of its representers along each V,
-    shape (D, blocks, n, n): one tangent-linear pass through the same
-    chain, inverses and mixture series (see :func:`_tangent`).
+    With ``directions``, a stack V of shape (D, blocks, n, n), ``tangents``
+    (None without V) holds the directional derivatives of the representers
+    along each V, shape (D, blocks, n, n): one tangent-linear pass through
+    the same chain, inverses and mixture series (see :func:`_tangent`).
     """
-    count, n = blocks.shape[0], constraint.shape[0]
+    n = constraint.shape[0]
     q, inc, series, chain = _chain(plan, mix, constraint, blocks)
     if eps == 0.0:
-        inc = inc[:, :0] if plan.kind == "parisi" else inc[:, -1:]  # Q - Q_{r-1} always
-    mats, logdet, status = _factor_chain(plan.kind, chain, inc)
-    m = chain.shape[1]
-    feasible = status == FEASIBLE
+        inc = inc[:0] if plan.kind == "parisi" else inc[-1:]  # Q - Q_{r-1} always
+    mats, logdet = _factor_chain(plan.kind, chain, inc)
+    m = len(chain)
 
     grad = grad or directions is not None
-    inv = stack_inverses(mats[:, 1:] if grad else mats[:, 1:2], feasible[:, None])
+    inv = stack_inverses(mats[1:] if grad else mats[1:2])
 
     hh = mix.outer_field()
-    total = _form_total(plan, hh, q, series, chain, logdet[:, 1 : 1 + m], inv[:, 0], logdet[:, -1])
-    values = 0.5 * total
+    value = 0.5 * _form_total(plan, hh, q, series, chain, logdet[1 : 1 + m], inv[0], logdet[-1])
     if eps != 0.0:
-        values = values + eps * -np.sum(logdet[:, 1 + m :], axis=1)
-    values = np.where(feasible, values, np.inf)
+        value = value + eps * -np.sum(logdet[1 + m :])
+    value = float(value)
     if not grad:
-        return values, status, None, None
+        return value, None, None
 
     d_lam = None  # the multiplier-free form has no multiplier block
     if plan.kind == "parisi":
-        li = inv[:, :m]  # Lambda_1^-1 .. Lambda_r^-1
-        a = symmetrize(li[:, 0] @ (hh + series[:, 0, 1]) @ li[:, 0])
-        partial = np.cumsum((li[:, :-1] - li[:, 1:]) / plan.div, axis=1)
-        partial = np.concatenate([np.zeros((count, 1, n, n)), partial], axis=1)  # S_1..S_r
-        d_lam = constraint - li[:, -1] - a - partial[:, -1]
-        core = q[:, 1:-1] - a[:, None] - partial[:, :-1]
-        d_q = plan.dx * series[:, :-1, 2] * core
+        li = inv[:m]  # Lambda_1^-1 .. Lambda_r^-1
+        a = symmetrize(li[0] @ (hh + series[0, 1]) @ li[0])
+        partial = np.cumsum((li[:-1] - li[1:]) / plan.div, axis=0)
+        partial = np.concatenate([np.zeros((1, n, n)), partial])  # S_1..S_r
+        d_lam = constraint - li[-1] - a - partial[-1]
+        core = q[1:-1] - a - partial[:-1]
+        d_q = plan.dx * series[:-1, 2] * core
     else:
-        di = inv[:, :m]  # D_1^-1 .. D_{r-1}^-1
-        b = symmetrize(di[:, 0] @ q[:, 1] @ di[:, 0])
-        partial = np.cumsum((di[:, 1:] - di[:, :-1]) / plan.div[:-1], axis=1)
-        partial = np.concatenate([np.zeros((count, 1, n, n)), partial], axis=1)  # T_1..T_{r-1}
-        core = hh - b[:, None] - partial + series[:, :-1, 1]
+        di = inv[:m]  # D_1^-1 .. D_{r-1}^-1
+        b = symmetrize(di[0] @ q[1] @ di[0])
+        partial = np.cumsum((di[1:] - di[:-1]) / plan.div[:-1], axis=0)
+        partial = np.concatenate([np.zeros((1, n, n)), partial])  # T_1..T_{r-1}
+        core = hh - b - partial + series[:-1, 1]
         d_q = -plan.dx * core
     if eps != 0.0:
-        inc_inv = inv[:, m:]
-        d_q = d_q + corrected_eps(eps) * (inc_inv[:, 1:] - inc_inv[:, :-1])
+        inc_inv = inv[m:]
+        d_q = d_q + corrected_eps(eps) * (inc_inv[1:] - inc_inv[:-1])
     reps = plan.join(d_lam, d_q)
     tangents = None
-    if directions is not None and feasible[0]:
-        tangents = _tangent(plan, eps, hh, q[0], series[0], inv[0], core[0], directions)
-    return values, status, reps, tangents
+    if directions is not None:
+        tangents = _tangent(plan, eps, hh, q, series, inv, core, directions)
+    return value, reps, tangents
 
 
 def _tangent(plan, eps, hh, q, series, inv, core, v):
@@ -263,8 +256,8 @@ def _tangent(plan, eps, hh, q, series, inv, core, v):
 
 
 def _point(plan, path: DiscretePath, lam=None):
-    """The free blocks of one path as a stack of one point: the
-    symmetrized multiplier first for the multiplier form, then the levels."""
+    """The free blocks of one path: the symmetrized multiplier first for
+    the multiplier form, then the levels."""
     n = path.n
     if plan.lead:
         if lam is None:
@@ -273,16 +266,15 @@ def _point(plan, path: DiscretePath, lam=None):
         if lam.shape != (n, n):
             raise DimensionMismatch("multiplier dimension does not match the path")
         lam = symmetrize(lam)
-    return plan.join(lam, np.array(path.qs[:-1]).reshape(path.r - 1, n, n))[None]
+    return plan.join(lam, np.array(path.qs[:-1]).reshape(path.r - 1, n, n))
 
 
 def eval_point(kind, eps, path: DiscretePath, mix: MixtureSpec, lam=None, grad=False):
     """eval_stack at one path: (value, (d_lam or None, d_q) or None); raises
     the domain error of an infeasible point."""
     plan = Weights(kind, path.x)
-    values, status, reps, _ = eval_stack(plan, mix, path.constraint, eps, _point(plan, path, lam), grad)
-    _require_feasible(kind, status[0])
-    return float(values[0]), None if reps is None else plan.split(reps[0])
+    value, reps, _ = eval_stack(plan, mix, path.constraint, eps, _point(plan, path, lam), grad)
+    return value, None if reps is None else plan.split(reps)
 
 
 def eval_parisi(lam: np.ndarray, path: DiscretePath, mix: MixtureSpec) -> float:
@@ -306,17 +298,17 @@ def eval_cs(path: DiscretePath, mix: MixtureSpec) -> float:
 
 
 def increments(path: DiscretePath):
-    """Log-dets, inverses and positive-definiteness mask of the increments
-    Q_{k+1} - Q_k, k = 0..r-1, from one Cholesky and one inverse call; an
-    increment that does not factor gets log-det 0 and inverse I."""
+    """The increments Q_{k+1} - Q_k, k = 0..r-1, their log-dets and their
+    positive-definiteness mask, from one Cholesky call; an increment that
+    does not factor gets log-det 0."""
     inc = np.diff(np.array((np.zeros((path.n, path.n)),) + path.qs), axis=0)
     logdet, ok = stack_logdets(inc)
-    return logdet, stack_inverses(inc, ok), ok
+    return inc, logdet, ok
 
 
 def eval_barrier(path: DiscretePath) -> float:
     """-sum_k log|Q_{k+1} - Q_k| >= 0; DegenerateIncrement if any increment fails."""
-    logdet, _, ok = increments(path)
+    _, logdet, ok = increments(path)
     if not ok.all():
         raise DegenerateIncrement(int(np.argmin(ok)))
     return float(-np.sum(logdet))
@@ -368,9 +360,10 @@ def _error_stack(side, path, mix):
     for p in range(1, path.r):
         if dx[p - 1] <= 0.0:
             raise NonStrictWeights(f"x_{p} - x_{p - 1} = {dx[p - 1]}")
-    logdet, inv, ok = increments(path)
+    inc, logdet, ok = increments(path)
     if not ok.all():
         raise DegenerateIncrement(int(np.argmin(ok)))
+    inv = stack_inverses(inc)
     e = np.diff(inv, axis=0) / dx[:, None, None]
     if side == "lower":
         for p in range(1, path.r):
@@ -457,15 +450,15 @@ def corrected_form(side, path: DiscretePath, mix: MixtureSpec, eps: float, lam=N
     plan = Weights(kind, path.x)
     q, _, series, chain = _chain(plan, mix, path.constraint, _point(plan, path, lam))
     m = path.r - 1
-    chain[:, :m] += s * ebar
+    chain[:m] += s * ebar
     logdet, ok = stack_logdets(chain)
     if not ok.all():
         raise NotPositiveDefinite("a matrix of the corrected chain is not positive definite")
     inv = stack_inverses(chain)
-    total = _form_total(plan, mix.outer_field(), q, series, chain, logdet, inv[:, 0], logdet[:, -1])
+    total = _form_total(plan, mix.outer_field(), q, series, chain, logdet, inv[0], logdet[-1])
     j = np.minimum(np.arange(m) + (kind == "cs"), m - 1)
-    sign, paired = (1.0, series[0, j, 1]) if kind == "cs" else (-1.0, q[0, j + 1])
+    sign, paired = (1.0, series[j, 1]) if kind == "cs" else (-1.0, q[j + 1])
     d_ebar = np.diff(np.concatenate([ebar, np.zeros((1, path.n, path.n))]), axis=0)
-    total += s * np.sum(_frob(d_ebar, sign * inv[0, j] / plan.div - paired))
+    total += s * np.sum(_frob(d_ebar, sign * inv[j] / plan.div - paired))
     total -= s * np.sum(inc_logdet)
-    return 0.5 * float(total[0]), chain[0, :m], lam, err
+    return 0.5 * float(total), chain[:m], lam, err

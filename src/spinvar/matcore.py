@@ -126,13 +126,9 @@ def stack_logdets(stack: np.ndarray):
     return 2.0 * np.sum(np.log(np.diagonal(factors, 0, -2, -1)), axis=-1), ok
 
 
-def stack_inverses(stack: np.ndarray, ok=True) -> np.ndarray:
-    """Symmetrized inverses of a stack (..., n, n) from one inverse call; a
-    matrix where the mask ``ok`` (broadcast against the leading axes) is
-    False gets the identity."""
-    ok = np.asarray(ok)
-    if not ok.all():
-        stack = np.where(ok[..., None, None], stack, np.eye(stack.shape[-1]))
+def stack_inverses(stack: np.ndarray) -> np.ndarray:
+    """Symmetrized inverses of a stack (..., n, n) of positive definite
+    matrices from one inverse call."""
     return symmetrize(np.linalg.inv(stack))
 
 

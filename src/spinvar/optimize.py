@@ -10,9 +10,9 @@ damped Newton step jointly across all free variables: the Hessian is
 shifted along the Frobenius metric until it is positive definite, and
 the step backtracks from its full length until Armijo holds on the
 eps-perturbed value or the representer norm halves; the accepted trial's
-Hessian serves the next step.  Any trial point that leaves the domain of
-the barrier evaluates to +inf and is rejected, so accepted iterates keep
-strictly positive-definite increments.
+Hessian serves the next step.  A trial point outside the domain of the
+barrier raises its domain error in the kernel and the step halves, so
+accepted iterates keep strictly positive-definite increments.
 
 On top of the inner solve sit: ``continuation`` (a decreasing eps
 schedule, each stage started at the last one's minimizer), ``search``
@@ -36,7 +36,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import NoFeasibleStart, ValidationError
+from .errors import DomainError, NoFeasibleStart, ValidationError
 from .functionals import Weights, eval_perturbed, eval_stack
 from .matcore import MixtureSpec, sym_inverse
 from .path import DiscretePath, equally_spaced
@@ -196,27 +196,17 @@ class Objective:
         return (z @ self._scatter + self._fixed).reshape(np.shape(z)[:-1] + self.template.shape)
 
     def _coords(self, reps) -> np.ndarray:
-        """Gradient coordinates of a stack of representers."""
-        return (reps[..., self.rows, self.cols] * self._halve).reshape(len(reps), -1)
-
-    def value_and_grad(self, z):
-        """Value and gradient in z of one point, or of a (B, dim) stack."""
-        blocks = self.blocks(np.atleast_2d(z))
-        values, _, reps, _ = eval_stack(self.plan, self.mix, self.constraint, self.eps, blocks, grad=True)
-        grads = self._coords(reps)
-        if np.ndim(z) == 1:
-            return float(values[0]), grads[0]
-        return values, grads
+        """Gradient coordinates of the representers of one point, or of a stack of them."""
+        return (reps[..., self.rows, self.cols] * self._halve).reshape(reps.shape[:-3] + (-1,))
 
     def value_grad_hess(self, z):
         """Value, gradient and Hessian in z of one point from one kernel call;
         row k of the Hessian is the derivative of the gradient along
-        coordinate k, and the Hessian is None where the point is infeasible."""
-        values, _, reps, tangents = eval_stack(
-            self.plan, self.mix, self.constraint, self.eps, self.blocks(z)[None], directions=self._basis
+        coordinate k.  Raises the domain error of a point outside the domain."""
+        value, reps, tangents = eval_stack(
+            self.plan, self.mix, self.constraint, self.eps, self.blocks(z), directions=self._basis
         )
-        hess = None if tangents is None else self._coords(tangents)
-        return float(values[0]), self._coords(reps)[0], hess
+        return value, self._coords(reps), self._coords(tangents)
 
     def norm(self, grad) -> float:
         """Infinity norm of the representers."""
@@ -292,9 +282,10 @@ def minimize_fixed(
         lam, levels = start
     obj = Objective(plan, mix, constraint, eps, diag_only, plan.join(lam, levels))
     z = obj.pack(obj.template)
-    value, grad, hess = obj.value_grad_hess(z)
-    if not np.isfinite(value):
-        raise NoFeasibleStart(f"starting point infeasible for {kind} at eps={eps}")
+    try:
+        value, grad, hess = obj.value_grad_hess(z)
+    except DomainError as exc:
+        raise NoFeasibleStart(f"starting point infeasible for {kind} at eps={eps}: {exc}") from exc
 
     grad_norm = math.inf
     iterations = 0
@@ -317,18 +308,21 @@ def minimize_fixed(
             stop_reason = "plateau"  # the representer norm stalled above tolerance
             break
 
-        # backtrack from the full Newton step; a feasible trial point that
-        # halves the representer norm is accepted too, because near
-        # stationarity the value cannot resolve the decrease Armijo asks for
+        # backtrack from the full Newton step, past every trial point outside
+        # the domain; a trial point that halves the representer norm is
+        # accepted too, because near stationarity the value cannot resolve
+        # the decrease Armijo asks for
         direction = _newton_direction(obj, hess, grad)
         slope = float(grad @ direction)
         eta = 1.0
         while eta >= 1e-18:
             trial = z + eta * direction
-            trial_value, trial_grad, trial_hess = obj.value_grad_hess(trial)
-            if trial_value <= value + _ARMIJO_C * eta * slope or (
-                np.isfinite(trial_value) and obj.norm(trial_grad) < 0.5 * grad_norm
-            ):
+            try:
+                trial_value, trial_grad, trial_hess = obj.value_grad_hess(trial)
+            except DomainError:
+                eta *= _SHRINK
+                continue
+            if trial_value <= value + _ARMIJO_C * eta * slope or obj.norm(trial_grad) < 0.5 * grad_norm:
                 z, value, grad, hess = trial, trial_value, trial_grad, trial_hess
                 break
             eta *= _SHRINK

@@ -21,8 +21,9 @@ Every chain of the package -- these two, the correction tails Ebar_p of
 :mod:`spinvar.continuous` -- is a weighted tail sum, computed by
 :func:`tail_sums` for a whole stack at once.
 
-Chain feasibility is decided by :func:`_factor_chain` alone, for the two
-sequences below and for :func:`spinvar.functionals.eval_stack`.
+Chain feasibility is decided, and the domain error of an infeasible chain
+raised, by :func:`_factor_chain` alone, for the two sequences below and for
+:func:`spinvar.functionals.eval_stack`.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ from .errors import (
     ValidationError,
 )
 from .matcore import MixtureSpec, frozen, psd_tol, spectral_floor, stack_logdets, symmetrize
-
-# status codes of _factor_chain; INCREMENT_FAILED + k names increment k
-FEASIBLE, FLOOR_FAILED, CHAIN_FAILED, INCREMENT_FAILED = 0, 1, 2, 3
-
 
 @dataclass(frozen=True)
 class DiscretePath:
@@ -165,42 +162,30 @@ class Chain:
 
 
 def _factor_chain(kind, chain, incs):
-    """Feasibility of the chains (B, m, n, n) of B points, Lambda_1..Lambda_r
-    (``kind`` "parisi") or D_1..D_{r-1} ("cs"): one Cholesky call factors
-    the psd_tol-shifted Lambda_1 (or D_{r-1}), the chain and ``incs``, shape
-    (B, e, n, n): the increments Q_{k+1} - Q_k under the barrier, otherwise
-    none ("parisi") or Q - Q_{r-1} ("cs").  Returns ``(mats, logdet,
-    status)``: those matrices, their log-dets and per point FLOOR_FAILED,
-    CHAIN_FAILED (a chain matrix or, for "cs", the last of ``incs``),
-    INCREMENT_FAILED + k (``incs[k]``) or FEASIBLE, the first that applies."""
-    floor = chain[:, 0] if kind == "parisi" else chain[:, -1]
-    shifted = floor - psd_tol(floor)[:, None, None] * np.eye(chain.shape[-1])
-    mats = np.concatenate([shifted[:, None], chain, incs], axis=1)
+    """Feasibility of one chain (m, n, n), Lambda_1..Lambda_r (``kind``
+    "parisi") or D_1..D_{r-1} ("cs"): one Cholesky call factors the
+    psd_tol-shifted Lambda_1 (or D_{r-1}), the chain and ``incs``, shape
+    (e, n, n): the increments Q_{k+1} - Q_k under the barrier, otherwise
+    none ("parisi") or Q - Q_{r-1} ("cs").  Returns ``(mats, logdet)``,
+    those matrices and their log-dets, or raises the domain error of the
+    first test that fails: the shifted floor, then the chain (for "cs"
+    with the last of ``incs``), then increment k (``incs[k]``)."""
+    floor = chain[0] if kind == "parisi" else chain[-1]
+    shifted = floor - psd_tol(floor) * np.eye(chain.shape[-1])
+    mats = np.concatenate([shifted[None], chain, incs])
     logdet, ok = stack_logdets(mats)
-    m = chain.shape[1]
-    chain_ok = ok[:, 1 : 1 + m].all(axis=1)
-    if kind == "cs":
-        chain_ok &= ok[:, -1]
-    status = np.where(ok[:, 0], np.where(chain_ok, FEASIBLE, CHAIN_FAILED), FLOOR_FAILED)
-    inc_bad = ~ok[:, 1 + m :]
-    if inc_bad.any():
-        first_bad = INCREMENT_FAILED + np.argmax(inc_bad, axis=1)
-        status = np.where((status == FEASIBLE) & inc_bad.any(axis=1), first_bad, status)
-    return mats, logdet, status
-
-
-def _require_feasible(kind: str, status: int):
-    """Raise the domain error of a :func:`_factor_chain` status other than FEASIBLE."""
-    if status == FLOOR_FAILED:
+    m = len(chain)
+    if not ok[0]:
         if kind == "parisi":
             raise InfeasibleMultiplier("Lambda_1 is not positive definite beyond psd_tol")
         raise InfeasiblePath("D_{r-1} is not positive definite beyond psd_tol")
-    if status == CHAIN_FAILED:
+    if not ok[1 : 1 + m].all() or (kind == "cs" and not ok[-1]):
         if kind == "parisi":
             raise NotPositiveDefinite("a matrix of the multiplier chain is not positive definite")
         raise InfeasiblePath("a matrix of the tail chain is not positive definite")
-    if status != FEASIBLE:
-        raise DegenerateIncrement(int(status) - INCREMENT_FAILED)
+    if not ok[1 + m :].all():
+        raise DegenerateIncrement(int(np.argmin(ok[1 + m :])))
+    return mats, logdet
 
 
 def lambda_sequence(lam: np.ndarray, path: DiscretePath, mix: MixtureSpec) -> Chain:
@@ -213,7 +198,7 @@ def lambda_sequence(lam: np.ndarray, path: DiscretePath, mix: MixtureSpec) -> Ch
     xi_prime = mix.series(np.array(path.qs))[:, 1]  # at Q_1..Q_r
     tails = tail_sums(path.x[1:], np.diff(xi_prime, axis=0))
     chain = np.concatenate([lam - tails, lam[None]])
-    _require_feasible("parisi", _factor_chain("parisi", chain[None], chain[None, :0])[2][0])
+    _factor_chain("parisi", chain, chain[:0])
     return Chain(chain)
 
 
@@ -225,7 +210,7 @@ def d_sequence(path: DiscretePath) -> Chain:
         raise InfeasiblePath("D sequence needs r >= 2")
     inc = np.diff(np.array(path.qs), axis=0)  # Q_{k+1} - Q_k, k = 1..r-1
     chain = tail_sums(path.x[1:], inc)
-    _require_feasible("cs", _factor_chain("cs", chain[None], inc[None, -1:])[2][0])
+    _factor_chain("cs", chain, inc[-1:])
     return Chain(chain)
 
 

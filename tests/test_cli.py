@@ -129,6 +129,8 @@ MALFORMED = (
     ("mixture", "[[2, 0.3]]", "flat list"),
     ("h", "0.0", "flat list"),
     ("version", "1.0", "version"),
+    ("path", '{"x": [0.0, 1.0], "levels": [[0.5]], "lambda": [NaN]}', "lambda"),
+    ("path", '{"x": [0.0, 1.0], "levels": [[0.5]], "lambda": [Infinity]}', "lambda"),
 )
 
 

@@ -17,7 +17,7 @@ from spinvar.optimize import (
     search,
     warm_start,
 )
-from spinvar.path import FEASIBLE, DiscretePath, d_sequence, lambda_sequence
+from spinvar.path import DiscretePath, d_sequence, lambda_sequence
 
 # a six-stage barrier path, for the tests that check its intermediate stages
 LONG_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -332,15 +332,16 @@ def test_gap_random_family_robustness():
 
 
 def test_no_feasible_start_reported():
-    from spinvar.errors import NoFeasibleStart
+    from spinvar.errors import InfeasibleMultiplier, NoFeasibleStart
 
     mix = MixtureSpec.pure(2, [1.0])
     q = np.array([[1.0]])
     # a warm start outside the multiplier domain must be rejected, not
-    # silently repaired
+    # silently repaired, and the report names the test that failed
     broken = (np.array([[0.1]]), [np.array([[0.5]])])
-    with pytest.raises(NoFeasibleStart):
+    with pytest.raises(NoFeasibleStart, match="Lambda_1") as info:
         minimize_fixed("parisi", mix, q, 2, (0.0, 1.0), 1e-2, SolveOptions(), start=broken)
+    assert isinstance(info.value.__cause__, InfeasibleMultiplier)
 
 
 def test_determinism():
@@ -361,47 +362,62 @@ def test_gap_flat_valley_member_converges():
     assert rep.gap <= 5e-4
 
 
+def _newton_cases():
+    """(mixture, Q, r, x, eps, whether a line-search trial leaves the domain)."""
+    rng = np.random.default_rng(8)
+    q = random_correlation(rng, 8)
+    mix = MixtureSpec(n=8, terms=((2, rng.uniform(0.2, 0.6, 8)), (4, rng.uniform(0.0, 0.5, 8))),
+                      h=rng.uniform(-0.3, 0.3, 8))
+    return (
+        (mix, q, 2, (0.0, 1.0), 1e-2, False),
+        # 5 of its 12 kernel calls fall outside the domain
+        (MixtureSpec.pure(2, [1.0]), np.eye(1), 3, (0.0, 0.5, 1.0), 1e-5, True),
+    )
+
+
 def test_newton_iteration_evaluates_each_point_once(monkeypatch):
     # every point the solver visits -- the start and each line-search trial
     # -- costs one kernel call that gives its value, gradient and Hessian
-    # together, and the accepted trial's Hessian serves the next step
+    # together, and the accepted trial's Hessian serves the next step; a
+    # trial outside the domain raises in the kernel and the step halves
     from spinvar import optimize
 
     calls = []
     kernel = optimize.eval_stack
 
     def counted(*args, **kwargs):
+        # recorded before the kernel runs; a call that raises keeps value None
+        calls.append([np.array(args[4]), kwargs.get("directions") is not None, None])
         out = kernel(*args, **kwargs)
-        calls.append((np.array(args[4]), kwargs.get("directions") is not None, out[0][0]))
+        calls[-1][2] = out[0]
         return out
 
     monkeypatch.setattr(optimize, "eval_stack", counted)
-    rng = np.random.default_rng(8)
-    q = random_correlation(rng, 8)
-    mix = MixtureSpec(n=8, terms=((2, rng.uniform(0.2, 0.6, 8)), (4, rng.uniform(0.0, 0.5, 8))),
-                      h=rng.uniform(-0.3, 0.3, 8))
-    trace = []
-    res = minimize_fixed("parisi", mix, q, 2, (0.0, 1.0), 1e-2, SolveOptions(), trace=trace)
-    assert res.converged and res.iterations > 2
+    for mix, q, r, x, eps, leaves_domain in _newton_cases():
+        calls.clear()
+        trace = []
+        res = minimize_fixed("parisi", mix, q, r, x, eps, SolveOptions(), trace=trace)
+        assert res.converged and res.iterations > 2
 
-    assert all(blocks.shape[0] == 1 and directions for blocks, directions, _ in calls)
-    points = [blocks[0] for blocks, _, _ in calls]
-    assert len({p.tobytes() for p in points}) == len(points)  # no point twice
-    # the calls after the start split into line searches, each backing off
-    # from its full step by halves and ending at the next iterate
-    point, searches = points[0], []
-    for p, (_, _, value) in zip(points[1:], calls[1:]):
-        if searches:
-            full = searches[-1][0][0] - point
-            if np.allclose(p - point, 0.5 ** len(searches[-1]) * full, rtol=0, atol=1e-12):
-                searches[-1].append((p, value))
-                continue
-            point = searches[-1][-1][0]
-        searches.append([(p, value)])
-    assert len(searches) == res.iterations - 1  # the converged iteration takes no step
-    for k, trials in enumerate(searches):
-        assert trials[-1][1] == trace[k + 1].value
-    assert len(calls) == 1 + sum(len(trials) for trials in searches)
+        assert all(blocks.ndim == 3 and directions for blocks, directions, _ in calls)
+        assert any(value is None for *_, value in calls) == leaves_domain
+        points = [blocks for blocks, _, _ in calls]
+        assert len({p.tobytes() for p in points}) == len(points)  # no point twice
+        # the calls after the start split into line searches, each backing off
+        # from its full step by halves and ending at the next iterate
+        point, searches = points[0], []
+        for p, (_, _, value) in zip(points[1:], calls[1:]):
+            if searches:
+                full = searches[-1][0][0] - point
+                if np.allclose(p - point, 0.5 ** len(searches[-1]) * full, rtol=0, atol=1e-12):
+                    searches[-1].append((p, value))
+                    continue
+                point = searches[-1][-1][0]
+            searches.append([(p, value)])
+        assert len(searches) == res.iterations - 1  # the converged iteration takes no step
+        for k, trials in enumerate(searches):
+            assert trials[-1][1] == trace[k + 1].value
+        assert len(calls) == 1 + sum(len(trials) for trials in searches)
 
 
 # gap-rsb benchmark member family-n2-p4 (unjittered); its r = 3 search
@@ -471,8 +487,8 @@ def test_warm_start_is_feasible_at_every_neighbour(seed):
                 assert start_lam is None
                 d_sequence(target)
                 blocks = np.array(start_levels)
-            values, status, _, _ = eval_stack(Weights(kind, x), mix, q, 1e-5, blocks[None])
-            assert status[0] == FEASIBLE and np.isfinite(values[0]), (kind, x)
+            value, _, _ = eval_stack(Weights(kind, x), mix, q, 1e-5, blocks)  # raises outside the domain
+            assert np.isfinite(value), (kind, x)
 
 
 @pytest.mark.parametrize(
