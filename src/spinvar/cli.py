@@ -294,8 +294,6 @@ def run(command: str, spec: ProblemSpec, flags=None) -> ResultRecord:
             min_parisi=report.min_parisi,
             min_cs=report.min_cs,
             gap=report.gap,
-            beta2_delta_applied=report.beta2_delta_applied,
-            continuity_band=report.continuity_band,
             argmin_parisi=_search_payload(report.argmin_parisi),
             argmin_cs=_search_payload(report.argmin_cs),
             eps_trace=report.eps_trace,
@@ -444,7 +442,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="weight grid resolution (x_grid)")
     parser.add_argument("--tol", "--grad-tol", dest="grad_tol", type=float,
                         help="representer norm tolerance (grad_tol)")
-    parser.add_argument("--beta2-delta", dest="beta2_delta", type=float)
     parser.add_argument("--kind", choices=("parisi", "cs"), default="cs",
                         help="functional form for the minimize command")
     return parser

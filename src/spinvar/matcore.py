@@ -289,26 +289,6 @@ class MixtureSpec:
             total += float(np.abs(np.outer(a, a) - np.outer(b, b)).sum())
         return total
 
-    def with_beta2_floor(self, delta: float) -> "MixtureSpec":
-        """Add ``delta`` to every entry of the p = 2 weights (creating the term
-        if absent).  Positive p = 2 weights keep xi_second entrywise positive."""
-        if delta == 0.0:
-            return self
-        terms = []
-        seen = False
-        for p, beta in self.terms:
-            if p == 2:
-                terms.append((p, beta + delta))
-                seen = True
-            else:
-                terms.append((p, beta))
-        if not seen:
-            terms.insert(0, (2, np.full(self.n, delta)))
-        return MixtureSpec(n=self.n, terms=tuple(terms), h=self.h)
-
-    def has_positive_beta2(self) -> bool:
-        return any(p == 2 and np.all(beta > 0) for p, beta in self.terms)
-
 
 def mixture_apply(kind: str, mix: MixtureSpec, a: np.ndarray) -> np.ndarray:
     """Evaluate one of the five entrywise mixture series at ``a``."""
@@ -351,15 +331,21 @@ def check_constraint(q: np.ndarray, tol: float = 1e-9) -> list[str]:
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         return [f"constraint must be square, got shape {q.shape}"]
-    if not np.allclose(q, q.T, atol=tol):
-        problems.append("constraint must be symmetric")
+    if not np.all(np.isfinite(q)):
+        return [f"constraint entries must be finite, got {q.ravel().tolist()}"]
+    # entries near the float limit overflow q - q.T; such a difference is not close
+    with np.errstate(over="ignore"):
+        if not np.allclose(q, q.T, atol=tol):
+            problems.append("constraint must be symmetric")
     d = np.diagonal(q)
     if not np.allclose(d, 1.0, atol=tol):
         problems.append(f"unit diagonal required, got {d.tolist()}")
     off = q - np.diag(d)
     if np.any(np.abs(off) > 1.0 + tol):
         problems.append("off-diagonal entries must lie in [-1, 1]")
-    if spectral_floor(q) <= psd_tol(q):
+    # beyond half the float limit symmetrize's q + q.T overflows; such an
+    # entry already fails the unit-diagonal or the off-diagonal check
+    if np.all(np.abs(q) <= np.finfo(float).max / 2) and spectral_floor(q) <= psd_tol(q):
         problems.append(f"constraint must be positive definite, lam_min = {spectral_floor(q):.3e}")
     return problems
 

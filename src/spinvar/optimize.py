@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -59,7 +60,6 @@ class SolveOptions:
     x_grid: int = 4
     r_max: int = 2
     seed: int = 0
-    beta2_delta: float = 1e-4
 
     def __post_init__(self):
         problems = []
@@ -70,14 +70,13 @@ class SolveOptions:
             problems.append("eps_schedule must be strictly decreasing")
         if not (0 < self.grad_tol < math.inf):
             problems.append("grad_tol must be positive and finite")
-        if self.x_grid < 2:
-            problems.append("x_grid must be >= 2")
-        if self.r_max < 2:
-            problems.append("r_max must be >= 2")
-        if self.seed < 0:
-            problems.append("seed must be >= 0")
-        if not (0 <= self.beta2_delta < math.inf):
-            problems.append("beta2_delta must be nonnegative and finite")
+        for name, low in (("x_grid", 2), ("r_max", 2), ("seed", 0)):
+            value = getattr(self, name)
+            # a float would pass the bound and fail later, inside search
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                problems.append(f"{name} must be an integer, got {value!r}")
+            elif value < low:
+                problems.append(f"{name} must be >= {low}")
         if problems:
             raise ValidationError(problems)
         object.__setattr__(self, "eps_schedule", sched)
@@ -152,8 +151,6 @@ class GapReport:
     argmin_parisi: SearchResult
     argmin_cs: SearchResult
     eps_trace: dict
-    beta2_delta_applied: float = 0.0
-    continuity_band: float = 0.0
 
 
 class Objective:
@@ -536,22 +533,16 @@ def search(
 
 
 def duality_gap(mix: MixtureSpec, constraint: np.ndarray, opts: SolveOptions) -> GapReport:
-    """Minimize both forms independently; their agreement is the certificate.
+    """Minimize both forms of ``mix`` independently; their agreement is the
+    certificate.
 
-    When the mixture has no strictly positive p = 2 weights, the working
-    mixture gets beta2_delta added entrywise (the lower-side correction
-    terms divide by xi''); the induced temperature-continuity band is
-    reported alongside.
+    The mixture is solved as given, with or without a positive p = 2 term:
+    the kernel only multiplies by xi'' and xi'''.  Only the lower-side
+    correction terms of the identity checks (``error_terms("lower")``)
+    divide by xi'', and the gap never evaluates them.
     """
-    work = mix
-    delta_applied = 0.0
-    band = 0.0
-    if not mix.has_positive_beta2() and opts.beta2_delta > 0:
-        work = mix.with_beta2_floor(opts.beta2_delta)
-        delta_applied = opts.beta2_delta
-        band = mix.l1_delta(work)
-    sp = search("parisi", work, constraint, opts)
-    sc = search("cs", work, constraint, opts)
+    sp = search("parisi", mix, constraint, opts)
+    sc = search("cs", mix, constraint, opts)
     return GapReport(
         min_parisi=sp.value,
         min_cs=sc.value,
@@ -562,6 +553,4 @@ def duality_gap(mix: MixtureSpec, constraint: np.ndarray, opts: SolveOptions) ->
             "parisi": [s.__dict__ for s in sp.best.stages],
             "cs": [s.__dict__ for s in sc.best.stages],
         },
-        beta2_delta_applied=delta_applied,
-        continuity_band=band,
     )

@@ -90,17 +90,17 @@ def test_load_spec_rejects_truncated_int_options():
 
 
 def test_load_spec_rejects_bools_for_real_options():
-    # these used to parse silently as grad_tol=1.0, beta2_delta=0.0, eps_schedule=(1.0,)
-    raw = minimal_spec(solve={"grad_tol": True, "beta2_delta": False, "eps_schedule": [True]})
+    # these used to parse silently as grad_tol=1.0, eps_schedule=(1.0,)
+    raw = minimal_spec(solve={"grad_tol": True, "eps_schedule": [True]})
     with pytest.raises(ValidationError) as info:
         build_spec(raw)
     text = "\n".join(info.value.problems)
-    for key in ("grad_tol", "beta2_delta", "eps_schedule"):
+    for key in ("grad_tol", "eps_schedule"):
         assert key in text
 
 
 def test_main_exits_2_on_a_bool_real_option(tmp_path, capsys):
-    for solve in ({"grad_tol": True}, {"beta2_delta": False}, {"eps_schedule": [1e-1, True]}):
+    for solve in ({"grad_tol": True}, {"eps_schedule": [1e-1, True]}):
         spec_file = write_spec(tmp_path, minimal_spec(solve=solve))
         assert main(["eval", "--spec", spec_file]) == 2
         assert f"solve: {next(iter(solve))}" in capsys.readouterr().err
@@ -131,6 +131,9 @@ MALFORMED = (
     ("version", "1.0", "version"),
     ("path", '{"x": [0.0, 1.0], "levels": [[0.5]], "lambda": [NaN]}', "lambda"),
     ("path", '{"x": [0.0, 1.0], "levels": [[0.5]], "lambda": [Infinity]}', "lambda"),
+    # these raised a RuntimeWarning inside the constraint checks
+    ("Q", "[Infinity]", "Q:"),
+    ("Q", "[1e308]", "Q:"),
 )
 
 
@@ -150,10 +153,15 @@ def test_main_exits_2_on_malformed_values(tmp_path, capsys, key, text, word):
 
 
 def test_load_spec_rejects_removed_solver_knobs(tmp_path, capsys):
-    for knob in ({"armijo": [1e-4, 0.5]}, {"max_iters": 100}):
+    # beta2_delta went with the beta2 floor: the gap solves the mixture as given
+    for knob in ({"armijo": [1e-4, 0.5]}, {"max_iters": 100}, {"beta2_delta": 1e-4}):
         spec_file = write_spec(tmp_path, minimal_spec(solve=knob))
         assert main(["gap", "--spec", spec_file]) == 2
-        assert "unknown keys" in capsys.readouterr().err
+        assert f"solve: unknown keys {sorted(knob)}" in capsys.readouterr().err
+    plain = write_spec(tmp_path, minimal_spec(), name="plain.json")
+    with pytest.raises(SystemExit) as info:
+        main(["gap", "--spec", plain, "--beta2-delta", "1e-4"])
+    assert info.value.code == 2
 
 
 def test_parse_error(tmp_path):

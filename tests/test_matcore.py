@@ -194,6 +194,24 @@ def test_check_constraint():
     assert any("unit diagonal" in p for p in check_constraint(np.diag([1.0, 2.0])))
     singular = np.ones((2, 2))
     assert any("positive definite" in p for p in check_constraint(singular))
+    # non-finite and huge entries used to raise a RuntimeWarning
+    for bad in (np.nan, np.inf, -np.inf):
+        assert check_constraint(np.array([[bad]])) == [
+            f"constraint entries must be finite, got [{bad}]"
+        ]
+    assert check_constraint(np.array([[1e308]])) == ["unit diagonal required, got [1e+308]"]
+    huge = np.array([[1.0, 1e308], [-1e308, 1.0]])
+    assert check_constraint(huge) == [
+        "constraint must be symmetric",
+        "off-diagonal entries must lie in [-1, 1]",
+    ]
+    # np.allclose lets a diagonal 5e-6 above 1 pass as unit, so the
+    # positive definite test must still run on it
+    d = 1.0 + 5e-6
+    indefinite = np.array([[d, 1.0, -1.0], [1.0, d, 1.0], [-1.0, 1.0, d]])
+    assert check_constraint(indefinite) == [
+        "constraint must be positive definite, lam_min = -1.000e+00"
+    ]
 
 
 def test_l1_delta():

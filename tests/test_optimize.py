@@ -90,6 +90,13 @@ def test_solve_options_validation():
     # a negative seed used to pass here and fail later in np.random.default_rng
     with pytest.raises(ValidationError, match="seed"):
         SolveOptions(seed=-1)
+    # a float or a bool count used to pass here and fail later inside search
+    for kwargs in ({"r_max": 3.0}, {"x_grid": 4.0}, {"seed": 1.0}, {"r_max": True}, {"x_grid": "4"}):
+        with pytest.raises(ValidationError, match=f"{next(iter(kwargs))} must be an integer"):
+            SolveOptions(**kwargs)
+    # numpy integers are integers
+    opts = SolveOptions(r_max=np.int64(3), x_grid=np.int32(4), seed=np.uint8(2))
+    assert (opts.r_max, opts.x_grid, opts.seed) == (3, 4, 2)
 
 
 def test_solve_options_reject_non_finite_values():
@@ -100,8 +107,6 @@ def test_solve_options_reject_non_finite_values():
         {"grad_tol": math.nan},
         {"eps_schedule": (1e-1, math.nan)},
         {"eps_schedule": (math.inf,)},
-        {"beta2_delta": math.nan},
-        {"beta2_delta": math.inf},
     ):
         with pytest.raises(ValidationError, match="finite"):
             SolveOptions(**kwargs)
@@ -174,7 +179,7 @@ def test_continuation_monotone_and_extrapolation():
 def test_degenerate_mixture_minimum_zero():
     mix = MixtureSpec(n=1, terms=(), h=np.zeros(1))
     q = np.array([[1.0]])
-    rep = duality_gap(mix, q, SolveOptions(beta2_delta=0.0))
+    rep = duality_gap(mix, q, SolveOptions())
     assert rep.min_parisi == pytest.approx(0.0, abs=1e-4)
     assert rep.min_cs == pytest.approx(0.0, abs=1e-4)
     assert rep.argmin_parisi.best.lam[0, 0] == pytest.approx(1.0, abs=1e-2)
@@ -273,13 +278,23 @@ def test_gap_scalar_instances():
         assert rep.min_cs == pytest.approx(cs_rs_value(beta), abs=1e-4)
 
 
-def test_gap_applies_beta2_floor():
-    mix = MixtureSpec.pure(4, [0.5])
-    q = np.array([[1.0]])
-    rep = duality_gap(mix, q, SolveOptions())
-    assert rep.beta2_delta_applied == pytest.approx(1e-4)
-    assert rep.continuity_band == pytest.approx(1e-8)
+@pytest.mark.parametrize(
+    "terms, value_tol",
+    [
+        # the species decouple: 0.5 beta^2 for the first, 0 for the second
+        (((2, [0.5, 0.0]),), 1e-5),
+        # no p = 2 term at all; RS at beta = 0.5 with value beta^2 / 2
+        (((4, [0.5]),), 1e-6),
+    ],
+    ids=["beta2-with-a-zero-entry", "pure4"],
+)
+def test_gap_solves_the_mixture_as_given(terms, value_tol):
+    n = len(terms[0][1])
+    rep = duality_gap(MixtureSpec(n=n, terms=terms, h=np.zeros(n)), np.eye(n), SolveOptions())
+    assert rep.min_parisi == pytest.approx(0.125, abs=value_tol)
+    assert rep.min_cs == pytest.approx(0.125, abs=value_tol)
     assert rep.gap <= 1e-4
+    assert rep.argmin_parisi.best.converged and rep.argmin_cs.best.converged
 
 
 def test_diagonal_separability_identity():
