@@ -15,23 +15,26 @@ correction terms built from the matrices E_p and their weighted tails
 Ebar_p; ``eval_approx`` evaluates those corrected forms, which need
 x_{r-1} = 1.
 
-Every value and representer is computed by ``eval_stack``, which takes
-one point, builds its chain with :func:`spinvar.path.tail_sums`, and
-factors all of its matrices in one Cholesky call,
-:func:`spinvar.path._factor_chain`, the feasibility test of
-:func:`spinvar.path.lambda_sequence` and :func:`spinvar.path.d_sequence`;
-a point outside the domain raises the domain error those two raise.
-Given a stack of directions, ``eval_stack`` also returns the directional
-derivatives of the point's representers (the rows of the solver's
-Hessian), from a tangent-linear pass through the same chain, inverses and
-mixture series, with d(A^-1)[V] = -A^-1 V A^-1 and xi'' o V, xi''' o V
+Every value and representer is computed by ``eval_stack``, one kernel
+body for both forms: they differ by the swap of U_p = Q_p and
+V_p = hh^T + xi'(Q_p) that :class:`Weights` makes.  The chain is built by
+:func:`spinvar.path._tail_chain` and factored in one Cholesky call,
+:func:`spinvar.path._factor_chain`, as in :func:`spinvar.path.lambda_sequence`
+and :func:`spinvar.path.d_sequence`; a point outside the domain raises the
+domain error those two raise.  The (1/x_k) terms are one log-ratio
+expression signed by the form in the value, and one linear map,
+:func:`_partials`, in the representers and their tangents.  Given a stack
+of directions, ``eval_stack`` also returns the directional derivatives of
+the point's representers (the rows of the solver's Hessian), from a
+tangent-linear pass through the same chain builder, partial sums, inverses
+and mixture series, with d(A^-1)[V] = -A^-1 V A^-1 and xi'' o V, xi''' o V
 for the derivatives of the series.  The corrected forms run on the same
 kernel: the error terms come from one inverse call over the increments,
 and the base part of either side is eval_stack's formula evaluated at the
 corrected chain.
 
 Conventions: where x_k = 0 the 1/x_k log-ratio term is dropped (the chain
-increment at level k is then zero); :class:`Weights` is the one place that
+increment at level k is then zero); ``Weights.div`` is the one place that
 rule lives.  Yet (1/x_k) log(|D_{k+1}|/|D_k|) tends to the nonzero trace
 -tr(D_{k+1}^-1 (Q_{k+1} - Q_k)) as x_k -> 0, and likewise for Lambda.  So
 both forms jump at x_k = 0, and merging such a level changes the value
@@ -64,7 +67,7 @@ from .errors import (
     ValidationError,
 )
 from .matcore import MixtureSpec, frozen, hadamard_div, stack_inverses, stack_logdets, symmetrize
-from .path import DiscretePath, _factor_chain, tail_sums
+from .path import DiscretePath, _factor_chain, _tail_chain, tail_sums
 
 
 def corrected_eps(eps: float) -> float:
@@ -79,11 +82,17 @@ def _frob(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class Weights:
     """The form ``kind`` at weights x_0..x_{r-1}, as the kernel uses them.
 
-    ``dx`` holds the steps x_k - x_{k-1}, k = 1..r-1, and ``div`` the
-    divisors of the (1/x_k) log-ratio terms, +inf where x_k = 0 so that
-    ``num / div`` drops the term: the one place the x_k = 0 rule lives.
-    Both are shaped (r-1, 1, 1).  ``lead`` counts the multiplier blocks
-    ahead of Q_1..Q_{r-1} in a point's blocks: 1 for the multiplier form.
+    The forms differ by one swap (:meth:`pair`): with U_p = Q_p and
+    V_p = hh^T + xi'(Q_p), p = 1..r, the multiplier form builds its chain
+    Lambda_p from W = V and pairs its representers with O = U, and the
+    multiplier-free form builds D_p from W = U and pairs with O = V.  Along
+    the chain C_{k+1} - C_k = sign x_k (W_{k+1} - W_k), sign = +1 or -1.
+
+    ``dx`` holds the steps x_k - x_{k-1}, k = 1..r-1, shaped (r-1, 1, 1), and
+    ``div`` the signed divisors sign x_k, k = 0..r-1, shaped (r, 1, 1), +-inf
+    where x_k = 0 so that ``num / div`` drops the term: the one place the
+    x_k = 0 rule lives.  ``lead`` counts the multiplier blocks ahead of
+    Q_1..Q_{r-1} in a point's blocks: 1 for the multiplier form.
     """
 
     def __init__(self, kind, x):
@@ -93,9 +102,14 @@ class Weights:
         self.x = np.asarray(x, dtype=float)
         if kind == "cs" and (self.x.size < 2 or self.x[-1] <= 0.0):
             raise InfeasiblePath("the multiplier-free form needs r >= 2 and x_{r-1} > 0")
-        self.dx = np.diff(self.x)[:, None, None]
-        self.div = np.where(self.x[1:] == 0.0, np.inf, self.x[1:])[:, None, None]
         self.lead = 1 if kind == "parisi" else 0
+        self.sign = 1.0 if self.lead else -1.0
+        self.dx = np.diff(self.x)[:, None, None]
+        self.div = np.where(self.x == 0.0, np.inf, self.sign * self.x)[:, None, None]
+
+    def pair(self, u, v):
+        """(W, O): the chain's source and the representers' partner."""
+        return (v, u) if self.lead else (u, v)
 
     def split(self, blocks):
         """(lam or None, levels) of the blocks of one point or of a stack."""
@@ -109,42 +123,41 @@ class Weights:
         return np.concatenate([np.asarray(lam, dtype=float)[..., None, :, :], levels], axis=-3)
 
 
-def _chain(plan, mix, constraint, blocks):
-    """Q_0..Q_r, the increments Q_{k+1} - Q_k, the five mixture series at
-    Q_1..Q_r and the chain Lambda_1..Lambda_r (or D_1..D_{r-1}) of one
-    point given by its free blocks."""
+def _chain(plan, hh, mix, constraint, blocks):
+    """Q_0..Q_r, the five mixture series at Q_1..Q_r, the form's (W, O) and
+    the chain built from W of one point given by its free blocks."""
     lam, levels = plan.split(blocks)
     n = constraint.shape[0]
     q = np.concatenate([np.zeros((1, n, n)), levels, constraint[None]])  # Q_0..Q_r
-    inc = np.diff(q, axis=0)  # Q_{k+1} - Q_k, k = 0..r-1
     series = mix.series(q[1:])  # at Q_1..Q_r
-    if plan.kind == "parisi":
-        # Lambda_p = Lambda - sum_{k >= p} x_k (xi'(Q_{k+1}) - xi'(Q_k))
-        tails = tail_sums(plan.x[1:], np.diff(series[:, 1], axis=0))
-        chain = np.concatenate([lam - tails, lam[None]])
-    else:
-        # D_p = sum_{k >= p} x_k (Q_{k+1} - Q_k)
-        chain = tail_sums(plan.x[1:], inc[1:])
-    return q, inc, series, chain
+    w, o = plan.pair(q[1:], hh + series[:, 1])
+    return q, series, w, o, _tail_chain(plan.x, lam, w)
 
 
-def _form_total(plan, hh, q, series, chain, logdet, first_inv, top):
-    """Twice the unperturbed form of one point from its chain, the chain's
-    log-dets and first inverse; ``top`` is the log-det the multiplier-free form
-    divides by x_{r-1} (log|Q - Q_{r-1}| in eval_stack)."""
-    n, xv, div = q.shape[-1], plan.x, plan.div[:, 0, 0]
-    sums = np.sum(series, axis=(-2, -1))  # (r, 5)
-    if plan.kind == "parisi":
-        total = _frob(hh, first_inv) + _frob(chain[-1], q[-1]) - n - logdet[-1]
-        total += np.sum(np.diff(logdet) / div)
-        total += _frob(series[0, 1], first_inv)
-        total -= np.sum(xv[1:] * np.diff(sums[:, 3]))
-    else:
-        total = _frob(hh, chain[0]) + top / xv[-1]
-        total -= np.sum(np.diff(logdet) / div[:-1])
-        total += _frob(q[1], first_inv)
-        total += np.sum(xv[1:] * np.diff(sums[:, 0]))
-    return total
+def _partials(plan, ci):
+    """S_1..S_m with S_p = sum_{k < p} (C_k^-1 - C_{k+1}^-1) / (sign x_k),
+    from the chain's inverses ``ci`` (..., m, n, n): one cumulative sum,
+    linear in ``ci``, so it maps their tangents too."""
+    partials = np.zeros(ci.shape)  # S_1 = 0
+    steps = (ci[..., :-1, :, :] - ci[..., 1:, :, :]) / plan.div[1 : ci.shape[-3]]
+    steps.cumsum(axis=-3, out=partials[..., 1:, :, :])
+    return partials
+
+
+def _form_total(plan, hh, q, series, w1, chain, logdet, first_inv, top):
+    """Twice the unperturbed form of one point from W_1, its chain, the
+    chain's log-dets and first inverse; ``top`` is the log-det the
+    multiplier-free form divides by x_{r-1} (log|Q - Q_{r-1}| in eval_stack)."""
+    n, x = q.shape[-1], plan.x
+    # <W_1, C_1^-1> + sum_k (1/(sign x_k)) log(|C_{k+1}|/|C_k|), one expression for both forms
+    total = _frob(w1, first_inv) + np.sum((logdet[1:] - logdet[:-1]) / plan.div[1 : len(chain), 0, 0])
+    if plan.lead:  # <Lambda, Q> - n - log|Lambda| - sum_k x_k Sum(theta(Q_{k+1}) - theta(Q_k))
+        total += _frob(chain[-1], q[-1]) - n - logdet[-1]
+        sums = -np.sum(series[:, 3], axis=(-2, -1))
+    else:  # <hh, D_1> + log|Q - Q_{r-1}| / x_{r-1} + sum_k x_k Sum(xi(Q_{k+1}) - xi(Q_k))
+        total += _frob(hh, chain[0]) + top / x[-1]
+        sums = np.sum(series[:, 0], axis=(-2, -1))
+    return total + np.sum(x[1:] * (sums[1:] - sums[:-1]))
 
 
 def eval_stack(plan, mix, constraint, eps, blocks, grad=False, directions=None):
@@ -153,106 +166,86 @@ def eval_stack(plan, mix, constraint, eps, blocks, grad=False, directions=None):
     ``blocks`` holds the point's free blocks, shape (blocks, n, n), in the
     plan's layout: the multiplier first for the multiplier form, then the
     free levels Q_1..Q_{r-1}.  All matrices must be symmetric.  One
-    Cholesky call, :func:`spinvar.path._factor_chain`, factors the
-    psd_tol-shifted Lambda_1 (or D_{r-1}), the chain Lambda_1..Lambda_r (or
-    D_1..D_{r-1} and Q - Q_{r-1}) and, for eps != 0, the increments, and
-    raises the domain error of a point outside the domain; one ``inv`` call
-    inverts what the value and the representers need.
+    Cholesky call, :func:`spinvar.path._factor_chain`, factors the chain
+    (and, for eps != 0, the increments) and raises the domain error of a
+    point outside the domain; one ``inv`` call inverts what the value and
+    the representers need.
 
     Returns ``(value, reps, tangents)``: ``reps`` (with ``grad``) the
-    representers (blocks, n, n), the multiplier first.
+    representers (blocks, n, n), the multiplier first.  For the chain C
+    built from W (see :class:`Weights`) they are
+
+        core_p = O_p - C_1^-1 W_1 C_1^-1 - S_p  (S from :func:`_partials`),
+        d_q[p] = (x_p - x_{p-1}) J_p o core_p + barrier terms,  p = 1..r-1,
+        d_lam  = core_r - Lambda^-1,  J = xi''(Q_p) or -1.
 
     With ``directions``, a stack V of shape (D, blocks, n, n), ``tangents``
     (None without V) holds the directional derivatives of the representers
     along each V, shape (D, blocks, n, n): one tangent-linear pass through
     the same chain, inverses and mixture series (see :func:`_tangent`).
     """
-    n = constraint.shape[0]
-    q, inc, series, chain = _chain(plan, mix, constraint, blocks)
+    hh = mix.outer_field()
+    q, series, w, o, chain = _chain(plan, hh, mix, constraint, blocks)
+    inc = q[1:] - q[:-1]  # Q_{k+1} - Q_k, k = 0..r-1
     if eps == 0.0:
-        inc = inc[:0] if plan.kind == "parisi" else inc[-1:]  # Q - Q_{r-1} always
+        inc = inc[:0] if plan.lead else inc[-1:]  # Q - Q_{r-1} always for D
     mats, logdet = _factor_chain(plan.kind, chain, inc)
     m = len(chain)
 
     grad = grad or directions is not None
     inv = stack_inverses(mats[1:] if grad else mats[1:2])
-
-    hh = mix.outer_field()
-    value = 0.5 * _form_total(plan, hh, q, series, chain, logdet[1 : 1 + m], inv[0], logdet[-1])
+    value = 0.5 * _form_total(plan, hh, q, series, w[0], chain, logdet[1 : 1 + m], inv[0], logdet[-1])
     if eps != 0.0:
         value = value + eps * -np.sum(logdet[1 + m :])
     value = float(value)
     if not grad:
         return value, None, None
 
-    d_lam = None  # the multiplier-free form has no multiplier block
-    if plan.kind == "parisi":
-        li = inv[:m]  # Lambda_1^-1 .. Lambda_r^-1
-        a = symmetrize(li[0] @ (hh + series[0, 1]) @ li[0])
-        partial = np.cumsum((li[:-1] - li[1:]) / plan.div, axis=0)
-        partial = np.concatenate([np.zeros((1, n, n)), partial])  # S_1..S_r
-        d_lam = constraint - li[-1] - a - partial[-1]
-        core = q[1:-1] - a - partial[:-1]
-        d_q = plan.dx * series[:-1, 2] * core
-    else:
-        di = inv[:m]  # D_1^-1 .. D_{r-1}^-1
-        b = symmetrize(di[0] @ q[1] @ di[0])
-        partial = np.cumsum((di[1:] - di[:-1]) / plan.div[:-1], axis=0)
-        partial = np.concatenate([np.zeros((1, n, n)), partial])  # T_1..T_{r-1}
-        core = hh - b - partial + series[:-1, 1]
-        d_q = -plan.dx * core
+    r, ci = len(plan.x), inv[:m]
+    a = symmetrize(ci[0] @ w[0] @ ci[0])
+    core = o[:m] - a - _partials(plan, ci)
+    # (x_p - x_{p-1}) J_p, J = sign dW_p/dQ_p: xi''(Q_p) or -1
+    jdx = plan.dx * plan.sign * plan.pair(1.0, series[:-1, 2])[0]
+    d_q = jdx * core[: r - 1]
     if eps != 0.0:
         inc_inv = inv[m:]
         d_q = d_q + corrected_eps(eps) * (inc_inv[1:] - inc_inv[:-1])
-    reps = plan.join(d_lam, d_q)
+    reps = plan.join(core[-1] - ci[-1], d_q)  # join drops d_lam for the multiplier-free form
     tangents = None
     if directions is not None:
-        tangents = _tangent(plan, eps, hh, q, series, inv, core, directions)
+        tangents = _tangent(plan, eps, series, inv, w[0], jdx, core, directions)
     return value, reps, tangents
 
 
-def _tangent(plan, eps, hh, q, series, inv, core, v):
+def _tangent(plan, eps, series, inv, w1, jdx, core, v):
     """Directional derivatives of the representers of one point along each
-    direction of the stack v (D, blocks, n, n), from the point's levels q
-    (Q_0..Q_r), series at Q_1..Q_r, inverses (the chain's, then the
-    increments') and the ``core`` of eval_stack's representers.
+    direction of the stack v (D, blocks, n, n), from the point's series at
+    Q_1..Q_r, inverses (the chain's, then the increments'), W_1, and the
+    ``jdx`` = (x_p - x_{p-1}) J_p and ``core`` of eval_stack's representers.
 
     Each step differentiates the matching step of eval_stack, with
-    d(A^-1)[V] = -A^-1 V A^-1 and d xi^(j)(A)[V] = xi^(j+1)(A) o V.
+    d(A^-1)[V] = -A^-1 V A^-1 and d xi^(j)(A)[V] = xi^(j+1)(A) o V; so
+    dU = dQ and dV = xi''(Q) o dQ swap as U and V do.
     """
-    (count, m), n = v.shape[:2], q.shape[-1]  # m blocks, as many as chain matrices
+    count, n, r, m = v.shape[0], v.shape[-1], len(plan.x), len(core)
     zero = np.zeros((count, 1, n, n))
     dlam, dlevels = plan.split(v)
     dq = np.concatenate([zero, dlevels, zero], axis=1)  # dQ_0..dQ_r
-    ci = inv[:m]  # Lambda_1^-1 .. Lambda_r^-1, or D_1^-1 .. D_{r-1}^-1
-    d_lam = None
-    if plan.kind == "parisi":
-        # d Lambda_p = d Lambda - sum_{k >= p} x_k (xi''(Q_{k+1}) o dQ_{k+1} - xi''(Q_k) o dQ_k)
-        d_xp = series[:, 2] * dq[:, 1:]
-        dlam = dlam[:, None]
-        dchain = np.concatenate([dlam - tail_sums(plan.x[1:], np.diff(d_xp, axis=1)), dlam], axis=1)
-        dci = -ci @ dchain @ ci
-        # a = L_1^-1 (hh + xi'(Q_1)) L_1^-1
-        half = dci[:, 0] @ (hh + series[0, 1]) @ ci[0]
-        da = half + half.swapaxes(-1, -2) + ci[0] @ d_xp[:, 0] @ ci[0]
-        dpartial = np.cumsum((dci[:, :-1] - dci[:, 1:]) / plan.div, axis=1)
-        d_lam = -dci[:, -1] - da - dpartial[:, -1]
-        dcore = dq[:, 1:-1] - da[:, None] - np.concatenate([zero, dpartial[:, :-1]], axis=1)
-        d_q = plan.dx * (series[:-1, 4] * dq[:, 1:-1] * core + series[:-1, 2] * dcore)
-    else:
-        # d D_p = sum_{k >= p} x_k (dQ_{k+1} - dQ_k)
-        dci = -ci @ tail_sums(plan.x[1:], np.diff(dq[:, 1:], axis=1)) @ ci
-        # b = D_1^-1 Q_1 D_1^-1
-        half = dci[:, 0] @ q[1] @ ci[0]
-        db = half + half.swapaxes(-1, -2) + ci[0] @ dq[:, 1] @ ci[0]
-        dpartial = np.cumsum((dci[:, 1:] - dci[:, :-1]) / plan.div[:-1], axis=1)
-        dcore = series[:-1, 2] * dq[:, 1:-1] - db[:, None] - np.concatenate([zero, dpartial], axis=1)
-        d_q = -plan.dx * dcore
+    dw, do = plan.pair(dq[:, 1:], series[:, 2] * dq[:, 1:])  # (dW, dO) of (dU, dV)
+    ci = inv[:m]
+    dci = -ci @ _tail_chain(plan.x, dlam, dw) @ ci
+    # d(C_1^-1 W_1 C_1^-1)
+    half = dci[:, 0] @ w1 @ ci[0]
+    da = half + half.swapaxes(-1, -2) + ci[0] @ dw[:, 0] @ ci[0]
+    dcore = do[:, :m] - da[:, None] - _partials(plan, dci)
+    # dJ = sign d^2W_p/dQ_p^2 o dQ_p: xi'''(Q_p) o dQ_p or 0
+    djdx = plan.dx * plan.sign * plan.pair(0.0, series[:-1, 4])[0]
+    d_q = djdx * core[: r - 1] * dq[:, 1:-1] + jdx * dcore[:, : r - 1]
     if eps != 0.0:
         inc_inv = inv[m:]
-        d_inc_inv = -inc_inv @ np.diff(dq, axis=1) @ inc_inv
+        d_inc_inv = -inc_inv @ (dq[:, 1:] - dq[:, :-1]) @ inc_inv
         d_q = d_q + corrected_eps(eps) * (d_inc_inv[:, 1:] - d_inc_inv[:, :-1])
-    return plan.join(d_lam, d_q)
+    return plan.join(dcore[:, -1] - dci[:, -1], d_q)
 
 
 def _point(plan, path: DiscretePath, lam=None):
@@ -448,17 +441,18 @@ def corrected_form(side, path: DiscretePath, mix: MixtureSpec, eps: float, lam=N
         lam = _multiplier(path, mix, eps, inc_inv, e)
     s = corrected_eps(eps)
     plan = Weights(kind, path.x)
-    q, _, series, chain = _chain(plan, mix, path.constraint, _point(plan, path, lam))
+    hh = mix.outer_field()
+    q, series, w, _, chain = _chain(plan, hh, mix, path.constraint, _point(plan, path, lam))
     m = path.r - 1
     chain[:m] += s * ebar
     logdet, ok = stack_logdets(chain)
     if not ok.all():
         raise NotPositiveDefinite("a matrix of the corrected chain is not positive definite")
     inv = stack_inverses(chain)
-    total = _form_total(plan, mix.outer_field(), q, series, chain, logdet, inv[0], logdet[-1])
+    total = _form_total(plan, hh, q, series, w[0], chain, logdet, inv[0], logdet[-1])
     j = np.minimum(np.arange(m) + (kind == "cs"), m - 1)
-    sign, paired = (1.0, series[j, 1]) if kind == "cs" else (-1.0, q[j + 1])
+    paired = series[j, 1] if kind == "cs" else q[j + 1]
     d_ebar = np.diff(np.concatenate([ebar, np.zeros((1, path.n, path.n))]), axis=0)
-    total += s * np.sum(_frob(d_ebar, sign * inv[j] / plan.div - paired))
+    total += s * np.sum(_frob(d_ebar, -inv[j] / plan.div[1:] - paired))
     total -= s * np.sum(inc_logdet)
     return 0.5 * float(total), chain[:m], lam, err

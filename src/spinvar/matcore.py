@@ -335,10 +335,10 @@ def check_constraint(q: np.ndarray, tol: float = 1e-9) -> list[str]:
         return [f"constraint entries must be finite, got {q.ravel().tolist()}"]
     # entries near the float limit overflow q - q.T; such a difference is not close
     with np.errstate(over="ignore"):
-        if not np.allclose(q, q.T, atol=tol):
+        if not np.allclose(q, q.T, rtol=0.0, atol=tol):
             problems.append("constraint must be symmetric")
     d = np.diagonal(q)
-    if not np.allclose(d, 1.0, atol=tol):
+    if not np.allclose(d, 1.0, rtol=0.0, atol=tol):
         problems.append(f"unit diagonal required, got {d.tolist()}")
     off = q - np.diag(d)
     if np.any(np.abs(off) > 1.0 + tol):

@@ -19,7 +19,8 @@ D_k - D_{k+1} = x_k (Q_{k+1} - Q_k).
 Every chain of the package -- these two, the correction tails Ebar_p of
 :mod:`spinvar.functionals` and Phihat at the knots of
 :mod:`spinvar.continuous` -- is a weighted tail sum, computed by
-:func:`tail_sums` for a whole stack at once.
+:func:`tail_sums` for a whole stack at once; the two above by
+:func:`_tail_chain`, from W_p = hh^T + xi'(Q_p) (hh^T cancels) or Q_p.
 
 Chain feasibility is decided, and the domain error of an infeasible chain
 raised, by :func:`_factor_chain` alone, for the two sequences below and for
@@ -188,6 +189,18 @@ def _factor_chain(kind, chain, incs):
     return mats, logdet
 
 
+def _tail_chain(x, lam, w):
+    """Lambda - T_1..Lambda - T_{r-1}, Lambda, or T_1..T_{r-1} for ``lam``
+    None, with T_p = sum_{k >= p} x_k (W_{k+1} - W_k) of W_1..W_r in ``w``
+    (..., r, n, n); linear, so it maps tangents too.  The functionals build
+    their chains here too, so feasibility is decided on the same matrices."""
+    tails = tail_sums(x[1:], w[..., 1:, :, :] - w[..., :-1, :, :])
+    if lam is None:
+        return tails
+    lam = lam[..., None, :, :]
+    return np.concatenate([lam - tails, lam], axis=-3)
+
+
 def lambda_sequence(lam: np.ndarray, path: DiscretePath, mix: MixtureSpec) -> Chain:
     """Derive Lambda_1..Lambda_r, raising where and as ``eval_parisi`` does:
     InfeasibleMultiplier unless Lambda_1 factors after a shift by its
@@ -195,9 +208,8 @@ def lambda_sequence(lam: np.ndarray, path: DiscretePath, mix: MixtureSpec) -> Ch
     lam = symmetrize(np.asarray(lam, dtype=float))
     if lam.shape != (path.n, path.n):
         raise DimensionMismatch("multiplier dimension does not match the path")
-    xi_prime = mix.series(np.array(path.qs))[:, 1]  # at Q_1..Q_r
-    tails = tail_sums(path.x[1:], np.diff(xi_prime, axis=0))
-    chain = np.concatenate([lam - tails, lam[None]])
+    field = mix.outer_field() + mix.series(np.array(path.qs))[:, 1]  # hh + xi'(Q_p), p = 1..r
+    chain = _tail_chain(path.x, lam, field)
     _factor_chain("parisi", chain, chain[:0])
     return Chain(chain)
 
@@ -208,9 +220,9 @@ def d_sequence(path: DiscretePath) -> Chain:
     chain matrix and Q - Q_{r-1} factor."""
     if path.r < 2:
         raise InfeasiblePath("D sequence needs r >= 2")
-    inc = np.diff(np.array(path.qs), axis=0)  # Q_{k+1} - Q_k, k = 1..r-1
-    chain = tail_sums(path.x[1:], inc)
-    _factor_chain("cs", chain, inc[-1:])
+    levels = np.array(path.qs)  # Q_1..Q_r
+    chain = _tail_chain(path.x, None, levels)
+    _factor_chain("cs", chain, levels[-1:] - levels[-2:-1])
     return Chain(chain)
 
 

@@ -103,14 +103,7 @@ def fd_directional_backtracked(f, h_step: float) -> float:
 
 @dataclass(frozen=True)
 class CriticalReport:
-    """Residuals of the critical-point equations at a candidate point.
-
-    side = "lower": residuals[p-1] = |Lambda_p^-1 - D_p(corrected eps)|_inf;
-    side = "upper": residuals[p-1] = |D_p^-1 - Lambda_p(corrected eps)|_inf
-    with the multiplier constructed from the path.  ``identity_gap`` is the
-    difference between the perturbed functional and its approximate dual
-    form at the same point.
-    """
+    """What :func:`critical_residual` finds at a candidate point."""
 
     side: str
     residuals: tuple[float, ...]
@@ -127,6 +120,18 @@ def critical_residual(
     eps: float,
     lam: np.ndarray | None = None,
 ) -> CriticalReport:
+    """Residuals of the critical-point identities, which hold at interior
+    critical points of an eps-perturbed form, at (path, lam); x_{r-1} = 1.
+
+    side = "lower", at a point of the multiplier form (``lam`` required):
+    residuals[p-1] = |Lambda_p^-1 - (D_p + s Ebar_p)|_inf, its chain's
+    inverse against the corrected tail chain.  side = "upper", at a point of
+    the multiplier-free form: residuals[p-1] = |D_p^-1 - (Lambda_p + s
+    Ebar_p)|_inf, with the multiplier of :func:`construct_multiplier` unless
+    given.  Here p = 1..r-1 and s = corrected_eps(eps).  ``identity_gap`` is
+    |eval_perturbed - eval_approx|: the perturbed form at the point against
+    the corrected dual form of ``side``, equal at a critical point.
+    """
     if side == "lower" and lam is None:
         raise ValueError("the lower side needs the multiplier")
     value_approx, corrected, lam, _ = corrected_form(side, path, mix, eps, lam)
@@ -196,6 +201,11 @@ def _shift(path, mix, eps, lam, err) -> TildeResult:
 
 @dataclass(frozen=True)
 class BoundCheck:
+    """One inequality of :func:`bound_check`: ``lhs`` the corrected form of
+    ``side`` at the point, ``rhs`` the unperturbed form it bounds at the
+    tilde-shifted point, ``slack = lhs - rhs``, and ``holds`` whether the
+    slack is at least -1e-9, the round-off allowance."""
+
     side: str
     lhs: float
     rhs: float

@@ -201,6 +201,28 @@ def test_run_gap_record():
         assert all(s["stop_reason"] == "converged" for s in stages)
 
 
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+
+@pytest.mark.parametrize(
+    "name, min_parisi, min_cs",
+    [
+        ("coupled_pair.json", 0.10519334796765409, 0.10519329970005903),
+        ("pure2_scalar.json", 0.04500049810828878, 0.04500049858802677),
+    ],
+    ids=["coupled_pair", "pure2_scalar"],
+)
+def test_problem_file_gap_results_are_pinned(name, min_parisi, min_cs):
+    """The minima and argmins of ``gap`` on the shipped problem files: a
+    refactor of the kernel or the solver must reproduce them to 1e-10."""
+    out = run("gap", load_spec(str(PROBLEMS / name))).outputs
+    assert out["min_parisi"] == pytest.approx(min_parisi, rel=0, abs=1e-10)
+    assert out["min_cs"] == pytest.approx(min_cs, rel=0, abs=1e-10)
+    for side in ("argmin_parisi", "argmin_cs"):
+        assert out[side]["r"] == 2
+        assert out[side]["x"] == pytest.approx([0.0, 1.0], rel=0, abs=1e-10)
+
+
 def test_emit_deterministic(tmp_path):
     spec = build_spec(minimal_spec(solve={"eps_schedule": [1e-1, 1e-3]}))
     rec = run("gap", spec)

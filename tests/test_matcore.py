@@ -205,13 +205,22 @@ def test_check_constraint():
         "constraint must be symmetric",
         "off-diagonal entries must lie in [-1, 1]",
     ]
-    # np.allclose lets a diagonal 5e-6 above 1 pass as unit, so the
-    # positive definite test must still run on it
+    # a diagonal 5e-6 above 1 is not unit; the positive definite test still
+    # runs on it
     d = 1.0 + 5e-6
     indefinite = np.array([[d, 1.0, -1.0], [1.0, d, 1.0], [-1.0, 1.0, d]])
     assert check_constraint(indefinite) == [
-        "constraint must be positive definite, lam_min = -1.000e+00"
+        f"unit diagonal required, got {[d] * 3}",
+        "constraint must be positive definite, lam_min = -1.000e+00",
     ]
+
+
+def test_check_constraint_tolerance_is_absolute():
+    """tol bounds the unit-diagonal and symmetry errors absolutely; numpy's
+    default relative tolerance of 1e-5 would let both through."""
+    assert check_constraint(np.array([[1.000005]])) == ["unit diagonal required, got [1.000005]"]
+    assert check_constraint(np.array([[1.0, 0.9], [0.900004, 1.0]])) == ["constraint must be symmetric"]
+    assert check_constraint(np.array([[1.0 + 1e-10, 0.9], [0.9 + 1e-10, 1.0]])) == []
 
 
 def test_l1_delta():
