@@ -160,6 +160,25 @@ def _form_total(plan, hh, q, series, w1, chain, logdet, first_inv, top):
     return total + np.sum(x[1:] * (sums[1:] - sums[:-1]))
 
 
+def _evaluate(plan, mix, constraint, eps, blocks, invert_all):
+    """The value pass of :func:`eval_stack` at one point: ``(value, series,
+    w, o, inv, m)``, with the series, W and O of :func:`_chain`, ``m`` the
+    chain's length and ``inv`` the inverses of the chain and then of the
+    factored increments (``invert_all``), or of C_1 alone."""
+    hh = mix.outer_field()
+    q, series, w, o, chain = _chain(plan, hh, mix, constraint, blocks)
+    inc = q[1:] - q[:-1]  # Q_{k+1} - Q_k, k = 0..r-1
+    if eps == 0.0:
+        inc = inc[:0] if plan.lead else inc[-1:]  # Q - Q_{r-1} always for D
+    mats, logdet = _factor_chain(plan.kind, chain, inc)
+    m = len(chain)
+    inv = stack_inverses(mats[1:] if invert_all else mats[1:2])
+    value = 0.5 * _form_total(plan, hh, q, series, w[0], chain, logdet[1 : 1 + m], inv[0], logdet[-1])
+    if eps != 0.0:
+        value = value + eps * -np.sum(logdet[1 + m :])
+    return float(value), series, w, o, inv, m
+
+
 def eval_stack(plan, mix, constraint, eps, blocks, grad=False, directions=None):
     """The eps-perturbed form of ``plan``, a :class:`Weights`, at one point.
 
@@ -184,20 +203,8 @@ def eval_stack(plan, mix, constraint, eps, blocks, grad=False, directions=None):
     along each V, shape (D, blocks, n, n): one tangent-linear pass through
     the same chain, inverses and mixture series (see :func:`_tangent`).
     """
-    hh = mix.outer_field()
-    q, series, w, o, chain = _chain(plan, hh, mix, constraint, blocks)
-    inc = q[1:] - q[:-1]  # Q_{k+1} - Q_k, k = 0..r-1
-    if eps == 0.0:
-        inc = inc[:0] if plan.lead else inc[-1:]  # Q - Q_{r-1} always for D
-    mats, logdet = _factor_chain(plan.kind, chain, inc)
-    m = len(chain)
-
     grad = grad or directions is not None
-    inv = stack_inverses(mats[1:] if grad else mats[1:2])
-    value = 0.5 * _form_total(plan, hh, q, series, w[0], chain, logdet[1 : 1 + m], inv[0], logdet[-1])
-    if eps != 0.0:
-        value = value + eps * -np.sum(logdet[1 + m :])
-    value = float(value)
+    value, series, w, o, inv, m = _evaluate(plan, mix, constraint, eps, blocks, grad)
     if not grad:
         return value, None, None
 

@@ -23,10 +23,13 @@ the linear-in-eps extrapolation needs, (1e-5, 1e-6): with the exact
 Hessian a damped Newton stage converges from :func:`default_start` at
 eps = 1e-5 directly, one long barrier step (Boyd & Vandenberghe, *Convex
 Optimization*, sec. 11.3).  Within one form and level count, ``search``
-starts its first candidate cold and every later one from the incumbent
-it neighbours (:func:`warm_start`), which runs only the last two stages
-of the schedule; a start never crosses forms or level counts, so the
-gap stays an independent certificate.
+starts its first candidate cold and every later one from the nearest
+converged candidate already solved (:func:`warm_start`), which runs only
+the schedule's last stage, the one the ranking reads; a warm candidate
+that stops unconverged is re-solved cold, and the winner, when warm,
+gets its penultimate stage run from its own minimizer for the
+extrapolation.  A start never crosses forms or level counts, so the gap
+stays an independent certificate.
 """
 
 from __future__ import annotations
@@ -349,9 +352,10 @@ def minimize_fixed(
 
 
 def warm_start(kind, mix, x, source: ContinuationResult, diag_only: bool = False):
-    """Start at weights x from ``source``, the continuation (converged or
-    not) of the same form and r at neighbouring weights y: its levels Q_k
-    and, for the multiplier form, its multiplier raised by
+    """Start at weights x from ``source``, a continuation of the same form
+    and r at other weights y (in :func:`search`, the nearest converged
+    candidate already solved): its final levels Q_k and, for the multiplier
+    form, its multiplier raised by
 
         sum_k max(0, x_k - y_k) (xi'(Q_{k+1}) - xi'(Q_k)),   k = 1..r-1.
 
@@ -378,6 +382,53 @@ def warm_start(kind, mix, x, source: ContinuationResult, diag_only: bool = False
     return source.lam + raise_by, levels
 
 
+def _run_stages(kind, mix, constraint, r, x, opts, diag_only, schedule, state):
+    """Run the (index, eps) stages of ``schedule`` in order, the first from
+    ``state`` (None for :func:`default_start`) and each later one from the
+    previous stage's minimizer; returns the last stage's result, the stage
+    records and the trace rows, which keep their schedule indices."""
+    stages: list[StageRecord] = []
+    trace: list[TraceRow] = []
+    result = None
+    for si, eps in schedule:
+        result = minimize_fixed(
+            kind, mix, constraint, r, x, eps, opts,
+            start=state, diag_only=diag_only, trace=trace, stage=si,
+        )
+        state = (result.lam, result.path.free_levels())
+        stages.append(
+            StageRecord(
+                eps=eps,
+                value_perturbed=result.value,
+                value_base=eval_perturbed(kind, 0.0, result.path, mix, lam=result.lam),
+                grad_norm=result.grad_norm,
+                iterations=result.iterations,
+                converged=result.converged,
+                stop_reason=result.stop_reason,
+            )
+        )
+    return result, stages, trace
+
+
+def _finish(kind, path, lam, stages, trace) -> ContinuationResult:
+    """The continuation that ends at (path, lam), the final stage's
+    minimizer: its base value there and the linear-in-eps extrapolation of
+    the base values of its last two stages."""
+    extrapolated = stages[-1].value_base
+    if len(stages) >= 2:
+        s1, s0 = stages[-2:]
+        extrapolated = (s1.eps * s0.value_base - s0.eps * s1.value_base) / (s1.eps - s0.eps)
+    return ContinuationResult(
+        kind=kind,
+        path=path,
+        lam=lam,
+        value_at_eps_min=stages[-1].value_base,
+        value_extrapolated=extrapolated,
+        stages=stages,
+        trace=trace,
+    )
+
+
 def continuation(
     kind: str,
     mix: MixtureSpec,
@@ -392,57 +443,37 @@ def continuation(
     minimizer; report the barrier-stripped value at the final stage and its
     linear-in-eps extrapolation from the last two stages.
 
-    Cold (``warm`` None), the whole schedule runs and its first stage
-    starts at :func:`default_start`; under the default two-stage schedule
-    that first stage is eps = 1e-5.  Given ``warm``, a continuation of the
-    same form and r at neighbouring weights, only the last two stages of
-    the schedule run, from :func:`warm_start`; the extrapolation uses the
-    same two eps as a cold run, and the trace rows keep their schedule
-    indices.
+    Cold (``warm`` None), the whole schedule runs from :func:`default_start`.
+    Given ``warm``, a continuation of the same form and r at other weights,
+    only the last stage runs, from :func:`warm_start` (a barrier method may
+    start at its target eps near the solution; Boyd & Vandenberghe, sec.
+    11.3), and the extrapolation is its final base value.  When that stage
+    stops unconverged, the start was too far: the whole schedule runs cold
+    instead.  Trace rows keep their schedule indices.
     """
     schedule = list(enumerate(opts.eps_schedule))
-    state = None
     if warm is not None:
-        schedule = schedule[-2:]
-        state = warm_start(kind, mix, x, warm, diag_only)
-    stages: list[StageRecord] = []
-    trace: list[TraceRow] = []
-    base_values = []
-    result = None
-    for si, eps in schedule:
-        result = minimize_fixed(
-            kind, mix, constraint, r, x, eps, opts,
-            start=state, diag_only=diag_only, trace=trace, stage=si,
+        start = warm_start(kind, mix, x, warm, diag_only)
+        result, stages, trace = _run_stages(
+            kind, mix, constraint, r, x, opts, diag_only, schedule[-1:], start
         )
-        state = (result.lam, result.path.free_levels())
-        base = eval_perturbed(kind, 0.0, result.path, mix, lam=result.lam)
-        base_values.append(base)
-        stages.append(
-            StageRecord(
-                eps=eps,
-                value_perturbed=result.value,
-                value_base=base,
-                grad_norm=result.grad_norm,
-                iterations=result.iterations,
-                converged=result.converged,
-                stop_reason=result.stop_reason,
-            )
-        )
-    if len(base_values) >= 2:
-        e1, e0 = opts.eps_schedule[-2], opts.eps_schedule[-1]
-        v1, v0 = base_values[-2], base_values[-1]
-        extrapolated = (e1 * v0 - e0 * v1) / (e1 - e0)
-    else:
-        extrapolated = base_values[-1]
-    return ContinuationResult(
-        kind=kind,
-        path=result.path,
-        lam=result.lam,
-        value_at_eps_min=base_values[-1],
-        value_extrapolated=extrapolated,
-        stages=stages,
-        trace=trace,
+        if result.converged:
+            return _finish(kind, result.path, result.lam, stages, trace)
+    result, stages, trace = _run_stages(kind, mix, constraint, r, x, opts, diag_only, schedule, None)
+    return _finish(kind, result.path, result.lam, stages, trace)
+
+
+def _complete(cont: ContinuationResult, mix, constraint, opts, diag_only) -> ContinuationResult:
+    """A warm continuation with its penultimate stage run from its own
+    final-stage minimizer, so its stages, trace and extrapolation cover the
+    same two eps as a cold run; the minimizer and ``value_at_eps_min`` stay
+    the final stage's."""
+    last = len(opts.eps_schedule) - 1
+    _, stages, trace = _run_stages(
+        cont.kind, mix, constraint, cont.path.r, cont.path.x, opts, diag_only,
+        [(last - 1, opts.eps_schedule[-2])], (cont.lam, cont.path.free_levels()),
     )
+    return _finish(cont.kind, cont.path, cont.lam, stages + cont.stages, trace + cont.trace)
 
 
 def search(
@@ -458,10 +489,13 @@ def search(
     smaller r, then lexicographically smaller weights; within one r a tied
     candidate replaces the incumbent only when its value is not above the
     incumbent's.  The first candidate of each r runs the whole eps schedule
-    from :func:`default_start`; every other one is a neighbour of the
-    incumbent and runs the schedule's last two stages warm from it.  Under
-    the default schedule both run the same two stages and differ only in
-    their start."""
+    from :func:`default_start`; every later one runs only the last stage,
+    warm from the nearest converged candidate already solved at that r
+    (L-infinity distance in the weight ticks, ties to the smaller ticks),
+    or cold when there is none.  Each sweep visits its options nearest the
+    incumbent first, so near neighbours become the sources of far ones.  A
+    warm winner gets its penultimate stage run from its own minimizer, so
+    its stages and extrapolation cover the eps of a cold run."""
     tie_tol = 1e-9
     best = None
     candidates = []
@@ -473,10 +507,16 @@ def search(
             return a.converged
         return a.value_at_eps_min < b.value_at_eps_min - tie_tol or tie
 
-    def run(r, ticks, denom, warm=None):
+    def run(r, ticks, denom):
         key = (r, ticks)
         if key in memo:
             return memo[key]
+        # the source: the nearest converged candidate solved at this r
+        solved = [
+            (max(abs(a - b) for a, b in zip(t, ticks)), t)
+            for (rr, t), c in memo.items() if rr == r and c.converged
+        ]
+        warm = memo[(r, min(solved)[1])] if solved else None
         x = (0.0,) + tuple(t / denom for t in ticks) + (1.0,)
         cont = continuation(kind, mix, constraint, r, x, opts, diag_only=diag_only, warm=warm)
         memo[key] = cont
@@ -502,11 +542,11 @@ def search(
                     options = {cur[i] - spacing, cur[i] + spacing}
                     if refinement == 0:
                         options |= {j * spacing for j in range(1, opts.x_grid)}
-                    for v in sorted(options):
+                    for v in sorted(options, key=lambda t: (abs(t - cur[i]), t)):
                         if not lo < v < hi:
                             continue
                         cand = cur[:i] + (v,) + cur[i + 1 :]
-                        trial = run(r, cand, denom, warm=cont)
+                        trial = run(r, cand, denom)
                         # convergence is never lost and a tie moves only
                         # downhill, so every accepted move lowers
                         # (unconverged, value, weights) and the sweep cannot cycle
@@ -522,6 +562,8 @@ def search(
         ):
             best = entry
     value, r, interior, cont = best
+    if len(cont.stages) < min(2, len(opts.eps_schedule)):
+        cont = _complete(cont, mix, constraint, opts, diag_only)
     return SearchResult(
         kind=kind,
         r=r,

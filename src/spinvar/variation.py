@@ -19,6 +19,9 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleStep, SpinvarError
 from .functionals import (
+    Weights,
+    _evaluate,
+    _point,
     construct_multiplier,
     corrected_eps,
     corrected_form,
@@ -27,8 +30,8 @@ from .functionals import (
     eval_point,
     increments,
 )
-from .matcore import MixtureSpec, stack_inverses, symmetrize
-from .path import DiscretePath, d_sequence, lambda_sequence
+from .matcore import MixtureSpec, symmetrize
+from .path import DiscretePath, lambda_sequence
 
 
 @dataclass(frozen=True)
@@ -135,11 +138,12 @@ def critical_residual(
     if side == "lower" and lam is None:
         raise ValueError("the lower side needs the multiplier")
     value_approx, corrected, lam, _ = corrected_form(side, path, mix, eps, lam)
-    kind = "parisi" if side == "lower" else "cs"
-    chain = lambda_sequence(lam, path, mix) if kind == "parisi" else d_sequence(path)
-    own = stack_inverses(np.array(chain.seq[: path.r - 1]))
+    plan = Weights("parisi" if side == "lower" else "cs", path.x)
+    # eval_perturbed's kernel pass, which also inverts the point's own chain;
+    # it raises where lambda_sequence and d_sequence raise
+    value_pert, *_, inv, _ = _evaluate(plan, mix, path.constraint, eps, _point(plan, path, lam), True)
+    own = inv[: path.r - 1]
     residuals = tuple(float(v) for v in np.max(np.abs(own - corrected), axis=(1, 2)))
-    value_pert = eval_perturbed(kind, eps, path, mix, lam=lam)
     return CriticalReport(
         side=side,
         residuals=residuals,

@@ -226,7 +226,10 @@ def test_search_ranks_converged_candidates_first(monkeypatch):
         def fake(kind, mix, constraint, r, x, opts, diag_only=False, warm=None):
             converged = r == 2 or (start_converges and x[1] == 0.5)
             value = 1.0 if r == 2 else 0.9 if converged else 0.5
-            return types.SimpleNamespace(value_at_eps_min=value, converged=converged)
+            # a whole schedule's stages, so the winner needs no stage completed
+            return types.SimpleNamespace(
+                value_at_eps_min=value, converged=converged, stages=[None] * len(opts.eps_schedule)
+            )
 
         return fake
 
@@ -521,10 +524,10 @@ def test_warm_continuation_matches_cold(mix, q, kind):
         cold = continuation(kind, mix, q, 3, x, opts)
         assert warm.converged and cold.converged
         assert warm.value_at_eps_min == pytest.approx(cold.value_at_eps_min, abs=1e-10)
-        # only the last two stages run, under their schedule indices
-        assert [s.eps for s in warm.stages] == list(opts.eps_schedule[-2:])
+        # only the last stage runs, under its schedule index
+        assert [s.eps for s in warm.stages] == list(opts.eps_schedule[-1:])
         last = len(opts.eps_schedule) - 1
-        assert {row.stage for row in warm.trace} == {last - 1, last}
+        assert {row.stage for row in warm.trace} == {last}
 
 
 def test_warm_diag_only_continuation_matches_cold():
@@ -597,3 +600,81 @@ def test_search_starts_one_candidate_cold_per_form_and_r(monkeypatch):
             assert mine[0] is None and mine.count(None) == 1, (kind, r)
             assert all(source == (kind, r) for source in mine[1:])
     assert len(calls) > 4  # the r = 3 sweeps ran warm candidates
+
+
+def _record_continuations(monkeypatch):
+    """Wrap ``optimize.continuation``; returns the list of (kind, r, x, warm, result) it fills."""
+    from spinvar import optimize
+
+    calls = []
+    real = optimize.continuation
+
+    def recorded(kind, mix, constraint, r, x, opts, diag_only=False, warm=None):
+        result = real(kind, mix, constraint, r, x, opts, diag_only=diag_only, warm=warm)
+        calls.append((kind, r, tuple(x), warm, result))
+        return result
+
+    monkeypatch.setattr(optimize, "continuation", recorded)
+    return calls
+
+
+def test_gap_ends_every_candidate_converged(monkeypatch):
+    # a far warm jump used to stall this cs candidate x = (0, 0.875, 1) at the
+    # plateau stop in both stages (205 and 202 iterations)
+    mix = MixtureSpec(
+        n=3,
+        terms=((2, np.array([1.12, 0.40, 0.17])), (4, np.array([1.58, 1.72, 1.19]))),
+        h=np.array([-0.19, 0.42, 0.43]),
+    )
+    q = np.array([[1.0, -0.33, 0.36], [-0.33, 1.0, -0.57], [0.36, -0.57, 1.0]])
+    calls = _record_continuations(monkeypatch)
+    rep = duality_gap(mix, q, SolveOptions(r_max=3, x_grid=8))
+    final = {(kind, x): result.converged for kind, _, x, _, result in calls}
+    assert all(final.values()), [key for key, ok in final.items() if not ok]
+    assert rep.argmin_parisi.x == rep.argmin_cs.x == (0.0, 0.5, 1.0)
+    assert rep.min_parisi == pytest.approx(3.9381912029506374, abs=1e-10)
+    assert rep.min_cs == pytest.approx(3.938191157752124, abs=1e-10)
+
+
+def test_warm_candidates_start_from_the_nearest_converged_candidate(monkeypatch):
+    calls = _record_continuations(monkeypatch)
+    opts = SolveOptions(r_max=4, x_grid=4)
+    duality_gap(MixtureSpec.pure(4, [2.0]), np.eye(1), opts)
+    solved = []  # (kind, r, ticks, converged) of the candidates solved so far
+    warm_calls = 0
+    for kind, r, x, warm, result in calls:
+        denom = 4 * opts.x_grid * (r - 1)
+        ticks = tuple(round(v * denom) for v in x[1:-1])
+        if warm is not None:
+            warm_calls += 1
+            assert (warm.kind, warm.path.r) == (kind, r) and warm.converged
+            source = tuple(round(v * denom) for v in warm.path.x[1:-1])
+            nearest = min(
+                (max(abs(a - b) for a, b in zip(t, ticks)), t)
+                for k, rr, t, ok in solved if (k, rr) == (kind, r) and ok
+            )
+            assert source == nearest[1], (kind, x)
+        solved.append((kind, r, ticks, result.converged))
+    assert warm_calls > 10
+
+
+@pytest.mark.parametrize(
+    "mix, q, x1",
+    [(FAMILY_N2_P4, FAMILY_N2_P4_Q, 0.8125), (MixtureSpec.pure(4, [2.0]), np.eye(1), 0.625)],
+    ids=["family-n2-p4", "pure4-beta2"],
+)
+@pytest.mark.parametrize("kind", ["parisi", "cs"])
+def test_warm_winner_carries_both_final_stages(mix, q, x1, kind):
+    # the winner is a warm candidate, which ran only the last stage; its
+    # penultimate stage is completed from its own minimizer
+    opts = SolveOptions(r_max=3)
+    res = search(kind, mix, q, opts)
+    assert (res.r, res.x) == (3, (0.0, x1, 1.0))
+    assert res.best.converged
+    assert [s.eps for s in res.best.stages] == list(opts.eps_schedule[-2:])
+    assert [row.stage for row in res.best.trace] == sorted(row.stage for row in res.best.trace)
+    assert {row.stage for row in res.best.trace} == {0, 1}
+    cold = continuation(kind, mix, q, res.r, res.x, opts)
+    assert res.value == res.best.value_at_eps_min
+    assert res.best.value_extrapolated == pytest.approx(cold.value_extrapolated, abs=1e-10)
+    assert res.best.value_at_eps_min == pytest.approx(cold.value_at_eps_min, abs=1e-10)
