@@ -7,14 +7,13 @@ their critical points together.
 """
 
 from .errors import SpinvarError
-from .matcore import MixtureSpec, constraint_matrix
+from .matcore import MixtureSpec
 from .optimize import GapReport, SolveOptions, continuation, duality_gap, minimize_fixed, search
 from .path import DiscretePath, d_sequence, lambda_sequence
 
 __all__ = [
     "SpinvarError",
     "MixtureSpec",
-    "constraint_matrix",
     "DiscretePath",
     "lambda_sequence",
     "d_sequence",

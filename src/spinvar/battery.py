@@ -219,41 +219,41 @@ def check_gradient_oracle(kind="parisi", seed=6, trials=50, h_step=1e-5) -> Chec
     return CheckResult(f"gradient-oracle-{kind}", worst <= 1e-6, done, worst)
 
 
-def check_critical_points(seed=7, eps_stages=(1e-1, 1e-2, 1e-3), n=2) -> CheckResult:
+def _critical_points(seed, eps_stages, n):
+    """The seeded r = 2, x = (0, 1) continuation of both forms over
+    ``eps_stages``: ``(mix, side, eps, minimizer)`` at every stage, with
+    ``side`` the identity side of the form's critical points."""
     rng = np.random.default_rng(seed)
     q = random_correlation(rng, n)
     mix = random_mixture(rng, n)
     opts = optimize.SolveOptions(eps_schedule=tuple(eps_stages), grad_tol=1e-10)
-    worst = 0.0
-    checks = 0
     for kind, side in (("parisi", "lower"), ("cs", "upper")):
         state = None
         for eps in eps_stages:
             res = optimize.minimize_fixed(kind, mix, q, 2, (0.0, 1.0), eps, opts, start=state)
             state = (res.lam, res.path.free_levels())
-            report = variation.critical_residual(side, res.path, mix, eps, lam=res.lam)
-            scale = 1e-5 * (1.0 + abs(report.value_perturbed))
-            worst = max(worst, report.max_residual / 1e-6, report.identity_gap / scale)
-            checks += 1
+            yield mix, side, eps, res
+
+
+def check_critical_points(seed=7, eps_stages=(1e-1, 1e-2, 1e-3), n=2) -> CheckResult:
+    worst = 0.0
+    checks = 0
+    for mix, side, eps, res in _critical_points(seed, eps_stages, n):
+        report = variation.critical_residual(side, res.path, mix, eps, lam=res.lam)
+        scale = 1e-5 * (1.0 + abs(report.value_perturbed))
+        worst = max(worst, report.max_residual / 1e-6, report.identity_gap / scale)
+        checks += 1
     return CheckResult("critical-point-identities", worst <= 1.0, checks, worst,
                        detail="(worst is max residual/1e-6 and gap/band ratio)")
 
 
 def check_tilde_bounds(seed=8, eps_stages=(1e-1, 1e-2, 1e-3), n=2) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    q = random_correlation(rng, n)
-    mix = random_mixture(rng, n)
-    opts = optimize.SolveOptions(eps_schedule=tuple(eps_stages), grad_tol=1e-10)
     worst = np.inf
     checks = 0
-    for kind, side in (("parisi", "lower"), ("cs", "upper")):
-        state = None
-        for eps in eps_stages:
-            res = optimize.minimize_fixed(kind, mix, q, 2, (0.0, 1.0), eps, opts, start=state)
-            state = (res.lam, res.path.free_levels())
-            chk = variation.bound_check(side, res.path, mix, eps, lam=res.lam)
-            worst = min(worst, chk.slack)
-            checks += 1
+    for mix, side, eps, res in _critical_points(seed, eps_stages, n):
+        chk = variation.bound_check(side, res.path, mix, eps, lam=res.lam)
+        worst = min(worst, chk.slack)
+        checks += 1
     return CheckResult("tilde-bounds", worst >= -1e-9, checks, worst)
 
 

@@ -12,8 +12,8 @@ Both can be perturbed by the log-det barrier
 increments, keeping minimizers strictly interior.  At interior critical
 points of a perturbed functional the two forms coincide through explicit
 correction terms built from the matrices E_p and their weighted tails
-Ebar_p; ``eval_approx`` evaluates those corrected forms, which need
-x_{r-1} = 1.
+Ebar_p (:func:`error_terms`); :func:`corrected_form` evaluates those
+corrected forms, which need x_{r-1} = 1.
 
 Every value and representer is computed by ``eval_stack``, one kernel
 body for both forms: they differ by the swap of U_p = Q_p and
@@ -327,50 +327,17 @@ def eval_perturbed(
 
 @dataclass(frozen=True)
 class ErrorTerms:
-    """Correction matrices E_1..E_r (E_r = 0) and tails Ebar_1..Ebar_{r-1}.
+    """Correction matrices E_1..E_r (E_r = 0) and tails Ebar_1..Ebar_{r-1}
+    as read-only stacks: ``e`` (r, n, n) and ``ebar`` (r - 1, n, n), so
+    E_p is ``e[p - 1]`` and Ebar_p is ``ebar[p - 1]``.
 
     E_p is built from inverse increment gaps around level p; the lower side
     additionally divides entrywise by xi''(Q_p).  The tails satisfy
     Ebar_k - Ebar_{k+1} = x_k (E_{k+1} - E_k).
     """
 
-    side: str
-    e: tuple[np.ndarray, ...]
-    ebar: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "e", tuple(frozen(m) for m in self.e))
-        object.__setattr__(self, "ebar", tuple(frozen(m) for m in self.ebar))
-
-    def e_at(self, p: int) -> np.ndarray:
-        """E_p for 1 <= p <= r."""
-        return self.e[p - 1]
-
-    def ebar_at(self, p: int) -> np.ndarray:
-        """Ebar_p for 1 <= p <= r-1."""
-        return self.ebar[p - 1]
-
-
-def _error_stack(side, path, mix):
-    """Increment log-dets and inverses, E_1..E_r and Ebar_1..Ebar_{r-1} of
-    one path as stacks (see :func:`error_terms`)."""
-    if side not in ("lower", "upper"):
-        raise ValueError(f"unknown side {side!r}")
-    dx = np.diff(path.x)
-    for p in range(1, path.r):
-        if dx[p - 1] <= 0.0:
-            raise NonStrictWeights(f"x_{p} - x_{p - 1} = {dx[p - 1]}")
-    inc, logdet, ok = increments(path)
-    if not ok.all():
-        raise DegenerateIncrement(int(np.argmin(ok)))
-    inv = stack_inverses(inc)
-    e = np.diff(inv, axis=0) / dx[:, None, None]
-    if side == "lower":
-        for p in range(1, path.r):
-            e[p - 1] = hadamard_div(e[p - 1], mix.xi_second(path.level(p)))
-    e = np.concatenate([e, np.zeros((1, path.n, path.n))])  # E_r = 0
-    # Ebar_p = sum_{k >= p} x_k (E_{k+1} - E_k)
-    return logdet, inv, e, tail_sums(path.x[1:], np.diff(e, axis=0))
+    e: np.ndarray
+    ebar: np.ndarray
 
 
 def error_terms(side: str, path: DiscretePath, mix: MixtureSpec) -> ErrorTerms:
@@ -379,15 +346,29 @@ def error_terms(side: str, path: DiscretePath, mix: MixtureSpec) -> ErrorTerms:
     side = "lower":  E_p = ((Q_{p+1}-Q_p)^-1 - (Q_p-Q_{p-1})^-1) / (x_p - x_{p-1})
                      divided entrywise by xi''(Q_p)  (needs beta_2 > 0);
     side = "upper":  the same without the entrywise division.
+
+    From one inverse call over the increments; the tails from
+    :func:`spinvar.path.tail_sums`.  E_{r-1} and Ebar_1 need a free level,
+    so r = 1 is a ValidationError.
     """
-    _, _, e, ebar = _error_stack(side, path, mix)
-    return ErrorTerms(side=side, e=tuple(e), ebar=tuple(ebar))
-
-
-def _multiplier(path, mix, eps, inc_inv, e):
-    top = path.level(path.r - 1)
-    lam = inc_inv[-1] + mix.xi_prime(path.constraint) - mix.xi_prime(top)
-    return lam + corrected_eps(eps) * e[-2]
+    if side not in ("lower", "upper"):
+        raise ValueError(f"unknown side {side!r}")
+    if path.r < 2:
+        raise ValidationError(f"the error terms need a free level (r >= 2), got r = {path.r}")
+    dx = np.diff(path.x)
+    for p in range(1, path.r):
+        if dx[p - 1] <= 0.0:
+            raise NonStrictWeights(f"x_{p} - x_{p - 1} = {dx[p - 1]}")
+    inc, _, ok = increments(path)
+    if not ok.all():
+        raise DegenerateIncrement(int(np.argmin(ok)))
+    e = np.diff(stack_inverses(inc), axis=0) / dx[:, None, None]
+    if side == "lower":
+        for p in range(1, path.r):
+            e[p - 1] = hadamard_div(e[p - 1], mix.xi_second(path.level(p)))
+    e = np.concatenate([e, np.zeros((1, path.n, path.n))])  # E_r = 0
+    # Ebar_p = sum_{k >= p} x_k (E_{k+1} - E_k)
+    return ErrorTerms(frozen(e), frozen(tail_sums(path.x[1:], np.diff(e, axis=0))))
 
 
 def construct_multiplier(path: DiscretePath, mix: MixtureSpec, eps: float) -> np.ndarray:
@@ -398,38 +379,28 @@ def construct_multiplier(path: DiscretePath, mix: MixtureSpec, eps: float) -> np
 
     with upper-side correction terms and s = corrected_eps(eps).
     """
-    _, inc_inv, e, _ = _error_stack("upper", path, mix)
-    return _multiplier(path, mix, eps, inc_inv, e)
+    e = error_terms("upper", path, mix).e
+    top = path.level(path.r - 1)
+    lam = stack_inverses(path.constraint - top) + mix.xi_prime(path.constraint) - mix.xi_prime(top)
+    return lam + corrected_eps(eps) * e[-2]
 
 
-def eval_approx(
-    side: str,
-    path: DiscretePath,
-    mix: MixtureSpec,
-    eps: float,
-    lam: np.ndarray | None = None,
-) -> float:
-    """Approximate functionals with eps-corrected chains.
+def corrected_form(side, path: DiscretePath, mix: MixtureSpec, eps: float, lam=None):
+    """Approximate functionals with eps-corrected chains:
+    ``(value, corrected, lam)``.
 
     side = "lower": the corrected multiplier-free form (the value the
     multiplier form reduces to at its perturbed critical points);
     side = "upper": the corrected multiplier form (the value the
-    multiplier-free form reduces to).  For the upper side ``lam`` defaults
-    to :func:`construct_multiplier`.  Both need x_{r-1} = 1.
-    """
-    return corrected_form(side, path, mix, eps, lam)[0]
-
-
-def corrected_form(side, path: DiscretePath, mix: MixtureSpec, eps: float, lam=None):
-    """:func:`eval_approx` with what the identity checks compare it to:
-    ``(value, corrected, lam, err)``, with ``corrected`` the corrected chain
-    C_p + s Ebar_p, p = 1..r-1, of D (lower) or Lambda (upper), ``lam`` the
-    multiplier (constructed on the upper side when not given) and ``err``
-    the error terms, s = corrected_eps(eps).
+    multiplier-free form reduces to).  Both need x_{r-1} = 1.
+    ``corrected`` is the corrected chain C_p + s Ebar_p, p = 1..r-1, of D
+    (lower) or Lambda (upper), with the terms of :func:`error_terms` and
+    s = corrected_eps(eps); ``lam`` is the multiplier, for the upper side
+    :func:`construct_multiplier` unless given.
 
     The value is the unperturbed form at the corrected chain, computed by the
     formula code of :func:`eval_stack` with log|Q - Q_{r-1}| replaced by the
-    log-det of the corrected D_{r-1}, plus s times the barrier and
+    log-det of the corrected D_{r-1}, plus s times :func:`eval_barrier` and
 
         s sum_{k=1}^{r-1} < Ebar_{k+1} - Ebar_k, +-C_j^-1 / x_k - M_j >,
 
@@ -437,15 +408,12 @@ def corrected_form(side, path: DiscretePath, mix: MixtureSpec, eps: float, lam=N
     lower side, and j = k, M_j = Q_j and the sign is - on the upper side.
     NotPositiveDefinite when a corrected chain matrix does not factor.
     """
-    if side not in ("lower", "upper"):
-        raise ValueError(f"unknown side {side!r}")
     if path.x[-1] != 1.0:
         raise ValidationError(f"the approximate forms need x_{{r-1}} = 1, got {path.x[-1]}")
-    inc_logdet, inc_inv, e, ebar = _error_stack(side, path, mix)
-    err = ErrorTerms(side=side, e=tuple(e), ebar=tuple(ebar))
+    ebar = error_terms(side, path, mix).ebar
     kind = "cs" if side == "lower" else "parisi"
     if kind == "parisi" and lam is None:
-        lam = _multiplier(path, mix, eps, inc_inv, e)
+        lam = construct_multiplier(path, mix, eps)
     s = corrected_eps(eps)
     plan = Weights(kind, path.x)
     hh = mix.outer_field()
@@ -461,5 +429,5 @@ def corrected_form(side, path: DiscretePath, mix: MixtureSpec, eps: float, lam=N
     paired = series[j, 1] if kind == "cs" else q[j + 1]
     d_ebar = np.diff(np.concatenate([ebar, np.zeros((1, path.n, path.n))]), axis=0)
     total += s * np.sum(_frob(d_ebar, -inv[j] / plan.div[1:] - paired))
-    total -= s * np.sum(inc_logdet)
-    return 0.5 * float(total), chain[:m], lam, err
+    total += s * eval_barrier(path)
+    return 0.5 * float(total), chain[:m], lam

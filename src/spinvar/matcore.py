@@ -349,10 +349,3 @@ def check_constraint(q: np.ndarray, tol: float = 1e-9) -> list[str]:
         problems.append(f"constraint must be positive definite, lam_min = {spectral_floor(q):.3e}")
     return problems
 
-
-def constraint_matrix(q: np.ndarray) -> np.ndarray:
-    """Validate and freeze a constraint matrix, raising on any violation."""
-    problems = check_constraint(q)
-    if problems:
-        raise ValidationError(problems)
-    return frozen(symmetrize(np.asarray(q, dtype=float)))

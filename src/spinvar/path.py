@@ -148,20 +148,6 @@ def tail_sums(weights, steps: np.ndarray) -> np.ndarray:
     return terms[..., ::-1, :, :].cumsum(axis=-3)[..., ::-1, :, :]
 
 
-@dataclass(frozen=True)
-class Chain:
-    """A derived chain C_1..C_m, read-only: Lambda_1..Lambda_r or D_1..D_{r-1}."""
-
-    seq: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "seq", tuple(frozen(self.seq)))
-
-    def at(self, p: int) -> np.ndarray:
-        """C_p for 1 <= p <= m."""
-        return self.seq[p - 1]
-
-
 def _factor_chain(kind, chain, incs):
     """Feasibility of one chain (m, n, n), Lambda_1..Lambda_r (``kind``
     "parisi") or D_1..D_{r-1} ("cs"): one Cholesky call factors the
@@ -201,8 +187,9 @@ def _tail_chain(x, lam, w):
     return np.concatenate([lam - tails, lam], axis=-3)
 
 
-def lambda_sequence(lam: np.ndarray, path: DiscretePath, mix: MixtureSpec) -> Chain:
-    """Derive Lambda_1..Lambda_r, raising where and as ``eval_parisi`` does:
+def lambda_sequence(lam: np.ndarray, path: DiscretePath, mix: MixtureSpec) -> np.ndarray:
+    """Lambda_1..Lambda_r as a read-only stack (r, n, n), so Lambda_p is
+    entry p - 1, raising where and as ``eval_parisi`` does:
     InfeasibleMultiplier unless Lambda_1 factors after a shift by its
     psd_tol, NotPositiveDefinite unless every chain matrix factors."""
     lam = symmetrize(np.asarray(lam, dtype=float))
@@ -211,11 +198,12 @@ def lambda_sequence(lam: np.ndarray, path: DiscretePath, mix: MixtureSpec) -> Ch
     field = mix.outer_field() + mix.series(np.array(path.qs))[:, 1]  # hh + xi'(Q_p), p = 1..r
     chain = _tail_chain(path.x, lam, field)
     _factor_chain("parisi", chain, chain[:0])
-    return Chain(chain)
+    return frozen(chain)
 
 
-def d_sequence(path: DiscretePath) -> Chain:
-    """Derive D_1..D_{r-1}, raising InfeasiblePath where ``eval_cs`` does:
+def d_sequence(path: DiscretePath) -> np.ndarray:
+    """D_1..D_{r-1} as a read-only stack (r - 1, n, n), so D_p is entry
+    p - 1, raising InfeasiblePath where ``eval_cs`` does:
     unless r >= 2, D_{r-1} factors after a shift by its psd_tol, and every
     chain matrix and Q - Q_{r-1} factor."""
     if path.r < 2:
@@ -223,7 +211,7 @@ def d_sequence(path: DiscretePath) -> Chain:
     levels = np.array(path.qs)  # Q_1..Q_r
     chain = _tail_chain(path.x, None, levels)
     _factor_chain("cs", chain, levels[-1:] - levels[-2:-1])
-    return Chain(chain)
+    return frozen(chain)
 
 
 def merge_duplicates(path: DiscretePath) -> DiscretePath:

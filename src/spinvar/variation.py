@@ -9,6 +9,12 @@ for every symmetric direction C, i.e. the plain Frobenius gradient of F is
 G / 2.  The perturbed objective is ``base + eps * barrier`` (see
 :mod:`spinvar.functionals`), so barrier terms enter the representers with
 coefficient ``corrected_eps(eps) = 2 eps``.
+
+The certificate checks run the public routines of the paper's objects:
+:func:`critical_residual` compares a point with
+:func:`spinvar.functionals.corrected_form`, and :func:`bound_check` bounds
+that form by the dual form at the point of :func:`tilde_transform`; all
+build their corrections from :func:`spinvar.functionals.error_terms`.
 """
 
 from __future__ import annotations
@@ -38,12 +44,13 @@ from .path import DiscretePath, lambda_sequence
 class GradientBundle:
     """Representers of the first variation: one per free block.
 
-    ``d_lambda`` is present for the multiplier form only; ``d_q[p-1]`` is
-    the representer for level Q_p, p = 1..r-1.
+    ``d_lambda`` is present for the multiplier form only; ``d_q`` is the
+    stack (r - 1, n, n) of the representers for levels Q_1..Q_{r-1}, so
+    ``d_q[p-1]`` is the one for Q_p.
     """
 
     d_lambda: np.ndarray | None
-    d_q: tuple[np.ndarray, ...]
+    d_q: np.ndarray
 
 
 def grad_parisi(
@@ -60,7 +67,7 @@ def grad_parisi(
     s = corrected_eps(eps).
     """
     d_lam, d_q = eval_point("parisi", eps, path, mix, lam=lam, grad=True)[1]
-    return GradientBundle(d_lam, tuple(d_q))
+    return GradientBundle(d_lam, d_q)
 
 
 def grad_cs(path: DiscretePath, mix: MixtureSpec, eps: float = 0.0) -> GradientBundle:
@@ -71,7 +78,7 @@ def grad_cs(path: DiscretePath, mix: MixtureSpec, eps: float = 0.0) -> GradientB
 
     with T_p the partial sum of (1/x_k)(D_{k+1}^-1 - D_k^-1) over k < p.
     """
-    return GradientBundle(None, tuple(eval_point("cs", eps, path, mix, grad=True)[1][1]))
+    return GradientBundle(None, eval_point("cs", eps, path, mix, grad=True)[1][1])
 
 
 def fd_directional(f, h_step: float) -> float:
@@ -132,12 +139,12 @@ def critical_residual(
     the multiplier-free form: residuals[p-1] = |D_p^-1 - (Lambda_p + s
     Ebar_p)|_inf, with the multiplier of :func:`construct_multiplier` unless
     given.  Here p = 1..r-1 and s = corrected_eps(eps).  ``identity_gap`` is
-    |eval_perturbed - eval_approx|: the perturbed form at the point against
-    the corrected dual form of ``side``, equal at a critical point.
+    |eval_perturbed - corrected_form|: the perturbed form at the point
+    against the corrected dual form of ``side``, equal at a critical point.
     """
     if side == "lower" and lam is None:
         raise ValueError("the lower side needs the multiplier")
-    value_approx, corrected, lam, _ = corrected_form(side, path, mix, eps, lam)
+    value_approx, corrected, lam = corrected_form(side, path, mix, eps, lam)
     plan = Weights("parisi" if side == "lower" else "cs", path.x)
     # eval_perturbed's kernel pass, which also inverts the point's own chain;
     # it raises where lambda_sequence and d_sequence raise
@@ -175,26 +182,24 @@ def tilde_transform(
     """Shift the point by the corrected error terms.
 
     side = "lower": a new path with Q~_p = Q_p + s E_p (same weights);
-    side = "upper": a new multiplier Lambda~ = Lambda + s Ebar_1.
-    Infeasibility away from a critical point is reported, not raised.
+    side = "upper": a new multiplier Lambda~ = Lambda + s Ebar_1, with
+    ``lam`` the multiplier of :func:`construct_multiplier` unless given.
+    Here s = corrected_eps(eps) and E, Ebar are the :func:`error_terms` of
+    ``side``, so r = 1 is a ValidationError.  Infeasibility away from a
+    critical point is reported, not raised.
     """
     err = error_terms(side, path, mix)
-    if side == "upper" and lam is None:
-        lam = construct_multiplier(path, mix, eps)
-    return _shift(path, mix, eps, lam, err)
-
-
-def _shift(path, mix, eps, lam, err) -> TildeResult:
-    """tilde_transform with the error terms ``err`` of its side."""
     s = corrected_eps(eps)
-    if err.side == "lower":
-        new_path = path.with_levels([path.level(p) + s * err.e_at(p) for p in range(1, path.r)])
+    if side == "lower":
+        new_path = path.with_levels(np.array(path.qs[:-1]) + s * err.e[:-1])
         violations = tuple(
             f"transformed increment {k} -> {k + 1} is not PD"
             for k in np.flatnonzero(~increments(new_path)[2])
         )
         return TildeResult("lower", new_path, None, not violations, violations)
-    lam_tilde = symmetrize(lam + s * err.ebar_at(1))
+    if lam is None:
+        lam = construct_multiplier(path, mix, eps)
+    lam_tilde = symmetrize(lam + s * err.ebar[0])
     violations = []
     try:
         lambda_sequence(lam_tilde, path, mix)
@@ -233,8 +238,8 @@ def bound_check(
     at the tilde multiplier.  ``holds`` allows a slack down to -1e-9 for
     round-off.
     """
-    lhs, _, lam, err = corrected_form(side, path, mix, eps, lam)
-    shifted = _shift(path, mix, eps, lam, err)
+    lhs, _, lam = corrected_form(side, path, mix, eps, lam)
+    shifted = tilde_transform(side, path, mix, eps, lam)
     if not shifted.feasible:
         what = "path" if side == "lower" else "multiplier"
         raise SpinvarError(f"tilde {what} infeasible, not at a critical point? {shifted.violations}")

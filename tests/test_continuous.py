@@ -68,7 +68,7 @@ def test_hat_phi_matches_tail_chain_at_knots():
     dseq = d_sequence(path)
     for p in range(1, path.r):
         t_p = float(np.trace(path.level(p)))
-        np.testing.assert_allclose(hat_phi(cdf, phi, t_p), dseq.at(p), atol=1e-12)
+        np.testing.assert_allclose(hat_phi(cdf, phi, t_p), dseq[p - 1], atol=1e-12)
 
 
 def test_eval_continuous_rs_value():

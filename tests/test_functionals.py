@@ -13,8 +13,8 @@ from spinvar.errors import (
 )
 from spinvar.functionals import (
     construct_multiplier,
+    corrected_form,
     error_terms,
-    eval_approx,
     eval_barrier,
     eval_cs,
     eval_parisi,
@@ -22,7 +22,7 @@ from spinvar.functionals import (
 )
 from spinvar.matcore import MixtureSpec, symmetrize
 from spinvar.optimize import SolveOptions, minimize_fixed
-from spinvar.path import DiscretePath
+from spinvar.path import DiscretePath, d_sequence, lambda_sequence
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +185,13 @@ def test_error_terms_scalar_examples():
     mix = MixtureSpec.pure(2, [1.0])
     path = scalar_path((0.0, 0.5), (0.25, 1.0))
     upper = error_terms("upper", path, mix)
-    assert upper.e_at(1)[0, 0] == pytest.approx((1 / 0.75 - 1 / 0.25) / 0.5)
-    assert upper.e_at(1)[0, 0] == pytest.approx(-16 / 3)
-    np.testing.assert_array_equal(upper.e_at(2), np.zeros((1, 1)))
+    assert upper.e[0][0, 0] == pytest.approx((1 / 0.75 - 1 / 0.25) / 0.5)
+    assert upper.e[0][0, 0] == pytest.approx(-16 / 3)
+    np.testing.assert_array_equal(upper.e[1], np.zeros((1, 1)))
     lower = error_terms("lower", path, mix)
-    assert lower.e_at(1)[0, 0] == pytest.approx(-16 / 3 / 2.0)  # xi'' = 2
+    assert lower.e[0][0, 0] == pytest.approx(-16 / 3 / 2.0)  # xi'' = 2
     # Ebar_1 = x_1 (E_2 - E_1) = -x_1 E_1
-    np.testing.assert_allclose(lower.ebar_at(1), -0.5 * lower.e_at(1))
+    np.testing.assert_allclose(lower.ebar[0], -0.5 * lower.e[0])
 
 
 def test_error_terms_requirements():
@@ -218,6 +218,15 @@ def test_error_terms_name_a_singular_increment():
     assert info.value.level == 1
 
 
+def test_chain_and_error_stacks_are_read_only():
+    mix = MixtureSpec.pure(2, [1.0])
+    path = scalar_path((0.0, 0.5), (0.25, 1.0))
+    err = error_terms("upper", path, mix)
+    for stack in (lambda_sequence(mat(3.0), path, mix), d_sequence(path), err.e, err.ebar):
+        with pytest.raises(ValueError):
+            stack[0] = 0.0
+
+
 def test_ebar_telescopes():
     rng = np.random.default_rng(13)
     q = random_correlation(rng, 2)
@@ -227,8 +236,8 @@ def test_ebar_telescopes():
         err = error_terms(side, path, mix)
         for k in range(1, path.r - 1):
             np.testing.assert_allclose(
-                err.ebar_at(k) - err.ebar_at(k + 1),
-                path.x[k] * (err.e_at(k + 1) - err.e_at(k)),
+                err.ebar[k - 1] - err.ebar[k],
+                path.x[k] * (err.e[k] - err.e[k - 1]),
                 atol=1e-10,
             )
 
@@ -239,11 +248,11 @@ def test_eval_approx_eps_zero_matches_base():
         q = random_correlation(rng, 2)
         mix = random_mixture(rng, 2)
         path = random_feasible_path(rng, q, r)
-        assert eval_approx("lower", path, mix, 0.0) == pytest.approx(
+        assert corrected_form("lower", path, mix, 0.0)[0] == pytest.approx(
             eval_cs(path, mix), rel=1e-12
         )
         lam = construct_multiplier(path, mix, 0.0)
-        assert eval_approx("upper", path, mix, 0.0, lam=lam) == pytest.approx(
+        assert corrected_form("upper", path, mix, 0.0, lam=lam)[0] == pytest.approx(
             eval_parisi(lam, path, mix), rel=1e-12
         )
 
@@ -258,13 +267,13 @@ def test_eval_approx_identities_at_critical_points(r, x):
     res = minimize_fixed("parisi", mix, q, r, x, eps, opts)
     assert res.converged
     lhs = eval_perturbed("parisi", eps, res.path, mix, lam=res.lam)
-    rhs = eval_approx("lower", res.path, mix, eps)
+    rhs = corrected_form("lower", res.path, mix, eps)[0]
     assert lhs == pytest.approx(rhs, abs=1e-7)
 
     res2 = minimize_fixed("cs", mix, q, r, x, eps, opts)
     assert res2.converged
     lhs2 = eval_perturbed("cs", eps, res2.path, mix)
-    rhs2 = eval_approx("upper", res2.path, mix, eps)
+    rhs2 = corrected_form("upper", res2.path, mix, eps)[0]
     assert lhs2 == pytest.approx(rhs2, abs=1e-7)
 
 
@@ -282,7 +291,7 @@ def test_eval_approx_needs_last_weight_one():
     for eps in (0.0, 1e-2):
         for side in ("lower", "upper"):
             with pytest.raises(ValidationError):
-                eval_approx(side, path, mix, eps, lam=lam)
+                corrected_form(side, path, mix, eps, lam=lam)[0]
             with pytest.raises(ValidationError):
                 critical_residual(side, path, mix, eps, lam=lam)
             with pytest.raises(ValidationError):

@@ -24,8 +24,8 @@ def test_lambda_sequence_r1():
     mix = MixtureSpec.pure(2, [0.5])
     path = scalar_path((0.0,), (1.0,))
     state = lambda_sequence(np.array([[2.0]]), path, mix)
-    assert len(state.seq) == 1
-    np.testing.assert_allclose(state.at(1), [[2.0]])
+    assert len(state) == 1
+    np.testing.assert_allclose(state[0], [[2.0]])
 
 
 def test_lambda_sequence_scalar_recursion():
@@ -33,8 +33,8 @@ def test_lambda_sequence_scalar_recursion():
     mix = MixtureSpec.pure(2, [1.0])
     path = scalar_path((0.0, 0.5), (0.25, 1.0))
     state = lambda_sequence(np.array([[3.0]]), path, mix)
-    assert state.at(1)[0, 0] == pytest.approx(3.0 - 0.5 * (2.0 - 0.5))
-    assert state.at(2)[0, 0] == pytest.approx(3.0)
+    assert state[0][0, 0] == pytest.approx(3.0 - 0.5 * (2.0 - 0.5))
+    assert state[1][0, 0] == pytest.approx(3.0)
 
 
 def test_lambda_sequence_matches_direct_sum():
@@ -52,7 +52,7 @@ def test_lambda_sequence_matches_direct_sum():
                 direct = direct - path.x[k] * (
                     mix.xi_prime(path.level(k + 1)) - mix.xi_prime(path.level(k))
                 )
-            np.testing.assert_allclose(state.at(p), direct, atol=1e-12)
+            np.testing.assert_allclose(state[p - 1], direct, atol=1e-12)
 
 
 def test_lambda_sequence_infeasible():
@@ -65,9 +65,9 @@ def test_lambda_sequence_infeasible():
 def test_d_sequence_examples():
     path = scalar_path((0.0, 0.5), (0.25, 1.0))
     dseq = d_sequence(path)
-    assert dseq.at(1)[0, 0] == pytest.approx(0.375)
+    assert dseq[0][0, 0] == pytest.approx(0.375)
     path2 = scalar_path((0.0, 1.0), (0.0, 1.0))
-    assert d_sequence(path2).at(1)[0, 0] == pytest.approx(1.0)
+    assert d_sequence(path2)[0][0, 0] == pytest.approx(1.0)
 
 
 def test_d_sequence_telescopes():
@@ -76,7 +76,7 @@ def test_d_sequence_telescopes():
     path = random_feasible_path(rng, q, 3)
     dseq = d_sequence(path)
     np.testing.assert_allclose(
-        dseq.at(1) - dseq.at(2), path.x[1] * (path.level(2) - path.level(1)), atol=1e-13
+        dseq[0] - dseq[1], path.x[1] * (path.level(2) - path.level(1)), atol=1e-13
     )
 
 
@@ -154,7 +154,7 @@ def test_multiplier_chain_is_psd_ordered():
         lam = symmetrize(rng.normal(size=(n, n))) + 10 * np.eye(n)
         state = lambda_sequence(lam, path, mix)
         for p in range(1, path.r):
-            gap = state.at(p + 1) - state.at(p)
+            gap = state[p] - state[p - 1]
             assert spectral_floor(gap) >= -psd_tol(gap)
 
 
@@ -168,7 +168,7 @@ def test_tail_chain_is_psd_decreasing():
         path = random_feasible_path(rng, q, int(rng.integers(3, 5)))
         dseq = d_sequence(path)
         for p in range(1, path.r - 1):
-            gap = dseq.at(p) - dseq.at(p + 1)
+            gap = dseq[p - 1] - dseq[p]
             assert spectral_floor(gap) >= -psd_tol(gap)
 
 

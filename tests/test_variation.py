@@ -9,8 +9,13 @@ from spinvar.battery import (
     random_mixture,
     well_conditioned_path,
 )
-from spinvar.errors import InfeasibleStep
-from spinvar.functionals import eval_approx, eval_perturbed
+from spinvar.errors import InfeasibleStep, ValidationError
+from spinvar.functionals import (
+    construct_multiplier,
+    corrected_form,
+    error_terms,
+    eval_perturbed,
+)
 from spinvar.matcore import MixtureSpec, frobenius, sym_inverse, symmetrize
 from spinvar.optimize import SolveOptions, minimize_fixed
 from spinvar.path import DiscretePath
@@ -58,7 +63,7 @@ def test_grad_parisi_r1_scalar_stationarity():
     lam_star = (1 + math.sqrt(1 + 8 * beta**2)) / 2  # root of L^2 - L - 2 b^2
     bundle = grad_parisi(mat(lam_star), path, mix)
     assert abs(bundle.d_lambda[0, 0]) < 1e-12
-    assert bundle.d_q == ()
+    assert len(bundle.d_q) == 0
 
 
 def test_grad_cs_rs_stationarity():
@@ -155,9 +160,9 @@ def test_certificate_values_off_critical():
     def close(value, expected):
         assert value == pytest.approx(expected, rel=1e-12)
 
-    close(eval_approx("lower", path, mix, eps), 4.012264923724232)
-    close(eval_approx("upper", path, mix, eps), 2.4388139457877305)
-    close(eval_approx("upper", path, mix, eps, lam=lam), 0.7252397997107694)
+    close(corrected_form("lower", path, mix, eps)[0], 4.012264923724232)
+    close(corrected_form("upper", path, mix, eps)[0], 2.4388139457877305)
+    close(corrected_form("upper", path, mix, eps, lam=lam)[0], 0.7252397997107694)
     for side, given, residuals, gap in (
         ("lower", lam, (0.24545386704993202, 0.3622819282453323), 3.2448793839462526),
         ("upper", None, (3.127336119919109, 0.0), 1.3404022199908145),
@@ -218,10 +223,10 @@ def test_tilde_transform_matches_corrected_chain_at_critical_point():
     assert shifted.feasible, shifted.violations
     err = error_terms("lower", res.path, mix)
     dseq = d_sequence(res.path)
-    d_corr = [dseq.at(p) + corrected_eps(eps) * err.ebar_at(p) for p in range(1, res.path.r)]
+    d_corr = [dseq[p - 1] + corrected_eps(eps) * err.ebar[p - 1] for p in range(1, res.path.r)]
     d_tilde = d_sequence(shifted.path)
     for p in range(1, res.path.r):
-        np.testing.assert_allclose(d_tilde.at(p), d_corr[p - 1], atol=1e-10)
+        np.testing.assert_allclose(d_tilde[p - 1], d_corr[p - 1], atol=1e-10)
     # the tilde multiplier's first chain element matches the inverse D head
     res_u = minimize_fixed("cs", mix, q, 3, (0.0, 0.5, 1.0), eps, opts)
     assert res_u.converged
@@ -230,8 +235,28 @@ def test_tilde_transform_matches_corrected_chain_at_critical_point():
     from spinvar.path import lambda_sequence
 
     state = lambda_sequence(shifted_u.lam, res_u.path, mix)
-    d_head = sym_inverse(d_sequence(res_u.path).at(1))
-    np.testing.assert_allclose(state.at(1), d_head, atol=1e-8)
+    d_head = sym_inverse(d_sequence(res_u.path)[0])
+    np.testing.assert_allclose(state[0], d_head, atol=1e-8)
+
+
+def test_certificate_objects_need_a_free_level():
+    # E_{r-1} and Ebar_1 need a free level, so every routine built on the
+    # error terms rejects r = 1 with a ValidationError, not an IndexError
+    mix = MixtureSpec.pure(2, [1.0])
+    path = DiscretePath((0.0,), (np.eye(1),))
+    for side in ("lower", "upper"):
+        with pytest.raises(ValidationError):
+            error_terms(side, path, mix)
+    with pytest.raises(ValidationError):
+        construct_multiplier(path, mix, 0.0)
+    with pytest.raises(ValidationError):
+        tilde_transform("upper", path, mix, 0.0, lam=3 * np.eye(1))
+    with pytest.raises(ValidationError):
+        tilde_transform("lower", path, mix, 0.0)
+    top = DiscretePath((1.0,), (np.eye(1),))
+    for side in ("lower", "upper"):
+        with pytest.raises(ValidationError):
+            bound_check(side, top, mix, 0.0)
 
 
 def test_tilde_transform_reports_infeasibility():
@@ -280,7 +305,7 @@ def test_representer_bounds_all_directions():
 def test_identity_chain_at_lower_critical_point():
     # perturbed multiplier value = corrected dual value >= plain dual value
     # at the shifted path >= the dual's own minimum estimate
-    from spinvar.functionals import eval_approx, eval_cs
+    from spinvar.functionals import corrected_form, eval_cs
     from spinvar.optimize import search
 
     mix = MixtureSpec.pure(2, [1.0])
@@ -290,7 +315,7 @@ def test_identity_chain_at_lower_critical_point():
     res = minimize_fixed("parisi", mix, q, 2, (0.0, 1.0), eps, opts)
     assert res.converged
     pert = eval_perturbed("parisi", eps, res.path, mix, lam=res.lam)
-    approx = eval_approx("lower", res.path, mix, eps)
+    approx = corrected_form("lower", res.path, mix, eps)[0]
     shifted = tilde_transform("lower", res.path, mix, eps)
     assert shifted.feasible
     dual_at_shift = eval_cs(shifted.path, mix)
