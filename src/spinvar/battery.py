@@ -70,10 +70,10 @@ def random_feasible_path(rng, constraint, r, x=None):
     return DiscretePath(tuple(x), tuple(levels) + (matcore.symmetrize(constraint),))
 
 
-def check_logdet_concavity(seed=0, trials=200) -> CheckResult:
+def check_logdet_concavity(seed=0) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = np.inf
-    for _ in range(trials):
+    for _ in range(200):
         n = int(rng.integers(1, 5))
         a = random_spd(rng, n)
         b = random_spd(rng, n)
@@ -81,13 +81,13 @@ def check_logdet_concavity(seed=0, trials=200) -> CheckResult:
         lhs = matcore.chol_logdet(a) + matcore.dir_derivative("logdet", (a,), c)
         rhs = matcore.chol_logdet(a + c)
         worst = min(worst, lhs - rhs)
-    return CheckResult("logdet-concavity", worst >= -1e-10, trials, worst)
+    return CheckResult("logdet-concavity", worst >= -1e-10, 200, worst)
 
 
-def check_mixture_convexity(seed=1, trials=200) -> CheckResult:
+def check_mixture_convexity(seed=1) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = np.inf
-    for _ in range(trials):
+    for _ in range(200):
         n = int(rng.integers(1, 5))
         mix = random_mixture(rng, n)
         a = matcore.symmetrize(rng.uniform(-1, 1, size=(n, n)))
@@ -95,35 +95,35 @@ def check_mixture_convexity(seed=1, trials=200) -> CheckResult:
         lhs = matcore.sum_entries(mix.xi(a + c))
         rhs = matcore.sum_entries(mix.xi(a)) + matcore.frobenius(mix.xi_prime(a), c)
         worst = min(worst, lhs - rhs)
-    return CheckResult("mixture-sum-convexity", worst >= -1e-10, trials, worst)
+    return CheckResult("mixture-sum-convexity", worst >= -1e-10, 200, worst)
 
 
-def check_amgm_determinant(seed=2, trials=200) -> CheckResult:
+def check_amgm_determinant(seed=2) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = np.inf
-    for _ in range(trials):
+    for _ in range(200):
         n = int(rng.integers(1, 6))
         a = random_spd(rng, n)
         bound = n * np.log(np.trace(a) / n)
         worst = min(worst, bound - matcore.chol_logdet(a))
-    return CheckResult("amgm-determinant", worst >= -1e-10, trials, worst)
+    return CheckResult("amgm-determinant", worst >= -1e-10, 200, worst)
 
 
-def check_trace_positivity(seed=3, trials=200) -> CheckResult:
+def check_trace_positivity(seed=3) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = np.inf
-    for _ in range(trials):
+    for _ in range(200):
         n = int(rng.integers(1, 6))
         a = random_spd(rng, n, scale=0.0)
         c = random_spd(rng, n, scale=0.0)
         worst = min(worst, matcore.frobenius(a, c))
-    return CheckResult("psd-trace-positivity", worst >= -1e-10, trials, worst)
+    return CheckResult("psd-trace-positivity", worst >= -1e-10, 200, worst)
 
 
-def check_perturbation_radius(seed=4, trials=200) -> CheckResult:
+def check_perturbation_radius(seed=4) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = np.inf
-    for _ in range(trials):
+    for _ in range(200):
         n = int(rng.integers(1, 6))
         a = random_spd(rng, n)
         c = matcore.symmetrize(rng.normal(size=(n, n)))
@@ -132,13 +132,13 @@ def check_perturbation_radius(seed=4, trials=200) -> CheckResult:
             continue
         floor = matcore.spectral_floor(a + 0.99 * radius * c)
         worst = min(worst, floor)
-    return CheckResult("perturbation-radius", worst > 0.0, trials, worst)
+    return CheckResult("perturbation-radius", worst > 0.0, 200, worst)
 
 
-def check_mixture_gap_pd(seed=5, trials=200) -> CheckResult:
+def check_mixture_gap_pd(seed=5) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = np.inf
-    for _ in range(trials):
+    for _ in range(200):
         n = int(rng.integers(1, 4))
         mix = random_mixture(rng, n)
         q = random_correlation(rng, n)
@@ -146,7 +146,7 @@ def check_mixture_gap_pd(seed=5, trials=200) -> CheckResult:
         lo, hi = path.level(1), path.level(2)  # PD pair with a PD gap by construction
         gap = mix.xi_prime(hi) - mix.xi_prime(lo)
         worst = min(worst, matcore.spectral_floor(gap))
-    return CheckResult("mixture-derivative-gap-pd", worst > 0.0, trials, worst)
+    return CheckResult("mixture-derivative-gap-pd", worst > 0.0, 200, worst)
 
 
 def well_conditioned_path(rng, constraint, r, floor=0.1):
@@ -169,11 +169,11 @@ def well_conditioned_path(rng, constraint, r, floor=0.1):
     return path
 
 
-def check_gradient_oracle(kind="parisi", seed=6, trials=50, h_step=1e-5) -> CheckResult:
+def check_gradient_oracle(kind="parisi", seed=6) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     done = 0
-    while done < trials:
+    while done < 50:
         n = int(rng.integers(1, 4))
         r = int(rng.integers(2, 4))
         mix = random_mixture(rng, n)
@@ -210,7 +210,7 @@ def check_gradient_oracle(kind="parisi", seed=6, trials=50, h_step=1e-5) -> Chec
         if abs(analytic) < 1e-2:
             continue  # keep the oracle well-conditioned
         try:
-            fd = variation.fd_directional_backtracked(f, h_step)
+            fd = variation.fd_directional_backtracked(f, 1e-5)
         except InfeasibleStep:
             continue
         rel = abs(analytic - fd) / max(abs(analytic), abs(fd))
@@ -219,14 +219,15 @@ def check_gradient_oracle(kind="parisi", seed=6, trials=50, h_step=1e-5) -> Chec
     return CheckResult(f"gradient-oracle-{kind}", worst <= 1e-6, done, worst)
 
 
-def _critical_points(seed, eps_stages, n):
-    """The seeded r = 2, x = (0, 1) continuation of both forms over
-    ``eps_stages``: ``(mix, side, eps, minimizer)`` at every stage, with
-    ``side`` the identity side of the form's critical points."""
+def _critical_points(seed):
+    """The seeded n = 2, r = 2, x = (0, 1) continuation of both forms over
+    eps = 1e-1, 1e-2, 1e-3: ``(mix, side, eps, minimizer)`` at every stage,
+    with ``side`` the identity side of the form's critical points."""
     rng = np.random.default_rng(seed)
-    q = random_correlation(rng, n)
-    mix = random_mixture(rng, n)
-    opts = optimize.SolveOptions(eps_schedule=tuple(eps_stages), grad_tol=1e-10)
+    q = random_correlation(rng, 2)
+    mix = random_mixture(rng, 2)
+    eps_stages = (1e-1, 1e-2, 1e-3)
+    opts = optimize.SolveOptions(eps_schedule=eps_stages, grad_tol=1e-10)
     for kind, side in (("parisi", "lower"), ("cs", "upper")):
         state = None
         for eps in eps_stages:
@@ -235,10 +236,10 @@ def _critical_points(seed, eps_stages, n):
             yield mix, side, eps, res
 
 
-def check_critical_points(seed=7, eps_stages=(1e-1, 1e-2, 1e-3), n=2) -> CheckResult:
+def check_critical_points(seed=7) -> CheckResult:
     worst = 0.0
     checks = 0
-    for mix, side, eps, res in _critical_points(seed, eps_stages, n):
+    for mix, side, eps, res in _critical_points(seed):
         report = variation.critical_residual(side, res.path, mix, eps, lam=res.lam)
         scale = 1e-5 * (1.0 + abs(report.value_perturbed))
         worst = max(worst, report.max_residual / 1e-6, report.identity_gap / scale)
@@ -247,20 +248,20 @@ def check_critical_points(seed=7, eps_stages=(1e-1, 1e-2, 1e-3), n=2) -> CheckRe
                        detail="(worst is max residual/1e-6 and gap/band ratio)")
 
 
-def check_tilde_bounds(seed=8, eps_stages=(1e-1, 1e-2, 1e-3), n=2) -> CheckResult:
+def check_tilde_bounds(seed=8) -> CheckResult:
     worst = np.inf
     checks = 0
-    for mix, side, eps, res in _critical_points(seed, eps_stages, n):
+    for mix, side, eps, res in _critical_points(seed):
         chk = variation.bound_check(side, res.path, mix, eps, lam=res.lam)
         worst = min(worst, chk.slack)
         checks += 1
     return CheckResult("tilde-bounds", worst >= -1e-9, checks, worst)
 
 
-def check_roundtrip(seed=9, trials=100) -> CheckResult:
+def check_roundtrip(seed=9) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(100):
         n = int(rng.integers(1, 4))
         r = int(rng.integers(2, 5))
         mix = random_mixture(rng, n)
@@ -273,13 +274,13 @@ def check_roundtrip(seed=9, trials=100) -> CheckResult:
         t_hat = float(rng.uniform(cdf.t_x, 0.5 * (cdf.t_x + n)))
         shifted = continuous.eval_cs_continuous(cdf, phi, mix, top=t_hat)
         worst = max(worst, abs(shifted - cont))
-    return CheckResult("discrete-continuous-roundtrip", worst <= 1e-10, trials, worst)
+    return CheckResult("discrete-continuous-roundtrip", worst <= 1e-10, 100, worst)
 
 
-def check_hatphi_dominated(seed=10, trials=100) -> CheckResult:
+def check_hatphi_dominated(seed=10) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = np.inf
-    for _ in range(trials):
+    for _ in range(100):
         n = int(rng.integers(1, 4))
         q = random_correlation(rng, n)
         path = random_feasible_path(rng, q, int(rng.integers(2, 5)))
@@ -287,28 +288,28 @@ def check_hatphi_dominated(seed=10, trials=100) -> CheckResult:
         ts = np.linspace(0.0, float(n) * 0.999, 7)
         gaps = (q - phi.value(ts)) - continuous.hat_phi(cdf, phi, ts)
         worst = min(worst, *map(matcore.spectral_floor, gaps))
-    return CheckResult("tail-dominated-by-gap", worst >= -1e-10, trials, worst)
+    return CheckResult("tail-dominated-by-gap", worst >= -1e-10, 100, worst)
 
 
-def check_temperature_continuity(seed=11, trials=50) -> CheckResult:
+def check_temperature_continuity(seed=11) -> CheckResult:
     rng = np.random.default_rng(seed)
     mix1 = MixtureSpec.pure(2, [1.0])
     mix2 = MixtureSpec.pure(2, [1.1])
     delta = mix1.l1_delta(mix2)
     q = np.array([[1.0]])
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(50):
         path = random_feasible_path(rng, q, int(rng.integers(2, 5)))
         diff = abs(functionals.eval_cs(path, mix1) - functionals.eval_cs(path, mix2))
         worst = max(worst, diff)
-    return CheckResult("temperature-continuity", worst <= 2 * delta, trials, worst,
+    return CheckResult("temperature-continuity", worst <= 2 * delta, 50, worst,
                        detail=f"(band 2*delta = {2 * delta:.3f})")
 
 
-def check_level_merge(seed=12, trials=50) -> CheckResult:
+def check_level_merge(seed=12) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(50):
         n = int(rng.integers(1, 4))
         mix = random_mixture(rng, n)
         q = random_correlation(rng, n)
@@ -325,7 +326,7 @@ def check_level_merge(seed=12, trials=50) -> CheckResult:
         )
         merged = merge_duplicates(dup)
         worst = max(worst, abs(functionals.eval_cs(merged, mix) - functionals.eval_cs(path, mix)))
-    return CheckResult("level-merge-invariance", worst <= 1e-12, trials, worst)
+    return CheckResult("level-merge-invariance", worst <= 1e-12, 50, worst)
 
 
 def check_support_condition(seed=16) -> CheckResult:
@@ -380,15 +381,22 @@ def check_compactness_box(seed=13) -> CheckResult:
 
 
 def check_diagonal_separability(seed=14) -> CheckResult:
-    mix = MixtureSpec(n=2, terms=((2, np.array([0.3, 0.5])),), h=np.array([0.2, 0.1]))
+    """The full "cs" minimum against the sum of the species minima, at
+    beta = (0.3, 0.5), p = 2 and Q = I.  With h = (0.2, 0), flipping species
+    2 (conjugating by diag(1, -1)) fixes xi, hh^T and Q, so the minimizer is
+    diagonal and the two agree.  With h = (0.2, 0.1) the diagonal paths are
+    only some of the paths the full solve ranges over, so its minimum is at
+    most the sum.  ``worst`` is the larger of |full - sum| on the first and
+    full - sum on the second."""
     q = np.eye(2)
     opts = optimize.SolveOptions()
-    coupled = optimize.search("cs", mix, q, opts, diag_only=True).value
-    parts = 0.0
-    for j in range(2):
-        parts += optimize.search("cs", mix.species(j), np.array([[1.0]]), opts).value
-    worst = abs(coupled - parts)
-    return CheckResult("diagonal-separability", worst <= 1e-6, 1, worst)
+    worst = -np.inf
+    for h, equal in (((0.2, 0.0), True), ((0.2, 0.1), False)):
+        mix = MixtureSpec(n=2, terms=((2, np.array([0.3, 0.5])),), h=np.array(h))
+        full = optimize.search("cs", mix, q, opts).value
+        parts = sum(optimize.search("cs", mix.species(j), np.eye(1), opts).value for j in range(2))
+        worst = max(worst, abs(full - parts) if equal else full - parts)
+    return CheckResult("diagonal-separability", worst <= 1e-6, 2, worst)
 
 
 def check_continuation_monotone(seed=15) -> CheckResult:

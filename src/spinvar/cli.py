@@ -152,9 +152,8 @@ def build_spec(raw: dict) -> ProblemSpec:
         else:
             try:
                 solve = _options_from(solve_raw)
-            except (ValidationError, TypeError, ValueError) as exc:
-                msgs = exc.problems if isinstance(exc, ValidationError) else [str(exc)]
-                problems.extend(f"solve: {m}" for m in msgs)
+            except ValidationError as exc:
+                problems.extend(f"solve: {m}" for m in exc.problems)
 
     commands = raw.get("commands", [])
     if not isinstance(commands, list):
@@ -202,32 +201,35 @@ def build_spec(raw: dict) -> ProblemSpec:
 
 
 def _options_from(data: dict) -> SolveOptions:
-    """SolveOptions from a ``solve`` object, each value coerced to the type
-    of its field's default: int, float, or a tuple of floats.  A bool is a
-    problem for every field, and a value that int() would change is one for
-    an int field."""
+    """SolveOptions from a ``solve`` object.  A value must be a JSON number
+    that is not a bool, or for a tuple field a list of them; an int field
+    takes only a number that int() would not change.  Each problem names
+    its key."""
     kwargs, problems = {}, []
     for key, value in data.items():
         default = _SOLVE_KEYS[key].default
         if isinstance(default, tuple):
-            if isinstance(value, bool) or any(isinstance(v, bool) for v in value):
-                problems.append(f"{key} must be a list of reals, got {value!r}")
-            else:
+            if isinstance(value, list) and all(map(_is_number, value)):
                 kwargs[key] = tuple(float(v) for v in value)
-        elif isinstance(default, float):
-            if isinstance(value, bool):
-                problems.append(f"{key} must be a real number, got {value!r}")
             else:
+                problems.append(f"{key} must be a list of real numbers, got {value!r}")
+        elif isinstance(default, float):
+            if _is_number(value):
                 kwargs[key] = float(value)
-        elif isinstance(value, bool) or not (
-            isinstance(value, int) or isinstance(value, float) and value.is_integer()
-        ):
-            problems.append(f"{key} must be an integer, got {value!r}")
-        else:
+            else:
+                problems.append(f"{key} must be a real number, got {value!r}")
+        elif _is_number(value) and (isinstance(value, int) or value.is_integer()):
             kwargs[key] = int(value)
+        else:
+            problems.append(f"{key} must be an integer, got {value!r}")
     if problems:
         raise ValidationError(problems)
     return SolveOptions(**kwargs)
+
+
+def _is_number(value) -> bool:
+    """True for a parsed JSON number: an int or a float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _digest(raw: dict, command: str, seed: int, overrides: dict) -> str:

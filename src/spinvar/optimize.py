@@ -159,22 +159,20 @@ class GapReport:
 class Objective:
     """The eps-perturbed form of the :class:`~spinvar.functionals.Weights`
     ``plan`` at fixed (mix, Q, eps) as a function of its free blocks, in
-    the plan's layout, in upper-triangle coordinates z.
-
-    With ``diag_only`` the coordinates are the diagonals alone and the
-    off-diagonal entries keep their values in ``blocks``, the start.  The
-    descent uses the Frobenius metric, under which an off-diagonal
-    coordinate counts twice: ``metric`` holds those weights.
+    the plan's layout, in upper-triangle coordinates z.  ``blocks`` is the
+    start, whose shape fixes the layout.  The descent uses the Frobenius
+    metric, under which an off-diagonal coordinate counts twice: ``metric``
+    holds those weights.
     """
 
-    def __init__(self, plan, mix, constraint, eps, diag_only, blocks):
+    def __init__(self, plan, mix, constraint, eps, blocks):
         self.plan = plan
         self.mix = mix
         self.constraint = np.asarray(constraint, dtype=float)
         self.eps = float(eps)
         self.template = np.array(blocks, dtype=float)
         n = self.constraint.shape[0]
-        self.rows, self.cols = np.diag_indices(n) if diag_only else np.triu_indices(n)
+        self.rows, self.cols = np.triu_indices(n)
         off = self.rows != self.cols
         self.metric = np.tile(np.where(off, 2.0, 1.0), len(self.template))
         self._halve = np.where(off, 1.0, 0.5)
@@ -186,14 +184,13 @@ class Objective:
         self._basis[:, :, self.rows, self.cols] = tri
         self._basis[:, :, self.cols, self.rows] = tri
         self._scatter = self._basis.reshape(dim, -1)
-        self._fixed = np.where(self._basis.any(axis=0), 0.0, self.template).reshape(-1)
 
     def pack(self, blocks) -> np.ndarray:
         return np.asarray(blocks, dtype=float)[:, self.rows, self.cols].reshape(-1)
 
     def blocks(self, z) -> np.ndarray:
         """The (..., blocks, n, n) matrices of one or a stack of points."""
-        return (z @ self._scatter + self._fixed).reshape(np.shape(z)[:-1] + self.template.shape)
+        return (z @ self._scatter).reshape(np.shape(z)[:-1] + self.template.shape)
 
     def _coords(self, reps) -> np.ndarray:
         """Gradient coordinates of the representers of one point, or of a stack of them."""
@@ -266,7 +263,6 @@ def minimize_fixed(
     eps: float,
     opts: SolveOptions,
     start=None,
-    diag_only: bool = False,
     trace: list | None = None,
     stage: int = 0,
 ) -> MinimizeResult:
@@ -280,7 +276,7 @@ def minimize_fixed(
         lam, levels = default_start(kind, mix, constraint, r, x)
     else:
         lam, levels = start
-    obj = Objective(plan, mix, constraint, eps, diag_only, plan.join(lam, levels))
+    obj = Objective(plan, mix, constraint, eps, plan.join(lam, levels))
     z = obj.pack(obj.template)
     try:
         value, grad, hess = obj.value_grad_hess(z)
@@ -351,7 +347,7 @@ def minimize_fixed(
     )
 
 
-def warm_start(kind, mix, x, source: ContinuationResult, diag_only: bool = False):
+def warm_start(kind, mix, x, source: ContinuationResult):
     """Start at weights x from ``source``, a continuation of the same form
     and r at other weights y (in :func:`search`, the nearest converged
     candidate already solved): its final levels Q_k and, for the multiplier
@@ -365,11 +361,6 @@ def warm_start(kind, mix, x, source: ContinuationResult, diag_only: bool = False
     psd_tol margin).  The tail chain D_p = sum_{k >= p} x_k (Q_{k+1} - Q_k)
     is positive definite for any positive weights, so the multiplier-free
     start is the source's levels unchanged.
-
-    With ``diag_only`` the multiplier's off-diagonal entries stay where the
-    cold start put them, so its diagonal alone is raised, by the absolute
-    row sums of the raise above: a diagonal matrix that dominates that PSD
-    raise (Gershgorin), which keeps the chain feasible.
     """
     levels = source.path.free_levels()
     if kind != "parisi":
@@ -377,12 +368,10 @@ def warm_start(kind, mix, x, source: ContinuationResult, diag_only: bool = False
     weights = np.maximum(0.0, np.subtract(x, source.path.x))[1:]
     xi_prime = mix.series(np.array(source.path.qs))[:, 1]  # at Q_1..Q_r
     raise_by = np.tensordot(weights, np.diff(xi_prime, axis=0), axes=1)
-    if diag_only:
-        raise_by = np.diag(np.abs(raise_by).sum(axis=1))
     return source.lam + raise_by, levels
 
 
-def _run_stages(kind, mix, constraint, r, x, opts, diag_only, schedule, state):
+def _run_stages(kind, mix, constraint, r, x, opts, schedule, state):
     """Run the (index, eps) stages of ``schedule`` in order, the first from
     ``state`` (None for :func:`default_start`) and each later one from the
     previous stage's minimizer; returns the last stage's result, the stage
@@ -392,8 +381,7 @@ def _run_stages(kind, mix, constraint, r, x, opts, diag_only, schedule, state):
     result = None
     for si, eps in schedule:
         result = minimize_fixed(
-            kind, mix, constraint, r, x, eps, opts,
-            start=state, diag_only=diag_only, trace=trace, stage=si,
+            kind, mix, constraint, r, x, eps, opts, start=state, trace=trace, stage=si
         )
         state = (result.lam, result.path.free_levels())
         stages.append(
@@ -436,7 +424,6 @@ def continuation(
     r: int,
     x,
     opts: SolveOptions,
-    diag_only: bool = False,
     warm: ContinuationResult | None = None,
 ) -> ContinuationResult:
     """Run the eps schedule, each stage from the previous stage's
@@ -453,36 +440,28 @@ def continuation(
     """
     schedule = list(enumerate(opts.eps_schedule))
     if warm is not None:
-        start = warm_start(kind, mix, x, warm, diag_only)
-        result, stages, trace = _run_stages(
-            kind, mix, constraint, r, x, opts, diag_only, schedule[-1:], start
-        )
+        start = warm_start(kind, mix, x, warm)
+        result, stages, trace = _run_stages(kind, mix, constraint, r, x, opts, schedule[-1:], start)
         if result.converged:
             return _finish(kind, result.path, result.lam, stages, trace)
-    result, stages, trace = _run_stages(kind, mix, constraint, r, x, opts, diag_only, schedule, None)
+    result, stages, trace = _run_stages(kind, mix, constraint, r, x, opts, schedule, None)
     return _finish(kind, result.path, result.lam, stages, trace)
 
 
-def _complete(cont: ContinuationResult, mix, constraint, opts, diag_only) -> ContinuationResult:
+def _complete(cont: ContinuationResult, mix, constraint, opts) -> ContinuationResult:
     """A warm continuation with its penultimate stage run from its own
     final-stage minimizer, so its stages, trace and extrapolation cover the
     same two eps as a cold run; the minimizer and ``value_at_eps_min`` stay
     the final stage's."""
     last = len(opts.eps_schedule) - 1
     _, stages, trace = _run_stages(
-        cont.kind, mix, constraint, cont.path.r, cont.path.x, opts, diag_only,
+        cont.kind, mix, constraint, cont.path.r, cont.path.x, opts,
         [(last - 1, opts.eps_schedule[-2])], (cont.lam, cont.path.free_levels()),
     )
     return _finish(cont.kind, cont.path, cont.lam, stages + cont.stages, trace + cont.trace)
 
 
-def search(
-    kind: str,
-    mix: MixtureSpec,
-    constraint: np.ndarray,
-    opts: SolveOptions,
-    diag_only: bool = False,
-) -> SearchResult:
+def search(kind: str, mix: MixtureSpec, constraint: np.ndarray, opts: SolveOptions) -> SearchResult:
     """Sweep r = 2..r_max with discrete coordinate descent over the interior
     weights (x_0 = 0 and x_{r-1} = 1 pinned).  A converged candidate ranks
     above an unconverged one; among equals the value decides, and ties prefer
@@ -518,7 +497,7 @@ def search(
         ]
         warm = memo[(r, min(solved)[1])] if solved else None
         x = (0.0,) + tuple(t / denom for t in ticks) + (1.0,)
-        cont = continuation(kind, mix, constraint, r, x, opts, diag_only=diag_only, warm=warm)
+        cont = continuation(kind, mix, constraint, r, x, opts, warm=warm)
         memo[key] = cont
         candidates.append((r, x, cont.value_at_eps_min))
         return cont
@@ -563,7 +542,7 @@ def search(
             best = entry
     value, r, interior, cont = best
     if len(cont.stages) < min(2, len(opts.eps_schedule)):
-        cont = _complete(cont, mix, constraint, opts, diag_only)
+        cont = _complete(cont, mix, constraint, opts)
     return SearchResult(
         kind=kind,
         r=r,

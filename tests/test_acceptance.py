@@ -86,18 +86,22 @@ def test_criterion_2_vector_duality_gap():
 
 
 def test_criterion_3_diagonal_separability():
-    mix = MixtureSpec(n=2, terms=((2, np.array([0.3, 0.5])),), h=np.array([0.2, 0.1]))
+    # beta = (0.3, 0.5), p = 2, Q = I.  With h = (0.2, 0), conjugating by
+    # diag(1, -1) fixes xi, hh^T and Q, so the full minimum is the sum of
+    # the species minima; with h = (0.2, 0.1) the diagonal paths are only
+    # some of the paths the full solve ranges over, so it is at most the sum
     q = np.eye(2)
     opts = SolveOptions()
-    worst = 0.0
-    for kind in ("cs", "parisi"):
-        coupled = search(kind, mix, q, opts, diag_only=True).value
-        parts = sum(
-            search(kind, mix.species(j), np.array([[1.0]]), opts).value for j in range(2)
-        )
-        worst = max(worst, abs(coupled - parts))
-        assert abs(coupled - parts) <= 1e-6, kind
-    report("criterion-3 diagonal-separability", worst <= 1e-6, f"|coupled - sum| <= {worst:.2e}")
+    worst = -math.inf
+    for h, equal in (((0.2, 0.0), True), ((0.2, 0.1), False)):
+        mix = MixtureSpec(n=2, terms=((2, np.array([0.3, 0.5])),), h=np.array(h))
+        for kind in ("cs", "parisi"):
+            full = search(kind, mix, q, opts).value
+            parts = sum(search(kind, mix.species(j), np.eye(1), opts).value for j in range(2))
+            excess = abs(full - parts) if equal else full - parts
+            worst = max(worst, excess)
+            assert excess <= 1e-6, (kind, h)
+    report("criterion-3 diagonal-separability", worst <= 1e-6, f"worst excess over the sum {worst:.2e}")
 
 
 def test_criterion_4_critical_point_identities():
@@ -173,7 +177,7 @@ def test_criterion_6_gradient_oracle():
 
 
 def test_criterion_7_discrete_continuous():
-    rt = battery.check_roundtrip(seed=9, trials=100)
+    rt = battery.check_roundtrip(seed=9)
     report(
         "criterion-7 discrete-continuous",
         rt.passed,
@@ -200,7 +204,7 @@ def test_criterion_8_matrix_property_battery():
 
 
 def test_criterion_9_temperature_continuity():
-    c = battery.check_temperature_continuity(trials=50)
+    c = battery.check_temperature_continuity()
     report(
         "criterion-9 temperature-continuity",
         c.passed,

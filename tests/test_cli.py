@@ -134,6 +134,12 @@ MALFORMED = (
     # these raised a RuntimeWarning inside the constraint checks
     ("Q", "[Infinity]", "Q:"),
     ("Q", "[1e308]", "Q:"),
+    # float() turned strings into numbers and the other errors lost their key
+    ("solve", '{"grad_tol": "1e-8"}', "grad_tol"),
+    ("solve", '{"eps_schedule": ["1e-5"]}', "eps_schedule"),
+    ("solve", '{"eps_schedule": 1e-5}', "eps_schedule"),
+    ("solve", '{"eps_schedule": "1e-5"}', "eps_schedule"),
+    ("solve", '{"grad_tol": null}', "grad_tol"),
 )
 
 

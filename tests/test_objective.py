@@ -147,9 +147,9 @@ def instance(kind, n, r, seed):
     return rng, mix, q, path, lam
 
 
-def objective(kind, mix, q, path, lam, eps, diag_only):
+def objective(kind, mix, q, path, lam, eps):
     plan = Weights(kind, path.x)
-    return Objective(plan, mix, q, eps, diag_only, plan.join(lam, path.free_levels()))
+    return Objective(plan, mix, q, eps, plan.join(lam, path.free_levels()))
 
 
 def point(obj, z):
@@ -188,13 +188,12 @@ def test_objective_matches_per_matrix_formulas(kind, n, r):
     rng, mix, q, random_path, lam = instance(kind, n, r, seed=1000 * n + r)
     for path in with_zero_weights(random_path):
         for eps in (0.0, 1e-3):
-            for diag_only in (False, True):
-                obj = objective(kind, mix, q, path, lam, eps, diag_only)
-                z = obj.pack(obj.template)
-                value, grad = value_and_grad(obj, z)
-                assert value == pytest.approx(ref_value(kind, eps, path, mix, lam), rel=1e-12)
-                want = expected_gradient(obj, ref_representers(kind, eps, path, mix, lam))
-                np.testing.assert_allclose(grad, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+            obj = objective(kind, mix, q, path, lam, eps)
+            z = obj.pack(obj.template)
+            value, grad = value_and_grad(obj, z)
+            assert value == pytest.approx(ref_value(kind, eps, path, mix, lam), rel=1e-12)
+            want = expected_gradient(obj, ref_representers(kind, eps, path, mix, lam))
+            np.testing.assert_allclose(grad, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("r", [2, 3, 5])
@@ -206,26 +205,25 @@ def test_objective_infinite_exactly_where_evaluation_raises(kind, n, r):
     rng, mix, q, path, lam = instance(kind, n, r, seed=3000 * n + r)
     seen = set()
     for eps in (0.0, 1e-3):
-        for diag_only in (False, True):
-            obj = objective(kind, mix, q, path, lam, eps, diag_only)
-            z = obj.pack(obj.template)
-            scale = np.max(np.abs(z))
-            stack = z + scale * rng.uniform(-1, 1, (40, z.size)) * np.geomspace(1e-3, 1.0, 40)[:, None]
-            for zi in stack:
-                try:
-                    value_and_grad(obj, zi)
-                    kernel_error = None
-                except DomainError as exc:
-                    kernel_error = exc
-                lam_i, path_i = point(obj, zi)
-                try:
-                    eval_perturbed(kind, eps, path_i, mix, lam=lam_i)
-                    error = None
-                except SpinvarError as exc:
-                    error = exc
-                assert repr(kernel_error) == repr(error)
-                assert (error is not None) == (not ref_feasible(kind, eps, path_i, mix, lam_i))
-                seen.add(error is not None)
+        obj = objective(kind, mix, q, path, lam, eps)
+        z = obj.pack(obj.template)
+        scale = np.max(np.abs(z))
+        stack = z + scale * rng.uniform(-1, 1, (40, z.size)) * np.geomspace(1e-3, 1.0, 40)[:, None]
+        for zi in stack:
+            try:
+                value_and_grad(obj, zi)
+                kernel_error = None
+            except DomainError as exc:
+                kernel_error = exc
+            lam_i, path_i = point(obj, zi)
+            try:
+                eval_perturbed(kind, eps, path_i, mix, lam=lam_i)
+                error = None
+            except SpinvarError as exc:
+                error = exc
+            assert repr(kernel_error) == repr(error)
+            assert (error is not None) == (not ref_feasible(kind, eps, path_i, mix, lam_i))
+            seen.add(error is not None)
     assert seen == {False, True}
 
 
@@ -253,14 +251,13 @@ def test_hessian_matches_fd(kind, n, r):
     starts = [(start_lam, p) for p in with_zero_weights(DiscretePath(x, tuple(start_levels) + (q,)))]
     starts += [(lam, p) for p in with_zero_weights(path)]
     for eps in (0.0, 1e-3):
-        for diag_only in (False, True):
-            for lam_i, path_i in starts:
-                obj = objective(kind, mix, q, path_i, lam_i, eps, diag_only)
-                z = obj.pack(obj.template)
-                value, grad, hess = obj.value_grad_hess(z)
-                want_value, want_grad = value_and_grad(obj, z)
-                assert value == want_value
-                np.testing.assert_array_equal(grad, want_grad)
-                want = fd_hessian(obj, z)
-                assert hess.shape == (z.size, z.size)
-                np.testing.assert_allclose(hess, want, rtol=1e-6, atol=1e-6 * np.max(np.abs(want)))
+        for lam_i, path_i in starts:
+            obj = objective(kind, mix, q, path_i, lam_i, eps)
+            z = obj.pack(obj.template)
+            value, grad, hess = obj.value_grad_hess(z)
+            want_value, want_grad = value_and_grad(obj, z)
+            assert value == want_value
+            np.testing.assert_array_equal(grad, want_grad)
+            want = fd_hessian(obj, z)
+            assert hess.shape == (z.size, z.size)
+            np.testing.assert_allclose(hess, want, rtol=1e-6, atol=1e-6 * np.max(np.abs(want)))

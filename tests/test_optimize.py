@@ -223,7 +223,7 @@ def test_search_ranks_converged_candidates_first(monkeypatch):
     from spinvar import optimize
 
     def stub(start_converges):
-        def fake(kind, mix, constraint, r, x, opts, diag_only=False, warm=None):
+        def fake(kind, mix, constraint, r, x, opts, warm=None):
             converged = r == 2 or (start_converges and x[1] == 0.5)
             value = 1.0 if r == 2 else 0.9 if converged else 0.5
             # a whole schedule's stages, so the winner needs no stage completed
@@ -323,12 +323,21 @@ def test_diagonal_separability_identity():
         assert eval_cs(path, mix) == pytest.approx(total_c, abs=1e-12)
 
 
-def test_minimize_diag_only_stays_diagonal():
-    mix = MixtureSpec(n=2, terms=((2, np.array([0.3, 0.5])),), h=np.zeros(2))
+@pytest.mark.parametrize("kind", ["parisi", "cs"])
+def test_full_solve_stays_diagonal_on_a_sign_symmetric_instance(kind):
+    # conjugating by S = diag(1, -1) fixes xi, hh^T (h_2 = 0) and Q = I, so
+    # the full solve keeps every off-diagonal entry at exactly 0.0
+    mix = MixtureSpec(
+        n=2, terms=((2, np.array([0.3, 0.5])), (4, np.array([0.6, 0.9]))), h=np.array([0.2, 0.0])
+    )
     q = np.eye(2)
-    res = minimize_fixed("cs", mix, q, 2, (0.0, 1.0), 1e-3, SolveOptions(), diag_only=True)
-    level = res.path.level(1)
-    assert abs(level[0, 1]) < 1e-14
+    off = ~np.eye(2, dtype=bool)
+    fixed = minimize_fixed(kind, mix, q, 3, (0.0, 0.5, 1.0), 1e-3, SolveOptions())
+    best = search(kind, mix, q, SolveOptions(r_max=3)).best
+    for path, lam in ((fixed.path, fixed.lam), (best.path, best.lam)):
+        for level in path.qs:
+            assert np.all(level[off] == 0.0)
+        assert lam is None or np.all(lam[off] == 0.0)
 
 
 def test_gap_random_family_robustness():
@@ -489,16 +498,13 @@ def test_warm_start_is_feasible_at_every_neighbour(seed):
                 moves.append(y[:k] + (v,) + y[k + 1:])
     moves.append((0.0,) + (1 / 32,) * (r - 2) + (1.0,))
     moves.append((0.0,) + (31 / 32,) * (r - 2) + (1.0,))
-    for kind, diag_only in (("parisi", False), ("parisi", True), ("cs", False)):
+    for kind in ("parisi", "cs"):
         cont = ContinuationResult(kind, source, lam if kind == "parisi" else None, 0.0, 0.0, [], [])
         for x in moves:
-            start_lam, start_levels = warm_start(kind, mix, x, cont, diag_only)
+            start_lam, start_levels = warm_start(kind, mix, x, cont)
             target = DiscretePath(x, tuple(start_levels) + (q,))
             if kind == "parisi":
                 assert np.all(np.linalg.eigvalsh(start_lam - lam) >= -1e-12)
-                if diag_only:
-                    off = ~np.eye(n, dtype=bool)
-                    np.testing.assert_array_equal(start_lam[off], lam[off])
                 lambda_sequence(start_lam, target, mix)
                 blocks = np.array([start_lam] + start_levels)
             else:
@@ -528,24 +534,6 @@ def test_warm_continuation_matches_cold(mix, q, kind):
         assert [s.eps for s in warm.stages] == list(opts.eps_schedule[-1:])
         last = len(opts.eps_schedule) - 1
         assert {row.stage for row in warm.trace} == {last}
-
-
-def test_warm_diag_only_continuation_matches_cold():
-    # diag_only holds the multiplier's off-diagonal entries at the cold
-    # start; a warm start that moved them would solve another slice (for
-    # these coupled species, 5e-3 above the cold minimum)
-    mix = MixtureSpec(n=2, terms=((2, np.array([0.6, 0.9])), (4, np.array([1.0, 1.2]))),
-                      h=np.zeros(2))
-    q = np.array([[1.0, 0.4], [0.4, 1.0]])
-    opts = SolveOptions()
-    source = continuation("parisi", mix, q, 3, (0.0, 0.5, 1.0), opts, diag_only=True)
-    for x1 in (0.75, 0.875):
-        x = (0.0, x1, 1.0)
-        warm = continuation("parisi", mix, q, 3, x, opts, diag_only=True, warm=source)
-        cold = continuation("parisi", mix, q, 3, x, opts, diag_only=True)
-        assert warm.converged and cold.converged
-        assert warm.value_at_eps_min == pytest.approx(cold.value_at_eps_min, abs=1e-10)
-        assert warm.lam[0, 1] == cold.lam[0, 1]
 
 
 @pytest.mark.parametrize("field", [False, True], ids=["h0", "h"])
@@ -587,10 +575,10 @@ def test_search_starts_one_candidate_cold_per_form_and_r(monkeypatch):
     calls = []
     real = optimize.continuation
 
-    def recorded(kind, mix, constraint, r, x, opts, diag_only=False, warm=None):
+    def recorded(kind, mix, constraint, r, x, opts, warm=None):
         source = None if warm is None else (warm.kind, warm.path.r)
         calls.append((kind, r, source))
-        return real(kind, mix, constraint, r, x, opts, diag_only=diag_only, warm=warm)
+        return real(kind, mix, constraint, r, x, opts, warm=warm)
 
     monkeypatch.setattr(optimize, "continuation", recorded)
     duality_gap(MixtureSpec.pure(2, [1.0]), np.eye(1), SolveOptions(r_max=3))
@@ -609,8 +597,8 @@ def _record_continuations(monkeypatch):
     calls = []
     real = optimize.continuation
 
-    def recorded(kind, mix, constraint, r, x, opts, diag_only=False, warm=None):
-        result = real(kind, mix, constraint, r, x, opts, diag_only=diag_only, warm=warm)
+    def recorded(kind, mix, constraint, r, x, opts, warm=None):
+        result = real(kind, mix, constraint, r, x, opts, warm=warm)
         calls.append((kind, r, tuple(x), warm, result))
         return result
 
