@@ -49,11 +49,13 @@ _SOLVE_KEYS = {f.name: f for f in fields(SolveOptions)}
 
 
 def _reals(values) -> list[float]:
-    """A list of numbers as floats; a boolean entry is a validation problem."""
+    """A list of JSON numbers as floats; an entry that is a bool, a string
+    or an integer beyond the float range is a validation problem."""
     values = list(values)
-    if any(isinstance(v, bool) for v in values):
-        raise ValidationError(f"entries must be real numbers, not booleans: {values!r}")
-    return [float(v) for v in values]
+    reals = [_real(v) for v in values]
+    if None in reals:
+        raise ValidationError(f"entries must be real numbers in the float range: {values!r}")
+    return reals
 
 
 def upper_to_matrix(values, n: int) -> np.ndarray:
@@ -203,21 +205,23 @@ def build_spec(raw: dict) -> ProblemSpec:
 def _options_from(data: dict) -> SolveOptions:
     """SolveOptions from a ``solve`` object.  A value must be a JSON number
     that is not a bool, or for a tuple field a list of them; an int field
-    takes only a number that int() would not change.  Each problem names
-    its key."""
+    takes only a number that int() would not change, and a float field only
+    one within the float range.  Each problem names its key."""
     kwargs, problems = {}, []
     for key, value in data.items():
         default = _SOLVE_KEYS[key].default
         if isinstance(default, tuple):
-            if isinstance(value, list) and all(map(_is_number, value)):
-                kwargs[key] = tuple(float(v) for v in value)
+            reals = [_real(v) for v in value] if isinstance(value, list) else [None]
+            if None not in reals:
+                kwargs[key] = tuple(reals)
             else:
-                problems.append(f"{key} must be a list of real numbers, got {value!r}")
+                problems.append(f"{key} must be a list of real numbers in the float range, got {value!r}")
         elif isinstance(default, float):
-            if _is_number(value):
-                kwargs[key] = float(value)
+            real = _real(value)
+            if real is not None:
+                kwargs[key] = real
             else:
-                problems.append(f"{key} must be a real number, got {value!r}")
+                problems.append(f"{key} must be a real number in the float range, got {value!r}")
         elif _is_number(value) and (isinstance(value, int) or value.is_integer()):
             kwargs[key] = int(value)
         else:
@@ -230,6 +234,17 @@ def _options_from(data: dict) -> SolveOptions:
 def _is_number(value) -> bool:
     """True for a parsed JSON number: an int or a float, but not a bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _real(value) -> float | None:
+    """A parsed JSON number as a float; None for anything else (a bool, a
+    string) and for an integer beyond the float range."""
+    if not _is_number(value):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return None
 
 
 def _digest(raw: dict, command: str, seed: int, overrides: dict) -> str:

@@ -196,12 +196,15 @@ class MixtureSpec:
         def vector(value, what):
             """``value`` as a float vector of length n, or None after noting why not."""
             raw = np.asarray(value, dtype=object)
-            if raw.ndim != 1 or any(isinstance(v, (bool, np.bool_)) for v in raw.flat):
+            if raw.ndim != 1 or not all(isinstance(v, Real) and not isinstance(v, bool) for v in raw.flat):
                 problems.append(f"{what} must be a flat list of real numbers, got {value!r}")
             elif raw.size != n:
                 problems.append(f"{what} has length {raw.size}, expected {n}")
             else:
-                return frozen(raw.astype(float).reshape(n))
+                try:
+                    return frozen(raw.astype(float).reshape(n))
+                except OverflowError:
+                    problems.append(f"{what} has an entry beyond the float range")
             return None
 
         coerced = []

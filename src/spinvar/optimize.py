@@ -35,7 +35,7 @@ stays an independent certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 from numbers import Integral
 
 import numpy as np
@@ -123,17 +123,33 @@ class StageRecord:
 
 @dataclass
 class ContinuationResult:
+    """One eps-continuation at fixed weights: the final stage's minimizer
+    (path, lam), the record of each stage in schedule order and the trace
+    rows.  The values are read from the stage records."""
+
     kind: str
     path: DiscretePath
     lam: np.ndarray | None
-    value_at_eps_min: float
-    value_extrapolated: float
     stages: list[StageRecord]
     trace: list[TraceRow]
 
     @property
     def converged(self) -> bool:
         return all(s.converged for s in self.stages)
+
+    @property
+    def value_at_eps_min(self) -> float:
+        """The base value at the final stage's minimizer."""
+        return self.stages[-1].value_base
+
+    @property
+    def value_extrapolated(self) -> float:
+        """The linear-in-eps extrapolation to eps = 0 of the base values of
+        the last two stages; the last base value when there is one stage."""
+        if len(self.stages) < 2:
+            return self.value_at_eps_min
+        s1, s0 = self.stages[-2:]
+        return (s1.eps * s0.value_base - s0.eps * s1.value_base) / (s1.eps - s0.eps)
 
 
 @dataclass
@@ -371,14 +387,13 @@ def warm_start(kind, mix, x, source: ContinuationResult):
     return source.lam + raise_by, levels
 
 
-def _run_stages(kind, mix, constraint, r, x, opts, schedule, state):
+def _run_stages(kind, mix, constraint, r, x, opts, schedule, state) -> ContinuationResult:
     """Run the (index, eps) stages of ``schedule`` in order, the first from
     ``state`` (None for :func:`default_start`) and each later one from the
-    previous stage's minimizer; returns the last stage's result, the stage
-    records and the trace rows, which keep their schedule indices."""
+    previous stage's minimizer; returns the continuation that ends at the
+    last stage's minimizer, whose trace rows keep their schedule indices."""
     stages: list[StageRecord] = []
     trace: list[TraceRow] = []
-    result = None
     for si, eps in schedule:
         result = minimize_fixed(
             kind, mix, constraint, r, x, eps, opts, start=state, trace=trace, stage=si
@@ -395,26 +410,7 @@ def _run_stages(kind, mix, constraint, r, x, opts, schedule, state):
                 stop_reason=result.stop_reason,
             )
         )
-    return result, stages, trace
-
-
-def _finish(kind, path, lam, stages, trace) -> ContinuationResult:
-    """The continuation that ends at (path, lam), the final stage's
-    minimizer: its base value there and the linear-in-eps extrapolation of
-    the base values of its last two stages."""
-    extrapolated = stages[-1].value_base
-    if len(stages) >= 2:
-        s1, s0 = stages[-2:]
-        extrapolated = (s1.eps * s0.value_base - s0.eps * s1.value_base) / (s1.eps - s0.eps)
-    return ContinuationResult(
-        kind=kind,
-        path=path,
-        lam=lam,
-        value_at_eps_min=stages[-1].value_base,
-        value_extrapolated=extrapolated,
-        stages=stages,
-        trace=trace,
-    )
+    return ContinuationResult(kind, result.path, result.lam, stages, trace)
 
 
 def continuation(
@@ -427,80 +423,81 @@ def continuation(
     warm: ContinuationResult | None = None,
 ) -> ContinuationResult:
     """Run the eps schedule, each stage from the previous stage's
-    minimizer; report the barrier-stripped value at the final stage and its
+    minimizer; the result's ``value_at_eps_min`` is the barrier-stripped
+    value at the final stage and its ``value_extrapolated`` the
     linear-in-eps extrapolation from the last two stages.
 
     Cold (``warm`` None), the whole schedule runs from :func:`default_start`.
     Given ``warm``, a continuation of the same form and r at other weights,
     only the last stage runs, from :func:`warm_start` (a barrier method may
     start at its target eps near the solution; Boyd & Vandenberghe, sec.
-    11.3), and the extrapolation is its final base value.  When that stage
+    11.3), so the extrapolation is its final base value.  When that stage
     stops unconverged, the start was too far: the whole schedule runs cold
     instead.  Trace rows keep their schedule indices.
     """
     schedule = list(enumerate(opts.eps_schedule))
     if warm is not None:
-        start = warm_start(kind, mix, x, warm)
-        result, stages, trace = _run_stages(kind, mix, constraint, r, x, opts, schedule[-1:], start)
-        if result.converged:
-            return _finish(kind, result.path, result.lam, stages, trace)
-    result, stages, trace = _run_stages(kind, mix, constraint, r, x, opts, schedule, None)
-    return _finish(kind, result.path, result.lam, stages, trace)
+        cont = _run_stages(kind, mix, constraint, r, x, opts, schedule[-1:], warm_start(kind, mix, x, warm))
+        if cont.converged:
+            return cont
+    return _run_stages(kind, mix, constraint, r, x, opts, schedule, None)
 
 
 def _complete(cont: ContinuationResult, mix, constraint, opts) -> ContinuationResult:
     """A warm continuation with its penultimate stage run from its own
-    final-stage minimizer, so its stages, trace and extrapolation cover the
-    same two eps as a cold run; the minimizer and ``value_at_eps_min`` stay
-    the final stage's."""
-    last = len(opts.eps_schedule) - 1
-    _, stages, trace = _run_stages(
+    final-stage minimizer and put in front of its stages and trace rows, so
+    they and the extrapolation cover the same two eps as a cold run; the
+    minimizer and ``value_at_eps_min`` stay the final stage's."""
+    head = _run_stages(
         cont.kind, mix, constraint, cont.path.r, cont.path.x, opts,
-        [(last - 1, opts.eps_schedule[-2])], (cont.lam, cont.path.free_levels()),
+        list(enumerate(opts.eps_schedule))[-2:-1], (cont.lam, cont.path.free_levels()),
     )
-    return _finish(cont.kind, cont.path, cont.lam, stages + cont.stages, trace + cont.trace)
+    return replace(cont, stages=head.stages + cont.stages, trace=head.trace + cont.trace)
 
 
 def search(kind: str, mix: MixtureSpec, constraint: np.ndarray, opts: SolveOptions) -> SearchResult:
     """Sweep r = 2..r_max with discrete coordinate descent over the interior
     weights (x_0 = 0 and x_{r-1} = 1 pinned).  A converged candidate ranks
-    above an unconverged one; among equals the value decides, and ties prefer
-    smaller r, then lexicographically smaller weights; within one r a tied
-    candidate replaces the incumbent only when its value is not above the
-    incumbent's.  The first candidate of each r runs the whole eps schedule
+    above an unconverged one; among equals a value lower by more than
+    ``tie_tol`` (1e-9) wins.  Within one r a tied candidate replaces the
+    incumbent only when its value is not above the incumbent's and its
+    weights are lexicographically smaller.  Across r, a larger r replaces
+    the incumbent only when it converges where the incumbent did not, or
+    when its value is lower by more than ``tie_tol``; so ties keep the
+    smaller r.  The first candidate of each r runs the whole eps schedule
     from :func:`default_start`; every later one runs only the last stage,
     warm from the nearest converged candidate already solved at that r
     (L-infinity distance in the weight ticks, ties to the smaller ticks),
     or cold when there is none.  Each sweep visits its options nearest the
     incumbent first, so near neighbours become the sources of far ones.  A
     warm winner gets its penultimate stage run from its own minimizer, so
-    its stages and extrapolation cover the eps of a cold run."""
+    its stages and extrapolation cover the eps of a cold run.
+
+    The solved candidates are kept in one table per r, from the weight
+    ticks to their continuation; ``candidates`` lists them as (r, x,
+    ``value_at_eps_min``) in the order they ran."""
     tie_tol = 1e-9
     best = None
-    candidates = []
-    memo = {}
+    tables = {}  # r -> {weight ticks: continuation}, in the order solved
 
-    def outranks(a, b, tie):
+    def outranks(a, b, tie=False):
         # a converged candidate ranks first; then a lower value, or ``tie``
         if a.converged != b.converged:
             return a.converged
         return a.value_at_eps_min < b.value_at_eps_min - tie_tol or tie
 
-    def run(r, ticks, denom):
-        key = (r, ticks)
-        if key in memo:
-            return memo[key]
-        # the source: the nearest converged candidate solved at this r
-        solved = [
-            (max(abs(a - b) for a, b in zip(t, ticks)), t)
-            for (rr, t), c in memo.items() if rr == r and c.converged
-        ]
-        warm = memo[(r, min(solved)[1])] if solved else None
-        x = (0.0,) + tuple(t / denom for t in ticks) + (1.0,)
-        cont = continuation(kind, mix, constraint, r, x, opts, warm=warm)
-        memo[key] = cont
-        candidates.append((r, x, cont.value_at_eps_min))
-        return cont
+    def weights(r, ticks):
+        denom = 4 * opts.x_grid * (r - 1)
+        return (0.0,) + tuple(t / denom for t in ticks) + (1.0,)
+
+    def run(r, ticks):
+        solved = tables.setdefault(r, {})
+        if ticks not in solved:
+            # the source: the nearest converged candidate solved at this r
+            near = [(max(abs(a - b) for a, b in zip(t, ticks)), t) for t in solved if solved[t].converged]
+            warm = solved[min(near)[1]] if near else None
+            solved[ticks] = continuation(kind, mix, constraint, r, weights(r, ticks), opts, warm=warm)
+        return solved[ticks]
 
     for r in range(2, opts.r_max + 1):
         m = r - 2
@@ -509,7 +506,7 @@ def search(kind: str, mix: MixtureSpec, constraint: np.ndarray, opts: SolveOptio
         # sits a rounding error away from 0 or from its neighbour
         denom = 4 * opts.x_grid * (r - 1)
         cur = tuple((k + 1) * 4 * opts.x_grid for k in range(m))
-        cont = run(r, cur, denom)
+        cont = run(r, cur)
         spacing = 4 * (r - 1)
         for refinement in range(3 if m else 0):
             improved = True
@@ -525,7 +522,7 @@ def search(kind: str, mix: MixtureSpec, constraint: np.ndarray, opts: SolveOptio
                         if not lo < v < hi:
                             continue
                         cand = cur[:i] + (v,) + cur[i + 1 :]
-                        trial = run(r, cand, denom)
+                        trial = run(r, cand)
                         # convergence is never lost and a tie moves only
                         # downhill, so every accepted move lowers
                         # (unconverged, value, weights) and the sweep cannot cycle
@@ -534,22 +531,18 @@ def search(kind: str, mix: MixtureSpec, constraint: np.ndarray, opts: SolveOptio
                             cont, cur = trial, cand
                             improved = True
             spacing //= 2
-        cur = tuple(t / denom for t in cur)
-        entry = (cont.value_at_eps_min, r, cur, cont)
-        if best is None or outranks(
-            cont, best[3], abs(entry[0] - best[0]) <= tie_tol and (r, cur) < best[1:3]
-        ):
-            best = entry
-    value, r, interior, cont = best
+        if best is None or outranks(cont, best[2]):
+            best = (r, cur, cont)
+    r, ticks, cont = best
     if len(cont.stages) < min(2, len(opts.eps_schedule)):
         cont = _complete(cont, mix, constraint, opts)
     return SearchResult(
         kind=kind,
         r=r,
-        x=(0.0,) + tuple(interior) + (1.0,),
-        value=value,
+        x=weights(r, ticks),
+        value=cont.value_at_eps_min,
         best=cont,
-        candidates=candidates,
+        candidates=[(r, weights(r, t), c.value_at_eps_min) for r in tables for t, c in tables[r].items()],
     )
 
 

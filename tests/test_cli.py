@@ -106,6 +106,9 @@ def test_main_exits_2_on_a_bool_real_option(tmp_path, capsys):
         assert f"solve: {next(iter(solve))}" in capsys.readouterr().err
 
 
+# an integer literal beyond the float range, where float() raises OverflowError
+HUGE = "1" + "0" * 400
+
 # (key, JSON text of its value, a word the problem names): values that
 # int(), float() or tuple() would reject with a traceback, that int() would
 # silently convert (p = 2.5 or "2" to 2), nested lists that would be
@@ -140,6 +143,20 @@ MALFORMED = (
     ("solve", '{"eps_schedule": 1e-5}', "eps_schedule"),
     ("solve", '{"eps_schedule": "1e-5"}', "eps_schedule"),
     ("solve", '{"grad_tol": null}', "grad_tol"),
+    # float() and astype(float) turned numeric strings into numbers
+    ("Q", '["1.0"]', "Q:"),
+    ("h", '["0.1"]', "field h"),
+    ("mixture", '[[2, ["1.0"]]]', "flat list"),
+    ("path", '{"x": ["0.0"]}', "path:"),
+    ("path", '{"x": [0.0, 1.0], "levels": [["0.5"]]}', "path:"),
+    ("path", '{"x": [0.0, 1.0], "levels": [[0.5]], "lambda": ["3.0"]}', "path:"),
+    # and raised OverflowError on an integer beyond the float range
+    ("h", f"[{HUGE}]", "field h"),
+    ("mixture", f"[[2, [{HUGE}]]]", "beta"),
+    ("Q", f"[{HUGE}]", "Q:"),
+    ("path", f'{{"x": [{HUGE}]}}', "path:"),
+    ("solve", f'{{"grad_tol": {HUGE}}}', "grad_tol"),
+    ("solve", f'{{"eps_schedule": [{HUGE}]}}', "eps_schedule"),
 )
 
 

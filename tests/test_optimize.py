@@ -1,5 +1,6 @@
 import math
 import signal
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -499,7 +500,7 @@ def test_warm_start_is_feasible_at_every_neighbour(seed):
     moves.append((0.0,) + (1 / 32,) * (r - 2) + (1.0,))
     moves.append((0.0,) + (31 / 32,) * (r - 2) + (1.0,))
     for kind in ("parisi", "cs"):
-        cont = ContinuationResult(kind, source, lam if kind == "parisi" else None, 0.0, 0.0, [], [])
+        cont = ContinuationResult(kind, source, lam if kind == "parisi" else None, [], [])
         for x in moves:
             start_lam, start_levels = warm_start(kind, mix, x, cont)
             target = DiscretePath(x, tuple(start_levels) + (q,))
@@ -622,6 +623,26 @@ def test_gap_ends_every_candidate_converged(monkeypatch):
     assert rep.argmin_parisi.x == rep.argmin_cs.x == (0.0, 0.5, 1.0)
     assert rep.min_parisi == pytest.approx(3.9381912029506374, abs=1e-10)
     assert rep.min_cs == pytest.approx(3.938191157752124, abs=1e-10)
+
+
+def test_search_candidates_are_the_continuations_it_ran(monkeypatch):
+    calls = _record_continuations(monkeypatch)
+    rep = duality_gap(MixtureSpec.pure(4, [2.0]), np.eye(1), SolveOptions(r_max=3))
+    for kind, res in (("parisi", rep.argmin_parisi), ("cs", rep.argmin_cs)):
+        ran = [(r, x, result.value_at_eps_min) for k, r, x, _, result in calls if k == kind]
+        assert res.candidates == ran, kind
+        assert len({(r, x) for r, x, _ in ran}) == len(ran), kind
+
+
+def test_continuation_values_come_from_its_stages():
+    cont = continuation("cs", MixtureSpec.pure(4, [2.0]), np.eye(1), 3, (0.0, 0.5, 1.0), SolveOptions())
+    assert len(cont.stages) == 2
+    last = cont.stages[-1].value_base
+    one = replace(cont, stages=cont.stages[-1:])
+    assert one.value_extrapolated == one.value_at_eps_min == last
+    s1, s0 = cont.stages
+    assert cont.value_at_eps_min == last
+    assert cont.value_extrapolated == (s1.eps * s0.value_base - s0.eps * s1.value_base) / (s1.eps - s0.eps)
 
 
 def test_warm_candidates_start_from_the_nearest_converged_candidate(monkeypatch):
