@@ -45,6 +45,7 @@ FORMAT_HEADER = "# spinvar-result v1"
 COMMANDS = ("eval", "minimize", "gap", "verify", "continuous", "probe")
 _SPEC_KEYS = {"version", "n", "mixture", "h", "Q", "solve", "commands", "path"}
 _PATH_KEYS = {"x", "levels", "lambda"}
+MAX_N = 8  # the largest species count; r_max and x_grid are capped by SolveOptions
 _SOLVE_KEYS = {f.name: f for f in fields(SolveOptions)}
 
 
@@ -120,8 +121,9 @@ def build_spec(raw: dict) -> ProblemSpec:
     if type(version) is not int or version != 1:
         problems.append("version must be 1")
     n = raw.get("n")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        problems.append("n must be a positive integer")
+    # checked before anything is sized by n, such as the default field
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_N:
+        problems.append(f"n must be an integer from 1 to {MAX_N}")
         n = 1
 
     mixture = None

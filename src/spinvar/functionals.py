@@ -23,15 +23,17 @@ V_p = hh^T + xi'(Q_p) that :class:`Weights` makes.  The chain is built by
 and :func:`spinvar.path.d_sequence`; a point outside the domain raises the
 domain error those two raise.  The (1/x_k) terms are one log-ratio
 expression signed by the form in the value, and one linear map,
-:func:`_partials`, in the representers and their tangents.  Given a stack
-of directions, ``eval_stack`` also returns the directional derivatives of
-the point's representers (the rows of the solver's Hessian), from a
-tangent-linear pass through the same chain builder, partial sums, inverses
-and mixture series, with d(A^-1)[V] = -A^-1 V A^-1 and xi'' o V, xi''' o V
-for the derivatives of the series.  The corrected forms run on the same
-kernel: the error terms come from one inverse call over the increments,
-and the base part of either side is eval_stack's formula evaluated at the
-corrected chain.
+:func:`_partials`, in the representers and their tangents.  One forward
+pass gives the value, the unperturbed (base) value and the representers;
+with them ``eval_stack`` returns the deferred tangent pass, which a caller
+runs only where it needs the directional derivatives of the point's
+representers (the rows of the solver's Hessian).  That pass reuses the
+point's chain builder, partial sums, inverses and mixture series, with
+d(A^-1)[V] = -A^-1 V A^-1 and xi'' o V, xi''' o V for the derivatives of
+the series, and never repeats the forward pass.  The corrected forms run
+on the same kernel: the error terms come from one inverse call over the
+increments, and the base part of either side is eval_stack's formula
+evaluated at the corrected chain.
 
 Conventions: where x_k = 0 the 1/x_k log-ratio term is dropped (the chain
 increment at level k is then zero); ``Weights.div`` is the one place that
@@ -55,6 +57,7 @@ the half-barrier form would carry ``eps``.  The helper
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -76,7 +79,7 @@ def corrected_eps(eps: float) -> float:
 
 
 def _frob(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.sum(a * b, axis=(-2, -1))
+    return (a * b).sum(axis=(-2, -1))
 
 
 class Weights:
@@ -150,21 +153,23 @@ def _form_total(plan, hh, q, series, w1, chain, logdet, first_inv, top):
     multiplier-free form divides by x_{r-1} (log|Q - Q_{r-1}| in eval_stack)."""
     n, x = q.shape[-1], plan.x
     # <W_1, C_1^-1> + sum_k (1/(sign x_k)) log(|C_{k+1}|/|C_k|), one expression for both forms
-    total = _frob(w1, first_inv) + np.sum((logdet[1:] - logdet[:-1]) / plan.div[1 : len(chain), 0, 0])
+    total = _frob(w1, first_inv) + ((logdet[1:] - logdet[:-1]) / plan.div[1 : len(chain), 0, 0]).sum()
     if plan.lead:  # <Lambda, Q> - n - log|Lambda| - sum_k x_k Sum(theta(Q_{k+1}) - theta(Q_k))
         total += _frob(chain[-1], q[-1]) - n - logdet[-1]
-        sums = -np.sum(series[:, 3], axis=(-2, -1))
+        sums = -series[:, 3].sum(axis=(-2, -1))
     else:  # <hh, D_1> + log|Q - Q_{r-1}| / x_{r-1} + sum_k x_k Sum(xi(Q_{k+1}) - xi(Q_k))
         total += _frob(hh, chain[0]) + top / x[-1]
-        sums = np.sum(series[:, 0], axis=(-2, -1))
-    return total + np.sum(x[1:] * (sums[1:] - sums[:-1]))
+        sums = series[:, 0].sum(axis=(-2, -1))
+    return total + (x[1:] * (sums[1:] - sums[:-1])).sum()
 
 
 def _evaluate(plan, mix, constraint, eps, blocks, invert_all):
-    """The value pass of :func:`eval_stack` at one point: ``(value, series,
-    w, o, inv, m)``, with the series, W and O of :func:`_chain`, ``m`` the
-    chain's length and ``inv`` the inverses of the chain and then of the
-    factored increments (``invert_all``), or of C_1 alone."""
+    """The forward pass of :func:`eval_stack` at one point: ``(value, base,
+    series, w, o, inv, m)``, with ``base`` the unperturbed form, the series,
+    W and O of :func:`_chain`, ``m`` the chain's length and ``inv`` the
+    inverses of the chain and then of the factored increments
+    (``invert_all``), or of C_1 alone.  Each matrix is factored and inverted
+    on its own, so ``base`` is the value of the same point at eps = 0."""
     hh = mix.outer_field()
     q, series, w, o, chain = _chain(plan, hh, mix, constraint, blocks)
     inc = q[1:] - q[:-1]  # Q_{k+1} - Q_k, k = 0..r-1
@@ -173,13 +178,12 @@ def _evaluate(plan, mix, constraint, eps, blocks, invert_all):
     mats, logdet = _factor_chain(plan.kind, chain, inc)
     m = len(chain)
     inv = stack_inverses(mats[1:] if invert_all else mats[1:2])
-    value = 0.5 * _form_total(plan, hh, q, series, w[0], chain, logdet[1 : 1 + m], inv[0], logdet[-1])
-    if eps != 0.0:
-        value = value + eps * -np.sum(logdet[1 + m :])
-    return float(value), series, w, o, inv, m
+    base = 0.5 * _form_total(plan, hh, q, series, w[0], chain, logdet[1 : 1 + m], inv[0], logdet[-1])
+    value = base + eps * -logdet[1 + m :].sum() if eps != 0.0 else base
+    return float(value), float(base), series, w, o, inv, m
 
 
-def eval_stack(plan, mix, constraint, eps, blocks, grad=False, directions=None):
+def eval_stack(plan, mix, constraint, eps, blocks, grad=False):
     """The eps-perturbed form of ``plan``, a :class:`Weights`, at one point.
 
     ``blocks`` holds the point's free blocks, shape (blocks, n, n), in the
@@ -190,23 +194,24 @@ def eval_stack(plan, mix, constraint, eps, blocks, grad=False, directions=None):
     point outside the domain; one ``inv`` call inverts what the value and
     the representers need.
 
-    Returns ``(value, reps, tangents)``: ``reps`` (with ``grad``) the
-    representers (blocks, n, n), the multiplier first.  For the chain C
-    built from W (see :class:`Weights`) they are
+    Returns ``(value, base, reps, tangent)``: ``base`` the unperturbed form
+    at the point, ``reps`` (with ``grad``) the representers (blocks, n, n),
+    the multiplier first.  For the chain C built from W (see
+    :class:`Weights`) they are
 
         core_p = O_p - C_1^-1 W_1 C_1^-1 - S_p  (S from :func:`_partials`),
         d_q[p] = (x_p - x_{p-1}) J_p o core_p + barrier terms,  p = 1..r-1,
         d_lam  = core_r - Lambda^-1,  J = xi''(Q_p) or -1.
 
-    With ``directions``, a stack V of shape (D, blocks, n, n), ``tangents``
-    (None without V) holds the directional derivatives of the representers
-    along each V, shape (D, blocks, n, n): one tangent-linear pass through
-    the same chain, inverses and mixture series (see :func:`_tangent`).
+    ``tangent`` (with ``grad``) is the deferred tangent pass: called on a
+    stack V of shape (D, blocks, n, n), it returns the directional
+    derivatives of the representers along each V, shape (D, blocks, n, n),
+    from one tangent-linear pass through this point's chain, inverses and
+    mixture series (see :func:`_tangent`), without a second forward pass.
     """
-    grad = grad or directions is not None
-    value, series, w, o, inv, m = _evaluate(plan, mix, constraint, eps, blocks, grad)
+    value, base, series, w, o, inv, m = _evaluate(plan, mix, constraint, eps, blocks, grad)
     if not grad:
-        return value, None, None
+        return value, base, None, None
 
     r, ci = len(plan.x), inv[:m]
     a = symmetrize(ci[0] @ w[0] @ ci[0])
@@ -218,10 +223,7 @@ def eval_stack(plan, mix, constraint, eps, blocks, grad=False, directions=None):
         inc_inv = inv[m:]
         d_q = d_q + corrected_eps(eps) * (inc_inv[1:] - inc_inv[:-1])
     reps = plan.join(core[-1] - ci[-1], d_q)  # join drops d_lam for the multiplier-free form
-    tangents = None
-    if directions is not None:
-        tangents = _tangent(plan, eps, series, inv, w[0], jdx, core, directions)
-    return value, reps, tangents
+    return value, base, reps, partial(_tangent, plan, eps, series, inv, w[0], jdx, core)
 
 
 def _tangent(plan, eps, series, inv, w1, jdx, core, v):
@@ -232,27 +234,29 @@ def _tangent(plan, eps, series, inv, w1, jdx, core, v):
 
     Each step differentiates the matching step of eval_stack, with
     d(A^-1)[V] = -A^-1 V A^-1 and d xi^(j)(A)[V] = xi^(j+1)(A) o V; so
-    dU = dQ and dV = xi''(Q) o dQ swap as U and V do.
+    dU = dQ and dV = xi''(Q) o dQ swap as U and V do.  The multiplier-free
+    form skips what is zero or dropped there: dJ (J = -1), d_lam, and dV at
+    Q_r, which only the multiplier form's chain reads (dQ_r = 0).
     """
     count, n, r, m = v.shape[0], v.shape[-1], len(plan.x), len(core)
     zero = np.zeros((count, 1, n, n))
     dlam, dlevels = plan.split(v)
     dq = np.concatenate([zero, dlevels, zero], axis=1)  # dQ_0..dQ_r
-    dw, do = plan.pair(dq[:, 1:], series[:, 2] * dq[:, 1:])  # (dW, dO) of (dU, dV)
+    dw, do = plan.pair(dq[:, 1:], series[:m, 2] * dq[:, 1 : m + 1])  # (dW, dO) of (dU, dV)
     ci = inv[:m]
     dci = -ci @ _tail_chain(plan.x, dlam, dw) @ ci
     # d(C_1^-1 W_1 C_1^-1)
     half = dci[:, 0] @ w1 @ ci[0]
     da = half + half.swapaxes(-1, -2) + ci[0] @ dw[:, 0] @ ci[0]
     dcore = do[:, :m] - da[:, None] - _partials(plan, dci)
-    # dJ = sign d^2W_p/dQ_p^2 o dQ_p: xi'''(Q_p) o dQ_p or 0
-    djdx = plan.dx * plan.sign * plan.pair(0.0, series[:-1, 4])[0]
-    d_q = djdx * core[: r - 1] * dq[:, 1:-1] + jdx * dcore[:, : r - 1]
+    d_q = jdx * dcore[:, : r - 1]
+    if plan.lead:  # dJ = d^2V_p/dQ_p^2 o dQ_p = xi'''(Q_p) o dQ_p
+        d_q = plan.dx * series[:-1, 4] * core[: r - 1] * dq[:, 1:-1] + d_q
     if eps != 0.0:
         inc_inv = inv[m:]
         d_inc_inv = -inc_inv @ (dq[:, 1:] - dq[:, :-1]) @ inc_inv
         d_q = d_q + corrected_eps(eps) * (d_inc_inv[:, 1:] - d_inc_inv[:, :-1])
-    return plan.join(dcore[:, -1] - dci[:, -1], d_q)
+    return plan.join(dcore[:, -1] - dci[:, -1] if plan.lead else None, d_q)
 
 
 def _point(plan, path: DiscretePath, lam=None):
@@ -273,7 +277,7 @@ def eval_point(kind, eps, path: DiscretePath, mix: MixtureSpec, lam=None, grad=F
     """eval_stack at one path: (value, (d_lam or None, d_q) or None); raises
     the domain error of an infeasible point."""
     plan = Weights(kind, path.x)
-    value, reps, _ = eval_stack(plan, mix, path.constraint, eps, _point(plan, path, lam), grad)
+    value, _, reps, _ = eval_stack(plan, mix, path.constraint, eps, _point(plan, path, lam), grad)
     return value, None if reps is None else plan.split(reps)
 
 

@@ -81,7 +81,7 @@ def psd_tol(a: np.ndarray):
     """Eigenvalue margin used for PD / PSD decisions on a matrix, or on each
     matrix of a stack (..., n, n): PSD_RTOL times the largest absolute
     diagonal entry, with a unit floor."""
-    scale = np.max(np.abs(np.diagonal(a, 0, -2, -1)), axis=-1, initial=0.0)
+    scale = np.abs(a.diagonal(0, -2, -1)).max(axis=-1, initial=0.0)
     return PSD_RTOL * np.maximum(scale, 1.0)
 
 
@@ -123,7 +123,7 @@ def stack_logdets(stack: np.ndarray):
             except np.linalg.LinAlgError:
                 factors[idx] = np.eye(stack.shape[-1])
                 ok[idx] = False
-    return 2.0 * np.sum(np.log(np.diagonal(factors, 0, -2, -1)), axis=-1), ok
+    return 2.0 * np.log(factors.diagonal(0, -2, -1)).sum(axis=-1), ok
 
 
 def stack_inverses(stack: np.ndarray) -> np.ndarray:
@@ -257,7 +257,7 @@ class MixtureSpec:
         xi_prime, xi_second, theta, xi_third."""
         terms = a[..., None, None, :, :] ** self._powers
         terms *= self._weights
-        return np.sum(terms, axis=-3)
+        return terms.sum(axis=-3)
 
     def outer_field(self) -> np.ndarray:
         return np.outer(self.h, self.h)

@@ -3,16 +3,19 @@
 The inner solve works at fixed (r, weights, eps).  The free variables are
 the levels Q_1..Q_{r-1} (always) and the multiplier (multiplier form
 only), held as upper-triangle coordinates by ``Objective``.  Each point
-the solver visits costs one ``functionals.eval_stack`` call, which gives
-its value, its gradient and, from a tangent-linear pass along the
-coordinate directions, its exact Hessian.  Each iteration takes one
-damped Newton step jointly across all free variables: the Hessian is
+the solver visits costs one forward pass, one ``functionals.eval_stack``
+call, which gives its value, its unperturbed value and its gradient.
+Each iteration takes one damped Newton step jointly across all free
+variables.  Only the point a step starts from pays for its exact Hessian,
+the point's deferred tangent-linear pass along the coordinate directions;
+a rejected trial and a stage's final point never run it.  The Hessian is
 shifted along the Frobenius metric until it is positive definite, and
 the step backtracks from its full length until Armijo holds on the
-eps-perturbed value or the representer norm halves; the accepted trial's
-Hessian serves the next step.  A trial point outside the domain of the
-barrier raises its domain error in the kernel and the step halves, so
-accepted iterates keep strictly positive-definite increments.
+eps-perturbed value or the representer norm halves.  A trial point
+outside the domain of the barrier raises its domain error in the kernel
+and the step halves, so accepted iterates keep strictly positive-definite
+increments.  A stage's base value is its final point's unperturbed value,
+from the same pass.
 
 On top of the inner solve sit: ``continuation`` (a decreasing eps
 schedule, each stage started at the last one's minimizer), ``search``
@@ -36,12 +39,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, replace
+from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
 
 from .errors import DomainError, NoFeasibleStart, ValidationError
-from .functionals import Weights, eval_perturbed, eval_stack
+from .functionals import Weights, eval_stack
 from .matcore import MixtureSpec, sym_inverse
 from .path import DiscretePath, equally_spaced
 
@@ -52,6 +56,10 @@ _ARMIJO_C, _SHRINK = 1e-4, 0.5
 
 # iteration budget of one stage; the plateau rule ends a stalled stage first
 _MAX_ITERS = 20000
+
+# the problem sizes spinvar is built for: r <= 5 levels, and a weight grid
+# whose candidate tables stay small
+MAX_R, MAX_X_GRID = 5, 64
 
 
 @dataclass(frozen=True)
@@ -73,13 +81,13 @@ class SolveOptions:
             problems.append("eps_schedule must be strictly decreasing")
         if not (0 < self.grad_tol < math.inf):
             problems.append("grad_tol must be positive and finite")
-        for name, low in (("x_grid", 2), ("r_max", 2), ("seed", 0)):
+        for name, low, high in (("x_grid", 2, MAX_X_GRID), ("r_max", 2, MAX_R), ("seed", 0, math.inf)):
             value = getattr(self, name)
             # a float would pass the bound and fail later, inside search
             if isinstance(value, bool) or not isinstance(value, Integral):
                 problems.append(f"{name} must be an integer, got {value!r}")
-            elif value < low:
-                problems.append(f"{name} must be >= {low}")
+            elif not low <= value <= high:
+                problems.append(f"{name} must be >= {low}" if value < low else f"{name} must be <= {high}")
         if problems:
             raise ValidationError(problems)
         object.__setattr__(self, "eps_schedule", sched)
@@ -104,6 +112,7 @@ class MinimizeResult:
     path: DiscretePath
     lam: np.ndarray | None
     value: float
+    value_base: float
     grad_norm: float
     iterations: int
     converged: bool
@@ -172,13 +181,37 @@ class GapReport:
     eps_trace: dict
 
 
+@lru_cache(maxsize=64)
+def _layout(n, count):
+    """The read-only constants of ``count`` blocks of size n in upper-triangle
+    coordinates, built once per shape: the rows and columns of the
+    coordinates, the metric weights and their diagonal matrix, the halving
+    weights of the gradient, and the coordinate directions as blocks (the
+    basis, for the Hessian) and flat (the 0/1 scatter; each entry of
+    z @ scatter is one product with 1, so exact)."""
+    rows, cols = np.triu_indices(n)
+    off = rows != cols
+    metric = np.tile(np.where(off, 2.0, 1.0), count)
+    dim = metric.size
+    tri = np.eye(dim).reshape(dim, count, -1)
+    basis = np.zeros((dim, count, n, n))
+    basis[:, :, rows, cols] = tri
+    basis[:, :, cols, rows] = tri
+    consts = (rows, cols, metric, np.diag(metric), np.where(off, 1.0, 0.5), basis, basis.reshape(dim, -1))
+    for a in consts:
+        a.flags.writeable = False
+    return consts
+
+
 class Objective:
     """The eps-perturbed form of the :class:`~spinvar.functionals.Weights`
     ``plan`` at fixed (mix, Q, eps) as a function of its free blocks, in
     the plan's layout, in upper-triangle coordinates z.  ``blocks`` is the
     start, whose shape fixes the layout.  The descent uses the Frobenius
     metric, under which an off-diagonal coordinate counts twice: ``metric``
-    holds those weights.
+    holds those weights and ``metric_diag`` their diagonal matrix.  A point
+    costs one forward pass (:meth:`evaluate`); its Hessian, one tangent pass
+    more, is paid for only when it is asked for.
     """
 
     def __init__(self, plan, mix, constraint, eps, blocks):
@@ -187,19 +220,8 @@ class Objective:
         self.constraint = np.asarray(constraint, dtype=float)
         self.eps = float(eps)
         self.template = np.array(blocks, dtype=float)
-        n = self.constraint.shape[0]
-        self.rows, self.cols = np.triu_indices(n)
-        off = self.rows != self.cols
-        self.metric = np.tile(np.where(off, 2.0, 1.0), len(self.template))
-        self._halve = np.where(off, 1.0, 0.5)
-        # the rows of the 0/1 scatter are the coordinate directions as blocks, for
-        # the Hessian; each entry of z @ scatter is one product with 1, so exact
-        dim = self.metric.size
-        tri = np.eye(dim).reshape(dim, len(self.template), -1)
-        self._basis = np.zeros((dim,) + self.template.shape)
-        self._basis[:, :, self.rows, self.cols] = tri
-        self._basis[:, :, self.cols, self.rows] = tri
-        self._scatter = self._basis.reshape(dim, -1)
+        layout = _layout(self.constraint.shape[0], len(self.template))
+        self.rows, self.cols, self.metric, self.metric_diag, self._halve, self._basis, self._scatter = layout
 
     def pack(self, blocks) -> np.ndarray:
         return np.asarray(blocks, dtype=float)[:, self.rows, self.cols].reshape(-1)
@@ -212,18 +234,26 @@ class Objective:
         """Gradient coordinates of the representers of one point, or of a stack of them."""
         return (reps[..., self.rows, self.cols] * self._halve).reshape(reps.shape[:-3] + (-1,))
 
+    def evaluate(self, z):
+        """``(value, base, grad, hess)`` in z of one point from one forward
+        pass: the value, the unperturbed value, the gradient, and ``hess``, a
+        callable that runs the point's tangent pass along the coordinate
+        directions and returns the Hessian, whose row k is the derivative of
+        the gradient along coordinate k.  Raises the domain error of a point
+        outside the domain."""
+        blocks = self.blocks(z)
+        value, base, reps, tangent = eval_stack(self.plan, self.mix, self.constraint, self.eps, blocks, True)
+        return value, base, self._coords(reps), lambda: self._coords(tangent(self._basis))
+
     def value_grad_hess(self, z):
-        """Value, gradient and Hessian in z of one point from one kernel call;
-        row k of the Hessian is the derivative of the gradient along
-        coordinate k.  Raises the domain error of a point outside the domain."""
-        value, reps, tangents = eval_stack(
-            self.plan, self.mix, self.constraint, self.eps, self.blocks(z), directions=self._basis
-        )
-        return value, self._coords(reps), self._coords(tangents)
+        """Value, gradient and Hessian in z of one point: :meth:`evaluate`
+        with its tangent pass run at once."""
+        value, _, grad, hess = self.evaluate(z)
+        return value, grad, hess()
 
     def norm(self, grad) -> float:
         """Infinity norm of the representers."""
-        return float(np.max(np.abs(2.0 * grad / self.metric)))
+        return float(np.abs(2.0 * grad / self.metric).max())
 
 
 # shifts tried on the Hessian, in units of its largest diagonal entry
@@ -237,9 +267,9 @@ def _newton_direction(obj, hess, grad):
     Frobenius gradient, the limit of large mu.
     """
     hess = 0.5 * (hess + hess.T)
-    scale = float(np.max(np.abs(np.diag(hess))))
+    scale = float(np.abs(hess.diagonal()).max())
     for shift in _SHIFTS:
-        shifted = hess + shift * scale * np.diag(obj.metric)
+        shifted = hess + shift * scale * obj.metric_diag
         try:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
@@ -295,7 +325,7 @@ def minimize_fixed(
     obj = Objective(plan, mix, constraint, eps, plan.join(lam, levels))
     z = obj.pack(obj.template)
     try:
-        value, grad, hess = obj.value_grad_hess(z)
+        value, base, grad, hess = obj.evaluate(z)
     except DomainError as exc:
         raise NoFeasibleStart(f"starting point infeasible for {kind} at eps={eps}: {exc}") from exc
 
@@ -324,18 +354,18 @@ def minimize_fixed(
         # the domain; a trial point that halves the representer norm is
         # accepted too, because near stationarity the value cannot resolve
         # the decrease Armijo asks for
-        direction = _newton_direction(obj, hess, grad)
+        direction = _newton_direction(obj, hess(), grad)
         slope = float(grad @ direction)
         eta = 1.0
         while eta >= 1e-18:
             trial = z + eta * direction
             try:
-                trial_value, trial_grad, trial_hess = obj.value_grad_hess(trial)
+                trial_value, trial_base, trial_grad, trial_hess = obj.evaluate(trial)
             except DomainError:
                 eta *= _SHRINK
                 continue
             if trial_value <= value + _ARMIJO_C * eta * slope or obj.norm(trial_grad) < 0.5 * grad_norm:
-                z, value, grad, hess = trial, trial_value, trial_grad, trial_hess
+                z, value, base, grad, hess = trial, trial_value, trial_base, trial_grad, trial_hess
                 break
             eta *= _SHRINK
         else:
@@ -346,7 +376,7 @@ def minimize_fixed(
         # each iterate's smallest increment eigenvalue, from one eigvalsh call per stage
         levels = plan.split(obj.blocks(np.array([point for *_, point in visited])))[1]
         top = np.broadcast_to(obj.constraint, (len(levels), 1) + obj.constraint.shape)
-        eigs = np.min(np.linalg.eigvalsh(np.diff(levels, axis=1, prepend=0.0, append=top)), axis=(1, 2))
+        eigs = np.linalg.eigvalsh(np.diff(levels, axis=1, prepend=0.0, append=top)).min(axis=(1, 2))
         trace.extend(
             TraceRow(stage, eps, it, v, norm, float(e)) for (it, v, norm, _), e in zip(visited, eigs)
         )
@@ -356,6 +386,7 @@ def minimize_fixed(
         path=DiscretePath(plan.x, tuple(levels) + (obj.constraint,)),
         lam=lam,
         value=value,
+        value_base=base,
         grad_norm=grad_norm,
         iterations=iterations,
         converged=stop_reason == "converged",
@@ -403,7 +434,7 @@ def _run_stages(kind, mix, constraint, r, x, opts, schedule, state) -> Continuat
             StageRecord(
                 eps=eps,
                 value_perturbed=result.value,
-                value_base=eval_perturbed(kind, 0.0, result.path, mix, lam=result.lam),
+                value_base=result.value_base,
                 grad_norm=result.grad_norm,
                 iterations=result.iterations,
                 converged=result.converged,

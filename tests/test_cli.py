@@ -157,6 +157,13 @@ MALFORMED = (
     ("path", f'{{"x": [{HUGE}]}}', "path:"),
     ("solve", f'{{"grad_tol": {HUGE}}}', "grad_tol"),
     ("solve", f'{{"eps_schedule": [{HUGE}]}}', "eps_schedule"),
+    # sizes beyond n <= 8, r_max <= 5 and x_grid <= 64 were accepted, and a
+    # huge n raised OverflowError while the default field was built
+    ("n", "9", "n must be"),
+    ("n", HUGE, "n must be"),
+    ("solve", '{"r_max": 6}', "r_max"),
+    ("solve", '{"x_grid": 65}', "x_grid"),
+    ("solve", f'{{"x_grid": {HUGE}}}', "x_grid"),
 )
 
 

@@ -177,7 +177,7 @@ def expected_gradient(obj, reps):
 
 def value_and_grad(obj, z):
     """Value and gradient in z of one point from one eval_stack call."""
-    value, reps, _ = eval_stack(obj.plan, obj.mix, obj.constraint, obj.eps, obj.blocks(z), grad=True)
+    value, _, reps, _ = eval_stack(obj.plan, obj.mix, obj.constraint, obj.eps, obj.blocks(z), grad=True)
     return value, expected_gradient(obj, reps)
 
 

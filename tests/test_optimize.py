@@ -405,20 +405,27 @@ def _newton_cases():
 
 def test_newton_iteration_evaluates_each_point_once(monkeypatch):
     # every point the solver visits -- the start and each line-search trial
-    # -- costs one kernel call that gives its value, gradient and Hessian
-    # together, and the accepted trial's Hessian serves the next step; a
-    # trial outside the domain raises in the kernel and the step halves
+    # -- costs one forward pass that gives its value and gradient; only the
+    # point a Newton step starts from runs its deferred tangent pass for the
+    # Hessian, once, so a rejected trial, a trial outside the domain (which
+    # raises in the kernel, and the step halves) and the final point run none
     from spinvar import optimize
 
-    calls = []
+    calls = []  # [blocks, value, tangent passes] of each kernel call
     kernel = optimize.eval_stack
 
     def counted(*args, **kwargs):
         # recorded before the kernel runs; a call that raises keeps value None
-        calls.append([np.array(args[4]), kwargs.get("directions") is not None, None])
-        out = kernel(*args, **kwargs)
-        calls[-1][2] = out[0]
-        return out
+        call = [np.array(args[4]), None, 0]
+        calls.append(call)
+        value, base, reps, tangent = kernel(*args, **kwargs)
+        call[1] = value
+
+        def tangent_pass(directions):
+            call[2] += 1
+            return tangent(directions)
+
+        return value, base, reps, tangent_pass
 
     monkeypatch.setattr(optimize, "eval_stack", counted)
     for mix, q, r, x, eps, leaves_domain in _newton_cases():
@@ -427,25 +434,77 @@ def test_newton_iteration_evaluates_each_point_once(monkeypatch):
         res = minimize_fixed("parisi", mix, q, r, x, eps, SolveOptions(), trace=trace)
         assert res.converged and res.iterations > 2
 
-        assert all(blocks.ndim == 3 and directions for blocks, directions, _ in calls)
-        assert any(value is None for *_, value in calls) == leaves_domain
+        assert all(blocks.ndim == 3 for blocks, _, _ in calls)
+        assert any(value is None for _, value, _ in calls) == leaves_domain
         points = [blocks for blocks, _, _ in calls]
         assert len({p.tobytes() for p in points}) == len(points)  # no point twice
         # the calls after the start split into line searches, each backing off
-        # from its full step by halves and ending at the next iterate
+        # from its full step by halves and ending at the next iterate; a
+        # search holds the indices of its calls
         point, searches = points[0], []
-        for p, (_, _, value) in zip(points[1:], calls[1:]):
+        for i, p in enumerate(points[1:], start=1):
             if searches:
-                full = searches[-1][0][0] - point
+                full = points[searches[-1][0]] - point
                 if np.allclose(p - point, 0.5 ** len(searches[-1]) * full, rtol=0, atol=1e-12):
-                    searches[-1].append((p, value))
+                    searches[-1].append(i)
                     continue
-                point = searches[-1][-1][0]
-            searches.append([(p, value)])
+                point = points[searches[-1][-1]]
+            searches.append([i])
         assert len(searches) == res.iterations - 1  # the converged iteration takes no step
         for k, trials in enumerate(searches):
-            assert trials[-1][1] == trace[k + 1].value
+            assert calls[trials[-1]][1] == trace[k + 1].value
         assert len(calls) == 1 + sum(len(trials) for trials in searches)
+        # one tangent pass at the start and at each accepted trial but the last
+        starts = {0} | {trials[-1] for trials in searches[:-1]}
+        assert [passes for *_, passes in calls] == [int(i in starts) for i in range(len(calls))]
+        assert sum(passes for *_, passes in calls) == res.iterations - 1
+
+
+def _stage_cases():
+    """(kind, mixture, Q, r, x, whether a line-search trial must leave the
+    domain); some random cases leave it too."""
+    cases = []
+    for kind in ("parisi", "cs"):
+        for n in (1, 3, 8):
+            for r in (2, 3):
+                rng = np.random.default_rng(100 * n + r)
+                x = (0.0, 1.0) if r == 2 else (0.0, 0.5, 1.0)
+                cases.append((kind, random_mixture(rng, n), random_correlation(rng, n), r, x, False))
+    # the second case of _newton_cases, whose first stage backs off the domain edge
+    cases.append(("parisi", MixtureSpec.pure(2, [1.0]), np.eye(1), 3, (0.0, 0.5, 1.0), True))
+    return cases
+
+
+@pytest.mark.parametrize("kind, mix, q, r, x, leaves_domain", _stage_cases())
+def test_stage_base_value_is_the_unperturbed_form(monkeypatch, kind, mix, q, r, x, leaves_domain):
+    # each stage's base value comes from the forward pass at its final point,
+    # and is exactly the unperturbed form evaluated there on its own
+    from spinvar import optimize
+    from spinvar.errors import DomainError
+    from spinvar.functionals import eval_perturbed
+
+    results, raised = [], []
+    solve, kernel = optimize.minimize_fixed, optimize.eval_stack
+
+    def recorded(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    def watched(*args, **kwargs):
+        try:
+            return kernel(*args, **kwargs)
+        except DomainError:
+            raised.append(args[4])
+            raise
+
+    monkeypatch.setattr(optimize, "minimize_fixed", recorded)
+    monkeypatch.setattr(optimize, "eval_stack", watched)
+    cont = continuation(kind, mix, q, r, x, SolveOptions())
+    assert cont.converged and len(results) == 2
+    assert raised or not leaves_domain
+    assert [s.value_base for s in cont.stages] == [res.value_base for res in results]
+    for res in results:
+        assert res.value_base == eval_perturbed(kind, 0.0, res.path, mix, lam=res.lam)
 
 
 # gap-rsb benchmark member family-n2-p4 (unjittered); its r = 3 search
@@ -512,7 +571,7 @@ def test_warm_start_is_feasible_at_every_neighbour(seed):
                 assert start_lam is None
                 d_sequence(target)
                 blocks = np.array(start_levels)
-            value, _, _ = eval_stack(Weights(kind, x), mix, q, 1e-5, blocks)  # raises outside the domain
+            value, _, _, _ = eval_stack(Weights(kind, x), mix, q, 1e-5, blocks)  # raises outside the domain
             assert np.isfinite(value), (kind, x)
 
 
