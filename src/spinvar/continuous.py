@@ -395,23 +395,17 @@ def lipschitz_probe(
     mix: MixtureSpec,
     box: FeasibleBox,
     pairs: list[tuple[ContinuousCdf, MatrixPath]],
-    samples: int = 100,
-    seed: int = 0,
 ) -> tuple[float, float]:
-    """Empirical modulus over sampled candidate pairs against the bound.
+    """Empirical modulus over the candidate pairs against the bound.
 
     Ratios |C(p1) - C(p2)| / (|x1 - x2|_1 + |Phi1 - Phi2|_inf) are maximized
-    over ``samples`` random index pairs; identical pairs are excluded.
+    over every two candidates; identical pairs are excluded.
     """
-    rng = np.random.default_rng(seed)
     values = [eval_cs_continuous(x, p, mix) for x, p in pairs]
     span = pairs[0][1].span
     empirical = 0.0
     m = len(pairs)
     combos = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    if len(combos) > samples:
-        idx = rng.choice(len(combos), size=samples, replace=False)
-        combos = [combos[int(k)] for k in idx]
     for i, j in combos:
         denom = cdf_l1_distance(pairs[i][0], pairs[j][0], span) + path_sup_distance(
             pairs[i][1], pairs[j][1]

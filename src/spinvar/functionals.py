@@ -337,11 +337,14 @@ class ErrorTerms:
 
     E_p is built from inverse increment gaps around level p; the lower side
     additionally divides entrywise by xi''(Q_p).  The tails satisfy
-    Ebar_k - Ebar_{k+1} = x_k (E_{k+1} - E_k).
+    Ebar_k - Ebar_{k+1} = x_k (E_{k+1} - E_k).  ``inc_inv`` (r, n, n) holds
+    the increments' inverses and ``barrier`` their :func:`eval_barrier`.
     """
 
     e: np.ndarray
     ebar: np.ndarray
+    inc_inv: np.ndarray
+    barrier: float
 
 
 def error_terms(side: str, path: DiscretePath, mix: MixtureSpec) -> ErrorTerms:
@@ -363,16 +366,18 @@ def error_terms(side: str, path: DiscretePath, mix: MixtureSpec) -> ErrorTerms:
     for p in range(1, path.r):
         if dx[p - 1] <= 0.0:
             raise NonStrictWeights(f"x_{p} - x_{p - 1} = {dx[p - 1]}")
-    inc, _, ok = increments(path)
+    inc, logdet, ok = increments(path)
     if not ok.all():
         raise DegenerateIncrement(int(np.argmin(ok)))
-    e = np.diff(stack_inverses(inc), axis=0) / dx[:, None, None]
+    inc_inv = stack_inverses(inc)
+    e = np.diff(inc_inv, axis=0) / dx[:, None, None]
     if side == "lower":
         for p in range(1, path.r):
             e[p - 1] = hadamard_div(e[p - 1], mix.xi_second(path.level(p)))
     e = np.concatenate([e, np.zeros((1, path.n, path.n))])  # E_r = 0
     # Ebar_p = sum_{k >= p} x_k (E_{k+1} - E_k)
-    return ErrorTerms(frozen(e), frozen(tail_sums(path.x[1:], np.diff(e, axis=0))))
+    ebar = tail_sums(path.x[1:], np.diff(e, axis=0))
+    return ErrorTerms(frozen(e), frozen(ebar), frozen(inc_inv), float(-np.sum(logdet)))
 
 
 def construct_multiplier(path: DiscretePath, mix: MixtureSpec, eps: float) -> np.ndarray:
@@ -383,10 +388,14 @@ def construct_multiplier(path: DiscretePath, mix: MixtureSpec, eps: float) -> np
 
     with upper-side correction terms and s = corrected_eps(eps).
     """
-    e = error_terms("upper", path, mix).e
+    return _multiplier(path, mix, eps, error_terms("upper", path, mix))
+
+
+def _multiplier(path, mix, eps, err):
+    """:func:`construct_multiplier` from the point's upper-side ``err``."""
     top = path.level(path.r - 1)
-    lam = stack_inverses(path.constraint - top) + mix.xi_prime(path.constraint) - mix.xi_prime(top)
-    return lam + corrected_eps(eps) * e[-2]
+    lam = err.inc_inv[-1] + mix.xi_prime(path.constraint) - mix.xi_prime(top)
+    return lam + corrected_eps(eps) * err.e[-2]
 
 
 def corrected_form(side, path: DiscretePath, mix: MixtureSpec, eps: float, lam=None):
@@ -414,16 +423,16 @@ def corrected_form(side, path: DiscretePath, mix: MixtureSpec, eps: float, lam=N
     """
     if path.x[-1] != 1.0:
         raise ValidationError(f"the approximate forms need x_{{r-1}} = 1, got {path.x[-1]}")
-    ebar = error_terms(side, path, mix).ebar
+    err = error_terms(side, path, mix)
     kind = "cs" if side == "lower" else "parisi"
     if kind == "parisi" and lam is None:
-        lam = construct_multiplier(path, mix, eps)
+        lam = _multiplier(path, mix, eps, err)
     s = corrected_eps(eps)
     plan = Weights(kind, path.x)
     hh = mix.outer_field()
     q, series, w, _, chain = _chain(plan, hh, mix, path.constraint, _point(plan, path, lam))
     m = path.r - 1
-    chain[:m] += s * ebar
+    chain[:m] += s * err.ebar
     logdet, ok = stack_logdets(chain)
     if not ok.all():
         raise NotPositiveDefinite("a matrix of the corrected chain is not positive definite")
@@ -431,7 +440,7 @@ def corrected_form(side, path: DiscretePath, mix: MixtureSpec, eps: float, lam=N
     total = _form_total(plan, hh, q, series, w[0], chain, logdet, inv[0], logdet[-1])
     j = np.minimum(np.arange(m) + (kind == "cs"), m - 1)
     paired = series[j, 1] if kind == "cs" else q[j + 1]
-    d_ebar = np.diff(np.concatenate([ebar, np.zeros((1, path.n, path.n))]), axis=0)
+    d_ebar = np.diff(np.concatenate([err.ebar, np.zeros((1, path.n, path.n))]), axis=0)
     total += s * np.sum(_frob(d_ebar, -inv[j] / plan.div[1:] - paired))
-    total += s * eval_barrier(path)
+    total += s * err.barrier
     return 0.5 * float(total), chain[:m], lam

@@ -28,7 +28,7 @@ from .errors import (
 
 PSD_RTOL = 1e-10  # relative eigenvalue margin for PD / PSD decisions
 DIV_TOL = 1e-14   # absolute guard for entrywise division
-INV_TOL = 1e-8    # |A @ sym_inverse(A) - I|_inf must stay below this
+CONSTRAINT_TOL = 1e-9  # absolute tolerance of a constraint's symmetry, diagonal and entries
 
 _MIX_KINDS = {
     # kind -> (coefficient(p), Hadamard-power shift)
@@ -44,10 +44,6 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     """Symmetric part (a + a.T) / 2 of a matrix, or of each matrix of a
     stack (..., n, n), as a fresh array."""
     return 0.5 * (a + a.swapaxes(-1, -2))
-
-
-def sum_entries(a: np.ndarray) -> float:
-    return float(np.sum(a))
 
 
 def _require_square(a: np.ndarray) -> np.ndarray:
@@ -148,19 +144,6 @@ def hadamard_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         i, j = map(int, np.argwhere(small)[0])
         raise ZeroDivisor(i, j, float(b[i, j]))
     return symmetrize(a / b)
-
-
-def admissible_radius(a: np.ndarray, c: np.ndarray) -> float:
-    """Largest step radius along symmetric ``c`` that keeps ``a`` positive definite.
-
-    Any eps below lam_min(a) / ||c||_2 keeps a + eps*c positive definite;
-    the spectral norm is what the Rayleigh-quotient bound requires.
-    """
-    floor = spectral_floor(a)
-    scale = float(np.linalg.norm(symmetrize(c), 2))
-    if scale == 0.0:
-        return np.inf
-    return floor / scale
 
 
 @dataclass(frozen=True)
@@ -271,9 +254,6 @@ class MixtureSpec:
     def xi_second(self, a: np.ndarray) -> np.ndarray:
         return mixture_apply("xi_second", self, a)
 
-    def theta(self, a: np.ndarray) -> np.ndarray:
-        return mixture_apply("theta", self, a)
-
     def species(self, j: int) -> "MixtureSpec":
         """Single-species restriction (used by diagonal separability checks)."""
         terms = tuple((p, np.array([beta[j]])) for p, beta in self.terms)
@@ -303,32 +283,7 @@ def mixture_apply(kind: str, mix: MixtureSpec, a: np.ndarray) -> np.ndarray:
     return symmetrize(mix.series(a)[list(_MIX_KINDS).index(kind)])
 
 
-def dir_derivative(kind: str, args, c: np.ndarray) -> float:
-    """Closed-form directional derivatives of the four scalar building blocks.
-
-    kind = "trace_pair":   d/dt tr(B (A + tC))        = tr(B C),   args = (B,)
-    kind = "logdet":       d/dt log|A + tC|           = tr(A^-1 C), args = (A,)
-    kind = "inverse_pair": d/dt tr(B (A + tC)^-1)     = -tr(A^-1 B A^-1 C), args = (A, B)
-    kind = "sum_mixture":  d/dt Sum(xi(A + tC))       = tr(xi'(A) C), args = (mix, A)
-    """
-    c = _require_square(c)
-    if kind == "trace_pair":
-        (b,) = args
-        return frobenius(b, c)
-    if kind == "logdet":
-        (a,) = args
-        return frobenius(sym_inverse(a), c)
-    if kind == "inverse_pair":
-        a, b = args
-        ainv = sym_inverse(a)
-        return -float(np.trace(ainv @ b @ ainv @ c))
-    if kind == "sum_mixture":
-        mix, a = args
-        return frobenius(mixture_apply("xi_prime", mix, a), c)
-    raise ValueError(f"unknown derivative kind {kind!r}")
-
-
-def check_constraint(q: np.ndarray, tol: float = 1e-9) -> list[str]:
+def check_constraint(q: np.ndarray) -> list[str]:
     """Validation report for a self-overlap constraint matrix."""
     problems = []
     q = np.asarray(q, dtype=float)
@@ -338,13 +293,13 @@ def check_constraint(q: np.ndarray, tol: float = 1e-9) -> list[str]:
         return [f"constraint entries must be finite, got {q.ravel().tolist()}"]
     # entries near the float limit overflow q - q.T; such a difference is not close
     with np.errstate(over="ignore"):
-        if not np.allclose(q, q.T, rtol=0.0, atol=tol):
+        if not np.allclose(q, q.T, rtol=0.0, atol=CONSTRAINT_TOL):
             problems.append("constraint must be symmetric")
     d = np.diagonal(q)
-    if not np.allclose(d, 1.0, rtol=0.0, atol=tol):
+    if not np.allclose(d, 1.0, rtol=0.0, atol=CONSTRAINT_TOL):
         problems.append(f"unit diagonal required, got {d.tolist()}")
     off = q - np.diag(d)
-    if np.any(np.abs(off) > 1.0 + tol):
+    if np.any(np.abs(off) > 1.0 + CONSTRAINT_TOL):
         problems.append("off-diagonal entries must lie in [-1, 1]")
     # beyond half the float limit symmetrize's q + q.T overflows; such an
     # entry already fails the unit-diagonal or the off-diagonal check

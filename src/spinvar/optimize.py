@@ -245,12 +245,6 @@ class Objective:
         value, base, reps, tangent = eval_stack(self.plan, self.mix, self.constraint, self.eps, blocks, True)
         return value, base, self._coords(reps), lambda: self._coords(tangent(self._basis))
 
-    def value_grad_hess(self, z):
-        """Value, gradient and Hessian in z of one point: :meth:`evaluate`
-        with its tangent pass run at once."""
-        value, _, grad, hess = self.evaluate(z)
-        return value, grad, hess()
-
     def norm(self, grad) -> float:
         """Infinity norm of the representers."""
         return float(np.abs(2.0 * grad / self.metric).max())

@@ -179,7 +179,10 @@ def test_main_exits_2_on_malformed_values(tmp_path, capsys, key, text, word):
     spec_file = tmp_path / "problem.json"
     spec_file.write_text(json.dumps(minimal_spec(**{key: None})).replace("null", text))
     assert main(["gap", "--spec", str(spec_file)]) == 2
-    assert word in capsys.readouterr().err
+    # each problem is an "error:" line; a solve problem reads "solve: <key> must be ..."
+    want = f"error: solve: {word} must be" if key == "solve" else "error: "
+    lines = capsys.readouterr().err.splitlines()
+    assert any(line.startswith(want) and word in line for line in lines)
 
 
 def test_load_spec_rejects_removed_solver_knobs(tmp_path, capsys):
@@ -251,6 +254,14 @@ def test_problem_file_gap_results_are_pinned(name, min_parisi, min_cs):
     for side in ("argmin_parisi", "argmin_cs"):
         assert out[side]["r"] == 2
         assert out[side]["x"] == pytest.approx([0.0, 1.0], rel=0, abs=1e-10)
+
+
+def test_main_verify_passes_every_battery_check(capsys):
+    assert main(["verify", "--spec", str(PROBLEMS / "pure2_scalar.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert json.loads(lines[0])["all_passed"] is True
+    assert sum(line.startswith("PASS") for line in lines) == 19
+    assert not any(line.startswith("FAIL") for line in lines)
 
 
 def test_emit_deterministic(tmp_path):

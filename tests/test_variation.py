@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spinvar import functionals, variation
 from spinvar.battery import (
     check_gradient_oracle,
     random_correlation,
@@ -237,6 +238,34 @@ def test_tilde_transform_matches_corrected_chain_at_critical_point():
     state = lambda_sequence(shifted_u.lam, res_u.path, mix)
     d_head = sym_inverse(d_sequence(res_u.path)[0])
     np.testing.assert_allclose(state[0], d_head, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "routine, side, calls",
+    [(bound_check, "upper", (2, 2)), (critical_residual, "upper", (1, 1)),
+     (bound_check, "lower", (2, 3)), (critical_residual, "lower", (1, 1))],
+)
+def test_certificate_call_factors_the_increments_once(monkeypatch, routine, side, calls):
+    # the multiplier and the barrier come from the error terms' factorization;
+    # bound_check's tilde shift takes the error terms once more and, on the
+    # lower side, factors the shifted path's own increments
+    mix = MixtureSpec(n=2, terms=((2, np.array([0.5, 0.4])),), h=np.zeros(2))
+    q = random_correlation(np.random.default_rng(25), 2)
+    kind = "parisi" if side == "lower" else "cs"
+    eps = 1e-2
+    res = minimize_fixed(kind, mix, q, 3, (0.0, 0.5, 1.0), eps, SolveOptions(grad_tol=1e-10))
+    assert res.converged
+    counts = {"error_terms": 0, "increments": 0}
+    for name in counts:
+
+        def counted(*args, name=name, wrapped=getattr(functionals, name)):
+            counts[name] += 1
+            return wrapped(*args)
+
+        monkeypatch.setattr(functionals, name, counted)
+        monkeypatch.setattr(variation, name, counted)
+    routine(side, res.path, mix, eps, lam=res.lam)
+    assert (counts["error_terms"], counts["increments"]) == calls
 
 
 def test_certificate_objects_need_a_free_level():
