@@ -224,26 +224,22 @@ def check_gradient_oracle(kind="parisi", seed=6) -> CheckResult:
 
 def _critical_points(seed):
     """The seeded n = 2, r = 2, x = (0, 1) continuation of both forms over
-    eps = 1e-1, 1e-2, 1e-3: ``(mix, side, eps, minimizer)`` at every stage,
-    with ``side`` the identity side of the form's critical points."""
+    eps = 1e-1, 1e-2, 1e-3: ``(mix, side, stage)`` for every stage, with
+    ``side`` the identity side of the form's critical points."""
     rng = np.random.default_rng(seed)
     q = random_correlation(rng, 2)
     mix = random_mixture(rng, 2)
-    eps_stages = (1e-1, 1e-2, 1e-3)
-    opts = optimize.SolveOptions(eps_schedule=eps_stages, grad_tol=1e-10)
+    opts = optimize.SolveOptions(eps_schedule=(1e-1, 1e-2, 1e-3), grad_tol=1e-10)
     for kind, side in (("parisi", "lower"), ("cs", "upper")):
-        state = None
-        for eps in eps_stages:
-            res = optimize.minimize_fixed(kind, mix, q, 2, (0.0, 1.0), eps, opts, start=state)
-            state = (res.lam, res.path.free_levels())
-            yield mix, side, eps, res
+        for res in optimize.continuation(kind, mix, q, 2, (0.0, 1.0), opts).stages:
+            yield mix, side, res
 
 
 def check_critical_points(seed=7) -> CheckResult:
     worst = 0.0
     checks = 0
-    for mix, side, eps, res in _critical_points(seed):
-        report = variation.critical_residual(side, res.path, mix, eps, lam=res.lam)
+    for mix, side, res in _critical_points(seed):
+        report = variation.critical_residual(side, res.path, mix, res.eps, lam=res.lam)
         scale = 1e-5 * (1.0 + abs(report.value_perturbed))
         worst = max(worst, report.max_residual / 1e-6, report.identity_gap / scale)
         checks += 1
@@ -254,8 +250,8 @@ def check_critical_points(seed=7) -> CheckResult:
 def check_tilde_bounds(seed=8) -> CheckResult:
     worst = np.inf
     checks = 0
-    for mix, side, eps, res in _critical_points(seed):
-        chk = variation.bound_check(side, res.path, mix, eps, lam=res.lam)
+    for mix, side, res in _critical_points(seed):
+        chk = variation.bound_check(side, res.path, mix, res.eps, lam=res.lam)
         worst = min(worst, chk.slack)
         checks += 1
     return CheckResult("tilde-bounds", worst >= -1e-9, checks, worst)

@@ -31,6 +31,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from . import __version__
 from . import battery as battery_mod
 from . import continuous as continuous_mod
 from .errors import DomainError, ParseError, SpinvarError, ValidationError
@@ -40,7 +41,7 @@ from .optimize import DEFAULT_EPS_SCHEDULE, SolveOptions, duality_gap, search
 from .path import DiscretePath
 from .path import validate as validate_path
 
-TOOL_VERSION = "spinvar 0.1.0"
+TOOL_VERSION = f"spinvar {__version__}"
 FORMAT_HEADER = "# spinvar-result v1"
 COMMANDS = ("eval", "minimize", "gap", "verify", "continuous", "probe")
 _SPEC_KEYS = {"version", "n", "mixture", "h", "Q", "solve", "commands", "path"}

@@ -15,30 +15,32 @@ eps-perturbed value or the representer norm halves.  A trial point
 outside the domain of the barrier raises its domain error in the kernel
 and the step halves, so accepted iterates keep strictly positive-definite
 increments.  A stage's base value is its final point's unperturbed value,
-from the same pass.
+from the same pass.  Each stage returns one :class:`MinimizeResult`: its
+minimizer, values, exit and the trace rows of its iterates.
 
 On top of the inner solve sit: ``continuation`` (a decreasing eps
-schedule, each stage started at the last one's minimizer), ``search``
-(discrete coordinate descent over the weight grid, sweeping the level
-count), and ``duality_gap`` (both forms minimized independently; their
-agreement is the certificate).  The default schedule is the two stages
-the linear-in-eps extrapolation needs, (1e-5, 1e-6): with the exact
-Hessian a damped Newton stage converges from :func:`default_start` at
-eps = 1e-5 directly, one long barrier step (Boyd & Vandenberghe, *Convex
-Optimization*, sec. 11.3).  Within one form and level count, ``search``
-starts its first candidate cold and every later one from the nearest
-converged candidate already solved (:func:`warm_start`), which runs only
-the schedule's last stage, the one the ranking reads; a warm candidate
-that stops unconverged is re-solved cold, and the winner, when warm,
-gets its penultimate stage run from its own minimizer for the
-extrapolation.  A start never crosses forms or level counts, so the gap
-stays an independent certificate.
+schedule, each stage started at the last one's minimizer; the result is
+its list of stage results, from which its minimizer, values and trace
+are read), ``search`` (discrete coordinate descent over the weight grid,
+sweeping the level count), and ``duality_gap`` (both forms minimized
+independently; their agreement is the certificate).  The default
+schedule is the two stages the linear-in-eps extrapolation needs, (1e-5,
+1e-6): with the exact Hessian a damped Newton stage converges from
+:func:`default_start` at eps = 1e-5 directly, one long barrier step
+(Boyd & Vandenberghe, *Convex Optimization*, sec. 11.3).  Within one
+form and level count, ``search`` starts its first candidate cold and
+every later one from the nearest converged candidate already solved
+(:func:`warm_start`), which runs only the schedule's last stage, the one
+the ranking reads; a warm candidate that stops unconverged is re-solved
+cold, and the winner, when warm, gets its penultimate stage run from its
+own minimizer for the extrapolation.  A start never crosses forms or
+level counts, so the gap stays an independent certificate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 from numbers import Integral
 
@@ -108,39 +110,46 @@ class TraceRow:
 
 @dataclass
 class MinimizeResult:
+    """One ``minimize_fixed`` stage at fixed (weights, eps): its minimizer
+    (path, lam), the perturbed and base values there, why it stopped, and
+    the trace rows of its iterates."""
+
     kind: str
     path: DiscretePath
     lam: np.ndarray | None
+    eps: float
     value: float
     value_base: float
     grad_norm: float
     iterations: int
     converged: bool
     stop_reason: str
-
-
-@dataclass
-class StageRecord:
-    eps: float
-    value_perturbed: float
-    value_base: float
-    grad_norm: float
-    iterations: int
-    converged: bool
-    stop_reason: str
+    trace: list[TraceRow]
 
 
 @dataclass
 class ContinuationResult:
-    """One eps-continuation at fixed weights: the final stage's minimizer
-    (path, lam), the record of each stage in schedule order and the trace
-    rows.  The values are read from the stage records."""
+    """One eps-continuation at fixed weights: its stages in schedule order.
+    The minimizer (path, lam) is the final stage's; the values and trace
+    rows are read from the stages."""
 
-    kind: str
-    path: DiscretePath
-    lam: np.ndarray | None
-    stages: list[StageRecord]
-    trace: list[TraceRow]
+    stages: list[MinimizeResult]
+
+    @property
+    def kind(self) -> str:
+        return self.stages[-1].kind
+
+    @property
+    def path(self) -> DiscretePath:
+        return self.stages[-1].path
+
+    @property
+    def lam(self) -> np.ndarray | None:
+        return self.stages[-1].lam
+
+    @property
+    def trace(self) -> list[TraceRow]:
+        return [row for s in self.stages for row in s.trace]
 
     @property
     def converged(self) -> bool:
@@ -163,12 +172,17 @@ class ContinuationResult:
 
 @dataclass
 class SearchResult:
-    kind: str
+    """The winner of a weight search, its level count r, weights x and
+    continuation ``best``, and every candidate solved."""
+
     r: int
     x: tuple[float, ...]
-    value: float
     best: ContinuationResult
     candidates: list[tuple[int, tuple[float, ...], float]]
+
+    @property
+    def value(self) -> float:
+        return self.best.value_at_eps_min
 
 
 @dataclass
@@ -303,14 +317,14 @@ def minimize_fixed(
     eps: float,
     opts: SolveOptions,
     start=None,
-    trace: list | None = None,
     stage: int = 0,
 ) -> MinimizeResult:
     """First-order stationary point of the eps-perturbed functional at
     fixed weights; returns the last iterate flagged unconverged when the
     iteration budget runs out, the representer norm plateaus or no step
     along the Newton direction is acceptable.  ``stop_reason`` names the
-    exit: ``converged``, ``budget``, ``plateau`` or ``no_step``."""
+    exit: ``converged``, ``budget``, ``plateau`` or ``no_step``.  The trace
+    rows of the iterates carry ``stage``, the stage's schedule index."""
     plan = Weights(kind, x)
     if start is None:
         lam, levels = default_start(kind, mix, constraint, r, x)
@@ -332,8 +346,7 @@ def minimize_fixed(
     for it in range(_MAX_ITERS):
         iterations = it + 1
         grad_norm = obj.norm(grad)
-        if trace is not None:
-            visited.append((it, value, grad_norm, z))
+        visited.append((it, value, grad_norm, z))
         if grad_norm <= opts.grad_tol:
             stop_reason = "converged"
             break
@@ -366,25 +379,24 @@ def minimize_fixed(
             stop_reason = "no_step"  # no acceptable step along the direction
             break
 
-    if trace is not None:
-        # each iterate's smallest increment eigenvalue, from one eigvalsh call per stage
-        levels = plan.split(obj.blocks(np.array([point for *_, point in visited])))[1]
-        top = np.broadcast_to(obj.constraint, (len(levels), 1) + obj.constraint.shape)
-        eigs = np.linalg.eigvalsh(np.diff(levels, axis=1, prepend=0.0, append=top)).min(axis=(1, 2))
-        trace.extend(
-            TraceRow(stage, eps, it, v, norm, float(e)) for (it, v, norm, _), e in zip(visited, eigs)
-        )
+    # each iterate's smallest increment eigenvalue, from one eigvalsh call per stage
+    levels = plan.split(obj.blocks(np.array([point for *_, point in visited])))[1]
+    top = np.broadcast_to(obj.constraint, (len(levels), 1) + obj.constraint.shape)
+    eigs = np.linalg.eigvalsh(np.diff(levels, axis=1, prepend=0.0, append=top)).min(axis=(1, 2))
+    trace = [TraceRow(stage, eps, it, v, norm, float(e)) for (it, v, norm, _), e in zip(visited, eigs)]
     lam, levels = plan.split(obj.blocks(z))
     return MinimizeResult(
         kind=kind,
         path=DiscretePath(plan.x, tuple(levels) + (obj.constraint,)),
         lam=lam,
+        eps=eps,
         value=value,
         value_base=base,
         grad_norm=grad_norm,
         iterations=iterations,
         converged=stop_reason == "converged",
         stop_reason=stop_reason,
+        trace=trace,
     )
 
 
@@ -412,30 +424,16 @@ def warm_start(kind, mix, x, source: ContinuationResult):
     return source.lam + raise_by, levels
 
 
-def _run_stages(kind, mix, constraint, r, x, opts, schedule, state) -> ContinuationResult:
+def _run_stages(kind, mix, constraint, r, x, opts, schedule, start) -> ContinuationResult:
     """Run the (index, eps) stages of ``schedule`` in order, the first from
-    ``state`` (None for :func:`default_start`) and each later one from the
-    previous stage's minimizer; returns the continuation that ends at the
-    last stage's minimizer, whose trace rows keep their schedule indices."""
-    stages: list[StageRecord] = []
-    trace: list[TraceRow] = []
+    ``start`` (None for :func:`default_start`) and each later one from the
+    previous stage's minimizer; the stages' trace rows keep their schedule
+    indices."""
+    stages = []
     for si, eps in schedule:
-        result = minimize_fixed(
-            kind, mix, constraint, r, x, eps, opts, start=state, trace=trace, stage=si
-        )
-        state = (result.lam, result.path.free_levels())
-        stages.append(
-            StageRecord(
-                eps=eps,
-                value_perturbed=result.value,
-                value_base=result.value_base,
-                grad_norm=result.grad_norm,
-                iterations=result.iterations,
-                converged=result.converged,
-                stop_reason=result.stop_reason,
-            )
-        )
-    return ContinuationResult(kind, result.path, result.lam, stages, trace)
+        stages.append(minimize_fixed(kind, mix, constraint, r, x, eps, opts, start=start, stage=si))
+        start = (stages[-1].lam, stages[-1].path.free_levels())
+    return ContinuationResult(stages)
 
 
 def continuation(
@@ -470,14 +468,14 @@ def continuation(
 
 def _complete(cont: ContinuationResult, mix, constraint, opts) -> ContinuationResult:
     """A warm continuation with its penultimate stage run from its own
-    final-stage minimizer and put in front of its stages and trace rows, so
-    they and the extrapolation cover the same two eps as a cold run; the
-    minimizer and ``value_at_eps_min`` stay the final stage's."""
+    final-stage minimizer and put in front of its stages, so they and the
+    extrapolation cover the same two eps as a cold run; the minimizer and
+    ``value_at_eps_min`` stay the final stage's."""
     head = _run_stages(
         cont.kind, mix, constraint, cont.path.r, cont.path.x, opts,
         list(enumerate(opts.eps_schedule))[-2:-1], (cont.lam, cont.path.free_levels()),
     )
-    return replace(cont, stages=head.stages + cont.stages, trace=head.trace + cont.trace)
+    return ContinuationResult(head.stages + cont.stages)
 
 
 def search(kind: str, mix: MixtureSpec, constraint: np.ndarray, opts: SolveOptions) -> SearchResult:
@@ -562,10 +560,8 @@ def search(kind: str, mix: MixtureSpec, constraint: np.ndarray, opts: SolveOptio
     if len(cont.stages) < min(2, len(opts.eps_schedule)):
         cont = _complete(cont, mix, constraint, opts)
     return SearchResult(
-        kind=kind,
         r=r,
         x=weights(r, ticks),
-        value=cont.value_at_eps_min,
         best=cont,
         candidates=[(r, weights(r, t), c.value_at_eps_min) for r in tables for t, c in tables[r].items()],
     )
@@ -582,14 +578,21 @@ def duality_gap(mix: MixtureSpec, constraint: np.ndarray, opts: SolveOptions) ->
     """
     sp = search("parisi", mix, constraint, opts)
     sc = search("cs", mix, constraint, opts)
+    # fresh dicts: an edited entry must not edit the stage it was read from
+    eps_trace = {
+        kind: [
+            {"eps": s.eps, "value_perturbed": s.value, "value_base": s.value_base,
+             "grad_norm": s.grad_norm, "iterations": s.iterations,
+             "converged": s.converged, "stop_reason": s.stop_reason}
+            for s in res.best.stages
+        ]
+        for kind, res in (("parisi", sp), ("cs", sc))
+    }
     return GapReport(
         min_parisi=sp.value,
         min_cs=sc.value,
         gap=abs(sp.value - sc.value),
         argmin_parisi=sp,
         argmin_cs=sc,
-        eps_trace={
-            "parisi": [s.__dict__ for s in sp.best.stages],
-            "cs": [s.__dict__ for s in sc.best.stages],
-        },
+        eps_trace=eps_trace,
     )

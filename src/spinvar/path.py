@@ -99,16 +99,14 @@ class DiscretePath:
         return [np.array(q) for q in self.qs[:-1]]
 
 
-def equally_spaced(constraint: np.ndarray, r: int, x=None) -> DiscretePath:
+def equally_spaced(constraint: np.ndarray, r: int, x) -> DiscretePath:
     """The deterministic start Q_k = (k/r) Q with the given weights."""
     q = symmetrize(np.asarray(constraint, dtype=float))
     qs = tuple((k / r) * q for k in range(1, r + 1))
-    if x is None:
-        x = tuple(k / (r - 1) for k in range(r)) if r > 1 else (0.0,)
     return DiscretePath(tuple(x), qs)
 
 
-def validate(path: DiscretePath, constraint: np.ndarray | None = None) -> list[str]:
+def validate(path: DiscretePath) -> list[str]:
     """Diagnostic report: every violated invariant with index and margin."""
     problems = []
     x = path.x
@@ -131,12 +129,6 @@ def validate(path: DiscretePath, constraint: np.ndarray | None = None) -> list[s
     for k, q in enumerate(path.qs, start=1):
         if not np.all(np.isfinite(q)):
             problems.append(f"level Q_{k} has non-finite entries")
-    if constraint is not None:
-        constraint = np.asarray(constraint, dtype=float)
-        if constraint.shape != path.constraint.shape or not np.array_equal(
-            path.constraint, symmetrize(constraint)
-        ):
-            problems.append("Q_r does not equal the constraint matrix entrywise")
     return problems
 
 

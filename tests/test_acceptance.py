@@ -14,7 +14,7 @@ import pytest
 from spinvar import battery
 from spinvar.continuous import feasible_box, from_discrete
 from spinvar.matcore import MixtureSpec, sym_inverse
-from spinvar.optimize import SolveOptions, duality_gap, minimize_fixed, search
+from spinvar.optimize import SolveOptions, continuation, duality_gap, search
 from spinvar.variation import bound_check, critical_residual
 
 
@@ -124,12 +124,9 @@ def test_criterion_4_critical_point_identities():
     stages = 0
     for mix, q, r, x in cases:
         for kind, side in (("parisi", "lower"), ("cs", "upper")):
-            state = None
-            for eps in opts.eps_schedule:
-                res = minimize_fixed(kind, mix, q, r, x, eps, opts, start=state)
-                state = (res.lam, res.path.free_levels())
-                assert res.converged, (kind, r, eps)
-                rep = critical_residual(side, res.path, mix, eps, lam=res.lam)
+            for res in continuation(kind, mix, q, r, x, opts).stages:
+                assert res.converged, (kind, r, res.eps)
+                rep = critical_residual(side, res.path, mix, res.eps, lam=res.lam)
                 worst_res = max(worst_res, rep.max_residual)
                 band = 1e-5 * (1.0 + abs(rep.value_perturbed))
                 worst_gap_ratio = max(worst_gap_ratio, rep.identity_gap / band)
@@ -148,17 +145,14 @@ def test_criterion_5_tilde_inequalities():
     rng = np.random.default_rng(78)
     q2 = battery.random_correlation(rng, 2)
     mix2 = MixtureSpec(n=2, terms=((2, np.array([0.45, 0.35])),), h=np.zeros(2))
-    opts = SolveOptions()
+    opts = SolveOptions(eps_schedule=(1e-1, 1e-2, 1e-3))
     worst = math.inf
     checks = 0
     for mix, q in ((MixtureSpec.pure(2, [1.0]), np.array([[1.0]])), (mix2, q2)):
         for kind, side in (("parisi", "lower"), ("cs", "upper")):
-            state = None
-            for eps in (1e-1, 1e-2, 1e-3):
-                res = minimize_fixed(kind, mix, q, 2, (0.0, 1.0), eps, opts, start=state)
-                state = (res.lam, res.path.free_levels())
+            for res in continuation(kind, mix, q, 2, (0.0, 1.0), opts).stages:
                 assert res.converged
-                chk = bound_check(side, res.path, mix, eps, lam=res.lam)
+                chk = bound_check(side, res.path, mix, res.eps, lam=res.lam)
                 worst = min(worst, chk.slack)
                 checks += 1
                 assert chk.holds and chk.slack >= -1e-9

@@ -107,7 +107,7 @@ def test_records_read_by_the_workloads():
         _field_names(optimize.GapReport)
     )
     assert {"r", "x", "best"} <= _field_names(optimize.SearchResult)
-    assert "iterations" in _field_names(optimize.StageRecord)
+    assert "iterations" in _field_names(optimize.MinimizeResult)
     params = inspect.signature(optimize.SolveOptions).parameters
     assert {"r_max", "x_grid"} <= set(params)
 

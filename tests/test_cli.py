@@ -359,6 +359,28 @@ def test_main_gap_with_overrides_and_outputs(tmp_path, capsys):
     assert payload["command"] == "gap"
 
 
+def test_gap_completes_a_warm_winners_stages(tmp_path):
+    # pure p = 4 at beta = 2 wins at r = 3, x = (0, 0.625, 1), a warm
+    # candidate that ran only the last eps stage; the record must hold both
+    # of its stages, converged, and the trace file rows of both, and the
+    # minima must stay within 1e-9 of their pinned values
+    spec_file = write_spec(tmp_path, minimal_spec(mixture=[[4, [2.0]]]))
+    out_dir = tmp_path / "warm"
+    assert main(["gap", "--spec", spec_file, "--r-max", "3", "--out", str(out_dir)]) == 0
+    records = [json.loads(line) for line in (out_dir / "gap.jsonl").read_text().splitlines()]
+    out = next(rec for rec in records if rec.get("command") == "gap")["outputs"]
+    assert float(out["min_parisi"]) == pytest.approx(1.8659234749, rel=0, abs=1e-9)
+    assert float(out["min_cs"]) == pytest.approx(1.8659237283, rel=0, abs=1e-9)
+    for kind in ("parisi", "cs"):
+        assert out[f"argmin_{kind}"]["r"] == 3
+        assert [float(v) for v in out[f"argmin_{kind}"]["x"]] == [0.0, 0.625, 1.0]
+        stages = out["eps_trace"][kind]
+        assert len(stages) == 2
+        assert all(s["converged"] is True and s["stop_reason"] == "converged" for s in stages)
+    lines = (out_dir / "gap_trace.csv").read_text().splitlines()
+    assert {line.split(",")[0] for line in lines if line[:1].isdigit()} == {"0", "1"}
+
+
 def test_override_flags_and_aliases_keep_inputs_digest(tmp_path):
     # every SolveOptions flag lands on the field of the same name; the
     # digest is the one the per-flag override code gave these flags

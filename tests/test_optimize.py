@@ -11,6 +11,7 @@ from spinvar.functionals import Weights, eval_stack
 from spinvar.matcore import MixtureSpec
 from spinvar.optimize import (
     ContinuationResult,
+    MinimizeResult,
     SolveOptions,
     continuation,
     duality_gap,
@@ -127,12 +128,8 @@ def test_minimize_cs_rs_low_temperature():
 def test_minimize_cs_interior_minimizer():
     mix = MixtureSpec.pure(2, [1.0])
     q = np.array([[1.0]])
-    opts = SolveOptions(eps_schedule=LONG_SCHEDULE)
-    state = None
-    for eps in opts.eps_schedule:
-        res = minimize_fixed("cs", mix, q, 2, (0.0, 1.0), eps, opts, start=state)
-        state = (res.lam, res.path.free_levels())
-    assert res.path.level(1)[0, 0] == pytest.approx(1 - 1 / math.sqrt(2), abs=1e-4)
+    cont = continuation("cs", mix, q, 2, (0.0, 1.0), SolveOptions(eps_schedule=LONG_SCHEDULE))
+    assert cont.path.level(1)[0, 0] == pytest.approx(1 - 1 / math.sqrt(2), abs=1e-4)
 
 
 @pytest.mark.parametrize("eps", [1e-1, 1e-6])
@@ -165,6 +162,27 @@ def test_iterates_stay_interior():
     cont = continuation("cs", mix, q, 2, (0.0, 1.0), SolveOptions())
     assert cont.trace, "expected per-iteration trace rows"
     assert all(row.min_increment_eig > 0 for row in cont.trace)
+
+
+def test_eps_trace_entries_are_copies_of_the_stages():
+    # an eps_trace entry is a fresh dict of seven stage numbers: editing it
+    # leaves the stage record, and what the search reads from it, unchanged
+    rep = duality_gap(MixtureSpec.pure(2, [0.3]), np.eye(1), SolveOptions(r_max=2, x_grid=2))
+    keys = {"eps", "value_perturbed", "value_base", "grad_norm", "iterations", "converged", "stop_reason"}
+    for kind, res in (("parisi", rep.argmin_parisi), ("cs", rep.argmin_cs)):
+        entries, stages = rep.eps_trace[kind], res.best.stages
+        assert len(entries) == len(stages) == 2
+        for entry, stage in zip(entries, stages):
+            assert set(entry) == keys
+            assert (entry["eps"], entry["value_base"], entry["iterations"]) == (
+                stage.eps, stage.value_base, stage.iterations
+            )
+        iterations, value = stages[0].iterations, res.value
+        entries[0]["iterations"] = -1
+        entries[-1]["value_base"] = math.nan
+        entries[-1]["converged"] = False
+        assert stages[0].iterations == iterations
+        assert res.value == value and res.best.converged
 
 
 def test_continuation_monotone_and_extrapolation():
@@ -430,8 +448,7 @@ def test_newton_iteration_evaluates_each_point_once(monkeypatch):
     monkeypatch.setattr(optimize, "eval_stack", counted)
     for mix, q, r, x, eps, leaves_domain in _newton_cases():
         calls.clear()
-        trace = []
-        res = minimize_fixed("parisi", mix, q, r, x, eps, SolveOptions(), trace=trace)
+        res = minimize_fixed("parisi", mix, q, r, x, eps, SolveOptions())
         assert res.converged and res.iterations > 2
 
         assert all(blocks.ndim == 3 for blocks, _, _ in calls)
@@ -452,7 +469,7 @@ def test_newton_iteration_evaluates_each_point_once(monkeypatch):
             searches.append([i])
         assert len(searches) == res.iterations - 1  # the converged iteration takes no step
         for k, trials in enumerate(searches):
-            assert calls[trials[-1]][1] == trace[k + 1].value
+            assert calls[trials[-1]][1] == res.trace[k + 1].value
         assert len(calls) == 1 + sum(len(trials) for trials in searches)
         # one tangent pass at the start and at each accepted trial but the last
         starts = {0} | {trials[-1] for trials in searches[:-1]}
@@ -559,7 +576,14 @@ def test_warm_start_is_feasible_at_every_neighbour(seed):
     moves.append((0.0,) + (1 / 32,) * (r - 2) + (1.0,))
     moves.append((0.0,) + (31 / 32,) * (r - 2) + (1.0,))
     for kind in ("parisi", "cs"):
-        cont = ContinuationResult(kind, source, lam if kind == "parisi" else None, [], [])
+        # a one-stage continuation that ends at the source; warm_start reads
+        # only its minimizer
+        stage = MinimizeResult(
+            kind=kind, path=source, lam=lam if kind == "parisi" else None, eps=1e-5,
+            value=math.nan, value_base=math.nan, grad_norm=0.0, iterations=0,
+            converged=True, stop_reason="converged", trace=[],
+        )
+        cont = ContinuationResult([stage])
         for x in moves:
             start_lam, start_levels = warm_start(kind, mix, x, cont)
             target = DiscretePath(x, tuple(start_levels) + (q,))

@@ -103,14 +103,9 @@ def test_validate_psd_margin_reported():
     assert any("-1.0" in p or "-0.1" in p for p in report)
 
 
-def test_constraint_mismatch_detected():
-    path = scalar_path((0.0, 1.0), (0.25, 0.9))
-    assert any("constraint" in p for p in validate(path, constraint=np.array([[1.0]])))
-
-
 def test_equally_spaced():
     q = np.array([[1.0, 0.2], [0.2, 1.0]])
-    path = equally_spaced(q, 4)
+    path = equally_spaced(q, 4, [0.0, 1 / 3, 2 / 3, 1.0])
     assert path.r == 4
     np.testing.assert_allclose(path.level(4), q)
     np.testing.assert_allclose(path.level(2), 0.5 * q)
