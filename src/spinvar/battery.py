@@ -49,7 +49,7 @@ def random_mixture(rng, n):
     return MixtureSpec(n=n, terms=tuple(terms), h=h)
 
 
-def random_feasible_path(rng, constraint, r, x=None):
+def random_feasible_path(rng, constraint, r):
     """Monotone path with PD increments summing exactly to the constraint."""
     n = constraint.shape[0]
     raw = [random_spd(rng, n, scale=0.5) for _ in range(r)]
@@ -64,10 +64,9 @@ def random_feasible_path(rng, constraint, r, x=None):
     for g in scaled[:-1]:
         acc = acc + g
         levels.append(acc.copy())
-    if x is None:
-        cuts = np.sort(rng.uniform(0.05, 0.95, size=r - 2)) if r > 2 else np.array([])
-        x = (0.0,) + tuple(cuts) + (1.0,)
-    return DiscretePath(tuple(x), tuple(levels) + (matcore.symmetrize(constraint),))
+    cuts = np.sort(rng.uniform(0.05, 0.95, size=r - 2)) if r > 2 else np.array([])
+    x = (0.0,) + tuple(cuts) + (1.0,)
+    return DiscretePath(x, tuple(levels) + (matcore.symmetrize(constraint),))
 
 
 def check_logdet_concavity(seed=0) -> CheckResult:

@@ -36,7 +36,7 @@ from . import battery as battery_mod
 from . import continuous as continuous_mod
 from .errors import DomainError, ParseError, SpinvarError, ValidationError
 from .functionals import eval_barrier, eval_cs, eval_parisi
-from .matcore import MixtureSpec, check_constraint
+from .matcore import MixtureSpec, check_constraint, real
 from .optimize import DEFAULT_EPS_SCHEDULE, SolveOptions, duality_gap, search
 from .path import DiscretePath
 from .path import validate as validate_path
@@ -54,7 +54,7 @@ def _reals(values) -> list[float]:
     """A list of JSON numbers as floats; an entry that is a bool, a string
     or an integer beyond the float range is a validation problem."""
     values = list(values)
-    reals = [_real(v) for v in values]
+    reals = [real(v) for v in values]
     if None in reals:
         raise ValidationError(f"entries must be real numbers in the float range: {values!r}")
     return reals
@@ -206,48 +206,15 @@ def build_spec(raw: dict) -> ProblemSpec:
 
 
 def _options_from(data: dict) -> SolveOptions:
-    """SolveOptions from a ``solve`` object.  A value must be a JSON number
-    that is not a bool, or for a tuple field a list of them; an int field
-    takes only a number that int() would not change, and a float field only
-    one within the float range.  Each problem names its key."""
-    kwargs, problems = {}, []
-    for key, value in data.items():
-        default = _SOLVE_KEYS[key].default
-        if isinstance(default, tuple):
-            reals = [_real(v) for v in value] if isinstance(value, list) else [None]
-            if None not in reals:
-                kwargs[key] = tuple(reals)
-            else:
-                problems.append(f"{key} must be a list of real numbers in the float range, got {value!r}")
-        elif isinstance(default, float):
-            real = _real(value)
-            if real is not None:
-                kwargs[key] = real
-            else:
-                problems.append(f"{key} must be a real number in the float range, got {value!r}")
-        elif _is_number(value) and (isinstance(value, int) or value.is_integer()):
-            kwargs[key] = int(value)
-        else:
-            problems.append(f"{key} must be an integer, got {value!r}")
-    if problems:
-        raise ValidationError(problems)
-    return SolveOptions(**kwargs)
-
-
-def _is_number(value) -> bool:
-    """True for a parsed JSON number: an int or a float, but not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _real(value) -> float | None:
-    """A parsed JSON number as a float; None for anything else (a bool, a
-    string) and for an integer beyond the float range."""
-    if not _is_number(value):
-        return None
-    try:
-        return float(value)
-    except OverflowError:
-        return None
+    """SolveOptions from a ``solve`` object, which checks every value and
+    names its key.  The one coercion is the file format's: an integral
+    float (``4.0``) for an int option becomes that int."""
+    return SolveOptions(**{
+        key: int(value)
+        if isinstance(_SOLVE_KEYS[key].default, int) and isinstance(value, float) and value.is_integer()
+        else value
+        for key, value in data.items()
+    })
 
 
 def _digest(raw: dict, command: str, seed: int, overrides: dict) -> str:

@@ -160,12 +160,6 @@ class MatrixPath:
         w = np.clip((t - ta) / (tb - ta), 0.0, 1.0)[..., None, None]
         return (1.0 - w) * self._m[i] + w * self._m[i + 1]
 
-    def slope(self, i: int) -> np.ndarray:
-        """Constant derivative on segment i."""
-        ta, ma = self.knots[i]
-        tb, mb = self.knots[i + 1]
-        return (mb - ma) / (tb - ta)
-
 
 def _points(span: float, *arrays) -> np.ndarray:
     """The distinct values of ``arrays``, clipped to [0, span], in order
@@ -191,6 +185,21 @@ def _table(x: ContinuousCdf, phi: MatrixPath, extra=()):
     hat_k = np.concatenate([tails, np.zeros_like(p_k[:1])])
     b = np.minimum(np.searchsorted(knots, ts, side="right"), len(knots) - 1)
     return ts, p, c[:-1], hat_k[b] + c[:, None, None] * (p_k[b] - p)
+
+
+def _cut_at(table, t_x: float):
+    """A ``_table`` cut at t_x, where Phihat must be positive definite:
+    the points t_0 < ... < t_k = t_x, Phi there, x on the k pieces,
+    log|Phihat| and Phihat^-1 at the points (one call each), and the mask
+    of the pieces where x = 0.  Raises NotPositiveDefinite unless every
+    Phihat there factors."""
+    ts, p, c, hat = table
+    k = int(np.searchsorted(ts, t_x))
+    logdet, ok = stack_logdets(hat[: k + 1])
+    if not ok.all():
+        raise NotPositiveDefinite("Phihat is not positive definite on [0, t_x]")
+    c = c[:k]
+    return ts[: k + 1], p[: k + 1], c, logdet, stack_inverses(hat[: k + 1]), c == 0.0
 
 
 def hat_phi(x: ContinuousCdf, phi: MatrixPath, t: float | np.ndarray) -> np.ndarray:
@@ -220,18 +229,13 @@ def eval_cs_continuous(
     except NotPositiveDefinite as exc:
         raise InfeasiblePath(f"Q - Phi(t_x) is not positive definite: {exc}") from exc
 
-    ts, p, c, hat = _table(x, phi, [t_x])
+    table = _table(x, phi, [t_x])
+    _, p, c, hat = table
     # int x <hh^T, Phi'> = <hh^T, Phihat(0)>; Sum xi(Phi) is exact per piece
     xi_sums = np.sum(mix.series(p)[:, 0], axis=(-2, -1))
     mixture_term = float(np.sum(c * np.diff(xi_sums))) + frobenius(mix.outer_field(), hat[0])
 
-    k = int(np.searchsorted(ts, t_x))
-    p, c = p[: k + 1], c[:k]
-    logdet, ok = stack_logdets(hat[: k + 1])
-    if not ok.all():
-        raise NotPositiveDefinite("Phihat is not positive definite on [0, t_x]")
-    inv = stack_inverses(hat[: k + 1])
-    flat = c == 0.0
+    _, p, c, logdet, inv, flat = _cut_at(table, t_x)
     # Phihat is constant on a c = 0 piece, and d/dt Phihat = -c Phi' elsewhere
     const = np.einsum("kij,kij->k", inv[:-1], np.diff(p, axis=0))
     tail_term = float(np.sum(np.where(flat, const, -np.diff(logdet) / np.where(flat, 1.0, c))))
@@ -338,14 +342,10 @@ def support_check(
         atoms.append(SupportAtom(t=t, mass=mass, condition=cond, flagged=cond < -1e-12))
 
     t_x = x.t_x
-    ts, p, c, hat = _table(x, phi, t_x * np.arange(grid_points + 1) / grid_points)
-    k = int(np.searchsorted(ts, t_x))
-    grid, p, c = ts[: k + 1], p[: k + 1], c[:k]
-    if not stack_logdets(hat[: k + 1])[1].all():
-        raise NotPositiveDefinite("Phihat is not positive definite on [0, t_x]")
-    inv = stack_inverses(hat[: k + 1])
+    table = _table(x, phi, t_x * np.arange(grid_points + 1) / grid_points)
+    grid, p, c, _, inv, flat = _cut_at(table, t_x)
     dp = np.diff(p, axis=0)
-    flat = (c == 0.0)[:, None, None]
+    flat = flat[:, None, None]
     # d/dt Phihat^-1 = c Phihat^-1 Phi' Phihat^-1 on a piece with c > 0
     m_inc = np.where(
         flat, inv[:-1] @ dp @ inv[:-1], np.diff(inv, axis=0) / np.where(flat, 1.0, c[:, None, None])

@@ -63,14 +63,13 @@ import numpy as np
 
 from .errors import (
     DegenerateIncrement,
-    DimensionMismatch,
     InfeasiblePath,
     NonStrictWeights,
     NotPositiveDefinite,
     ValidationError,
 )
 from .matcore import MixtureSpec, frozen, hadamard_div, stack_inverses, stack_logdets, symmetrize
-from .path import DiscretePath, _factor_chain, _tail_chain, tail_sums
+from .path import DiscretePath, _as_multiplier, _factor_chain, _tail_chain, tail_sums
 
 
 def corrected_eps(eps: float) -> float:
@@ -266,10 +265,7 @@ def _point(plan, path: DiscretePath, lam=None):
     if plan.lead:
         if lam is None:
             raise ValueError("the multiplier form needs lam")
-        lam = np.asarray(lam, dtype=float)
-        if lam.shape != (n, n):
-            raise DimensionMismatch("multiplier dimension does not match the path")
-        lam = symmetrize(lam)
+        lam = _as_multiplier(lam, n)
     return plan.join(lam, np.array(path.qs[:-1]).reshape(path.r - 1, n, n))
 
 

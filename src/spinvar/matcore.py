@@ -40,6 +40,18 @@ _MIX_KINDS = {
 }
 
 
+def real(value) -> float | None:
+    """``value`` as a float if it is a real number that is not a bool and
+    fits the float range; None for anything else (a bool, a string, None,
+    an integer beyond the float range)."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """Symmetric part (a + a.T) / 2 of a matrix, or of each matrix of a
     stack (..., n, n), as a fresh array."""
@@ -179,15 +191,15 @@ class MixtureSpec:
         def vector(value, what):
             """``value`` as a float vector of length n, or None after noting why not."""
             raw = np.asarray(value, dtype=object)
-            if raw.ndim != 1 or not all(isinstance(v, Real) and not isinstance(v, bool) for v in raw.flat):
-                problems.append(f"{what} must be a flat list of real numbers, got {value!r}")
+            entries = [real(v) for v in raw.flat]
+            if raw.ndim != 1 or None in entries:
+                problems.append(
+                    f"{what} must be a flat list of real numbers in the float range, got {value!r}"
+                )
             elif raw.size != n:
                 problems.append(f"{what} has length {raw.size}, expected {n}")
             else:
-                try:
-                    return frozen(raw.astype(float).reshape(n))
-                except OverflowError:
-                    problems.append(f"{what} has an entry beyond the float range")
+                return frozen(entries)
             return None
 
         coerced = []
@@ -197,11 +209,8 @@ class MixtureSpec:
             except (TypeError, ValueError):
                 problems.append(f"term {idx} is not a (p, beta) pair")
                 continue
-            try:
-                integral = isinstance(p, Real) and not isinstance(p, bool) and float(p).is_integer()
-            except OverflowError:
-                integral = False
-            if not integral:
+            p_real = real(p)
+            if p_real is None or not p_real.is_integer():
                 problems.append(f"term {idx}: p must be a finite integer, got {p!r}")
                 continue
             p = int(p)

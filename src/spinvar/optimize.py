@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import DomainError, NoFeasibleStart, ValidationError
 from .functionals import Weights, eval_stack
-from .matcore import MixtureSpec, sym_inverse
+from .matcore import MixtureSpec, real, sym_inverse
 from .path import DiscretePath, equally_spaced
 
 DEFAULT_EPS_SCHEDULE = (1e-5, 1e-6)
@@ -66,7 +66,9 @@ MAX_R, MAX_X_GRID = 5, 64
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs for the solver; all fields are file- and flag-settable."""
+    """Knobs for the solver; all fields are file- and flag-settable.  This
+    is the one check of their values, for problem files, flags and Python
+    callers alike; each problem names its field."""
 
     eps_schedule: tuple[float, ...] = DEFAULT_EPS_SCHEDULE
     grad_tol: float = 1e-8
@@ -76,13 +78,17 @@ class SolveOptions:
 
     def __post_init__(self):
         problems = []
-        sched = tuple(float(e) for e in self.eps_schedule)
-        if not sched or not all(0 < e < math.inf for e in sched):
-            problems.append("eps_schedule must be a nonempty list of positive finite reals")
-        if any(b >= a for a, b in zip(sched, sched[1:])):
+        raw = np.asarray(self.eps_schedule, dtype=object)
+        sched = tuple(real(e) for e in raw.flat) if raw.ndim == 1 else (None,)
+        if not sched or not all(e is not None and 0 < e < math.inf for e in sched):
+            problems.append(
+                f"eps_schedule must be a nonempty list of positive finite reals, got {self.eps_schedule!r}"
+            )
+        elif any(b >= a for a, b in zip(sched, sched[1:])):
             problems.append("eps_schedule must be strictly decreasing")
-        if not (0 < self.grad_tol < math.inf):
-            problems.append("grad_tol must be positive and finite")
+        grad_tol = real(self.grad_tol)
+        if grad_tol is None or not 0 < grad_tol < math.inf:
+            problems.append(f"grad_tol must be positive and finite, got {self.grad_tol!r}")
         for name, low, high in (("x_grid", 2, MAX_X_GRID), ("r_max", 2, MAX_R), ("seed", 0, math.inf)):
             value = getattr(self, name)
             # a float would pass the bound and fail later, inside search
@@ -93,6 +99,7 @@ class SolveOptions:
         if problems:
             raise ValidationError(problems)
         object.__setattr__(self, "eps_schedule", sched)
+        object.__setattr__(self, "grad_tol", grad_tol)
 
 
 @dataclass

@@ -179,14 +179,21 @@ def _tail_chain(x, lam, w):
     return np.concatenate([lam - tails, lam], axis=-3)
 
 
+def _as_multiplier(lam, n: int) -> np.ndarray:
+    """A multiplier as a symmetric float (n, n) matrix; DimensionMismatch
+    for any other shape, checked before it is symmetrized."""
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != (n, n):
+        raise DimensionMismatch("multiplier dimension does not match the path")
+    return symmetrize(lam)
+
+
 def lambda_sequence(lam: np.ndarray, path: DiscretePath, mix: MixtureSpec) -> np.ndarray:
     """Lambda_1..Lambda_r as a read-only stack (r, n, n), so Lambda_p is
     entry p - 1, raising where and as ``eval_parisi`` does:
     InfeasibleMultiplier unless Lambda_1 factors after a shift by its
     psd_tol, NotPositiveDefinite unless every chain matrix factors."""
-    lam = symmetrize(np.asarray(lam, dtype=float))
-    if lam.shape != (path.n, path.n):
-        raise DimensionMismatch("multiplier dimension does not match the path")
+    lam = _as_multiplier(lam, path.n)
     field = mix.outer_field() + mix.series(np.array(path.qs))[:, 1]  # hh + xi'(Q_p), p = 1..r
     chain = _tail_chain(path.x, lam, field)
     _factor_chain("parisi", chain, chain[:0])

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -396,6 +397,51 @@ def test_override_flags_and_aliases_keep_inputs_digest(tmp_path):
         assert summary["inputs_digest"] == (
             "80a60c74706abcfc30798fba536511af5ee2a9d8417c81f0c46bf00e2a31e651"
         )
+
+
+def _gap_outputs(out_dir):
+    records = [json.loads(line) for line in (out_dir / "gap.jsonl").read_text().splitlines()]
+    return next(rec for rec in records if rec.get("command") == "gap")["outputs"]
+
+
+def test_main_eval_matches_closed_forms(tmp_path, capsys):
+    # an explicit path and multiplier exit 0 with both forms within 1e-12
+    # of their closed forms; a NaN multiplier is a validation problem
+    path = {"x": [0.0, 0.5], "levels": [[0.25]], "lambda": [3.0]}
+    spec_file = write_spec(tmp_path, minimal_spec(mixture=[[2, [1.0]]], path=path))
+    assert main(["eval", "--spec", spec_file]) == 0
+    out = json.loads(capsys.readouterr().out)
+    # pure p = 2, beta = 1, Q = 1, x = (0, 0.5), Q_1 = 1/4, Lambda = 3
+    want = {
+        "parisi": 0.5 * (2 - math.log(3) + 2 * math.log(4 / 3) + 2 / 9 - 15 / 32),
+        "cs": 0.5 * (2 * math.log(3 / 4) + 2 / 3 + 15 / 32),
+    }
+    for key, value in want.items():
+        assert abs(float(out[key]) - value) <= 1e-12
+    nan_file = tmp_path / "nan.json"
+    nan_file.write_text(Path(spec_file).read_text().replace("[3.0]", "[NaN]"))
+    assert main(["eval", "--spec", str(nan_file)]) == 2
+    assert "lambda has non-finite entries" in capsys.readouterr().err
+
+
+def test_main_warm_weight_search_closes_the_gap(tmp_path):
+    # r_max = 3 sends the later weight candidates through warm starts
+    out_dir = tmp_path / "rsb"
+    spec_file = str(PROBLEMS / "coupled_pair.json")
+    assert main(["run", "--spec", spec_file, "--r-max", "3", "--out", str(out_dir)]) == 0
+    assert float(_gap_outputs(out_dir)["gap"]) <= 5e-4
+
+
+def test_main_default_and_six_stage_schedules_agree(tmp_path):
+    # the default schedule starts every cold solve at eps = 1e-5; its minima
+    # must match the six-stage barrier path's to 1e-9
+    spec_file = str(PROBLEMS / "coupled_pair.json")
+    short, long = tmp_path / "short", tmp_path / "long"
+    assert main(["gap", "--spec", spec_file, "--out", str(short)]) == 0
+    schedule = "1e-1,1e-2,1e-3,1e-4,1e-5,1e-6"
+    assert main(["gap", "--spec", spec_file, "--out", str(long), "--eps-schedule", schedule]) == 0
+    for key in ("min_parisi", "min_cs"):
+        assert abs(float(_gap_outputs(short)[key]) - float(_gap_outputs(long)[key])) <= 1e-9
 
 
 def test_main_minimize_kind(tmp_path, capsys):

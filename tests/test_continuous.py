@@ -88,18 +88,20 @@ def test_quadrature_oracle_vs_closed_forms():
     cdf, phi = from_discrete(path)
     t_x = cdf.t_x
 
-    def mixture_part(t):
+    def slope(t):
+        """Phi' on the segment [t_a, t_b) that holds t: (M_b - M_a) / (t_b - t_a)."""
         ts = [k[0] for k in phi.knots]
         i = min(np.searchsorted(ts, t, side="right") - 1, len(ts) - 2)
-        slope = phi.slope(i)
+        (ta, ma), (tb, mb) = phi.knots[i], phi.knots[i + 1]
+        return (mb - ma) / (tb - ta)
+
+    def mixture_part(t):
         return cdf.value(t) * (
-            np.tensordot(mix.xi_prime(phi.value(t)) + mix.outer_field(), slope)
+            np.tensordot(mix.xi_prime(phi.value(t)) + mix.outer_field(), slope(t))
         )
 
     def tail_part(t):
-        ts = [k[0] for k in phi.knots]
-        i = min(np.searchsorted(ts, t, side="right") - 1, len(ts) - 2)
-        return float(np.tensordot(sym_inverse(hat_phi(cdf, phi, t)), phi.slope(i)))
+        return float(np.tensordot(sym_inverse(hat_phi(cdf, phi, t)), slope(t)))
 
     segs = sorted({t for t, _ in phi.knots} | {t for t, _ in cdf.knots})
     total = 0.0

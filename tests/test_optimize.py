@@ -99,6 +99,19 @@ def test_solve_options_validation():
     # numpy integers are integers
     opts = SolveOptions(r_max=np.int64(3), x_grid=np.int32(4), seed=np.uint8(2))
     assert (opts.r_max, opts.x_grid, opts.seed) == (3, 4, 2)
+    # a bool or a string was read as a number, or raised a bare TypeError,
+    # and a nested schedule raised TypeError
+    for kwargs in (
+        {"grad_tol": True},
+        {"grad_tol": "1e-8"},
+        {"eps_schedule": ("1e-5",)},
+        {"eps_schedule": (True,)},
+        {"eps_schedule": [[1e-5]]},
+    ):
+        with pytest.raises(ValidationError, match=f"{next(iter(kwargs))} must be"):
+            SolveOptions(**kwargs)
+    # a 1-D numpy schedule is a schedule
+    assert SolveOptions(eps_schedule=np.array([1e-5, 1e-6])).eps_schedule == (1e-5, 1e-6)
 
 
 def test_solve_options_reject_non_finite_values():

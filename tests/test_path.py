@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from spinvar.battery import random_correlation, random_feasible_path, random_mixture
-from spinvar.errors import InfeasibleMultiplier, InfeasiblePath, SpinvarError, ValidationError
+from spinvar.errors import (
+    DimensionMismatch,
+    InfeasibleMultiplier,
+    InfeasiblePath,
+    SpinvarError,
+    ValidationError,
+)
 from spinvar.functionals import eval_cs, eval_parisi
 from spinvar.matcore import MixtureSpec, symmetrize
 from spinvar.path import (
@@ -60,6 +66,17 @@ def test_lambda_sequence_infeasible():
     path = scalar_path((0.0, 1.0), (0.0, 1.0))
     with pytest.raises(InfeasibleMultiplier):
         lambda_sequence(np.array([[1.0]]), path, mix)  # Lambda_1 = 1 - 2 < 0
+
+
+def test_lambda_sequence_rejects_a_misshapen_multiplier():
+    # lambda_sequence symmetrized first, so numpy raised ValueError or
+    # AxisError where eval_parisi raised DimensionMismatch
+    mix = MixtureSpec.pure(2, [0.5, 0.5])
+    path = DiscretePath((0.0, 0.5), (0.5 * np.eye(2), np.eye(2)))
+    for lam in (np.ones((2, 3)), np.ones(2)):
+        for call in (lambda_sequence, eval_parisi):
+            with pytest.raises(DimensionMismatch, match="multiplier dimension"):
+                call(lam, path, mix)
 
 
 def test_d_sequence_examples():
