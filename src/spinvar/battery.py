@@ -339,7 +339,7 @@ def check_support_condition(seed=16) -> CheckResult:
          random_correlation(rng, 2)),
     ]
     for mix, q in cases:
-        res = optimize.search("cs", mix, q, opts)
+        res = optimize.search(mix, q, opts)
         cdf, phi = continuous.from_discrete(res.best.path)
         rep = continuous.support_check(cdf, phi, mix)
         for atom in rep.atoms:
@@ -369,7 +369,7 @@ def check_compactness_box(seed=13) -> CheckResult:
         mix = MixtureSpec.pure(2, [beta])
         q = np.array([[1.0]])
         box = continuous.feasible_box(mix, q)
-        res = optimize.search("cs", mix, q, opts)
+        res = optimize.search(mix, q, opts)
         top = res.best.path.level(res.best.path.r - 1)
         t_top = float(np.trace(top))
         inv_gap = matcore.sym_inverse(q - top)
@@ -391,8 +391,8 @@ def check_diagonal_separability(seed=14) -> CheckResult:
     worst = -np.inf
     for h, equal in (((0.2, 0.0), True), ((0.2, 0.1), False)):
         mix = MixtureSpec(n=2, terms=((2, np.array([0.3, 0.5])),), h=np.array(h))
-        full = optimize.search("cs", mix, q, opts).value
-        parts = sum(optimize.search("cs", mix.species(j), np.eye(1), opts).value for j in range(2))
+        full = optimize.search(mix, q, opts).value
+        parts = sum(optimize.search(mix.species(j), np.eye(1), opts).value for j in range(2))
         worst = max(worst, abs(full - parts) if equal else full - parts)
     return CheckResult("diagonal-separability", worst <= 1e-6, 2, worst)
 

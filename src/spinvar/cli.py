@@ -270,7 +270,9 @@ def run(command: str, spec: ProblemSpec, flags=None) -> ResultRecord:
             outputs["parisi"] = eval_parisi(spec.lam, spec.path, spec.mixture)
     elif command == "minimize":
         kind = flags.get("kind", "cs")
-        result = search(kind, spec.mixture, spec.constraint, opts)
+        # --kind parisi: the multiplier form solved at the weights of the one weight search
+        problem = (spec.mixture, spec.constraint, opts)
+        result = duality_gap(*problem).argmin_parisi if kind == "parisi" else search(*problem)
         outputs[f"min_{kind}"] = result.value
         outputs["detail"] = {"kind": kind, **_search_payload(result)}
         outputs["trace"] = [row.as_tuple() for row in result.best.trace]
@@ -299,7 +301,7 @@ def run(command: str, spec: ProblemSpec, flags=None) -> ResultRecord:
     elif command == "continuous":
         source = spec.path
         if source is None:
-            source = search("cs", spec.mixture, spec.constraint, opts).best.path
+            source = search(spec.mixture, spec.constraint, opts).best.path
         cdf, phi = continuous_mod.from_discrete(source)
         value_c = continuous_mod.eval_cs_continuous(cdf, phi, spec.mixture)
         box = continuous_mod.feasible_box(spec.mixture, spec.constraint)
@@ -319,7 +321,7 @@ def run(command: str, spec: ProblemSpec, flags=None) -> ResultRecord:
     elif command == "probe":
         base = spec.path
         if base is None:
-            base = search("cs", spec.mixture, spec.constraint, opts).best.path
+            base = search(spec.mixture, spec.constraint, opts).best.path
         box = continuous_mod.feasible_box(spec.mixture, spec.constraint)
         rng = np.random.default_rng(opts.seed)
         pairs = []

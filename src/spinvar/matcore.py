@@ -15,7 +15,7 @@ Only reports that state a margin compare the smallest eigenvalue
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -184,6 +184,9 @@ class MixtureSpec:
 
     def __post_init__(self):
         problems = []
+        # every other check is sized by n, so a malformed count stops here
+        if isinstance(self.n, bool) or not isinstance(self.n, Integral):
+            raise ValidationError(f"species count must be an integer, got {self.n!r}")
         n = int(self.n)
         if n < 1:
             problems.append(f"species count must be >= 1, got {n}")

@@ -21,20 +21,20 @@ minimizer, values, exit and the trace rows of its iterates.
 On top of the inner solve sit: ``continuation`` (a decreasing eps
 schedule, each stage started at the last one's minimizer; the result is
 its list of stage results, from which its minimizer, values and trace
-are read), ``search`` (discrete coordinate descent over the weight grid,
-sweeping the level count), and ``duality_gap`` (both forms minimized
-independently; their agreement is the certificate).  The default
-schedule is the two stages the linear-in-eps extrapolation needs, (1e-5,
-1e-6): with the exact Hessian a damped Newton stage converges from
-:func:`default_start` at eps = 1e-5 directly, one long barrier step
-(Boyd & Vandenberghe, *Convex Optimization*, sec. 11.3).  Within one
-form and level count, ``search`` starts its first candidate cold and
-every later one from the nearest converged candidate already solved
-(:func:`warm_start`), which runs only the schedule's last stage, the one
-the ranking reads; a warm candidate that stops unconverged is re-solved
-cold, and the winner, when warm, gets its penultimate stage run from its
-own minimizer for the extrapolation.  A start never crosses forms or
-level counts, so the gap stays an independent certificate.
+are read), ``search`` (discrete coordinate descent over the weight grid
+of the multiplier-free form, sweeping the level count), and
+``duality_gap`` (one search, then the multiplier form solved cold at its
+weights; the agreement of the two minima at those weights is the
+certificate).  The default schedule is the two stages the linear-in-eps
+extrapolation needs, (1e-5, 1e-6): with the exact Hessian a damped
+Newton stage converges from :func:`default_start` at eps = 1e-5
+directly, one long barrier step (Boyd & Vandenberghe, *Convex
+Optimization*, sec. 11.3).  Within one level count, ``search`` starts
+its first candidate cold and every later one from the final levels of
+the nearest converged candidate already solved, which runs only the
+schedule's last stage, the one the ranking reads; a warm candidate that
+stops unconverged is re-solved cold, and the winner, when warm, gets its
+penultimate stage run from its own minimizer for the extrapolation.
 """
 
 from __future__ import annotations
@@ -407,39 +407,16 @@ def minimize_fixed(
     )
 
 
-def warm_start(kind, mix, x, source: ContinuationResult):
-    """Start at weights x from ``source``, a continuation of the same form
-    and r at other weights y (in :func:`search`, the nearest converged
-    candidate already solved): its final levels Q_k and, for the multiplier
-    form, its multiplier raised by
-
-        sum_k max(0, x_k - y_k) (xi'(Q_{k+1}) - xi'(Q_k)),   k = 1..r-1.
-
-    Every xi' increment is PSD (see :func:`default_start`), so each
-    Lambda_p at x is at or above the source's Lambda_p at y, and the start
-    is feasible where the source's end point is (up to the growth of the
-    psd_tol margin).  The tail chain D_p = sum_{k >= p} x_k (Q_{k+1} - Q_k)
-    is positive definite for any positive weights, so the multiplier-free
-    start is the source's levels unchanged.
-    """
-    levels = source.path.free_levels()
-    if kind != "parisi":
-        return None, levels
-    weights = np.maximum(0.0, np.subtract(x, source.path.x))[1:]
-    xi_prime = mix.series(np.array(source.path.qs))[:, 1]  # at Q_1..Q_r
-    raise_by = np.tensordot(weights, np.diff(xi_prime, axis=0), axes=1)
-    return source.lam + raise_by, levels
-
-
-def _run_stages(kind, mix, constraint, r, x, opts, schedule, start) -> ContinuationResult:
-    """Run the (index, eps) stages of ``schedule`` in order, the first from
-    ``start`` (None for :func:`default_start`) and each later one from the
-    previous stage's minimizer; the stages' trace rows keep their schedule
-    indices."""
+def _run_stages(kind, mix, constraint, r, x, opts, schedule, source) -> ContinuationResult:
+    """Run the (index, eps) stages of ``schedule`` in order, each from the
+    minimizer (lam, levels) of ``source``: for the first, the result given
+    (None for :func:`default_start`), for each later one the previous
+    stage; the stages' trace rows keep their schedule indices."""
     stages = []
     for si, eps in schedule:
+        start = None if source is None else (source.lam, source.path.free_levels())
         stages.append(minimize_fixed(kind, mix, constraint, r, x, eps, opts, start=start, stage=si))
-        start = (stages[-1].lam, stages[-1].path.free_levels())
+        source = stages[-1]
     return ContinuationResult(stages)
 
 
@@ -458,16 +435,18 @@ def continuation(
     linear-in-eps extrapolation from the last two stages.
 
     Cold (``warm`` None), the whole schedule runs from :func:`default_start`.
-    Given ``warm``, a continuation of the same form and r at other weights,
-    only the last stage runs, from :func:`warm_start` (a barrier method may
-    start at its target eps near the solution; Boyd & Vandenberghe, sec.
-    11.3), so the extrapolation is its final base value.  When that stage
-    stops unconverged, the start was too far: the whole schedule runs cold
-    instead.  Trace rows keep their schedule indices.
+    Given ``warm``, a multiplier-free continuation of the same r at other
+    weights, only the last stage runs, from its final levels (a barrier
+    method may start at its target eps near the solution; Boyd &
+    Vandenberghe, sec. 11.3), so the extrapolation is its final base value.
+    The tail chain D_p = sum_{k >= p} x_k (Q_{k+1} - Q_k) is positive
+    definite for any positive weights, so those levels are feasible at x.
+    When that stage stops unconverged, the start was too far: the whole
+    schedule runs cold instead.  Trace rows keep their schedule indices.
     """
     schedule = list(enumerate(opts.eps_schedule))
     if warm is not None:
-        cont = _run_stages(kind, mix, constraint, r, x, opts, schedule[-1:], warm_start(kind, mix, x, warm))
+        cont = _run_stages(kind, mix, constraint, r, x, opts, schedule[-1:], warm)
         if cont.converged:
             return cont
     return _run_stages(kind, mix, constraint, r, x, opts, schedule, None)
@@ -478,16 +457,15 @@ def _complete(cont: ContinuationResult, mix, constraint, opts) -> ContinuationRe
     final-stage minimizer and put in front of its stages, so they and the
     extrapolation cover the same two eps as a cold run; the minimizer and
     ``value_at_eps_min`` stay the final stage's."""
-    head = _run_stages(
-        cont.kind, mix, constraint, cont.path.r, cont.path.x, opts,
-        list(enumerate(opts.eps_schedule))[-2:-1], (cont.lam, cont.path.free_levels()),
-    )
+    penultimate = list(enumerate(opts.eps_schedule))[-2:-1]
+    head = _run_stages(cont.kind, mix, constraint, cont.path.r, cont.path.x, opts, penultimate, cont)
     return ContinuationResult(head.stages + cont.stages)
 
 
-def search(kind: str, mix: MixtureSpec, constraint: np.ndarray, opts: SolveOptions) -> SearchResult:
-    """Sweep r = 2..r_max with discrete coordinate descent over the interior
-    weights (x_0 = 0 and x_{r-1} = 1 pinned).  A converged candidate ranks
+def search(mix: MixtureSpec, constraint: np.ndarray, opts: SolveOptions) -> SearchResult:
+    """Minimize the multiplier-free form over the weights: sweep r =
+    2..r_max with discrete coordinate descent over the interior weights
+    (x_0 = 0 and x_{r-1} = 1 pinned).  A converged candidate ranks
     above an unconverged one; among equals a value lower by more than
     ``tie_tol`` (1e-9) wins.  Within one r a tied candidate replaces the
     incumbent only when its value is not above the incumbent's and its
@@ -526,7 +504,7 @@ def search(kind: str, mix: MixtureSpec, constraint: np.ndarray, opts: SolveOptio
             # the source: the nearest converged candidate solved at this r
             near = [(max(abs(a - b) for a, b in zip(t, ticks)), t) for t in solved if solved[t].converged]
             warm = solved[min(near)[1]] if near else None
-            solved[ticks] = continuation(kind, mix, constraint, r, weights(r, ticks), opts, warm=warm)
+            solved[ticks] = continuation("cs", mix, constraint, r, weights(r, ticks), opts, warm=warm)
         return solved[ticks]
 
     for r in range(2, opts.r_max + 1):
@@ -575,16 +553,21 @@ def search(kind: str, mix: MixtureSpec, constraint: np.ndarray, opts: SolveOptio
 
 
 def duality_gap(mix: MixtureSpec, constraint: np.ndarray, opts: SolveOptions) -> GapReport:
-    """Minimize both forms of ``mix`` independently; their agreement is the
-    certificate.
+    """Search the weights once, on the multiplier-free form, then solve the
+    multiplier form cold at the winner's (r, x).  The gap is a fixed-x
+    certificate: at fixed weights the two forms' minima agree, so a small
+    gap says both solves reached that common minimum; it says nothing about
+    whether the search's weights are the best ones.  ``argmin_parisi``
+    carries the search's r and x, and that one solve as its only candidate.
 
     The mixture is solved as given, with or without a positive p = 2 term:
     the kernel only multiplies by xi'' and xi'''.  Only the lower-side
     correction terms of the identity checks (``error_terms("lower")``)
     divide by xi'', and the gap never evaluates them.
     """
-    sp = search("parisi", mix, constraint, opts)
-    sc = search("cs", mix, constraint, opts)
+    sc = search(mix, constraint, opts)
+    cont = continuation("parisi", mix, constraint, sc.r, sc.x, opts)
+    sp = SearchResult(sc.r, sc.x, cont, [(sc.r, sc.x, cont.value_at_eps_min)])
     # fresh dicts: an edited entry must not edit the stage it was read from
     eps_trace = {
         kind: [

@@ -41,7 +41,7 @@ from .errors import (
     NotPositiveDefinite,
     ValidationError,
 )
-from .matcore import MixtureSpec, frozen, psd_tol, spectral_floor, stack_logdets, symmetrize
+from .matcore import MixtureSpec, frozen, psd_tol, real, spectral_floor, stack_logdets, symmetrize
 
 @dataclass(frozen=True)
 class DiscretePath:
@@ -51,7 +51,9 @@ class DiscretePath:
     qs: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        x = tuple(float(v) for v in self.x)
+        x = tuple(real(v) for v in self.x)
+        if None in x:
+            raise ValidationError(f"weights must be real numbers, got {self.x!r}")
         if len(x) < 1:
             raise ValidationError("a path needs at least one weight (r >= 1)")
         qs = tuple(frozen(symmetrize(np.asarray(q, dtype=float))) for q in self.qs)

@@ -95,9 +95,11 @@ def test_criterion_3_diagonal_separability():
     worst = -math.inf
     for h, equal in (((0.2, 0.0), True), ((0.2, 0.1), False)):
         mix = MixtureSpec(n=2, terms=((2, np.array([0.3, 0.5])),), h=np.array(h))
+        full_rep = duality_gap(mix, q, opts)
+        part_reps = [duality_gap(mix.species(j), np.eye(1), opts) for j in range(2)]
         for kind in ("cs", "parisi"):
-            full = search(kind, mix, q, opts).value
-            parts = sum(search(kind, mix.species(j), np.eye(1), opts).value for j in range(2))
+            full = getattr(full_rep, f"min_{kind}")
+            parts = sum(getattr(rep, f"min_{kind}") for rep in part_reps)
             excess = abs(full - parts) if equal else full - parts
             worst = max(worst, excess)
             assert excess <= 1e-6, (kind, h)
@@ -221,7 +223,7 @@ def test_criterion_10_compactness_box():
     q2 = battery.random_correlation(rng, 2)
     cases.append((MixtureSpec(n=2, terms=((2, np.array([0.5, 0.4])),), h=np.zeros(2)), q2))
     for mix, q in cases:
-        res = search("cs", mix, q, opts)
+        res = search(mix, q, opts)
         cdf, phi = from_discrete(res.best.path)
         box = feasible_box(mix, q)
         t_top = max(t for t, _ in cdf.atoms())

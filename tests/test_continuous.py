@@ -230,7 +230,7 @@ def test_support_check_clean_at_minimizer():
         ),
     ]
     for mix, q in cases:
-        res = search("cs", mix, q, SolveOptions())
+        res = search(mix, q, SolveOptions())
         cdf, phi = from_discrete(res.best.path)
         report = support_check(cdf, phi, mix)
         assert not report.flagged

@@ -90,6 +90,9 @@ def test_mixture_validation():
         MixtureSpec(n=2, terms=((2, [1.0]),), h=[0.0, 0.0])  # wrong beta length
     with pytest.raises(ValidationError):
         MixtureSpec(n=1, terms=((2, [-0.1]),), h=[0.0])  # negative weight
+    for n in (2.7, "2", True):  # int() would read the first two as 2 and the last as 1
+        with pytest.raises(ValidationError, match="species count"):
+            MixtureSpec(n=n, terms=((2, [0.1, 0.2]),), h=[0.0, 0.0])
 
 
 def test_chol_logdet_examples():

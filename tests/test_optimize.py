@@ -10,16 +10,13 @@ from spinvar.errors import ValidationError
 from spinvar.functionals import Weights, eval_stack
 from spinvar.matcore import MixtureSpec
 from spinvar.optimize import (
-    ContinuationResult,
-    MinimizeResult,
     SolveOptions,
     continuation,
     duality_gap,
     minimize_fixed,
     search,
-    warm_start,
 )
-from spinvar.path import DiscretePath, d_sequence, lambda_sequence
+from spinvar.path import DiscretePath, d_sequence
 
 # a six-stage barrier path, for the tests that check its intermediate stages
 LONG_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -220,7 +217,7 @@ def test_degenerate_mixture_minimum_zero():
 def test_search_prefers_smaller_r_on_ties():
     mix = MixtureSpec.pure(2, [0.3])
     q = np.array([[1.0]])
-    res = search("cs", mix, q, SolveOptions(r_max=3, x_grid=3))
+    res = search(mix, q, SolveOptions(r_max=3, x_grid=3))
     assert res.r == 2
     assert res.value == pytest.approx(0.045, abs=1e-4)
     tried_r = {r for r, _, _ in res.candidates}
@@ -237,9 +234,8 @@ def test_search_tie_rule_cannot_cycle():
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, 30.0)
     try:
-        for kind in ("parisi", "cs"):
-            res = search(kind, MixtureSpec.pure(2, [0.5]), np.array([[1.0]]),
-                         SolveOptions(r_max=3, x_grid=4))
+        rep = duality_gap(MixtureSpec.pure(2, [0.5]), np.array([[1.0]]), SolveOptions(r_max=3, x_grid=4))
+        for res in (rep.argmin_parisi, rep.argmin_cs):
             assert res.best.converged
             assert res.value == pytest.approx(cs_rs_value(0.5), abs=1e-4)
     finally:
@@ -268,7 +264,7 @@ def test_search_ranks_converged_candidates_first(monkeypatch):
     mix, q = MixtureSpec.pure(2, [1.0]), np.array([[1.0]])
     for start_converges, r, value in ((False, 2, 1.0), (True, 3, 0.9)):
         monkeypatch.setattr(optimize, "continuation", stub(start_converges))
-        res = search("cs", mix, q, SolveOptions(r_max=3, x_grid=4))
+        res = search(mix, q, SolveOptions(r_max=3, x_grid=4))
         assert (res.r, res.value) == (r, value)
         assert res.best.converged
 
@@ -276,8 +272,8 @@ def test_search_ranks_converged_candidates_first(monkeypatch):
 def test_search_nested_spaces():
     mix = MixtureSpec.pure(2, [1.0])
     q = np.array([[1.0]])
-    v2 = search("cs", mix, q, SolveOptions(r_max=2)).value
-    v3 = search("cs", mix, q, SolveOptions(r_max=3, x_grid=3)).value
+    v2 = search(mix, q, SolveOptions(r_max=2)).value
+    v3 = search(mix, q, SolveOptions(r_max=3, x_grid=3)).value
     assert v3 <= v2 + 1e-9
 
 
@@ -286,18 +282,18 @@ def test_search_weights_stay_on_grid_ticks():
     # a candidate that cannot converge, whose value 0.1673 beat the RS 0.4909
     mix = MixtureSpec.pure(2, [1.0])
     q = np.array([[1.0]])
-    v2 = search("cs", mix, q, SolveOptions(r_max=2)).value
-    res = search("cs", mix, q, SolveOptions(r_max=3, x_grid=3))
+    v2 = search(mix, q, SolveOptions(r_max=2)).value
+    res = search(mix, q, SolveOptions(r_max=3, x_grid=3))
     assert res.best.converged
     assert res.value == pytest.approx(v2, abs=1e-6)
     assert min(x for _, xs, _ in res.candidates for x in xs[1:]) >= 1 / 24
 
 def test_search_finds_symmetry_breaking_at_low_temperature():
     # deep mixed instance: a second level with an interior weight pays off,
-    # and the two independent optimizers still agree there
+    # and the multiplier form agrees at the weights found
     mix = MixtureSpec(n=1, terms=((2, [0.1]), (4, [2.0])), h=[0.0])
     q = np.array([[1.0]])
-    v2 = search("cs", mix, q, SolveOptions(r_max=2)).value
+    v2 = search(mix, q, SolveOptions(r_max=2)).value
     rep = duality_gap(mix, q, SolveOptions(r_max=3, x_grid=8))
     assert rep.min_cs < v2 - 0.1
     assert rep.argmin_cs.r == 3
@@ -365,7 +361,7 @@ def test_full_solve_stays_diagonal_on_a_sign_symmetric_instance(kind):
     q = np.eye(2)
     off = ~np.eye(2, dtype=bool)
     fixed = minimize_fixed(kind, mix, q, 3, (0.0, 0.5, 1.0), 1e-3, SolveOptions())
-    best = search(kind, mix, q, SolveOptions(r_max=3)).best
+    best = getattr(duality_gap(mix, q, SolveOptions(r_max=3)), f"argmin_{kind}").best
     for path, lam in ((fixed.path, fixed.lam), (best.path, best.lam)):
         for level in path.qs:
             assert np.all(level[off] == 0.0)
@@ -388,6 +384,22 @@ def test_gap_random_family_robustness():
         rep = duality_gap(mix, q, SolveOptions(r_max=r_max, x_grid=4))
         assert rep.gap <= 5e-4
         assert rep.argmin_parisi.best.converged and rep.argmin_cs.best.converged
+
+
+def test_gap_parisi_side_leaves_the_warm_branch():
+    # both weight searches used to settle on a warm branch at x = (0, 0.8125,
+    # 1) worth 2.968963 with a gap of 3.0e-7; a cold multiplier-form solve
+    # at the search's weights reaches 2.965429.  The gap that now shows is
+    # the multiplier-free side's, so its size is not asserted
+    rng = np.random.default_rng(22)
+    n = int(rng.integers(2, 5))
+    terms = ((2, rng.uniform(0.1, 0.8, n)), (4, rng.uniform(0.0, 1.5, n)))
+    h = rng.uniform(-0.5, 0.5, n) * (rng.uniform() < 0.5)
+    q = random_correlation(rng, n, jitter=float(rng.uniform(0.1, 0.6)))
+    r_max = int(rng.integers(3, 5))
+    rep = duality_gap(MixtureSpec(n=n, terms=terms, h=h), q, SolveOptions(r_max=r_max, x_grid=4))
+    assert rep.argmin_parisi.best.converged and rep.argmin_cs.best.converged
+    assert rep.min_parisi <= 2.9654293 + 1e-6
 
 
 def test_no_feasible_start_reported():
@@ -566,20 +578,14 @@ def _ordered_levels(rng, q, r):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_warm_start_is_feasible_at_every_neighbour(seed):
-    # the source multiplier sits just inside its own domain (Lambda_1 =
-    # 1e-3 I at weights y), so the unshifted multiplier at larger weights
-    # would leave it; the raised one, and the unchanged levels of the
-    # multiplier-free form, stay feasible for every move on the 1/32 grid
+    # a warm stage starts at its source's final levels; they stay feasible
+    # for the multiplier-free form at every move on the 1/32 grid
     rng = np.random.default_rng(seed)
     n, r = int(rng.integers(1, 5)), int(rng.integers(3, 5))
     mix = random_mixture(rng, n)
     q = random_correlation(rng, n)
     levels = _ordered_levels(rng, q, r)
     y = (0.0,) + tuple(np.sort(rng.choice(np.arange(2, 31), r - 2, replace=False)) / 32) + (1.0,)
-    source = DiscretePath(y, tuple(levels) + (q,))
-    xi_prime = mix.series(np.array(source.qs))[:, 1]
-    lam = np.tensordot(y[1:], np.diff(xi_prime, axis=0), axes=1) + 1e-3 * np.eye(n)
-    lambda_sequence(lam, source, mix)  # the source itself is feasible
     moves = []
     for k in range(1, r - 1):
         lo, hi = y[k - 1], y[k + 1]
@@ -588,28 +594,11 @@ def test_warm_start_is_feasible_at_every_neighbour(seed):
                 moves.append(y[:k] + (v,) + y[k + 1:])
     moves.append((0.0,) + (1 / 32,) * (r - 2) + (1.0,))
     moves.append((0.0,) + (31 / 32,) * (r - 2) + (1.0,))
-    for kind in ("parisi", "cs"):
-        # a one-stage continuation that ends at the source; warm_start reads
-        # only its minimizer
-        stage = MinimizeResult(
-            kind=kind, path=source, lam=lam if kind == "parisi" else None, eps=1e-5,
-            value=math.nan, value_base=math.nan, grad_norm=0.0, iterations=0,
-            converged=True, stop_reason="converged", trace=[],
-        )
-        cont = ContinuationResult([stage])
-        for x in moves:
-            start_lam, start_levels = warm_start(kind, mix, x, cont)
-            target = DiscretePath(x, tuple(start_levels) + (q,))
-            if kind == "parisi":
-                assert np.all(np.linalg.eigvalsh(start_lam - lam) >= -1e-12)
-                lambda_sequence(start_lam, target, mix)
-                blocks = np.array([start_lam] + start_levels)
-            else:
-                assert start_lam is None
-                d_sequence(target)
-                blocks = np.array(start_levels)
-            value, _, _, _ = eval_stack(Weights(kind, x), mix, q, 1e-5, blocks)  # raises outside the domain
-            assert np.isfinite(value), (kind, x)
+    for x in moves:
+        d_sequence(DiscretePath(x, tuple(levels) + (q,)))
+        # raises outside the domain
+        value, _, _, _ = eval_stack(Weights("cs", x), mix, q, 1e-5, np.array(levels))
+        assert np.isfinite(value), x
 
 
 @pytest.mark.parametrize(
@@ -617,11 +606,11 @@ def test_warm_start_is_feasible_at_every_neighbour(seed):
     [(FAMILY_N2_P4, FAMILY_N2_P4_Q), (MixtureSpec.pure(4, [2.0]), np.eye(1))],
     ids=["family-n2-p4", "pure4-beta2"],
 )
-@pytest.mark.parametrize("kind", ["parisi", "cs"])
+@pytest.mark.parametrize("kind", ["cs"])
 def test_warm_continuation_matches_cold(mix, q, kind):
     opts = SolveOptions()
     source = continuation(kind, mix, q, 3, (0.0, 0.5, 1.0), opts)
-    for x1 in (0.75, 0.25):  # the multiplier is raised, then left as it is
+    for x1 in (0.75, 0.25):
         x = (0.0, x1, 1.0)
         warm = continuation(kind, mix, q, 3, x, opts, warm=source)
         cold = continuation(kind, mix, q, 3, x, opts)
@@ -667,24 +656,26 @@ def test_default_schedule_keeps_the_stationary_branch(kind):
 
 
 def test_search_starts_one_candidate_cold_per_form_and_r(monkeypatch):
-    from spinvar import optimize
+    calls = _record_continuations(monkeypatch)
+    search(MixtureSpec.pure(2, [1.0]), np.eye(1), SolveOptions(r_max=3))
+    assert {kind for kind, *_ in calls} == {"cs"}
+    for r in (2, 3):
+        mine = [warm for _, rr, _, warm, _ in calls if rr == r]
+        assert mine[0] is None and mine.count(None) == 1, r
+        assert all((warm.kind, warm.path.r) == ("cs", r) for warm in mine[1:])
+    assert len(calls) > 2  # the r = 3 sweep ran warm candidates
 
-    calls = []
-    real = optimize.continuation
 
-    def recorded(kind, mix, constraint, r, x, opts, warm=None):
-        source = None if warm is None else (warm.kind, warm.path.r)
-        calls.append((kind, r, source))
-        return real(kind, mix, constraint, r, x, opts, warm=warm)
-
-    monkeypatch.setattr(optimize, "continuation", recorded)
-    duality_gap(MixtureSpec.pure(2, [1.0]), np.eye(1), SolveOptions(r_max=3))
-    for kind in ("parisi", "cs"):
-        for r in (2, 3):
-            mine = [source for k, rr, source in calls if (k, rr) == (kind, r)]
-            assert mine[0] is None and mine.count(None) == 1, (kind, r)
-            assert all(source == (kind, r) for source in mine[1:])
-    assert len(calls) > 4  # the r = 3 sweeps ran warm candidates
+def test_gap_solves_the_multiplier_form_once_cold_at_the_search_winner(monkeypatch):
+    # the certificate rests on the multiplier form's own cold start
+    calls = _record_continuations(monkeypatch)
+    rep = duality_gap(MixtureSpec.pure(4, [2.0]), np.eye(1), SolveOptions(r_max=3))
+    parisi = [(r, x, warm, result) for kind, r, x, warm, result in calls if kind == "parisi"]
+    assert len(parisi) == 1
+    r, x, warm, result = parisi[0]
+    assert (r, x, warm) == (rep.argmin_cs.r, rep.argmin_cs.x, None)
+    assert rep.argmin_parisi.best is result
+    assert rep.argmin_parisi.candidates == [(r, x, result.value_at_eps_min)]
 
 
 def _record_continuations(monkeypatch):
@@ -723,11 +714,10 @@ def test_gap_ends_every_candidate_converged(monkeypatch):
 
 def test_search_candidates_are_the_continuations_it_ran(monkeypatch):
     calls = _record_continuations(monkeypatch)
-    rep = duality_gap(MixtureSpec.pure(4, [2.0]), np.eye(1), SolveOptions(r_max=3))
-    for kind, res in (("parisi", rep.argmin_parisi), ("cs", rep.argmin_cs)):
-        ran = [(r, x, result.value_at_eps_min) for k, r, x, _, result in calls if k == kind]
-        assert res.candidates == ran, kind
-        assert len({(r, x) for r, x, _ in ran}) == len(ran), kind
+    res = search(MixtureSpec.pure(4, [2.0]), np.eye(1), SolveOptions(r_max=3))
+    ran = [(r, x, result.value_at_eps_min) for _, r, x, _, result in calls]
+    assert res.candidates == ran
+    assert len({(r, x) for r, x, _ in ran}) == len(ran)
 
 
 def test_continuation_values_come_from_its_stages():
@@ -744,22 +734,21 @@ def test_continuation_values_come_from_its_stages():
 def test_warm_candidates_start_from_the_nearest_converged_candidate(monkeypatch):
     calls = _record_continuations(monkeypatch)
     opts = SolveOptions(r_max=4, x_grid=4)
-    duality_gap(MixtureSpec.pure(4, [2.0]), np.eye(1), opts)
-    solved = []  # (kind, r, ticks, converged) of the candidates solved so far
+    search(MixtureSpec.pure(4, [2.0]), np.eye(1), opts)
+    solved = []  # (r, ticks, converged) of the candidates solved so far
     warm_calls = 0
-    for kind, r, x, warm, result in calls:
+    for _, r, x, warm, result in calls:
         denom = 4 * opts.x_grid * (r - 1)
         ticks = tuple(round(v * denom) for v in x[1:-1])
         if warm is not None:
             warm_calls += 1
-            assert (warm.kind, warm.path.r) == (kind, r) and warm.converged
+            assert warm.path.r == r and warm.converged
             source = tuple(round(v * denom) for v in warm.path.x[1:-1])
             nearest = min(
-                (max(abs(a - b) for a, b in zip(t, ticks)), t)
-                for k, rr, t, ok in solved if (k, rr) == (kind, r) and ok
+                (max(abs(a - b) for a, b in zip(t, ticks)), t) for rr, t, ok in solved if rr == r and ok
             )
-            assert source == nearest[1], (kind, x)
-        solved.append((kind, r, ticks, result.converged))
+            assert source == nearest[1], x
+        solved.append((r, ticks, result.converged))
     assert warm_calls > 10
 
 
@@ -770,10 +759,11 @@ def test_warm_candidates_start_from_the_nearest_converged_candidate(monkeypatch)
 )
 @pytest.mark.parametrize("kind", ["parisi", "cs"])
 def test_warm_winner_carries_both_final_stages(mix, q, x1, kind):
-    # the winner is a warm candidate, which ran only the last stage; its
-    # penultimate stage is completed from its own minimizer
+    # the cs winner is a warm candidate, which ran only the last stage; its
+    # penultimate stage is completed from its own minimizer.  The parisi
+    # side runs the whole schedule cold at the same weights
     opts = SolveOptions(r_max=3)
-    res = search(kind, mix, q, opts)
+    res = getattr(duality_gap(mix, q, opts), f"argmin_{kind}")
     assert (res.r, res.x) == (3, (0.0, x1, 1.0))
     assert res.best.converged
     assert [s.eps for s in res.best.stages] == list(opts.eps_schedule[-2:])

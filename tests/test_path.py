@@ -154,6 +154,15 @@ def test_path_shape_validation():
         DiscretePath((0.0, 1.0), (np.array([[0.5]]),))
 
 
+def test_path_weights_must_be_real():
+    # float() would accept the strings and read True as x_0 = 1.0
+    levels = (np.array([[0.5]]), np.eye(1))
+    for x in (("0", "1"), (True, 1.0), (None, 1.0)):
+        with pytest.raises(ValidationError, match="weights"):
+            DiscretePath(x, levels)
+    assert DiscretePath((np.float64(0.0), np.int64(1)), levels).x == (0.0, 1.0)
+
+
 def test_multiplier_chain_is_psd_ordered():
     from spinvar.matcore import psd_tol, spectral_floor
 

@@ -348,7 +348,7 @@ def test_identity_chain_at_lower_critical_point():
     shifted = tilde_transform("lower", res.path, mix, eps)
     assert shifted.feasible
     dual_at_shift = eval_cs(shifted.path, mix)
-    dual_min = search("cs", mix, q, opts).value
+    dual_min = search(mix, q, opts).value
     assert pert == pytest.approx(approx, abs=1e-8)
     assert approx >= dual_at_shift - 1e-9
     assert dual_at_shift >= dual_min - 1e-6
