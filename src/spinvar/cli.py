@@ -42,7 +42,7 @@ from .path import DiscretePath
 from .path import validate as validate_path
 
 TOOL_VERSION = f"spinvar {__version__}"
-FORMAT_HEADER = "# spinvar-result v1"
+FORMAT_HEADER = "# spinvar-result v2"
 COMMANDS = ("eval", "minimize", "gap", "verify", "continuous", "probe")
 _SPEC_KEYS = {"version", "n", "mixture", "h", "Q", "solve", "commands", "path"}
 _PATH_KEYS = {"x", "levels", "lambda"}
@@ -269,13 +269,9 @@ def run(command: str, spec: ProblemSpec, flags=None) -> ResultRecord:
         if spec.lam is not None:
             outputs["parisi"] = eval_parisi(spec.lam, spec.path, spec.mixture)
     elif command == "minimize":
-        kind = flags.get("kind", "cs")
-        # --kind parisi: the multiplier form solved at the weights of the one weight search
-        problem = (spec.mixture, spec.constraint, opts)
-        result = duality_gap(*problem).argmin_parisi if kind == "parisi" else search(*problem)
-        outputs[f"min_{kind}"] = result.value
-        outputs["detail"] = {"kind": kind, **_search_payload(result)}
-        outputs["trace"] = [row.as_tuple() for row in result.best.trace]
+        result = search(spec.mixture, spec.constraint, opts)
+        outputs.update(min_cs=result.value, argmin_cs=_search_payload(result))
+        outputs["trace"] = [("cs",) + row.as_tuple() for row in result.best.trace]
         outputs["converged"] = result.best.converged
     elif command == "gap":
         report = duality_gap(spec.mixture, spec.constraint, opts)
@@ -287,7 +283,8 @@ def run(command: str, spec: ProblemSpec, flags=None) -> ResultRecord:
             argmin_cs=_search_payload(report.argmin_cs),
             eps_trace=report.eps_trace,
         )
-        outputs["trace"] = [row.as_tuple() for row in report.argmin_cs.best.trace]
+        sides = (("parisi", report.argmin_parisi), ("cs", report.argmin_cs))
+        outputs["trace"] = [(form,) + row.as_tuple() for form, res in sides for row in res.best.trace]
         outputs["converged"] = (
             report.argmin_parisi.best.converged and report.argmin_cs.best.converged
         )
@@ -355,13 +352,12 @@ def emit(record: ResultRecord, fmt: str, out_path: str):
         "wall_time": _fmt(record.wall_time),
     }
     if fmt == "json-lines":
-        lines = [json.dumps({"format": "spinvar-result", "version": 1}, sort_keys=True)]
+        lines = [json.dumps({"format": "spinvar-result", "version": 2}, sort_keys=True)]
         # one line per argmin level, then the summary line
-        for key in ("argmin_parisi", "argmin_cs", "detail"):
-            detail = record.outputs.get(key)
-            if not isinstance(detail, dict) or "argmin" not in detail:
+        for side in ("parisi", "cs"):
+            detail = record.outputs.get(f"argmin_{side}")
+            if detail is None:
                 continue
-            side = detail.get("kind", key.removeprefix("argmin_"))
             argmin = detail["argmin"]
             for k, upper in enumerate(argmin.get("levels", []), start=1):
                 lines.append(
@@ -383,11 +379,10 @@ def emit(record: ResultRecord, fmt: str, out_path: str):
     elif fmt == "csv":
         rows = [FORMAT_HEADER]
         trace = record.outputs.get("trace", [])
-        rows.append("stage,eps,iter,value,grad_norm,min_increment_eig")
-        for item in trace:
-            stage, eps, iteration, value, gnorm, mineig = item
+        rows.append("form,stage,eps,iter,value,grad_norm,min_increment_eig")
+        for form, stage, eps, iteration, value, gnorm, mineig in trace:
             rows.append(
-                f"{stage},{eps:.17g},{iteration},{value:.17g},{gnorm:.17g},{mineig:.17g}"
+                f"{form},{stage},{eps:.17g},{iteration},{value:.17g},{gnorm:.17g},{mineig:.17g}"
             )
         text = "\n".join(rows) + "\n"
     else:
@@ -429,8 +424,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="weight grid resolution (x_grid)")
     parser.add_argument("--tol", "--grad-tol", dest="grad_tol", type=float,
                         help="representer norm tolerance (grad_tol)")
-    parser.add_argument("--kind", choices=("parisi", "cs"), default="cs",
-                        help="functional form for the minimize command")
     return parser
 
 
@@ -451,11 +444,8 @@ def main(argv=None) -> int:
         return 2
     exit_code = 0
     for command in commands:
-        flags = dict(overrides)
-        if command == "minimize":
-            flags["kind"] = args.kind
         try:
-            record = run(command, spec, flags)
+            record = run(command, spec, overrides)
         except ValidationError as exc:
             for p in exc.problems:
                 print(f"error: {p}", file=sys.stderr)

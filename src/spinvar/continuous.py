@@ -40,6 +40,7 @@ from .matcore import (
     frobenius,
     frozen,
     psd_tol,
+    real,
     spectral_floor,
     stack_inverses,
     stack_logdets,
@@ -59,7 +60,9 @@ class ContinuousCdf:
     knots: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        knots = tuple((float(t), float(v)) for t, v in self.knots)
+        knots = tuple((real(t), real(v)) for t, v in self.knots)
+        if not all(a is not None and np.isfinite(a) for knot in knots for a in knot):
+            raise ValidationError(f"knot positions and values must be finite reals, got {self.knots!r}")
         problems = []
         if not knots:
             problems.append("a cdf needs at least one knot")
@@ -112,7 +115,9 @@ class MatrixPath:
     knots: tuple[tuple[float, np.ndarray], ...]
 
     def __post_init__(self):
-        knots = tuple((float(t), frozen(symmetrize(np.asarray(m, dtype=float)))) for t, m in self.knots)
+        knots = tuple((real(t), frozen(symmetrize(np.asarray(m, dtype=float)))) for t, m in self.knots)
+        if not all(t is not None and np.isfinite(t) and np.isfinite(m).all() for t, m in knots):
+            raise ValidationError("knot positions must be finite reals and knot matrices finite")
         problems = []
         if len(knots) < 2:
             problems.append("a matrix path needs at least two knots")

@@ -94,7 +94,9 @@ class Weights:
     ``div`` the signed divisors sign x_k, k = 0..r-1, shaped (r, 1, 1), +-inf
     where x_k = 0 so that ``num / div`` drops the term: the one place the
     x_k = 0 rule lives.  ``lead`` counts the multiplier blocks ahead of
-    Q_1..Q_{r-1} in a point's blocks: 1 for the multiplier form.
+    Q_1..Q_{r-1} in a point's blocks: 1 for the multiplier form.  Weights
+    that are not an order parameter, 0 = x_0 <= ... <= x_{r-1} <= 1, raise
+    a ValidationError.
     """
 
     def __init__(self, kind, x):
@@ -102,6 +104,9 @@ class Weights:
             raise ValueError(f"unknown functional kind {kind!r}")
         self.kind = kind
         self.x = np.asarray(x, dtype=float)
+        # NaN fails every comparison, and the pinned ends bound every weight
+        if not (self.x.size and self.x[0] == 0.0 and np.all(np.diff(self.x) >= 0.0) and self.x[-1] <= 1.0):
+            raise ValidationError(f"weights must satisfy 0 = x_0 <= ... <= x_{{r-1}} <= 1, got {self.x.tolist()}")
         if kind == "cs" and (self.x.size < 2 or self.x[-1] <= 0.0):
             raise InfeasiblePath("the multiplier-free form needs r >= 2 and x_{r-1} > 0")
         self.lead = 1 if kind == "parisi" else 0

@@ -33,8 +33,9 @@ Optimization*, sec. 11.3).  Within one level count, ``search`` starts
 its first candidate cold and every later one from the final levels of
 the nearest converged candidate already solved, which runs only the
 schedule's last stage, the one the ranking reads; a warm candidate that
-stops unconverged is re-solved cold, and the winner, when warm, gets its
-penultimate stage run from its own minimizer for the extrapolation.
+stops unconverged is re-solved cold.  Warm starts only rank candidates:
+each reported answer, of either form, is one cold ``continuation`` of the
+whole schedule at the search's (r, x).
 """
 
 from __future__ import annotations
@@ -141,10 +142,6 @@ class ContinuationResult:
     rows are read from the stages."""
 
     stages: list[MinimizeResult]
-
-    @property
-    def kind(self) -> str:
-        return self.stages[-1].kind
 
     @property
     def path(self) -> DiscretePath:
@@ -452,16 +449,6 @@ def continuation(
     return _run_stages(kind, mix, constraint, r, x, opts, schedule, None)
 
 
-def _complete(cont: ContinuationResult, mix, constraint, opts) -> ContinuationResult:
-    """A warm continuation with its penultimate stage run from its own
-    final-stage minimizer and put in front of its stages, so they and the
-    extrapolation cover the same two eps as a cold run; the minimizer and
-    ``value_at_eps_min`` stay the final stage's."""
-    penultimate = list(enumerate(opts.eps_schedule))[-2:-1]
-    head = _run_stages(cont.kind, mix, constraint, cont.path.r, cont.path.x, opts, penultimate, cont)
-    return ContinuationResult(head.stages + cont.stages)
-
-
 def search(mix: MixtureSpec, constraint: np.ndarray, opts: SolveOptions) -> SearchResult:
     """Minimize the multiplier-free form over the weights: sweep r =
     2..r_max with discrete coordinate descent over the interior weights
@@ -478,8 +465,9 @@ def search(mix: MixtureSpec, constraint: np.ndarray, opts: SolveOptions) -> Sear
     (L-infinity distance in the weight ticks, ties to the smaller ticks),
     or cold when there is none.  Each sweep visits its options nearest the
     incumbent first, so near neighbours become the sources of far ones.  A
-    warm winner gets its penultimate stage run from its own minimizer, so
-    its stages and extrapolation cover the eps of a cold run.
+    winner that did not run the whole schedule is re-solved cold at its
+    weights, so ``best`` is a cold continuation; ``candidates`` keeps the
+    warm value the ranking read.
 
     The solved candidates are kept in one table per r, from the weight
     ticks to their continuation; ``candidates`` lists them as (r, x,
@@ -542,8 +530,8 @@ def search(mix: MixtureSpec, constraint: np.ndarray, opts: SolveOptions) -> Sear
         if best is None or outranks(cont, best[2]):
             best = (r, cur, cont)
     r, ticks, cont = best
-    if len(cont.stages) < min(2, len(opts.eps_schedule)):
-        cont = _complete(cont, mix, constraint, opts)
+    if len(cont.stages) < len(opts.eps_schedule):
+        cont = continuation("cs", mix, constraint, r, weights(r, ticks), opts)
     return SearchResult(
         r=r,
         x=weights(r, ticks),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spinvar.cli import (
+    FORMAT_HEADER,
     build_spec,
     emit,
     load_spec,
@@ -274,7 +275,7 @@ def test_emit_deterministic(tmp_path):
     emit(rec, "json-lines", str(out2))
     assert out1.read_bytes() == out2.read_bytes()
     lines = [json.loads(l) for l in out1.read_text().splitlines()]
-    assert lines[0]["format"] == "spinvar-result"
+    assert lines[0] == {"format": "spinvar-result", "version": 2}
     level_lines = [l for l in lines if l.get("record") == "level"]
     assert {l["side"] for l in level_lines} == {"parisi", "cs"}
     assert all("q_upper" in l and "x" in l for l in level_lines)
@@ -283,11 +284,11 @@ def test_emit_deterministic(tmp_path):
     csv1 = tmp_path / "a.csv"
     emit(rec, "csv", str(csv1))
     lines = csv1.read_text().splitlines()
-    assert lines[0].startswith("# spinvar-result")
-    assert lines[1] == "stage,eps,iter,value,grad_norm,min_increment_eig"
+    assert lines[0] == "# spinvar-result v2"
+    assert lines[1] == "form,stage,eps,iter,value,grad_norm,min_increment_eig"
     assert len(lines) > 3
-    stages = {line.split(",")[0] for line in lines[2:]}
-    assert stages == {"0", "1"}
+    rows = {tuple(line.split(",")[:2]) for line in lines[2:]}
+    assert rows == {(form, stage) for form in ("parisi", "cs") for stage in ("0", "1")}
 
 
 def test_float_emission_roundtrips(tmp_path):
@@ -364,7 +365,8 @@ def test_gap_completes_a_warm_winners_stages(tmp_path):
     # pure p = 4 at beta = 2 wins at r = 3, x = (0, 0.625, 1), a warm
     # candidate that ran only the last eps stage; the record must hold both
     # of its stages, converged, and the trace file rows of both, and the
-    # minima must stay within 1e-9 of their pinned values
+    # minima must stay within 1e-9 of their pinned values; each trace row
+    # begins with its form
     spec_file = write_spec(tmp_path, minimal_spec(mixture=[[4, [2.0]]]))
     out_dir = tmp_path / "warm"
     assert main(["gap", "--spec", spec_file, "--r-max", "3", "--out", str(out_dir)]) == 0
@@ -379,7 +381,22 @@ def test_gap_completes_a_warm_winners_stages(tmp_path):
         assert len(stages) == 2
         assert all(s["converged"] is True and s["stop_reason"] == "converged" for s in stages)
     lines = (out_dir / "gap_trace.csv").read_text().splitlines()
-    assert {line.split(",")[0] for line in lines if line[:1].isdigit()} == {"0", "1"}
+    rows = {tuple(line.split(",")[:2]) for line in lines[2:]}
+    assert rows == {(form, stage) for form in ("parisi", "cs") for stage in ("0", "1")}
+
+
+def test_gap_trace_file_carries_both_forms(tmp_path):
+    # the CSV names its format version and each row's form; the JSON-lines
+    # format record carries the same version number
+    out_dir = tmp_path / "out"
+    assert main(["gap", "--spec", str(PROBLEMS / "pure2_scalar.json"), "--out", str(out_dir)]) == 0
+    lines = (out_dir / "gap_trace.csv").read_text().splitlines()
+    assert lines[0] == FORMAT_HEADER
+    assert lines[1].startswith("form,")
+    assert {line.split(",")[0] for line in lines[2:]} == {"parisi", "cs"}
+    record = json.loads((out_dir / "gap.jsonl").read_text().splitlines()[0])
+    assert record["format"] == "spinvar-result"
+    assert FORMAT_HEADER == f"# spinvar-result v{record['version']}"
 
 
 def test_override_flags_and_aliases_keep_inputs_digest(tmp_path):
@@ -445,13 +462,18 @@ def test_main_default_and_six_stage_schedules_agree(tmp_path):
 
 
 def test_main_minimize_kind(tmp_path, capsys):
+    # minimize reports the weight search's answer under the keys gap uses;
+    # the multiplier form's answer is gap's, so there is no --kind
     spec_file = write_spec(tmp_path, minimal_spec(solve={"eps_schedule": [1e-1, 1e-3, 1e-6]}))
-    assert main(["minimize", "--spec", spec_file, "--kind", "parisi"]) == 0
-    payload = json.loads(capsys.readouterr().out.splitlines()[-1])
-    assert abs(float(payload["min_parisi"]) - 0.045) < 1e-3
+    with pytest.raises(SystemExit) as exc:
+        main(["minimize", "--spec", spec_file, "--kind", "parisi"])
+    assert exc.value.code == 2
+    capsys.readouterr()
     assert main(["minimize", "--spec", spec_file]) == 0
     payload = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert abs(float(payload["min_cs"]) - 0.045) < 1e-3
+    assert set(payload) == {"command", "min_cs", "argmin_cs", "converged"}
+    assert payload["argmin_cs"]["r"] == 2
 
 
 def test_main_run_uses_spec_commands(tmp_path):

@@ -291,3 +291,24 @@ def test_lookups_take_arrays():
     np.testing.assert_array_equal(
         hat_phi(cdf, phi, grid), [[hat_phi(cdf, phi, t) for t in row] for row in grid]
     )
+
+
+# a string, a bool (once read as t = 1) and non-finite numbers, each in a
+# knot that is otherwise valid
+BAD_KNOTS = [("0.5", 1.0), (True, 1.0), (math.nan, 1.0), (0.5, math.nan), (math.inf, 1.0)]
+BAD_KNOT_IDS = ["string", "bool", "nan-position", "nan-value", "inf-position"]
+
+
+@pytest.mark.parametrize("t, v", BAD_KNOTS, ids=BAD_KNOT_IDS)
+def test_cdf_knots_must_be_finite_reals(t, v):
+    # each used to be read with float() and accepted; v is the first value
+    with pytest.raises(ValidationError, match="finite reals"):
+        ContinuousCdf(((0.0, v), (t, 1.0)))
+
+
+@pytest.mark.parametrize("t, v", BAD_KNOTS, ids=BAD_KNOT_IDS)
+def test_matrix_path_knots_must_be_finite_reals(t, v):
+    # v is the trace the top knot's matrix carries, so only t or v is wrong
+    top = np.full((1, 1), math.nan if math.isnan(v) else 0.5 if t == "0.5" else 1.0)
+    with pytest.raises(ValidationError, match="finite"):
+        MatrixPath(((0.0, np.zeros((1, 1))), (t, top)))

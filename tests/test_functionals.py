@@ -332,3 +332,26 @@ def test_value_and_representers_raise_the_same_error():
         with pytest.raises(InfeasiblePath) as grad_error:
             grad_cs(path, mix, eps)
         assert type(grad_error.value) is type(value_error.value)
+
+
+@pytest.mark.parametrize(
+    "x, qs",
+    [
+        ((0.0, 0.5, 1.5), (0.3, 0.6, 1.0)),
+        ((0.0, 0.7, 0.3, 1.0), (0.2, 0.4, 0.6, 1.0)),
+        ((0.0, math.nan, 1.0), (0.3, 0.6, 1.0)),
+        ((0.3, 1.0), (0.5, 1.0)),
+    ],
+    ids=["above-one", "decreasing", "nan", "x0-nonzero"],
+)
+def test_weights_must_be_an_order_parameter(x, qs):
+    # each used to be solved or evaluated: both forms converged at
+    # (0, 0.5, 1.5), NaN weights gave a NaN value and x_0 = 0.3 gave a value
+    mix = MixtureSpec.pure(2, [1.0])
+    named = repr([float(v) for v in x])
+    for kind in ("parisi", "cs"):
+        with pytest.raises(ValidationError, match=r"0 = x_0 <= \.\.\. <= x_\{r-1\} <= 1") as exc:
+            minimize_fixed(kind, mix, mat(1.0), len(x), x, 1e-5, SolveOptions())
+        assert named in str(exc.value)
+    with pytest.raises(ValidationError):
+        eval_cs(scalar_path(x, qs), mix)

@@ -388,9 +388,10 @@ def test_gap_random_family_robustness():
 
 def test_gap_parisi_side_leaves_the_warm_branch():
     # both weight searches used to settle on a warm branch at x = (0, 0.8125,
-    # 1) worth 2.968963 with a gap of 3.0e-7; a cold multiplier-form solve
-    # at the search's weights reaches 2.965429.  The gap that now shows is
-    # the multiplier-free side's, so its size is not asserted
+    # 1) worth 2.968963 with a gap of 3.0e-7.  A cold solve of either form
+    # at the search's weights reaches 2.965429; the multiplier-free answer
+    # was reported from the warm winner, 3.5e-3 above it, until the winner
+    # was re-solved cold
     rng = np.random.default_rng(22)
     n = int(rng.integers(2, 5))
     terms = ((2, rng.uniform(0.1, 0.8, n)), (4, rng.uniform(0.0, 1.5, n)))
@@ -400,6 +401,8 @@ def test_gap_parisi_side_leaves_the_warm_branch():
     rep = duality_gap(MixtureSpec(n=n, terms=terms, h=h), q, SolveOptions(r_max=r_max, x_grid=4))
     assert rep.argmin_parisi.best.converged and rep.argmin_cs.best.converged
     assert rep.min_parisi <= 2.9654293 + 1e-6
+    assert rep.min_cs <= 2.9654293 + 1e-6
+    assert rep.gap <= 1e-6
 
 
 def test_no_feasible_start_reported():
@@ -662,7 +665,7 @@ def test_search_starts_one_candidate_cold_per_form_and_r(monkeypatch):
     for r in (2, 3):
         mine = [warm for _, rr, _, warm, _ in calls if rr == r]
         assert mine[0] is None and mine.count(None) == 1, r
-        assert all((warm.kind, warm.path.r) == ("cs", r) for warm in mine[1:])
+        assert all((warm.stages[-1].kind, warm.path.r) == ("cs", r) for warm in mine[1:])
     assert len(calls) > 2  # the r = 3 sweep ran warm candidates
 
 
@@ -713,11 +716,31 @@ def test_gap_ends_every_candidate_converged(monkeypatch):
 
 
 def test_search_candidates_are_the_continuations_it_ran(monkeypatch):
+    # the last call is the warm winner's cold re-solve, the answer, not a candidate
     calls = _record_continuations(monkeypatch)
     res = search(MixtureSpec.pure(4, [2.0]), np.eye(1), SolveOptions(r_max=3))
-    ran = [(r, x, result.value_at_eps_min) for _, r, x, _, result in calls]
+    ran = [(r, x, result.value_at_eps_min) for _, r, x, _, result in calls[:-1]]
     assert res.candidates == ran
     assert len({(r, x) for r, x, _ in ran}) == len(ran)
+
+
+def test_search_re_solves_a_warm_winner_cold(monkeypatch):
+    # pure p = 4 at beta = 2 wins at r = 3, x = (0, 0.625, 1), a warm
+    # candidate: the answer is one more cold continuation at those weights
+    calls = _record_continuations(monkeypatch)
+    res = search(MixtureSpec.pure(4, [2.0]), np.eye(1), SolveOptions(r_max=3))
+    assert (res.r, res.x) == (3, (0.0, 0.625, 1.0))
+    kind, r, x, warm, result = calls[-1]
+    assert (kind, r, x, warm) == ("cs", res.r, res.x, None)
+    assert res.best is result
+    assert len(calls) == len(res.candidates) + 1
+
+    # pure p = 2 at beta = 1 wins with the cold first candidate at r = 2
+    calls.clear()
+    res = search(MixtureSpec.pure(2, [1.0]), np.eye(1), SolveOptions(r_max=3))
+    assert res.r == 2
+    assert len(calls) == len(res.candidates)
+    assert res.best is next(result for _, r, _, warm, result in calls if r == 2 and warm is None)
 
 
 def test_continuation_values_come_from_its_stages():
@@ -759,9 +782,9 @@ def test_warm_candidates_start_from_the_nearest_converged_candidate(monkeypatch)
 )
 @pytest.mark.parametrize("kind", ["parisi", "cs"])
 def test_warm_winner_carries_both_final_stages(mix, q, x1, kind):
-    # the cs winner is a warm candidate, which ran only the last stage; its
-    # penultimate stage is completed from its own minimizer.  The parisi
-    # side runs the whole schedule cold at the same weights
+    # the cs winner is a warm candidate, which ran only the last stage; the
+    # answer re-solves it cold over the whole schedule, and the parisi side
+    # runs the whole schedule cold at the same weights
     opts = SolveOptions(r_max=3)
     res = getattr(duality_gap(mix, q, opts), f"argmin_{kind}")
     assert (res.r, res.x) == (3, (0.0, x1, 1.0))
