@@ -49,24 +49,29 @@ def random_mixture(rng, n):
     return MixtureSpec(n=n, terms=tuple(terms), h=h)
 
 
-def random_feasible_path(rng, constraint, r):
-    """Monotone path with PD increments summing exactly to the constraint."""
+def random_feasible_path(rng, constraint, r, floor=0.0):
+    """Monotone path with PD increments summing exactly to the constraint.
+
+    Each increment is ``floor * I`` plus one of r random SPD draws, scaled
+    by congruence so that the draws sum to Q - r * floor * I.  So every
+    increment, and D_{r-1} = Q - Q_{r-1} (the weights end at
+    x_{r-1} = 1), has smallest eigenvalue at least ``floor``.  No such
+    path exists unless r * floor is below the constraint's smallest
+    eigenvalue; then the floor is dropped."""
     n = constraint.shape[0]
     raw = [random_spd(rng, n, scale=0.5) for _ in range(r)]
     total = matcore.symmetrize(sum(raw))
     w, v = np.linalg.eigh(total)
     inv_half = v @ np.diag(w ** -0.5) @ v.T
-    wq, vq = np.linalg.eigh(matcore.symmetrize(constraint))
+    if floor and r * floor >= matcore.spectral_floor(constraint):
+        floor = 0.0
+    wq, vq = np.linalg.eigh(matcore.symmetrize(constraint) - r * floor * np.eye(n))
     half_q = vq @ np.diag(np.sqrt(wq)) @ vq.T
-    scaled = [matcore.symmetrize(half_q @ inv_half @ g @ inv_half @ half_q) for g in raw]
-    levels = []
-    acc = np.zeros((n, n))
-    for g in scaled[:-1]:
-        acc = acc + g
-        levels.append(acc.copy())
+    incs = [matcore.symmetrize(half_q @ inv_half @ g @ inv_half @ half_q) + floor * np.eye(n)
+            for g in raw]
     cuts = np.sort(rng.uniform(0.05, 0.95, size=r - 2)) if r > 2 else np.array([])
     x = (0.0,) + tuple(cuts) + (1.0,)
-    return DiscretePath(x, tuple(levels) + (matcore.symmetrize(constraint),))
+    return DiscretePath(x, tuple(np.cumsum(incs[:-1], axis=0)) + (matcore.symmetrize(constraint),))
 
 
 def check_logdet_concavity(seed=0) -> CheckResult:
@@ -151,26 +156,6 @@ def check_mixture_gap_pd(seed=5) -> CheckResult:
     return CheckResult("mixture-derivative-gap-pd", worst > 0.0, 200, worst)
 
 
-def well_conditioned_path(rng, constraint, r, floor=0.1):
-    """Feasible path whose increments, and so D_{r-1} = Q - Q_{r-1} (the
-    weights end at x_{r-1} = 1), have smallest eigenvalue at least
-    ``floor``, so finite differences at step 1e-5 resolve the gradient.
-    Returns the first of up to 64 draws that clears the floor; when none
-    does, returns the last draw, which does not.
-
-    The r increments sum to the constraint, so by Weyl's inequality no draw
-    can clear the floor when r * floor exceeds the constraint's smallest
-    eigenvalue; then the first draw is returned.  The draws are i.i.d., so
-    the returned path has the same distribution either way."""
-    futile = r * floor > matcore.spectral_floor(constraint)
-    for _ in range(1 if futile else 64):
-        path = random_feasible_path(rng, constraint, r)
-        floors = [matcore.spectral_floor(path.increment(k)) for k in range(r)]
-        if min(floors) >= floor:
-            return path
-    return path
-
-
 def check_gradient_oracle(kind="parisi", seed=6) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -180,7 +165,8 @@ def check_gradient_oracle(kind="parisi", seed=6) -> CheckResult:
         r = int(rng.integers(2, 4))
         mix = random_mixture(rng, n)
         q = random_correlation(rng, n)
-        path = well_conditioned_path(rng, q, r, floor=0.2)
+        # increments well away from singular: each finite-difference probe stays monotone
+        path = random_feasible_path(rng, q, r, floor=0.2)
         eps = float(rng.choice([0.0, 1e-2]))
         direction = matcore.symmetrize(rng.uniform(-1, 1, size=(n, n)))
         if kind == "parisi":

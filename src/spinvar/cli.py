@@ -291,7 +291,8 @@ def run(command: str, spec: ProblemSpec, flags=None) -> ResultRecord:
     elif command == "verify":
         results = battery_mod.run_battery()
         outputs["checks"] = [
-            {"name": c.name, "passed": bool(c.passed), "count": int(c.checks), "worst": float(c.worst)}
+            {"name": c.name, "passed": bool(c.passed), "count": int(c.checks), "worst": float(c.worst),
+             "detail": c.detail}
             for c in results
         ]
         outputs["all_passed"] = all(c.passed for c in results)
@@ -461,7 +462,8 @@ def main(argv=None) -> int:
         if command == "verify":
             for item in record.outputs["checks"]:
                 status = "PASS" if item["passed"] else "FAIL"
-                print(f"{status}  {item['name']:34s} checks={item['count']:<5d} worst={item['worst']:+.3e}")
+                print(f"{status}  {item['name']:34s} checks={item['count']:<5d} "
+                      f"worst={item['worst']:+.3e} {item['detail']}".rstrip())
             if not record.outputs["all_passed"]:
                 exit_code = max(exit_code, 4)
         if record.outputs.get("converged") is False:

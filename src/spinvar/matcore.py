@@ -97,9 +97,12 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor; raises NotPositiveDefinite on failure."""
     a = _require_square(a)
     try:
-        return np.linalg.cholesky(a)
+        factor = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
+    if not np.isfinite(factor).all():
+        raise NotPositiveDefinite("the Cholesky factor has non-finite entries")
+    return factor
 
 
 def chol_logdet(a: np.ndarray) -> float:
@@ -117,9 +120,10 @@ def sym_inverse(a: np.ndarray) -> np.ndarray:
 
 def stack_logdets(stack: np.ndarray):
     """Log-dets of a stack (..., n, n) of symmetric matrices and the mask of
-    the matrices that factor, from one Cholesky call; a matrix that does
-    not factor gets log-det 0.  Only when the stacked call fails is each
-    matrix factored on its own, to find the ones that do not."""
+    the matrices that factor to a finite log-det, from one Cholesky call;
+    a matrix that does not gets log-det 0.  Only when the stacked call
+    fails is each matrix factored on its own, to find the ones that do not
+    factor."""
     ok = np.ones(stack.shape[:-2], dtype=bool)
     try:
         factors = np.linalg.cholesky(stack)
@@ -131,7 +135,11 @@ def stack_logdets(stack: np.ndarray):
             except np.linalg.LinAlgError:
                 factors[idx] = np.eye(stack.shape[-1])
                 ok[idx] = False
-    return 2.0 * np.log(factors.diagonal(0, -2, -1)).sum(axis=-1), ok
+    logdet = 2.0 * np.log(factors.diagonal(0, -2, -1)).sum(axis=-1)
+    if not np.isfinite(logdet).all():  # numpy factors a NaN or inf matrix without an error
+        ok &= np.isfinite(logdet)
+        logdet = np.where(ok, logdet, 0.0)
+    return logdet, ok
 
 
 def stack_inverses(stack: np.ndarray) -> np.ndarray:

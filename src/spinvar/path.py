@@ -52,11 +52,14 @@ class DiscretePath:
 
     def __post_init__(self):
         x = tuple(real(v) for v in self.x)
-        if None in x:
-            raise ValidationError(f"weights must be real numbers, got {self.x!r}")
+        if None in x or not np.isfinite(x).all():
+            raise ValidationError(f"weights must be finite real numbers, got {self.x!r}")
         if len(x) < 1:
             raise ValidationError("a path needs at least one weight (r >= 1)")
-        qs = tuple(frozen(symmetrize(np.asarray(q, dtype=float))) for q in self.qs)
+        qs = [np.asarray(q, dtype=float) for q in self.qs]
+        if not all(np.isfinite(q).all() for q in qs):
+            raise ValidationError("levels must have finite entries")
+        qs = tuple(frozen(symmetrize(q)) for q in qs)
         if len(qs) != len(x):
             raise ValidationError(
                 f"need as many levels Q_1..Q_r as weights x_0..x_{{r-1}}: "
@@ -119,8 +122,6 @@ def validate(path: DiscretePath) -> list[str]:
             problems.append(f"weights must be nondecreasing: x_{k} = {x[k]} < x_{k-1} = {x[k-1]}")
     if x[-1] > 1.0:
         problems.append(f"x_{{r-1}} must be <= 1, got {x[-1]}")
-    if not all(np.isfinite(v) for v in x):
-        problems.append("weights must be finite")
     for k in range(path.r):
         inc = path.increment(k)
         floor = spectral_floor(inc)
@@ -128,9 +129,6 @@ def validate(path: DiscretePath) -> list[str]:
             problems.append(
                 f"increment Q_{k + 1} - Q_{k} is not PSD: lam_min = {floor:.6e}"
             )
-    for k, q in enumerate(path.qs, start=1):
-        if not np.all(np.isfinite(q)):
-            problems.append(f"level Q_{k} has non-finite entries")
     return problems
 
 
@@ -183,10 +181,13 @@ def _tail_chain(x, lam, w):
 
 def _as_multiplier(lam, n: int) -> np.ndarray:
     """A multiplier as a symmetric float (n, n) matrix; DimensionMismatch
-    for any other shape, checked before it is symmetrized."""
+    for any other shape and ValidationError for a non-finite entry, both
+    checked before it is symmetrized."""
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (n, n):
         raise DimensionMismatch("multiplier dimension does not match the path")
+    if not np.isfinite(lam).all():
+        raise ValidationError("multiplier entries must be finite")
     return symmetrize(lam)
 
 

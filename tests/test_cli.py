@@ -266,6 +266,28 @@ def test_main_verify_passes_every_battery_check(capsys):
     assert not any(line.startswith("FAIL") for line in lines)
 
 
+def test_main_verify_reports_each_checks_detail(monkeypatch, capsys, tmp_path):
+    # the detail says what a check's worst measures; neither the PASS/FAIL
+    # lines nor the JSON entries carried it
+    from spinvar import battery
+
+    monkeypatch.setattr(battery, "ALL_CHECKS", (battery.check_temperature_continuity,
+                                                battery.check_lipschitz_bound,
+                                                battery.check_amgm_determinant))
+    out = tmp_path / "out"
+    assert main(["verify", "--spec", str(PROBLEMS / "pure2_scalar.json"), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    details = {c["name"]: c["detail"] for c in json.loads(lines[0])["checks"]}
+    assert details["temperature-continuity"] == "(band 2*delta = 0.420)"
+    assert details["lipschitz-modulus"].startswith("(empirical ")
+    assert details["amgm-determinant"] == ""
+    assert lines[1].startswith("PASS") and lines[1].endswith("(band 2*delta = 0.420)")
+    assert lines[2].endswith(details["lipschitz-modulus"])
+    assert lines[3].startswith("PASS") and not lines[3].endswith(" ")
+    record = json.loads((out / "verify.jsonl").read_text().splitlines()[1])
+    assert [c["detail"] for c in record["outputs"]["checks"]] == list(details.values())
+
+
 def test_emit_deterministic(tmp_path):
     spec = build_spec(minimal_spec(solve={"eps_schedule": [1e-1, 1e-3]}))
     rec = run("gap", spec)

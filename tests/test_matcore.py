@@ -102,6 +102,18 @@ def test_chol_logdet_examples():
         chol_logdet(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
+def test_non_finite_matrices_do_not_factor():
+    # numpy's Cholesky returns a nan or inf factor for these without raising
+    for bad in (np.array([[np.nan]]), np.array([[np.inf]]), np.array([[1.0, np.nan], [np.nan, 1.0]])):
+        with pytest.raises(NotPositiveDefinite):
+            cholesky(bad)
+        with pytest.raises(NotPositiveDefinite):
+            chol_logdet(bad)
+    logdet, ok = stack_logdets(np.array([[[np.nan]], [[2.0]], [[np.inf]]]))
+    assert ok.tolist() == [False, True, False]
+    assert logdet.tolist() == [0.0, pytest.approx(np.log(2.0)), 0.0]
+
+
 def test_sym_inverse_examples():
     np.testing.assert_allclose(sym_inverse(np.eye(2)), np.eye(2))
     np.testing.assert_allclose(sym_inverse(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]))

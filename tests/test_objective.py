@@ -16,7 +16,6 @@ from spinvar.battery import (
     random_correlation,
     random_feasible_path,
     random_spd,
-    well_conditioned_path,
 )
 from spinvar.errors import DomainError, SpinvarError
 from spinvar.functionals import Weights, eval_perturbed, eval_stack
@@ -246,7 +245,7 @@ def test_hessian_matches_fd(kind, n, r):
     rng, mix, q, _, _ = instance(kind, n, r, seed=4000 * n + r)
     x = tuple(k / (r - 1) for k in range(r))
     start_lam, start_levels = default_start(kind, mix, q, r, x)
-    path = well_conditioned_path(rng, q, r)
+    path = random_feasible_path(rng, q, r, floor=0.1)
     lam = sym_inverse(q) + mix.xi_prime(q) + random_spd(rng, n, 0.5) if kind == "parisi" else None
     starts = [(start_lam, p) for p in with_zero_weights(DiscretePath(x, tuple(start_levels) + (q,)))]
     starts += [(lam, p) for p in with_zero_weights(path)]

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spinvar.battery import random_correlation, random_mixture
+from spinvar.battery import random_correlation, random_feasible_path, random_mixture
 from spinvar.errors import ValidationError
 from spinvar.functionals import Weights, eval_stack
 from spinvar.matcore import MixtureSpec
@@ -309,6 +309,12 @@ def test_gap_scalar_instances():
         assert rep.min_cs == pytest.approx(cs_rs_value(beta), abs=1e-4)
 
 
+def test_gap_rejects_a_non_finite_constraint():
+    # returned nan minima, flagged unconverged, without an error
+    with pytest.raises(ValidationError, match="finite"):
+        duality_gap(MixtureSpec.pure(2, [1.0]), np.array([[np.nan]]), SolveOptions())
+
+
 @pytest.mark.parametrize(
     "terms, value_tol",
     [
@@ -566,19 +572,6 @@ FAMILY_N2_P4_Q = np.array([[0.9999999999999999, 0.38238669318822893],
                            [0.38238669318822893, 1.0000000000000004]])
 
 
-def _ordered_levels(rng, q, r):
-    """Q_1 < ... < Q_{r-1} < Q_r = q with positive definite increments
-    q^1/2 W_k q^1/2, where the W_k are positive definite and sum to I."""
-    n = q.shape[0]
-    draws = [random_correlation(rng, n) * rng.uniform(0.2, 1.0) for _ in range(r)]
-    vals, vecs = np.linalg.eigh(sum(draws))
-    s_inv = vecs @ np.diag(vals ** -0.5) @ vecs.T
-    vals, vecs = np.linalg.eigh(q)
-    root = vecs @ np.diag(vals ** 0.5) @ vecs.T
-    incs = [root @ s_inv @ a @ s_inv @ root for a in draws]
-    return [0.5 * (m + m.T) for m in np.cumsum(incs, axis=0)[:-1]]
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_warm_start_is_feasible_at_every_neighbour(seed):
     # a warm stage starts at its source's final levels; they stay feasible
@@ -587,7 +580,7 @@ def test_warm_start_is_feasible_at_every_neighbour(seed):
     n, r = int(rng.integers(1, 5)), int(rng.integers(3, 5))
     mix = random_mixture(rng, n)
     q = random_correlation(rng, n)
-    levels = _ordered_levels(rng, q, r)
+    levels = random_feasible_path(rng, q, r).free_levels()
     y = (0.0,) + tuple(np.sort(rng.choice(np.arange(2, 31), r - 2, replace=False)) / 32) + (1.0,)
     moves = []
     for k in range(1, r - 1):

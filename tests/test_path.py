@@ -10,7 +10,7 @@ from spinvar.errors import (
     ValidationError,
 )
 from spinvar.functionals import eval_cs, eval_parisi
-from spinvar.matcore import MixtureSpec, symmetrize
+from spinvar.matcore import MixtureSpec, spectral_floor, symmetrize
 from spinvar.path import (
     DiscretePath,
     d_sequence,
@@ -161,6 +161,56 @@ def test_path_weights_must_be_real():
         with pytest.raises(ValidationError, match="weights"):
             DiscretePath(x, levels)
     assert DiscretePath((np.float64(0.0), np.int64(1)), levels).x == (0.0, 1.0)
+
+
+def test_non_finite_paths_and_multipliers_raise():
+    # each constructed, and the functionals on it returned nan, or an inf
+    # chain for an inf multiplier
+    nan, inf = float("nan"), float("inf")
+    mix = MixtureSpec.pure(2, [1.0])
+    with pytest.raises(ValidationError, match="levels must have finite entries"):
+        DiscretePath((0.0, 1.0), (np.array([[nan]]), np.eye(1)))
+    for x in ((0.0, nan, 1.0), (0.0, 0.5, inf)):
+        with pytest.raises(ValidationError, match="weights must be finite"):
+            scalar_path(x, (0.3, 0.6, 1.0))
+    with pytest.raises(ValidationError, match="levels must have finite entries"):
+        equally_spaced(np.array([[nan]]), 2, (0.0, 1.0))  # the solver's default start
+    path = scalar_path((0.0, 1.0), (0.5, 1.0))
+    for lam in (nan, inf):
+        for call in (lambda_sequence, eval_parisi):
+            with pytest.raises(ValidationError, match="multiplier entries must be finite"):
+                call(np.array([[lam]]), path, mix)
+
+
+def test_random_feasible_path_meets_its_floor():
+    rng = np.random.default_rng(31)
+    floored = 0
+    while floored < 200:
+        n, r = int(rng.integers(1, 5)), int(rng.integers(2, 6))
+        floor = float(rng.choice([0.0, 0.05, 0.1, 0.2]))
+        q = random_correlation(rng, n)
+        path = random_feasible_path(rng, q, r, floor=floor)
+        assert np.array_equal(path.constraint, q)
+        lowest = min(spectral_floor(path.increment(k)) for k in range(r))
+        if floor and r * floor < spectral_floor(q):
+            assert lowest >= floor - 1e-12
+            floored += 1
+        else:  # no floor, or none is possible: the draw is feasible all the same
+            assert lowest > 0.0
+            d_sequence(path)
+
+
+def test_random_feasible_path_without_a_floor_is_pinned():
+    # the levels once summed one increment at a time; the draw without a
+    # floor keeps that arithmetic bit for bit
+    rng = np.random.default_rng(32)
+    path = random_feasible_path(rng, random_correlation(rng, 2), 4)
+    assert [v.hex() for v in path.x[1:3]] == ["0x1.90078878f0594p-1", "0x1.d4cae6b7dce74p-1"]
+    assert [float(v).hex() for v in np.array(path.free_levels())[:, [0, 0, 1], [0, 1, 1]].ravel()] == [
+        "0x1.e98f05b80562ap-2", "-0x1.e6617a512dcc0p-5", "0x1.4e90ca04bb3b4p-3",
+        "0x1.74081931ddc22p-1", "-0x1.bd8e1d78c083ep-3", "0x1.84e5a4d3f326cp-2",
+        "0x1.9f65154275f1dp-1", "-0x1.6ad9e30068f78p-2", "0x1.aff6ca21d506ep-1",
+    ]
 
 
 def test_multiplier_chain_is_psd_ordered():

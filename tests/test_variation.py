@@ -7,8 +7,8 @@ from spinvar import functionals, variation
 from spinvar.battery import (
     check_gradient_oracle,
     random_correlation,
+    random_feasible_path,
     random_mixture,
-    well_conditioned_path,
 )
 from spinvar.errors import InfeasibleStep, ValidationError
 from spinvar.functionals import (
@@ -33,6 +33,10 @@ from spinvar.variation import (
 
 def mat(q):
     return np.array([[float(q)]])
+
+
+def _from_hex(rows):
+    return np.array([[float.fromhex(v) for v in row] for row in rows])
 
 
 def test_fd_directional_examples():
@@ -95,7 +99,7 @@ def test_gradients_match_finite_differences(kind):
         r = int(rng.integers(2, 4))
         mix = random_mixture(rng, n)
         q = random_correlation(rng, n)
-        path = well_conditioned_path(rng, q, r)
+        path = random_feasible_path(rng, q, r, floor=0.1)
         eps = float(rng.choice([0.0, 1e-2]))
         direction = symmetrize(rng.uniform(-1, 1, (n, n)))
         lam = sym_inverse(q) + mix.xi_prime(q) + 1.5 * np.eye(n)
@@ -136,7 +140,7 @@ def test_critical_residual_positive_off_critical():
     rng = np.random.default_rng(22)
     mix = random_mixture(rng, 2)
     q = random_correlation(rng, 2)
-    path = well_conditioned_path(rng, q, 2)
+    path = random_feasible_path(rng, q, 2, floor=0.1)
     lam = sym_inverse(q) + mix.xi_prime(q) + np.eye(2)
     report = critical_residual("lower", path, mix, 1e-2, lam=lam)
     assert report.max_residual > 1e-3
@@ -147,12 +151,22 @@ def test_critical_residual_positive_off_critical():
 
 def test_certificate_values_off_critical():
     # pinned to the per-matrix evaluation of the two approximate forms that
-    # the stacked kernel replaced; seed 181 draws a field and a p = 4 term
-    # and keeps the lower tilde path feasible at eps = 1e-2
+    # the stacked kernel replaced; seed 181 draws a field and a p = 4 term,
+    # and the path (written out bit for bit) keeps the lower tilde path
+    # feasible at eps = 1e-2
     rng = np.random.default_rng(181)
     mix = random_mixture(rng, 2)
     q = random_correlation(rng, 2)
-    path = well_conditioned_path(rng, q, 3)
+    path = DiscretePath(
+        (0.0, float.fromhex("0x1.0d513831353aep-1"), 1.0),
+        (
+            _from_hex([["0x1.1588d2fec8980p-2", "0x1.c8708bb776b2ep-7"],
+                       ["0x1.c8708bb776b2ep-7", "0x1.231591c51aed4p-1"]]),
+            _from_hex([["0x1.501c6a9c497fep-1", "-0x1.a940b311d1e81p-4"],
+                       ["-0x1.a940b311d1e81p-4", "0x1.b37081d34c008p-1"]]),
+            q,
+        ),
+    )
     lam = sym_inverse(q) + mix.xi_prime(q) + np.eye(2)
     eps = 1e-2
     assert path.x[1] == pytest.approx(0.5260102806156419, rel=1e-15)
@@ -202,7 +216,7 @@ def test_tilde_transform_identity_at_eps0():
     rng = np.random.default_rng(24)
     mix = random_mixture(rng, 2)
     q = random_correlation(rng, 2)
-    path = well_conditioned_path(rng, q, 3)
+    path = random_feasible_path(rng, q, 3, floor=0.1)
     shifted = tilde_transform("lower", path, mix, 0.0)
     assert shifted.feasible
     for k in range(1, path.r):
@@ -314,7 +328,7 @@ def test_bound_check_collapses_at_eps0():
     rng = np.random.default_rng(26)
     mix = random_mixture(rng, 2)
     q = random_correlation(rng, 2)
-    path = well_conditioned_path(rng, q, 2)
+    path = random_feasible_path(rng, q, 2, floor=0.1)
     chk = bound_check("lower", path, mix, 0.0)
     assert chk.lhs == pytest.approx(chk.rhs, rel=1e-12)
 
