@@ -1,8 +1,11 @@
 """Named identity / inequality checks runnable as one battery.
 
 Each check returns a :class:`CheckResult` with a worst-case margin, so the
-``verify`` command can print one pass/fail line per named property.  The
-random instances are seeded and deterministic.
+``verify`` command can print one pass/fail line per named property.  Every
+check but lipschitz-modulus (one probe against its bound) yields one margin
+per checked instance to :func:`_judge`, which keeps the worst and decides,
+so a NaN margin fails its check.  The random instances are seeded and
+deterministic.
 """
 
 from __future__ import annotations
@@ -74,10 +77,33 @@ def random_feasible_path(rng, constraint, r, floor=0.0):
     return DiscretePath(x, tuple(np.cumsum(incs[:-1], axis=0)) + (matcore.symmetrize(constraint),))
 
 
-def check_logdet_concavity(seed=0) -> CheckResult:
+def _judge(name, margins, passes, worst=np.min, detail="") -> CheckResult:
+    """The one verdict of a check.  ``margins`` holds one entry per checked
+    instance, a number or a sequence of numbers; ``worst`` (``np.min`` or
+    ``np.max``) reduces every number of every instance, so a NaN anywhere
+    makes the worst margin NaN, and a NaN worst fails the check whatever
+    ``passes`` says of it.  With no instance the worst margin is +inf."""
+    margins = [np.ravel(m) for m in margins]
+    value = float(worst(np.concatenate(margins))) if margins else np.inf
+    return CheckResult(name, bool(passes(value)) and not np.isnan(value), len(margins), value,
+                       detail)
+
+
+def _draws(seed, count, margin):
+    """``count`` margins of seeded draws: ``margin(rng)`` draws one instance
+    from the check's one generator and returns its margin, or None to reject
+    the draw, which is then drawn again."""
     rng = np.random.default_rng(seed)
-    worst = np.inf
-    for _ in range(200):
+    done = 0
+    while done < count:
+        value = margin(rng)
+        if value is not None:
+            done += 1
+            yield value
+
+
+def check_logdet_concavity(seed=0) -> CheckResult:
+    def margin(rng):
         n = int(rng.integers(1, 5))
         a = random_spd(rng, n)
         b = random_spd(rng, n)
@@ -85,82 +111,73 @@ def check_logdet_concavity(seed=0) -> CheckResult:
         # the tangent at a: d/dt log|a + t c| = tr(a^-1 c)
         lhs = matcore.chol_logdet(a) + matcore.frobenius(matcore.sym_inverse(a), c)
         rhs = matcore.chol_logdet(a + c)
-        worst = min(worst, lhs - rhs)
-    return CheckResult("logdet-concavity", worst >= -1e-10, 200, worst)
+        return lhs - rhs
+
+    return _judge("logdet-concavity", _draws(seed, 200, margin), lambda w: w >= -1e-10)
 
 
 def check_mixture_convexity(seed=1) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    for _ in range(200):
+    def margin(rng):
         n = int(rng.integers(1, 5))
         mix = random_mixture(rng, n)
         a = matcore.symmetrize(rng.uniform(-1, 1, size=(n, n)))
         c = matcore.symmetrize(rng.uniform(-1, 1, size=(n, n)))
         lhs = float(np.sum(mix.xi(a + c)))
         rhs = float(np.sum(mix.xi(a))) + matcore.frobenius(mix.xi_prime(a), c)
-        worst = min(worst, lhs - rhs)
-    return CheckResult("mixture-sum-convexity", worst >= -1e-10, 200, worst)
+        return lhs - rhs
+
+    return _judge("mixture-sum-convexity", _draws(seed, 200, margin), lambda w: w >= -1e-10)
 
 
 def check_amgm_determinant(seed=2) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    for _ in range(200):
+    def margin(rng):
         n = int(rng.integers(1, 6))
         a = random_spd(rng, n)
         bound = n * np.log(np.trace(a) / n)
-        worst = min(worst, bound - matcore.chol_logdet(a))
-    return CheckResult("amgm-determinant", worst >= -1e-10, 200, worst)
+        return bound - matcore.chol_logdet(a)
+
+    return _judge("amgm-determinant", _draws(seed, 200, margin), lambda w: w >= -1e-10)
 
 
 def check_trace_positivity(seed=3) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    for _ in range(200):
+    def margin(rng):
         n = int(rng.integers(1, 6))
         a = random_spd(rng, n, scale=0.0)
         c = random_spd(rng, n, scale=0.0)
-        worst = min(worst, matcore.frobenius(a, c))
-    return CheckResult("psd-trace-positivity", worst >= -1e-10, 200, worst)
+        return matcore.frobenius(a, c)
+
+    return _judge("psd-trace-positivity", _draws(seed, 200, margin), lambda w: w >= -1e-10)
 
 
 def check_perturbation_radius(seed=4) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    for _ in range(200):
+    def margin(rng):
         n = int(rng.integers(1, 6))
         a = random_spd(rng, n)
         c = matcore.symmetrize(rng.normal(size=(n, n)))
         # by the Rayleigh quotient, a + eps c stays PD for eps < lam_min(a) / |c|_2
         scale = float(np.linalg.norm(c, 2))
         if scale == 0.0:
-            continue
+            return np.inf  # no direction to perturb along: nothing to bound
         radius = matcore.spectral_floor(a) / scale
-        floor = matcore.spectral_floor(a + 0.99 * radius * c)
-        worst = min(worst, floor)
-    return CheckResult("perturbation-radius", worst > 0.0, 200, worst)
+        return matcore.spectral_floor(a + 0.99 * radius * c)
+
+    return _judge("perturbation-radius", _draws(seed, 200, margin), lambda w: w > 0.0)
 
 
 def check_mixture_gap_pd(seed=5) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    for _ in range(200):
+    def margin(rng):
         n = int(rng.integers(1, 4))
         mix = random_mixture(rng, n)
         q = random_correlation(rng, n)
         path = random_feasible_path(rng, q, r=2)
         lo, hi = path.level(1), path.level(2)  # PD pair with a PD gap by construction
-        gap = mix.xi_prime(hi) - mix.xi_prime(lo)
-        worst = min(worst, matcore.spectral_floor(gap))
-    return CheckResult("mixture-derivative-gap-pd", worst > 0.0, 200, worst)
+        return matcore.spectral_floor(mix.xi_prime(hi) - mix.xi_prime(lo))
+
+    return _judge("mixture-derivative-gap-pd", _draws(seed, 200, margin), lambda w: w > 0.0)
 
 
 def check_gradient_oracle(kind="parisi", seed=6) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    done = 0
-    while done < 50:
+    def margin(rng):
         n = int(rng.integers(1, 4))
         r = int(rng.integers(2, 4))
         mix = random_mixture(rng, n)
@@ -196,15 +213,14 @@ def check_gradient_oracle(kind="parisi", seed=6) -> CheckResult:
                 )
 
         if abs(analytic) < 1e-2:
-            continue  # keep the oracle well-conditioned
+            return None  # keep the oracle well-conditioned
         try:
             fd = variation.fd_directional_backtracked(f, 1e-5)
         except InfeasibleStep:
-            continue
-        rel = abs(analytic - fd) / max(abs(analytic), abs(fd))
-        worst = max(worst, rel)
-        done += 1
-    return CheckResult(f"gradient-oracle-{kind}", worst <= 1e-6, done, worst)
+            return None
+        return abs(analytic - fd) / max(abs(analytic), abs(fd))
+
+    return _judge(f"gradient-oracle-{kind}", _draws(seed, 50, margin), lambda w: w <= 1e-6, np.max)
 
 
 def _critical_points(seed):
@@ -221,31 +237,24 @@ def _critical_points(seed):
 
 
 def check_critical_points(seed=7) -> CheckResult:
-    worst = 0.0
-    checks = 0
-    for mix, side, res in _critical_points(seed):
+    def ratios(mix, side, res):
         report = variation.critical_residual(side, res.path, mix, res.eps, lam=res.lam)
         scale = 1e-5 * (1.0 + abs(report.value_perturbed))
-        worst = max(worst, report.max_residual / 1e-6, report.identity_gap / scale)
-        checks += 1
-    return CheckResult("critical-point-identities", worst <= 1.0, checks, worst,
-                       detail="(worst is max residual/1e-6 and gap/band ratio)")
+        return report.max_residual / 1e-6, report.identity_gap / scale
+
+    return _judge("critical-point-identities", (ratios(*c) for c in _critical_points(seed)),
+                  lambda w: w <= 1.0, np.max,
+                  detail="(worst is max residual/1e-6 and gap/band ratio)")
 
 
 def check_tilde_bounds(seed=8) -> CheckResult:
-    worst = np.inf
-    checks = 0
-    for mix, side, res in _critical_points(seed):
-        chk = variation.bound_check(side, res.path, mix, res.eps, lam=res.lam)
-        worst = min(worst, chk.slack)
-        checks += 1
-    return CheckResult("tilde-bounds", worst >= -1e-9, checks, worst)
+    slacks = (variation.bound_check(side, res.path, mix, res.eps, lam=res.lam).slack
+              for mix, side, res in _critical_points(seed))
+    return _judge("tilde-bounds", slacks, lambda w: w >= -1e-9)
 
 
 def check_roundtrip(seed=9) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(100):
+    def deviations(rng):
         n = int(rng.integers(1, 4))
         r = int(rng.integers(2, 5))
         mix = random_mixture(rng, n)
@@ -254,46 +263,43 @@ def check_roundtrip(seed=9) -> CheckResult:
         discrete = functionals.eval_cs(path, mix)
         cdf, phi = continuous.from_discrete(path)
         cont = continuous.eval_cs_continuous(cdf, phi, mix)
-        worst = max(worst, abs(discrete - cont))
         t_hat = float(rng.uniform(cdf.t_x, 0.5 * (cdf.t_x + n)))
         shifted = continuous.eval_cs_continuous(cdf, phi, mix, top=t_hat)
-        worst = max(worst, abs(shifted - cont))
-    return CheckResult("discrete-continuous-roundtrip", worst <= 1e-10, 100, worst)
+        return abs(discrete - cont), abs(shifted - cont)
+
+    return _judge("discrete-continuous-roundtrip", _draws(seed, 100, deviations),
+                  lambda w: w <= 1e-10, np.max)
 
 
 def check_hatphi_dominated(seed=10) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    for _ in range(100):
+    def floors(rng):
         n = int(rng.integers(1, 4))
         q = random_correlation(rng, n)
         path = random_feasible_path(rng, q, int(rng.integers(2, 5)))
         cdf, phi = continuous.from_discrete(path)
         ts = np.linspace(0.0, float(n) * 0.999, 7)
         gaps = (q - phi.value(ts)) - continuous.hat_phi(cdf, phi, ts)
-        worst = min(worst, *map(matcore.spectral_floor, gaps))
-    return CheckResult("tail-dominated-by-gap", worst >= -1e-10, 100, worst)
+        return tuple(map(matcore.spectral_floor, gaps))
+
+    return _judge("tail-dominated-by-gap", _draws(seed, 100, floors), lambda w: w >= -1e-10)
 
 
 def check_temperature_continuity(seed=11) -> CheckResult:
-    rng = np.random.default_rng(seed)
     mix1 = MixtureSpec.pure(2, [1.0])
     mix2 = MixtureSpec.pure(2, [1.1])
     delta = mix1.l1_delta(mix2)
     q = np.array([[1.0]])
-    worst = 0.0
-    for _ in range(50):
+
+    def diff(rng):
         path = random_feasible_path(rng, q, int(rng.integers(2, 5)))
-        diff = abs(functionals.eval_cs(path, mix1) - functionals.eval_cs(path, mix2))
-        worst = max(worst, diff)
-    return CheckResult("temperature-continuity", worst <= 2 * delta, 50, worst,
-                       detail=f"(band 2*delta = {2 * delta:.3f})")
+        return abs(functionals.eval_cs(path, mix1) - functionals.eval_cs(path, mix2))
+
+    return _judge("temperature-continuity", _draws(seed, 50, diff), lambda w: w <= 2 * delta,
+                  np.max, detail=f"(band 2*delta = {2 * delta:.3f})")
 
 
 def check_level_merge(seed=12) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(50):
+    def deviations(rng):
         n = int(rng.integers(1, 4))
         mix = random_mixture(rng, n)
         q = random_correlation(rng, n)
@@ -303,20 +309,19 @@ def check_level_merge(seed=12) -> CheckResult:
         dup_x = path.x[:k] + (path.x[k],) + path.x[k:]
         dup_q = path.qs[: k - 1] + (path.qs[k - 1],) + path.qs[k - 1 :]
         dup = DiscretePath(dup_x, dup_q)
-        worst = max(
-            worst,
+        merged = merge_duplicates(dup)
+        return (
             abs(functionals.eval_parisi(lam, dup, mix) - functionals.eval_parisi(lam, path, mix)),
             abs(functionals.eval_cs(dup, mix) - functionals.eval_cs(path, mix)),
+            abs(functionals.eval_cs(merged, mix) - functionals.eval_cs(path, mix)),
         )
-        merged = merge_duplicates(dup)
-        worst = max(worst, abs(functionals.eval_cs(merged, mix) - functionals.eval_cs(path, mix)))
-    return CheckResult("level-merge-invariance", worst <= 1e-12, 50, worst)
+
+    return _judge("level-merge-invariance", _draws(seed, 50, deviations), lambda w: w <= 1e-12,
+                  np.max)
 
 
 def check_support_condition(seed=16) -> CheckResult:
     opts = optimize.SolveOptions()
-    worst = np.inf
-    atoms = 0
     rng = np.random.default_rng(seed)
     cases = [
         (MixtureSpec.pure(2, [0.3]), np.array([[1.0]])),
@@ -324,14 +329,14 @@ def check_support_condition(seed=16) -> CheckResult:
         (MixtureSpec(n=2, terms=((2, np.array([0.5, 0.4])),), h=np.zeros(2)),
          random_correlation(rng, 2)),
     ]
-    for mix, q in cases:
-        res = optimize.search(mix, q, opts)
-        cdf, phi = continuous.from_discrete(res.best.path)
-        rep = continuous.support_check(cdf, phi, mix)
-        for atom in rep.atoms:
-            worst = min(worst, atom.condition)
-            atoms += 1
-    return CheckResult("support-condition", worst >= 0.0, atoms, worst)
+
+    def conditions(mix, q):
+        cdf, phi = continuous.from_discrete(optimize.search(mix, q, opts).best.path)
+        return [atom.condition for atom in continuous.support_check(cdf, phi, mix).atoms]
+
+    # one instance per atom of the searched answers
+    return _judge("support-condition", (c for case in cases for c in conditions(*case)),
+                  lambda w: w >= 0.0)
 
 
 def check_lipschitz_bound(seed=17) -> CheckResult:
@@ -349,9 +354,8 @@ def check_lipschitz_bound(seed=17) -> CheckResult:
 
 def check_compactness_box(seed=13) -> CheckResult:
     opts = optimize.SolveOptions()
-    worst = np.inf
-    checks = 0
-    for beta in (0.3, 1.0):
+
+    def slacks(beta):
         mix = MixtureSpec.pure(2, [beta])
         q = np.array([[1.0]])
         box = continuous.feasible_box(mix, q)
@@ -359,9 +363,9 @@ def check_compactness_box(seed=13) -> CheckResult:
         top = res.best.path.level(res.best.path.r - 1)
         t_top = float(np.trace(top))
         inv_gap = matcore.sym_inverse(q - top)
-        worst = min(worst, box.T - t_top, box.L - float(np.max(np.abs(inv_gap))))
-        checks += 1
-    return CheckResult("compactness-box", worst >= 0.0, checks, worst)
+        return box.T - t_top, box.L - float(np.max(np.abs(inv_gap)))
+
+    return _judge("compactness-box", map(slacks, (0.3, 1.0)), lambda w: w >= 0.0)
 
 
 def check_diagonal_separability(seed=14) -> CheckResult:
@@ -374,13 +378,16 @@ def check_diagonal_separability(seed=14) -> CheckResult:
     full - sum on the second."""
     q = np.eye(2)
     opts = optimize.SolveOptions()
-    worst = -np.inf
-    for h, equal in (((0.2, 0.0), True), ((0.2, 0.1), False)):
+
+    def excess(h, equal):
         mix = MixtureSpec(n=2, terms=((2, np.array([0.3, 0.5])),), h=np.array(h))
         full = optimize.search(mix, q, opts).value
         parts = sum(optimize.search(mix.species(j), np.eye(1), opts).value for j in range(2))
-        worst = max(worst, abs(full - parts) if equal else full - parts)
-    return CheckResult("diagonal-separability", worst <= 1e-6, 2, worst)
+        return abs(full - parts) if equal else full - parts
+
+    return _judge("diagonal-separability",
+                  (excess(h, equal) for h, equal in (((0.2, 0.0), True), ((0.2, 0.1), False))),
+                  lambda w: w <= 1e-6, np.max)
 
 
 def check_continuation_monotone(seed=15) -> CheckResult:
@@ -388,13 +395,13 @@ def check_continuation_monotone(seed=15) -> CheckResult:
     q = np.array([[1.0]])
     # a six-stage schedule: the default two stages make a single pair
     opts = optimize.SolveOptions(eps_schedule=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6))
-    worst = np.inf
-    for kind in ("parisi", "cs"):
+
+    def drops(kind):
         cont = optimize.continuation(kind, mix, q, 2, (0.0, 1.0), opts)
         bases = [s.value_base for s in cont.stages]
-        for a, b in zip(bases, bases[1:]):
-            worst = min(worst, a - b)
-    return CheckResult("continuation-monotonicity", worst >= -1e-9, 2, worst)
+        return [a - b for a, b in zip(bases, bases[1:])]
+
+    return _judge("continuation-monotonicity", map(drops, ("parisi", "cs")), lambda w: w >= -1e-9)
 
 
 ALL_CHECKS = (

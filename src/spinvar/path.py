@@ -59,18 +59,19 @@ class DiscretePath:
         qs = [np.asarray(q, dtype=float) for q in self.qs]
         if not all(np.isfinite(q).all() for q in qs):
             raise ValidationError("levels must have finite entries")
-        qs = tuple(frozen(symmetrize(q)) for q in qs)
         if len(qs) != len(x):
             raise ValidationError(
                 f"need as many levels Q_1..Q_r as weights x_0..x_{{r-1}}: "
                 f"got {len(qs)} levels for r = {len(x)}"
             )
-        n = qs[0].shape[0]
-        for q in qs:
-            if q.shape != (n, n):
-                raise DimensionMismatch("all levels must share one dimension")
+        shape = qs[0].shape
+        if len(shape) != 2 or shape[0] != shape[1] or any(q.shape != shape for q in qs):
+            raise DimensionMismatch(
+                f"levels must be square matrices of one shared size, "
+                f"got shapes {[q.shape for q in qs]}"
+            )
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "qs", qs)
+        object.__setattr__(self, "qs", tuple(frozen(symmetrize(q)) for q in qs))
 
     @property
     def r(self) -> int:

@@ -27,8 +27,8 @@ from .errors import DomainError, InfeasibleStep, SpinvarError
 from .functionals import (
     Weights,
     _evaluate,
+    _multiplier,
     _point,
-    construct_multiplier,
     corrected_eps,
     corrected_form,
     error_terms,
@@ -198,7 +198,7 @@ def tilde_transform(
         )
         return TildeResult("lower", new_path, None, not violations, violations)
     if lam is None:
-        lam = construct_multiplier(path, mix, eps)
+        lam = _multiplier(path, mix, eps, err)
     lam_tilde = symmetrize(lam + s * err.ebar[0])
     violations = []
     try:

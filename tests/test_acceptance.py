@@ -1,17 +1,21 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Every expected number is produced by an oracle coded here (closed forms,
-grid minimization, finite differences) or by one of the seeded check
-batteries; tolerances are fixed in the assertions.
+Every expected number is produced by an oracle: a closed form of
+:mod:`spinvar.reference`, or one coded here (grid minimization, finite
+differences), or one of the seeded check batteries; tolerances are fixed
+in the assertions.
 """
 
+import ast
 import math
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spinvar import battery
+from spinvar import battery, reference
 from spinvar.continuous import feasible_box, from_discrete
 from spinvar.matcore import MixtureSpec, sym_inverse
 from spinvar.optimize import SolveOptions, continuation, duality_gap, search
@@ -26,12 +30,6 @@ def report(name, passed, detail):
 # --- oracles ---------------------------------------------------------------
 
 
-def rs_value_closed_form(beta):
-    """Single-jump value of the multiplier-free form at its stationary jump."""
-    q = 0.0 if 2 * beta**2 <= 1.0 else 1.0 - 1.0 / math.sqrt(2.0 * beta**2)
-    return 0.5 * (math.log(1 - q) + q / (1 - q) + beta**2 * (1 - q * q))
-
-
 def rs_value_grid(beta, resolution=1e-4):
     best = math.inf
     q = 0.0
@@ -41,13 +39,32 @@ def rs_value_grid(beta, resolution=1e-4):
     return best
 
 
+def test_reference_imports_none_of_the_solver():
+    # a defect in the kernel must not leak into the values it is checked against
+    tree = ast.parse(Path(reference.__file__).read_text())
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert modules <= {"__future__", "math", "numpy"}
+
+
+def test_readme_quick_start_runs(capsys):
+    # the README's one python block, as a reader would paste it
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    min_parisi, min_cs, gap = map(float, capsys.readouterr().out.split())
+    assert math.isfinite(min_parisi) and math.isfinite(min_cs) and 0.0 <= gap <= 1e-4
+
+
 def test_criterion_1_scalar_duality_gap():
     q = np.array([[1.0]])
     t0 = time.perf_counter()
     worst_gap = 0.0
     worst_ref = 0.0
     for beta, quoted in ((0.3, 0.045), (1.0, 0.490929)):
-        ref = rs_value_closed_form(beta)
+        ref = reference.pure2_rs_value(beta)
         assert abs(rs_value_grid(beta) - ref) < 5e-8  # grid cross-check of the oracle
         assert abs(quoted - ref) <= 1e-4
         rep = duality_gap(MixtureSpec.pure(2, [beta]), q, SolveOptions())

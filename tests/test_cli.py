@@ -288,6 +288,18 @@ def test_main_verify_reports_each_checks_detail(monkeypatch, capsys, tmp_path):
     assert [c["detail"] for c in record["outputs"]["checks"]] == list(details.values())
 
 
+def test_main_verify_fails_a_nan_check(monkeypatch, capsys):
+    # with every log-det NaN, amgm-determinant passed with worst = inf
+    from spinvar import battery, matcore
+
+    monkeypatch.setattr(battery, "ALL_CHECKS", (battery.check_amgm_determinant,))
+    monkeypatch.setattr(matcore, "chol_logdet", lambda a: math.nan)
+    assert main(["verify", "--spec", str(PROBLEMS / "pure2_scalar.json")]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert json.loads(lines[0])["all_passed"] is False
+    assert lines[1].startswith("FAIL  amgm-determinant") and "worst=+nan" in lines[1]
+
+
 def test_emit_deterministic(tmp_path):
     spec = build_spec(minimal_spec(solve={"eps_schedule": [1e-1, 1e-3]}))
     rec = run("gap", spec)

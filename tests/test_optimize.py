@@ -17,6 +17,7 @@ from spinvar.optimize import (
     search,
 )
 from spinvar.path import DiscretePath, d_sequence
+from spinvar.reference import pure2_rs_value
 
 # a six-stage barrier path, for the tests that check its intermediate stages
 LONG_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -64,21 +65,6 @@ CRAWL_Q = [
         0.08555318939628823, -0.561783021709864, 1.0,
     ],
 ]
-
-
-def cs_rs_value(beta):
-    """Closed-form single-jump value for the n = 1 pure quadratic mixture."""
-    q = 0.0 if 2 * beta**2 <= 1 else 1 - 1 / math.sqrt(2 * beta**2)
-    return 0.5 * (math.log(1 - q) + q / (1 - q) + beta**2 * (1 - q * q))
-
-
-def cs_rs_grid_value(beta, resolution=1e-4):
-    best = math.inf
-    q = 0.0
-    while q < 1.0 - 1e-9:
-        best = min(best, 0.5 * (math.log(1 - q) + q / (1 - q) + beta**2 * (1 - q * q)))
-        q += resolution
-    return best
 
 
 def test_solve_options_validation():
@@ -237,7 +223,7 @@ def test_search_tie_rule_cannot_cycle():
         rep = duality_gap(MixtureSpec.pure(2, [0.5]), np.array([[1.0]]), SolveOptions(r_max=3, x_grid=4))
         for res in (rep.argmin_parisi, rep.argmin_cs):
             assert res.best.converged
-            assert res.value == pytest.approx(cs_rs_value(0.5), abs=1e-4)
+            assert res.value == pytest.approx(pure2_rs_value(0.5), abs=1e-4)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
@@ -306,7 +292,7 @@ def test_gap_scalar_instances():
     for beta in (0.3, 1.0):
         rep = duality_gap(MixtureSpec.pure(2, [beta]), q, SolveOptions())
         assert rep.gap <= 1e-4
-        assert rep.min_cs == pytest.approx(cs_rs_value(beta), abs=1e-4)
+        assert rep.min_cs == pytest.approx(pure2_rs_value(beta), abs=1e-4)
 
 
 def test_gap_rejects_a_non_finite_constraint():

@@ -154,6 +154,16 @@ def test_path_shape_validation():
         DiscretePath((0.0, 1.0), (np.array([[0.5]]),))
 
 
+def test_path_levels_must_be_square_of_one_size():
+    # each level was symmetrized before its shape was checked, so all but
+    # the last raised numpy's broadcast ValueError or AxisError
+    eye = np.eye(2)
+    for levels in ((np.ones((2, 3)), eye), (np.ones(2), eye), (np.float64(1.0), eye),
+                   (eye, np.ones(2)), (np.eye(3), eye)):
+        with pytest.raises(DimensionMismatch, match="square matrices of one shared size"):
+            DiscretePath((0.0, 1.0), levels)
+
+
 def test_path_weights_must_be_real():
     # float() would accept the strings and read True as x_0 = 1.0
     levels = (np.array([[0.5]]), np.eye(1))

@@ -257,12 +257,15 @@ def test_tilde_transform_matches_corrected_chain_at_critical_point():
 @pytest.mark.parametrize(
     "routine, side, calls",
     [(bound_check, "upper", (2, 2)), (critical_residual, "upper", (1, 1)),
-     (bound_check, "lower", (2, 3)), (critical_residual, "lower", (1, 1))],
+     (bound_check, "lower", (2, 3)), (critical_residual, "lower", (1, 1)),
+     (tilde_transform, "upper", (1, 1))],
 )
 def test_certificate_call_factors_the_increments_once(monkeypatch, routine, side, calls):
     # the multiplier and the barrier come from the error terms' factorization;
     # bound_check's tilde shift takes the error terms once more and, on the
-    # lower side, factors the shifted path's own increments
+    # lower side, factors the shifted path's own increments; the upper tilde
+    # shift without a multiplier (res.lam is None for "cs") builds it from
+    # the error terms it already has
     mix = MixtureSpec(n=2, terms=((2, np.array([0.5, 0.4])),), h=np.zeros(2))
     q = random_correlation(np.random.default_rng(25), 2)
     kind = "parisi" if side == "lower" else "cs"
