@@ -8,13 +8,14 @@ call, which gives its value, its unperturbed value and its gradient.
 Each iteration takes one damped Newton step jointly across all free
 variables.  Only the point a step starts from pays for its exact Hessian,
 the point's deferred tangent-linear pass along the coordinate directions;
-a rejected trial and a stage's final point never run it.  The Hessian is
-shifted along the Frobenius metric until it is positive definite, and
-the step backtracks from its full length until Armijo holds on the
-eps-perturbed value or the representer norm halves.  A trial point
-outside the domain of the barrier raises its domain error in the kernel
-and the step halves, so accepted iterates keep strictly positive-definite
-increments.  A stage's base value is its final point's unperturbed value,
+a rejected trial and a stage's final point never run it.  A positive
+definite Hessian is used as it is; any other is shifted along the
+Frobenius metric by about twice its most negative eigenvalue, so the step
+leaves a saddle along its negative curvature.  The step backtracks from
+its full length until Armijo holds on the eps-perturbed value or the
+representer norm halves.  A trial point outside the domain of the
+barrier raises its domain error in the kernel and the step halves, so
+accepted iterates keep strictly positive-definite increments.  A stage's base value is its final point's unperturbed value,
 from the same pass.  Each stage returns one :class:`MinimizeResult`: its
 minimizer, values, exit and the trace rows of its iterates.
 
@@ -29,9 +30,11 @@ certificate).  The default schedule is the two stages the linear-in-eps
 extrapolation needs, (1e-5, 1e-6): with the exact Hessian a damped
 Newton stage converges from :func:`default_start` at eps = 1e-5
 directly, one long barrier step (Boyd & Vandenberghe, *Convex
-Optimization*, sec. 11.3).  Within one level count, ``search`` starts
-its first candidate cold and every later one from the final levels of
-the nearest converged candidate already solved, which runs only the
+Optimization*, sec. 11.3).  ``search`` starts one candidate cold, the
+r = 2 one.  The first candidate of each r >= 3 starts from the r - 1
+sweep's answer with its top free level split in two (:func:`grown_start`),
+and every later one from the final levels of the nearest converged
+candidate already solved at its r.  Each warm start runs only the
 schedule's last stage, the one the ranking reads; a warm candidate that
 stops unconverged is re-solved cold.  Warm starts only rank candidates:
 each reported answer, of either form, is one cold ``continuation`` of the
@@ -59,6 +62,9 @@ _ARMIJO_C, _SHRINK = 1e-4, 0.5
 
 # iteration budget of one stage; the plateau rule ends a stalled stage first
 _MAX_ITERS = 20000
+
+# the share of the neighbouring increments a grown level splits off (grown_start)
+_GROW_TAU = 0.005
 
 # the problem sizes spinvar is built for: r <= 5 levels, and a weight grid
 # whose candidate tables stay small
@@ -268,26 +274,30 @@ class Objective:
         return float(np.abs(2.0 * grad / self.metric).max())
 
 
-# shifts tried on the Hessian, in units of its largest diagonal entry
-_SHIFTS = (0.0, 1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2)
+# the shift of an indefinite Hessian: this many times its most negative
+# metric-scaled eigenvalue, plus this floor in units of its largest one
+_SHIFT_MARGIN, _SHIFT_FLOOR = 2.0, 1e-8
 
 
 def _newton_direction(obj, hess, grad):
-    """Damped Newton direction: solve (H + mu M) d = -g for the first shift
-    mu of ``_SHIFTS`` at which H + mu M is positive definite, M = diag(metric),
-    H the symmetrized ``hess``.  When no shift works the direction is the
-    Frobenius gradient, the limit of large mu.
+    """Damped Newton direction: solve (H + mu M) d = -g, M = diag(metric), H
+    the symmetrized ``hess``.  A positive definite H is solved unshifted
+    (mu = 0).  Otherwise mu = 2 max(0, -lam_min) + 1e-8 |lam|_max from the
+    eigenvalues lam of the metric-scaled M^-1/2 H M^-1/2, so the shifted
+    matrix is positive definite with its smallest eigenvalue about |lam_min|:
+    the step leaves a saddle along its negative curvature instead of
+    crawling along the gradient (Nocedal & Wright, *Numerical
+    Optimization*, sec. 3.4).
     """
     hess = 0.5 * (hess + hess.T)
-    scale = float(np.abs(hess.diagonal()).max())
-    for shift in _SHIFTS:
-        shifted = hess + shift * scale * obj.metric_diag
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            continue
-        return np.linalg.solve(shifted, -grad)
-    return -grad / obj.metric
+    try:
+        np.linalg.cholesky(hess)
+    except np.linalg.LinAlgError:
+        root = np.sqrt(obj.metric)
+        lam = np.linalg.eigvalsh(hess / np.outer(root, root))
+        shift = _SHIFT_MARGIN * max(0.0, -lam[0]) + _SHIFT_FLOOR * float(np.abs(lam).max())
+        hess = hess + shift * obj.metric_diag
+    return np.linalg.solve(hess, -grad)
 
 
 def default_start(kind, mix, constraint, r, x):
@@ -404,17 +414,32 @@ def minimize_fixed(
     )
 
 
-def _run_stages(kind, mix, constraint, r, x, opts, schedule, source) -> ContinuationResult:
-    """Run the (index, eps) stages of ``schedule`` in order, each from the
-    minimizer (lam, levels) of ``source``: for the first, the result given
-    (None for :func:`default_start`), for each later one the previous
-    stage; the stages' trace rows keep their schedule indices."""
+def _run_stages(kind, mix, constraint, r, x, opts, schedule, start) -> ContinuationResult:
+    """Run the (index, eps) stages of ``schedule`` in order, the first from
+    ``start`` (lam, levels), None for :func:`default_start`, each later one
+    from the previous stage's minimizer; the stages' trace rows keep their
+    schedule indices."""
     stages = []
     for si, eps in schedule:
-        start = None if source is None else (source.lam, source.path.free_levels())
         stages.append(minimize_fixed(kind, mix, constraint, r, x, eps, opts, start=start, stage=si))
-        source = stages[-1]
+        start = (stages[-1].lam, stages[-1].path.free_levels())
     return ContinuationResult(stages)
+
+
+def grown_start(path: DiscretePath, x) -> DiscretePath:
+    """The levels of ``path`` with one level more, at the weights ``x`` (one
+    more than ``path`` has): its top free level Q_t is split into two,
+    Q_t - tau (Q_t - Q_{t-1}) and Q_t + tau (Q - Q_t), tau = ``_GROW_TAU``.
+    The new increments are (1 - tau)(Q_t - Q_{t-1}), tau (Q - Q_{t-1}) and
+    (1 - tau)(Q - Q_t), each a positive multiple of an old increment or of
+    a sum of them, so a strictly monotone path stays strictly monotone and
+    the levels are feasible at any weights, like a warm source's.  Both
+    split levels sit next to the old one: the start is the r - 1 answer up
+    to one level of small increment."""
+    t = path.r - 1
+    low, top, q = path.level(t - 1), path.level(t), path.constraint
+    split = [top - _GROW_TAU * (top - low), top + _GROW_TAU * (q - top)]
+    return DiscretePath(tuple(x), tuple(path.free_levels()[:-1] + split) + (q,))
 
 
 def continuation(
@@ -424,7 +449,7 @@ def continuation(
     r: int,
     x,
     opts: SolveOptions,
-    warm: ContinuationResult | None = None,
+    warm: ContinuationResult | DiscretePath | None = None,
 ) -> ContinuationResult:
     """Run the eps schedule, each stage from the previous stage's
     minimizer; the result's ``value_at_eps_min`` is the barrier-stripped
@@ -432,18 +457,23 @@ def continuation(
     linear-in-eps extrapolation from the last two stages.
 
     Cold (``warm`` None), the whole schedule runs from :func:`default_start`.
-    Given ``warm``, a multiplier-free continuation of the same r at other
-    weights, only the last stage runs, from its final levels (a barrier
-    method may start at its target eps near the solution; Boyd &
-    Vandenberghe, sec. 11.3), so the extrapolation is its final base value.
-    The tail chain D_p = sum_{k >= p} x_k (Q_{k+1} - Q_k) is positive
-    definite for any positive weights, so those levels are feasible at x.
-    When that stage stops unconverged, the start was too far: the whole
-    schedule runs cold instead.  Trace rows keep their schedule indices.
+    Given ``warm``, a continuation of the same r at other weights or a path
+    of r levels (a :func:`grown_start`), only the last stage runs, from its
+    final levels (and, for a continuation, multiplier): a barrier method
+    may start at its target eps near the solution (Boyd & Vandenberghe,
+    sec. 11.3), so the extrapolation is its final base value.  The tail
+    chain D_p = sum_{k >= p} x_k (Q_{k+1} - Q_k) is positive definite for
+    any positive weights, so those levels are feasible at x.  When that
+    stage stops unconverged, the start was too far: the whole schedule
+    runs cold instead.  Trace rows keep their schedule indices.
     """
     schedule = list(enumerate(opts.eps_schedule))
     if warm is not None:
-        cont = _run_stages(kind, mix, constraint, r, x, opts, schedule[-1:], warm)
+        if isinstance(warm, DiscretePath):
+            start = (None, warm.free_levels())
+        else:
+            start = (warm.lam, warm.path.free_levels())
+        cont = _run_stages(kind, mix, constraint, r, x, opts, schedule[-1:], start)
         if cont.converged:
             return cont
     return _run_stages(kind, mix, constraint, r, x, opts, schedule, None)
@@ -459,11 +489,15 @@ def search(mix: MixtureSpec, constraint: np.ndarray, opts: SolveOptions) -> Sear
     weights are lexicographically smaller.  Across r, a larger r replaces
     the incumbent only when it converges where the incumbent did not, or
     when its value is lower by more than ``tie_tol``; so ties keep the
-    smaller r.  The first candidate of each r runs the whole eps schedule
-    from :func:`default_start`; every later one runs only the last stage,
-    warm from the nearest converged candidate already solved at that r
-    (L-infinity distance in the weight ticks, ties to the smaller ticks),
-    or cold when there is none.  Each sweep visits its options nearest the
+    smaller r.  The one candidate at r = 2 runs the whole eps schedule
+    from :func:`default_start`.  The first candidate of each r >= 3 runs
+    only the last stage, warm from the :func:`grown_start` of the r - 1
+    sweep's own answer (not the incumbent, which may have fewer levels);
+    every later one runs only the last stage too, warm from the nearest
+    converged candidate already solved at that r (L-infinity distance in
+    the weight ticks, ties to the smaller ticks), or cold when there is
+    none.  A warm candidate that stops unconverged runs the whole schedule
+    cold (:func:`continuation`).  Each sweep visits its options nearest the
     incumbent first, so near neighbours become the sources of far ones.  A
     winner that did not run the whole schedule is re-solved cold at its
     weights, so ``best`` is a cold continuation; ``candidates`` keeps the
@@ -486,15 +520,18 @@ def search(mix: MixtureSpec, constraint: np.ndarray, opts: SolveOptions) -> Sear
         denom = 4 * opts.x_grid * (r - 1)
         return (0.0,) + tuple(t / denom for t in ticks) + (1.0,)
 
-    def run(r, ticks):
+    def run(r, ticks, warm=None):
         solved = tables.setdefault(r, {})
         if ticks not in solved:
-            # the source: the nearest converged candidate solved at this r
+            # the source: the nearest converged candidate solved at this r,
+            # else ``warm`` (a grown start) or None (cold)
             near = [(max(abs(a - b) for a, b in zip(t, ticks)), t) for t in solved if solved[t].converged]
-            warm = solved[min(near)[1]] if near else None
+            if near:
+                warm = solved[min(near)[1]]
             solved[ticks] = continuation("cs", mix, constraint, r, weights(r, ticks), opts, warm=warm)
         return solved[ticks]
 
+    cont = None  # the last sweep's answer
     for r in range(2, opts.r_max + 1):
         m = r - 2
         # interior weights are integer ticks over a denominator that every
@@ -502,7 +539,8 @@ def search(mix: MixtureSpec, constraint: np.ndarray, opts: SolveOptions) -> Sear
         # sits a rounding error away from 0 or from its neighbour
         denom = 4 * opts.x_grid * (r - 1)
         cur = tuple((k + 1) * 4 * opts.x_grid for k in range(m))
-        cont = run(r, cur)
+        # the first candidate grows from the r - 1 sweep's own answer
+        cont = run(r, cur, None if cont is None else grown_start(cont.path, weights(r, cur)))
         spacing = 4 * (r - 1)
         for refinement in range(3 if m else 0):
             improved = True

@@ -11,12 +11,15 @@ from spinvar.functionals import Weights, eval_stack
 from spinvar.matcore import MixtureSpec
 from spinvar.optimize import (
     SolveOptions,
+    _newton_direction,
     continuation,
+    default_start,
     duality_gap,
+    grown_start,
     minimize_fixed,
     search,
 )
-from spinvar.path import DiscretePath, d_sequence
+from spinvar.path import DiscretePath, d_sequence, equally_spaced, lambda_sequence
 from spinvar.reference import pure2_rs_value
 
 # a six-stage barrier path, for the tests that check its intermediate stages
@@ -242,7 +245,8 @@ def test_search_ranks_converged_candidates_first(monkeypatch):
             value = 1.0 if r == 2 else 0.9 if converged else 0.5
             # a whole schedule's stages, so the winner needs no stage completed
             return types.SimpleNamespace(
-                value_at_eps_min=value, converged=converged, stages=[None] * len(opts.eps_schedule)
+                value_at_eps_min=value, converged=converged, stages=[None] * len(opts.eps_schedule),
+                path=equally_spaced(constraint, r, x),
             )
 
         return fake
@@ -638,12 +642,15 @@ def test_default_schedule_keeps_the_stationary_branch(kind):
 
 
 def test_search_starts_one_candidate_cold_per_form_and_r(monkeypatch):
+    # one cold start, the r = 2 candidate; the first r = 3 candidate grows
+    # from the r = 2 answer, and every later one is warm at its own r
     calls = _record_continuations(monkeypatch)
     search(MixtureSpec.pure(2, [1.0]), np.eye(1), SolveOptions(r_max=3))
     assert {kind for kind, *_ in calls} == {"cs"}
+    assert [warm for *_, warm, _ in calls].count(None) == 1
     for r in (2, 3):
         mine = [warm for _, rr, _, warm, _ in calls if rr == r]
-        assert mine[0] is None and mine.count(None) == 1, r
+        assert mine[0] is None if r == 2 else (type(mine[0]), mine[0].r) == (DiscretePath, r)
         assert all((warm.stages[-1].kind, warm.path.r) == ("cs", r) for warm in mine[1:])
     assert len(calls) > 2  # the r = 3 sweep ran warm candidates
 
@@ -734,15 +741,28 @@ def test_continuation_values_come_from_its_stages():
 
 
 def test_warm_candidates_start_from_the_nearest_converged_candidate(monkeypatch):
-    calls = _record_continuations(monkeypatch)
+    mix, q = MixtureSpec.pure(4, [2.0]), np.eye(1)
     opts = SolveOptions(r_max=4, x_grid=4)
-    search(MixtureSpec.pure(4, [2.0]), np.eye(1), opts)
+    # the weights the r = 3 sweep ends at: it wins its own search
+    best3 = search(mix, q, replace(opts, r_max=3))
+    assert best3.r == 3
+    answers = {2: (0.0, 1.0), 3: best3.x}
+    calls = _record_continuations(monkeypatch)
+    search(mix, q, opts)
     solved = []  # (r, ticks, converged) of the candidates solved so far
-    warm_calls = 0
+    warm_calls = grown_calls = 0
     for _, r, x, warm, result in calls:
         denom = 4 * opts.x_grid * (r - 1)
         ticks = tuple(round(v * denom) for v in x[1:-1])
-        if warm is not None:
+        if isinstance(warm, DiscretePath):
+            # a first candidate grows from the r - 1 sweep's answer
+            grown_calls += 1
+            assert not any(rr == r for rr, _, _ in solved), x
+            source = next(res for _, rr, xx, _, res in calls if (rr, xx) == (r - 1, answers[r - 1]))
+            grown = grown_start(source.path, x)
+            assert warm.x == grown.x
+            assert all(np.array_equal(a, b) for a, b in zip(warm.qs, grown.qs))
+        elif warm is not None:
             warm_calls += 1
             assert warm.path.r == r and warm.converged
             source = tuple(round(v * denom) for v in warm.path.x[1:-1])
@@ -751,6 +771,7 @@ def test_warm_candidates_start_from_the_nearest_converged_candidate(monkeypatch)
             )
             assert source == nearest[1], x
         solved.append((r, ticks, result.converged))
+    assert grown_calls == 2
     assert warm_calls > 10
 
 
@@ -775,3 +796,97 @@ def test_warm_winner_carries_both_final_stages(mix, q, x1, kind):
     assert res.value == res.best.value_at_eps_min
     assert res.best.value_extrapolated == pytest.approx(cold.value_extrapolated, abs=1e-10)
     assert res.best.value_at_eps_min == pytest.approx(cold.value_at_eps_min, abs=1e-10)
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+@pytest.mark.parametrize("seed", range(4))
+def test_grown_start_is_feasible_for_both_forms(seed, r):
+    # splitting the top free level of an r - 1 path keeps every increment
+    # positive definite, so the grown levels are feasible at any weights
+    rng = np.random.default_rng([seed, r])
+    n = int(rng.integers(1, 5))
+    mix = random_mixture(rng, n)
+    q = random_correlation(rng, n)
+    path = random_feasible_path(rng, q, r - 1)
+    x = (0.0,) + tuple(np.sort(rng.choice(np.arange(1, 32), r - 2, replace=False)) / 32) + (1.0,)
+    grown = grown_start(path, x)
+    assert (grown.x, grown.r) == (x, r)
+    for k in range(r - 2):
+        np.testing.assert_array_equal(grown.level(k), path.level(k))
+    assert min(np.linalg.eigvalsh(grown.increment(k)).min() for k in range(r)) > 0
+    levels = np.array(grown.free_levels())
+    for kind in ("cs", "parisi"):
+        lam, _ = default_start(kind, mix, q, r, x)
+        if kind == "cs":
+            d_sequence(grown)  # raises outside the domain
+        else:
+            lambda_sequence(lam, grown, mix)
+        plan = Weights(kind, x)
+        value, _, _, _ = eval_stack(plan, mix, q, 1e-5, plan.join(lam, levels))
+        assert np.isfinite(value), kind
+
+
+def _newton_obj(dim):
+    import types
+
+    metric = np.random.default_rng(dim).choice([1.0, 2.0], dim)
+    return types.SimpleNamespace(metric=metric, metric_diag=np.diag(metric))
+
+
+def test_newton_direction_is_the_plain_solve_on_a_positive_definite_hessian():
+    rng = np.random.default_rng(3)
+    for dim in (1, 3, 6, 12):
+        a = rng.normal(size=(dim, dim))
+        hess = a @ a.T + 0.1 * np.eye(dim)
+        hess = 0.5 * (hess + hess.T)  # exactly symmetric, as the solver's is
+        grad = rng.normal(size=dim)
+        direction = _newton_direction(_newton_obj(dim), hess, grad)
+        np.testing.assert_array_equal(direction, np.linalg.solve(hess, -grad))
+
+
+def test_newton_direction_descends_on_an_indefinite_hessian():
+    rng = np.random.default_rng(4)
+    for dim in (2, 3, 6, 12):
+        obj = _newton_obj(dim)
+        basis = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+        for eigs in (rng.uniform(-2.0, 2.0, dim), np.r_[-1e-3, np.ones(dim - 1)]):
+            hess = basis @ np.diag(eigs) @ basis.T
+            grad = rng.normal(size=dim)
+            assert grad @ _newton_direction(obj, hess, grad) < 0, eigs
+        # a singular one fails its Cholesky factorization too; the floor shifts it
+        grad = rng.normal(size=dim)
+        direction = _newton_direction(obj, np.diag(np.r_[0.0, np.ones(dim - 1)]), grad)
+        assert np.isfinite(direction).all() and grad @ direction < 0
+
+
+@pytest.mark.parametrize("r_max", [4, 5])
+def test_search_stays_replica_symmetric_when_rs_is_the_answer(r_max):
+    # pure p = 2 at beta = 1 is RS: each r >= 3 sweep grows from its own
+    # r - 1 sweep's answer, not from the r = 2 incumbent, so the grown
+    # start has as many levels as its r needs
+    res = search(MixtureSpec.pure(2, [1.0]), np.eye(1), SolveOptions(r_max=r_max))
+    assert res.r == 2 and res.best.converged
+    assert res.value == pytest.approx(pure2_rs_value(1.0), abs=1e-4)
+    assert {r for r, _, _ in res.candidates} == set(range(2, r_max + 1))
+
+
+def test_newton_steps_off_a_saddle_of_a_split_start():
+    # family-n2-p4 (gap-rsb, jittered): the r = 2 answer with its level split
+    # by tau = 0.01 starts the r = 3 stage near a saddle, where a ladder of
+    # fixed Hessian shifts crawled for 118 iterations
+    mix = MixtureSpec(
+        n=2,
+        terms=(
+            (2, np.array([0.11152229088816622, 0.7698032574587464])),
+            (4, np.array([0.7048093965029576, 1.1881013553293382])),
+        ),
+        h=np.zeros(2),
+    )
+    q = np.array([[1.0, 0.3647668614032365], [0.3647668614032365, 1.0]])
+    opts = SolveOptions()
+    q1 = continuation("cs", mix, q, 2, (0.0, 1.0), opts).path.level(1)
+    tau = 0.01
+    levels = [q1 - tau * q1, q1 + tau * (q - q1)]
+    res = minimize_fixed("cs", mix, q, 3, (0.0, 0.5, 1.0), 1e-6, opts, start=(None, levels))
+    assert res.converged
+    assert res.iterations <= 20
