@@ -15,30 +15,33 @@ leaves a saddle along its negative curvature.  The step backtracks from
 its full length until Armijo holds on the eps-perturbed value or the
 representer norm halves.  A trial point outside the domain of the
 barrier raises its domain error in the kernel and the step halves, so
-accepted iterates keep strictly positive-definite increments.  A stage's base value is its final point's unperturbed value,
-from the same pass.  Each stage returns one :class:`MinimizeResult`: its
-minimizer, values, exit and the trace rows of its iterates.
+accepted iterates keep strictly positive-definite increments.  A stage's
+base value is its final point's unperturbed value, from the same pass.
+Each stage returns one :class:`MinimizeResult`: its minimizer, values,
+exit and the trace rows of its iterates.
 
-On top of the inner solve sit: ``continuation`` (a decreasing eps
-schedule, each stage started at the last one's minimizer; the result is
+On top of the inner solve sit: ``continuation`` (one solve at fixed
+weights from an ordered list of starts, the first that converges kept; a
+cold start runs a decreasing eps schedule, each stage started at the
+last one's minimizer, and a warm one only its last stage; the result is
 its list of stage results, from which its minimizer, values and trace
-are read), ``search`` (discrete coordinate descent over the weight grid
-of the multiplier-free form, sweeping the level count), and
-``duality_gap`` (one search, then the multiplier form solved cold at its
-weights; the agreement of the two minima at those weights is the
-certificate).  The default schedule is the two stages the linear-in-eps
-extrapolation needs, (1e-5, 1e-6): with the exact Hessian a damped
-Newton stage converges from :func:`default_start` at eps = 1e-5
+are read, and the start they ran from), ``search`` (discrete coordinate
+descent over the weight grid of the multiplier-free form, sweeping the
+level count), and ``duality_gap`` (one search, then the multiplier form
+solved cold at its weights; the agreement of the two minima at those
+weights is the certificate).  The default schedule is the two stages the
+linear-in-eps extrapolation needs, (1e-5, 1e-6): with the exact Hessian
+a damped Newton stage converges from :func:`default_start` at eps = 1e-5
 directly, one long barrier step (Boyd & Vandenberghe, *Convex
-Optimization*, sec. 11.3).  ``search`` starts one candidate cold, the
-r = 2 one.  The first candidate of each r >= 3 starts from the r - 1
-sweep's answer with its top free level split in two (:func:`grown_start`),
-and every later one from the final levels of the nearest converged
-candidate already solved at its r.  Each warm start runs only the
-schedule's last stage, the one the ranking reads; a warm candidate that
-stops unconverged is re-solved cold.  Warm starts only rank candidates:
-each reported answer, of either form, is one cold ``continuation`` of the
-whole schedule at the search's (r, x).
+Optimization*, sec. 11.3).  ``search`` states its policy as start
+lists.  The r = 2 candidate runs cold only.  Every other candidate with
+a source runs warm and then cold: the first of each r >= 3 from the
+r - 1 sweep's answer with its top free level split in two
+(:func:`grown_start`), every later one from the final levels of the
+nearest converged candidate already solved at its r.  Warm starts only rank candidates: a winner that
+ran warm is re-solved cold, under every schedule, so each reported
+answer, of either form, is one cold ``continuation`` of the whole
+schedule at the search's (r, x).
 """
 
 from __future__ import annotations
@@ -143,11 +146,13 @@ class MinimizeResult:
 
 @dataclass
 class ContinuationResult:
-    """One eps-continuation at fixed weights: its stages in schedule order.
-    The minimizer (path, lam) is the final stage's; the values and trace
-    rows are read from the stages."""
+    """One eps-continuation at fixed weights: its stages in schedule order,
+    and the start they ran from (None when cold, else the warm (lam, path)
+    pair; see :func:`continuation`).  The minimizer (path, lam) is the final
+    stage's; the values and trace rows are read from the stages."""
 
     stages: list[MinimizeResult]
+    start: tuple | None
 
     @property
     def path(self) -> DiscretePath:
@@ -282,7 +287,8 @@ _SHIFT_MARGIN, _SHIFT_FLOOR = 2.0, 1e-8
 def _newton_direction(obj, hess, grad):
     """Damped Newton direction: solve (H + mu M) d = -g, M = diag(metric), H
     the symmetrized ``hess``.  A positive definite H is solved unshifted
-    (mu = 0).  Otherwise mu = 2 max(0, -lam_min) + 1e-8 |lam|_max from the
+    (mu = 0).  Otherwise, or when H factors but is too near singular for
+    the unshifted solve, mu = 2 max(0, -lam_min) + 1e-8 |lam|_max from the
     eigenvalues lam of the metric-scaled M^-1/2 H M^-1/2, so the shifted
     matrix is positive definite with its smallest eigenvalue about |lam_min|:
     the step leaves a saddle along its negative curvature instead of
@@ -292,12 +298,12 @@ def _newton_direction(obj, hess, grad):
     hess = 0.5 * (hess + hess.T)
     try:
         np.linalg.cholesky(hess)
+        return np.linalg.solve(hess, -grad)
     except np.linalg.LinAlgError:
         root = np.sqrt(obj.metric)
         lam = np.linalg.eigvalsh(hess / np.outer(root, root))
         shift = _SHIFT_MARGIN * max(0.0, -lam[0]) + _SHIFT_FLOOR * float(np.abs(lam).max())
-        hess = hess + shift * obj.metric_diag
-    return np.linalg.solve(hess, -grad)
+        return np.linalg.solve(hess + shift * obj.metric_diag, -grad)
 
 
 def default_start(kind, mix, constraint, r, x):
@@ -414,18 +420,6 @@ def minimize_fixed(
     )
 
 
-def _run_stages(kind, mix, constraint, r, x, opts, schedule, start) -> ContinuationResult:
-    """Run the (index, eps) stages of ``schedule`` in order, the first from
-    ``start`` (lam, levels), None for :func:`default_start`, each later one
-    from the previous stage's minimizer; the stages' trace rows keep their
-    schedule indices."""
-    stages = []
-    for si, eps in schedule:
-        stages.append(minimize_fixed(kind, mix, constraint, r, x, eps, opts, start=start, stage=si))
-        start = (stages[-1].lam, stages[-1].path.free_levels())
-    return ContinuationResult(stages)
-
-
 def grown_start(path: DiscretePath, x) -> DiscretePath:
     """The levels of ``path`` with one level more, at the weights ``x`` (one
     more than ``path`` has): its top free level Q_t is split into two,
@@ -449,34 +443,38 @@ def continuation(
     r: int,
     x,
     opts: SolveOptions,
-    warm: ContinuationResult | DiscretePath | None = None,
+    starts=(None,),
 ) -> ContinuationResult:
-    """Run the eps schedule, each stage from the previous stage's
-    minimizer; the result's ``value_at_eps_min`` is the barrier-stripped
-    value at the final stage and its ``value_extrapolated`` the
-    linear-in-eps extrapolation from the last two stages.
+    """Solve at fixed weights from each of ``starts``, a nonempty sequence,
+    in turn; return the first result that converges, else the result of
+    the last start.  Its ``value_at_eps_min`` is the barrier-stripped value
+    at the final stage, its ``value_extrapolated`` the linear-in-eps
+    extrapolation from the last two stages, and its ``start`` the start it
+    ran from.
 
-    Cold (``warm`` None), the whole schedule runs from :func:`default_start`.
-    Given ``warm``, a continuation of the same r at other weights or a path
-    of r levels (a :func:`grown_start`), only the last stage runs, from its
-    final levels (and, for a continuation, multiplier): a barrier method
-    may start at its target eps near the solution (Boyd & Vandenberghe,
-    sec. 11.3), so the extrapolation is its final base value.  The tail
-    chain D_p = sum_{k >= p} x_k (Q_{k+1} - Q_k) is positive definite for
-    any positive weights, so those levels are feasible at x.  When that
-    stage stops unconverged, the start was too far: the whole schedule
-    runs cold instead.  Trace rows keep their schedule indices.
+    A start None is cold: the whole eps schedule runs, the first stage from
+    :func:`default_start`, each later one from the previous stage's
+    minimizer.  A start (lam, path), lam None for the multiplier-free form,
+    is warm: only the schedule's last stage runs, from the path's free
+    levels and lam.  A barrier method may start at its target eps near the
+    solution (Boyd & Vandenberghe, sec. 11.3), so the extrapolation is that
+    stage's base value.  The path may be a continuation's at other weights
+    or a :func:`grown_start`: the tail chain
+    D_p = sum_{k >= p} x_k (Q_{k+1} - Q_k) of a strictly monotone path is
+    positive definite for any positive weights, so its levels are feasible
+    at x.  Trace rows keep their schedule indices.
     """
     schedule = list(enumerate(opts.eps_schedule))
-    if warm is not None:
-        if isinstance(warm, DiscretePath):
-            start = (None, warm.free_levels())
-        else:
-            start = (warm.lam, warm.path.free_levels())
-        cont = _run_stages(kind, mix, constraint, r, x, opts, schedule[-1:], start)
+    for start in starts:
+        first = None if start is None else (start[0], start[1].free_levels())
+        stages = []
+        for si, eps in schedule if start is None else schedule[-1:]:
+            stages.append(minimize_fixed(kind, mix, constraint, r, x, eps, opts, start=first, stage=si))
+            first = (stages[-1].lam, stages[-1].path.free_levels())
+        cont = ContinuationResult(stages, start)
         if cont.converged:
-            return cont
-    return _run_stages(kind, mix, constraint, r, x, opts, schedule, None)
+            break
+    return cont
 
 
 def search(mix: MixtureSpec, constraint: np.ndarray, opts: SolveOptions) -> SearchResult:
@@ -489,19 +487,20 @@ def search(mix: MixtureSpec, constraint: np.ndarray, opts: SolveOptions) -> Sear
     weights are lexicographically smaller.  Across r, a larger r replaces
     the incumbent only when it converges where the incumbent did not, or
     when its value is lower by more than ``tie_tol``; so ties keep the
-    smaller r.  The one candidate at r = 2 runs the whole eps schedule
-    from :func:`default_start`.  The first candidate of each r >= 3 runs
-    only the last stage, warm from the :func:`grown_start` of the r - 1
-    sweep's own answer (not the incumbent, which may have fewer levels);
-    every later one runs only the last stage too, warm from the nearest
-    converged candidate already solved at that r (L-infinity distance in
-    the weight ticks, ties to the smaller ticks), or cold when there is
-    none.  A warm candidate that stops unconverged runs the whole schedule
-    cold (:func:`continuation`).  Each sweep visits its options nearest the
-    incumbent first, so near neighbours become the sources of far ones.  A
-    winner that did not run the whole schedule is re-solved cold at its
-    weights, so ``best`` is a cold continuation; ``candidates`` keeps the
-    warm value the ranking read.
+    smaller r.  Each candidate is one :func:`continuation` whose start
+    list states the policy: ``(None,)``, cold only, for the one candidate
+    at r = 2, and ``(source, None)``, warm and then cold, for every other.
+    The source of the first candidate of each r >= 3 is ``(None,
+    grown_start(...))`` of the r - 1 sweep's own answer (not the incumbent,
+    which may have fewer levels); that of every later one is the (lam,
+    path) of the nearest converged candidate already solved at that r
+    (L-infinity distance in the weight ticks, ties to the smaller ticks).
+    A later candidate with no converged neighbour runs cold only.  Each
+    sweep visits its options nearest the incumbent first, so near
+    neighbours become the sources of far ones.  A winner whose ``start``
+    is not None is re-solved cold at its weights, under every schedule, so
+    ``best`` is a cold continuation; ``candidates`` keeps the warm value
+    the ranking read.
 
     The solved candidates are kept in one table per r, from the weight
     ticks to their continuation; ``candidates`` lists them as (r, x,
@@ -520,15 +519,17 @@ def search(mix: MixtureSpec, constraint: np.ndarray, opts: SolveOptions) -> Sear
         denom = 4 * opts.x_grid * (r - 1)
         return (0.0,) + tuple(t / denom for t in ticks) + (1.0,)
 
-    def run(r, ticks, warm=None):
+    def run(r, ticks, source=None):
         solved = tables.setdefault(r, {})
         if ticks not in solved:
             # the source: the nearest converged candidate solved at this r,
-            # else ``warm`` (a grown start) or None (cold)
+            # else ``source`` (a grown start) or None (cold only)
             near = [(max(abs(a - b) for a, b in zip(t, ticks)), t) for t in solved if solved[t].converged]
             if near:
-                warm = solved[min(near)[1]]
-            solved[ticks] = continuation("cs", mix, constraint, r, weights(r, ticks), opts, warm=warm)
+                nearest = solved[min(near)[1]]
+                source = (nearest.lam, nearest.path)
+            starts = (None,) if source is None else (source, None)
+            solved[ticks] = continuation("cs", mix, constraint, r, weights(r, ticks), opts, starts=starts)
         return solved[ticks]
 
     cont = None  # the last sweep's answer
@@ -540,7 +541,7 @@ def search(mix: MixtureSpec, constraint: np.ndarray, opts: SolveOptions) -> Sear
         denom = 4 * opts.x_grid * (r - 1)
         cur = tuple((k + 1) * 4 * opts.x_grid for k in range(m))
         # the first candidate grows from the r - 1 sweep's own answer
-        cont = run(r, cur, None if cont is None else grown_start(cont.path, weights(r, cur)))
+        cont = run(r, cur, None if cont is None else (None, grown_start(cont.path, weights(r, cur))))
         spacing = 4 * (r - 1)
         for refinement in range(3 if m else 0):
             improved = True
@@ -568,7 +569,7 @@ def search(mix: MixtureSpec, constraint: np.ndarray, opts: SolveOptions) -> Sear
         if best is None or outranks(cont, best[2]):
             best = (r, cur, cont)
     r, ticks, cont = best
-    if len(cont.stages) < len(opts.eps_schedule):
+    if cont.start is not None:
         cont = continuation("cs", mix, constraint, r, weights(r, ticks), opts)
     return SearchResult(
         r=r,

@@ -240,13 +240,13 @@ def test_search_ranks_converged_candidates_first(monkeypatch):
     from spinvar import optimize
 
     def stub(start_converges):
-        def fake(kind, mix, constraint, r, x, opts, warm=None):
+        def fake(kind, mix, constraint, r, x, opts, starts=(None,)):
             converged = r == 2 or (start_converges and x[1] == 0.5)
             value = 1.0 if r == 2 else 0.9 if converged else 0.5
-            # a whole schedule's stages, so the winner needs no stage completed
+            # a cold result, so the winner needs no cold re-solve
             return types.SimpleNamespace(
-                value_at_eps_min=value, converged=converged, stages=[None] * len(opts.eps_schedule),
-                path=equally_spaced(constraint, r, x),
+                value_at_eps_min=value, converged=converged, start=None,
+                lam=None, path=equally_spaced(constraint, r, x),
             )
 
         return fake
@@ -598,7 +598,7 @@ def test_warm_continuation_matches_cold(mix, q, kind):
     source = continuation(kind, mix, q, 3, (0.0, 0.5, 1.0), opts)
     for x1 in (0.75, 0.25):
         x = (0.0, x1, 1.0)
-        warm = continuation(kind, mix, q, 3, x, opts, warm=source)
+        warm = continuation(kind, mix, q, 3, x, opts, starts=((source.lam, source.path),))
         cold = continuation(kind, mix, q, 3, x, opts)
         assert warm.converged and cold.converged
         assert warm.value_at_eps_min == pytest.approx(cold.value_at_eps_min, abs=1e-10)
@@ -650,8 +650,11 @@ def test_search_starts_one_candidate_cold_per_form_and_r(monkeypatch):
     assert [warm for *_, warm, _ in calls].count(None) == 1
     for r in (2, 3):
         mine = [warm for _, rr, _, warm, _ in calls if rr == r]
-        assert mine[0] is None if r == 2 else (type(mine[0]), mine[0].r) == (DiscretePath, r)
-        assert all((warm.stages[-1].kind, warm.path.r) == ("cs", r) for warm in mine[1:])
+        if r == 2:
+            assert mine[0] is None
+        else:
+            assert (mine[0][0], type(mine[0][1]), mine[0][1].r) == (None, DiscretePath, r)
+        assert all((lam, path.r) == (None, r) for lam, path in mine[1:])
     assert len(calls) > 2  # the r = 3 sweep ran warm candidates
 
 
@@ -668,15 +671,15 @@ def test_gap_solves_the_multiplier_form_once_cold_at_the_search_winner(monkeypat
 
 
 def _record_continuations(monkeypatch):
-    """Wrap ``optimize.continuation``; returns the list of (kind, r, x, warm, result) it fills."""
+    """Wrap ``optimize.continuation``; returns the list of (kind, r, x, starts[0], result) it fills."""
     from spinvar import optimize
 
     calls = []
     real = optimize.continuation
 
-    def recorded(kind, mix, constraint, r, x, opts, warm=None):
-        result = real(kind, mix, constraint, r, x, opts, warm=warm)
-        calls.append((kind, r, tuple(x), warm, result))
+    def recorded(kind, mix, constraint, r, x, opts, starts=(None,)):
+        result = real(kind, mix, constraint, r, x, opts, starts=starts)
+        calls.append((kind, r, tuple(x), starts[0], result))
         return result
 
     monkeypatch.setattr(optimize, "continuation", recorded)
@@ -729,6 +732,48 @@ def test_search_re_solves_a_warm_winner_cold(monkeypatch):
     assert res.best is next(result for _, r, _, warm, result in calls if r == 2 and warm is None)
 
 
+def test_search_re_solves_a_warm_winner_cold_under_a_one_stage_schedule(monkeypatch):
+    # with one stage a warm candidate runs as many stages as a cold one; the
+    # winner at r = 3, x = (0, 0.625, 1) is warm and still gets its cold solve
+    calls = _record_continuations(monkeypatch)
+    res = search(MixtureSpec.pure(4, [2.0]), np.eye(1), SolveOptions(r_max=3, eps_schedule=(1e-6,)))
+    assert (res.r, res.x) == (3, (0.0, 0.625, 1.0))
+    kind, r, x, start, result = calls[-1]
+    assert (kind, r, x, start) == ("cs", res.r, res.x, None)
+    assert res.best is result and result.start is None
+    assert len(calls) == len(res.candidates) + 1
+
+
+def test_continuation_keeps_the_first_start_that_converges(monkeypatch):
+    from spinvar import optimize
+
+    mix, q, opts = MixtureSpec.pure(4, [2.0]), np.eye(1), SolveOptions()
+    cold = continuation("cs", mix, q, 3, (0.0, 0.5, 1.0), opts, starts=(None,))
+    assert cold.converged and cold.start is None
+    assert [s.eps for s in cold.stages] == list(opts.eps_schedule)
+    source = (cold.lam, cold.path)
+    x = (0.0, 0.625, 1.0)
+    warm = continuation("cs", mix, q, 3, x, opts, starts=(source, None))
+    assert warm.converged and warm.start is source
+    assert [s.eps for s in warm.stages] == list(opts.eps_schedule[-1:])
+
+    # when no start converges, every start runs and the last one's result comes back
+    real = optimize.minimize_fixed
+    stages = []
+
+    def unconverged(*args, **kwargs):
+        stages.append(replace(real(*args, **kwargs), converged=False))
+        return stages[-1]
+
+    monkeypatch.setattr(optimize, "minimize_fixed", unconverged)
+    for starts, last in (((source, None), 2), ((None, source), 1)):
+        stages.clear()
+        cont = continuation("cs", mix, q, 3, x, opts, starts=starts)
+        assert not cont.converged and cont.start is starts[-1]
+        assert len(stages) == 3 and len(cont.stages) == last
+        assert all(a is b for a, b in zip(cont.stages, stages[-last:]))
+
+
 def test_continuation_values_come_from_its_stages():
     cont = continuation("cs", MixtureSpec.pure(4, [2.0]), np.eye(1), 3, (0.0, 0.5, 1.0), SolveOptions())
     assert len(cont.stages) == 2
@@ -754,18 +799,19 @@ def test_warm_candidates_start_from_the_nearest_converged_candidate(monkeypatch)
     for _, r, x, warm, result in calls:
         denom = 4 * opts.x_grid * (r - 1)
         ticks = tuple(round(v * denom) for v in x[1:-1])
-        if isinstance(warm, DiscretePath):
+        if warm is not None and warm[1].x == x:
             # a first candidate grows from the r - 1 sweep's answer
             grown_calls += 1
             assert not any(rr == r for rr, _, _ in solved), x
             source = next(res for _, rr, xx, _, res in calls if (rr, xx) == (r - 1, answers[r - 1]))
             grown = grown_start(source.path, x)
-            assert warm.x == grown.x
-            assert all(np.array_equal(a, b) for a, b in zip(warm.qs, grown.qs))
+            assert warm[1].x == grown.x
+            assert all(np.array_equal(a, b) for a, b in zip(warm[1].qs, grown.qs))
         elif warm is not None:
             warm_calls += 1
-            assert warm.path.r == r and warm.converged
-            source = tuple(round(v * denom) for v in warm.path.x[1:-1])
+            lam, path = warm
+            assert path.r == r and next(res for *_, res in calls if res.path is path).converged
+            source = tuple(round(v * denom) for v in path.x[1:-1])
             nearest = min(
                 (max(abs(a - b) for a, b in zip(t, ticks)), t) for rr, t, ok in solved if rr == r and ok
             )
@@ -857,6 +903,17 @@ def test_newton_direction_descends_on_an_indefinite_hessian():
         grad = rng.normal(size=dim)
         direction = _newton_direction(obj, np.diag(np.r_[0.0, np.ones(dim - 1)]), grad)
         assert np.isfinite(direction).all() and grad @ direction < 0
+
+
+def test_newton_direction_shifts_a_hessian_that_factors_but_does_not_solve():
+    # Q diag(0, 1, 1) Q^T passes its Cholesky factorization in floating
+    # point, but the unshifted solve finds it singular
+    basis = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))[0]
+    hess = basis @ np.diag([0.0, 1.0, 1.0]) @ basis.T
+    np.linalg.cholesky(0.5 * (hess + hess.T))
+    grad = np.random.default_rng(1).normal(size=3)
+    direction = _newton_direction(_newton_obj(3), hess, grad)
+    assert np.isfinite(direction).all() and grad @ direction < 0
 
 
 @pytest.mark.parametrize("r_max", [4, 5])
