@@ -27,7 +27,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -42,7 +42,8 @@ from .path import DiscretePath
 from .path import validate as validate_path
 
 TOOL_VERSION = f"spinvar {__version__}"
-FORMAT_HEADER = "# spinvar-result v2"
+FORMAT_VERSION = 3
+FORMAT_HEADER = f"# spinvar-result v{FORMAT_VERSION}"
 COMMANDS = ("eval", "minimize", "gap", "verify", "continuous", "probe")
 _SPEC_KEYS = {"version", "n", "mixture", "h", "Q", "solve", "commands", "path"}
 _PATH_KEYS = {"x", "levels", "lambda"}
@@ -142,7 +143,10 @@ def build_spec(raw: dict) -> ProblemSpec:
     else:
         try:
             constraint = upper_to_matrix(raw["Q"], n)
-            problems.extend(f"Q: {m}" for m in check_constraint(constraint))
+            bad = [f"Q: {m}" for m in check_constraint(constraint)]
+            if bad:
+                problems.extend(bad)
+                constraint = None  # a path is checked only against a valid constraint
         except (ValidationError, TypeError, ValueError) as exc:
             problems.append(f"Q: {exc}")
 
@@ -179,11 +183,11 @@ def build_spec(raw: dict) -> ProblemSpec:
             try:
                 x = tuple(_reals(p.get("x", ())))
                 levels = [upper_to_matrix(u, n) for u in p.get("levels", ())]
-                if constraint is not None and len(x) == len(levels) + 1:
+                if len(x) != len(levels) + 1:
+                    problems.append("path: need len(x) == len(levels) + 1 (the constraint is implicit)")
+                elif constraint is not None:
                     parsed_path = DiscretePath(x, tuple(levels) + (constraint,))
                     problems.extend(f"path: {m}" for m in validate_path(parsed_path))
-                else:
-                    problems.append("path: need len(x) == len(levels) + 1 (the constraint is implicit)")
                 if "lambda" in p:
                     lam = upper_to_matrix(p["lambda"], n)
                     if not np.all(np.isfinite(lam)):
@@ -271,7 +275,7 @@ def run(command: str, spec: ProblemSpec, flags=None) -> ResultRecord:
     elif command == "minimize":
         result = search(spec.mixture, spec.constraint, opts)
         outputs.update(min_cs=result.value, argmin_cs=_search_payload(result))
-        outputs["trace"] = [("cs",) + row.as_tuple() for row in result.best.trace]
+        outputs["trace"] = [("cs",) + astuple(row) for row in result.best.trace]
         outputs["converged"] = result.best.converged
     elif command == "gap":
         report = duality_gap(spec.mixture, spec.constraint, opts)
@@ -284,7 +288,7 @@ def run(command: str, spec: ProblemSpec, flags=None) -> ResultRecord:
             eps_trace=report.eps_trace,
         )
         sides = (("parisi", report.argmin_parisi), ("cs", report.argmin_cs))
-        outputs["trace"] = [(form,) + row.as_tuple() for form, res in sides for row in res.best.trace]
+        outputs["trace"] = [(form,) + astuple(row) for form, res in sides for row in res.best.trace]
         outputs["converged"] = (
             report.argmin_parisi.best.converged and report.argmin_cs.best.converged
         )
@@ -343,40 +347,19 @@ def run(command: str, spec: ProblemSpec, flags=None) -> ResultRecord:
 
 
 def emit(record: ResultRecord, fmt: str, out_path: str):
-    """Write a record deterministically; floats carry 17 significant digits."""
-    payload = {
-        "command": record.command,
-        "inputs_digest": record.inputs_digest,
-        "outputs": _fmt(record.outputs),
-        "seed": record.seed,
-        "tool_version": record.tool_version,
-        "wall_time": _fmt(record.wall_time),
-    }
+    """Write a record deterministically; floats carry 17 significant digits.
+
+    ``json-lines`` writes the format line, then one line holding every
+    ``ResultRecord`` field (the argmin levels under
+    ``outputs.argmin_*.argmin.levels``); ``csv`` writes ``FORMAT_HEADER``,
+    then one row per trace entry.
+    """
     if fmt == "json-lines":
-        lines = [json.dumps({"format": "spinvar-result", "version": 2}, sort_keys=True)]
-        # one line per argmin level, then the summary line
-        for side in ("parisi", "cs"):
-            detail = record.outputs.get(f"argmin_{side}")
-            if detail is None:
-                continue
-            argmin = detail["argmin"]
-            for k, upper in enumerate(argmin.get("levels", []), start=1):
-                lines.append(
-                    json.dumps(
-                        _fmt(
-                            {
-                                "record": "level",
-                                "side": side,
-                                "k": k,
-                                "x": argmin["x"][k],
-                                "q_upper": upper,
-                            }
-                        ),
-                        sort_keys=True,
-                    )
-                )
-        lines.append(json.dumps(payload, sort_keys=True))
-        text = "\n".join(lines) + "\n"
+        lines = [
+            {"format": "spinvar-result", "version": FORMAT_VERSION},
+            _fmt({f.name: getattr(record, f.name) for f in fields(record)}),
+        ]
+        text = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
     elif fmt == "csv":
         rows = [FORMAT_HEADER]
         trace = record.outputs.get("trace", [])

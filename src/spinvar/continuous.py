@@ -95,7 +95,6 @@ class ContinuousCdf:
         for t, v in self.knots:
             if v >= 1.0:
                 return t
-        return self.knots[-1][0]
 
     def atoms(self) -> list[tuple[float, float]]:
         """Jump locations and masses of the associated measure."""

@@ -37,11 +37,8 @@ class InfeasiblePath(DomainError):
 class DegenerateIncrement(DomainError):
     """A path increment is singular, so the log-det barrier is infinite."""
 
-    def __init__(self, level: int, detail: str = ""):
-        msg = f"increment {level} -> {level + 1} is not positive definite"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+    def __init__(self, level: int):
+        super().__init__(f"increment {level} -> {level + 1} is not positive definite")
         self.level = level
 
 

@@ -47,7 +47,7 @@ schedule at the search's (r, x).
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
 
@@ -120,9 +120,6 @@ class TraceRow:
     value: float
     grad_norm: float
     min_increment_eig: float
-
-    def as_tuple(self):
-        return astuple(self)
 
 
 @dataclass

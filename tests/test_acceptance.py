@@ -9,13 +9,14 @@ in the assertions.
 import ast
 import math
 import re
+import shlex
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spinvar import battery, reference
+from spinvar import battery, cli, reference
 from spinvar.continuous import feasible_box, from_discrete
 from spinvar.matcore import MixtureSpec, sym_inverse
 from spinvar.optimize import SolveOptions, continuation, duality_gap, search
@@ -56,6 +57,21 @@ def test_readme_quick_start_runs(capsys):
     exec(compile(blocks[0], "README.md", "exec"), {})
     min_parisi, min_cs, gap = map(float, capsys.readouterr().out.split())
     assert math.isfinite(min_parisi) and math.isfinite(min_cs) and 0.0 <= gap <= 1e-4
+
+
+def test_readme_sample_commands_run(tmp_path, monkeypatch):
+    # each line of the README's "Try:" block, run from a directory that holds
+    # the sample problems, as a reader would run it
+    root = Path(__file__).resolve().parent.parent
+    blocks = re.findall(r"Try:\n\n```\n(.*?)^```$", (root / "README.md").read_text(),
+                        re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    commands = [shlex.split(line) for line in blocks[0].splitlines()]
+    assert commands and all(argv[0] == "spinvar" for argv in commands)
+    (tmp_path / "problems").symlink_to(root / "problems")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, argv
 
 
 def test_criterion_1_scalar_duality_gap():

@@ -7,6 +7,7 @@ import pytest
 
 from spinvar.cli import (
     FORMAT_HEADER,
+    FORMAT_VERSION,
     build_spec,
     emit,
     load_spec,
@@ -25,6 +26,7 @@ from spinvar.errors import (
     ParseError,
     ValidationError,
 )
+from spinvar.optimize import duality_gap
 
 
 def minimal_spec(**extra):
@@ -176,6 +178,24 @@ def test_build_spec_rejects_malformed_values(key, text, word):
     assert any(word in p for p in info.value.problems)
 
 
+@pytest.mark.parametrize("q, problems", [
+    (None, ["Q is required"]),
+    ([1.0, 2.0], ["Q: upper triangle for n=1 needs 1 entries, got 2"]),
+    ([-1.0], ["Q: unit diagonal required, got [-1.0]",
+              "Q: constraint must be positive definite, lam_min = -1.000e+00"]),
+], ids=("missing", "malformed", "invalid"))
+def test_bad_q_reports_no_false_path_problem(q, problems):
+    # a path of the right length was reported as the wrong length whenever Q
+    # did not parse, and checked against Q when Q parsed but was invalid
+    raw = {"version": 1, "n": 1, "mixture": [[2, [0.5]]],
+           "path": {"x": [0, 1], "levels": [[0.5]]}}
+    if q is not None:
+        raw["Q"] = q
+    with pytest.raises(ValidationError) as info:
+        build_spec(raw)
+    assert info.value.problems == problems
+
+
 @pytest.mark.parametrize("key, text, word", MALFORMED)
 def test_main_exits_2_on_malformed_values(tmp_path, capsys, key, text, word):
     spec_file = tmp_path / "problem.json"
@@ -309,20 +329,40 @@ def test_emit_deterministic(tmp_path):
     emit(rec, "json-lines", str(out2))
     assert out1.read_bytes() == out2.read_bytes()
     lines = [json.loads(l) for l in out1.read_text().splitlines()]
-    assert lines[0] == {"format": "spinvar-result", "version": 2}
-    level_lines = [l for l in lines if l.get("record") == "level"]
-    assert {l["side"] for l in level_lines} == {"parisi", "cs"}
-    assert all("q_upper" in l and "x" in l for l in level_lines)
+    assert lines[0] == {"format": "spinvar-result", "version": 3}
     assert lines[-1]["command"] == "gap"
 
     csv1 = tmp_path / "a.csv"
     emit(rec, "csv", str(csv1))
     lines = csv1.read_text().splitlines()
-    assert lines[0] == "# spinvar-result v2"
+    assert lines[0] == "# spinvar-result v3"
     assert lines[1] == "form,stage,eps,iter,value,grad_norm,min_increment_eig"
     assert len(lines) > 3
     rows = {tuple(line.split(",")[:2]) for line in lines[2:]}
     assert rows == {(form, stage) for form in ("parisi", "cs") for stage in ("0", "1")}
+
+
+def test_gap_json_lines_hold_each_level_once(tmp_path):
+    # the format line, then the record line, whose argmin levels are the
+    # solve's; each level used to be written a second time on a line of its own
+    spec = build_spec(minimal_spec(
+        n=2, mixture=[[2, [0.4, 0.3]]], h=[0.1, 0.0], Q=[1.0, 0.25, 1.0],
+        solve={"eps_schedule": [1e-1, 1e-3]},
+    ))
+    out = tmp_path / "gap.jsonl"
+    emit(run("gap", spec), "json-lines", str(out))
+    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(lines) == 2
+    assert lines[0] == {"format": "spinvar-result", "version": FORMAT_VERSION}
+    assert lines[1]["command"] == "gap"
+    report = duality_gap(spec.mixture, spec.constraint, spec.solve)
+    for side, result in (("parisi", report.argmin_parisi), ("cs", report.argmin_cs)):
+        path = result.best.path
+        levels = lines[1]["outputs"][f"argmin_{side}"]["argmin"]["levels"]
+        assert len(levels) == path.r - 1 >= 1
+        assert [[float(v) for v in upper] for upper in levels] == [
+            matrix_to_upper(path.level(k)) for k in range(1, path.r)
+        ]
 
 
 def test_float_emission_roundtrips(tmp_path):
