@@ -186,31 +186,21 @@ def check_gradient_oracle(kind="parisi", seed=6) -> CheckResult:
         path = random_feasible_path(rng, q, r, floor=0.2)
         eps = float(rng.choice([0.0, 1e-2]))
         direction = matcore.symmetrize(rng.uniform(-1, 1, size=(n, n)))
+        # the point's blocks: Q_1..Q_{r-1}, then the multiplier of the multiplier form
+        blocks = path.free_levels()
         if kind == "parisi":
-            lam = matcore.sym_inverse(q) + mix.xi_prime(q) + random_spd(rng, n, 0.5)
-            bundle = variation.grad_parisi(lam, path, mix, eps)
-            block = int(rng.integers(0, r))  # r-1 level blocks plus the multiplier
+            blocks.append(matcore.sym_inverse(q) + mix.xi_prime(q) + random_spd(rng, n, 0.5))
+            bundle = variation.grad_parisi(blocks[-1], path, mix, eps)
         else:
-            lam = None
             bundle = variation.grad_cs(path, mix, eps)
-            block = int(rng.integers(0, r - 1))
-        if kind == "parisi" and block == r - 1:
-            analytic = matcore.frobenius(bundle.d_lambda, direction)
+        block = int(rng.integers(0, len(blocks)))
+        analytic = matcore.frobenius([*bundle.d_q, bundle.d_lambda][block], direction)
 
-            def f(t):
-                return functionals.eval_perturbed(
-                    "parisi", eps, path, mix, lam=lam + 2 * t * direction
-                )
-
-        else:
-            analytic = matcore.frobenius(bundle.d_q[block], direction)
-
-            def f(t):
-                levels = path.free_levels()
-                levels[block] = levels[block] + 2 * t * direction
-                return functionals.eval_perturbed(
-                    kind, eps, path.with_levels(levels), mix, lam=lam
-                )
+        def f(t):
+            moved = list(blocks)
+            moved[block] = moved[block] + 2 * t * direction
+            lam = moved.pop() if kind == "parisi" else None
+            return functionals.eval_perturbed(kind, eps, path.with_levels(moved), mix, lam=lam)
 
         if abs(analytic) < 1e-2:
             return None  # keep the oracle well-conditioned

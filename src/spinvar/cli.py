@@ -15,8 +15,9 @@ A problem file is a JSON document:
 
 ``Q`` and every matrix in ``path`` are row-major upper triangles (diagonal
 included).  Unknown keys are rejected; validation reports every problem it
-finds, not just the first.  Exit codes: 0 success, 2 validation, 3
-infeasible, 4 non-convergence (results still emitted best-effort).
+finds, not just the first.  Exit codes: 0 success, 2 validation or an
+``--out`` that cannot be created, 3 infeasible, 4 non-convergence (results
+still emitted best-effort).
 """
 
 from __future__ import annotations
@@ -272,26 +273,18 @@ def run(command: str, spec: ProblemSpec, flags=None) -> ResultRecord:
             outputs["cs"] = eval_cs(spec.path, spec.mixture)
         if spec.lam is not None:
             outputs["parisi"] = eval_parisi(spec.lam, spec.path, spec.mixture)
-    elif command == "minimize":
-        result = search(spec.mixture, spec.constraint, opts)
-        outputs.update(min_cs=result.value, argmin_cs=_search_payload(result))
-        outputs["trace"] = [("cs",) + astuple(row) for row in result.best.trace]
-        outputs["converged"] = result.best.converged
-    elif command == "gap":
-        report = duality_gap(spec.mixture, spec.constraint, opts)
-        outputs.update(
-            min_parisi=report.min_parisi,
-            min_cs=report.min_cs,
-            gap=report.gap,
-            argmin_parisi=_search_payload(report.argmin_parisi),
-            argmin_cs=_search_payload(report.argmin_cs),
-            eps_trace=report.eps_trace,
-        )
-        sides = (("parisi", report.argmin_parisi), ("cs", report.argmin_cs))
+    elif command in ("minimize", "gap"):
+        # sides: the forms the command solved, in trace order
+        if command == "gap":
+            report = duality_gap(spec.mixture, spec.constraint, opts)
+            sides = (("parisi", report.argmin_parisi), ("cs", report.argmin_cs))
+            outputs.update(gap=report.gap, eps_trace=report.eps_trace)
+        else:
+            sides = (("cs", search(spec.mixture, spec.constraint, opts)),)
+        for form, res in sides:
+            outputs.update({f"min_{form}": res.value, f"argmin_{form}": _search_payload(res)})
         outputs["trace"] = [(form,) + astuple(row) for form, res in sides for row in res.best.trace]
-        outputs["converged"] = (
-            report.argmin_parisi.best.converged and report.argmin_cs.best.converged
-        )
+        outputs["converged"] = all(res.best.converged for _, res in sides)
     elif command == "verify":
         results = battery_mod.run_battery()
         outputs["checks"] = [
@@ -426,6 +419,12 @@ def main(argv=None) -> int:
     if not commands:
         print("error: 'run' needs a nonempty commands list in the problem file", file=sys.stderr)
         return 2
+    if args.out:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            print(f"error: cannot write --out {args.out}: {exc}", file=sys.stderr)
+            return 2
     exit_code = 0
     for command in commands:
         try:
@@ -452,7 +451,6 @@ def main(argv=None) -> int:
         if record.outputs.get("converged") is False:
             exit_code = max(exit_code, 4)
         if args.out:
-            os.makedirs(args.out, exist_ok=True)
             emit(record, "json-lines", os.path.join(args.out, f"{command}.jsonl"))
             if "trace" in record.outputs:
                 emit(record, "csv", os.path.join(args.out, f"{command}_trace.csv"))

@@ -172,7 +172,7 @@ def _points(span: float, *arrays) -> np.ndarray:
     return ts[np.append(True, np.diff(ts) > 0)]
 
 
-def _table(x: ContinuousCdf, phi: MatrixPath, extra=()):
+def _table(x: ContinuousCdf, phi: MatrixPath, extra):
     """The piecewise structure of (x, Phi) as arrays.
 
     Returns the points 0 = t_0 < ... < t_S = n (the knots of x and Phi plus
@@ -265,19 +265,11 @@ def from_discrete(path: DiscretePath) -> tuple[ContinuousCdf, MatrixPath]:
                 raise DegenerateTrace(
                     f"levels {k} and {k + 1} share trace {traces[k]:.6g} but differ"
                 )
-    phi_knots = []
-    for k in range(merged.r + 1):
-        if phi_knots and traces[k] == phi_knots[-1][0]:
-            continue  # a repeated knot can only be the zero level at t = 0
-        phi_knots.append((traces[k], merged.level(k)))
-    phi = MatrixPath(tuple(phi_knots))
-    cdf_knots = []
-    for k in range(merged.r):
-        if cdf_knots and traces[k] == cdf_knots[-1][0]:
-            cdf_knots[-1] = (traces[k], merged.x[k])
-        else:
-            cdf_knots.append((traces[k], merged.x[k]))
-    cdf = ContinuousCdf(tuple(cdf_knots))
+    # past the check every trace rises, but for a zero Q_1: it shares t = 0
+    # with Q_0, which keeps the path's knot, and x_1 takes the cdf's there
+    rises = [k for k in range(merged.r) if traces[k + 1] > traces[k]]  # from Q_k to Q_{k+1}
+    phi = MatrixPath(tuple((traces[k], merged.level(k)) for k in [0] + [k + 1 for k in rises]))
+    cdf = ContinuousCdf(tuple((traces[k], merged.x[k]) for k in rises))
     return cdf, phi
 
 

@@ -183,7 +183,7 @@ def _evaluate(plan, mix, constraint, eps, blocks, invert_all):
     m = len(chain)
     inv = stack_inverses(mats[1:] if invert_all else mats[1:2])
     base = 0.5 * _form_total(plan, hh, q, series, w[0], chain, logdet[1 : 1 + m], inv[0], logdet[-1])
-    value = base + eps * -logdet[1 + m :].sum() if eps != 0.0 else base
+    value = base + eps * -logdet[1 + m :].sum()
     return float(value), float(base), series, w, o, inv, m
 
 

@@ -249,10 +249,10 @@ class MixtureSpec:
         object.__setattr__(self, "_powers", np.array(powers, dtype=float).reshape(kinds, -1, 1, 1))
 
     @classmethod
-    def pure(cls, p: int, beta, h=None) -> "MixtureSpec":
+    def pure(cls, p: int, beta) -> "MixtureSpec":
         beta = np.atleast_1d(np.asarray(beta, dtype=float))
         n = beta.size
-        return cls(n=n, terms=((p, beta),), h=np.zeros(n) if h is None else h)
+        return cls(n=n, terms=((p, beta),), h=np.zeros(n))
 
     def series(self, a: np.ndarray) -> np.ndarray:
         """All five series at a stack ``a`` of shape (..., n, n), in one
@@ -303,8 +303,12 @@ def mixture_apply(kind: str, mix: MixtureSpec, a: np.ndarray) -> np.ndarray:
     return symmetrize(mix.series(a)[list(_MIX_KINDS).index(kind)])
 
 
-def check_constraint(q: np.ndarray) -> list[str]:
-    """Validation report for a self-overlap constraint matrix."""
+def check_constraint(q: np.ndarray, solve_only: bool = False) -> list[str]:
+    """Validation report for a self-overlap constraint matrix.  Every solve
+    needs a square matrix with finite entries, symmetric within
+    ``CONSTRAINT_TOL``, and ``solve_only`` checks just that; a problem
+    file's constraint also needs a unit diagonal, entries in [-1, 1] and
+    positive definiteness."""
     problems = []
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
@@ -313,8 +317,10 @@ def check_constraint(q: np.ndarray) -> list[str]:
         return [f"constraint entries must be finite, got {q.ravel().tolist()}"]
     # entries near the float limit overflow q - q.T; such a difference is not close
     with np.errstate(over="ignore"):
-        if not np.allclose(q, q.T, rtol=0.0, atol=CONSTRAINT_TOL):
+        if not (np.abs(q - q.T) <= CONSTRAINT_TOL).all():
             problems.append("constraint must be symmetric")
+    if solve_only:
+        return problems
     d = np.diagonal(q)
     if not np.allclose(d, 1.0, rtol=0.0, atol=CONSTRAINT_TOL):
         problems.append(f"unit diagonal required, got {d.tolist()}")

@@ -53,9 +53,9 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import DomainError, NoFeasibleStart, ValidationError
+from .errors import DimensionMismatch, DomainError, NoFeasibleStart, ValidationError
 from .functionals import Weights, eval_stack
-from .matcore import MixtureSpec, real, sym_inverse
+from .matcore import MixtureSpec, check_constraint, real, sym_inverse
 from .path import DiscretePath, equally_spaced
 
 DEFAULT_EPS_SCHEDULE = (1e-5, 1e-6)
@@ -128,7 +128,6 @@ class MinimizeResult:
     (path, lam), the perturbed and base values there, why it stopped, and
     the trace rows of its iterates."""
 
-    kind: str
     path: DiscretePath
     lam: np.ndarray | None
     eps: float
@@ -341,7 +340,16 @@ def minimize_fixed(
     iteration budget runs out, the representer norm plateaus or no step
     along the Newton direction is acceptable.  ``stop_reason`` names the
     exit: ``converged``, ``budget``, ``plateau`` or ``no_step``.  The trace
-    rows of the iterates carry ``stage``, the stage's schedule index."""
+    rows of the iterates carry ``stage``, the stage's schedule index.
+
+    The constraint must be n x n for the mixture's n (DimensionMismatch)
+    and pass ``check_constraint(..., solve_only=True)`` (ValidationError)."""
+    q = np.asarray(constraint, dtype=float)
+    if q.shape != (mix.n, mix.n):
+        raise DimensionMismatch(f"constraint has shape {q.shape}, the mixture has n = {mix.n}")
+    problems = check_constraint(q, solve_only=True)
+    if problems:
+        raise ValidationError(problems)
     plan = Weights(kind, x)
     if start is None:
         lam, levels = default_start(kind, mix, constraint, r, x)
@@ -403,7 +411,6 @@ def minimize_fixed(
     trace = [TraceRow(stage, eps, it, v, norm, float(e)) for (it, v, norm, _), e in zip(visited, eigs)]
     lam, levels = plan.split(obj.blocks(z))
     return MinimizeResult(
-        kind=kind,
         path=DiscretePath(plan.x, tuple(levels) + (obj.constraint,)),
         lam=lam,
         eps=eps,

@@ -115,7 +115,6 @@ def fd_directional_backtracked(f, h_step: float) -> float:
 class CriticalReport:
     """What :func:`critical_residual` finds at a candidate point."""
 
-    side: str
     residuals: tuple[float, ...]
     max_residual: float
     identity_gap: float
@@ -152,9 +151,8 @@ def critical_residual(
     own = inv[: path.r - 1]
     residuals = tuple(float(v) for v in np.max(np.abs(own - corrected), axis=(1, 2)))
     return CriticalReport(
-        side=side,
         residuals=residuals,
-        max_residual=max(residuals) if residuals else 0.0,
+        max_residual=max(residuals),
         identity_gap=abs(value_pert - value_approx),
         value_perturbed=value_pert,
         value_approx=value_approx,
@@ -165,7 +163,6 @@ def critical_residual(
 class TildeResult:
     """A tilde-transformed object plus its feasibility report."""
 
-    side: str
     path: DiscretePath | None
     lam: np.ndarray | None
     feasible: bool
@@ -196,7 +193,7 @@ def tilde_transform(
             f"transformed increment {k} -> {k + 1} is not PD"
             for k in np.flatnonzero(~increments(new_path)[2])
         )
-        return TildeResult("lower", new_path, None, not violations, violations)
+        return TildeResult(new_path, None, not violations, violations)
     if lam is None:
         lam = _multiplier(path, mix, eps, err)
     lam_tilde = symmetrize(lam + s * err.ebar[0])
@@ -205,7 +202,7 @@ def tilde_transform(
         lambda_sequence(lam_tilde, path, mix)
     except DomainError as exc:
         violations.append(str(exc))
-    return TildeResult("upper", None, lam_tilde, not violations, tuple(violations))
+    return TildeResult(None, lam_tilde, not violations, tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -215,7 +212,6 @@ class BoundCheck:
     tilde-shifted point, ``slack = lhs - rhs``, and ``holds`` whether the
     slack is at least -1e-9, the round-off allowance."""
 
-    side: str
     lhs: float
     rhs: float
     holds: bool
@@ -246,4 +242,4 @@ def bound_check(
     kind = "cs" if side == "lower" else "parisi"
     rhs = eval_perturbed(kind, 0.0, shifted.path or path, mix, lam=shifted.lam)
     slack = lhs - rhs
-    return BoundCheck(side=side, lhs=lhs, rhs=rhs, holds=slack >= -1e-9, slack=slack)
+    return BoundCheck(lhs=lhs, rhs=rhs, holds=slack >= -1e-9, slack=slack)

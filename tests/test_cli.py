@@ -29,6 +29,9 @@ from spinvar.errors import (
 from spinvar.optimize import duality_gap
 
 
+PURE2_SCALAR = str(Path(__file__).resolve().parent.parent / "problems" / "pure2_scalar.json")
+
+
 def minimal_spec(**extra):
     raw = {
         "version": 1,
@@ -394,6 +397,37 @@ def test_main_exit_codes(tmp_path, capsys):
         name="degenerate.json",
     )
     assert main(["eval", "--spec", degenerate]) == 3
+
+
+def test_main_out_naming_a_file_exits_2_before_any_command(tmp_path, capsys, monkeypatch):
+    # verify ran the whole battery, then died on FileExistsError with exit 1
+    from spinvar import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: calls.append(args))
+    taken = tmp_path / "taken.txt"
+    taken.write_text("")
+    assert main(["verify", "--spec", PURE2_SCALAR, "--out", str(taken)]) == 2
+    assert f"error: cannot write --out {taken}" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_main_exits_4_on_non_convergence_and_still_writes(tmp_path):
+    out_dir = tmp_path / "out"
+    assert main(["gap", "--spec", PURE2_SCALAR, "--tol", "1e-300", "--out", str(out_dir)]) == 4
+    assert (out_dir / "gap.jsonl").exists() and (out_dir / "gap_trace.csv").exists()
+
+
+def test_main_run_with_no_commands_exits_2(tmp_path, capsys):
+    spec_file = write_spec(tmp_path, minimal_spec(commands=[]))
+    assert main(["run", "--spec", spec_file]) == 2
+    assert "nonempty commands list" in capsys.readouterr().err
+
+
+def test_build_spec_rejects_a_path_of_the_wrong_length():
+    raw = minimal_spec(path={"x": [0.0, 0.5, 1.0], "levels": [[0.25]]})
+    with pytest.raises(ValidationError, match=r"need len\(x\) == len\(levels\) \+ 1"):
+        build_spec(raw)
 
 
 def test_main_rejects_negative_seed(capsys):

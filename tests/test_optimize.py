@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spinvar.battery import random_correlation, random_feasible_path, random_mixture
-from spinvar.errors import ValidationError
+from spinvar.errors import DimensionMismatch, ValidationError
 from spinvar.functionals import Weights, eval_stack
 from spinvar.matcore import MixtureSpec
 from spinvar.optimize import (
@@ -297,6 +297,28 @@ def test_gap_scalar_instances():
         rep = duality_gap(MixtureSpec.pure(2, [beta]), q, SolveOptions())
         assert rep.gap <= 1e-4
         assert rep.min_cs == pytest.approx(pure2_rs_value(beta), abs=1e-4)
+
+
+def test_solvers_reject_a_malformed_constraint():
+    # only the problem file's Q was checked: an asymmetric Q solved to a gap
+    # of 1.4e-2, and a Q of the wrong size or rank raised numpy's errors
+    mix = MixtureSpec(n=2, terms=((2, [0.4, 0.3]),), h=[0.1, 0.0])
+    with pytest.raises(ValidationError, match="symmetric"):
+        duality_gap(mix, [[1.0, 0.3], [0.2, 1.0]], SolveOptions())
+    for q in (np.eye(3), np.ones(2)):
+        with pytest.raises(DimensionMismatch, match="n = 2"):
+            duality_gap(mix, q, SolveOptions())
+    # a unit diagonal stays a rule of the problem file only
+    assert duality_gap(mix, np.array([[2.0, 0.25], [0.25, 1.0]]), SolveOptions()).gap <= 1e-6
+
+
+def test_a_direction_outside_the_domain_ends_the_stage_no_step(monkeypatch):
+    # every step length along it leaves the domain, so no trial is accepted
+    from spinvar import optimize
+
+    monkeypatch.setattr(optimize, "_newton_direction", lambda obj, hess, grad: 1e40 * grad)
+    res = minimize_fixed("cs", MixtureSpec.pure(2, [1.0]), np.eye(1), 2, (0.0, 1.0), 1e-5, SolveOptions())
+    assert (res.stop_reason, res.iterations, res.converged) == ("no_step", 1, False)
 
 
 def test_gap_rejects_a_non_finite_constraint():
