@@ -74,7 +74,7 @@ def random_feasible_path(rng, constraint, r, floor=0.0):
             for g in raw]
     cuts = np.sort(rng.uniform(0.05, 0.95, size=r - 2)) if r > 2 else np.array([])
     x = (0.0,) + tuple(cuts) + (1.0,)
-    return DiscretePath(x, tuple(np.cumsum(incs[:-1], axis=0)) + (matcore.symmetrize(constraint),))
+    return DiscretePath(x, [*np.cumsum(incs[:-1], axis=0), matcore.symmetrize(constraint)])
 
 
 def _judge(name, margins, passes, worst=np.min, detail="") -> CheckResult:
@@ -187,20 +187,21 @@ def check_gradient_oracle(kind="parisi", seed=6) -> CheckResult:
         eps = float(rng.choice([0.0, 1e-2]))
         direction = matcore.symmetrize(rng.uniform(-1, 1, size=(n, n)))
         # the point's blocks: Q_1..Q_{r-1}, then the multiplier of the multiplier form
-        blocks = path.free_levels()
+        blocks = path.qs[:-1]
         if kind == "parisi":
-            blocks.append(matcore.sym_inverse(q) + mix.xi_prime(q) + random_spd(rng, n, 0.5))
-            bundle = variation.grad_parisi(blocks[-1], path, mix, eps)
+            lam = matcore.sym_inverse(q) + mix.xi_prime(q) + random_spd(rng, n, 0.5)
+            blocks = np.concatenate([blocks, [lam]])
+            bundle = variation.grad_parisi(lam, path, mix, eps)
         else:
             bundle = variation.grad_cs(path, mix, eps)
         block = int(rng.integers(0, len(blocks)))
         analytic = matcore.frobenius([*bundle.d_q, bundle.d_lambda][block], direction)
 
         def f(t):
-            moved = list(blocks)
-            moved[block] = moved[block] + 2 * t * direction
-            lam = moved.pop() if kind == "parisi" else None
-            return functionals.eval_perturbed(kind, eps, path.with_levels(moved), mix, lam=lam)
+            moved = blocks.copy()
+            moved[block] += 2 * t * direction
+            lam = moved[-1] if kind == "parisi" else None
+            return functionals.eval_perturbed(kind, eps, path.with_levels(moved[: r - 1]), mix, lam=lam)
 
         if abs(analytic) < 1e-2:
             return None  # keep the oracle well-conditioned
@@ -297,7 +298,7 @@ def check_level_merge(seed=12) -> CheckResult:
         lam = matcore.sym_inverse(q) + mix.xi_prime(q) + random_spd(rng, n, 1.0)
         k = int(rng.integers(1, path.r))
         dup_x = path.x[:k] + (path.x[k],) + path.x[k:]
-        dup_q = path.qs[: k - 1] + (path.qs[k - 1],) + path.qs[k - 1 :]
+        dup_q = np.insert(path.qs, k - 1, path.qs[k - 1], axis=0)
         dup = DiscretePath(dup_x, dup_q)
         merged = merge_duplicates(dup)
         return (

@@ -16,8 +16,9 @@ A problem file is a JSON document:
 ``Q`` and every matrix in ``path`` are row-major upper triangles (diagonal
 included).  Unknown keys are rejected; validation reports every problem it
 finds, not just the first.  Exit codes: 0 success, 2 validation or an
-``--out`` that cannot be created, 3 infeasible, 4 non-convergence (results
-still emitted best-effort).
+``--out`` that cannot be created or a result file in it that cannot be
+written, 3 infeasible, 4 non-convergence (results still emitted
+best-effort).
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ def build_spec(raw: dict) -> ProblemSpec:
                 if len(x) != len(levels) + 1:
                     problems.append("path: need len(x) == len(levels) + 1 (the constraint is implicit)")
                 elif constraint is not None:
-                    parsed_path = DiscretePath(x, tuple(levels) + (constraint,))
+                    parsed_path = DiscretePath(x, [*levels, constraint])
                     problems.extend(f"path: {m}" for m in validate_path(parsed_path))
                 if "lambda" in p:
                     lam = upper_to_matrix(p["lambda"], n)
@@ -243,7 +244,7 @@ def _fmt(value):
 def _path_payload(path: DiscretePath) -> dict:
     return {
         "x": list(path.x),
-        "levels": [matrix_to_upper(path.level(k)) for k in range(1, path.r)],
+        "levels": [matrix_to_upper(q) for q in path.qs[:-1]],
     }
 
 
@@ -322,8 +323,7 @@ def run(command: str, spec: ProblemSpec, flags=None) -> ResultRecord:
         pairs = []
         for _ in range(8):
             jitter = rng.uniform(0.9, 1.0)
-            levels = [jitter * m for m in base.free_levels()]
-            pairs.append(continuous_mod.from_discrete(base.with_levels(levels)))
+            pairs.append(continuous_mod.from_discrete(base.with_levels(jitter * base.qs[:-1])))
         empirical, bound = continuous_mod.lipschitz_probe(spec.mixture, box, pairs)
         outputs.update(empirical_modulus=empirical, bound=bound, within=empirical <= bound)
     else:
@@ -451,9 +451,16 @@ def main(argv=None) -> int:
         if record.outputs.get("converged") is False:
             exit_code = max(exit_code, 4)
         if args.out:
-            emit(record, "json-lines", os.path.join(args.out, f"{command}.jsonl"))
+            targets = {"json-lines": f"{command}.jsonl"}
             if "trace" in record.outputs:
-                emit(record, "csv", os.path.join(args.out, f"{command}_trace.csv"))
+                targets["csv"] = f"{command}_trace.csv"
+            for fmt, name in targets.items():
+                target = os.path.join(args.out, name)
+                try:
+                    emit(record, fmt, target)
+                except OSError as exc:
+                    print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+                    return 2
     return exit_code
 
 

@@ -258,13 +258,11 @@ def from_discrete(path: DiscretePath) -> tuple[ContinuousCdf, MatrixPath]:
     if path.x[-1] != 1.0:
         raise ValidationError("the continuous form needs x_{r-1} = 1")
     merged = merge_duplicates(path)
-    traces = [float(np.trace(merged.level(k))) for k in range(merged.r + 1)]
+    traces = [0.0] + np.trace(merged.qs, axis1=1, axis2=2).tolist()  # at Q_0..Q_r
+    moves = np.abs(merged.increments).max(axis=(1, 2)) > 0.0
     for k in range(merged.r):
-        if traces[k + 1] <= traces[k]:
-            if float(np.max(np.abs(merged.increment(k)))) > 0.0:
-                raise DegenerateTrace(
-                    f"levels {k} and {k + 1} share trace {traces[k]:.6g} but differ"
-                )
+        if traces[k + 1] <= traces[k] and moves[k]:
+            raise DegenerateTrace(f"levels {k} and {k + 1} share trace {traces[k]:.6g} but differ")
     # past the check every trace rises, but for a zero Q_1: it shares t = 0
     # with Q_0, which keeps the path's knot, and x_1 takes the cdf's there
     rises = [k for k in range(merged.r) if traces[k + 1] > traces[k]]  # from Q_k to Q_{k+1}

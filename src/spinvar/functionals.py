@@ -266,12 +266,11 @@ def _tangent(plan, eps, series, inv, w1, jdx, core, v):
 def _point(plan, path: DiscretePath, lam=None):
     """The free blocks of one path: the symmetrized multiplier first for
     the multiplier form, then the levels."""
-    n = path.n
     if plan.lead:
         if lam is None:
             raise ValueError("the multiplier form needs lam")
-        lam = _as_multiplier(lam, n)
-    return plan.join(lam, np.array(path.qs[:-1]).reshape(path.r - 1, n, n))
+        lam = _as_multiplier(lam, path.n)
+    return plan.join(lam, path.qs[:-1])
 
 
 def eval_point(kind, eps, path: DiscretePath, mix: MixtureSpec, lam=None, grad=False):
@@ -306,7 +305,7 @@ def increments(path: DiscretePath):
     """The increments Q_{k+1} - Q_k, k = 0..r-1, their log-dets and their
     positive-definiteness mask, from one Cholesky call; an increment that
     does not factor gets log-det 0."""
-    inc = np.diff(np.array((np.zeros((path.n, path.n)),) + path.qs), axis=0)
+    inc = path.increments
     logdet, ok = stack_logdets(inc)
     return inc, logdet, ok
 

@@ -317,7 +317,7 @@ def default_start(kind, mix, constraint, r, x):
 
     The solver's NoFeasibleStart check still guards the start.
     """
-    levels = equally_spaced(constraint, r, x).free_levels()
+    levels = equally_spaced(constraint, r, x).qs[:-1]
     if kind != "parisi":
         return None, levels
     q = np.asarray(constraint, dtype=float)
@@ -411,7 +411,7 @@ def minimize_fixed(
     trace = [TraceRow(stage, eps, it, v, norm, float(e)) for (it, v, norm, _), e in zip(visited, eigs)]
     lam, levels = plan.split(obj.blocks(z))
     return MinimizeResult(
-        path=DiscretePath(plan.x, tuple(levels) + (obj.constraint,)),
+        path=DiscretePath(plan.x, np.concatenate([levels, obj.constraint[None]])),
         lam=lam,
         eps=eps,
         value=value,
@@ -437,7 +437,7 @@ def grown_start(path: DiscretePath, x) -> DiscretePath:
     t = path.r - 1
     low, top, q = path.level(t - 1), path.level(t), path.constraint
     split = [top - _GROW_TAU * (top - low), top + _GROW_TAU * (q - top)]
-    return DiscretePath(tuple(x), tuple(path.free_levels()[:-1] + split) + (q,))
+    return DiscretePath(tuple(x), np.concatenate([path.qs[:-2], split, q[None]]))
 
 
 def continuation(
@@ -459,10 +459,11 @@ def continuation(
     A start None is cold: the whole eps schedule runs, the first stage from
     :func:`default_start`, each later one from the previous stage's
     minimizer.  A start (lam, path), lam None for the multiplier-free form,
-    is warm: only the schedule's last stage runs, from the path's free
-    levels and lam.  A barrier method may start at its target eps near the
-    solution (Boyd & Vandenberghe, sec. 11.3), so the extrapolation is that
-    stage's base value.  The path may be a continuation's at other weights
+    is warm: only the schedule's last stage runs, from lam and the path's
+    free levels ``path.qs[:-1]``, a view of its read-only (r, n, n) stack.
+    A barrier method may start at its target eps near the solution (Boyd &
+    Vandenberghe, sec. 11.3), so the extrapolation is that stage's base
+    value.  The path may be a continuation's at other weights
     or a :func:`grown_start`: the tail chain
     D_p = sum_{k >= p} x_k (Q_{k+1} - Q_k) of a strictly monotone path is
     positive definite for any positive weights, so its levels are feasible
@@ -470,11 +471,11 @@ def continuation(
     """
     schedule = list(enumerate(opts.eps_schedule))
     for start in starts:
-        first = None if start is None else (start[0], start[1].free_levels())
+        first = None if start is None else (start[0], start[1].qs[:-1])
         stages = []
         for si, eps in schedule if start is None else schedule[-1:]:
             stages.append(minimize_fixed(kind, mix, constraint, r, x, eps, opts, start=first, stage=si))
-            first = (stages[-1].lam, stages[-1].path.free_levels())
+            first = (stages[-1].lam, stages[-1].path.qs[:-1])
         cont = ContinuationResult(stages, start)
         if cont.converged:
             break

@@ -6,8 +6,12 @@ A discrete path is the pair of sequences
     0 = Q_0 <= Q_1 <= ... <= Q_{r-1} <= Q_r = Q
 
 with PSD-ordered matrix levels.  Q_0 = 0 is implicit and Q_r is the
-constraint; only Q_1 .. Q_{r-1} are free in any optimization.  From a path
-and a mixture two chains are derived:
+constraint; only Q_1 .. Q_{r-1} are free in any optimization.  A
+:class:`DiscretePath` holds Q_1..Q_r as one read-only float64 stack ``qs``
+of shape (r, n, n), so the free levels are ``qs[:-1]`` and the constraint
+``qs[-1]``, and its ``increments`` are the stack of the steps
+Q_{k+1} - Q_k, k = 0..r-1; every kernel reads these stacks whole.  From a
+path and a mixture two chains are derived:
 
     Lambda_p = Lambda - sum_{p <= k <= r-1} x_k (xi'(Q_{k+1}) - xi'(Q_k))
     D_p      =          sum_{p <= k <= r-1} x_k (Q_{k+1} - Q_k)
@@ -41,14 +45,19 @@ from .errors import (
     NotPositiveDefinite,
     ValidationError,
 )
-from .matcore import MixtureSpec, frozen, psd_tol, real, spectral_floor, stack_logdets, symmetrize
+from .matcore import MixtureSpec, frozen, psd_tol, real, stack_logdets, symmetrize
 
 @dataclass(frozen=True)
 class DiscretePath:
-    """Weights x_0..x_{r-1} paired with matrix levels Q_1..Q_r."""
+    """Weights x_0..x_{r-1} paired with matrix levels Q_1..Q_r.
+
+    ``qs`` is given as a sequence of r square matrices or an (r, n, n)
+    array, and held as one read-only float64 stack (r, n, n) of the
+    symmetrized levels, so Q_k is ``qs[k - 1]``; :attr:`increments` is the
+    stack of the steps Q_{k+1} - Q_k."""
 
     x: tuple[float, ...]
-    qs: tuple[np.ndarray, ...]
+    qs: np.ndarray
 
     def __post_init__(self):
         x = tuple(real(v) for v in self.x)
@@ -71,7 +80,7 @@ class DiscretePath:
                 f"got shapes {[q.shape for q in qs]}"
             )
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "qs", tuple(frozen(symmetrize(q)) for q in qs))
+        object.__setattr__(self, "qs", frozen(symmetrize(np.array(qs))))
 
     @property
     def r(self) -> int:
@@ -79,11 +88,16 @@ class DiscretePath:
 
     @property
     def n(self) -> int:
-        return self.qs[0].shape[0]
+        return self.qs.shape[-1]
 
     @property
     def constraint(self) -> np.ndarray:
         return self.qs[-1]
+
+    @property
+    def increments(self) -> np.ndarray:
+        """Q_{k+1} - Q_k, k = 0..r-1, as a fresh stack (r, n, n)."""
+        return np.diff(self.qs, axis=0, prepend=0.0)
 
     def level(self, k: int) -> np.ndarray:
         """Q_k for 0 <= k <= r, with Q_0 the zero matrix."""
@@ -91,25 +105,17 @@ class DiscretePath:
             return np.zeros((self.n, self.n))
         return self.qs[k - 1]
 
-    def increment(self, k: int) -> np.ndarray:
-        """Q_{k+1} - Q_k for 0 <= k <= r-1."""
-        return self.level(k + 1) - self.level(k)
-
     def with_levels(self, levels) -> "DiscretePath":
         """Replace the free levels Q_1..Q_{r-1}, keeping x and the constraint."""
         if len(levels) != self.r - 1:
             raise ValidationError(f"expected {self.r - 1} free levels, got {len(levels)}")
-        return DiscretePath(self.x, tuple(levels) + (self.constraint,))
-
-    def free_levels(self) -> list[np.ndarray]:
-        return [np.array(q) for q in self.qs[:-1]]
+        return DiscretePath(self.x, [*levels, self.constraint])
 
 
 def equally_spaced(constraint: np.ndarray, r: int, x) -> DiscretePath:
     """The deterministic start Q_k = (k/r) Q with the given weights."""
     q = symmetrize(np.asarray(constraint, dtype=float))
-    qs = tuple((k / r) * q for k in range(1, r + 1))
-    return DiscretePath(tuple(x), qs)
+    return DiscretePath(tuple(x), (np.arange(1, r + 1) / r)[:, None, None] * q)
 
 
 def validate(path: DiscretePath) -> list[str]:
@@ -123,13 +129,10 @@ def validate(path: DiscretePath) -> list[str]:
             problems.append(f"weights must be nondecreasing: x_{k} = {x[k]} < x_{k-1} = {x[k-1]}")
     if x[-1] > 1.0:
         problems.append(f"x_{{r-1}} must be <= 1, got {x[-1]}")
-    for k in range(path.r):
-        inc = path.increment(k)
-        floor = spectral_floor(inc)
-        if floor < -psd_tol(inc):
-            problems.append(
-                f"increment Q_{k + 1} - Q_{k} is not PSD: lam_min = {floor:.6e}"
-            )
+    incs = path.increments
+    floors = np.linalg.eigvalsh(incs)[:, 0]
+    for k in np.flatnonzero(floors < -psd_tol(incs)):
+        problems.append(f"increment Q_{k + 1} - Q_{k} is not PSD: lam_min = {floors[k]:.6e}")
     return problems
 
 
@@ -198,7 +201,7 @@ def lambda_sequence(lam: np.ndarray, path: DiscretePath, mix: MixtureSpec) -> np
     InfeasibleMultiplier unless Lambda_1 factors after a shift by its
     psd_tol, NotPositiveDefinite unless every chain matrix factors."""
     lam = _as_multiplier(lam, path.n)
-    field = mix.outer_field() + mix.series(np.array(path.qs))[:, 1]  # hh + xi'(Q_p), p = 1..r
+    field = mix.outer_field() + mix.series(path.qs)[:, 1]  # hh + xi'(Q_p), p = 1..r
     chain = _tail_chain(path.x, lam, field)
     _factor_chain("parisi", chain, chain[:0])
     return frozen(chain)
@@ -211,9 +214,8 @@ def d_sequence(path: DiscretePath) -> np.ndarray:
     chain matrix and Q - Q_{r-1} factor."""
     if path.r < 2:
         raise InfeasiblePath("D sequence needs r >= 2")
-    levels = np.array(path.qs)  # Q_1..Q_r
-    chain = _tail_chain(path.x, None, levels)
-    _factor_chain("cs", chain, levels[-1:] - levels[-2:-1])
+    chain = _tail_chain(path.x, None, path.qs)
+    _factor_chain("cs", chain, path.increments[-1:])
     return frozen(chain)
 
 
@@ -250,4 +252,4 @@ def merge_duplicates(path: DiscretePath) -> DiscretePath:
                 del qs[j]
                 changed = True
                 break
-    return DiscretePath(tuple(x), tuple(qs[1:]))
+    return DiscretePath(tuple(x), qs[1:])

@@ -188,7 +188,7 @@ def tilde_transform(
     err = error_terms(side, path, mix)
     s = corrected_eps(eps)
     if side == "lower":
-        new_path = path.with_levels(np.array(path.qs[:-1]) + s * err.e[:-1])
+        new_path = path.with_levels(path.qs[:-1] + s * err.e[:-1])
         violations = tuple(
             f"transformed increment {k} -> {k + 1} is not PD"
             for k in np.flatnonzero(~increments(new_path)[2])

@@ -412,6 +412,13 @@ def test_main_out_naming_a_file_exits_2_before_any_command(tmp_path, capsys, mon
     assert calls == []
 
 
+def test_main_out_that_cannot_take_a_file_exits_2(tmp_path, capsys):
+    # the solve ran, then emit raised IsADirectoryError with exit 1
+    (tmp_path / "gap.jsonl").mkdir()
+    assert main(["gap", "--spec", PURE2_SCALAR, "--out", str(tmp_path)]) == 2
+    assert f"error: cannot write {tmp_path / 'gap.jsonl'}: Is a directory" in capsys.readouterr().err
+
+
 def test_main_exits_4_on_non_convergence_and_still_writes(tmp_path):
     out_dir = tmp_path / "out"
     assert main(["gap", "--spec", PURE2_SCALAR, "--tol", "1e-300", "--out", str(out_dir)]) == 4

@@ -306,7 +306,7 @@ def test_level_merge_invariance():
     lam = symmetrize(rng.normal(size=(2, 2))) + 8 * np.eye(2)
     k = 2
     dup_x = path.x[:k] + (path.x[k],) + path.x[k:]
-    dup_q = path.qs[: k - 1] + (path.qs[k - 1],) + path.qs[k - 1 :]
+    dup_q = np.insert(path.qs, k - 1, path.qs[k - 1], axis=0)
     dup = DiscretePath(dup_x, dup_q)
     assert eval_parisi(lam, dup, mix) == pytest.approx(eval_parisi(lam, path, mix), abs=1e-12)
     assert eval_cs(dup, mix) == pytest.approx(eval_cs(path, mix), abs=1e-12)

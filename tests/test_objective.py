@@ -51,7 +51,7 @@ def ref_chain(kind, lam, path, mix):
         return seq
     seq, tail = [None] * (r - 1), 0.0
     for p in range(r - 1, 0, -1):
-        tail = tail + path.x[p] * path.increment(p)
+        tail = tail + path.x[p] * path.increments[p]
         seq[p - 1] = tail
     return seq
 
@@ -72,7 +72,7 @@ def ref_value(kind, eps, path, mix, lam=None):
         for k in range(1, r):
             total -= x[k] * (sums[k + 1] - sums[k])
     else:
-        total = frobenius(hh, seq[0]) + chol_logdet(path.increment(r - 1)) / x[-1]
+        total = frobenius(hh, seq[0]) + chol_logdet(path.increments[r - 1]) / x[-1]
         for k in range(1, r - 1):
             if x[k] != 0.0:
                 total -= (ld[k] - ld[k - 1]) / x[k]
@@ -80,7 +80,7 @@ def ref_value(kind, eps, path, mix, lam=None):
         sums = [ref_series(mix, "xi", path.level(k)).sum() for k in range(r + 1)]
         for k in range(1, r):
             total += x[k] * (sums[k + 1] - sums[k])
-    barrier = -sum(chol_logdet(path.increment(k)) for k in range(r)) if eps else 0.0
+    barrier = -sum(chol_logdet(path.increments[k]) for k in range(r)) if eps else 0.0
     return 0.5 * total + eps * barrier
 
 
@@ -91,7 +91,7 @@ def ref_representers(kind, eps, path, mix, lam=None):
     inv = [sym_inverse(m) for m in ref_chain(kind, lam, path, mix)]
     barrier = [0.0] * r
     if eps:
-        inc_inv = [sym_inverse(path.increment(k)) for k in range(r)]
+        inc_inv = [sym_inverse(path.increments[k]) for k in range(r)]
         barrier = [None] + [2 * eps * (inc_inv[p] - inc_inv[p - 1]) for p in range(1, r)]
     if kind == "parisi":
         a = symmetrize(inv[0] @ (hh + ref_series(mix, "xi_prime", path.level(1))) @ inv[0])
@@ -125,9 +125,9 @@ def ref_feasible(kind, eps, path, mix, lam=None):
     margin = 1e-10 * max(float(np.max(np.abs(np.diag(floor)))), 1.0)
     mats = [floor - margin * np.eye(path.n)] + seq
     if kind == "cs":
-        mats.append(path.increment(path.r - 1))
+        mats.append(path.increments[path.r - 1])
     if eps:
-        mats += [path.increment(k) for k in range(path.r)]
+        mats += [path.increments[k] for k in range(path.r)]
     try:
         for m in mats:
             chol_logdet(m)
@@ -148,7 +148,7 @@ def instance(kind, n, r, seed):
 
 def objective(kind, mix, q, path, lam, eps):
     plan = Weights(kind, path.x)
-    return Objective(plan, mix, q, eps, plan.join(lam, path.free_levels()))
+    return Objective(plan, mix, q, eps, plan.join(lam, path.qs[:-1]))
 
 
 def point(obj, z):

@@ -592,7 +592,7 @@ def test_warm_start_is_feasible_at_every_neighbour(seed):
     n, r = int(rng.integers(1, 5)), int(rng.integers(3, 5))
     mix = random_mixture(rng, n)
     q = random_correlation(rng, n)
-    levels = random_feasible_path(rng, q, r).free_levels()
+    levels = random_feasible_path(rng, q, r).qs[:-1]
     y = (0.0,) + tuple(np.sort(rng.choice(np.arange(2, 31), r - 2, replace=False)) / 32) + (1.0,)
     moves = []
     for k in range(1, r - 1):
@@ -881,8 +881,8 @@ def test_grown_start_is_feasible_for_both_forms(seed, r):
     assert (grown.x, grown.r) == (x, r)
     for k in range(r - 2):
         np.testing.assert_array_equal(grown.level(k), path.level(k))
-    assert min(np.linalg.eigvalsh(grown.increment(k)).min() for k in range(r)) > 0
-    levels = np.array(grown.free_levels())
+    assert min(np.linalg.eigvalsh(grown.increments[k]).min() for k in range(r)) > 0
+    levels = np.array(grown.qs[:-1])
     for kind in ("cs", "parisi"):
         lam, _ = default_start(kind, mix, q, r, x)
         if kind == "cs":

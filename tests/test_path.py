@@ -149,6 +149,22 @@ def test_path_is_immutable():
         path.qs[0][0, 0] = 2.0
 
 
+def test_levels_are_one_read_only_stack():
+    # the levels were a tuple of matrices, and every kernel stacked them itself
+    levels = [np.array([[0.5, 0.1], [0.1, 0.4]]), np.array([[0.3, 0.0], [0.0, 0.7]]),
+              np.array([[1.0, 0.2], [0.2, 0.5]])]
+    for qs in (tuple(levels), levels, np.array(levels)):
+        path = DiscretePath((0.0, 0.5, 1.0), qs)
+        assert type(path.qs) is np.ndarray and path.qs.dtype == np.float64
+        assert path.qs.shape == (3, 2, 2) and not path.qs.flags.writeable
+        for k in range(path.r):
+            assert path.increments[k].tobytes() == (path.level(k + 1) - path.level(k)).tobytes()
+        assert validate(path) == [
+            "increment Q_2 - Q_1 is not PSD: lam_min = -2.192582e-01",
+            "increment Q_3 - Q_2 is not PSD: lam_min = -2.424429e-01",
+        ]
+
+
 def test_path_shape_validation():
     with pytest.raises(ValidationError):
         DiscretePath((0.0, 1.0), (np.array([[0.5]]),))
@@ -201,7 +217,7 @@ def test_random_feasible_path_meets_its_floor():
         q = random_correlation(rng, n)
         path = random_feasible_path(rng, q, r, floor=floor)
         assert np.array_equal(path.constraint, q)
-        lowest = min(spectral_floor(path.increment(k)) for k in range(r))
+        lowest = min(spectral_floor(path.increments[k]) for k in range(r))
         if floor and r * floor < spectral_floor(q):
             assert lowest >= floor - 1e-12
             floored += 1
@@ -216,7 +232,7 @@ def test_random_feasible_path_without_a_floor_is_pinned():
     rng = np.random.default_rng(32)
     path = random_feasible_path(rng, random_correlation(rng, 2), 4)
     assert [v.hex() for v in path.x[1:3]] == ["0x1.90078878f0594p-1", "0x1.d4cae6b7dce74p-1"]
-    assert [float(v).hex() for v in np.array(path.free_levels())[:, [0, 0, 1], [0, 1, 1]].ravel()] == [
+    assert [float(v).hex() for v in path.qs[:-1][:, [0, 0, 1], [0, 1, 1]].ravel()] == [
         "0x1.e98f05b80562ap-2", "-0x1.e6617a512dcc0p-5", "0x1.4e90ca04bb3b4p-3",
         "0x1.74081931ddc22p-1", "-0x1.bd8e1d78c083ep-3", "0x1.84e5a4d3f326cp-2",
         "0x1.9f65154275f1dp-1", "-0x1.6ad9e30068f78p-2", "0x1.aff6ca21d506ep-1",
@@ -315,7 +331,7 @@ def test_sequences_raise_exactly_where_the_functionals_raise(kind):
             want = _raised(lambda: eval_parisi(lam, path, mix))
         else:
             top = q - _floor_matrix(rng, n, delta)  # D_{r-1} = Q - Q_{r-1}, x_{r-1} = 1
-            path = DiscretePath(path.x, path.qs[:-2] + (top, q))
+            path = DiscretePath(path.x, [*path.qs[:-2], top, q])
             got = _raised(lambda: d_sequence(path))
             want = _raised(lambda: eval_cs(path, mix))
         assert got == want

@@ -119,7 +119,7 @@ def test_gradients_match_finite_differences(kind):
             def f(t):
                 if block == "lam":
                     return eval_perturbed(kind, eps, path, mix, lam=lam + 2 * t * direction)
-                levels = path.free_levels()
+                levels = path.qs[:-1].copy()
                 levels[block] = levels[block] + 2 * t * direction
                 return eval_perturbed(kind, eps, path.with_levels(levels), mix, lam=lam)
 
