@@ -30,7 +30,13 @@ runs only where it needs the directional derivatives of the point's
 representers (the rows of the solver's Hessian).  That pass reuses the
 point's chain builder, partial sums, inverses and mixture series, with
 d(A^-1)[V] = -A^-1 V A^-1 and xi'' o V, xi''' o V for the derivatives of
-the series, and never repeats the forward pass.  The corrected forms run
+the series, and never repeats the forward pass.  What a solver stage
+derives from its form, weights and directions alone is built once, not
+per point: the :class:`Weights` plan (signs, signed weight steps and
+divisors) and the tangent pass's :class:`Directions` (dQ_0..dQ_r, their
+increments and, for the multiplier-free form, their tail chain); the
+mixture holds its series weights and hh^T, and the identity and zero
+blocks come from :func:`spinvar.matcore.unit_blocks`.  The corrected forms run
 on the same kernel: the error terms come from one inverse call over the
 increments, and the base part of either side is eval_stack's formula
 evaluated at the corrected chain.
@@ -68,7 +74,7 @@ from .errors import (
     NotPositiveDefinite,
     ValidationError,
 )
-from .matcore import MixtureSpec, frozen, hadamard_div, stack_inverses, stack_logdets, symmetrize
+from .matcore import MixtureSpec, frozen, hadamard_div, stack_inverses, stack_logdets, symmetrize, unit_blocks
 from .path import DiscretePath, _as_multiplier, _factor_chain, _tail_chain, tail_sums
 
 
@@ -90,13 +96,16 @@ class Weights:
     multiplier-free form builds D_p from W = U and pairs with O = V.  Along
     the chain C_{k+1} - C_k = sign x_k (W_{k+1} - W_k), sign = +1 or -1.
 
-    ``dx`` holds the steps x_k - x_{k-1}, k = 1..r-1, shaped (r-1, 1, 1), and
-    ``div`` the signed divisors sign x_k, k = 0..r-1, shaped (r, 1, 1), +-inf
-    where x_k = 0 so that ``num / div`` drops the term: the one place the
-    x_k = 0 rule lives.  ``lead`` counts the multiplier blocks ahead of
-    Q_1..Q_{r-1} in a point's blocks: 1 for the multiplier form.  Weights
-    that are not an order parameter, 0 = x_0 <= ... <= x_{r-1} <= 1, raise
-    a ValidationError.
+    ``m`` is the chain's length, r for the multiplier form and r - 1 for
+    the other; ``sdx`` holds the signed steps sign (x_k - x_{k-1}),
+    k = 1..r-1, shaped (r-1, 1, 1); ``div`` the signed divisors sign x_k,
+    k = 0..r-1, shaped (r, 1, 1), +-inf where x_k = 0 so that ``num / div``
+    drops the term: the one place the x_k = 0 rule lives; and ``cdiv``
+    those of the chain's steps, k = 1..m-1.  ``lead`` counts the
+    multiplier blocks ahead of Q_1..Q_{r-1} in a point's blocks: 1 for the
+    multiplier form.  A solver stage builds one plan, so these are
+    constants of the stage.  Weights that are not an order parameter,
+    0 = x_0 <= ... <= x_{r-1} <= 1, raise a ValidationError.
     """
 
     def __init__(self, kind, x):
@@ -104,15 +113,18 @@ class Weights:
             raise ValueError(f"unknown functional kind {kind!r}")
         self.kind = kind
         self.x = np.asarray(x, dtype=float)
+        steps = self.x[1:] - self.x[:-1]
         # NaN fails every comparison, and the pinned ends bound every weight
-        if not (self.x.size and self.x[0] == 0.0 and np.all(np.diff(self.x) >= 0.0) and self.x[-1] <= 1.0):
+        if not (self.x.size and self.x[0] == 0.0 and (steps >= 0.0).all() and self.x[-1] <= 1.0):
             raise ValidationError(f"weights must satisfy 0 = x_0 <= ... <= x_{{r-1}} <= 1, got {self.x.tolist()}")
         if kind == "cs" and (self.x.size < 2 or self.x[-1] <= 0.0):
             raise InfeasiblePath("the multiplier-free form needs r >= 2 and x_{r-1} > 0")
         self.lead = 1 if kind == "parisi" else 0
         self.sign = 1.0 if self.lead else -1.0
-        self.dx = np.diff(self.x)[:, None, None]
+        self.m = self.x.size - 1 + self.lead
+        self.sdx = self.sign * steps[:, None, None]
         self.div = np.where(self.x == 0.0, np.inf, self.sign * self.x)[:, None, None]
+        self.cdiv = self.div[1 : self.m]
 
     def pair(self, u, v):
         """(W, O): the chain's source and the representers' partner."""
@@ -130,25 +142,25 @@ class Weights:
         return np.concatenate([np.asarray(lam, dtype=float)[..., None, :, :], levels], axis=-3)
 
 
-def _chain(plan, hh, mix, constraint, blocks):
-    """Q_0..Q_r, the five mixture series at Q_1..Q_r, the form's (W, O) and
-    the chain built from W of one point given by its free blocks."""
+def _chain(plan, mix, constraint, blocks):
+    """Q_0..Q_r, the increments Q_{k+1} - Q_k, k = 0..r-1, the five mixture
+    series at Q_1..Q_r, the form's (W, O) and the chain built from W of one
+    point given by its free blocks."""
     lam, levels = plan.split(blocks)
-    n = constraint.shape[0]
-    q = np.concatenate([np.zeros((1, n, n)), levels, constraint[None]])  # Q_0..Q_r
+    q = np.concatenate([unit_blocks(len(constraint))[1], levels, constraint[None]])  # Q_0..Q_r
+    inc = q[1:] - q[:-1]
     series = mix.series(q[1:])  # at Q_1..Q_r
-    w, o = plan.pair(q[1:], hh + series[:, 1])
-    return q, series, w, o, _tail_chain(plan.x, lam, w)
+    v = mix.outer_field() + series[:, 1]
+    w, o = plan.pair(q[1:], v)
+    return q, inc, series, w, o, _tail_chain(plan.x, lam, v[1:] - v[:-1] if plan.lead else inc[1:])
 
 
 def _partials(plan, ci):
-    """S_1..S_m with S_p = sum_{k < p} (C_k^-1 - C_{k+1}^-1) / (sign x_k),
+    """S_2..S_m with S_p = sum_{k < p} (C_k^-1 - C_{k+1}^-1) / (sign x_k),
     from the chain's inverses ``ci`` (..., m, n, n): one cumulative sum,
-    linear in ``ci``, so it maps their tangents too."""
-    partials = np.zeros(ci.shape)  # S_1 = 0
-    steps = (ci[..., :-1, :, :] - ci[..., 1:, :, :]) / plan.div[1 : ci.shape[-3]]
-    steps.cumsum(axis=-3, out=partials[..., 1:, :, :])
-    return partials
+    linear in ``ci``, so it maps their tangents too.  S_1 = 0 is left out,
+    so a caller subtracts these from entries 2..m of its stack."""
+    return ((ci[..., :-1, :, :] - ci[..., 1:, :, :]) / plan.cdiv).cumsum(axis=-3)
 
 
 def _form_total(plan, hh, q, series, w1, chain, logdet, first_inv, top):
@@ -157,7 +169,7 @@ def _form_total(plan, hh, q, series, w1, chain, logdet, first_inv, top):
     multiplier-free form divides by x_{r-1} (log|Q - Q_{r-1}| in eval_stack)."""
     n, x = q.shape[-1], plan.x
     # <W_1, C_1^-1> + sum_k (1/(sign x_k)) log(|C_{k+1}|/|C_k|), one expression for both forms
-    total = _frob(w1, first_inv) + ((logdet[1:] - logdet[:-1]) / plan.div[1 : len(chain), 0, 0]).sum()
+    total = _frob(w1, first_inv) + ((logdet[1:] - logdet[:-1]) / plan.cdiv[:, 0, 0]).sum()
     if plan.lead:  # <Lambda, Q> - n - log|Lambda| - sum_k x_k Sum(theta(Q_{k+1}) - theta(Q_k))
         total += _frob(chain[-1], q[-1]) - n - logdet[-1]
         sums = -series[:, 3].sum(axis=(-2, -1))
@@ -169,22 +181,21 @@ def _form_total(plan, hh, q, series, w1, chain, logdet, first_inv, top):
 
 def _evaluate(plan, mix, constraint, eps, blocks, invert_all):
     """The forward pass of :func:`eval_stack` at one point: ``(value, base,
-    series, w, o, inv, m)``, with ``base`` the unperturbed form, the series,
-    W and O of :func:`_chain`, ``m`` the chain's length and ``inv`` the
-    inverses of the chain and then of the factored increments
-    (``invert_all``), or of C_1 alone.  Each matrix is factored and inverted
-    on its own, so ``base`` is the value of the same point at eps = 0."""
-    hh = mix.outer_field()
-    q, series, w, o, chain = _chain(plan, hh, mix, constraint, blocks)
-    inc = q[1:] - q[:-1]  # Q_{k+1} - Q_k, k = 0..r-1
+    series, w, o, inv)``, with ``base`` the unperturbed form, the series,
+    W and O of :func:`_chain`, and ``inv`` the inverses of the chain and
+    then of the factored increments (``invert_all``), or of C_1 alone.
+    Each matrix is factored and inverted on its own, so ``base`` is the
+    value of the same point at eps = 0."""
+    q, inc, series, w, o, chain = _chain(plan, mix, constraint, blocks)
+    m = plan.m
     if eps == 0.0:
         inc = inc[:0] if plan.lead else inc[-1:]  # Q - Q_{r-1} always for D
     mats, logdet = _factor_chain(plan.kind, chain, inc)
-    m = len(chain)
     inv = stack_inverses(mats[1:] if invert_all else mats[1:2])
-    base = 0.5 * _form_total(plan, hh, q, series, w[0], chain, logdet[1 : 1 + m], inv[0], logdet[-1])
+    total = _form_total(plan, mix.outer_field(), q, series, w[0], chain, logdet[1 : 1 + m], inv[0], logdet[-1])
+    base = 0.5 * total
     value = base + eps * -logdet[1 + m :].sum()
-    return float(value), float(base), series, w, o, inv, m
+    return float(value), float(base), series, w, o, inv
 
 
 def eval_stack(plan, mix, constraint, eps, blocks, grad=False):
@@ -207,59 +218,79 @@ def eval_stack(plan, mix, constraint, eps, blocks, grad=False):
         d_q[p] = (x_p - x_{p-1}) J_p o core_p + barrier terms,  p = 1..r-1,
         d_lam  = core_r - Lambda^-1,  J = xi''(Q_p) or -1.
 
-    ``tangent`` (with ``grad``) is the deferred tangent pass: called on a
-    stack V of shape (D, blocks, n, n), it returns the directional
-    derivatives of the representers along each V, shape (D, blocks, n, n),
-    from one tangent-linear pass through this point's chain, inverses and
-    mixture series (see :func:`_tangent`), without a second forward pass.
+    ``tangent`` (with ``grad``) is the deferred tangent pass: called on the
+    :class:`Directions` of a stack V of shape (D, blocks, n, n), it returns
+    the directional derivatives of the representers along each V, shape
+    (D, blocks, n, n), from one tangent-linear pass through this point's
+    chain, inverses and mixture series (see :func:`_tangent`), without a
+    second forward pass.
     """
-    value, base, series, w, o, inv, m = _evaluate(plan, mix, constraint, eps, blocks, grad)
+    value, base, series, w, o, inv = _evaluate(plan, mix, constraint, eps, blocks, grad)
     if not grad:
         return value, base, None, None
 
-    r, ci = len(plan.x), inv[:m]
-    a = symmetrize(ci[0] @ w[0] @ ci[0])
-    core = o[:m] - a - _partials(plan, ci)
+    m = plan.m
+    ci = inv[:m]
+    core = o[:m] - symmetrize(ci[0] @ w[0] @ ci[0])
+    core[1:] -= _partials(plan, ci)
     # (x_p - x_{p-1}) J_p, J = sign dW_p/dQ_p: xi''(Q_p) or -1
-    jdx = plan.dx * plan.sign * plan.pair(1.0, series[:-1, 2])[0]
-    d_q = jdx * core[: r - 1]
+    jdx = plan.sdx * series[:-1, 2] if plan.lead else plan.sdx
+    d_q = jdx * core[: plan.x.size - 1]
     if eps != 0.0:
         inc_inv = inv[m:]
-        d_q = d_q + corrected_eps(eps) * (inc_inv[1:] - inc_inv[:-1])
-    reps = plan.join(core[-1] - ci[-1], d_q)  # join drops d_lam for the multiplier-free form
+        d_q += corrected_eps(eps) * (inc_inv[1:] - inc_inv[:-1])
+    reps = plan.join(core[-1] - ci[-1] if plan.lead else None, d_q)
     return value, base, reps, partial(_tangent, plan, eps, series, inv, w[0], jdx, core)
 
 
-def _tangent(plan, eps, series, inv, w1, jdx, core, v):
+class Directions:
+    """What the tangent pass reads of a stack V (D, blocks, n, n) of
+    directions that does not depend on the point: ``lam`` the multiplier
+    blocks (the multiplier form's), ``q`` dQ_0..dQ_r (D, r + 1, n, n) with
+    dQ_0 = dQ_r = 0, ``inc`` their increments dQ_{k+1} - dQ_k and, for the
+    multiplier-free form, whose chain is built from W = Q alone, ``chain``
+    its tangents dD_1..dD_{r-1}.  A solver stage builds them once, for its
+    coordinate directions."""
+
+    def __init__(self, plan, v):
+        count, n = v.shape[0], v.shape[-1]
+        zero = np.zeros((count, 1, n, n))
+        self.lam, levels = plan.split(v)
+        self.q = np.concatenate([zero, levels, zero], axis=1)
+        self.inc = self.q[:, 1:] - self.q[:, :-1]
+        self.chain = None if plan.lead else _tail_chain(plan.x, None, self.inc[:, 1:])
+
+
+def _tangent(plan, eps, series, inv, w1, jdx, core, d):
     """Directional derivatives of the representers of one point along each
-    direction of the stack v (D, blocks, n, n), from the point's series at
-    Q_1..Q_r, inverses (the chain's, then the increments'), W_1, and the
-    ``jdx`` = (x_p - x_{p-1}) J_p and ``core`` of eval_stack's representers.
+    direction of the :class:`Directions` ``d``, shape (D, blocks, n, n),
+    from the point's series at Q_1..Q_r, inverses (the chain's, then the
+    increments'), W_1, and the ``jdx`` = (x_p - x_{p-1}) J_p and ``core``
+    of eval_stack's representers.
 
     Each step differentiates the matching step of eval_stack, with
     d(A^-1)[V] = -A^-1 V A^-1 and d xi^(j)(A)[V] = xi^(j+1)(A) o V; so
     dU = dQ and dV = xi''(Q) o dQ swap as U and V do.  The multiplier-free
     form skips what is zero or dropped there: dJ (J = -1), d_lam, and dV at
-    Q_r, which only the multiplier form's chain reads (dQ_r = 0).
+    Q_r, which only the multiplier form's chain reads (dQ_r = 0); its
+    chain's tangent is linear in dQ alone and comes with ``d``.
     """
-    count, n, r, m = v.shape[0], v.shape[-1], len(plan.x), len(core)
-    zero = np.zeros((count, 1, n, n))
-    dlam, dlevels = plan.split(v)
-    dq = np.concatenate([zero, dlevels, zero], axis=1)  # dQ_0..dQ_r
+    r, m, dq = plan.x.size, plan.m, d.q
     dw, do = plan.pair(dq[:, 1:], series[:m, 2] * dq[:, 1 : m + 1])  # (dW, dO) of (dU, dV)
     ci = inv[:m]
-    dci = -ci @ _tail_chain(plan.x, dlam, dw) @ ci
+    dci = -ci @ (_tail_chain(plan.x, d.lam, dw[:, 1:] - dw[:, :-1]) if plan.lead else d.chain) @ ci
     # d(C_1^-1 W_1 C_1^-1)
     half = dci[:, 0] @ w1 @ ci[0]
     da = half + half.swapaxes(-1, -2) + ci[0] @ dw[:, 0] @ ci[0]
-    dcore = do[:, :m] - da[:, None] - _partials(plan, dci)
+    dcore = do[:, :m] - da[:, None]
+    dcore[:, 1:] -= _partials(plan, dci)
     d_q = jdx * dcore[:, : r - 1]
     if plan.lead:  # dJ = d^2V_p/dQ_p^2 o dQ_p = xi'''(Q_p) o dQ_p
-        d_q = plan.dx * series[:-1, 4] * core[: r - 1] * dq[:, 1:-1] + d_q
+        d_q = plan.sdx * series[:-1, 4] * core[: r - 1] * dq[:, 1:-1] + d_q
     if eps != 0.0:
         inc_inv = inv[m:]
-        d_inc_inv = -inc_inv @ (dq[:, 1:] - dq[:, :-1]) @ inc_inv
-        d_q = d_q + corrected_eps(eps) * (d_inc_inv[:, 1:] - d_inc_inv[:, :-1])
+        d_inc_inv = -inc_inv @ d.inc @ inc_inv
+        d_q += corrected_eps(eps) * (d_inc_inv[:, 1:] - d_inc_inv[:, :-1])
     return plan.join(dcore[:, -1] - dci[:, -1] if plan.lead else None, d_q)
 
 
@@ -430,7 +461,7 @@ def corrected_form(side, path: DiscretePath, mix: MixtureSpec, eps: float, lam=N
     s = corrected_eps(eps)
     plan = Weights(kind, path.x)
     hh = mix.outer_field()
-    q, series, w, _, chain = _chain(plan, hh, mix, path.constraint, _point(plan, path, lam))
+    q, _, series, w, _, chain = _chain(plan, mix, path.constraint, _point(plan, path, lam))
     m = path.r - 1
     chain[:m] += s * err.ebar
     logdet, ok = stack_logdets(chain)

@@ -15,6 +15,7 @@ Only reports that state a margin compare the smallest eigenvalue
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from numbers import Integral, Real
 
 import numpy as np
@@ -77,6 +78,13 @@ def frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
+def unit_blocks(n: int):
+    """The read-only n x n identity and (1, n, n) zero stack, built once per
+    n; the cache holds the blocks of at most 16 sizes."""
+    return frozen(np.eye(n)), frozen(np.zeros((1, n, n)))
+
+
 def frobenius(a: np.ndarray, b: np.ndarray) -> float:
     """Frobenius inner product tr(a b) of two symmetric matrices."""
     a = _require_square(a)
@@ -89,8 +97,7 @@ def psd_tol(a: np.ndarray):
     """Eigenvalue margin used for PD / PSD decisions on a matrix, or on each
     matrix of a stack (..., n, n): PSD_RTOL times the largest absolute
     diagonal entry, with a unit floor."""
-    scale = np.abs(a.diagonal(0, -2, -1)).max(axis=-1, initial=0.0)
-    return PSD_RTOL * np.maximum(scale, 1.0)
+    return PSD_RTOL * np.abs(a.diagonal(0, -2, -1)).max(axis=-1, initial=1.0)
 
 
 def cholesky(a: np.ndarray) -> np.ndarray:
@@ -124,22 +131,21 @@ def stack_logdets(stack: np.ndarray):
     a matrix that does not gets log-det 0.  Only when the stacked call
     fails is each matrix factored on its own, to find the ones that do not
     factor."""
-    ok = np.ones(stack.shape[:-2], dtype=bool)
     try:
         factors = np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
         factors = np.empty_like(stack)
-        for idx in np.ndindex(*ok.shape):
+        for idx in np.ndindex(*stack.shape[:-2]):
             try:
                 factors[idx] = np.linalg.cholesky(stack[idx])
             except np.linalg.LinAlgError:
-                factors[idx] = np.eye(stack.shape[-1])
-                ok[idx] = False
+                factors[idx] = np.nan  # its log-det reads non-finite below
     logdet = 2.0 * np.log(factors.diagonal(0, -2, -1)).sum(axis=-1)
-    if not np.isfinite(logdet).all():  # numpy factors a NaN or inf matrix without an error
-        ok &= np.isfinite(logdet)
-        logdet = np.where(ok, logdet, 0.0)
-    return logdet, ok
+    ok = np.isfinite(logdet)
+    if ok.all():
+        return logdet, ok
+    # a failed matrix, or a NaN or inf one, which numpy factors without an error
+    return np.where(ok, logdet, 0.0), ok
 
 
 def stack_inverses(stack: np.ndarray) -> np.ndarray:
@@ -241,12 +247,13 @@ class MixtureSpec:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", tuple(coerced))
         object.__setattr__(self, "h", h)
+        object.__setattr__(self, "_hh", frozen(np.outer(h, h)))
         # series k, term t: coefficient (beta x beta) and Hadamard power
         weights = [[c(p) * np.outer(b, b) for p, b in coerced] for c, _ in _MIX_KINDS.values()]
         powers = [[max(p - shift, 0) for p, _ in coerced] for _, shift in _MIX_KINDS.values()]
         kinds = len(_MIX_KINDS)
-        object.__setattr__(self, "_weights", np.array(weights).reshape(kinds, len(coerced), n, n))
-        object.__setattr__(self, "_powers", np.array(powers, dtype=float).reshape(kinds, -1, 1, 1))
+        object.__setattr__(self, "_weights", frozen(np.reshape(weights, (kinds, len(coerced), n, n))))
+        object.__setattr__(self, "_powers", frozen(np.reshape(powers, (kinds, -1, 1, 1))))
 
     @classmethod
     def pure(cls, p: int, beta) -> "MixtureSpec":
@@ -263,7 +270,8 @@ class MixtureSpec:
         return terms.sum(axis=-3)
 
     def outer_field(self) -> np.ndarray:
-        return np.outer(self.h, self.h)
+        """hh^T, read-only, built once with the mixture."""
+        return self._hh
 
     def xi(self, a: np.ndarray) -> np.ndarray:
         return mixture_apply("xi", self, a)

@@ -18,7 +18,12 @@ barrier raises its domain error in the kernel and the step halves, so
 accepted iterates keep strictly positive-definite increments.  A stage's
 base value is its final point's unperturbed value, from the same pass.
 Each stage returns one :class:`MinimizeResult`: its minimizer, values,
-exit and the trace rows of its iterates.
+exit, the trace rows of its iterates and its counts of forward and
+tangent passes.  A stage builds what does not depend on the point once,
+before its first point: the check of its constraint, its ``Weights``
+plan, and its ``Objective``'s tangent directions; the coordinate layout
+is shared by shape (``_layout``, at most 64 shapes), and nothing is kept
+per weights after the stage returns.
 
 On top of the inner solve sit: ``continuation`` (one solve at fixed
 weights from an ordered list of starts, the first that converges kept; a
@@ -54,7 +59,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NoFeasibleStart, ValidationError
-from .functionals import Weights, eval_stack
+from .functionals import Directions, Weights, eval_stack
 from .matcore import MixtureSpec, check_constraint, real, sym_inverse
 from .path import DiscretePath, equally_spaced
 
@@ -125,8 +130,11 @@ class TraceRow:
 @dataclass
 class MinimizeResult:
     """One ``minimize_fixed`` stage at fixed (weights, eps): its minimizer
-    (path, lam), the perturbed and base values there, why it stopped, and
-    the trace rows of its iterates."""
+    (path, lam), the perturbed and base values there, why it stopped, the
+    trace rows of its iterates, and its kernel passes: ``evaluations``
+    forward passes, one per point visited (the start and every line-search
+    trial, rejected or outside the domain), and ``hessians`` tangent
+    passes, one per Newton step."""
 
     path: DiscretePath
     lam: np.ndarray | None
@@ -138,6 +146,8 @@ class MinimizeResult:
     converged: bool
     stop_reason: str
     trace: list[TraceRow]
+    evaluations: int
+    hessians: int
 
 
 @dataclass
@@ -211,9 +221,10 @@ def _layout(n, count):
     """The read-only constants of ``count`` blocks of size n in upper-triangle
     coordinates, built once per shape: the rows and columns of the
     coordinates, the metric weights and their diagonal matrix, the halving
-    weights of the gradient, and the coordinate directions as blocks (the
+    weights of the gradient, the coordinate directions as blocks (the
     basis, for the Hessian) and flat (the 0/1 scatter; each entry of
-    z @ scatter is one product with 1, so exact)."""
+    z @ scatter is one product with 1, so exact), and the flat gather, the
+    index of each coordinate in the blocks' flat entries."""
     rows, cols = np.triu_indices(n)
     off = rows != cols
     metric = np.tile(np.where(off, 2.0, 1.0), count)
@@ -222,7 +233,9 @@ def _layout(n, count):
     basis = np.zeros((dim, count, n, n))
     basis[:, :, rows, cols] = tri
     basis[:, :, cols, rows] = tri
-    consts = (rows, cols, metric, np.diag(metric), np.where(off, 1.0, 0.5), basis, basis.reshape(dim, -1))
+    gather = (np.arange(count)[:, None] * n * n + rows * n + cols).reshape(-1)
+    halve = np.tile(np.where(off, 1.0, 0.5), count)
+    consts = (rows, cols, metric, np.diag(metric), halve, basis, basis.reshape(dim, -1), gather)
     for a in consts:
         a.flags.writeable = False
     return consts
@@ -236,7 +249,10 @@ class Objective:
     metric, under which an off-diagonal coordinate counts twice: ``metric``
     holds those weights and ``metric_diag`` their diagonal matrix.  A point
     costs one forward pass (:meth:`evaluate`); its Hessian, one tangent pass
-    more, is paid for only when it is asked for.
+    more, is paid for only when it is asked for.  What does not depend on
+    the point is built once, with the objective: the plan's constants, the
+    tangent pass's :class:`~spinvar.functionals.Directions` along the
+    coordinates, and the layout's gather and scatter.
     """
 
     def __init__(self, plan, mix, constraint, eps, blocks):
@@ -246,18 +262,19 @@ class Objective:
         self.eps = float(eps)
         self.template = np.array(blocks, dtype=float)
         layout = _layout(self.constraint.shape[0], len(self.template))
-        self.rows, self.cols, self.metric, self.metric_diag, self._halve, self._basis, self._scatter = layout
+        self.rows, self.cols, self.metric, self.metric_diag, self._halve, basis, self._scatter, self._gather = layout
+        self._directions = Directions(plan, basis)
 
     def pack(self, blocks) -> np.ndarray:
-        return np.asarray(blocks, dtype=float)[:, self.rows, self.cols].reshape(-1)
+        return np.asarray(blocks, dtype=float).reshape(-1).take(self._gather)
 
     def blocks(self, z) -> np.ndarray:
         """The (..., blocks, n, n) matrices of one or a stack of points."""
-        return (z @ self._scatter).reshape(np.shape(z)[:-1] + self.template.shape)
+        return (z @ self._scatter).reshape(z.shape[:-1] + self.template.shape)
 
     def _coords(self, reps) -> np.ndarray:
         """Gradient coordinates of the representers of one point, or of a stack of them."""
-        return (reps[..., self.rows, self.cols] * self._halve).reshape(reps.shape[:-3] + (-1,))
+        return reps.reshape(reps.shape[:-3] + (-1,)).take(self._gather, axis=-1) * self._halve
 
     def evaluate(self, z):
         """``(value, base, grad, hess)`` in z of one point from one forward
@@ -266,13 +283,12 @@ class Objective:
         directions and returns the Hessian, whose row k is the derivative of
         the gradient along coordinate k.  Raises the domain error of a point
         outside the domain."""
-        blocks = self.blocks(z)
-        value, base, reps, tangent = eval_stack(self.plan, self.mix, self.constraint, self.eps, blocks, True)
-        return value, base, self._coords(reps), lambda: self._coords(tangent(self._basis))
+        value, base, reps, tangent = eval_stack(self.plan, self.mix, self.constraint, self.eps, self.blocks(z), True)
+        return value, base, self._coords(reps), lambda: self._coords(tangent(self._directions))
 
     def norm(self, grad) -> float:
-        """Infinity norm of the representers."""
-        return float(np.abs(2.0 * grad / self.metric).max())
+        """Infinity norm of the representers: the gradient without its halving."""
+        return float(np.abs(grad / self._halve).max())
 
 
 # the shift of an indefinite Hessian: this many times its most negative
@@ -362,7 +378,8 @@ def minimize_fixed(
     except DomainError as exc:
         raise NoFeasibleStart(f"starting point infeasible for {kind} at eps={eps}: {exc}") from exc
 
-    grad_norm = math.inf
+    grad_norm = obj.norm(grad)
+    evaluations, hessians = 1, 0
     iterations = 0
     stop_reason = "budget"
     best_norm = math.inf
@@ -370,7 +387,6 @@ def minimize_fixed(
     visited = []  # (iteration, value, representer norm, z) of each iterate, for the trace
     for it in range(_MAX_ITERS):
         iterations = it + 1
-        grad_norm = obj.norm(grad)
         visited.append((it, value, grad_norm, z))
         if grad_norm <= opts.grad_tol:
             stop_reason = "converged"
@@ -386,18 +402,22 @@ def minimize_fixed(
         # the domain; a trial point that halves the representer norm is
         # accepted too, because near stationarity the value cannot resolve
         # the decrease Armijo asks for
+        hessians += 1
         direction = _newton_direction(obj, hess(), grad)
         slope = float(grad @ direction)
         eta = 1.0
         while eta >= 1e-18:
             trial = z + eta * direction
+            evaluations += 1
             try:
                 trial_value, trial_base, trial_grad, trial_hess = obj.evaluate(trial)
             except DomainError:
                 eta *= _SHRINK
                 continue
-            if trial_value <= value + _ARMIJO_C * eta * slope or obj.norm(trial_grad) < 0.5 * grad_norm:
+            trial_norm = obj.norm(trial_grad)
+            if trial_value <= value + _ARMIJO_C * eta * slope or trial_norm < 0.5 * grad_norm:
                 z, value, base, grad, hess = trial, trial_value, trial_base, trial_grad, trial_hess
+                grad_norm = trial_norm
                 break
             eta *= _SHRINK
         else:
@@ -406,9 +426,12 @@ def minimize_fixed(
 
     # each iterate's smallest increment eigenvalue, from one eigvalsh call per stage
     levels = plan.split(obj.blocks(np.array([point for *_, point in visited])))[1]
-    top = np.broadcast_to(obj.constraint, (len(levels), 1) + obj.constraint.shape)
-    eigs = np.linalg.eigvalsh(np.diff(levels, axis=1, prepend=0.0, append=top)).min(axis=(1, 2))
-    trace = [TraceRow(stage, eps, it, v, norm, float(e)) for (it, v, norm, _), e in zip(visited, eigs)]
+    qs = np.empty((len(levels), levels.shape[1] + 2) + obj.constraint.shape)  # Q_0..Q_r of each iterate
+    qs[:, 0] = 0.0
+    qs[:, 1:-1] = levels
+    qs[:, -1] = obj.constraint
+    eigs = np.linalg.eigvalsh(qs[:, 1:] - qs[:, :-1])[..., 0].min(axis=1).tolist()  # eigvalsh ascends
+    trace = [TraceRow(stage, eps, it, v, norm, e) for (it, v, norm, _), e in zip(visited, eigs)]
     lam, levels = plan.split(obj.blocks(z))
     return MinimizeResult(
         path=DiscretePath(plan.x, np.concatenate([levels, obj.constraint[None]])),
@@ -421,6 +444,8 @@ def minimize_fixed(
         converged=stop_reason == "converged",
         stop_reason=stop_reason,
         trace=trace,
+        evaluations=evaluations,
+        hessians=hessians,
     )
 
 
@@ -469,6 +494,9 @@ def continuation(
     positive definite for any positive weights, so its levels are feasible
     at x.  Trace rows keep their schedule indices.
     """
+    starts = tuple(starts)
+    if not starts:
+        raise ValueError("continuation needs a nonempty sequence of starts, got starts=()")
     schedule = list(enumerate(opts.eps_schedule))
     for start in starts:
         first = None if start is None else (start[0], start[1].qs[:-1])

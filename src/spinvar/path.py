@@ -33,6 +33,7 @@ raised, by :func:`_factor_chain` alone, for the two sequences below and for
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,7 @@ from .errors import (
     NotPositiveDefinite,
     ValidationError,
 )
-from .matcore import MixtureSpec, frozen, psd_tol, real, stack_logdets, symmetrize
+from .matcore import MixtureSpec, frozen, psd_tol, real, stack_logdets, symmetrize, unit_blocks
 
 @dataclass(frozen=True)
 class DiscretePath:
@@ -61,12 +62,18 @@ class DiscretePath:
 
     def __post_init__(self):
         x = tuple(real(v) for v in self.x)
-        if None in x or not np.isfinite(x).all():
+        if None in x or not all(map(math.isfinite, x)):
             raise ValidationError(f"weights must be finite real numbers, got {self.x!r}")
         if len(x) < 1:
             raise ValidationError("a path needs at least one weight (r >= 1)")
-        qs = [np.asarray(q, dtype=float) for q in self.qs]
-        if not all(np.isfinite(q).all() for q in qs):
+        # an (r, n, n) array is checked whole, any other sequence level by level
+        if isinstance(self.qs, np.ndarray) and self.qs.ndim == 3:
+            qs = self.qs.astype(float, copy=False)
+            finite = np.isfinite(qs).all()
+        else:
+            qs = [np.asarray(q, dtype=float) for q in self.qs]
+            finite = all(np.isfinite(q).all() for q in qs)
+        if not finite:
             raise ValidationError("levels must have finite entries")
         if len(qs) != len(x):
             raise ValidationError(
@@ -79,8 +86,10 @@ class DiscretePath:
                 f"levels must be square matrices of one shared size, "
                 f"got shapes {[q.shape for q in qs]}"
             )
+        qs = symmetrize(np.asarray(qs))  # a fresh array, so it is frozen in place
+        qs.flags.writeable = False
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "qs", frozen(symmetrize(np.array(qs))))
+        object.__setattr__(self, "qs", qs)
 
     @property
     def r(self) -> int:
@@ -154,9 +163,11 @@ def _factor_chain(kind, chain, incs):
     first test that fails: the shifted floor, then the chain (for "cs"
     with the last of ``incs``), then increment k (``incs[k]``)."""
     floor = chain[0] if kind == "parisi" else chain[-1]
-    shifted = floor - psd_tol(floor) * np.eye(chain.shape[-1])
-    mats = np.concatenate([shifted[None], chain, incs])
+    eye, _ = unit_blocks(chain.shape[-1])
+    mats = np.concatenate([(floor - psd_tol(floor) * eye)[None], chain, incs])
     logdet, ok = stack_logdets(mats)
+    if ok.all():
+        return mats, logdet
     m = len(chain)
     if not ok[0]:
         if kind == "parisi":
@@ -166,17 +177,16 @@ def _factor_chain(kind, chain, incs):
         if kind == "parisi":
             raise NotPositiveDefinite("a matrix of the multiplier chain is not positive definite")
         raise InfeasiblePath("a matrix of the tail chain is not positive definite")
-    if not ok[1 + m :].all():
-        raise DegenerateIncrement(int(np.argmin(ok[1 + m :])))
-    return mats, logdet
+    raise DegenerateIncrement(int(np.argmin(ok[1 + m :])))
 
 
-def _tail_chain(x, lam, w):
+def _tail_chain(x, lam, steps):
     """Lambda - T_1..Lambda - T_{r-1}, Lambda, or T_1..T_{r-1} for ``lam``
-    None, with T_p = sum_{k >= p} x_k (W_{k+1} - W_k) of W_1..W_r in ``w``
-    (..., r, n, n); linear, so it maps tangents too.  The functionals build
-    their chains here too, so feasibility is decided on the same matrices."""
-    tails = tail_sums(x[1:], w[..., 1:, :, :] - w[..., :-1, :, :])
+    None, with T_p = sum_{k >= p} x_k (W_{k+1} - W_k) from the steps of
+    W_1..W_r, ``steps`` (..., r - 1, n, n); linear, so it maps tangents
+    too.  The functionals build their chains here too, so feasibility is
+    decided on the same matrices."""
+    tails = tail_sums(x[1:], steps)
     if lam is None:
         return tails
     lam = lam[..., None, :, :]
@@ -202,7 +212,7 @@ def lambda_sequence(lam: np.ndarray, path: DiscretePath, mix: MixtureSpec) -> np
     psd_tol, NotPositiveDefinite unless every chain matrix factors."""
     lam = _as_multiplier(lam, path.n)
     field = mix.outer_field() + mix.series(path.qs)[:, 1]  # hh + xi'(Q_p), p = 1..r
-    chain = _tail_chain(path.x, lam, field)
+    chain = _tail_chain(path.x, lam, field[1:] - field[:-1])
     _factor_chain("parisi", chain, chain[:0])
     return frozen(chain)
 
@@ -214,8 +224,9 @@ def d_sequence(path: DiscretePath) -> np.ndarray:
     chain matrix and Q - Q_{r-1} factor."""
     if path.r < 2:
         raise InfeasiblePath("D sequence needs r >= 2")
-    chain = _tail_chain(path.x, None, path.qs)
-    _factor_chain("cs", chain, path.increments[-1:])
+    incs = path.increments
+    chain = _tail_chain(path.x, None, incs[1:])
+    _factor_chain("cs", chain, incs[-1:])
     return frozen(chain)
 
 

@@ -147,7 +147,7 @@ def critical_residual(
     plan = Weights("parisi" if side == "lower" else "cs", path.x)
     # eval_perturbed's kernel pass, which also inverts the point's own chain;
     # it raises where lambda_sequence and d_sequence raise
-    value_pert, *_, inv, _ = _evaluate(plan, mix, path.constraint, eps, _point(plan, path, lam), True)
+    value_pert, *_, inv = _evaluate(plan, mix, path.constraint, eps, _point(plan, path, lam), True)
     own = inv[: path.r - 1]
     residuals = tuple(float(v) for v in np.max(np.abs(own - corrected), axis=(1, 2)))
     return CriticalReport(

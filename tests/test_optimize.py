@@ -1,5 +1,9 @@
+import gc
+import importlib
 import math
 import signal
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -521,6 +525,9 @@ def test_newton_iteration_evaluates_each_point_once(monkeypatch):
         starts = {0} | {trials[-1] for trials in searches[:-1]}
         assert [passes for *_, passes in calls] == [int(i in starts) for i in range(len(calls))]
         assert sum(passes for *_, passes in calls) == res.iterations - 1
+        # the stage reports the same counts of forward and tangent passes
+        assert res.evaluations == len(calls)
+        assert res.hessians == sum(passes for *_, passes in calls)
 
 
 def _stage_cases():
@@ -568,6 +575,90 @@ def test_stage_base_value_is_the_unperturbed_form(monkeypatch, kind, mix, q, r, 
     assert [s.value_base for s in cont.stages] == [res.value_base for res in results]
     for res in results:
         assert res.value_base == eval_perturbed(kind, 0.0, res.path, mix, lam=res.lam)
+
+
+def test_continuation_needs_a_start():
+    # an empty start list used to end in an UnboundLocalError
+    with pytest.raises(ValueError, match="starts"):
+        continuation("cs", MixtureSpec.pure(2, [1.0]), np.eye(1), 2, (0.0, 1.0), SolveOptions(), starts=())
+
+
+def _stage_numbers(res):
+    """Every number a stage result reports, for a comparison bit for bit."""
+    rows = [(t.stage, t.eps, t.iteration, t.value, t.grad_norm, t.min_increment_eig) for t in res.trace]
+    lam = None if res.lam is None else res.lam.tobytes()
+    return (res.value, res.value_base, res.grad_norm, res.iterations, res.stop_reason,
+            res.evaluations, res.hessians, res.path.qs.tobytes(), lam, rows)
+
+
+def _solved_alone(kind, mix, q, r, x, eps):
+    """The stage, its mixture given as (n, terms, h), solved by a fresh
+    import of the package, whose module-level caches have seen no other
+    stage; this process's modules are put back afterwards."""
+    ours = {k: v for k, v in sys.modules.items() if k == "spinvar" or k.startswith("spinvar.")}
+    for k in ours:
+        del sys.modules[k]
+    try:
+        fresh = importlib.import_module("spinvar.optimize")
+        n, terms, h = mix
+        mix = importlib.import_module("spinvar.matcore").MixtureSpec(n=n, terms=terms, h=h)
+        return _stage_numbers(fresh.minimize_fixed(kind, mix, q, r, x, eps, fresh.SolveOptions()))
+    finally:
+        for k in [k for k in sys.modules if k == "spinvar" or k.startswith("spinvar.")]:
+            del sys.modules[k]
+        sys.modules.update(ours)
+
+
+def test_stage_constants_stay_with_their_stage():
+    # stages of both forms at two weight vectors that share a block layout
+    # (each with its own mixture and Q), and at two n, interleaved in one
+    # process, give exactly what each gives alone: a constant cached by its
+    # shape alone would carry one stage's weights, mixture or Q into the
+    # next stage of that shape
+    cases = []
+    for n in (1, 2):
+        rng = np.random.default_rng(70 + n)
+        for x in ((0.0, 0.25, 1.0), (0.0, 0.75, 1.0)):
+            terms = ((2, rng.uniform(0.2, 0.6, n)), (4, rng.uniform(0.0, 0.3, n)))
+            mix = (n, terms, rng.uniform(-0.3, 0.3, n))
+            q = random_correlation(rng, n)
+            for kind in ("parisi", "cs"):
+                cases.append((kind, mix, q, 3, x, 1e-5))
+    alone = [_solved_alone(*case) for case in cases]
+    for order in (range(len(cases)), [1, 5, 3, 7, 0, 4, 2, 6], reversed(range(len(cases)))):
+        for i in order:
+            kind, (n, terms, h), q, r, x, eps = cases[i]
+            res = minimize_fixed(kind, MixtureSpec(n=n, terms=terms, h=h), q, r, x, eps, SolveOptions())
+            assert _stage_numbers(res) == alone[i], (kind, n, x)
+
+
+def test_solves_at_new_weights_keep_no_memory():
+    # what a stage builds from its weights is freed with the stage: after
+    # the first of 50 continuations at distinct weights, the other 49 leave
+    # the traced memory within 32 KiB, where a cache keyed by the weights
+    # keeps 1 KiB or more per solve (a dict of plans, 55-80 KiB in all; of
+    # tangent directions, 145-165 KiB).  numpy keeps freed small buffers for
+    # reuse, and those taken while tracing stay traced, so 50 solves at
+    # other weights turn its cache over to traced buffers first; what is
+    # left of that turnover is 7-18 KiB
+    rng = np.random.default_rng(9)
+    mix, q = random_mixture(rng, 2), random_correlation(rng, 2)
+    opts = SolveOptions()
+    tracemalloc.start()
+    try:
+        for k in range(50):
+            continuation("cs", mix, q, 3, (0.0, (k + 0.5) / 52, 1.0), opts)
+        weights = [(0.0, (k + 1) / 52, 1.0) for k in range(50)]
+        continuation("cs", mix, q, 3, weights[0], opts)
+        gc.collect()
+        first = tracemalloc.get_traced_memory()[0]
+        for x in weights[1:]:
+            continuation("cs", mix, q, 3, x, opts)
+        gc.collect()
+        last = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert last - first < 32 * 1024
 
 
 # gap-rsb benchmark member family-n2-p4 (unjittered); its r = 3 search
