@@ -323,7 +323,7 @@ def check_support_condition(seed=16) -> CheckResult:
 
     def conditions(mix, q):
         cdf, phi = continuous.from_discrete(optimize.search(mix, q, opts).best.path)
-        return [atom.condition for atom in continuous.support_check(cdf, phi, mix).atoms]
+        return continuous.support_check(cdf, phi, mix).condition
 
     # one instance per atom of the searched answers
     return _judge("support-condition", (c for case in cases for c in conditions(*case)),
@@ -335,9 +335,9 @@ def check_lipschitz_bound(seed=17) -> CheckResult:
     q = np.array([[1.0]])
     box = continuous.feasible_box(mix, q)
     pairs = []
-    phi = continuous.MatrixPath(((0.0, np.zeros((1, 1))), (1.0, np.ones((1, 1)))))
+    phi = continuous.MatrixPath((0.0, 1.0), [np.zeros((1, 1)), np.ones((1, 1))])
     for q_hat in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3):
-        pairs.append((continuous.ContinuousCdf(((0.0, 0.0), (q_hat, 1.0))), phi))
+        pairs.append((continuous.ContinuousCdf((0.0, q_hat), (0.0, 1.0)), phi))
     empirical, bound = continuous.lipschitz_probe(mix, box, pairs)
     return CheckResult("lipschitz-modulus", 0.0 < empirical <= bound, len(pairs), bound - empirical,
                        detail=f"(empirical {empirical:.3f} vs bound {bound:.1f})")

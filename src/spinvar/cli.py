@@ -309,10 +309,11 @@ def run(command: str, spec: ProblemSpec, flags=None) -> ResultRecord:
             box_L=box.L,
             t_x=cdf.t_x,
             atoms=[
-                {"t": a.t, "mass": a.mass, "condition": a.condition, "flagged": a.flagged}
-                for a in support.atoms
+                {"t": t, "mass": mass, "condition": c, "flagged": f}
+                for t, mass, c, f in zip(support.t.tolist(), support.mass.tolist(),
+                                         support.condition.tolist(), support.flagged.tolist())
             ],
-            flagged_atoms=len(support.flagged),
+            flagged_atoms=int(support.flagged.sum()),
         )
     elif command == "probe":
         base = spec.path

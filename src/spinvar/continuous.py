@@ -14,6 +14,13 @@ difference of Sum(xi(.)) values, and on a segment where x is the constant
 c > 0 the tail integral is -(1/c) (log|Phihat(b)| - log|Phihat(a)|), since
 (d/dt) Phihat = -c Phi' there.  Segments with c = 0 have constant Phihat.
 
+Each object is held as stacks, as :class:`spinvar.path.DiscretePath` is:
+a :class:`ContinuousCdf` as its knot positions ``t`` and values ``v``
+(read-only float64 arrays (k,)), a :class:`MatrixPath` as ``t`` and the
+matrices ``phi`` there ((k,) and (k, n, n)), and a :class:`SupportReport`
+as one array per quantity over the atoms and the grid.  Each is checked
+whole when it is built, and every function below reads these arrays.
+
 Each evaluation builds one table of the breakpoints with Phi, x and Phihat
 there (Phihat from :func:`spinvar.path.tail_sums`), and factors and
 inverts the Phihat stack it needs with one call each
@@ -25,6 +32,7 @@ scalar or an array of t.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -38,10 +46,8 @@ from .matcore import (
     MixtureSpec,
     chol_logdet,
     frobenius,
-    frozen,
     psd_tol,
     real,
-    spectral_floor,
     stack_inverses,
     stack_logdets,
     symmetrize,
@@ -53,116 +59,130 @@ from .path import DiscretePath, merge_duplicates, tail_sums
 class ContinuousCdf:
     """Right-continuous step cdf on [0, n]: value(t) = v_j on [t_j, t_{j+1}).
 
-    Below the first knot the value is 0; an atom at 0 is expressed by a
-    first knot (0, mass).  The last value must be 1.
+    ``t`` and ``v`` are given as sequences of k reals, the knot positions
+    and the values there, and held as read-only float64 arrays (k,).  Below
+    the first knot the value is 0; an atom at 0 is expressed by a first
+    knot at 0 holding its mass.  The last value must be 1.
     """
 
-    knots: tuple[tuple[float, float], ...]
+    t: np.ndarray
+    v: np.ndarray
 
     def __post_init__(self):
-        knots = tuple((real(t), real(v)) for t, v in self.knots)
-        if not all(a is not None and np.isfinite(a) for knot in knots for a in knot):
-            raise ValidationError(f"knot positions and values must be finite reals, got {self.knots!r}")
+        t, v = [real(a) for a in self.t], [real(a) for a in self.v]
+        if None in t or None in v or not np.isfinite(t + v).all():
+            raise ValidationError(
+                f"knot positions and values must be finite reals, got {self.t!r} and {self.v!r}"
+            )
+        t, v = np.array(t), np.array(v)
         problems = []
-        if not knots:
+        if t.size != v.size:
+            problems.append(f"need one value per knot position, got {t.size} and {v.size}")
+        elif not t.size:
             problems.append("a cdf needs at least one knot")
         else:
-            ts = [t for t, _ in knots]
-            vs = [v for _, v in knots]
-            if any(b <= a for a, b in zip(ts, ts[1:])):
+            if (np.diff(t) <= 0.0).any():
                 problems.append("knot positions must be strictly increasing")
-            if any(b < a for a, b in zip(vs, vs[1:])):
+            if (np.diff(v) < 0.0).any():
                 problems.append("knot values must be nondecreasing")
-            if vs and (vs[0] < 0.0 or vs[-1] != 1.0):
+            if v[0] < 0.0 or v[-1] != 1.0:
                 problems.append("values must start >= 0 and end at exactly 1")
-            if ts and ts[0] < 0.0:
+            if t[0] < 0.0:
                 problems.append("knots must lie in [0, n]")
         if problems:
             raise ValidationError(problems)
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "_t", np.array([t for t, _ in knots]))
-        object.__setattr__(self, "_v", np.array([v for _, v in knots]))
+        t.flags.writeable = v.flags.writeable = False
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "v", v)
 
     def value(self, t: float | np.ndarray):
         """x(t) at a scalar (a float) or at an array of t (same shape)."""
-        i = np.searchsorted(self._t, t, side="right") - 1
-        out = np.where(i >= 0, self._v[np.maximum(i, 0)], 0.0)
+        i = np.searchsorted(self.t, t, side="right") - 1
+        out = np.where(i >= 0, self.v[np.maximum(i, 0)], 0.0)
         return float(out) if out.ndim == 0 else out
 
     @property
     def t_x(self) -> float:
         """Smallest t with value(t) >= 1."""
-        for t, v in self.knots:
-            if v >= 1.0:
-                return t
+        return float(self.t[np.argmax(self.v >= 1.0)])
 
-    def atoms(self) -> list[tuple[float, float]]:
-        """Jump locations and masses of the associated measure."""
-        out = []
-        prev = 0.0
-        for t, v in self.knots:
-            if v > prev:
-                out.append((t, v - prev))
-            prev = v
-        return out
+    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Jump locations and masses of the associated measure: two arrays."""
+        mass = np.diff(self.v, prepend=0.0)
+        jumps = mass > 0.0
+        return self.t[jumps], mass[jumps]
 
 
 @dataclass(frozen=True)
 class MatrixPath:
-    """Piecewise-linear monotone matrix path parametrized by its trace."""
+    """Piecewise-linear monotone matrix path parametrized by its trace.
 
-    knots: tuple[tuple[float, np.ndarray], ...]
+    ``t`` is given as a sequence of k reals, the knot positions, and
+    ``phi`` as k square matrices of one size or a (k, n, n) array, Phi at
+    the knots; they are held as read-only float64 arrays (k,) and
+    (k, n, n), the matrices symmetrized.
+    """
+
+    t: np.ndarray
+    phi: np.ndarray
 
     def __post_init__(self):
-        knots = tuple((real(t), frozen(symmetrize(np.asarray(m, dtype=float)))) for t, m in self.knots)
-        if not all(t is not None and np.isfinite(t) and np.isfinite(m).all() for t, m in knots):
+        t = [real(a) for a in self.t]
+        try:
+            phi = np.asarray(self.phi)
+        except ValueError:  # matrices of different sizes do not stack
+            raise ValidationError(["all knots must share one dimension"]) from None
+        phi = phi.astype(float, copy=False)
+        if None in t or not (np.isfinite(t).all() and np.isfinite(phi).all()):
             raise ValidationError("knot positions must be finite reals and knot matrices finite")
+        t = np.array(t)
         problems = []
-        if len(knots) < 2:
+        if t.size < 2:
             problems.append("a matrix path needs at least two knots")
+        elif phi.shape != t.shape + phi.shape[-1:] * 2:
+            problems.append(f"need {t.size} square matrices of one size, got shape {phi.shape}")
         else:
-            n = knots[0][1].shape[0]
-            if any(m.shape != (n, n) for _, m in knots):
-                problems.append("all knots must share one dimension")
-            ts = [t for t, _ in knots]
-            if any(b <= a for a, b in zip(ts, ts[1:])):
+            phi = symmetrize(phi)
+            if (np.diff(t) <= 0.0).any():
                 problems.append("knot positions must be strictly increasing")
-            for t, m in knots:
-                if abs(float(np.trace(m)) - t) > 1e-8 * max(1.0, abs(t)):
-                    problems.append(f"tr(Phi({t})) = {float(np.trace(m))} != {t}")
-            if float(np.max(np.abs(knots[0][1]))) > 1e-12:
+            traces = np.trace(phi, axis1=1, axis2=2)
+            for i in np.flatnonzero(np.abs(traces - t) > 1e-8 * np.maximum(1.0, np.abs(t))):
+                problems.append(f"tr(Phi({t[i]})) = {traces[i]} != {t[i]}")
+            if np.abs(phi[0]).max() > 1e-12:
                 problems.append("Phi(0) must be the zero matrix")
-            for (ta, ma), (tb, mb) in zip(knots, knots[1:]):
-                inc = mb - ma
-                if spectral_floor(inc) < -psd_tol(inc):
-                    problems.append(f"increment on [{ta}, {tb}] is not PSD")
-                if float(np.max(np.abs(inc))) > (tb - ta) * (1.0 + 1e-9):
-                    problems.append(f"increment on [{ta}, {tb}] is not 1-Lipschitz")
+            inc = np.diff(phi, axis=0)
+            not_psd = np.linalg.eigvalsh(inc)[:, 0] < -psd_tol(inc)
+            steep = np.abs(inc).max(axis=(1, 2)) > np.diff(t) * (1.0 + 1e-9)
+            for i in np.flatnonzero(not_psd | steep):
+                if not_psd[i]:
+                    problems.append(f"increment on [{t[i]}, {t[i + 1]}] is not PSD")
+                if steep[i]:
+                    problems.append(f"increment on [{t[i]}, {t[i + 1]}] is not 1-Lipschitz")
         if problems:
             raise ValidationError(problems)
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "_t", np.array([t for t, _ in knots]))
-        object.__setattr__(self, "_m", np.array([m for _, m in knots]))
+        t.flags.writeable = phi.flags.writeable = False
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "phi", phi)
 
     @property
     def n(self) -> int:
-        return self.knots[0][1].shape[0]
+        return self.phi.shape[-1]
 
     @property
     def end(self) -> np.ndarray:
-        return self.knots[-1][1]
+        return self.phi[-1]
 
     @property
     def span(self) -> float:
-        return self.knots[-1][0]
+        return float(self.t[-1])
 
     def value(self, t: float | np.ndarray) -> np.ndarray:
         """Phi(t), held constant outside the knots; shape t.shape + (n, n)."""
         t = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(self._t, t, side="right") - 1, 0, len(self._t) - 2)
-        ta, tb = self._t[i], self._t[i + 1]
+        i = np.clip(np.searchsorted(self.t, t, side="right") - 1, 0, len(self.t) - 2)
+        ta, tb = self.t[i], self.t[i + 1]
         w = np.clip((t - ta) / (tb - ta), 0.0, 1.0)[..., None, None]
-        return (1.0 - w) * self._m[i] + w * self._m[i + 1]
+        return (1.0 - w) * self.phi[i] + w * self.phi[i + 1]
 
 
 def _points(span: float, *arrays) -> np.ndarray:
@@ -181,7 +201,7 @@ def _table(x: ContinuousCdf, phi: MatrixPath, extra):
     c_j (Phi(t_{j+1}) - Phi(t_j)) over the knots, and at an extra point from
     the next knot b: Phihat(t) = Phihat(b) + x(t) (Phi(b) - Phi(t)).
     """
-    knots = _points(phi.span, phi._t, x._t, [0.0])
+    knots = _points(phi.span, phi.t, x.t, [0.0])
     ts = _points(phi.span, knots, np.ravel(extra))
     p, c = phi.value(ts), x.value(ts)
     p_k = phi.value(knots)
@@ -258,17 +278,18 @@ def from_discrete(path: DiscretePath) -> tuple[ContinuousCdf, MatrixPath]:
     if path.x[-1] != 1.0:
         raise ValidationError("the continuous form needs x_{r-1} = 1")
     merged = merge_duplicates(path)
-    traces = [0.0] + np.trace(merged.qs, axis1=1, axis2=2).tolist()  # at Q_0..Q_r
-    moves = np.abs(merged.increments).max(axis=(1, 2)) > 0.0
-    for k in range(merged.r):
-        if traces[k + 1] <= traces[k] and moves[k]:
-            raise DegenerateTrace(f"levels {k} and {k + 1} share trace {traces[k]:.6g} but differ")
+    qs = np.concatenate([np.zeros_like(merged.qs[:1]), merged.qs])  # Q_0..Q_r
+    traces = np.trace(qs, axis1=1, axis2=2)
+    rises = np.diff(traces) > 0.0  # from Q_k to Q_{k+1}
+    flat = ~rises & (np.abs(np.diff(qs, axis=0)).max(axis=(1, 2)) > 0.0)
+    if flat.any():
+        k = int(np.argmax(flat))
+        raise DegenerateTrace(f"levels {k} and {k + 1} share trace {traces[k]:.6g} but differ")
     # past the check every trace rises, but for a zero Q_1: it shares t = 0
     # with Q_0, which keeps the path's knot, and x_1 takes the cdf's there
-    rises = [k for k in range(merged.r) if traces[k + 1] > traces[k]]  # from Q_k to Q_{k+1}
-    phi = MatrixPath(tuple((traces[k], merged.level(k)) for k in [0] + [k + 1 for k in rises]))
-    cdf = ContinuousCdf(tuple((traces[k], merged.x[k]) for k in rises))
-    return cdf, phi
+    knots = np.append(True, rises)  # Q_0 and each level its trace rises to
+    cdf = ContinuousCdf(traces[:-1][rises], np.array(merged.x)[rises])
+    return cdf, MatrixPath(traces[knots], qs[knots])
 
 
 @dataclass(frozen=True)
@@ -297,28 +318,24 @@ def feasible_box(mix: MixtureSpec, constraint: np.ndarray) -> FeasibleBox:
 
 
 @dataclass(frozen=True)
-class SupportAtom:
-    t: float
-    mass: float
-    condition: float
-    flagged: bool
-
-
-@dataclass(frozen=True)
 class SupportReport:
-    atoms: tuple[SupportAtom, ...]
-    grid: tuple[float, ...]
-    running_integral: tuple[float, ...]
+    """Read-only arrays: at each atom of the cdf's measure its position
+    ``t``, ``mass``, support ``condition`` and whether it is ``flagged``
+    (condition below -1e-12); the ``running_integral`` on the ``grid``."""
 
-    @property
-    def flagged(self) -> list[SupportAtom]:
-        return [a for a in self.atoms if a.flagged]
+    t: np.ndarray
+    mass: np.ndarray
+    condition: np.ndarray
+    flagged: np.ndarray
+    grid: np.ndarray
+    running_integral: np.ndarray
 
 
 def support_check(
     x: ContinuousCdf, phi: MatrixPath, mix: MixtureSpec, grid_points: int = 512
 ) -> SupportReport:
-    """Necessary support condition at every atom of the cdf's measure.
+    """Necessary support condition at every atom of the cdf's measure, with
+    every atom's log|Q - Phi(t)| from one stacked factorization.
 
     An atom at t must satisfy
 
@@ -330,10 +347,11 @@ def support_check(
     """
     q = phi.end
     base = frobenius(mix.outer_field() + mix.xi_prime(q), q) + 1.0 - chol_logdet(q)
-    atoms = []
-    for t, mass in x.atoms():
-        cond = base + chol_logdet(q - phi.value(t))
-        atoms.append(SupportAtom(t=t, mass=mass, condition=cond, flagged=cond < -1e-12))
+    t, mass = x.atoms()
+    logdet, ok = stack_logdets(q - phi.value(t))
+    if not ok.all():
+        raise NotPositiveDefinite("Matrix is not positive definite")
+    condition = base + logdet
 
     t_x = x.t_x
     table = _table(x, phi, t_x * np.arange(grid_points + 1) / grid_points)
@@ -349,20 +367,21 @@ def support_check(
     psi_mid = mix.outer_field() + mix.series(mid)[:, 1] - acc_m
     f_inc = np.einsum("kij,kij->k", psi_mid, dp)
     running = np.concatenate([[0.0], np.cumsum(f_inc)])
-    return SupportReport(
-        atoms=tuple(atoms), grid=tuple(grid.tolist()), running_integral=tuple(running.tolist())
-    )
+    report = (t, mass, condition, condition < -1e-12, grid, running)
+    for a in report:
+        a.flags.writeable = False
+    return SupportReport(*report)
 
 
 def cdf_l1_distance(x1: ContinuousCdf, x2: ContinuousCdf, span: float) -> float:
     """int_0^span |x1(t) - x2(t)| dt, exactly on the step structure."""
-    ts = np.sort(np.minimum(np.concatenate([[0.0, span], x1._t, x2._t]), span))
+    ts = np.sort(np.minimum(np.concatenate([[0.0, span], x1.t, x2.t]), span))
     return float(np.sum(np.abs(x1.value(ts[:-1]) - x2.value(ts[:-1])) * np.diff(ts)))
 
 
 def path_sup_distance(p1: MatrixPath, p2: MatrixPath) -> float:
     """max entrywise |Phi1 - Phi2| over t; exact on the joint knot set."""
-    ts = np.concatenate([p1._t, p2._t])
+    ts = np.concatenate([p1.t, p2.t])
     return float(np.max(np.abs(p1.value(ts) - p2.value(ts))))
 
 
@@ -398,13 +417,8 @@ def lipschitz_probe(
     values = [eval_cs_continuous(x, p, mix) for x, p in pairs]
     span = pairs[0][1].span
     empirical = 0.0
-    m = len(pairs)
-    combos = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    for i, j in combos:
-        denom = cdf_l1_distance(pairs[i][0], pairs[j][0], span) + path_sup_distance(
-            pairs[i][1], pairs[j][1]
-        )
-        if denom < 1e-15:
-            continue
-        empirical = max(empirical, abs(values[i] - values[j]) / denom)
+    for (v1, (x1, p1)), (v2, (x2, p2)) in combinations(zip(values, pairs), 2):
+        denom = cdf_l1_distance(x1, x2, span) + path_sup_distance(p1, p2)
+        if denom >= 1e-15:
+            empirical = max(empirical, abs(v1 - v2) / denom)
     return empirical, lipschitz_bound(mix, box)

@@ -359,18 +359,33 @@ def minimize_fixed(
     rows of the iterates carry ``stage``, the stage's schedule index.
 
     The constraint must be n x n for the mixture's n (DimensionMismatch)
-    and pass ``check_constraint(..., solve_only=True)`` (ValidationError)."""
+    and pass ``check_constraint(..., solve_only=True)`` (ValidationError).
+    ``x`` must hold r weights (ValidationError).  A ``start`` (lam, levels)
+    needs a multiplier for the multiplier form (ValueError); the multiplier
+    must be n x n and the levels, a sequence or an array, of shape
+    (r - 1, n, n) (DimensionMismatch).  All of it is checked before the
+    first pass."""
     q = np.asarray(constraint, dtype=float)
-    if q.shape != (mix.n, mix.n):
-        raise DimensionMismatch(f"constraint has shape {q.shape}, the mixture has n = {mix.n}")
+    n = mix.n
+    if q.shape != (n, n):
+        raise DimensionMismatch(f"constraint has shape {q.shape}, the mixture has n = {n}")
     problems = check_constraint(q, solve_only=True)
     if problems:
         raise ValidationError(problems)
+    if len(x) != r:
+        raise ValidationError(f"r = {r} needs r weights x_0..x_{{r-1}}, got {len(x)}")
     plan = Weights(kind, x)
     if start is None:
         lam, levels = default_start(kind, mix, constraint, r, x)
     else:
-        lam, levels = start
+        lam, levels = start[0], np.asarray(start[1], dtype=float)
+        if kind == "parisi" and lam is None:
+            raise ValueError("the multiplier form needs lam")
+        if levels.shape != (r - 1, n, n) or (lam is not None and np.shape(lam) != (n, n)):
+            raise DimensionMismatch(
+                f"a start at r = {r}, n = {n} needs levels of shape {(r - 1, n, n)} and an "
+                f"n x n multiplier, got {levels.shape} and {np.shape(lam)}"
+            )
     obj = Objective(plan, mix, constraint, eps, plan.join(lam, levels))
     z = obj.pack(obj.template)
     try:
@@ -458,7 +473,10 @@ def grown_start(path: DiscretePath, x) -> DiscretePath:
     a sum of them, so a strictly monotone path stays strictly monotone and
     the levels are feasible at any weights, like a warm source's.  Both
     split levels sit next to the old one: the start is the r - 1 answer up
-    to one level of small increment."""
+    to one level of small increment.  ``path`` needs a free level, r >= 2
+    (ValidationError)."""
+    if path.r < 2:
+        raise ValidationError(f"grown_start splits a free level, so it needs r >= 2, got r = {path.r}")
     t = path.r - 1
     low, top, q = path.level(t - 1), path.level(t), path.constraint
     split = [top - _GROW_TAU * (top - low), top + _GROW_TAU * (q - top)]

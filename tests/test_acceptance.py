@@ -259,7 +259,7 @@ def test_criterion_10_compactness_box():
         res = search(mix, q, opts)
         cdf, phi = from_discrete(res.best.path)
         box = feasible_box(mix, q)
-        t_top = max(t for t, _ in cdf.atoms())
+        t_top = float(cdf.atoms()[0].max())
         inv_gap = sym_inverse(q - phi.value(t_top))
         worst = min(worst, box.T - t_top, box.L - float(np.max(np.abs(inv_gap))))
         assert t_top <= box.T

@@ -605,3 +605,48 @@ def test_main_probe_and_continuous(tmp_path):
     spec_file = write_spec(tmp_path, raw)
     assert main(["continuous", "--spec", spec_file]) == 0
     assert main(["probe", "--spec", spec_file]) == 0
+
+
+# the continuous and probe records of the problem files: each atom is
+# (t, mass, condition, flagged); CI runs other numpy builds, so the pins
+# hold to rel 1e-12 rather than bitwise
+RECORD_PINS = {
+    "coupled_pair.json": {
+        "continuous": {
+            "cs_continuous": 0.10519329970005903, "cs_discrete": 0.10519329970005903,
+            "t_x": 0.018249534629101317, "box_T": 1.947718469281479, "box_L": 19.127213496940477,
+            "atoms": [(0.018249534629101317, 1.0, 1.5230214995020488, False)], "flagged_atoms": 0,
+        },
+        "probe": {"empirical_modulus": 0.00024195325077748094, "bound": 29269.343692603357,
+                  "within": True},
+    },
+    "pure2_scalar.json": {
+        "continuous": {
+            "cs_continuous": 0.045000498588026766, "cs_discrete": 0.04500049858802677,
+            "t_x": 0.0015575563749100879, "box_T": 0.6927212613988687, "box_L": 3.2543742028896707,
+            "atoms": [(0.0015575563749100879, 1.0, 1.1784412293731519, False)], "flagged_atoms": 0,
+        },
+        "probe": {"empirical_modulus": 0.0006322155815401886, "bound": 45.79818001262479,
+                  "within": True},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_PINS))
+def test_continuous_and_probe_records_match_pins(name):
+    def near(value):
+        return pytest.approx(value, rel=1e-12, abs=1e-15)
+
+    pins = RECORD_PINS[name]
+    out = run("continuous", load_spec(str(PROBLEMS / name))).outputs
+    want = pins["continuous"]
+    for key in ("cs_continuous", "cs_discrete", "t_x", "box_T", "box_L"):
+        assert out[key] == near(want[key]), key
+    assert [(a["t"], a["mass"], a["condition"], a["flagged"]) for a in out["atoms"]] == [
+        (near(t), near(mass), near(condition), flagged) for t, mass, condition, flagged in want["atoms"]
+    ]
+    assert out["flagged_atoms"] == want["flagged_atoms"]
+    out = run("probe", load_spec(str(PROBLEMS / name))).outputs
+    want = pins["probe"]
+    assert (out["empirical_modulus"], out["bound"]) == (near(want["empirical_modulus"]), near(want["bound"]))
+    assert out["within"] is want["within"]

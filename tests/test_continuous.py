@@ -25,30 +25,32 @@ from spinvar.path import DiscretePath
 
 def rs_pair(q_hat):
     """n = 1 straight-line path with a single jump at q_hat."""
-    phi = MatrixPath(((0.0, np.zeros((1, 1))), (1.0, np.ones((1, 1)))))
-    knots = ((0.0, 0.0), (q_hat, 1.0)) if q_hat > 0 else ((0.0, 1.0),)
-    return ContinuousCdf(knots), phi
+    phi = MatrixPath((0.0, 1.0), [np.zeros((1, 1)), np.ones((1, 1))])
+    if q_hat > 0:
+        return ContinuousCdf((0.0, q_hat), (0.0, 1.0)), phi
+    return ContinuousCdf((0.0,), (1.0,)), phi
 
 
 def test_cdf_basics():
-    cdf = ContinuousCdf(((0.0, 0.0), (0.3, 0.5), (0.7, 1.0)))
+    cdf = ContinuousCdf((0.0, 0.3, 0.7), (0.0, 0.5, 1.0))
     assert cdf.value(0.0) == 0.0
     assert cdf.value(0.3) == 0.5
     assert cdf.value(0.69) == 0.5
     assert cdf.value(0.9) == 1.0
     assert cdf.t_x == 0.7
-    assert cdf.atoms() == [(0.3, 0.5), (0.7, 0.5)]
+    t, mass = cdf.atoms()
+    assert t.tolist() == [0.3, 0.7] and mass.tolist() == [0.5, 0.5]
     with pytest.raises(ValidationError):
-        ContinuousCdf(((0.0, 0.5), (0.3, 0.4)))  # decreasing values
+        ContinuousCdf((0.0, 0.3), (0.5, 0.4))  # decreasing values
     with pytest.raises(ValidationError):
-        ContinuousCdf(((0.0, 0.5),))  # never reaches 1
+        ContinuousCdf((0.0,), (0.5,))  # never reaches 1
 
 
 def test_matrix_path_validation():
     with pytest.raises(ValidationError):
-        MatrixPath(((0.0, np.zeros((1, 1))), (1.0, np.array([[0.5]]))))  # trace mismatch
+        MatrixPath((0.0, 1.0), [np.zeros((1, 1)), np.array([[0.5]])])  # trace mismatch
     with pytest.raises(ValidationError):
-        MatrixPath(((0.0, np.array([[0.1]])), (1.0, np.array([[1.0]]))))  # Phi(0) != 0
+        MatrixPath((0.0, 1.0), [np.array([[0.1]]), np.array([[1.0]])])  # Phi(0) != 0
 
 
 def test_hat_phi_examples():
@@ -90,10 +92,8 @@ def test_quadrature_oracle_vs_closed_forms():
 
     def slope(t):
         """Phi' on the segment [t_a, t_b) that holds t: (M_b - M_a) / (t_b - t_a)."""
-        ts = [k[0] for k in phi.knots]
-        i = min(np.searchsorted(ts, t, side="right") - 1, len(ts) - 2)
-        (ta, ma), (tb, mb) = phi.knots[i], phi.knots[i + 1]
-        return (mb - ma) / (tb - ta)
+        i = min(np.searchsorted(phi.t, t, side="right") - 1, len(phi.t) - 2)
+        return (phi.phi[i + 1] - phi.phi[i]) / (phi.t[i + 1] - phi.t[i])
 
     def mixture_part(t):
         return cdf.value(t) * (
@@ -103,7 +103,7 @@ def test_quadrature_oracle_vs_closed_forms():
     def tail_part(t):
         return float(np.tensordot(sym_inverse(hat_phi(cdf, phi, t)), slope(t)))
 
-    segs = sorted({t for t, _ in phi.knots} | {t for t, _ in cdf.knots})
+    segs = sorted({*phi.t.tolist(), *cdf.t.tolist()})
     total = 0.0
     for a, b in zip(segs, segs[1:]):
         total += quad(mixture_part, a, b, limit=200)[0]
@@ -158,7 +158,7 @@ def test_from_discrete_merges_duplicates():
     q = np.eye(2)
     path = DiscretePath((0.0, 0.5, 1.0), (a, a, q))
     cdf, phi = from_discrete(path)
-    assert len(phi.knots) == 3  # 0, tr(a), n
+    assert len(phi.t) == len(phi.phi) == 3  # 0, tr(a), n
     assert cdf.t_x == pytest.approx(float(np.trace(a)))
 
 
@@ -167,7 +167,7 @@ def test_from_discrete_zero_level_becomes_atom_at_origin():
     mix = MixtureSpec.pure(2, [0.3])
     path = DiscretePath((0.0, 1.0), (np.zeros((1, 1)), np.ones((1, 1))))
     cdf, phi = from_discrete(path)
-    assert cdf.knots == ((0.0, 1.0),)
+    assert cdf.t.tolist() == [0.0] and cdf.v.tolist() == [1.0]
     assert cdf.t_x == 0.0
     assert eval_cs_continuous(cdf, phi, mix) == pytest.approx(eval_cs(path, mix), abs=1e-14)
 
@@ -178,7 +178,8 @@ def test_from_discrete_zero_level_becomes_atom_at_origin():
     mix2 = MixtureSpec(n=2, terms=((2, np.array([0.4, 0.3])),), h=np.array([0.1, 0.0]))
     cdf2, phi2 = from_discrete(path2)
     assert cdf2.value(0.0) == 0.5
-    assert cdf2.atoms()[0] == (0.0, 0.5)
+    t, mass = cdf2.atoms()
+    assert (t[0], mass[0]) == (0.0, 0.5)
     assert eval_cs_continuous(cdf2, phi2, mix2) == pytest.approx(eval_cs(path2, mix2), abs=1e-12)
 
 
@@ -200,11 +201,10 @@ def test_support_check_rs():
     mix = MixtureSpec.pure(2, [0.3])
     cdf, phi = rs_pair(0.0)
     report = support_check(cdf, phi, mix)
-    assert len(report.atoms) == 1
-    atom = report.atoms[0]
-    assert atom.t == 0.0
-    assert atom.condition == pytest.approx(2 * 0.09 + 1.0, abs=1e-12)
-    assert not atom.flagged
+    assert len(report.t) == 1
+    assert report.t[0] == 0.0
+    assert report.condition[0] == pytest.approx(2 * 0.09 + 1.0, abs=1e-12)
+    assert not report.flagged[0]
 
 
 def test_support_check_flags_deep_atoms():
@@ -212,10 +212,10 @@ def test_support_check_flags_deep_atoms():
     # an atom close to the top where |Q - Phi(t)| is tiny violates the bound
     threshold = math.exp(-(2 * 0.09 + 1.0))
     t_bad = 1.0 - 0.5 * threshold
-    cdf = ContinuousCdf(((0.0, 0.0), (t_bad, 1.0)))
-    phi = MatrixPath(((0.0, np.zeros((1, 1))), (1.0, np.ones((1, 1)))))
+    cdf = ContinuousCdf((0.0, t_bad), (0.0, 1.0))
+    phi = MatrixPath((0.0, 1.0), [np.zeros((1, 1)), np.ones((1, 1))])
     report = support_check(cdf, phi, mix)
-    assert any(a.flagged for a in report.atoms)
+    assert report.flagged.any()
 
 
 def test_support_check_clean_at_minimizer():
@@ -233,7 +233,7 @@ def test_support_check_clean_at_minimizer():
         res = search(mix, q, SolveOptions())
         cdf, phi = from_discrete(res.best.path)
         report = support_check(cdf, phi, mix)
-        assert not report.flagged
+        assert not report.flagged.any()
 
 
 def test_tail_dominated_by_gap():
@@ -247,10 +247,10 @@ def test_tail_dominated_by_gap():
 
 
 def test_norms():
-    x1 = ContinuousCdf(((0.0, 0.0), (0.5, 1.0)))
-    x2 = ContinuousCdf(((0.0, 0.0), (0.75, 1.0)))
+    x1 = ContinuousCdf((0.0, 0.5), (0.0, 1.0))
+    x2 = ContinuousCdf((0.0, 0.75), (0.0, 1.0))
     assert cdf_l1_distance(x1, x2, 1.0) == pytest.approx(0.25)
-    p1 = MatrixPath(((0.0, np.zeros((1, 1))), (1.0, np.ones((1, 1)))))
+    p1 = MatrixPath((0.0, 1.0), [np.zeros((1, 1)), np.ones((1, 1))])
     assert path_sup_distance(p1, p1) == 0.0
 
 
@@ -282,7 +282,7 @@ def test_lookups_take_arrays():
     rng = np.random.default_rng(36)
     q = random_correlation(rng, 2)
     cdf, phi = from_discrete(random_feasible_path(rng, q, 4))
-    ts = np.array([-0.5, 0.0, 0.3, 1.1, 2.0, 2.5] + [t for t, _ in phi.knots + cdf.knots])
+    ts = np.array([-0.5, 0.0, 0.3, 1.1, 2.0, 2.5] + [*phi.t, *cdf.t])
     assert isinstance(cdf.value(0.3), float)
     np.testing.assert_array_equal(cdf.value(ts), [cdf.value(t) for t in ts])
     np.testing.assert_array_equal(phi.value(ts), [phi.value(t) for t in ts])
@@ -303,7 +303,7 @@ BAD_KNOT_IDS = ["string", "bool", "nan-position", "nan-value", "inf-position"]
 def test_cdf_knots_must_be_finite_reals(t, v):
     # each used to be read with float() and accepted; v is the first value
     with pytest.raises(ValidationError, match="finite reals"):
-        ContinuousCdf(((0.0, v), (t, 1.0)))
+        ContinuousCdf((0.0, t), (v, 1.0))
 
 
 @pytest.mark.parametrize("t, v", BAD_KNOTS, ids=BAD_KNOT_IDS)
@@ -311,4 +311,4 @@ def test_matrix_path_knots_must_be_finite_reals(t, v):
     # v is the trace the top knot's matrix carries, so only t or v is wrong
     top = np.full((1, 1), math.nan if math.isnan(v) else 0.5 if t == "0.5" else 1.0)
     with pytest.raises(ValidationError, match="finite"):
-        MatrixPath(((0.0, np.zeros((1, 1))), (t, top)))
+        MatrixPath((0.0, t), [np.zeros((1, 1)), top])

@@ -87,3 +87,13 @@ def test_full_rsb_excess_at_five_levels():
 def test_lower_certificate_on_decoupled_species(pair_parisi_point):
     point = pair_parisi_point
     critical_residual("lower", point.path, PAIR, point.stages[-1].eps, point.lam)
+
+
+@known_wrong("item 30", "two p = 4 replicas at q_1 stop above 2C at r = 3, x_1 = 0.3125 (off by 1.24e-3)")
+def test_pure4_replica_pair_at_q1_reaches_twice_its_minimum():
+    # two copies of the beta = 2 model held at the overlap q_1 of its 1RSB
+    # minimum: the pair's minimum is twice the scalar one
+    q1 = 0.873454
+    pair = MixtureSpec(n=2, terms=((4, np.array([2.0, 2.0])),), h=np.zeros(2))
+    for value in _minima(pair, np.array([[1.0, q1], [q1, 1.0]]), 3):
+        assert value == pytest.approx(2.0 * PURE4_BETA2, abs=1e-5)

@@ -985,6 +985,36 @@ def test_grown_start_is_feasible_for_both_forms(seed, r):
         assert np.isfinite(value), kind
 
 
+def test_grown_start_needs_a_free_level():
+    with pytest.raises(ValidationError, match="r >= 2, got r = 1"):
+        grown_start(DiscretePath((0.0,), [np.eye(1)]), (0.0, 1.0))
+
+
+PURE2 = MixtureSpec.pure(2, [1.0])
+HALF_PATH = DiscretePath((0.0, 1.0), [0.5 * np.eye(1), np.eye(1)])
+THIRDS_PATH = DiscretePath((0.0, 0.5, 1.0), [0.3 * np.eye(1), 0.6 * np.eye(1), np.eye(1)])
+
+
+@pytest.mark.parametrize("kind, r, x, start, error, match", [
+    # each used to escape as numpy's IndexError, run kernel passes on a chain
+    # broadcast from the wrong shapes, or (the last) return an r = 2 answer
+    ("parisi", 2, (0.0, 1.0), (None, HALF_PATH), ValueError, "needs lam"),
+    ("cs", 3, (0.0, 0.5, 1.0), (None, HALF_PATH), DimensionMismatch, r"\(2, 1, 1\)"),
+    ("cs", 2, (0.0, 1.0), (None, THIRDS_PATH), DimensionMismatch, r"\(1, 1, 1\)"),
+    ("parisi", 2, (0.0, 1.0), (3.0 * np.eye(2), HALF_PATH), DimensionMismatch, r"\(2, 2\)"),
+    ("cs", 5, (0.0, 1.0), (None, HALF_PATH), ValidationError, "r = 5"),
+], ids=["no-multiplier", "too-few-levels", "too-many-levels", "multiplier-shape", "r-not-len-x"])
+def test_a_bad_start_is_rejected_before_any_kernel_pass(monkeypatch, kind, r, x, start, error, match):
+    from spinvar import optimize
+
+    calls = []
+    kernel = optimize.eval_stack
+    monkeypatch.setattr(optimize, "eval_stack", lambda *args: calls.append(args) or kernel(*args))
+    with pytest.raises(error, match=match):
+        continuation(kind, PURE2, np.eye(1), r, x, SolveOptions(), starts=(start,))
+    assert calls == []
+
+
 def _newton_obj(dim):
     import types
 
