@@ -44,6 +44,7 @@ from .errors import (
 )
 from .matcore import (
     MixtureSpec,
+    _real_array,
     chol_logdet,
     frobenius,
     psd_tol,
@@ -119,7 +120,8 @@ class MatrixPath:
 
     ``t`` is given as a sequence of k reals, the knot positions, and
     ``phi`` as k square matrices of one size or a (k, n, n) array, Phi at
-    the knots; they are held as read-only float64 arrays (k,) and
+    the knots, of finite reals (:func:`spinvar.matcore._real_array`, checked
+    before any cast); they are held as read-only float64 arrays (k,) and
     (k, n, n), the matrices symmetrized.
     """
 
@@ -129,11 +131,10 @@ class MatrixPath:
     def __post_init__(self):
         t = [real(a) for a in self.t]
         try:
-            phi = np.asarray(self.phi)
+            phi = _real_array(self.phi)
         except ValueError:  # matrices of different sizes do not stack
             raise ValidationError(["all knots must share one dimension"]) from None
-        phi = phi.astype(float, copy=False)
-        if None in t or not (np.isfinite(t).all() and np.isfinite(phi).all()):
+        if None in t or phi is None or not (np.isfinite(t).all() and np.isfinite(phi).all()):
             raise ValidationError("knot positions must be finite reals and knot matrices finite")
         t = np.array(t)
         problems = []
@@ -312,7 +313,7 @@ def feasible_box(mix: MixtureSpec, constraint: np.ndarray) -> FeasibleBox:
         frobenius(mix.outer_field() + mix.xi_prime(q), q) + n - chol_logdet(q)
     )
     return FeasibleBox(
-        T=n - np.exp(-exponent) / np.sqrt(n),
+        T=float(n - np.exp(-exponent) / np.sqrt(n)),
         L=float(np.sqrt(n) * np.exp(exponent)),
     )
 

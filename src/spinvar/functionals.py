@@ -38,8 +38,10 @@ increments and, for the multiplier-free form, their tail chain); the
 mixture holds its series weights and hh^T, and the identity and zero
 blocks come from :func:`spinvar.matcore.unit_blocks`.  The corrected forms run
 on the same kernel: the error terms come from one inverse call over the
-increments, and the base part of either side is eval_stack's formula
-evaluated at the corrected chain.
+increments (the lower side's then from one entrywise division of the
+whole stack by xi''(Q_1..Q_{r-1}), from one series call), and the base
+part of either side is eval_stack's formula evaluated at the corrected
+chain.
 
 Conventions: where x_k = 0 the 1/x_k log-ratio term is dropped (the chain
 increment at level k is then zero); ``Weights.div`` is the one place that
@@ -385,7 +387,9 @@ def error_terms(side: str, path: DiscretePath, mix: MixtureSpec) -> ErrorTerms:
                      divided entrywise by xi''(Q_p)  (needs beta_2 > 0);
     side = "upper":  the same without the entrywise division.
 
-    From one inverse call over the increments; the tails from
+    From one inverse call over the increments, and on the lower side one
+    entrywise division of the whole stack, which raises ZeroDivisor at the
+    first guarded entry, lowest level first; the tails from
     :func:`spinvar.path.tail_sums`.  E_{r-1} and Ebar_1 need a free level,
     so r = 1 is a ValidationError.
     """
@@ -394,17 +398,16 @@ def error_terms(side: str, path: DiscretePath, mix: MixtureSpec) -> ErrorTerms:
     if path.r < 2:
         raise ValidationError(f"the error terms need a free level (r >= 2), got r = {path.r}")
     dx = np.diff(path.x)
-    for p in range(1, path.r):
-        if dx[p - 1] <= 0.0:
-            raise NonStrictWeights(f"x_{p} - x_{p - 1} = {dx[p - 1]}")
+    if (dx <= 0.0).any():
+        p = int(np.argmax(dx <= 0.0)) + 1
+        raise NonStrictWeights(f"x_{p} - x_{p - 1} = {dx[p - 1]}")
     inc, logdet, ok = increments(path)
     if not ok.all():
         raise DegenerateIncrement(int(np.argmin(ok)))
     inc_inv = stack_inverses(inc)
     e = np.diff(inc_inv, axis=0) / dx[:, None, None]
     if side == "lower":
-        for p in range(1, path.r):
-            e[p - 1] = hadamard_div(e[p - 1], mix.xi_second(path.level(p)))
+        e = hadamard_div(e, mix.series(path.qs[:-1])[:, 2])  # xi''(Q_1..Q_{r-1})
     e = np.concatenate([e, np.zeros((1, path.n, path.n))])  # E_r = 0
     # Ebar_p = sum_{k >= p} x_k (E_{k+1} - E_k)
     ebar = tail_sums(path.x[1:], np.diff(e, axis=0))

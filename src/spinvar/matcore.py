@@ -10,6 +10,13 @@ largest diagonal entry with a unit floor (all matrices here live on the
 overlap scale): a chain's floor matrix must factor after a shift by it.
 Only reports that state a margin compare the smallest eigenvalue
 (:func:`spectral_floor`) with ``psd_tol``.
+
+A :class:`MixtureSpec` holds its five series as one table over series and
+terms, built from the vector of the terms' degrees p without a loop: the
+coefficients times beta x beta, and the Hadamard powers, one broadcast of
+p against the column ``_SHIFTS``; :meth:`MixtureSpec.series` evaluates
+all five at a stack in one expression.  Like :func:`symmetrize`,
+:func:`hadamard_div` takes a stack.
 """
 
 from __future__ import annotations
@@ -31,14 +38,9 @@ PSD_RTOL = 1e-10  # relative eigenvalue margin for PD / PSD decisions
 DIV_TOL = 1e-14   # absolute guard for entrywise division
 CONSTRAINT_TOL = 1e-9  # absolute tolerance of a constraint's symmetry, diagonal and entries
 
-_MIX_KINDS = {
-    # kind -> (coefficient(p), Hadamard-power shift)
-    "xi": (lambda p: 1.0, 0),
-    "xi_prime": (lambda p: float(p), 1),
-    "xi_second": (lambda p: float(p * (p - 1)), 2),
-    "theta": (lambda p: float(p - 1), 0),
-    "xi_third": (lambda p: float(p * (p - 1) * (p - 2)), 3),
-}
+_SERIES = ("xi", "xi_prime", "xi_second", "theta", "xi_third")
+# series k takes a term of degree p to the Hadamard power p - s_k, at least 0
+_SHIFTS = np.array([[0], [1], [2], [0], [3]])
 
 
 def real(value) -> float | None:
@@ -53,15 +55,25 @@ def real(value) -> float | None:
         return None
 
 
+def _real_array(value) -> np.ndarray | None:
+    """``value`` as a float64 array if each of its entries is :func:`real`,
+    else None (a string, bool or complex entry); cast only once checked."""
+    a = np.asarray(value)
+    if a.dtype.kind == "O":  # entries of any type: a float where real() gives one
+        a = np.reshape(np.array([real(v) for v in a.flat]), a.shape)
+    return a.astype(float, copy=False) if a.dtype.kind in "iuf" else None
+
+
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """Symmetric part (a + a.T) / 2 of a matrix, or of each matrix of a
     stack (..., n, n), as a fresh array."""
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
-def _require_square(a: np.ndarray) -> np.ndarray:
+def _require_square(a: np.ndarray, stack: bool = False) -> np.ndarray:
+    """``a`` as a float square matrix, or with ``stack`` a stack (..., n, n)."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-2] != a.shape[-1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     return a
 
@@ -161,14 +173,16 @@ def spectral_floor(a: np.ndarray) -> float:
 
 
 def hadamard_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise quotient a / b; raises ZeroDivisor on a guarded entry of b."""
-    a = _require_square(a)
-    b = _require_square(b)
+    """Entrywise quotient a / b of two matrices or two stacks (..., n, n);
+    raises ZeroDivisor at the first guarded entry of b, the matrices of a
+    stack taken in order."""
+    a = _require_square(a, stack=True)
+    b = _require_square(b, stack=True)
     _require_same_shape(a, b)
     small = np.abs(b) < DIV_TOL
     if np.any(small):
-        i, j = map(int, np.argwhere(small)[0])
-        raise ZeroDivisor(i, j, float(b[i, j]))
+        first = tuple(np.argwhere(small)[0])
+        raise ZeroDivisor(int(first[-2]), int(first[-1]), float(b[first]))
     return symmetrize(a / b)
 
 
@@ -219,7 +233,7 @@ class MixtureSpec:
                 return frozen(entries)
             return None
 
-        coerced = []
+        ps, betas = [], []
         for idx, term in enumerate(self.terms):
             try:
                 p, beta = term
@@ -238,22 +252,23 @@ class MixtureSpec:
                 problems.append(f"term {idx}: even p required, got {p}")
             if beta is not None and (np.any(beta < 0) or not np.all(np.isfinite(beta))):
                 problems.append(f"term {idx}: beta entries must be finite and nonnegative")
-            coerced.append((p, beta))
+            ps.append(p)
+            betas.append(beta)
         h = vector(self.h, "field h")
         if h is not None and not np.all(np.isfinite(h)):
             problems.append("field h entries must be finite")
         if problems:
             raise ValidationError(problems)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", tuple(coerced))
+        object.__setattr__(self, "terms", tuple(zip(ps, betas)))
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "_hh", frozen(np.outer(h, h)))
-        # series k, term t: coefficient (beta x beta) and Hadamard power
-        weights = [[c(p) * np.outer(b, b) for p, b in coerced] for c, _ in _MIX_KINDS.values()]
-        powers = [[max(p - shift, 0) for p, _ in coerced] for _, shift in _MIX_KINDS.values()]
-        kinds = len(_MIX_KINDS)
-        object.__setattr__(self, "_weights", frozen(np.reshape(weights, (kinds, len(coerced), n, n))))
-        object.__setattr__(self, "_powers", frozen(np.reshape(powers, (kinds, -1, 1, 1))))
+        # series k, term t: coefficient times (beta x beta), and Hadamard power
+        p, beta = np.array(ps, dtype=float), np.reshape(betas, (-1, n))
+        coef = np.array([np.ones_like(p), p, p * (p - 1.0), p - 1.0, p * (p - 1.0) * (p - 2.0)])
+        weights = coef[:, :, None, None] * (beta[:, :, None] * beta[:, None, :])
+        object.__setattr__(self, "_weights", frozen(weights))
+        object.__setattr__(self, "_powers", frozen(np.maximum(p - _SHIFTS, 0.0)[:, :, None, None]))
 
     @classmethod
     def pure(cls, p: int, beta) -> "MixtureSpec":
@@ -288,27 +303,27 @@ class MixtureSpec:
         return MixtureSpec(n=1, terms=terms, h=np.array([self.h[j]]))
 
     def l1_delta(self, other: "MixtureSpec") -> float:
-        """sum_p |beta_p x beta_p - beta'_p x beta'_p| summed entrywise."""
+        """sum_p |B_p - B'_p| summed entrywise, where B_p sums beta x beta
+        over the terms of degree p, as :meth:`series` does."""
         if self.n != other.n:
             raise DimensionMismatch("mixtures have different species counts")
-        mine = {p: beta for p, beta in self.terms}
-        theirs = {p: beta for p, beta in other.terms}
+        # xi's row of the table: beta x beta per term, and each term's degree p
+        mine, theirs = self._powers[0, :, 0, 0], other._powers[0, :, 0, 0]
         total = 0.0
         for p in sorted(set(mine) | set(theirs)):
-            a = mine.get(p, np.zeros(self.n))
-            b = theirs.get(p, np.zeros(self.n))
-            total += float(np.abs(np.outer(a, a) - np.outer(b, b)).sum())
+            delta = self._weights[0, mine == p].sum(axis=0) - other._weights[0, theirs == p].sum(axis=0)
+            total += float(np.abs(delta).sum())
         return total
 
 
 def mixture_apply(kind: str, mix: MixtureSpec, a: np.ndarray) -> np.ndarray:
     """Evaluate one of the five entrywise mixture series at ``a``."""
-    if kind not in _MIX_KINDS:
+    if kind not in _SERIES:
         raise ValueError(f"unknown mixture kind {kind!r}")
     a = _require_square(a)
     if a.shape != (mix.n, mix.n):
         raise DimensionMismatch(f"matrix is {a.shape}, mixture has n = {mix.n}")
-    return symmetrize(mix.series(a)[list(_MIX_KINDS).index(kind)])
+    return symmetrize(mix.series(a)[_SERIES.index(kind)])
 
 
 def check_constraint(q: np.ndarray, solve_only: bool = False) -> list[str]:

@@ -28,7 +28,9 @@ Every chain of the package -- these two, the correction tails Ebar_p of
 
 Chain feasibility is decided, and the domain error of an infeasible chain
 raised, by :func:`_factor_chain` alone, for the two sequences below and for
-:func:`spinvar.functionals.eval_stack`.
+:func:`spinvar.functionals.eval_stack`.  :func:`merge_duplicates` drops
+repeated weights and levels by keep-masks over the weight vector and the
+stack Q_0..Q_r, with no loop over the levels.
 """
 
 from __future__ import annotations
@@ -46,15 +48,16 @@ from .errors import (
     NotPositiveDefinite,
     ValidationError,
 )
-from .matcore import MixtureSpec, frozen, psd_tol, real, stack_logdets, symmetrize, unit_blocks
+from .matcore import MixtureSpec, _real_array, frozen, psd_tol, real, stack_logdets, symmetrize, unit_blocks
 
 @dataclass(frozen=True)
 class DiscretePath:
     """Weights x_0..x_{r-1} paired with matrix levels Q_1..Q_r.
 
     ``qs`` is given as a sequence of r square matrices or an (r, n, n)
-    array, and held as one read-only float64 stack (r, n, n) of the
-    symmetrized levels, so Q_k is ``qs[k - 1]``; :attr:`increments` is the
+    array of finite reals (:func:`spinvar.matcore._real_array`, checked
+    before any cast), and held as one read-only float64 stack (r, n, n) of
+    the symmetrized levels, so Q_k is ``qs[k - 1]``; :attr:`increments` is the
     stack of the steps Q_{k+1} - Q_k."""
 
     x: tuple[float, ...]
@@ -68,11 +71,11 @@ class DiscretePath:
             raise ValidationError("a path needs at least one weight (r >= 1)")
         # an (r, n, n) array is checked whole, any other sequence level by level
         if isinstance(self.qs, np.ndarray) and self.qs.ndim == 3:
-            qs = self.qs.astype(float, copy=False)
-            finite = np.isfinite(qs).all()
+            qs = _real_array(self.qs)
+            finite = qs is not None and np.isfinite(qs).all()
         else:
-            qs = [np.asarray(q, dtype=float) for q in self.qs]
-            finite = all(np.isfinite(q).all() for q in qs)
+            qs = [_real_array(q) for q in self.qs]
+            finite = all(q is not None and np.isfinite(q).all() for q in qs)
         if not finite:
             raise ValidationError("levels must have finite entries")
         if len(qs) != len(x):
@@ -234,7 +237,11 @@ def merge_duplicates(path: DiscretePath) -> DiscretePath:
     """Canonical path with repeated weights / repeated levels merged out.
 
     When x_k = x_{k+1} the pair (x_{k+1}, Q_{k+1}) is dropped; when
-    Q_k = Q_{k+1} (k >= 1) the pair (x_k, Q_k) is dropped.  For positive
+    Q_k = Q_{k+1} (k >= 1) the pair (x_k, Q_k) is dropped.  Each round
+    drops every repeated weight by one mask of the weight vector or, when
+    there is none, every repeated level by one mask of the stack Q_0..Q_r;
+    rounds repeat until nothing drops, since dropping a level can bring two
+    equal weights together (weights need not be monotone here).  For positive
     weights either removal leaves both functionals unchanged.  Where a
     weight is 0 it does not: the functionals drop the 1/x_k log-ratio term
     there, although its limit as x_k -> 0 is a nonzero trace, so merging a
@@ -244,23 +251,12 @@ def merge_duplicates(path: DiscretePath) -> DiscretePath:
     level with Q_1 = 0 and x_1 > 0 is a genuine atom at the origin and is
     kept.
     """
-    x = list(path.x)
-    qs = [path.level(k) for k in range(path.r + 1)]  # Q_0..Q_r
-    changed = True
-    while changed and len(x) > 1:
-        changed = False
-        for j in range(1, len(x)):
-            if x[j] == x[j - 1]:
-                del x[j]
-                del qs[j]
-                changed = True
-                break
-        if changed:
-            continue
-        for j in range(1, len(x)):
-            if np.array_equal(qs[j + 1], qs[j]):
-                del x[j]
-                del qs[j]
-                changed = True
-                break
-    return DiscretePath(tuple(x), qs[1:])
+    x = np.array(path.x)
+    qs = np.concatenate([unit_blocks(path.n)[1], path.qs])  # Q_0..Q_r
+    while True:
+        keep = np.append(True, x[1:] != x[:-1])
+        if keep.all():
+            keep = np.append(True, (qs[2:] != qs[1:-1]).any(axis=(1, 2)))
+        if keep.all():
+            return DiscretePath(tuple(x), qs[1:])
+        x, qs = x[keep], qs[np.append(keep, True)]

@@ -642,6 +642,7 @@ def test_continuous_and_probe_records_match_pins(name):
     want = pins["continuous"]
     for key in ("cs_continuous", "cs_discrete", "t_x", "box_T", "box_L"):
         assert out[key] == near(want[key]), key
+    assert type(out["box_T"]) is float and type(out["box_L"]) is float  # box_T was np.float64
     assert [(a["t"], a["mass"], a["condition"], a["flagged"]) for a in out["atoms"]] == [
         (near(t), near(mass), near(condition), flagged) for t, mass, condition, flagged in want["atoms"]
     ]

@@ -17,7 +17,7 @@ from spinvar.continuous import (
     path_sup_distance,
     support_check,
 )
-from spinvar.errors import DegenerateTrace, ValidationError
+from spinvar.errors import DegenerateTrace, InfeasiblePath, NotPositiveDefinite, ValidationError
 from spinvar.functionals import eval_cs
 from spinvar.matcore import MixtureSpec, spectral_floor, sym_inverse
 from spinvar.path import DiscretePath
@@ -195,6 +195,8 @@ def test_feasible_box_values():
     # increasing the weights grows both constants
     bigger = feasible_box(MixtureSpec.pure(2, [1.2]), np.array([[1.0]]))
     assert bigger.T > box.T and bigger.L > box.L
+    for b in (box, box2, bigger):
+        assert type(b.T) is float and type(b.L) is float  # T was np.float64
 
 
 def test_support_check_rs():
@@ -312,3 +314,82 @@ def test_matrix_path_knots_must_be_finite_reals(t, v):
     top = np.full((1, 1), math.nan if math.isnan(v) else 0.5 if t == "0.5" else 1.0)
     with pytest.raises(ValidationError, match="finite"):
         MatrixPath((0.0, t), [np.zeros((1, 1)), top])
+
+
+@pytest.mark.parametrize("top", [np.array([["1.0x"]]), np.array([[1.0 + 1j]]), np.array([[True]])],
+                         ids=["string", "complex", "bool"])
+def test_matrix_path_matrices_must_be_real(top):
+    # a string entry raised numpy's ValueError; a complex one lost its
+    # imaginary part with a ComplexWarning, and a bool one was read as 0 or 1
+    with pytest.raises(ValidationError, match="knot matrices finite"):
+        MatrixPath((0.0, 1.0), [np.zeros((1, 1), dtype=top.dtype), top])
+
+
+@pytest.mark.parametrize("t, v, message", [
+    ((0.0, 1.0), (1.0,), "need one value per knot position, got 2 and 1"),
+    ((), (), "a cdf needs at least one knot"),
+    ((0.0, 0.5, 0.5), (0.0, 0.5, 1.0), "knot positions must be strictly increasing"),
+    ((-0.5, 0.5), (0.0, 1.0), "knots must lie in [0, n]"),
+])
+def test_cdf_rejects_malformed_knots(t, v, message):
+    with pytest.raises(ValidationError) as info:
+        ContinuousCdf(t, v)
+    assert info.value.problems == [message]
+
+
+ZERO, ONE = np.zeros((1, 1)), np.ones((1, 1))
+SPLIT = np.array([[0.5, 0.9], [0.9, 0.5]])  # trace 1, eigenvalues 1.4 and -0.4
+
+
+@pytest.mark.parametrize("t, phi, messages", [
+    ((0.0, 1.0), [ZERO, np.eye(2)], ["all knots must share one dimension"]),
+    ((0.0,), [ZERO], ["a matrix path needs at least two knots"]),
+    ((0.0, 1.0, 2.0), [ZERO, ONE], ["need 3 square matrices of one size, got shape (2, 1, 1)"]),
+    ((0.0, 1.0, 1.0), [ZERO, ONE, ONE], ["knot positions must be strictly increasing"]),
+    ((0.0, 1.0, 2.0), [np.zeros((2, 2)), np.diag([1.0, 0.0]), np.diag([1.0, 0.0]) + SPLIT],
+     ["increment on [1.0, 2.0] is not PSD"]),
+    # a PSD increment with trace dt has no entry above dt, so only a
+    # non-PSD increment can be steep
+    ((0.0, 1.0), [np.zeros((2, 2)), np.diag([1.5, -0.5])],
+     ["increment on [0.0, 1.0] is not PSD", "increment on [0.0, 1.0] is not 1-Lipschitz"]),
+])
+def test_matrix_path_rejects_malformed_knots(t, phi, messages):
+    with pytest.raises(ValidationError) as info:
+        MatrixPath(t, phi)
+    assert info.value.problems == messages
+
+
+# Q - Phi(1.5) = diag(0.5, 1e-12), and on [1, 1.5] Phi falls by 5e-11 along
+# e_2, which psd_tol lets through, so Phihat(1) = diag(0.75, -2.4e-11)
+DIPPING = MatrixPath((0.0, 1.0, 1.5, 2.0), [
+    np.zeros((2, 2)), np.diag([0.9 - 4.9e-11, 0.1 + 4.9e-11]), np.diag([1.4 + 1e-12, 0.1 - 1e-12]),
+    np.diag([1.9, 0.1]),
+])
+
+
+@pytest.mark.parametrize("cdf, phi, top, error, message", [
+    (ContinuousCdf((0.0, 0.4), (0.0, 1.0)), rs_pair(0.0)[1], 0.1, ValidationError,
+     "override 0.1 is below t_x = 0.4"),
+    # Q - Phi(t_x) = 0
+    (ContinuousCdf((0.0, 1.0), (0.0, 1.0)), rs_pair(0.0)[1], None, InfeasiblePath,
+     "Q - Phi(t_x) is not positive definite: "),
+    (ContinuousCdf((0.0, 1.5), (0.5, 1.0)), DIPPING, None, NotPositiveDefinite,
+     "Phihat is not positive definite on [0, t_x]"),
+], ids=["override", "top", "phihat"])
+def test_eval_cs_continuous_rejects(cdf, phi, top, error, message):
+    with pytest.raises(error) as info:
+        eval_cs_continuous(cdf, phi, MixtureSpec.pure(2, [0.5] * phi.n), top=top)
+    assert str(info.value).startswith(message)
+
+
+def test_from_discrete_needs_a_last_weight_of_one():
+    path = DiscretePath((0.0, 0.5), [0.5 * np.eye(1), np.eye(1)])
+    with pytest.raises(ValidationError, match=r"^the continuous form needs x_\{r-1\} = 1$"):
+        from_discrete(path)
+
+
+def test_support_check_rejects_an_atom_where_q_minus_phi_is_singular():
+    _, phi = rs_pair(0.0)
+    cdf = ContinuousCdf((0.0, 1.0), (0.5, 1.0))  # an atom at t = 1, where Phi(t) = Q
+    with pytest.raises(NotPositiveDefinite, match="^Matrix is not positive definite$"):
+        support_check(cdf, phi, MixtureSpec.pure(2, [0.5]))

@@ -148,6 +148,23 @@ def test_hadamard_div_examples():
     assert info.value.index == (0, 1)
 
 
+def test_hadamard_div_takes_a_stack():
+    # one matrix at a time before; the error terms divide a whole stack
+    rng = np.random.default_rng(43)
+    a, b = symmetrize(rng.normal(size=(3, 2, 2))), symmetrize(rng.uniform(0.5, 2.0, (3, 2, 2)))
+    out = hadamard_div(a, b)
+    for k in range(3):
+        assert out[k].tobytes() == hadamard_div(a[k], b[k]).tobytes()
+    # the first guarded entry of the stack: matrix 1 before matrix 2
+    b[2, 0, 0] = 0.0
+    b[1, 0, 1] = b[1, 1, 0] = -1e-15
+    with pytest.raises(ZeroDivisor) as info:
+        hadamard_div(a, b)
+    assert (info.value.index, info.value.value) == ((0, 1), -1e-15)
+    with pytest.raises(DimensionMismatch, match="shape mismatch"):
+        hadamard_div(a, b[:2])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 2**31 - 1))
 def test_hadamard_div_roundtrip(n, seed):
@@ -195,6 +212,20 @@ def test_l1_delta():
     m1 = MixtureSpec.pure(2, [1.0])
     m2 = MixtureSpec.pure(2, [1.1])
     assert m1.l1_delta(m2) == pytest.approx(abs(1.0 - 1.21))
+
+
+def test_l1_delta_sums_the_terms_of_one_degree():
+    # the terms were held in a dict by p, so a repeated p kept only its
+    # last term: 0.09 here, although both mixtures have xi(q) = 0.25 q^2
+    split = MixtureSpec(n=1, terms=((2, [0.3]), (2, [0.4])), h=[0.0])
+    pure = MixtureSpec.pure(2, [0.5])
+    assert split.xi(np.eye(1)) == pure.xi(np.eye(1))
+    assert split.l1_delta(pure) == pure.l1_delta(split) == 0.0
+    two = MixtureSpec(n=2, terms=((2, [0.3, 0.0]), (4, [0.2, 0.1]), (2, [0.0, 0.4])), h=[0.0, 0.0])
+    # B_2 = diag(0.09, 0.16) against 0.25 everywhere: 0.16 + 0.09 + 2 * 0.25
+    assert two.l1_delta(MixtureSpec(n=2, terms=((2, [0.5, 0.5]), (4, [0.2, 0.1])), h=[0.0, 0.0])) == (
+        pytest.approx(0.75)
+    )
 
 
 def _mixed_stack(rng, n):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,8 @@ def test_d_sequence_infeasible():
     path = scalar_path((0.0, 0.0), (0.5, 1.0))  # x_{r-1} = 0 kills D_{r-1}
     with pytest.raises(InfeasiblePath):
         d_sequence(path)
+    with pytest.raises(InfeasiblePath, match="D sequence needs r >= 2"):
+        d_sequence(scalar_path((0.0,), (1.0,)))
 
 
 def test_validate_reports_everything():
@@ -110,6 +114,21 @@ def test_validate_reports_everything():
     assert any("nondecreasing" in p for p in validate(bad_x))
     bad_q = scalar_path((0.0, 1.0), (0.6, 0.5))
     assert any("not PSD" in p for p in validate(bad_q))
+
+
+@pytest.mark.parametrize(
+    "x, message",
+    [((0.5, 1.0), "x_0 must be 0, got 0.5"), ((0.0, 1.5), "x_{r-1} must be <= 1, got 1.5")],
+)
+def test_validate_reports_the_ends_of_the_weights(x, message):
+    assert validate(scalar_path(x, (0.25, 1.0))) == [message]
+
+
+def test_with_levels_needs_every_free_level():
+    path = scalar_path((0.0, 0.5, 1.0), (0.25, 0.5, 1.0))
+    for levels in ([], [np.eye(1)], [np.eye(1)] * 3):
+        with pytest.raises(ValidationError, match=f"expected 2 free levels, got {len(levels)}"):
+            path.with_levels(levels)
 
 
 def test_validate_psd_margin_reported():
@@ -143,6 +162,54 @@ def test_merge_duplicates_weight_and_level():
     np.testing.assert_allclose(merged2.level(1), [[0.5]])
 
 
+def _merge_loop(path):
+    """merge_duplicates as a restart loop over lists: drop the first
+    repeated weight, else the first repeated level, until neither is left."""
+    x = list(path.x)
+    qs = [path.level(k) for k in range(path.r + 1)]  # Q_0..Q_r
+    changed = True
+    while changed and len(x) > 1:
+        changed = False
+        for j in range(1, len(x)):
+            if x[j] == x[j - 1]:
+                del x[j]
+                del qs[j]
+                changed = True
+                break
+        if changed:
+            continue
+        for j in range(1, len(x)):
+            if np.array_equal(qs[j + 1], qs[j]):
+                del x[j]
+                del qs[j]
+                changed = True
+                break
+    return DiscretePath(tuple(x), qs[1:])
+
+
+def test_merge_duplicates_matches_the_level_loop():
+    # weights and levels drawn from small pools, so that they repeat
+    rng = np.random.default_rng(41)
+    seen = dict.fromkeys(["repeated weight", "level run", "zero Q_1", "non-monotone", "to r = 1"], 0)
+    for _ in range(10_000):
+        n, r = int(rng.integers(1, 3)), int(rng.integers(1, 7))
+        pool = [np.zeros((n, n)), random_correlation(rng, n), 0.5 * random_correlation(rng, n)]
+        x = rng.choice([0.0, 0.25, 0.5, 1.0], size=r)
+        if rng.random() < 0.5:
+            x = np.sort(x)
+        path = DiscretePath(tuple(x), [pool[i] for i in rng.integers(0, 3, size=r)])
+        merged, want = merge_duplicates(path), _merge_loop(path)
+        assert merged.x == want.x
+        assert merged.qs.shape == want.qs.shape and merged.qs.tobytes() == want.qs.tobytes()
+        same = [np.array_equal(path.qs[k], path.qs[k + 1]) for k in range(r - 1)]
+        seen["repeated weight"] += bool((np.diff(x) == 0.0).any())
+        seen["level run"] += any(a and b for a, b in zip(same, same[1:]))
+        seen["zero Q_1"] += not path.qs[0].any()
+        seen["non-monotone"] += bool((np.diff(x) < 0.0).any())
+        seen["to r = 1"] += r > 1 and merged.r == 1
+    assert min(seen.values()) >= 100, seen
+
+
 def test_path_is_immutable():
     path = scalar_path((0.0, 1.0), (0.5, 1.0))
     with pytest.raises(ValueError):
@@ -168,6 +235,8 @@ def test_levels_are_one_read_only_stack():
 def test_path_shape_validation():
     with pytest.raises(ValidationError):
         DiscretePath((0.0, 1.0), (np.array([[0.5]]),))
+    with pytest.raises(ValidationError, match=r"^a path needs at least one weight \(r >= 1\)$"):
+        DiscretePath((), [])
 
 
 def test_path_levels_must_be_square_of_one_size():
@@ -187,6 +256,26 @@ def test_path_weights_must_be_real():
         with pytest.raises(ValidationError, match="weights"):
             DiscretePath(x, levels)
     assert DiscretePath((np.float64(0.0), np.int64(1)), levels).x == (0.0, 1.0)
+    # levels of real numbers of any type pass, an integer beyond int64 too
+    levels = [np.array([[Fraction(1, 2)]]), np.array([[10**20]]), np.eye(1, dtype=int)]
+    assert DiscretePath((0.0, 0.5, 1.0), levels).qs.ravel().tolist() == [0.5, 1e20, 1.0]
+
+
+# an entry numpy cannot cast (it raised numpy's ValueError), a complex one
+# (cast with a ComplexWarning, its imaginary part dropped), a bool one (read
+# as 0 or 1) and a string in an object array (read as 0.5), each as one
+# level of a list and in an (r, n, n) array
+NON_REAL_LEVELS = [np.array([["0.5x"]]), np.array([[0.5 + 1j]]), np.array([[True]]),
+                   np.array([["0.5"]], dtype=object)]
+NON_REAL_IDS = ["string", "complex", "bool", "object-string"]
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["list", "array"])
+@pytest.mark.parametrize("level", NON_REAL_LEVELS, ids=NON_REAL_IDS)
+def test_path_levels_must_be_real(level, stacked):
+    levels = [level, np.eye(1).astype(level.dtype)]
+    with pytest.raises(ValidationError, match="levels must have finite entries"):
+        DiscretePath((0.0, 1.0), np.array(levels) if stacked else levels)
 
 
 def test_non_finite_paths_and_multipliers_raise():
