@@ -121,8 +121,8 @@ class MatrixPath:
     ``t`` is given as a sequence of k reals, the knot positions, and
     ``phi`` as k square matrices of one size or a (k, n, n) array, Phi at
     the knots, of finite reals (:func:`spinvar.matcore._real_array`, checked
-    before any cast); they are held as read-only float64 arrays (k,) and
-    (k, n, n), the matrices symmetrized.
+    before any cast, a list knot by knot); they are held as read-only
+    float64 arrays (k,) and (k, n, n), the matrices symmetrized.
     """
 
     t: np.ndarray

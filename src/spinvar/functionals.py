@@ -76,7 +76,7 @@ from .errors import (
     NotPositiveDefinite,
     ValidationError,
 )
-from .matcore import MixtureSpec, frozen, hadamard_div, stack_inverses, stack_logdets, symmetrize, unit_blocks
+from .matcore import MixtureSpec, frozen, hadamard_div, real, stack_inverses, stack_logdets, symmetrize, unit_blocks
 from .path import DiscretePath, _as_multiplier, _factor_chain, _tail_chain, tail_sums
 
 
@@ -106,15 +106,19 @@ class Weights:
     those of the chain's steps, k = 1..m-1.  ``lead`` counts the
     multiplier blocks ahead of Q_1..Q_{r-1} in a point's blocks: 1 for the
     multiplier form.  A solver stage builds one plan, so these are
-    constants of the stage.  Weights that are not an order parameter,
-    0 = x_0 <= ... <= x_{r-1} <= 1, raise a ValidationError.
+    constants of the stage.  Weights that are not reals
+    (:func:`~spinvar.matcore.real`, checked before any cast) or not an
+    order parameter, 0 = x_0 <= ... <= x_{r-1} <= 1, raise a
+    ValidationError; so does a NaN or infinite weight, which is not one.
     """
 
     def __init__(self, kind, x):
         if kind not in ("parisi", "cs"):
             raise ValueError(f"unknown functional kind {kind!r}")
         self.kind = kind
-        self.x = np.asarray(x, dtype=float)
+        self.x = np.array([real(v) for v in x])
+        if self.x.dtype != float:  # real() gave None for a weight
+            raise ValidationError(f"weights must be finite real numbers, got {x!r}")
         steps = self.x[1:] - self.x[:-1]
         # NaN fails every comparison, and the pinned ends bound every weight
         if not (self.x.size and self.x[0] == 0.0 and (steps >= 0.0).all() and self.x[-1] <= 1.0):

@@ -57,7 +57,12 @@ def real(value) -> float | None:
 
 def _real_array(value) -> np.ndarray | None:
     """``value`` as a float64 array if each of its entries is :func:`real`,
-    else None (a string, bool or complex entry); cast only once checked."""
+    else None (a string, bool or complex entry); cast only once checked.  A
+    list or tuple is checked item by item, since numpy's stack of a list
+    would cast a bool item beside a float one to float first."""
+    if isinstance(value, (list, tuple)):
+        items = [_real_array(v) for v in value]
+        return None if any(a is None for a in items) else np.array(items, dtype=float)
     a = np.asarray(value)
     if a.dtype.kind == "O":  # entries of any type: a float where real() gives one
         a = np.reshape(np.array([real(v) for v in a.flat]), a.shape)
@@ -328,16 +333,16 @@ def mixture_apply(kind: str, mix: MixtureSpec, a: np.ndarray) -> np.ndarray:
 
 def check_constraint(q: np.ndarray, solve_only: bool = False) -> list[str]:
     """Validation report for a self-overlap constraint matrix.  Every solve
-    needs a square matrix with finite entries, symmetric within
-    ``CONSTRAINT_TOL``, and ``solve_only`` checks just that; a problem
-    file's constraint also needs a unit diagonal, entries in [-1, 1] and
-    positive definiteness."""
+    needs a square matrix of finite reals (:func:`_real_array`, checked
+    before any cast), symmetric within ``CONSTRAINT_TOL``, and
+    ``solve_only`` checks just that; a problem file's constraint also needs
+    a unit diagonal, entries in [-1, 1] and positive definiteness."""
     problems = []
-    q = np.asarray(q, dtype=float)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        return [f"constraint must be square, got shape {q.shape}"]
-    if not np.all(np.isfinite(q)):
-        return [f"constraint entries must be finite, got {q.ravel().tolist()}"]
+    given, shape, q = q, np.shape(q), _real_array(q)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        return [f"constraint must be square, got shape {shape}"]
+    if q is None or not np.all(np.isfinite(q)):
+        return [f"constraint entries must be finite, got {np.ravel(given).tolist()}"]
     # entries near the float limit overflow q - q.T; such a difference is not close
     with np.errstate(over="ignore"):
         if not (np.abs(q - q.T) <= CONSTRAINT_TOL).all():

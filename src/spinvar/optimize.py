@@ -28,9 +28,10 @@ per weights after the stage returns.
 On top of the inner solve sit: ``continuation`` (one solve at fixed
 weights from an ordered list of starts, the first that converges kept; a
 cold start runs a decreasing eps schedule, each stage started at the
-last one's minimizer, and a warm one only its last stage; the result is
-its list of stage results, from which its minimizer, values and trace
-are read, and the start they ran from), ``search`` (discrete coordinate
+last one's minimizer, and a warm one, a multiplier and free levels
+(lam, levels), only its last stage; the result is its list of stage
+results, from which its minimizer, values and trace are read, and the
+start they ran from), ``search`` (discrete coordinate
 descent over the weight grid of the multiplier-free form, sweeping the
 level count), and ``duality_gap`` (one search, then the multiplier form
 solved cold at its weights; the agreement of the two minima at those
@@ -60,8 +61,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NoFeasibleStart, ValidationError
 from .functionals import Directions, Weights, eval_stack
-from .matcore import MixtureSpec, check_constraint, real, sym_inverse
-from .path import DiscretePath, equally_spaced
+from .matcore import MixtureSpec, _real_array, check_constraint, real, sym_inverse, symmetrize
+from .path import DiscretePath, _as_multiplier
 
 DEFAULT_EPS_SCHEDULE = (1e-5, 1e-6)
 
@@ -153,7 +154,7 @@ class MinimizeResult:
 @dataclass
 class ContinuationResult:
     """One eps-continuation at fixed weights: its stages in schedule order,
-    and the start they ran from (None when cold, else the warm (lam, path)
+    and the start they ran from (None when cold, else the warm (lam, levels)
     pair; see :func:`continuation`).  The minimizer (path, lam) is the final
     stage's; the values and trace rows are read from the stages."""
 
@@ -318,9 +319,10 @@ def _newton_direction(obj, hess, grad):
         return np.linalg.solve(hess + shift * obj.metric_diag, -grad)
 
 
-def default_start(kind, mix, constraint, r, x):
-    """Deterministic start: equally spaced levels Q_k = (k/r) Q and, for the
-    multiplier form, Lambda = Q^-1 + xi'(Q).
+def default_start(kind, mix, constraint, r):
+    """Deterministic start (lam, levels): the equally spaced free levels
+    Q_k = (k/r) Q, k = 1..r-1, as an (r - 1, n, n) stack and, for the
+    multiplier form, Lambda = Q^-1 + xi'(Q), else None.
 
     That Lambda is feasible for every 0 <= x_k <= 1.  xi' keeps the order of
     ordered PSD levels: for A >= B >= 0, A^(o m) - B^(o m) is a sum of
@@ -333,11 +335,9 @@ def default_start(kind, mix, constraint, r, x):
 
     The solver's NoFeasibleStart check still guards the start.
     """
-    levels = equally_spaced(constraint, r, x).qs[:-1]
-    if kind != "parisi":
-        return None, levels
     q = np.asarray(constraint, dtype=float)
-    return sym_inverse(q) + mix.xi_prime(q), levels
+    levels = (np.arange(1, r) / r)[:, None, None] * symmetrize(q)
+    return (sym_inverse(q) + mix.xi_prime(q) if kind == "parisi" else None), levels
 
 
 def minimize_fixed(
@@ -360,32 +360,37 @@ def minimize_fixed(
 
     The constraint must be n x n for the mixture's n (DimensionMismatch)
     and pass ``check_constraint(..., solve_only=True)`` (ValidationError).
-    ``x`` must hold r weights (ValidationError).  A ``start`` (lam, levels)
-    needs a multiplier for the multiplier form (ValueError); the multiplier
-    must be n x n and the levels, a sequence or an array, of shape
-    (r - 1, n, n) (DimensionMismatch).  All of it is checked before the
-    first pass."""
-    q = np.asarray(constraint, dtype=float)
+    ``x`` must hold r weights that :class:`~spinvar.functionals.Weights`
+    accepts (ValidationError).  A ``start`` (lam, levels) needs a
+    multiplier for the multiplier form (ValueError); its multiplier and
+    levels must hold finite reals (:func:`~spinvar.matcore._real_array`,
+    ValidationError), the multiplier n x n and the levels, a sequence or an
+    array, of shape (r - 1, n, n) (DimensionMismatch); the multiplier is
+    symmetrized.  All of it is checked before any cast and before the first
+    pass; without a start the stage runs from :func:`default_start`."""
     n = mix.n
-    if q.shape != (n, n):
-        raise DimensionMismatch(f"constraint has shape {q.shape}, the mixture has n = {n}")
-    problems = check_constraint(q, solve_only=True)
+    if np.shape(constraint) != (n, n):
+        raise DimensionMismatch(f"constraint has shape {np.shape(constraint)}, the mixture has n = {n}")
+    problems = check_constraint(constraint, solve_only=True)
     if problems:
         raise ValidationError(problems)
     if len(x) != r:
         raise ValidationError(f"r = {r} needs r weights x_0..x_{{r-1}}, got {len(x)}")
     plan = Weights(kind, x)
     if start is None:
-        lam, levels = default_start(kind, mix, constraint, r, x)
+        lam, levels = default_start(kind, mix, constraint, r)
     else:
-        lam, levels = start[0], np.asarray(start[1], dtype=float)
+        lam, levels = start[0], _real_array(start[1])
         if kind == "parisi" and lam is None:
             raise ValueError("the multiplier form needs lam")
+        if levels is None or not np.isfinite(levels).all():
+            raise ValidationError("levels must have finite entries")
         if levels.shape != (r - 1, n, n) or (lam is not None and np.shape(lam) != (n, n)):
             raise DimensionMismatch(
                 f"a start at r = {r}, n = {n} needs levels of shape {(r - 1, n, n)} and an "
                 f"n x n multiplier, got {levels.shape} and {np.shape(lam)}"
             )
+        lam = None if lam is None else _as_multiplier(lam, n)
     obj = Objective(plan, mix, constraint, eps, plan.join(lam, levels))
     z = obj.pack(obj.template)
     try:
@@ -441,8 +446,7 @@ def minimize_fixed(
 
     # each iterate's smallest increment eigenvalue, from one eigvalsh call per stage
     levels = plan.split(obj.blocks(np.array([point for *_, point in visited])))[1]
-    qs = np.empty((len(levels), levels.shape[1] + 2) + obj.constraint.shape)  # Q_0..Q_r of each iterate
-    qs[:, 0] = 0.0
+    qs = np.zeros((len(levels), levels.shape[1] + 2) + obj.constraint.shape)  # Q_0..Q_r of each iterate
     qs[:, 1:-1] = levels
     qs[:, -1] = obj.constraint
     eigs = np.linalg.eigvalsh(qs[:, 1:] - qs[:, :-1])[..., 0].min(axis=1).tolist()  # eigvalsh ascends
@@ -464,9 +468,9 @@ def minimize_fixed(
     )
 
 
-def grown_start(path: DiscretePath, x) -> DiscretePath:
-    """The levels of ``path`` with one level more, at the weights ``x`` (one
-    more than ``path`` has): its top free level Q_t is split into two,
+def grown_start(path: DiscretePath) -> np.ndarray:
+    """The free levels of ``path`` with one level more, an (r, n, n) stack
+    for a start at r + 1 levels: its top free level Q_t is split into two,
     Q_t - tau (Q_t - Q_{t-1}) and Q_t + tau (Q - Q_t), tau = ``_GROW_TAU``.
     The new increments are (1 - tau)(Q_t - Q_{t-1}), tau (Q - Q_{t-1}) and
     (1 - tau)(Q - Q_t), each a positive multiple of an old increment or of
@@ -477,10 +481,8 @@ def grown_start(path: DiscretePath, x) -> DiscretePath:
     (ValidationError)."""
     if path.r < 2:
         raise ValidationError(f"grown_start splits a free level, so it needs r >= 2, got r = {path.r}")
-    t = path.r - 1
-    low, top, q = path.level(t - 1), path.level(t), path.constraint
-    split = [top - _GROW_TAU * (top - low), top + _GROW_TAU * (q - top)]
-    return DiscretePath(tuple(x), np.concatenate([path.qs[:-2], split, q[None]]))
+    low, top, q = path.level(path.r - 2), path.qs[-2], path.constraint
+    return np.concatenate([path.qs[:-2], [top - _GROW_TAU * (top - low), top + _GROW_TAU * (q - top)]])
 
 
 def continuation(
@@ -501,24 +503,23 @@ def continuation(
 
     A start None is cold: the whole eps schedule runs, the first stage from
     :func:`default_start`, each later one from the previous stage's
-    minimizer.  A start (lam, path), lam None for the multiplier-free form,
-    is warm: only the schedule's last stage runs, from lam and the path's
-    free levels ``path.qs[:-1]``, a view of its read-only (r, n, n) stack.
-    A barrier method may start at its target eps near the solution (Boyd &
-    Vandenberghe, sec. 11.3), so the extrapolation is that stage's base
-    value.  The path may be a continuation's at other weights
-    or a :func:`grown_start`: the tail chain
-    D_p = sum_{k >= p} x_k (Q_{k+1} - Q_k) of a strictly monotone path is
-    positive definite for any positive weights, so its levels are feasible
-    at x.  Trace rows keep their schedule indices.
+    minimizer (lam, levels).  A start (lam, levels), lam None for the
+    multiplier-free form and levels the free levels Q_1..Q_{r-1} as an
+    (r - 1, n, n) stack, is warm: only the schedule's last stage runs, from
+    it.  A barrier method may start at its target eps near the solution
+    (Boyd & Vandenberghe, sec. 11.3), so the extrapolation is that stage's
+    base value.  The levels may be a continuation's at other weights,
+    ``path.qs[:-1]``, or a :func:`grown_start`: the tail chain
+    D_p = sum_{k >= p} x_k (Q_{k+1} - Q_k) of strictly monotone levels is
+    positive definite for any positive weights, so they are feasible at x.
+    Trace rows keep their schedule indices.
     """
     starts = tuple(starts)
     if not starts:
         raise ValueError("continuation needs a nonempty sequence of starts, got starts=()")
     schedule = list(enumerate(opts.eps_schedule))
     for start in starts:
-        first = None if start is None else (start[0], start[1].qs[:-1])
-        stages = []
+        first, stages = start, []
         for si, eps in schedule if start is None else schedule[-1:]:
             stages.append(minimize_fixed(kind, mix, constraint, r, x, eps, opts, start=first, stage=si))
             first = (stages[-1].lam, stages[-1].path.qs[:-1])
@@ -543,8 +544,8 @@ def search(mix: MixtureSpec, constraint: np.ndarray, opts: SolveOptions) -> Sear
     at r = 2, and ``(source, None)``, warm and then cold, for every other.
     The source of the first candidate of each r >= 3 is ``(None,
     grown_start(...))`` of the r - 1 sweep's own answer (not the incumbent,
-    which may have fewer levels); that of every later one is the (lam,
-    path) of the nearest converged candidate already solved at that r
+    which may have fewer levels); that of every later one is the final
+    (lam, levels) of the nearest converged candidate already solved at that r
     (L-infinity distance in the weight ticks, ties to the smaller ticks).
     A later candidate with no converged neighbour runs cold only.  Each
     sweep visits its options nearest the incumbent first, so near
@@ -578,7 +579,7 @@ def search(mix: MixtureSpec, constraint: np.ndarray, opts: SolveOptions) -> Sear
             near = [(max(abs(a - b) for a, b in zip(t, ticks)), t) for t in solved if solved[t].converged]
             if near:
                 nearest = solved[min(near)[1]]
-                source = (nearest.lam, nearest.path)
+                source = (nearest.lam, nearest.path.qs[:-1])
             starts = (None,) if source is None else (source, None)
             solved[ticks] = continuation("cs", mix, constraint, r, weights(r, ticks), opts, starts=starts)
         return solved[ticks]
@@ -592,7 +593,7 @@ def search(mix: MixtureSpec, constraint: np.ndarray, opts: SolveOptions) -> Sear
         denom = 4 * opts.x_grid * (r - 1)
         cur = tuple((k + 1) * 4 * opts.x_grid for k in range(m))
         # the first candidate grows from the r - 1 sweep's own answer
-        cont = run(r, cur, None if cont is None else (None, grown_start(cont.path, weights(r, cur))))
+        cont = run(r, cur, None if cont is None else (None, grown_start(cont.path)))
         spacing = 4 * (r - 1)
         for refinement in range(3 if m else 0):
             improved = True

@@ -124,12 +124,6 @@ class DiscretePath:
         return DiscretePath(self.x, [*levels, self.constraint])
 
 
-def equally_spaced(constraint: np.ndarray, r: int, x) -> DiscretePath:
-    """The deterministic start Q_k = (k/r) Q with the given weights."""
-    q = symmetrize(np.asarray(constraint, dtype=float))
-    return DiscretePath(tuple(x), (np.arange(1, r + 1) / r)[:, None, None] * q)
-
-
 def validate(path: DiscretePath) -> list[str]:
     """Diagnostic report: every violated invariant with index and margin."""
     problems = []
@@ -197,15 +191,15 @@ def _tail_chain(x, lam, steps):
 
 
 def _as_multiplier(lam, n: int) -> np.ndarray:
-    """A multiplier as a symmetric float (n, n) matrix; DimensionMismatch
-    for any other shape and ValidationError for a non-finite entry, both
-    checked before it is symmetrized."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (n, n):
+    """A multiplier as a symmetric float (n, n) matrix; ValidationError for
+    an entry that is not a finite real (:func:`spinvar.matcore._real_array`)
+    and DimensionMismatch for any other shape, both checked before any cast."""
+    a = _real_array(lam)
+    if a is not None and a.shape != (n, n):
         raise DimensionMismatch("multiplier dimension does not match the path")
-    if not np.isfinite(lam).all():
+    if a is None or not np.isfinite(a).all():
         raise ValidationError("multiplier entries must be finite")
-    return symmetrize(lam)
+    return symmetrize(a)
 
 
 def lambda_sequence(lam: np.ndarray, path: DiscretePath, mix: MixtureSpec) -> np.ndarray:

@@ -323,6 +323,10 @@ def test_matrix_path_matrices_must_be_real(top):
     # imaginary part with a ComplexWarning, and a bool one was read as 0 or 1
     with pytest.raises(ValidationError, match="knot matrices finite"):
         MatrixPath((0.0, 1.0), [np.zeros((1, 1), dtype=top.dtype), top])
+    # a list is checked knot by knot: beside a float knot, numpy's stack of
+    # the list promoted a bool knot to float, and the path was accepted
+    with pytest.raises(ValidationError, match="knot matrices finite"):
+        MatrixPath((0.0, 1.0), [np.zeros((1, 1)), top])
 
 
 @pytest.mark.parametrize("t, v, message", [

@@ -244,7 +244,7 @@ def fd_hessian(obj, z):
 def test_hessian_matches_fd(kind, n, r):
     rng, mix, q, _, _ = instance(kind, n, r, seed=4000 * n + r)
     x = tuple(k / (r - 1) for k in range(r))
-    start_lam, start_levels = default_start(kind, mix, q, r, x)
+    start_lam, start_levels = default_start(kind, mix, q, r)
     path = random_feasible_path(rng, q, r, floor=0.1)
     lam = sym_inverse(q) + mix.xi_prime(q) + random_spd(rng, n, 0.5) if kind == "parisi" else None
     starts = [(start_lam, p) for p in with_zero_weights(DiscretePath(x, tuple(start_levels) + (q,)))]

@@ -23,7 +23,7 @@ from spinvar.optimize import (
     minimize_fixed,
     search,
 )
-from spinvar.path import DiscretePath, d_sequence, equally_spaced, lambda_sequence
+from spinvar.path import DiscretePath, d_sequence, lambda_sequence
 from spinvar.reference import pure2_rs_value
 
 # a six-stage barrier path, for the tests that check its intermediate stages
@@ -250,7 +250,7 @@ def test_search_ranks_converged_candidates_first(monkeypatch):
             # a cold result, so the winner needs no cold re-solve
             return types.SimpleNamespace(
                 value_at_eps_min=value, converged=converged, start=None,
-                lam=None, path=equally_spaced(constraint, r, x),
+                lam=None, path=DiscretePath(x, [*default_start("cs", mix, constraint, r)[1], constraint]),
             )
 
         return fake
@@ -329,6 +329,46 @@ def test_gap_rejects_a_non_finite_constraint():
     # returned nan minima, flagged unconverged, without an error
     with pytest.raises(ValidationError, match="finite"):
         duality_gap(MixtureSpec.pure(2, [1.0]), np.array([[np.nan]]), SolveOptions())
+    # each was cast to float before it was checked, and solved as Q = 1
+    for q in ([["1.0"]], [[True]]):
+        with pytest.raises(ValidationError, match="finite"):
+            duality_gap(MixtureSpec.pure(2, [0.3]), q, SolveOptions())
+
+
+@pytest.mark.parametrize("start", [
+    ([["2.0"]], [[["0.5"]]]),
+    ([[2.0 + 1j]], [[[0.5]]]),
+    ([[2.0]], [[[True]]]),
+], ids=["string", "complex-multiplier", "bool-levels"])
+def test_a_start_must_hold_finite_reals(start):
+    # each was cast to float before it was checked: the string start
+    # converged, the complex one lost its imaginary part
+    with pytest.raises(ValidationError, match="finite"):
+        minimize_fixed(
+            "parisi", MixtureSpec.pure(2, [0.3]), np.eye(1), 2, (0.0, 1.0), 1e-5, SolveOptions(), start=start
+        )
+
+
+@pytest.mark.parametrize("x", [("0", "1"), (False, True)], ids=["string", "bool"])
+@pytest.mark.parametrize("start", [None, (None, [np.array([[0.5]])])], ids=["cold", "warm"])
+def test_cold_and_warm_starts_reject_the_same_weights(start, x):
+    # a warm start never built a path, so its weights were cast to float
+    # and solved at x = (0, 1)
+    with pytest.raises(ValidationError) as info:
+        minimize_fixed("cs", MixtureSpec.pure(2, [1.0]), np.eye(1), 2, x, 1e-5, SolveOptions(), start=start)
+    assert info.value.problems == [f"weights must be finite real numbers, got {x!r}"]
+
+
+def test_default_start_spaces_the_levels_equally():
+    q = np.array([[1.0, 0.2], [0.2, 1.0]])
+    mix = MixtureSpec.pure(2, [0.5, 0.7])
+    for kind in ("cs", "parisi"):
+        lam, levels = default_start(kind, mix, q, 4)
+        np.testing.assert_allclose(levels, [0.25 * q, 0.5 * q, 0.75 * q])
+        if kind == "cs":
+            assert lam is None
+        else:
+            np.testing.assert_allclose(lam, np.linalg.inv(q) + mix.xi_prime(q))
 
 
 @pytest.mark.parametrize(
@@ -711,7 +751,7 @@ def test_warm_continuation_matches_cold(mix, q, kind):
     source = continuation(kind, mix, q, 3, (0.0, 0.5, 1.0), opts)
     for x1 in (0.75, 0.25):
         x = (0.0, x1, 1.0)
-        warm = continuation(kind, mix, q, 3, x, opts, starts=((source.lam, source.path),))
+        warm = continuation(kind, mix, q, 3, x, opts, starts=((source.lam, source.path.qs[:-1]),))
         cold = continuation(kind, mix, q, 3, x, opts)
         assert warm.converged and cold.converged
         assert warm.value_at_eps_min == pytest.approx(cold.value_at_eps_min, abs=1e-10)
@@ -766,8 +806,8 @@ def test_search_starts_one_candidate_cold_per_form_and_r(monkeypatch):
         if r == 2:
             assert mine[0] is None
         else:
-            assert (mine[0][0], type(mine[0][1]), mine[0][1].r) == (None, DiscretePath, r)
-        assert all((lam, path.r) == (None, r) for lam, path in mine[1:])
+            assert (mine[0][0], mine[0][1].shape) == (None, (r - 1, 1, 1))
+        assert all((lam, levels.shape) == (None, (r - 1, 1, 1)) for lam, levels in mine[1:])
     assert len(calls) > 2  # the r = 3 sweep ran warm candidates
 
 
@@ -864,7 +904,7 @@ def test_continuation_keeps_the_first_start_that_converges(monkeypatch):
     cold = continuation("cs", mix, q, 3, (0.0, 0.5, 1.0), opts, starts=(None,))
     assert cold.converged and cold.start is None
     assert [s.eps for s in cold.stages] == list(opts.eps_schedule)
-    source = (cold.lam, cold.path)
+    source = (cold.lam, cold.path.qs[:-1])
     x = (0.0, 0.625, 1.0)
     warm = continuation("cs", mix, q, 3, x, opts, starts=(source, None))
     assert warm.converged and warm.start is source
@@ -912,19 +952,17 @@ def test_warm_candidates_start_from_the_nearest_converged_candidate(monkeypatch)
     for _, r, x, warm, result in calls:
         denom = 4 * opts.x_grid * (r - 1)
         ticks = tuple(round(v * denom) for v in x[1:-1])
-        if warm is not None and warm[1].x == x:
+        if warm is not None and not any(rr == r for rr, _, _ in solved):
             # a first candidate grows from the r - 1 sweep's answer
             grown_calls += 1
-            assert not any(rr == r for rr, _, _ in solved), x
             source = next(res for _, rr, xx, _, res in calls if (rr, xx) == (r - 1, answers[r - 1]))
-            grown = grown_start(source.path, x)
-            assert warm[1].x == grown.x
-            assert all(np.array_equal(a, b) for a, b in zip(warm[1].qs, grown.qs))
+            np.testing.assert_array_equal(warm[1], grown_start(source.path))
         elif warm is not None:
             warm_calls += 1
-            lam, path = warm
-            assert path.r == r and next(res for *_, res in calls if res.path is path).converged
-            source = tuple(round(v * denom) for v in path.x[1:-1])
+            # the candidate whose final levels the source is
+            source = next(res for *_, res in calls if np.array_equal(res.path.qs[:-1], warm[1]))
+            assert source.path.r == r and source.converged
+            source = tuple(round(v * denom) for v in source.path.x[1:-1])
             nearest = min(
                 (max(abs(a - b) for a, b in zip(t, ticks)), t) for rr, t, ok in solved if rr == r and ok
             )
@@ -968,14 +1006,14 @@ def test_grown_start_is_feasible_for_both_forms(seed, r):
     q = random_correlation(rng, n)
     path = random_feasible_path(rng, q, r - 1)
     x = (0.0,) + tuple(np.sort(rng.choice(np.arange(1, 32), r - 2, replace=False)) / 32) + (1.0,)
-    grown = grown_start(path, x)
-    assert (grown.x, grown.r) == (x, r)
+    levels = grown_start(path)
+    assert levels.shape == (r - 1, n, n)
+    grown = DiscretePath(x, [*levels, q])
     for k in range(r - 2):
         np.testing.assert_array_equal(grown.level(k), path.level(k))
     assert min(np.linalg.eigvalsh(grown.increments[k]).min() for k in range(r)) > 0
-    levels = np.array(grown.qs[:-1])
     for kind in ("cs", "parisi"):
-        lam, _ = default_start(kind, mix, q, r, x)
+        lam, _ = default_start(kind, mix, q, r)
         if kind == "cs":
             d_sequence(grown)  # raises outside the domain
         else:
@@ -987,22 +1025,22 @@ def test_grown_start_is_feasible_for_both_forms(seed, r):
 
 def test_grown_start_needs_a_free_level():
     with pytest.raises(ValidationError, match="r >= 2, got r = 1"):
-        grown_start(DiscretePath((0.0,), [np.eye(1)]), (0.0, 1.0))
+        grown_start(DiscretePath((0.0,), [np.eye(1)]))
 
 
 PURE2 = MixtureSpec.pure(2, [1.0])
-HALF_PATH = DiscretePath((0.0, 1.0), [0.5 * np.eye(1), np.eye(1)])
-THIRDS_PATH = DiscretePath((0.0, 0.5, 1.0), [0.3 * np.eye(1), 0.6 * np.eye(1), np.eye(1)])
+HALF_LEVELS = np.array([[[0.5]]])
+THIRDS_LEVELS = np.array([[[0.3]], [[0.6]]])
 
 
 @pytest.mark.parametrize("kind, r, x, start, error, match", [
     # each used to escape as numpy's IndexError, run kernel passes on a chain
     # broadcast from the wrong shapes, or (the last) return an r = 2 answer
-    ("parisi", 2, (0.0, 1.0), (None, HALF_PATH), ValueError, "needs lam"),
-    ("cs", 3, (0.0, 0.5, 1.0), (None, HALF_PATH), DimensionMismatch, r"\(2, 1, 1\)"),
-    ("cs", 2, (0.0, 1.0), (None, THIRDS_PATH), DimensionMismatch, r"\(1, 1, 1\)"),
-    ("parisi", 2, (0.0, 1.0), (3.0 * np.eye(2), HALF_PATH), DimensionMismatch, r"\(2, 2\)"),
-    ("cs", 5, (0.0, 1.0), (None, HALF_PATH), ValidationError, "r = 5"),
+    ("parisi", 2, (0.0, 1.0), (None, HALF_LEVELS), ValueError, "needs lam"),
+    ("cs", 3, (0.0, 0.5, 1.0), (None, HALF_LEVELS), DimensionMismatch, r"\(2, 1, 1\)"),
+    ("cs", 2, (0.0, 1.0), (None, THIRDS_LEVELS), DimensionMismatch, r"\(1, 1, 1\)"),
+    ("parisi", 2, (0.0, 1.0), (3.0 * np.eye(2), HALF_LEVELS), DimensionMismatch, r"\(2, 2\)"),
+    ("cs", 5, (0.0, 1.0), (None, HALF_LEVELS), ValidationError, "r = 5"),
 ], ids=["no-multiplier", "too-few-levels", "too-many-levels", "multiplier-shape", "r-not-len-x"])
 def test_a_bad_start_is_rejected_before_any_kernel_pass(monkeypatch, kind, r, x, start, error, match):
     from spinvar import optimize

@@ -16,7 +16,6 @@ from spinvar.matcore import MixtureSpec, spectral_floor, symmetrize
 from spinvar.path import (
     DiscretePath,
     d_sequence,
-    equally_spaced,
     lambda_sequence,
     merge_duplicates,
     tail_sums,
@@ -137,15 +136,6 @@ def test_validate_psd_margin_reported():
     path = DiscretePath((0.0, 1.0), (lo, hi))
     report = validate(path)
     assert any("-1.0" in p or "-0.1" in p for p in report)
-
-
-def test_equally_spaced():
-    q = np.array([[1.0, 0.2], [0.2, 1.0]])
-    path = equally_spaced(q, 4, [0.0, 1 / 3, 2 / 3, 1.0])
-    assert path.r == 4
-    np.testing.assert_allclose(path.level(4), q)
-    np.testing.assert_allclose(path.level(2), 0.5 * q)
-    assert path.x == (0.0, 1 / 3, 2 / 3, 1.0)
 
 
 def test_merge_duplicates_weight_and_level():
@@ -288,13 +278,22 @@ def test_non_finite_paths_and_multipliers_raise():
     for x in ((0.0, nan, 1.0), (0.0, 0.5, inf)):
         with pytest.raises(ValidationError, match="weights must be finite"):
             scalar_path(x, (0.3, 0.6, 1.0))
-    with pytest.raises(ValidationError, match="levels must have finite entries"):
-        equally_spaced(np.array([[nan]]), 2, (0.0, 1.0))  # the solver's default start
     path = scalar_path((0.0, 1.0), (0.5, 1.0))
     for lam in (nan, inf):
         for call in (lambda_sequence, eval_parisi):
             with pytest.raises(ValidationError, match="multiplier entries must be finite"):
                 call(np.array([[lam]]), path, mix)
+
+
+@pytest.mark.parametrize("lam", [[["3.0"]], [[True]], np.array([[3.0 + 1j]])], ids=["string", "bool", "complex"])
+def test_a_multiplier_must_hold_finite_reals(lam):
+    # each was cast before it was checked: the string one was evaluated,
+    # the bool one raised InfeasibleMultiplier, and the complex one lost its
+    # imaginary part with only a ComplexWarning
+    path = scalar_path((0.0, 1.0), (0.5, 1.0))
+    for call in (lambda_sequence, eval_parisi):
+        with pytest.raises(ValidationError, match="multiplier entries must be finite"):
+            call(lam, path, MixtureSpec.pure(2, [1.0]))
 
 
 def test_random_feasible_path_meets_its_floor():
