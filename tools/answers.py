@@ -5,7 +5,11 @@ An answers file holds three sections of outputs, each float written as
 
 - ``workloads``: every ``run_item`` output of round 0 of the benchmark's
   gap-rs, gap-rsb and verify workloads at seeds 1-3, keyed
-  ``workload/seed/index/label``;
+  ``workload/seed/index/label``, each with the work it cost under
+  ``work``: its counts of ``continuations``, ``stages`` (``minimize_fixed``
+  calls), Newton ``iterations``, forward passes (``evaluations``) and
+  tangent passes (``hessians``), read by wrapping ``optimize``'s
+  ``minimize_fixed`` and ``continuation``; no timing is recorded;
 - ``battery``: the battery checks at their default seeds, keyed by name;
 - ``cli``: ``cli.run`` of each command of each problem file, without its
   ``wall_time``, keyed ``file/command``.
@@ -23,6 +27,7 @@ for the same bits.  Every other value must be equal.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import importlib
 import json
@@ -37,6 +42,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
 WORKLOADS = ("gap-rs", "gap-rsb", "verify")
 MODULES = ("battery", "cli", "matcore", "optimize")
+WORK = ("continuations", "stages", "iterations", "evaluations", "hessians")
 
 
 def _library():
@@ -64,6 +70,34 @@ def encode(value):
     raise TypeError(f"cannot encode {type(value).__name__}")
 
 
+@contextlib.contextmanager
+def counting(opt):
+    """Count the work of the ``optimize`` module ``opt`` while the block
+    runs: its ``minimize_fixed`` and ``continuation`` are rebound to
+    wrappers that add to the yielded dict of ``WORK`` counts.  Calls from
+    inside ``optimize`` read the module's globals, so they are counted too;
+    a stage that raises is not."""
+    counts = dict.fromkeys(WORK, 0)
+    minimize, continuation = opt.minimize_fixed, opt.continuation
+
+    def counted_minimize(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        counts["stages"] += 1
+        for name in ("iterations", "evaluations", "hessians"):
+            counts[name] += getattr(res, name)
+        return res
+
+    def counted_continuation(*args, **kwargs):
+        counts["continuations"] += 1
+        return continuation(*args, **kwargs)
+
+    opt.minimize_fixed, opt.continuation = counted_minimize, counted_continuation
+    try:
+        yield counts
+    finally:
+        opt.minimize_fixed, opt.continuation = minimize, continuation
+
+
 def _problems(sv):
     return [(p.stem, sv["cli"].load_spec(str(p))) for p in sorted((ROOT / "problems").glob("*.json"))]
 
@@ -79,9 +113,9 @@ def workload_answers(seeds=SEEDS) -> dict:
         for workload in WORKLOADS:
             for seed in seeds:
                 for index, item in enumerate(rounds[workload](seed)):
-                    answers[f"{workload}/{seed}/{index}/{item.label}"] = encode(
-                        wl.run_item(sv, item, Path(scratch))
-                    )
+                    with counting(sv["optimize"]) as work:
+                        out = wl.run_item(sv, item, Path(scratch))
+                    answers[f"{workload}/{seed}/{index}/{item.label}"] = encode({**out, "work": work})
     return answers
 
 
