@@ -44,7 +44,7 @@ from .path import DiscretePath
 from .path import validate as validate_path
 
 TOOL_VERSION = f"spinvar {__version__}"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 FORMAT_HEADER = f"# spinvar-result v{FORMAT_VERSION}"
 COMMANDS = ("eval", "minimize", "gap", "verify", "continuous", "probe")
 _SPEC_KEYS = {"version", "n", "mixture", "h", "Q", "solve", "commands", "path"}
@@ -253,7 +253,6 @@ def _search_payload(result) -> dict:
         "r": result.r,
         "x": list(result.x),
         "value": result.value,
-        "value_extrapolated": result.best.value_extrapolated,
         "converged": result.best.converged,
         "argmin": _path_payload(result.best.path),
         "lambda": None if result.best.lam is None else matrix_to_upper(result.best.lam),
@@ -395,8 +394,8 @@ def _parser() -> argparse.ArgumentParser:
     # one flag per SolveOptions field, each with the field's name as its dest
     parser.add_argument("--seed", type=int)
     parser.add_argument("--eps-schedule", dest="eps_schedule", type=_floats,
-                        help="comma-separated decreasing schedule (default %s)"
-                        % ",".join(map(str, DEFAULT_EPS_SCHEDULE)))
+                        help="comma-separated strictly decreasing schedule of nonnegative reals; "
+                        "0 can only come last (default %s)" % ",".join(map(str, DEFAULT_EPS_SCHEDULE)))
     parser.add_argument("--r-max", dest="r_max", type=int)
     parser.add_argument("--grid", "--x-grid", dest="x_grid", type=int,
                         help="weight grid resolution (x_grid)")

@@ -13,9 +13,13 @@ definite Hessian is used as it is; any other is shifted along the
 Frobenius metric by about twice its most negative eigenvalue, so the step
 leaves a saddle along its negative curvature.  The step backtracks from
 its full length until Armijo holds on the eps-perturbed value or the
-representer norm halves.  A trial point outside the domain of the
-barrier raises its domain error in the kernel and the step halves, so
-accepted iterates keep strictly positive-definite increments.  A stage's
+representer norm halves.  A trial point outside the domain raises its
+domain error in the kernel and the step halves.  At eps > 0 the domain is
+the barrier's, so accepted iterates keep strictly positive-definite
+increments.  At eps = 0 the kernel factors no free increment, so the stage
+minimizes the smooth extension of the form past the boundary of the PSD
+cone; a stage that converges there with an increment eigenvalue below
+-``psd_tol(Q)`` reports ``outside_cone`` and is not converged.  A stage's
 base value is its final point's unperturbed value, from the same pass.
 Each stage returns one :class:`MinimizeResult`: its minimizer, values,
 exit, the trace rows of its iterates and its counts of forward and
@@ -35,12 +39,12 @@ start they ran from), ``search`` (discrete coordinate
 descent over the weight grid of the multiplier-free form, sweeping the
 level count), and ``duality_gap`` (one search, then the multiplier form
 solved cold at its weights; the agreement of the two minima at those
-weights is the certificate).  The default schedule is the two stages the
-linear-in-eps extrapolation needs, (1e-5, 1e-6): with the exact Hessian
-a damped Newton stage converges from :func:`default_start` at eps = 1e-5
-directly, one long barrier step (Boyd & Vandenberghe, *Convex
-Optimization*, sec. 11.3).  ``search`` states its policy as start
-lists.  The r = 2 candidate runs cold only.  Every other candidate with
+weights is the certificate).  The default schedule is (1e-5, 0): with the
+exact Hessian a damped Newton stage converges from :func:`default_start`
+at eps = 1e-5 directly, one long barrier step (Boyd & Vandenberghe,
+*Convex Optimization*, sec. 11.3), and the eps = 0 stage started there
+converges to the exact value of the form at the fixed weights.
+``search`` states its policy as start lists.  The r = 2 candidate runs cold only.  Every other candidate with
 a source runs warm and then cold: the first of each r >= 3 from the
 r - 1 sweep's answer with its top free level split in two
 (:func:`grown_start`), every later one from the final levels of the
@@ -61,10 +65,10 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NoFeasibleStart, ValidationError
 from .functionals import Directions, Weights, eval_stack
-from .matcore import MixtureSpec, _real_array, check_constraint, real, sym_inverse, symmetrize
+from .matcore import MixtureSpec, _real_array, check_constraint, psd_tol, real, sym_inverse, symmetrize
 from .path import DiscretePath, _as_multiplier
 
-DEFAULT_EPS_SCHEDULE = (1e-5, 1e-6)
+DEFAULT_EPS_SCHEDULE = (1e-5, 0.0)
 
 # Armijo constant and backtracking factor of the line search
 _ARMIJO_C, _SHRINK = 1e-4, 0.5
@@ -84,7 +88,9 @@ MAX_R, MAX_X_GRID = 5, 64
 class SolveOptions:
     """Knobs for the solver; all fields are file- and flag-settable.  This
     is the one check of their values, for problem files, flags and Python
-    callers alike; each problem names its field."""
+    callers alike; each problem names its field.  ``eps_schedule`` is a
+    strictly decreasing list of nonnegative finite reals, so eps = 0, the
+    unperturbed form, can only come last."""
 
     eps_schedule: tuple[float, ...] = DEFAULT_EPS_SCHEDULE
     grad_tol: float = 1e-8
@@ -96,9 +102,9 @@ class SolveOptions:
         problems = []
         raw = np.asarray(self.eps_schedule, dtype=object)
         sched = tuple(real(e) for e in raw.flat) if raw.ndim == 1 else (None,)
-        if not sched or not all(e is not None and 0 < e < math.inf for e in sched):
+        if not sched or not all(e is not None and 0 <= e < math.inf for e in sched):
             problems.append(
-                f"eps_schedule must be a nonempty list of positive finite reals, got {self.eps_schedule!r}"
+                f"eps_schedule must be a nonempty list of nonnegative finite reals, got {self.eps_schedule!r}"
             )
         elif any(b >= a for a, b in zip(sched, sched[1:])):
             problems.append("eps_schedule must be strictly decreasing")
@@ -179,17 +185,9 @@ class ContinuationResult:
 
     @property
     def value_at_eps_min(self) -> float:
-        """The base value at the final stage's minimizer."""
+        """The base value at the final stage's minimizer: under a schedule
+        that ends at eps = 0, the exact value of the form there."""
         return self.stages[-1].value_base
-
-    @property
-    def value_extrapolated(self) -> float:
-        """The linear-in-eps extrapolation to eps = 0 of the base values of
-        the last two stages; the last base value when there is one stage."""
-        if len(self.stages) < 2:
-            return self.value_at_eps_min
-        s1, s0 = self.stages[-2:]
-        return (s1.eps * s0.value_base - s0.eps * s1.value_base) / (s1.eps - s0.eps)
 
 
 @dataclass
@@ -355,7 +353,11 @@ def minimize_fixed(
     fixed weights; returns the last iterate flagged unconverged when the
     iteration budget runs out, the representer norm plateaus or no step
     along the Newton direction is acceptable.  ``stop_reason`` names the
-    exit: ``converged``, ``budget``, ``plateau`` or ``no_step``.  The trace
+    exit: ``converged``, ``budget``, ``plateau`` or ``no_step``, or
+    ``outside_cone`` for an eps = 0 stage that converged to a point whose
+    smallest increment eigenvalue is below -``psd_tol(Q)``: nothing factors
+    the free increments at eps = 0, so that point is stationary for the
+    form's extension past the PSD cone, not a point of the form.  The trace
     rows of the iterates carry ``stage``, the stage's schedule index.
 
     The constraint must be n x n for the mixture's n (DimensionMismatch)
@@ -450,6 +452,8 @@ def minimize_fixed(
     qs[:, 1:-1] = levels
     qs[:, -1] = obj.constraint
     eigs = np.linalg.eigvalsh(qs[:, 1:] - qs[:, :-1])[..., 0].min(axis=1).tolist()  # eigvalsh ascends
+    if stop_reason == "converged" and eps == 0.0 and eigs[-1] < -psd_tol(obj.constraint):
+        stop_reason = "outside_cone"
     trace = [TraceRow(stage, eps, it, v, norm, e) for (it, v, norm, _), e in zip(visited, eigs)]
     lam, levels = plan.split(obj.blocks(z))
     return MinimizeResult(
@@ -497,18 +501,20 @@ def continuation(
     """Solve at fixed weights from each of ``starts``, a nonempty sequence,
     in turn; return the first result that converges, else the result of
     the last start.  Its ``value_at_eps_min`` is the barrier-stripped value
-    at the final stage, its ``value_extrapolated`` the linear-in-eps
-    extrapolation from the last two stages, and its ``start`` the start it
+    at the final stage, the exact value of the form when the schedule ends
+    at eps = 0, as the default (1e-5, 0) does; its ``start`` is the start it
     ran from.
 
     A start None is cold: the whole eps schedule runs, the first stage from
     :func:`default_start`, each later one from the previous stage's
-    minimizer (lam, levels).  A start (lam, levels), lam None for the
+    minimizer (lam, levels); under the default, one barrier stage and then
+    the eps = 0 stage.  A start (lam, levels), lam None for the
     multiplier-free form and levels the free levels Q_1..Q_{r-1} as an
     (r - 1, n, n) stack, is warm: only the schedule's last stage runs, from
     it.  A barrier method may start at its target eps near the solution
-    (Boyd & Vandenberghe, sec. 11.3), so the extrapolation is that stage's
-    base value.  The levels may be a continuation's at other weights,
+    (Boyd & Vandenberghe, sec. 11.3).  A warm eps = 0 stage that ends
+    ``outside_cone`` is not converged, so the next start, cold under the
+    search's policy, runs.  The levels may be a continuation's at other weights,
     ``path.qs[:-1]``, or a :func:`grown_start`: the tail chain
     D_p = sum_{k >= p} x_k (Q_{k+1} - Q_k) of strictly monotone levels is
     positive definite for any positive weights, so they are feasible at x.
@@ -552,7 +558,9 @@ def search(mix: MixtureSpec, constraint: np.ndarray, opts: SolveOptions) -> Sear
     neighbours become the sources of far ones.  A winner whose ``start``
     is not None is re-solved cold at its weights, under every schedule, so
     ``best`` is a cold continuation; ``candidates`` keeps the warm value
-    the ranking read.
+    the ranking read.  Under a schedule that ends at eps = 0, the default,
+    the ranking reads the exact value of each candidate at its weights, and
+    a candidate whose eps = 0 stage ends ``outside_cone`` is unconverged.
 
     The solved candidates are kept in one table per r, from the weight
     ticks to their continuation; ``candidates`` lists them as (r, x,

@@ -265,7 +265,7 @@ PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 @pytest.mark.parametrize(
     "name, min_parisi, min_cs",
     [
-        ("coupled_pair.json", 0.10519334796765409, 0.10519329970005903),
+        ("coupled_pair.json", 0.10519285648613524, 0.10519285648613502),
         ("pure2_scalar.json", 0.04500049810828878, 0.04500049858802677),
     ],
     ids=["coupled_pair", "pure2_scalar"],
@@ -332,13 +332,13 @@ def test_emit_deterministic(tmp_path):
     emit(rec, "json-lines", str(out2))
     assert out1.read_bytes() == out2.read_bytes()
     lines = [json.loads(l) for l in out1.read_text().splitlines()]
-    assert lines[0] == {"format": "spinvar-result", "version": 3}
+    assert lines[0] == {"format": "spinvar-result", "version": 4}
     assert lines[-1]["command"] == "gap"
 
     csv1 = tmp_path / "a.csv"
     emit(rec, "csv", str(csv1))
     lines = csv1.read_text().splitlines()
-    assert lines[0] == "# spinvar-result v3"
+    assert lines[0] == "# spinvar-result v4"
     assert lines[1] == "form,stage,eps,iter,value,grad_norm,min_increment_eig"
     assert len(lines) > 3
     rows = {tuple(line.split(",")[:2]) for line in lines[2:]}
@@ -459,7 +459,7 @@ def test_main_rejects_non_finite_options(capsys):
     assert main(["gap", "--spec", spec_file, "--tol", "inf"]) == 2
     assert "grad_tol must be positive and finite" in capsys.readouterr().err
     assert main(["gap", "--spec", spec_file, "--eps-schedule", "1e-1,nan"]) == 2
-    assert "eps_schedule must be a nonempty list of positive finite reals" in capsys.readouterr().err
+    assert "eps_schedule must be a nonempty list of nonnegative finite reals" in capsys.readouterr().err
 
 
 def test_main_gap_with_overrides_and_outputs(tmp_path, capsys):
@@ -487,8 +487,8 @@ def test_gap_completes_a_warm_winners_stages(tmp_path):
     assert main(["gap", "--spec", spec_file, "--r-max", "3", "--out", str(out_dir)]) == 0
     records = [json.loads(line) for line in (out_dir / "gap.jsonl").read_text().splitlines()]
     out = next(rec for rec in records if rec.get("command") == "gap")["outputs"]
-    assert float(out["min_parisi"]) == pytest.approx(1.8659234749, rel=0, abs=1e-9)
-    assert float(out["min_cs"]) == pytest.approx(1.8659237283, rel=0, abs=1e-9)
+    assert float(out["min_parisi"]) == pytest.approx(1.8659232293444, rel=0, abs=1e-9)
+    assert float(out["min_cs"]) == pytest.approx(1.8659232293442, rel=0, abs=1e-9)
     for kind in ("parisi", "cs"):
         assert out[f"argmin_{kind}"]["r"] == 3
         assert [float(v) for v in out[f"argmin_{kind}"]["x"]] == [0.0, 0.625, 1.0]
@@ -565,12 +565,13 @@ def test_main_warm_weight_search_closes_the_gap(tmp_path):
 
 
 def test_main_default_and_six_stage_schedules_agree(tmp_path):
-    # the default schedule starts every cold solve at eps = 1e-5; its minima
-    # must match the six-stage barrier path's to 1e-9
+    # the default schedule starts every cold solve at eps = 1e-5 and ends at
+    # eps = 0; its minima must match those of the six-stage barrier path
+    # that ends at eps = 0 too, to 1e-9
     spec_file = str(PROBLEMS / "coupled_pair.json")
     short, long = tmp_path / "short", tmp_path / "long"
     assert main(["gap", "--spec", spec_file, "--out", str(short)]) == 0
-    schedule = "1e-1,1e-2,1e-3,1e-4,1e-5,1e-6"
+    schedule = "1e-1,1e-2,1e-3,1e-4,1e-5,1e-6,0"
     assert main(["gap", "--spec", spec_file, "--out", str(long), "--eps-schedule", schedule]) == 0
     for key in ("min_parisi", "min_cs"):
         assert abs(float(_gap_outputs(short)[key]) - float(_gap_outputs(long)[key])) <= 1e-9
@@ -613,11 +614,11 @@ def test_main_probe_and_continuous(tmp_path):
 RECORD_PINS = {
     "coupled_pair.json": {
         "continuous": {
-            "cs_continuous": 0.10519329970005903, "cs_discrete": 0.10519329970005903,
-            "t_x": 0.018249534629101317, "box_T": 1.947718469281479, "box_L": 19.127213496940477,
-            "atoms": [(0.018249534629101317, 1.0, 1.5230214995020488, False)], "flagged_atoms": 0,
+            "cs_continuous": 0.10519285648613502, "cs_discrete": 0.10519285648613502,
+            "t_x": 0.016697828424103955, "box_T": 1.947718469281479, "box_L": 19.127213496940477,
+            "atoms": [(0.016697828424103955, 1.0, 1.5246692933544044, False)], "flagged_atoms": 0,
         },
-        "probe": {"empirical_modulus": 0.00024195325077748094, "bound": 29269.343692603357,
+        "probe": {"empirical_modulus": 0.0003240010295736088, "bound": 29269.343692603357,
                   "within": True},
     },
     "pure2_scalar.json": {

@@ -14,6 +14,7 @@ from spinvar.errors import DimensionMismatch, ValidationError
 from spinvar.functionals import Weights, eval_stack
 from spinvar.matcore import MixtureSpec
 from spinvar.optimize import (
+    DEFAULT_EPS_SCHEDULE,
     SolveOptions,
     _newton_direction,
     continuation,
@@ -117,6 +118,35 @@ def test_solve_options_reject_non_finite_values():
             SolveOptions(**kwargs)
 
 
+def test_solve_options_schedule_may_end_at_eps_zero():
+    # eps = 0, the unperturbed form, is the default's last stage and can
+    # only come last: a schedule is strictly decreasing and nonnegative
+    assert DEFAULT_EPS_SCHEDULE == (1e-5, 0.0) == SolveOptions().eps_schedule
+    assert SolveOptions(eps_schedule=(1e-5, 0.0)).eps_schedule == (1e-5, 0.0)
+    for schedule, problem in (
+        ((0.0, 1e-5), "strictly decreasing"),
+        ((1e-5, -1e-6), "nonnegative finite reals"),
+        ((1e-5, 0.0, 0.0), "strictly decreasing"),
+    ):
+        with pytest.raises(ValidationError, match=problem):
+            SolveOptions(eps_schedule=schedule)
+
+
+def test_eps_zero_stage_outside_the_cone_is_not_converged():
+    # pure p = 4 at beta = 2 with a field, x = (0, 0.25, 1): at eps = 0
+    # nothing factors the multiplier form's increments, and its stage from
+    # the default start reaches a stationary point with Q_1 = -1.1e-4
+    mix = MixtureSpec(n=1, terms=((4, [2.0]),), h=[0.3])
+    opts = SolveOptions()
+    res = minimize_fixed("parisi", mix, np.eye(1), 3, (0.0, 0.25, 1.0), 0.0, opts)
+    assert res.grad_norm <= opts.grad_tol
+    assert res.trace[-1].min_increment_eig < -1e-5
+    assert res.stop_reason == "outside_cone" and not res.converged
+    # under the barrier the same stage stays inside the cone and converges
+    res = minimize_fixed("parisi", mix, np.eye(1), 3, (0.0, 0.25, 1.0), 1e-5, opts)
+    assert res.converged and res.trace[-1].min_increment_eig > 0
+
+
 def test_minimize_cs_rs_low_temperature():
     mix = MixtureSpec.pure(2, [0.3])
     q = np.array([[1.0]])
@@ -188,13 +218,15 @@ def test_eps_trace_entries_are_copies_of_the_stages():
         assert res.value == value and res.best.converged
 
 
-def test_continuation_monotone_and_extrapolation():
+def test_continuation_monotone_and_exact():
+    # the default schedule ends at eps = 0, so the value is the form's own
+    # minimum, not a barrier-biased one (5.0e-7 above it at eps = 1e-6)
     mix = MixtureSpec.pure(2, [0.3])
     q = np.array([[1.0]])
     cont = continuation("cs", mix, q, 2, (0.0, 1.0), SolveOptions())
     bases = [s.value_base for s in cont.stages]
     assert all(a >= b - 1e-9 for a, b in zip(bases, bases[1:]))
-    assert cont.value_extrapolated == pytest.approx(0.045, abs=1e-5)
+    assert cont.value_at_eps_min == pytest.approx(pure2_rs_value(0.3), rel=0, abs=1e-12)
     assert cont.converged
 
 
@@ -301,6 +333,16 @@ def test_gap_scalar_instances():
         rep = duality_gap(MixtureSpec.pure(2, [beta]), q, SolveOptions())
         assert rep.gap <= 1e-4
         assert rep.min_cs == pytest.approx(pure2_rs_value(beta), abs=1e-4)
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.5, 1.0])
+def test_default_gap_is_exact_on_pure_p2(beta):
+    # the default schedule ends at eps = 0: both minima are the closed form,
+    # where the barrier stage alone left them up to 5.0e-7 above it
+    rep = duality_gap(MixtureSpec.pure(2, [beta]), np.eye(1), SolveOptions())
+    assert rep.gap <= 1e-12
+    for value in (rep.min_parisi, rep.min_cs):
+        assert value == pytest.approx(pure2_rs_value(beta), rel=0, abs=1e-12)
 
 
 def test_solvers_reject_a_malformed_constraint():
@@ -766,7 +808,8 @@ def test_warm_continuation_matches_cold(mix, q, kind):
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
 def test_continuation_independent_of_schedule(n, p4, field):
     # a cold continuation that starts at eps = 1e-5 lands where the
-    # six-stage path does, at r = 2 and r = 3 and for both forms
+    # six-stage path does when both end at eps = 0, at r = 2 and r = 3 and
+    # for both forms
     rng = np.random.default_rng([n, p4, field])
     terms = [(2, rng.uniform(0.1, 0.8, n))]
     if p4:
@@ -777,10 +820,9 @@ def test_continuation_independent_of_schedule(n, p4, field):
     for r, x in ((2, (0.0, 1.0)), (3, (0.0, 0.5, 1.0))):
         for kind in ("parisi", "cs"):
             short = continuation(kind, mix, q, r, x, SolveOptions())
-            long = continuation(kind, mix, q, r, x, SolveOptions(eps_schedule=LONG_SCHEDULE))
+            long = continuation(kind, mix, q, r, x, SolveOptions(eps_schedule=LONG_SCHEDULE + (0.0,)))
             assert short.converged and long.converged, (kind, r)
             assert short.value_at_eps_min == pytest.approx(long.value_at_eps_min, abs=1e-10)
-            assert short.value_extrapolated == pytest.approx(long.value_extrapolated, abs=1e-10)
 
 
 @pytest.mark.parametrize("kind", ["parisi", "cs"])
@@ -853,8 +895,8 @@ def test_gap_ends_every_candidate_converged(monkeypatch):
     final = {(kind, x): result.converged for kind, _, x, _, result in calls}
     assert all(final.values()), [key for key, ok in final.items() if not ok]
     assert rep.argmin_parisi.x == rep.argmin_cs.x == (0.0, 0.5, 1.0)
-    assert rep.min_parisi == pytest.approx(3.9381912029506374, abs=1e-10)
-    assert rep.min_cs == pytest.approx(3.938191157752124, abs=1e-10)
+    assert rep.min_parisi == pytest.approx(3.938190728532483, abs=1e-10)
+    assert rep.min_cs == pytest.approx(3.9381907285324855, abs=1e-10)
 
 
 def test_search_candidates_are_the_continuations_it_ran(monkeypatch):
@@ -931,11 +973,8 @@ def test_continuation_values_come_from_its_stages():
     cont = continuation("cs", MixtureSpec.pure(4, [2.0]), np.eye(1), 3, (0.0, 0.5, 1.0), SolveOptions())
     assert len(cont.stages) == 2
     last = cont.stages[-1].value_base
-    one = replace(cont, stages=cont.stages[-1:])
-    assert one.value_extrapolated == one.value_at_eps_min == last
-    s1, s0 = cont.stages
+    assert replace(cont, stages=cont.stages[-1:]).value_at_eps_min == last
     assert cont.value_at_eps_min == last
-    assert cont.value_extrapolated == (s1.eps * s0.value_base - s0.eps * s1.value_base) / (s1.eps - s0.eps)
 
 
 def test_warm_candidates_start_from_the_nearest_converged_candidate(monkeypatch):
@@ -959,8 +998,10 @@ def test_warm_candidates_start_from_the_nearest_converged_candidate(monkeypatch)
             np.testing.assert_array_equal(warm[1], grown_start(source.path))
         elif warm is not None:
             warm_calls += 1
-            # the candidate whose final levels the source is
-            source = next(res for *_, res in calls if np.array_equal(res.path.qs[:-1], warm[1]))
+            # the candidate whose final levels the source is; at eps = 0 a
+            # candidate can stop at its warm start, so equal levels do not
+            # name it, the memory they are read from does
+            source = next(res for *_, res in calls if np.shares_memory(res.path.qs, warm[1]))
             assert source.path.r == r and source.converged
             source = tuple(round(v * denom) for v in source.path.x[1:-1])
             nearest = min(
@@ -991,7 +1032,6 @@ def test_warm_winner_carries_both_final_stages(mix, q, x1, kind):
     assert {row.stage for row in res.best.trace} == {0, 1}
     cold = continuation(kind, mix, q, res.r, res.x, opts)
     assert res.value == res.best.value_at_eps_min
-    assert res.best.value_extrapolated == pytest.approx(cold.value_extrapolated, abs=1e-10)
     assert res.best.value_at_eps_min == pytest.approx(cold.value_at_eps_min, abs=1e-10)
 
 
