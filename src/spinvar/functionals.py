@@ -110,6 +110,11 @@ class Weights:
     (:func:`~spinvar.matcore.real`, checked before any cast) or not an
     order parameter, 0 = x_0 <= ... <= x_{r-1} <= 1, raise a
     ValidationError; so does a NaN or infinite weight, which is not one.
+    The multiplier-free form is the Crisanti-Sommers functional only at
+    x_{r-1} = 1: below it the expression falls under the formula's
+    infimum (pure p = 2, beta = 1, x = (0, 0.8) reaches 0.3996 against
+    0.4909), so it needs r >= 2 (InfeasiblePath) and x_{r-1} = 1
+    (ValidationError).  The multiplier form takes any x_{r-1} <= 1.
     """
 
     def __init__(self, kind, x):
@@ -123,8 +128,10 @@ class Weights:
         # NaN fails every comparison, and the pinned ends bound every weight
         if not (self.x.size and self.x[0] == 0.0 and (steps >= 0.0).all() and self.x[-1] <= 1.0):
             raise ValidationError(f"weights must satisfy 0 = x_0 <= ... <= x_{{r-1}} <= 1, got {self.x.tolist()}")
-        if kind == "cs" and (self.x.size < 2 or self.x[-1] <= 0.0):
-            raise InfeasiblePath("the multiplier-free form needs r >= 2 and x_{r-1} > 0")
+        if kind == "cs" and self.x.size < 2:
+            raise InfeasiblePath("the multiplier-free form needs r >= 2")
+        if kind == "cs" and self.x[-1] != 1.0:
+            raise ValidationError(f"the multiplier-free form needs x_{{r-1}} = 1, got {self.x[-1]}")
         self.lead = 1 if kind == "parisi" else 0
         self.sign = 1.0 if self.lead else -1.0
         self.m = self.x.size - 1 + self.lead

@@ -167,8 +167,14 @@ def stack_logdets(stack: np.ndarray):
 
 def stack_inverses(stack: np.ndarray) -> np.ndarray:
     """Symmetrized inverses of a stack (..., n, n) of positive definite
-    matrices from one inverse call."""
-    return symmetrize(np.linalg.inv(stack))
+    matrices from one inverse call.  A matrix that Cholesky accepted with
+    a finite log-det can still be exactly singular (its factor's rounding
+    gives it one), so a failed inverse raises NotPositiveDefinite, a
+    domain error, like a failed factorization."""
+    try:
+        return symmetrize(np.linalg.inv(stack))
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"a matrix does not invert: {exc}") from exc
 
 
 def spectral_floor(a: np.ndarray) -> float:

@@ -232,15 +232,16 @@ def test_parse_error(tmp_path):
 def test_run_eval_and_determinism():
     raw = minimal_spec(
         mixture=[[2, [1.0]]],
-        path={"x": [0.0, 0.5], "levels": [[0.25]], "lambda": [3.0]},
+        path={"x": [0.0, 1.0], "levels": [[0.25]], "lambda": [3.0]},
     )
     spec = build_spec(raw)
     rec1 = run("eval", spec)
     rec2 = run("eval", spec)
     assert rec1.outputs == rec2.outputs
     assert rec1.inputs_digest == rec2.inputs_digest
-    assert rec1.outputs["parisi"] == pytest.approx(0.6151120392288372)
-    assert rec1.outputs["cs"] == pytest.approx(0.28002626088155225)
+    # pure p = 2, beta = 1, Q = 1, x = (0, 1), Q_1 = 1/4, Lambda = 3
+    assert rec1.outputs["parisi"] == pytest.approx(0.5 * (2 - math.log(3) + math.log(2) + 1 / 3 - 15 / 16))
+    assert rec1.outputs["cs"] == pytest.approx(0.5 * (math.log(3 / 4) + 1 / 3 + 15 / 16))
     assert rec1.outputs["barrier"] == pytest.approx(1.6739764335716716)
 
 
@@ -369,7 +370,7 @@ def test_gap_json_lines_hold_each_level_once(tmp_path):
 
 
 def test_float_emission_roundtrips(tmp_path):
-    spec = build_spec(minimal_spec(path={"x": [0.0, 0.5], "levels": [[0.25]], "lambda": [3.0]}))
+    spec = build_spec(minimal_spec(path={"x": [0.0, 1.0], "levels": [[0.25]], "lambda": [3.0]}))
     rec = run("eval", spec)
     out = tmp_path / "r.jsonl"
     emit(rec, "json-lines", str(out))
@@ -378,10 +379,15 @@ def test_float_emission_roundtrips(tmp_path):
 
 
 def test_main_exit_codes(tmp_path, capsys):
-    good = write_spec(tmp_path, minimal_spec(path={"x": [0.0, 0.5], "levels": [[0.25]]}))
+    good = write_spec(tmp_path, minimal_spec(path={"x": [0.0, 1.0], "levels": [[0.25]]}))
     assert main(["eval", "--spec", good]) == 0
     out = capsys.readouterr().out
     assert "barrier" in out
+
+    # the multiplier-free form is the CS functional only at x_{r-1} = 1
+    low_top = write_spec(tmp_path, minimal_spec(path={"x": [0.0, 0.5], "levels": [[0.25]]}), name="low.json")
+    assert main(["eval", "--spec", low_top]) == 2
+    assert "the multiplier-free form needs x_{r-1} = 1, got 0.5" in capsys.readouterr().err
 
     bad = write_spec(tmp_path, minimal_spec(Q=[2.0]), name="bad.json")
     assert main(["eval", "--spec", bad]) == 2
@@ -539,14 +545,14 @@ def _gap_outputs(out_dir):
 def test_main_eval_matches_closed_forms(tmp_path, capsys):
     # an explicit path and multiplier exit 0 with both forms within 1e-12
     # of their closed forms; a NaN multiplier is a validation problem
-    path = {"x": [0.0, 0.5], "levels": [[0.25]], "lambda": [3.0]}
+    path = {"x": [0.0, 1.0], "levels": [[0.25]], "lambda": [3.0]}
     spec_file = write_spec(tmp_path, minimal_spec(mixture=[[2, [1.0]]], path=path))
     assert main(["eval", "--spec", spec_file]) == 0
     out = json.loads(capsys.readouterr().out)
-    # pure p = 2, beta = 1, Q = 1, x = (0, 0.5), Q_1 = 1/4, Lambda = 3
+    # pure p = 2, beta = 1, Q = 1, x = (0, 1), Q_1 = 1/4, Lambda = 3
     want = {
-        "parisi": 0.5 * (2 - math.log(3) + 2 * math.log(4 / 3) + 2 / 9 - 15 / 32),
-        "cs": 0.5 * (2 * math.log(3 / 4) + 2 / 3 + 15 / 32),
+        "parisi": 0.5 * (2 - math.log(3) + math.log(2) + 1 / 3 - 15 / 16),
+        "cs": 0.5 * (math.log(3 / 4) + 1 / 3 + 15 / 16),
     }
     for key, value in want.items():
         assert abs(float(out[key]) - value) <= 1e-12

@@ -21,7 +21,7 @@ from spinvar.functionals import (
     eval_perturbed,
 )
 from spinvar.matcore import MixtureSpec, symmetrize
-from spinvar.optimize import SolveOptions, minimize_fixed
+from spinvar.optimize import SolveOptions, continuation, minimize_fixed
 from spinvar.path import DiscretePath, d_sequence, lambda_sequence
 
 
@@ -114,10 +114,11 @@ def test_parisi_r1_trivial():
 def test_cs_frozen_scalar_values():
     terms = [(2, 1.0)]
     mix = MixtureSpec.pure(2, [1.0])
-    path = scalar_path((0.0, 0.5), (0.25, 1.0))
+    path = scalar_path((0.0, 1.0), (0.25, 1.0))
     value = eval_cs(path, mix)
-    assert value == pytest.approx(s_cs([0.0, 0.5], [0.25, 1.0], terms, 0.0), abs=1e-14)
-    assert value == pytest.approx(0.280026, abs=1e-6)
+    assert value == pytest.approx(s_cs([0.0, 1.0], [0.25, 1.0], terms, 0.0), abs=1e-14)
+    # (log(1 - q) + q / (1 - q) + beta^2 (1 - q^2)) / 2 at q = 1/4
+    assert value == pytest.approx(0.5 * (math.log(0.75) + 1 / 3 + 15 / 16), abs=1e-14)
 
     q_star = 1 - 1 / math.sqrt(2)
     path2 = scalar_path((0.0, 1.0), (q_star, 1.0))
@@ -178,7 +179,8 @@ def test_perturbed_additivity_and_monotonicity():
     assert value == pytest.approx(base + 0.1 * barrier, abs=1e-14)
     assert value == pytest.approx(0.782510, abs=1e-6)
     assert eval_perturbed("parisi", 0.01, path, mix, lam=lam) <= value
-    assert eval_perturbed("cs", 0.0, path, mix) == eval_cs(path, mix)
+    top = scalar_path((0.0, 1.0), (0.25, 1.0))  # the multiplier-free form needs x_{r-1} = 1
+    assert eval_perturbed("cs", 0.0, top, mix) == eval_cs(top, mix)
 
 
 def test_error_terms_scalar_examples():
@@ -312,11 +314,20 @@ def test_level_merge_invariance():
     assert eval_cs(dup, mix) == pytest.approx(eval_cs(path, mix), abs=1e-12)
 
 
-def test_cs_needs_positive_top_weight():
-    mix = MixtureSpec.pure(2, [0.5])
-    path = scalar_path((0.0, 0.0), (0.5, 1.0))
-    with pytest.raises(InfeasiblePath):
-        eval_cs(path, mix)
+def test_cs_needs_unit_top_weight():
+    # below x_{r-1} = 1 the multiplier-free expression is not the CS
+    # functional: at x = (0, 0.8), pure p = 2, beta = 1, a continuation
+    # converged to 0.39957, under the true minimum 0.49093
+    mix = MixtureSpec.pure(2, [1.0])
+    for x in ((0.0, 0.0), (0.0, 0.5)):
+        with pytest.raises(ValidationError, match=r"needs x_\{r-1\} = 1"):
+            eval_cs(scalar_path(x, (0.25, 1.0)), mix)
+    with pytest.raises(ValidationError, match=r"needs x_\{r-1\} = 1"):
+        continuation("cs", mix, np.eye(1), 2, (0.0, 0.8), SolveOptions())
+    with pytest.raises(InfeasiblePath, match="r >= 2"):
+        eval_cs(DiscretePath((0.0,), (np.eye(1),)), mix)
+    # the multiplier form keeps x_{r-1} < 1, where its value is still an upper bound
+    assert np.isfinite(eval_parisi(mat(3.0), scalar_path((0.0, 0.5), (0.25, 1.0)), mix))
 
 
 def test_value_and_representers_raise_the_same_error():

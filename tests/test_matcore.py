@@ -271,3 +271,14 @@ def test_stacked_factorization_matches_per_matrix(n):
     np.testing.assert_allclose(logdet_pd, logdet[ok], rtol=1e-12)
     for a, a_inv in zip(pd, stack_inverses(pd)):
         np.testing.assert_allclose(a_inv, sym_inverse(a), rtol=1e-12)
+
+
+# rows in ratio 2 : 1, so exactly singular; Cholesky's rounding still gives
+# it a finite log-det
+CHOLESKY_ACCEPTS_SINGULAR = np.array([[5688.0, 2844.0], [2844.0, 1422.0]]) / 2**20
+
+
+def test_stack_inverses_raises_a_domain_error_on_a_singular_matrix():
+    # np.linalg.inv's LinAlgError is not a DomainError, so it ended a solve
+    with pytest.raises(NotPositiveDefinite, match="does not invert"):
+        stack_inverses(np.stack([np.eye(2), CHOLESKY_ACCEPTS_SINGULAR]))

@@ -10,7 +10,7 @@ from spinvar.battery import (
     random_feasible_path,
     random_mixture,
 )
-from spinvar.errors import InfeasibleStep, ValidationError
+from spinvar.errors import InfeasibleStep, NotPositiveDefinite, ValidationError
 from spinvar.functionals import (
     construct_multiplier,
     corrected_form,
@@ -379,3 +379,14 @@ def test_tilde_multiplier_reports_any_chain_failure():
     res = tilde_transform("upper", path, mix, 0.0, lam=np.array([[0.1]]))
     assert not res.feasible
     assert "multiplier chain" in res.violations[0]
+
+
+def test_gradient_at_a_singular_increment_is_a_domain_error():
+    # Cholesky accepts the exactly singular first increment A, so the value
+    # is finite, but its inverse failed with numpy's LinAlgError, which
+    # ended minimize_fixed's line search instead of halving its step
+    a = np.array([[5688.0, 2844.0], [2844.0, 1422.0]]) / 2**20
+    path = DiscretePath((0.0, 1.0), [a, np.eye(2)])
+    mix = MixtureSpec.pure(2, [0.5, 0.5])
+    with pytest.raises(NotPositiveDefinite):
+        grad_cs(path, mix, 1e-5)
