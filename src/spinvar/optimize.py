@@ -44,14 +44,14 @@ exact Hessian a damped Newton stage converges from :func:`default_start`
 at eps = 1e-5 directly, one long barrier step (Boyd & Vandenberghe,
 *Convex Optimization*, sec. 11.3), and the eps = 0 stage started there
 converges to the exact value of the form at the fixed weights.
-``search`` states its policy as start lists.  The r = 2 candidate runs cold only.  Every other candidate with
-a source runs warm and then cold: the first of each r >= 3 from the
-r - 1 sweep's answer with its top free level split in two
-(:func:`grown_start`), every later one from the final levels of the
-nearest converged candidate already solved at its r.  Warm starts only rank candidates: a winner that
-ran warm is re-solved cold, under every schedule, so each reported
-answer, of either form, is one cold ``continuation`` of the whole
-schedule at the search's (r, x).
+``search`` states its policy as start lists.  The r = 2 candidate runs
+cold only.  Every other candidate with a source runs warm and then cold:
+the first of each r >= 3 from the r - 1 sweep's answer with its top free
+level split in two (:func:`grown_start`), every later one from the final
+levels of the nearest converged candidate already solved at its r.  Warm
+starts only rank candidates: a winner that ran warm is re-solved cold,
+under every schedule, so each reported answer, of either form, is one
+cold ``continuation`` of the whole schedule at the search's (r, x).
 """
 
 from __future__ import annotations
@@ -514,8 +514,8 @@ def continuation(
     it.  A barrier method may start at its target eps near the solution
     (Boyd & Vandenberghe, sec. 11.3).  A warm eps = 0 stage that ends
     ``outside_cone`` is not converged, so the next start, cold under the
-    search's policy, runs.  The levels may be a continuation's at other weights,
-    ``path.qs[:-1]``, or a :func:`grown_start`: the tail chain
+    search's policy, runs.  The levels may be a continuation's at other
+    weights, ``path.qs[:-1]``, or a :func:`grown_start`: the tail chain
     D_p = sum_{k >= p} x_k (Q_{k+1} - Q_k) of strictly monotone levels is
     positive definite for any positive weights, so they are feasible at x.
     Trace rows keep their schedule indices.
